@@ -9,9 +9,8 @@ model config and parameter tensors), buffers, the resolved run config, and
 the content hashes of the stage checkpoints it was trained against. Floats
 round-trip exactly through JSON (repr is shortest-round-trip).
 
-A `bundle.json` in the checkpoint directory maps stage names to files and
-hashes; loading through the bundle verifies staged dependencies so a stale
-or missing prerequisite fails loudly.
+`load_stage` checks the recorded dependency hashes against the stage files
+in the directory, so a stale or missing prerequisite fails loudly.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .errors import FormatError, StageError
 from .fileio import atomic_write_text, sha256_file
 
 CKPT_MAGIC = "UDECKPT v1"
-BUNDLE_NAME = "bundle.json"
 
 
 def params_blob(module) -> dict:
@@ -76,23 +74,11 @@ def load_checkpoint(path) -> dict:
     return body
 
 
-# -- bundle -------------------------------------------------------------------------
+# -- stage files --------------------------------------------------------------------
 
 
 def stage_path(ckpt_dir, stage: str) -> str:
     return os.path.join(os.fspath(ckpt_dir), f"{stage}.ckpt")
-
-
-def update_bundle(ckpt_dir, stage: str) -> None:
-    """Record the stage file and its content hash in bundle.json."""
-    bundle_file = os.path.join(os.fspath(ckpt_dir), BUNDLE_NAME)
-    bundle = {}
-    if os.path.exists(bundle_file):
-        with open(bundle_file, "r", encoding="utf-8") as fh:
-            bundle = json.load(fh)
-    path = stage_path(ckpt_dir, stage)
-    bundle[stage] = {"path": os.path.basename(path), "sha256": sha256_file(path)}
-    atomic_write_text(bundle_file, json.dumps(bundle, indent=2) + "\n")
 
 
 def stage_hash(ckpt_dir, stage: str) -> str:

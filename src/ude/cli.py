@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train one stage or all of them")
     common(p_train)
     p_train.add_argument("--stage", required=True,
-                         choices=["mq", "utt", "dmd", "retrieval", "all"])
+                         choices=[*pipeline.STAGES, "all"])
     p_train.add_argument("--data", required=True, help="dataset directory")
     p_train.add_argument("--epochs", type=int, default=None,
                          help="override the per-stage epoch count")

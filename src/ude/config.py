@@ -137,7 +137,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
 
     Unknown keys are rejected; values are coerced to the field types.
     """
-    known = {f.name: f.type for f in fields(RunConfig)}
+    known = {f.name: _FIELD_TYPES[f.type] for f in fields(RunConfig)}
     merged: dict = {}
     if path is not None:
         try:
@@ -154,4 +154,25 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     unknown = set(merged) - set(known)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return RunConfig(**merged)
+    return RunConfig(**{k: _coerce(k, known[k], v) for k, v in merged.items()})
+
+
+_FIELD_TYPES = {"int": int, "float": float, "str": str}
+
+
+def _coerce(name: str, kind: type, value):
+    """`value` as the field type `kind`: numbers may arrive as numbers or
+    strings, but an int field takes no fraction and a str field no number."""
+    bad = ConfigError(f"config key {name!r} must be {kind.__name__}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise bad
+    if kind is str:
+        if not isinstance(value, str):
+            raise bad
+        return value
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise bad
+    try:
+        return kind(value)
+    except ValueError:
+        raise bad from None

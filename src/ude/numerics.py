@@ -15,29 +15,25 @@ Conventions:
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericsError, TrainingError
 
-_local = threading.local()
-
-
-def _grad_on() -> bool:
-    return getattr(_local, "grad_enabled", True)
+_grad_enabled = True  # cleared inside `no_grad`
 
 
 class no_grad:
     """Context manager that disables graph recording (inference mode)."""
 
     def __enter__(self):
-        self._prev = _grad_on()
-        _local.grad_enabled = False
+        global _grad_enabled
+        self._prev = _grad_enabled
+        _grad_enabled = False
         return self
 
     def __exit__(self, *exc):
-        _local.grad_enabled = self._prev
+        global _grad_enabled
+        _grad_enabled = self._prev
         return False
 
 
@@ -187,7 +183,7 @@ def _from_op(data: np.ndarray, parents: tuple, make_vjp, op: str) -> Tensor:
     out.data = data
     out.name = None
     out.grad = None
-    if _grad_on() and any(p.requires_grad or p._parents for p in parents):
+    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = make_vjp()

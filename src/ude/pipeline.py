@@ -10,10 +10,9 @@ against, and loading verifies those hashes so stale mixes fail loudly.
 from __future__ import annotations
 
 import json
-import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,18 +23,14 @@ from . import mq as mq_mod
 from . import utt as utt_mod
 from .audio import AudioFeatureSequence
 from .config import RunConfig, parse_counts
-from .dataset import (SynthConfig, build_vocabulary, load_samples,
-                      load_vocabulary, save_vocabulary, synth_dataset, tokenize,
-                      VOCAB_WORDS)
+from .dataset import (SynthConfig, load_samples, load_vocabulary, save_vocabulary,
+                      synth_dataset, tokenize)
 from .errors import ConfigError, ContractError, DimensionError, StageError
 from .fileio import atomic_write_text
 from .mate import MATEConfig, MATEModel, audio_input, text_input
 from .mate import encode as mate_encode
-from .motion import MotionSequence, save_motion
-from .numerics import Tensor
+from .motion import MotionSequence
 from .utt import SamplingConfig
-
-STAGES = ("mq", "utt", "dmd", "retrieval")
 
 
 def synth_config(cfg: RunConfig) -> SynthConfig:
@@ -93,108 +88,115 @@ def _dmd_config(cfg: RunConfig) -> dmd_mod.DMDConfig:
 
 def _write_loss_log(path, cfg: RunConfig, seed: int, history, columns) -> None:
     lines = [f"# config: {json.dumps(cfg.to_dict())} seed: {seed}",
-             ",".join(["epoch"] + columns)]
+             ",".join(["epoch", *columns])]
     for row in history:
         lines.append(",".join([str(row["epoch"])] + [repr(float(row[c])) for c in columns]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 # -- training stages -----------------------------------------------------------------
+#
+# Each trainer builds its models from `rng`, trains them on the train split and
+# returns (checkpoint sections, buffers, loss history).
 
 
-def train_stage(stage: str, cfg: RunConfig, data_dir, out_dir, seed: int,
-                epochs: int | None = None) -> dict:
-    """Train one stage (or "all"), writing checkpoints and loss logs."""
-    if stage == "all":
-        out = {}
-        for s in STAGES:
-            out[s] = train_stage(s, cfg, data_dir, out_dir, seed, epochs)
-        return out
-    if stage not in STAGES:
-        raise ConfigError(f"unknown stage {stage!r}")
-    os.makedirs(os.fspath(out_dir), exist_ok=True)
-    train = load_samples(data_dir, split="train")
-    motions = [s.motion.frames for s in train]
-    rng = np.random.default_rng(np.random.SeedSequence([seed, hash_stage(stage)]))
+def _train_mq(cfg, train, data_dir, out_dir, rng, seed, epochs) -> tuple:
+    model = mq_mod.MQModel(_mq_config(cfg), rng)
+    history = mq_mod.train_mq(model, [s.motion.frames for s in train],
+                              epochs=epochs or cfg.epochs_mq, seed=seed, lr=cfg.lr,
+                              batch_size=cfg.batch_size)
+    sections = {"mq": {"config": asdict(model.cfg), "params": ckpt.params_blob(model)}}
+    buffers = {"center": model.center, "scale": model.scale, "usage": model.usage}
+    return sections, buffers, history
 
-    if stage == "mq":
-        model = mq_mod.MQModel(_mq_config(cfg), rng)
-        history = mq_mod.train_mq(model, motions, epochs=epochs or cfg.epochs_mq,
-                                  seed=seed, lr=cfg.lr, batch_size=cfg.batch_size)
-        ckpt.save_checkpoint(
-            ckpt.stage_path(out_dir, "mq"), "mq",
-            {"mq": {"config": asdict(model.cfg), "params": ckpt.params_blob(model)}},
-            cfg.to_dict(),
-            buffers={"center": model.center, "scale": model.scale, "usage": model.usage})
-        _write_loss_log(os.path.join(os.fspath(out_dir), "mq_loss.csv"), cfg, seed,
-                        history, ["total", "recon", "codebook", "commit"])
-        ckpt.update_bundle(out_dir, "mq")
-        return {"history": history}
 
-    if stage == "utt":
-        mq_model, mq_hash = load_mq(out_dir)
-        vocab = load_vocabulary(os.path.join(os.fspath(data_dir), "vocab.txt"))
-        mate = MATEModel(_mate_config(cfg, len(vocab)), rng)
-        utt = utt_mod.UTTModel(_utt_config(cfg), rng)
-        disc = utt_mod.Discriminator(cfg.frame_dim, cfg.embed_dim, cfg.utt_heads, rng)
-        samples = [(_sample_input(s), s.motion.frames) for s in train]
-        history = utt_mod.train_utt(mate, utt, disc, mq_model, samples,
-                                    epochs=epochs or cfg.epochs_utt, seed=seed,
-                                    lr=cfg.lr, batch_size=cfg.batch_size,
-                                    z_prob=cfg.z_prob)
-        ckpt.save_checkpoint(
-            ckpt.stage_path(out_dir, "utt"), "utt",
-            {"mate": {"config": asdict(mate.cfg), "params": ckpt.params_blob(mate)},
-             "utt": {"config": asdict(utt.cfg), "params": ckpt.params_blob(utt)},
-             "disc": {"config": {"frame_dim": cfg.frame_dim, "dim": cfg.embed_dim,
-                                 "heads": cfg.utt_heads},
-                      "params": ckpt.params_blob(disc)}},
-            cfg.to_dict(), deps={"mq": mq_hash})
-        # generation needs the vocabulary next to the checkpoints
-        save_vocabulary(os.path.join(os.fspath(out_dir), "vocab.txt"),
-                        _vocab_words(vocab))
-        _write_loss_log(os.path.join(os.fspath(out_dir), "utt_loss.csv"), cfg, seed,
-                        history, ["ce", "adv", "disc"])
-        ckpt.update_bundle(out_dir, "utt")
-        return {"history": history}
+def _train_utt(cfg, train, data_dir, out_dir, rng, seed, epochs) -> tuple:
+    mq_model = load_mq(out_dir)
+    vocab = load_vocabulary(os.path.join(os.fspath(data_dir), "vocab.txt"))
+    mate = MATEModel(_mate_config(cfg, len(vocab)), rng)
+    utt = utt_mod.UTTModel(_utt_config(cfg), rng)
+    disc = utt_mod.Discriminator(cfg.frame_dim, cfg.embed_dim, cfg.utt_heads, rng)
+    samples = [(_sample_input(s), s.motion.frames) for s in train]
+    history = utt_mod.train_utt(mate, utt, disc, mq_model, samples,
+                                epochs=epochs or cfg.epochs_utt, seed=seed,
+                                lr=cfg.lr, batch_size=cfg.batch_size,
+                                z_prob=cfg.z_prob)
+    # generation needs the vocabulary next to the checkpoints
+    save_vocabulary(os.path.join(os.fspath(out_dir), "vocab.txt"), _vocab_words(vocab))
+    sections = {
+        "mate": {"config": asdict(mate.cfg), "params": ckpt.params_blob(mate)},
+        "utt": {"config": asdict(utt.cfg), "params": ckpt.params_blob(utt)},
+        "disc": {"config": {"frame_dim": cfg.frame_dim, "dim": cfg.embed_dim,
+                            "heads": cfg.utt_heads},
+                 "params": ckpt.params_blob(disc)},
+    }
+    return sections, None, history
 
-    if stage == "dmd":
-        mq_model, mq_hash = load_mq(out_dir)
-        model = dmd_mod.DMDModel(_dmd_config(cfg), rng)
-        sched = dmd_mod.make_schedule(cfg.diffusion_steps)
-        history = dmd_mod.train_dmd(model, sched, mq_model, motions,
-                                    epochs=epochs or cfg.epochs_dmd, seed=seed,
-                                    lr=cfg.lr, batch_size=cfg.batch_size)
-        ckpt.save_checkpoint(
-            ckpt.stage_path(out_dir, "dmd"), "dmd",
-            {"dmd": {"config": asdict(model.cfg), "params": ckpt.params_blob(model)}},
-            cfg.to_dict(), deps={"mq": mq_hash})
-        _write_loss_log(os.path.join(os.fspath(out_dir), "dmd_loss.csv"), cfg, seed,
-                        history, ["loss"])
-        ckpt.update_bundle(out_dir, "dmd")
-        return {"history": history}
 
-    # retrieval
+def _train_dmd(cfg, train, data_dir, out_dir, rng, seed, epochs) -> tuple:
+    mq_model = load_mq(out_dir)
+    model = dmd_mod.DMDModel(_dmd_config(cfg), rng)
+    sched = dmd_mod.make_schedule(cfg.diffusion_steps)
+    history = dmd_mod.train_dmd(model, sched, mq_model, [s.motion.frames for s in train],
+                                epochs=epochs or cfg.epochs_dmd, seed=seed,
+                                lr=cfg.lr, batch_size=cfg.batch_size)
+    sections = {"dmd": {"config": asdict(model.cfg), "params": ckpt.params_blob(model)}}
+    return sections, None, history
+
+
+def _train_retrieval(cfg, train, data_dir, out_dir, rng, seed, epochs) -> tuple:
     vocab = load_vocabulary(os.path.join(os.fspath(data_dir), "vocab.txt"))
     pairs = [(s.motion.frames, s.text_ids) for s in train if s.modality == "text"]
     enc, history = metrics_mod.train_retrieval_encoder(
         pairs, frame_dim=cfg.frame_dim, vocab_size=len(vocab),
         epochs=epochs if epochs is not None else cfg.epochs_retrieval,
         seed=seed, lr=cfg.lr, out_dim=cfg.retrieval_dim)
-    ckpt.save_checkpoint(
-        ckpt.stage_path(out_dir, "retrieval"), "retrieval",
-        {"retrieval": {"config": {"frame_dim": cfg.frame_dim, "vocab_size": len(vocab),
-                                  "out_dim": cfg.retrieval_dim},
-                       "params": ckpt.params_blob(enc)}},
-        cfg.to_dict())
-    _write_loss_log(os.path.join(os.fspath(out_dir), "retrieval_loss.csv"), cfg, seed,
-                    history, ["loss"])
-    ckpt.update_bundle(out_dir, "retrieval")
+    sections = {"retrieval": {"config": {"frame_dim": cfg.frame_dim,
+                                         "vocab_size": len(vocab),
+                                         "out_dim": cfg.retrieval_dim},
+                              "params": ckpt.params_blob(enc)}}
+    return sections, None, history
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One training stage: its trainer, the stages whose checkpoint hashes it
+    records, its loss-CSV columns and the tag of its rng stream (fixed, so
+    that a seed keeps giving the same models)."""
+    train: Callable
+    deps: tuple
+    columns: tuple
+    tag: int
+
+
+# in training order; a stage comes after every stage it depends on
+STAGES = {
+    "mq": Stage(_train_mq, (), ("total", "recon", "codebook", "commit"), 101),
+    "utt": Stage(_train_utt, ("mq",), ("ce", "adv", "disc"), 102),
+    "dmd": Stage(_train_dmd, ("mq",), ("loss",), 103),
+    "retrieval": Stage(_train_retrieval, (), ("loss",), 104),
+}
+
+
+def train_stage(stage: str, cfg: RunConfig, data_dir, out_dir, seed: int,
+                epochs: int | None = None) -> dict:
+    """Train one stage (or "all"), writing checkpoints and loss logs."""
+    if stage == "all":
+        return {s: train_stage(s, cfg, data_dir, out_dir, seed, epochs) for s in STAGES}
+    if stage not in STAGES:
+        raise ConfigError(f"unknown stage {stage!r}")
+    spec = STAGES[stage]
+    os.makedirs(os.fspath(out_dir), exist_ok=True)
+    deps = {dep: ckpt.stage_hash(out_dir, dep) for dep in spec.deps}
+    train = load_samples(data_dir, split="train")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, spec.tag]))
+    sections, buffers, history = spec.train(cfg, train, data_dir, out_dir, rng, seed,
+                                            epochs)
+    ckpt.save_checkpoint(ckpt.stage_path(out_dir, stage), stage, sections,
+                         cfg.to_dict(), deps=deps, buffers=buffers)
+    _write_loss_log(os.path.join(os.fspath(out_dir), f"{stage}_loss.csv"), cfg, seed,
+                    history, spec.columns)
     return {"history": history}
-
-
-def hash_stage(stage: str) -> int:
-    return {"mq": 101, "utt": 102, "dmd": 103, "retrieval": 104}[stage]
 
 
 def _sample_input(sample):
@@ -210,7 +212,7 @@ def _vocab_words(vocab: dict) -> tuple:
 # -- loading -----------------------------------------------------------------------
 
 
-def load_mq(ckpt_dir) -> tuple:
+def load_mq(ckpt_dir) -> mq_mod.MQModel:
     body = ckpt.load_stage(ckpt_dir, "mq")
     section = body["sections"]["mq"]
     model = mq_mod.MQModel(mq_mod.MQConfig(**section["config"]),
@@ -219,7 +221,8 @@ def load_mq(ckpt_dir) -> tuple:
     buffers = body.get("buffers", {})
     model.center = np.array(buffers.get("center", model.center), dtype=np.float64)
     model.scale = np.array(buffers.get("scale", model.scale), dtype=np.float64)
-    return model, ckpt.stage_hash(ckpt_dir, "mq")
+    model.usage = np.array(buffers.get("usage", model.usage), dtype=np.int64)
+    return model
 
 
 def load_utt_stack(ckpt_dir) -> tuple:
@@ -261,11 +264,12 @@ def load_retrieval(ckpt_dir) -> metrics_mod.RetrievalEncoder:
 
 def load_generation_stack(ckpt_dir, decoder: str = "dmd"):
     """Everything `generate` needs; decoder is "vq" or "dmd"."""
-    mq_model, _ = load_mq(ckpt_dir)
+    mq_model = load_mq(ckpt_dir)
     mate, utt, _ = load_utt_stack(ckpt_dir)
     vocab_path = os.path.join(os.fspath(ckpt_dir), "vocab.txt")
-    vocab = load_vocabulary(vocab_path) if os.path.exists(vocab_path) else build_vocabulary()
-    stack = {"mq": mq_model, "mate": mate, "utt": utt, "vocab": vocab,
+    if not os.path.exists(vocab_path):
+        raise StageError(f"requires stage utt: vocabulary {vocab_path} is missing")
+    stack = {"mq": mq_model, "mate": mate, "utt": utt, "vocab": load_vocabulary(vocab_path),
              "dmd": None, "sched": None}
     if decoder == "dmd":
         model, sched = load_dmd(ckpt_dir)
@@ -313,15 +317,18 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed: int
     tokens = utt_mod.generate_tokens(stack["utt"], cond, n_tokens, sampling,
                                      primitive=primitive, z=z, seed=seed,
                                      min_len=n_tokens)
+    return {"tokens": tokens, "frames": _decode(stack, decoder, tokens, seed),
+            "unk_only": unk_only}
+
+
+def _decode(stack, decoder: str, tokens, seed: int) -> np.ndarray:
     if decoder == "vq":
-        out = stack["mq"].decode_tokens(tokens)
-    elif decoder == "dmd":
+        return stack["mq"].decode_tokens(tokens)
+    if decoder == "dmd":
         if stack["dmd"] is None:
             raise StageError("requires stage dmd: no diffusion decoder loaded")
-        out = dmd_mod.decode_tokens_dmd(stack["dmd"], stack["sched"], tokens, seed=seed)
-    else:
-        raise ConfigError(f"unknown decoder {decoder!r}")
-    return {"tokens": tokens, "frames": out, "unk_only": unk_only}
+        return dmd_mod.decode_tokens_dmd(stack["dmd"], stack["sched"], tokens, seed=seed)
+    raise ConfigError(f"unknown decoder {decoder!r}")
 
 
 def transition_motion(stack, cfg: RunConfig, prompt: str, features, seed: int,
@@ -343,14 +350,8 @@ def transition_motion(stack, cfg: RunConfig, prompt: str, features, seed: int,
                                 primitive=primitive)
     cont_tokens = audio_out["tokens"]
     full = np.concatenate([text_tokens, cont_tokens[primitive_len:]])
-    if decoder == "dmd":
-        if stack["dmd"] is None:
-            raise StageError("requires stage dmd: no diffusion decoder loaded")
-        frames = dmd_mod.decode_tokens_dmd(stack["dmd"], stack["sched"], full, seed=seed)
-    else:
-        frames = stack["mq"].decode_tokens(full)
     boundary_frame = 4 * text_tokens.size
-    motion = MotionSequence(cfg.fps, frames)
+    motion = MotionSequence(cfg.fps, _decode(stack, decoder, full, seed))
     report = boundary_report(motion, boundary_frame)
     report.update({
         "text_tokens": text_tokens.tolist(),
@@ -414,13 +415,6 @@ def motion_svg(motion: MotionSequence) -> str:
 # -- evaluation ----------------------------------------------------------------------
 
 
-def _eval_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("UDE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
              seed: int = 0, decoder: str = "vq",
              samples_per_input: int | None = None) -> dict:
@@ -436,27 +430,15 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
     text_samples = [s for s in samples if s.modality == "text"]
     audio_samples = [s for s in samples if s.modality == "audio"]
 
-    def one_generation(args):
-        sample, rep = args
-        gen_seed = int(np.random.SeedSequence([seed, rep, _stable_id(sample.id)])
-                       .generate_state(1)[0])
-        out = generate_motion(
-            stack, cfg, sample.modality, sample.motion.length, gen_seed,
-            prompt=sample.sentence, features=(sample.features.features
-                                              if sample.features else None),
-            use_z=False, decoder=decoder)
-        return sample.id, rep, MotionSequence(cfg.fps, out["frames"])
-
-    jobs = [(s, rep) for s in samples for rep in range(spi)]
-    threads = _eval_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_generation, jobs))
-    else:
-        results = [one_generation(job) for job in jobs]
     generated = {}
-    for sid, rep, motion in results:
-        generated.setdefault(sid, []).append(motion)
+    for sample in samples:
+        for rep in range(spi):
+            out = generate_motion(
+                stack, cfg, sample.modality, sample.motion.length,
+                _sample_seed(seed, rep, sample.id), prompt=sample.sentence,
+                features=sample.features.features if sample.features else None,
+                use_z=False, decoder=decoder)
+            generated.setdefault(sample.id, []).append(MotionSequence(cfg.fps, out["frames"]))
 
     report = {"config": cfg.to_dict(), "seed": seed, "split": split,
               "decoder": decoder, "samples_per_input": spi,
@@ -502,6 +484,12 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
             report["metrics"]["audio"]["beat_align_gt"] = float(np.mean(gt_aligns))
 
     return report
+
+
+def _sample_seed(seed: int, rep: int, sample_id: str) -> int:
+    """Generation seed of one eval sample and repetition."""
+    return int(np.random.SeedSequence([seed, rep, _stable_id(sample_id)])
+               .generate_state(1)[0])
 
 
 def _stable_id(sample_id: str) -> int:

@@ -1,0 +1,37 @@
+import json
+
+import pytest
+
+from ude.config import RunConfig, load_config
+from ude.errors import ConfigError
+
+
+def _load(tmp_path, values):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(values))
+    return load_config(path)
+
+
+def test_values_are_coerced_to_the_field_types(tmp_path):
+    cfg = _load(tmp_path, {"frames": "64", "lr": "0.01", "fps": 16, "batch_size": 4.0})
+    assert cfg.frames == 64 and type(cfg.frames) is int
+    assert cfg.lr == 0.01 and type(cfg.lr) is float
+    assert cfg.fps == 16.0 and type(cfg.fps) is float
+    assert cfg.batch_size == 4 and type(cfg.batch_size) is int
+
+
+def test_defaults_round_trip_unchanged(tmp_path):
+    assert _load(tmp_path, RunConfig().to_dict()) == RunConfig()
+
+
+@pytest.mark.parametrize("values", [
+    {"frames": "sixty-four"},
+    {"frames": 64.5},
+    {"frames": True},
+    {"lr": None},
+    {"lr": [0.1]},
+    {"families": 3},
+])
+def test_values_that_do_not_fit_the_field_type_raise(tmp_path, values):
+    with pytest.raises(ConfigError):
+        _load(tmp_path, values)
