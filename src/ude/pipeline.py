@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -487,10 +488,7 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
 
 
 def _sample_seed(seed: int, rep: int, sample_id: str) -> int:
-    """Generation seed of one eval sample and repetition."""
-    return int(np.random.SeedSequence([seed, rep, _stable_id(sample_id)])
+    """Generation seed of one eval sample and repetition; the whole id is
+    hashed, so samples with different ids get different seeds."""
+    return int(np.random.SeedSequence([seed, rep, zlib.crc32(sample_id.encode())])
                .generate_state(1)[0])
-
-
-def _stable_id(sample_id: str) -> int:
-    return int.from_bytes(sample_id.encode(), "little") % (2 ** 31)
