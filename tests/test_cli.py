@@ -23,6 +23,7 @@ def _run_sequence(root, config) -> dict:
     data, ckpt, gen = root / "data", root / "ckpt", root / "gen"
     gen.mkdir()
     common = ["--config", config, "--seed", SEED]
+    # the first audio sample of the test split at the tiny config
     features = data / "conds" / "audio_test_00020.udef"
     steps = [
         ["synth", *common, "--out", data],
