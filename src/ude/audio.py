@@ -116,11 +116,11 @@ def extract_audio_features(samples, rate: float, fps: float = 16.0,
     return AudioFeatureSequence(frame_rate=fps, features=features)
 
 
-_FEAT_HEADER_RE = re.compile(r"^UDEFEAT v1 rate=([0-9.eE+-]+) dims=(\d+)\s*$")
+_FEAT_HEADER_RE = re.compile(rf"^{FEATURE_MAGIC} rate=([0-9.eE+-]+) dims=(\d+)\s*$")
 
 
 def save_features(seq: AudioFeatureSequence, path) -> None:
-    lines = [f"UDEFEAT v1 rate={seq.frame_rate!r} dims={seq.dim}"]
+    lines = [f"{FEATURE_MAGIC} rate={seq.frame_rate!r} dims={seq.dim}"]
     for row in seq.features:
         lines.append(" ".join(format(v, ".9f") for v in row))
     if seq.beat_times is not None:

@@ -88,18 +88,16 @@ def stage_hash(ckpt_dir, stage: str) -> str:
     return sha256_file(path)
 
 
-def load_stage(ckpt_dir, stage: str, verify_deps: bool = True) -> dict:
+def load_stage(ckpt_dir, stage: str) -> dict:
     """Load one stage checkpoint, checking its recorded dependency hashes
     against the files currently in the directory."""
     path = stage_path(ckpt_dir, stage)
     if not os.path.exists(path):
         raise StageError(f"requires stage {stage}: checkpoint {path} is missing")
     body = load_checkpoint(path)
-    if verify_deps:
-        for dep, recorded in body.get("deps", {}).items():
-            current = stage_hash(ckpt_dir, dep)
-            if current != recorded:
-                raise StageError(
-                    f"stage {stage} was trained against a different {dep} "
-                    f"checkpoint (hash mismatch); retrain or restore it")
+    for dep, recorded in body.get("deps", {}).items():
+        if stage_hash(ckpt_dir, dep) != recorded:
+            raise StageError(
+                f"stage {stage} was trained against a different {dep} "
+                f"checkpoint (hash mismatch); retrain or restore it")
     return body

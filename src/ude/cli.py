@@ -104,15 +104,21 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _make_parent(path) -> None:
+    os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
+
+
 def _write_generation(out_path, cfg: RunConfig, seed: int, result, extra: dict,
                       plot=None) -> None:
     motion = MotionSequence(cfg.fps, result["frames"])
+    _make_parent(out_path)
     save_motion(motion, out_path)
     meta = {"config": cfg.to_dict(), "seed": seed,
             "tokens": np.asarray(result["tokens"]).tolist()}
     meta.update(extra)
     atomic_write_text(str(out_path) + ".meta.json", json.dumps(meta, indent=2) + "\n")
     if plot:
+        _make_parent(plot)
         atomic_write_text(plot, pipeline.motion_svg(motion) + "\n")
 
 
@@ -147,6 +153,7 @@ def cmd_transition(args) -> int:
         stack, cfg, args.prompt, features, seed,
         text_frames=args.text_frames, audio_frames=args.audio_frames,
         primitive_len=args.primitive_len, decoder=args.decoder)
+    _make_parent(args.out)
     save_motion(result["motion"], args.out)
     report = {"config": cfg.to_dict(), "seed": seed}
     report.update(result["report"])
@@ -162,7 +169,7 @@ def cmd_eval(args) -> int:
     report = pipeline.evaluate(cfg, args.data, args.ckpt, split=args.split,
                                seed=seed, decoder=args.decoder,
                                samples_per_input=args.samples_per_input)
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+    _make_parent(args.out)
     atomic_write_text(args.out, json.dumps(report, indent=2) + "\n")
     for modality, block in report["metrics"].items():
         keys = ", ".join(f"{k}={v:.4f}" for k, v in sorted(block.items()))

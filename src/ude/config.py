@@ -1,8 +1,9 @@
 """Flat run configuration with desk-scale defaults.
 
-Every knob has a default; a JSON config file may override any subset, and
-unknown keys are rejected. The resolved config is echoed into every output
-artifact (checkpoints, loss logs, metric reports, generation sidecars).
+Every knob has a default; a JSON config file may override any subset.
+Unknown keys, values of the wrong type and out-of-range counts are
+rejected. The resolved config is echoed into every output artifact
+(checkpoints, loss logs, metric reports, generation sidecars).
 
 `LARGE_SCALE` documents the reference full-scale settings this desk setup
 is scaled down from; they are constants, not defaults.
@@ -154,7 +155,29 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     unknown = set(merged) - set(known)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return RunConfig(**{k: _coerce(k, known[k], v) for k, v in merged.items()})
+    cfg = RunConfig(**{k: _coerce(k, known[k], v) for k, v in merged.items()})
+    _check_ranges(cfg)
+    return cfg
+
+
+# smallest value each count may take
+_MINIMUMS = {"frames": 4, "code_count": 1, "embed_dim": 1, "mate_heads": 1,
+             "utt_heads": 1, "dmd_heads": 1, "top_k": 1, "diffusion_steps": 1,
+             "batch_size": 1, "epochs_mq": 0, "epochs_utt": 0, "epochs_dmd": 0,
+             "epochs_retrieval": 0}
+
+
+def _check_ranges(cfg: RunConfig) -> None:
+    for name, least in _MINIMUMS.items():
+        if getattr(cfg, name) < least:
+            raise ConfigError(f"config key {name!r} must be at least {least}, "
+                              f"got {getattr(cfg, name)}")
+    if cfg.frames % 4:
+        raise ConfigError(f"frames {cfg.frames} must be divisible by 4")
+    for heads in ("mate_heads", "utt_heads", "dmd_heads"):
+        if cfg.embed_dim % getattr(cfg, heads):
+            raise ConfigError(f"embed_dim {cfg.embed_dim} must be divisible by "
+                              f"{heads} {getattr(cfg, heads)}")
 
 
 _FIELD_TYPES = {"int": int, "float": float, "str": str}

@@ -163,13 +163,11 @@ def identity_mapping(j: int) -> dict:
     return {i: [(i, 1.0)] for i in range(j)}
 
 
-_HEADER_RE = re.compile(
-    r"^UDEMOTION v1 fps=([0-9.eE+-]+) joints=(\d+)\s*$"
-)
+_HEADER_RE = re.compile(rf"^{MOTION_MAGIC} fps=([0-9.eE+-]+) joints=(\d+)\s*$")
 
 
 def save_motion(m: MotionSequence, path) -> None:
-    lines = [f"UDEMOTION v1 fps={m.fps!r} joints={m.joint_count}"]
+    lines = [f"{MOTION_MAGIC} fps={m.fps!r} joints={m.joint_count}"]
     for row in m.frames:
         lines.append(" ".join(format(v, ".9f") for v in row))
     atomic_write_text(path, "\n".join(lines) + "\n")

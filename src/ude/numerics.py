@@ -3,8 +3,11 @@
 Every model in this package is built from the ops here: broadcasting
 elementwise arithmetic, (batched) matmul, numerically stable softmax and
 log-softmax, layer norm, temporal 1-D convolution, embedding lookup and a
-few shape ops. Graphs are recorded eagerly as tensors are produced;
-``Tensor.backward()`` replays them in reverse topological order.
+few shape ops. Graphs are recorded eagerly as tensors are produced: each
+op computes its output and everything its gradient needs, then hands
+``_from_op`` one closure ``vjp(g)`` that adds the output gradient ``g``
+into the op's inputs; the closure is kept only when a graph is recorded.
+``Tensor.backward()`` calls them in reverse topological order.
 
 Conventions:
   * everything is float64; any op that produces NaN/Inf raises NumericsError,
@@ -177,7 +180,7 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _from_op(data: np.ndarray, parents: tuple, make_vjp, op: str) -> Tensor:
+def _from_op(data: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -186,7 +189,7 @@ def _from_op(data: np.ndarray, parents: tuple, make_vjp, op: str) -> Tensor:
     if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
         out.requires_grad = True
         out._parents = parents
-        out._vjp = make_vjp()
+        out._vjp = vjp
     else:
         out.requires_grad = False
         out._parents = ()
@@ -213,12 +216,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
-    def vjp():
-        def run(g):
-            _accumulate(a, _unbroadcast(g, a.shape))
-            _accumulate(b, _unbroadcast(g, b.shape))
-
-        return run
+    def vjp(g):
+        _accumulate(a, _unbroadcast(g, a.shape))
+        _accumulate(b, _unbroadcast(g, b.shape))
 
     return _from_op(a.data + b.data, (a, b), vjp, "add")
 
@@ -226,12 +226,9 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
-    def vjp():
-        def run(g):
-            _accumulate(a, _unbroadcast(g, a.shape))
-            _accumulate(b, _unbroadcast(-g, b.shape))
-
-        return run
+    def vjp(g):
+        _accumulate(a, _unbroadcast(g, a.shape))
+        _accumulate(b, _unbroadcast(-g, b.shape))
 
     return _from_op(a.data - b.data, (a, b), vjp, "sub")
 
@@ -239,12 +236,9 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
-    def vjp():
-        def run(g):
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-        return run
+    def vjp(g):
+        _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _from_op(a.data * b.data, (a, b), vjp, "mul")
 
@@ -252,12 +246,9 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
-    def vjp():
-        def run(g):
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-        return run
+    def vjp(g):
+        _accumulate(a, _unbroadcast(g / b.data, a.shape))
+        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _from_op(a.data / b.data, (a, b), vjp, "div")
 
@@ -265,11 +256,8 @@ def div(a, b) -> Tensor:
 def neg(a) -> Tensor:
     a = _as_tensor(a)
 
-    def vjp():
-        def run(g):
-            _accumulate(a, -g)
-
-        return run
+    def vjp(g):
+        _accumulate(a, -g)
 
     return _from_op(-a.data, (a,), vjp, "neg")
 
@@ -278,69 +266,18 @@ def power(a, p: float) -> Tensor:
     a = _as_tensor(a)
     p = float(p)
 
-    def vjp():
-        def run(g):
-            _accumulate(a, g * p * a.data ** (p - 1.0))
-
-        return run
+    def vjp(g):
+        _accumulate(a, g * p * a.data ** (p - 1.0))
 
     return _from_op(a.data ** p, (a,), vjp, "power")
-
-
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    with np.errstate(over="ignore"):
-        out_data = np.exp(a.data)
-
-    def vjp():
-        def run(g):
-            _accumulate(a, g * out_data)
-
-        return run
-
-    return _from_op(out_data, (a,), vjp, "exp")
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def vjp():
-        def run(g):
-            _accumulate(a, g / a.data)
-
-        return run
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = np.log(a.data)
-    return _from_op(out_data, (a,), vjp, "log")
-
-
-def sqrt(a) -> Tensor:
-    return power(a, 0.5)
-
-
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def vjp():
-        def run(g):
-            _accumulate(a, g * (1.0 - out_data * out_data))
-
-        return run
-
-    return _from_op(out_data, (a,), vjp, "tanh")
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0
 
-    def vjp():
-        def run(g):
-            _accumulate(a, g * mask)
-
-        return run
+    def vjp(g):
+        _accumulate(a, g * mask)
 
     return _from_op(np.where(mask, a.data, 0.0), (a,), vjp, "relu")
 
@@ -356,12 +293,9 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
 
-    def vjp():
-        def run(g):
-            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
-
-        return run
+    def vjp(g):
+        _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _from_op(a.data @ b.data, (a, b), vjp, "matmul")
 
@@ -380,11 +314,8 @@ def _expand_reduced(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.nda
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
 
-    def vjp():
-        def run(g):
-            _accumulate(a, _expand_reduced(g, a.shape, axis, keepdims).copy())
-
-        return run
+    def vjp(g):
+        _accumulate(a, _expand_reduced(g, a.shape, axis, keepdims).copy())
 
     return _from_op(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), vjp, "sum")
 
@@ -393,11 +324,8 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
     count = a.size if axis is None else np.prod([a.shape[ax] for ax in np.atleast_1d(axis)])
 
-    def vjp():
-        def run(g):
-            _accumulate(a, _expand_reduced(g, a.shape, axis, keepdims) / count)
-
-        return run
+    def vjp(g):
+        _accumulate(a, _expand_reduced(g, a.shape, axis, keepdims) / count)
 
     return _from_op(np.mean(a.data, axis=axis, keepdims=keepdims), (a,), vjp, "mean")
 
@@ -408,13 +336,10 @@ def reduce_max(a, axis: int) -> Tensor:
     idx = np.argmax(a.data, axis=axis)
     out_data = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
 
-    def vjp():
-        def run(g):
-            full = np.zeros_like(a.data)
-            np.put_along_axis(full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
-            _accumulate(a, full)
-
-        return run
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        np.put_along_axis(full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
+        _accumulate(a, full)
 
     return _from_op(out_data, (a,), vjp, "reduce_max")
 
@@ -431,12 +356,9 @@ def softmax(x, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     y = e / np.sum(e, axis=axis, keepdims=True)
 
-    def vjp():
-        def run(g):
-            dot = np.sum(g * y, axis=axis, keepdims=True)
-            _accumulate(x, y * (g - dot))
-
-        return run
+    def vjp(g):
+        dot = np.sum(g * y, axis=axis, keepdims=True)
+        _accumulate(x, y * (g - dot))
 
     return _from_op(y, (x,), vjp, "softmax")
 
@@ -449,11 +371,8 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
     y = shifted - lse
 
-    def vjp():
-        def run(g):
-            _accumulate(x, g - np.exp(y) * np.sum(g, axis=axis, keepdims=True))
-
-        return run
+    def vjp(g):
+        _accumulate(x, g - np.exp(y) * np.sum(g, axis=axis, keepdims=True))
 
     return _from_op(y, (x,), vjp, "log_softmax")
 
@@ -470,19 +389,16 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     xh = xc * inv
     out_data = xh * gain.data + bias.data
 
-    def vjp():
-        def run(g):
-            _accumulate(gain, _unbroadcast(g * xh, gain.shape))
-            _accumulate(bias, _unbroadcast(g, bias.shape))
-            gh = g * gain.data
-            gx = inv * (
-                gh
-                - np.mean(gh, axis=-1, keepdims=True)
-                - xh * np.mean(gh * xh, axis=-1, keepdims=True)
-            )
-            _accumulate(x, gx)
-
-        return run
+    def vjp(g):
+        _accumulate(gain, _unbroadcast(g * xh, gain.shape))
+        _accumulate(bias, _unbroadcast(g, bias.shape))
+        gh = g * gain.data
+        gx = inv * (
+            gh
+            - np.mean(gh, axis=-1, keepdims=True)
+            - xh * np.mean(gh * xh, axis=-1, keepdims=True)
+        )
+        _accumulate(x, gx)
 
     return _from_op(out_data, (x, gain, bias), vjp, "layer_norm")
 
@@ -521,17 +437,14 @@ def conv1d_temporal(x, kernel, stride: int = 1, pad=0) -> Tensor:
     cols = xp[idx]  # [T', W, Cin]
     out_data = cols.reshape(t_out, w * c_in) @ kernel.data.reshape(w * c_in, c_out)
 
-    def vjp():
-        def run(g):
-            gk = cols.reshape(t_out, w * c_in).T @ g
-            _accumulate(kernel, gk.reshape(w, c_in, c_out))
-            gcols = (g @ kernel.data.reshape(w * c_in, c_out).T).reshape(t_out, w, c_in)
-            gxp = np.zeros_like(xp)
-            for j in range(w):
-                gxp[j:j + stride * t_out:stride] += gcols[:, j, :]
-            _accumulate(x, gxp[pad:pad + t_in])
-
-        return run
+    def vjp(g):
+        gk = cols.reshape(t_out, w * c_in).T @ g
+        _accumulate(kernel, gk.reshape(w, c_in, c_out))
+        gcols = (g @ kernel.data.reshape(w * c_in, c_out).T).reshape(t_out, w, c_in)
+        gxp = np.zeros_like(xp)
+        for j in range(w):
+            gxp[j:j + stride * t_out:stride] += gcols[:, j, :]
+        _accumulate(x, gxp[pad:pad + t_in])
 
     return _from_op(out_data, (x, kernel), vjp, "conv1d_temporal")
 
@@ -548,13 +461,10 @@ def embedding(table, ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise DimensionError("embedding id out of range")
 
-    def vjp():
-        def run(g):
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, g)
-            _accumulate(table, gt)
-
-        return run
+    def vjp(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, ids, g)
+        _accumulate(table, gt)
 
     return _from_op(table.data[ids].copy(), (table,), vjp, "embedding")
 
@@ -564,13 +474,10 @@ def take(a, key) -> Tensor:
     a = _as_tensor(a)
     out_data = np.array(a.data[key])
 
-    def vjp():
-        def run(g):
-            ga = np.zeros_like(a.data)
-            ga[key] = ga[key] + g
-            _accumulate(a, ga)
-
-        return run
+    def vjp(g):
+        ga = np.zeros_like(a.data)
+        ga[key] = ga[key] + g
+        _accumulate(a, ga)
 
     return _from_op(out_data, (a,), vjp, "take")
 
@@ -581,13 +488,10 @@ def take_per_row(a, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     rows = np.arange(a.shape[0])
 
-    def vjp():
-        def run(g):
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, (rows, ids), g)
-            _accumulate(a, ga)
-
-        return run
+    def vjp(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, (rows, ids), g)
+        _accumulate(a, ga)
 
     return _from_op(a.data[rows, ids].copy(), (a,), vjp, "take_per_row")
 
@@ -597,14 +501,11 @@ def concat(parts, axis: int = 0) -> Tensor:
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
-    def vjp():
-        def run(g):
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                _accumulate(p, g[tuple(sl)])
-
-        return run
+    def vjp(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(lo, hi)
+            _accumulate(p, g[tuple(sl)])
 
     return _from_op(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), vjp, "concat")
 
@@ -614,11 +515,8 @@ def repeat_rows(a, k: int) -> Tensor:
     a = _as_tensor(a)
     t = a.shape[0]
 
-    def vjp():
-        def run(g):
-            _accumulate(a, g.reshape(t, k, *a.shape[1:]).sum(axis=1))
-
-        return run
+    def vjp(g):
+        _accumulate(a, g.reshape(t, k, *a.shape[1:]).sum(axis=1))
 
     return _from_op(np.repeat(a.data, k, axis=0), (a,), vjp, "repeat_rows")
 
@@ -627,11 +525,8 @@ def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     old = a.shape
 
-    def vjp():
-        def run(g):
-            _accumulate(a, g.reshape(old))
-
-        return run
+    def vjp(g):
+        _accumulate(a, g.reshape(old))
 
     return _from_op(a.data.reshape(shape), (a,), vjp, "reshape")
 
@@ -640,11 +535,8 @@ def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     inv = np.argsort(axes)
 
-    def vjp():
-        def run(g):
-            _accumulate(a, g.transpose(inv))
-
-        return run
+    def vjp(g):
+        _accumulate(a, g.transpose(inv))
 
     return _from_op(np.ascontiguousarray(a.data.transpose(axes)), (a,), vjp, "transpose")
 
@@ -661,20 +553,14 @@ class Adam:
 
     def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        pairs = []
-        for i, p in enumerate(params):
-            if isinstance(p, tuple):
-                pairs.append(p)
-            else:
-                pairs.append((p.name or f"param{i}", p))
-        self.params = pairs
+        self.params = list(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self.m = [np.zeros_like(p.data) for _, p in pairs]
-        self.v = [np.zeros_like(p.data) for _, p in pairs]
+        self.m = [np.zeros_like(p.data) for _, p in self.params]
+        self.v = [np.zeros_like(p.data) for _, p in self.params]
 
     def zero_grad(self) -> None:
         for _, p in self.params:

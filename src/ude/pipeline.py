@@ -2,9 +2,12 @@
 from text or audio conditions, stitch text-to-audio transitions through
 token primitives, and run the metric battery.
 
-Stage order is mq -> utt (mate+utt+disc) -> dmd -> retrieval; the utt and
-dmd stages record the content hash of the mq checkpoint they were trained
-against, and loading verifies those hashes so stale mixes fail loudly.
+Stage order is mq -> utt (mate+utt+disc) -> dmd -> retrieval, one `STAGES`
+entry each; the utt and dmd stages record the content hash of the mq
+checkpoint they were trained against, and loading verifies those hashes so
+stale mixes fail loudly. `MODELS` maps every checkpoint section to its one
+constructor: the trainers build through it and `load_models` rebuilds any
+stage's sections through it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .audio import AudioFeatureSequence
 from .config import RunConfig, parse_counts
 from .dataset import (SynthConfig, load_samples, load_vocabulary, save_vocabulary,
                       synth_dataset, tokenize)
-from .errors import ConfigError, ContractError, DimensionError, StageError
+from .errors import ConfigError, ContractError, DimensionError, FormatError, StageError
 from .fileio import atomic_write_text
 from .mate import MATEConfig, MATEModel, audio_input, text_input
 from .mate import encode as mate_encode
@@ -58,33 +61,29 @@ def run_synth(cfg: RunConfig, seed: int, out_dir) -> dict:
     return counts
 
 
-# -- model builders -----------------------------------------------------------------
+# -- models ------------------------------------------------------------------------
+#
+# Every checkpoint section's model, built from its recorded config dict. The
+# trainers build through this table and the loaders rebuild through it, so
+# each constructor is spelled once.
+
+MODELS = {
+    "mq": lambda c, rng: mq_mod.MQModel(mq_mod.MQConfig(**c), rng),
+    "mate": lambda c, rng: MATEModel(MATEConfig(**c), rng),
+    "utt": lambda c, rng: utt_mod.UTTModel(utt_mod.UTTConfig(**c), rng),
+    "disc": lambda c, rng: utt_mod.Discriminator(**c, rng=rng),
+    "dmd": lambda c, rng: dmd_mod.DMDModel(dmd_mod.DMDConfig(**c), rng),
+    "retrieval": lambda c, rng: metrics_mod.RetrievalEncoder(**c, rng=rng),
+}
 
 
-def _mq_config(cfg: RunConfig) -> mq_mod.MQConfig:
-    return mq_mod.MQConfig(frame_dim=cfg.frame_dim, code_count=cfg.code_count,
-                           code_dim=cfg.code_dim, hidden=cfg.mq_hidden,
-                           beta_codebook=cfg.beta_codebook, beta_commit=cfg.beta_commit)
-
-
-def _mate_config(cfg: RunConfig, vocab_size: int) -> MATEConfig:
-    return MATEConfig(vocab_size=vocab_size, audio_dim=cfg.feature_dim,
-                      dim=cfg.embed_dim, layers=cfg.mate_layers, heads=cfg.mate_heads,
-                      max_text_len=cfg.max_text_len, max_audio_len=cfg.max_audio_len)
-
-
-def _utt_config(cfg: RunConfig) -> utt_mod.UTTConfig:
-    return utt_mod.UTTConfig(code_count=cfg.code_count, dim=cfg.embed_dim,
-                             layers=cfg.utt_layers, heads=cfg.utt_heads,
-                             z_dim=cfg.z_dim, max_context=cfg.max_context,
-                             beta_adv=cfg.beta_adv)
-
-
-def _dmd_config(cfg: RunConfig) -> dmd_mod.DMDConfig:
-    return dmd_mod.DMDConfig(frame_dim=cfg.frame_dim, code_count=cfg.code_count,
-                             steps=cfg.diffusion_steps, dim=cfg.embed_dim,
-                             cond_layers=cfg.dmd_cond_layers, layers=cfg.dmd_layers,
-                             heads=cfg.dmd_heads)
+def _build(section: str, rng, **config) -> tuple:
+    """(recorded config, model) for one section; a model with a config
+    dataclass records all of its fields, defaults included."""
+    model = MODELS[section](config, rng)
+    if hasattr(model, "cfg"):
+        config = asdict(model.cfg)
+    return config, model
 
 
 def _write_loss_log(path, cfg: RunConfig, seed: int, history, columns) -> None:
@@ -97,66 +96,65 @@ def _write_loss_log(path, cfg: RunConfig, seed: int, history, columns) -> None:
 
 # -- training stages -----------------------------------------------------------------
 #
-# Each trainer builds its models from `rng`, trains them on the train split and
-# returns (checkpoint sections, buffers, loss history).
+# Each trainer builds its models from `rng`, trains them on the train split for
+# `epochs` epochs and returns ({section: (config, model)}, buffers, loss history).
 
 
 def _train_mq(cfg, train, data_dir, out_dir, rng, seed, epochs) -> tuple:
-    model = mq_mod.MQModel(_mq_config(cfg), rng)
-    history = mq_mod.train_mq(model, [s.motion.frames for s in train],
-                              epochs=epochs or cfg.epochs_mq, seed=seed, lr=cfg.lr,
-                              batch_size=cfg.batch_size)
-    sections = {"mq": {"config": asdict(model.cfg), "params": ckpt.params_blob(model)}}
+    config, model = _build("mq", rng, frame_dim=cfg.frame_dim, code_count=cfg.code_count,
+                           code_dim=cfg.code_dim, hidden=cfg.mq_hidden,
+                           beta_codebook=cfg.beta_codebook, beta_commit=cfg.beta_commit)
+    history = mq_mod.train_mq(model, [s.motion.frames for s in train], epochs=epochs,
+                              seed=seed, lr=cfg.lr, batch_size=cfg.batch_size)
     buffers = {"center": model.center, "scale": model.scale, "usage": model.usage}
-    return sections, buffers, history
+    return {"mq": (config, model)}, buffers, history
 
 
 def _train_utt(cfg, train, data_dir, out_dir, rng, seed, epochs) -> tuple:
     mq_model = load_mq(out_dir)
     vocab = load_vocabulary(os.path.join(os.fspath(data_dir), "vocab.txt"))
-    mate = MATEModel(_mate_config(cfg, len(vocab)), rng)
-    utt = utt_mod.UTTModel(_utt_config(cfg), rng)
-    disc = utt_mod.Discriminator(cfg.frame_dim, cfg.embed_dim, cfg.utt_heads, rng)
+    models = {
+        "mate": _build("mate", rng, vocab_size=len(vocab), audio_dim=cfg.feature_dim,
+                       dim=cfg.embed_dim, layers=cfg.mate_layers, heads=cfg.mate_heads,
+                       max_text_len=cfg.max_text_len, max_audio_len=cfg.max_audio_len),
+        "utt": _build("utt", rng, code_count=cfg.code_count, dim=cfg.embed_dim,
+                      layers=cfg.utt_layers, heads=cfg.utt_heads, z_dim=cfg.z_dim,
+                      max_context=cfg.max_context, beta_adv=cfg.beta_adv),
+        "disc": _build("disc", rng, frame_dim=cfg.frame_dim, dim=cfg.embed_dim,
+                       heads=cfg.utt_heads),
+    }
+    mate, utt, disc = (model for _, model in models.values())
     samples = [(_sample_input(s), s.motion.frames) for s in train]
-    history = utt_mod.train_utt(mate, utt, disc, mq_model, samples,
-                                epochs=epochs or cfg.epochs_utt, seed=seed,
-                                lr=cfg.lr, batch_size=cfg.batch_size,
+    history = utt_mod.train_utt(mate, utt, disc, mq_model, samples, epochs=epochs,
+                                seed=seed, lr=cfg.lr, batch_size=cfg.batch_size,
                                 z_prob=cfg.z_prob)
     # generation needs the vocabulary next to the checkpoints
     save_vocabulary(os.path.join(os.fspath(out_dir), "vocab.txt"), _vocab_words(vocab))
-    sections = {
-        "mate": {"config": asdict(mate.cfg), "params": ckpt.params_blob(mate)},
-        "utt": {"config": asdict(utt.cfg), "params": ckpt.params_blob(utt)},
-        "disc": {"config": {"frame_dim": cfg.frame_dim, "dim": cfg.embed_dim,
-                            "heads": cfg.utt_heads},
-                 "params": ckpt.params_blob(disc)},
-    }
-    return sections, None, history
+    return models, None, history
 
 
 def _train_dmd(cfg, train, data_dir, out_dir, rng, seed, epochs) -> tuple:
     mq_model = load_mq(out_dir)
-    model = dmd_mod.DMDModel(_dmd_config(cfg), rng)
+    config, model = _build("dmd", rng, frame_dim=cfg.frame_dim, code_count=cfg.code_count,
+                           steps=cfg.diffusion_steps, dim=cfg.embed_dim,
+                           cond_layers=cfg.dmd_cond_layers, layers=cfg.dmd_layers,
+                           heads=cfg.dmd_heads)
     sched = dmd_mod.make_schedule(cfg.diffusion_steps)
     history = dmd_mod.train_dmd(model, sched, mq_model, [s.motion.frames for s in train],
-                                epochs=epochs or cfg.epochs_dmd, seed=seed,
-                                lr=cfg.lr, batch_size=cfg.batch_size)
-    sections = {"dmd": {"config": asdict(model.cfg), "params": ckpt.params_blob(model)}}
-    return sections, None, history
+                                epochs=epochs, seed=seed, lr=cfg.lr,
+                                batch_size=cfg.batch_size)
+    return {"dmd": (config, model)}, None, history
 
 
 def _train_retrieval(cfg, train, data_dir, out_dir, rng, seed, epochs) -> tuple:
+    # the encoder draws its weights from its own rng stream inside the trainer
     vocab = load_vocabulary(os.path.join(os.fspath(data_dir), "vocab.txt"))
+    config = {"frame_dim": cfg.frame_dim, "vocab_size": len(vocab),
+              "out_dim": cfg.retrieval_dim}
     pairs = [(s.motion.frames, s.text_ids) for s in train if s.modality == "text"]
-    enc, history = metrics_mod.train_retrieval_encoder(
-        pairs, frame_dim=cfg.frame_dim, vocab_size=len(vocab),
-        epochs=epochs if epochs is not None else cfg.epochs_retrieval,
-        seed=seed, lr=cfg.lr, out_dim=cfg.retrieval_dim)
-    sections = {"retrieval": {"config": {"frame_dim": cfg.frame_dim,
-                                         "vocab_size": len(vocab),
-                                         "out_dim": cfg.retrieval_dim},
-                              "params": ckpt.params_blob(enc)}}
-    return sections, None, history
+    enc, history = metrics_mod.train_retrieval_encoder(pairs, **config, epochs=epochs,
+                                                       seed=seed, lr=cfg.lr)
+    return {"retrieval": (config, enc)}, None, history
 
 
 @dataclass(frozen=True)
@@ -186,13 +184,18 @@ def train_stage(stage: str, cfg: RunConfig, data_dir, out_dir, seed: int,
         return {s: train_stage(s, cfg, data_dir, out_dir, seed, epochs) for s in STAGES}
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
+    if epochs is not None and epochs < 0:
+        raise ConfigError(f"epoch count {epochs} is negative")
     spec = STAGES[stage]
     os.makedirs(os.fspath(out_dir), exist_ok=True)
     deps = {dep: ckpt.stage_hash(out_dir, dep) for dep in spec.deps}
     train = load_samples(data_dir, split="train")
     rng = np.random.default_rng(np.random.SeedSequence([seed, spec.tag]))
-    sections, buffers, history = spec.train(cfg, train, data_dir, out_dir, rng, seed,
-                                            epochs)
+    models, buffers, history = spec.train(
+        cfg, train, data_dir, out_dir, rng, seed,
+        epochs if epochs is not None else getattr(cfg, f"epochs_{stage}"))
+    sections = {name: {"config": config, "params": ckpt.params_blob(model)}
+                for name, (config, model) in models.items()}
     ckpt.save_checkpoint(ckpt.stage_path(out_dir, stage), stage, sections,
                          cfg.to_dict(), deps=deps, buffers=buffers)
     _write_loss_log(os.path.join(os.fspath(out_dir), f"{stage}_loss.csv"), cfg, seed,
@@ -213,54 +216,41 @@ def _vocab_words(vocab: dict) -> tuple:
 # -- loading -----------------------------------------------------------------------
 
 
+def load_models(ckpt_dir, stage: str) -> dict:
+    """{section: model} rebuilt from one stage checkpoint, its dependency
+    hashes verified and its buffers restored onto the stage's own model."""
+    body = ckpt.load_stage(ckpt_dir, stage)
+    models = {}
+    for name, section in body["sections"].items():
+        if name not in MODELS:
+            raise FormatError(f"{stage} checkpoint has an unknown section {name!r}")
+        models[name] = MODELS[name](section["config"], np.random.default_rng(0))
+        ckpt.load_params(models[name], section["params"])
+    for name, value in body.get("buffers", {}).items():
+        default = getattr(models.get(stage), name, None)
+        if not isinstance(default, np.ndarray):
+            raise FormatError(f"{stage} checkpoint has an unknown buffer {name!r}")
+        setattr(models[stage], name, np.array(value, dtype=default.dtype))
+    return models
+
+
 def load_mq(ckpt_dir) -> mq_mod.MQModel:
-    body = ckpt.load_stage(ckpt_dir, "mq")
-    section = body["sections"]["mq"]
-    model = mq_mod.MQModel(mq_mod.MQConfig(**section["config"]),
-                           np.random.default_rng(0))
-    ckpt.load_params(model, section["params"])
-    buffers = body.get("buffers", {})
-    model.center = np.array(buffers.get("center", model.center), dtype=np.float64)
-    model.scale = np.array(buffers.get("scale", model.scale), dtype=np.float64)
-    model.usage = np.array(buffers.get("usage", model.usage), dtype=np.int64)
-    return model
+    return load_models(ckpt_dir, "mq")["mq"]
 
 
 def load_utt_stack(ckpt_dir) -> tuple:
     """(mate, utt, disc) rebuilt from the utt checkpoint, deps verified."""
-    body = ckpt.load_stage(ckpt_dir, "utt")
-    sections = body["sections"]
-    mate = MATEModel(MATEConfig(**sections["mate"]["config"]), np.random.default_rng(0))
-    ckpt.load_params(mate, sections["mate"]["params"])
-    utt = utt_mod.UTTModel(utt_mod.UTTConfig(**sections["utt"]["config"]),
-                           np.random.default_rng(0))
-    ckpt.load_params(utt, sections["utt"]["params"])
-    disc_cfg = sections["disc"]["config"]
-    disc = utt_mod.Discriminator(disc_cfg["frame_dim"], disc_cfg["dim"],
-                                 disc_cfg["heads"], np.random.default_rng(0))
-    ckpt.load_params(disc, sections["disc"]["params"])
-    return mate, utt, disc
+    models = load_models(ckpt_dir, "utt")
+    return models["mate"], models["utt"], models["disc"]
 
 
 def load_dmd(ckpt_dir) -> tuple:
-    body = ckpt.load_stage(ckpt_dir, "dmd")
-    section = body["sections"]["dmd"]
-    model = dmd_mod.DMDModel(dmd_mod.DMDConfig(**section["config"]),
-                             np.random.default_rng(0))
-    ckpt.load_params(model, section["params"])
-    sched = dmd_mod.make_schedule(model.cfg.steps)
-    return model, sched
+    model = load_models(ckpt_dir, "dmd")["dmd"]
+    return model, dmd_mod.make_schedule(model.cfg.steps)
 
 
 def load_retrieval(ckpt_dir) -> metrics_mod.RetrievalEncoder:
-    body = ckpt.load_stage(ckpt_dir, "retrieval")
-    section = body["sections"]["retrieval"]
-    enc = metrics_mod.RetrievalEncoder(section["config"]["frame_dim"],
-                                       section["config"]["vocab_size"],
-                                       np.random.default_rng(0),
-                                       out_dim=section["config"]["out_dim"])
-    ckpt.load_params(enc, section["params"])
-    return enc
+    return load_models(ckpt_dir, "retrieval")["retrieval"]
 
 
 def load_generation_stack(ckpt_dir, decoder: str = "dmd"):
@@ -304,8 +294,7 @@ def condition_from_request(stack, cfg: RunConfig, modality: str, prompt=None,
 
 def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed: int,
                     prompt=None, features=None, use_z: bool = False,
-                    decoder: str = "vq", sampling: SamplingConfig | None = None,
-                    primitive=None) -> dict:
+                    decoder: str = "vq", primitive=None) -> dict:
     """Condition -> tokens -> frames. Returns tokens, frames, and flags."""
     if frames % 4 != 0:
         raise ConfigError(f"target frames {frames} must be divisible by 4")
@@ -313,7 +302,7 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed: int
     cond = mate_encode(stack["mate"], inp)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 41]))
     z = rng.standard_normal(stack["utt"].cfg.z_dim) if use_z else None
-    sampling = sampling or SamplingConfig(temperature=cfg.temperature, top_k=cfg.top_k)
+    sampling = SamplingConfig(temperature=cfg.temperature, top_k=cfg.top_k)
     n_tokens = frames // 4
     tokens = utt_mod.generate_tokens(stack["utt"], cond, n_tokens, sampling,
                                      primitive=primitive, z=z, seed=seed,

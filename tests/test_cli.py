@@ -129,3 +129,53 @@ def test_features_file_with_bad_header_exits_4(first_run, config, tmp_path):
     assert _cli("generate", "--config", config, "--ckpt", first_run[0] / "ckpt",
                 "--modality", "audio", "--features", features, "--decoder", "vq",
                 "--out", tmp_path / "m.udem") == 4
+
+
+def test_zero_epochs_trains_no_stage(first_run, config, tmp_path):
+    assert _cli("train", "--config", config, "--stage", "all", "--data",
+                first_run[0] / "data", "--out", tmp_path, "--epochs", 0) == 0
+    for stage in ("mq", "utt", "dmd", "retrieval"):
+        lines = (tmp_path / f"{stage}_loss.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("epoch,")
+
+
+def test_negative_epochs_exits_2(first_run, config, tmp_path):
+    assert _cli("train", "--config", config, "--stage", "mq", "--data",
+                first_run[0] / "data", "--out", tmp_path, "--epochs", -1) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_training_exits_5(first_run, tiny_cfg, tmp_path, capsys):
+    config = tmp_path / "hot.json"
+    config.write_text(json.dumps({**tiny_cfg.to_dict(), "lr": 1e300}))
+    assert _cli("train", "--config", config, "--stage", "mq", "--data",
+                first_run[0] / "data", "--out", tmp_path / "ckpt", "--epochs", 2) == 5
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("modality, decoder", [("text", "dmd"), ("audio", "vq")])
+def test_either_decoder_serves_either_modality(first_run, config, tmp_path, modality,
+                                               decoder):
+    root = first_run[0]
+    condition = (["--prompt", "a person jumps"] if modality == "text" else
+                 ["--features", root / "data" / "conds" / "audio_test_00020.udef"])
+    out = tmp_path / "m.udem"
+    assert _cli("generate", "--config", config, "--ckpt", root / "ckpt", "--modality",
+                modality, *condition, "--decoder", decoder, "--frames", 16,
+                "--out", out) == 0
+    assert out.read_text().startswith("UDEMOTION v1")
+
+
+def test_outputs_go_into_directories_that_do_not_exist_yet(first_run, config, tmp_path):
+    root = first_run[0]
+    out, plot = tmp_path / "new" / "m.udem", tmp_path / "plots" / "m.svg"
+    assert _generate_text(config, root / "ckpt", out) == 0
+    assert _cli("generate", "--config", config, "--ckpt", root / "ckpt", "--modality",
+                "text", "--prompt", "a person walks", "--decoder", "vq",
+                "--out", tmp_path / "gen" / "m.udem", "--plot", plot) == 0
+    assert _cli("transition", "--config", config, "--ckpt", root / "ckpt", "--prompt",
+                "a person waves", "--features",
+                root / "data" / "conds" / "audio_test_00020.udef", "--primitive-len", 2,
+                "--text-frames", 16, "--audio-frames", 16,
+                "--out", tmp_path / "trans" / "t.udem") == 0
+    assert out.exists() and plot.exists() and (tmp_path / "trans" / "t.udem").exists()

@@ -35,3 +35,23 @@ def test_defaults_round_trip_unchanged(tmp_path):
 def test_values_that_do_not_fit_the_field_type_raise(tmp_path, values):
     with pytest.raises(ConfigError):
         _load(tmp_path, values)
+
+
+@pytest.mark.parametrize("values", [
+    {"embed_dim": 30},
+    {"mate_heads": 3},
+    {"utt_heads": 3},
+    {"dmd_heads": 3},
+    {"utt_heads": 0},
+    {"frames": 62},
+    {"frames": 0},
+    {"code_count": 0},
+    {"top_k": 0},
+    {"diffusion_steps": 0},
+    {"batch_size": 0},
+    {"epochs_mq": -1},
+    {"epochs_retrieval": -1},
+])
+def test_values_out_of_range_raise(tmp_path, values):
+    with pytest.raises(ConfigError):
+        _load(tmp_path, values)

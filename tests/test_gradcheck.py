@@ -71,15 +71,12 @@ def test_relu():
         check_gradients(lambda x: red(nm.relu(x)), [a])
 
 
-def test_tanh_exp_log_sqrt_pow():
+def test_pow():
     for rng in _cases(5):
         a = rng.uniform(0.2, 1.0, (3, 3))
         red = _weighted(rng, (3, 3))
-        check_gradients(lambda x: red(nm.tanh(x)), [a])
-        check_gradients(lambda x: red(nm.exp(x)), [a])
-        check_gradients(lambda x: red(nm.log(x)), [a])
-        check_gradients(lambda x: red(nm.sqrt(x)), [a])
         check_gradients(lambda x: red(x ** 3), [a])
+        check_gradients(lambda x: red(x ** 0.5), [a])
 
 
 def test_softmax_and_log_softmax():

@@ -193,13 +193,13 @@ class TestBackward:
 
 
 class TestFiniteChecks:
-    def test_log_of_negative_raises(self):
-        with pytest.raises(NumericsError):
-            nm.log(Tensor([-1.0]))
+    def test_nan_raises(self):
+        with pytest.raises(NumericsError), np.errstate(invalid="ignore"):
+            Tensor([-1.0]) ** 0.5
 
     def test_overflow_raises(self):
-        with pytest.raises(NumericsError):
-            nm.exp(Tensor([1000.0]))
+        with pytest.raises(NumericsError), np.errstate(over="ignore"):
+            Tensor([1e200]) * 1e200
 
 
 class TestAdam:
