@@ -164,7 +164,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
 _MINIMUMS = {"frames": 4, "code_count": 1, "embed_dim": 1, "mate_heads": 1,
              "utt_heads": 1, "dmd_heads": 1, "top_k": 1, "diffusion_steps": 1,
              "batch_size": 1, "epochs_mq": 0, "epochs_utt": 0, "epochs_dmd": 0,
-             "epochs_retrieval": 0}
+             "epochs_retrieval": 0, "samples_per_input": 1}
 
 
 def _check_ranges(cfg: RunConfig) -> None:
@@ -178,6 +178,12 @@ def _check_ranges(cfg: RunConfig) -> None:
         if cfg.embed_dim % getattr(cfg, heads):
             raise ConfigError(f"embed_dim {cfg.embed_dim} must be divisible by "
                               f"{heads} {getattr(cfg, heads)}")
+    # the longest UTT context: glob, the longest condition, BOS and every token
+    longest = 1 + max(cfg.max_text_len, cfg.max_audio_len) + 1 + cfg.frames // 4
+    if longest > cfg.max_context:
+        raise ConfigError(f"the longest context ({longest}: 1 + max(max_text_len, "
+                          f"max_audio_len) + 1 + frames/4) exceeds max_context "
+                          f"{cfg.max_context}")
 
 
 _FIELD_TYPES = {"int": int, "float": float, "str": str}

@@ -4,6 +4,12 @@ Layers follow the pre-norm transformer recipe: x + attn(ln(x)) then
 x + ff(ln(x)), with a final layer norm on top of the stack. Attention
 masks are additive (0 visible, large negative hidden) so that masked
 scores underflow to exactly zero weight after softmax.
+
+For incremental decoding each attention layer can take a cache, a list that
+is empty or holds the [K, V] of earlier rows (each [heads, rows, dh]). The
+new rows attend to the cached rows plus themselves, and the extended pair is
+stored back, so feeding rows one at a time reproduces the rows of a full
+forward under a causal mask.
 """
 
 from __future__ import annotations
@@ -85,7 +91,10 @@ class MultiHeadAttention(Module):
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
-    def __call__(self, x, add_mask: np.ndarray | None = None) -> Tensor:
+    def __call__(self, x, add_mask: np.ndarray | None = None,
+                 cache: list | None = None) -> Tensor:
+        """Attention of the rows of x over [cached rows, x]; add_mask is
+        [rows of x, cached rows + rows of x]."""
         length = x.shape[0]
         h, dh = self.heads, self.dim // self.heads
 
@@ -93,6 +102,11 @@ class MultiHeadAttention(Module):
             return nm.transpose(t.reshape(length, h, dh), (1, 0, 2))
 
         q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
+        if cache is not None:
+            if cache:
+                k = nm.concat([cache[0], k], axis=1)
+                v = nm.concat([cache[1], v], axis=1)
+            cache[:] = [k, v]
         scores = nm.matmul(q, nm.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(dh))
         if add_mask is not None:
             scores = scores + Tensor(add_mask)
@@ -109,8 +123,8 @@ class EncoderLayer(Module):
         self.ff1 = Linear(dim, ff_hidden, rng)
         self.ff2 = Linear(ff_hidden, dim, rng)
 
-    def __call__(self, x, add_mask=None) -> Tensor:
-        x = x + self.attn(self.ln1(x), add_mask)
+    def __call__(self, x, add_mask=None, cache=None) -> Tensor:
+        x = x + self.attn(self.ln1(x), add_mask, cache)
         return x + self.ff2(nm.relu(self.ff1(self.ln2(x))))
 
 
@@ -123,9 +137,10 @@ class TransformerEncoder(Module):
         self.layers = [EncoderLayer(dim, heads, ff_hidden, rng) for _ in range(layers)]
         self.ln = LayerNorm(dim)
 
-    def __call__(self, x, add_mask=None) -> Tensor:
-        for layer in self.layers:
-            x = layer(x, add_mask)
+    def __call__(self, x, add_mask=None, caches=None) -> Tensor:
+        """caches: None, or one cache list per layer (see MultiHeadAttention)."""
+        for layer, cache in zip(self.layers, caches or [None] * len(self.layers)):
+            x = layer(x, add_mask, cache)
         return self.ln(x)
 
 

@@ -409,10 +409,12 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
              seed: int = 0, decoder: str = "vq",
              samples_per_input: int | None = None) -> dict:
     """Full metric battery on one split. Returns a JSON-ready report."""
+    spi = samples_per_input if samples_per_input is not None else cfg.samples_per_input
+    if spi < 1:
+        raise ConfigError(f"samples per input must be at least 1, got {spi}")
     samples = load_samples(data_dir, split=split)
     if not samples:
         raise ConfigError(f"split {split!r} is empty")
-    spi = samples_per_input or cfg.samples_per_input
     stack = load_generation_stack(ckpt_dir, decoder=decoder)
     retrieval = load_retrieval(ckpt_dir)
     sigma = cfg.beat_sigma_seconds()

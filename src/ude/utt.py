@@ -6,6 +6,14 @@ patch discriminator over decoded motion and the combined training loss.
 Token vocabulary: the K codebook ids plus BOS (=K) and EOS (=K+1). A
 teacher-forced step consumes [BOS, t_0..t_{S-1}] and targets
 [t_0..t_{S-1}, EOS].
+
+Sampling keeps a per-layer key/value cache: the first pass runs the encoder
+once over [glob, condition, BOS, primitive] under `build_mask` and stores
+every row's K/V; each later step feeds one row, the last sampled token. This
+is exact, not an approximation: condition rows see only condition rows and
+motion rows see only earlier rows, so appending a token changes no earlier
+row's hidden state, and the cached K/V are what a full forward over the
+longer prefix would compute for those rows.
 """
 
 from __future__ import annotations
@@ -79,11 +87,14 @@ def build_mask(cond_len: int, seq_len: int) -> np.ndarray:
     return causal_prefix_mask(cond_len, seq_len)
 
 
-def forward_logits(model: UTTModel, cond: CondEmbedding, prefix, z=None) -> Tensor:
+def forward_logits(model: UTTModel, cond: CondEmbedding, prefix, z=None,
+                   caches=None) -> Tensor:
     """Next-token logits [S, K+2] for a teacher-forced prefix.
 
     prefix must start with BOS; logits at position i predict element i+1.
-    When z is given the global condition becomes mlp(z) + glob.
+    When z is given the global condition becomes mlp(z) + glob. When
+    caches (one empty list per encoder layer) is given, every row's K/V is
+    stored in it for later one-row steps.
     """
     prefix = np.asarray(prefix, dtype=np.int64)
     if prefix.size == 0 or prefix[0] != model.cfg.bos:
@@ -92,17 +103,29 @@ def forward_logits(model: UTTModel, cond: CondEmbedding, prefix, z=None) -> Tens
         raise TokenError("prefix contains out-of-vocabulary ids")
     cond_len = cond.length
     seq_len = prefix.size
-    if cond_len + seq_len > model.cfg.max_context:
-        raise LengthError(f"context of {cond_len + seq_len} exceeds "
-                          f"{model.cfg.max_context}")
+    _check_context(model, cond_len + seq_len)
     glob = cond.glob
     if z is not None:
         glob = glob + model.z_shift(z)
     motion = model.token_table(prefix) + Tensor(model.pos[:seq_len])
     stacked = nm.concat([glob.reshape(1, -1), cond.seq, motion], axis=0)
     mask = additive_mask(build_mask(cond_len, seq_len))
-    hidden = model.encoder(stacked, mask)
+    hidden = model.encoder(stacked, mask, caches)
     return model.out_proj(hidden[cond_len:])
+
+
+def _check_context(model: UTTModel, length: int) -> None:
+    if length > model.cfg.max_context:
+        raise LengthError(f"context of {length} exceeds {model.cfg.max_context}")
+
+
+def _step_logits(model: UTTModel, cond_len: int, tokens: list, caches: list) -> Tensor:
+    """Next-token logits [1, K+2] after [BOS] + tokens, feeding only the last
+    token: one row that attends to every cached row and to itself."""
+    position = len(tokens)  # BOS sits at position 0
+    _check_context(model, cond_len + position + 1)
+    row = model.token_table(tokens[-1:]) + Tensor(model.pos[position:position + 1])
+    return model.out_proj(model.encoder(row, None, caches))
 
 
 def generate_tokens(model: UTTModel, cond: CondEmbedding, max_len: int,
@@ -113,6 +136,12 @@ def generate_tokens(model: UTTModel, cond: CondEmbedding, max_len: int,
     The output starts with `primitive` verbatim (if given) and continues
     until EOS or max_len tokens. EOS is suppressed before min_len so exact
     lengths can be requested. Deterministic given the seed.
+
+    The first step runs `forward_logits` over the condition, BOS and the
+    primitive and fills a per-layer K/V cache; each later step feeds only
+    the token just sampled. The logits equal those of `forward_logits` on
+    the full prefix, because no row of the mask sees a later row, so the
+    cached K/V never change as the prefix grows.
     """
     sampling = sampling or SamplingConfig()
     primitive = np.asarray(primitive if primitive is not None else [], dtype=np.int64)
@@ -122,10 +151,15 @@ def generate_tokens(model: UTTModel, cond: CondEmbedding, max_len: int,
         raise TokenError("primitive contains non-codebook ids")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     tokens = list(primitive)
+    caches = [[] for _ in model.encoder.layers]
     with nm.no_grad():
         while len(tokens) < max_len:
-            prefix = np.array([model.cfg.bos] + tokens, dtype=np.int64)
-            logits = forward_logits(model, cond, prefix, z=z).data[-1].copy()
+            if len(tokens) == primitive.size:
+                prefix = np.array([model.cfg.bos] + tokens, dtype=np.int64)
+                logits = forward_logits(model, cond, prefix, z, caches)
+            else:
+                logits = _step_logits(model, cond.length, tokens, caches)
+            logits = logits.data[-1].copy()
             logits[model.cfg.bos] = -np.inf
             if len(tokens) < min_len:
                 logits[model.cfg.eos] = -np.inf

@@ -144,6 +144,16 @@ def test_negative_epochs_exits_2(first_run, config, tmp_path):
                 first_run[0] / "data", "--out", tmp_path, "--epochs", -1) == 2
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_eval_with_fewer_than_one_sample_per_input_exits_2(first_run, config, tmp_path,
+                                                           count):
+    root = first_run[0]
+    out = tmp_path / "eval.json"
+    assert _cli("eval", "--config", config, "--ckpt", root / "ckpt", "--data",
+                root / "data", "--samples-per-input", count, "--out", out) == 2
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_training_exits_5(first_run, tiny_cfg, tmp_path, capsys):
     config = tmp_path / "hot.json"

@@ -51,7 +51,16 @@ def test_values_that_do_not_fit_the_field_type_raise(tmp_path, values):
     {"batch_size": 0},
     {"epochs_mq": -1},
     {"epochs_retrieval": -1},
+    {"samples_per_input": 0},
+    # glob + 256 audio rows + BOS + 64 / 4 tokens = 274 rows
+    {"max_context": 273},
+    {"max_text_len": 500},
+    {"frames": 1024},
 ])
 def test_values_out_of_range_raise(tmp_path, values):
     with pytest.raises(ConfigError):
         _load(tmp_path, values)
+
+
+def test_longest_context_may_fill_max_context(tmp_path):
+    assert _load(tmp_path, {"max_context": 274}).max_context == 274

@@ -151,6 +151,23 @@ def test_attention_layer_composition():
     check_gradients(build, [x])
 
 
+def test_attention_with_cache_composition():
+    # two new rows attend to three cached rows plus themselves; gradients
+    # flow into the new rows and into the cached K and V
+    rng = np.random.default_rng(14)
+    attn = MultiHeadAttention(8, 2, rng)
+    mask = additive_mask(causal_prefix_mask(3, 2))[3:]
+    x = rng.uniform(-1, 1, (2, 8))
+    k = rng.uniform(-1, 1, (2, 3, 4))
+    v = rng.uniform(-1, 1, (2, 3, 4))
+    red = _weighted(rng, (2, 8))
+
+    def build(xin, kin, vin):
+        return red(attn(xin, mask, [kin, vin]))
+
+    check_gradients(build, [x, k, v])
+
+
 def test_full_encoder_composition():
     rng = np.random.default_rng(12)
     enc = TransformerEncoder(2, 8, 2, rng)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ude import numerics as nm
-from ude.errors import ContractError, DimensionError
+from ude import utt as utt_mod
+from ude.errors import ContractError, DimensionError, LengthError
 from ude.mate import MATEConfig, MATEModel, audio_input, encode, text_input
 from ude.mq import MQConfig, MQModel
 from ude.numerics import Tensor
@@ -162,6 +163,110 @@ class TestGenerate:
         mate, utt, _, _ = _models()
         with pytest.raises(ContractError):
             generate_tokens(utt, _cond(mate), 2, primitive=np.array([1, 2, 3]))
+
+
+def _reference_tokens(model, cond, max_len, sampling, primitive=(), z=None, seed=0,
+                      min_len=0):
+    """Sampling without a cache: the full forward over the whole prefix for
+    every token."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
+    tokens = [int(t) for t in primitive]
+    with nm.no_grad():
+        while len(tokens) < max_len:
+            prefix = np.array([model.cfg.bos] + tokens, dtype=np.int64)
+            logits = forward_logits(model, cond, prefix, z=z).data[-1].copy()
+            logits[model.cfg.bos] = -np.inf
+            if len(tokens) < min_len:
+                logits[model.cfg.eos] = -np.inf
+            choice = utt_mod._sample_one(logits, sampling, rng)
+            if choice == model.cfg.eos:
+                break
+            tokens.append(int(choice))
+    return np.array(tokens, dtype=np.int64)
+
+
+def _z_model(seed=0, max_context=512):
+    """Models whose z path is live: the zero-initialised z2 is randomised."""
+    mate = _models(seed)[0]
+    utt = UTTModel(UTTConfig(code_count=K, dim=16, layers=2, heads=2, z_dim=4,
+                             max_context=max_context), np.random.default_rng(seed + 7))
+    utt.z2.w.data[...] = np.random.default_rng(seed + 8).normal(0, 0.3, (16, 16))
+    return mate, utt
+
+
+CONDITIONS = {
+    "text": lambda mate: encode(mate, text_input([1, 2, 3, 4, 5])),
+    "audio": lambda mate: encode(mate, audio_input(
+        np.random.default_rng(9).standard_normal((7, 5)))),
+}
+
+
+class TestKVCache:
+    @pytest.mark.parametrize("modality", sorted(CONDITIONS))
+    @pytest.mark.parametrize("use_z", [False, True])
+    @pytest.mark.parametrize("primitive", [[], [3, 1, 4]])
+    def test_cached_logits_equal_full_forward(self, modality, use_z, primitive):
+        mate, utt = _z_model()
+        cond = CONDITIONS[modality](mate)
+        z = np.random.default_rng(4).standard_normal(4) if use_z else None
+        tokens = list(primitive)
+        caches = [[] for _ in utt.encoder.layers]
+        follow = np.random.default_rng(6).integers(0, K, size=10)
+        with nm.no_grad():
+            prefix = np.array([utt.cfg.bos] + tokens)
+            cached = forward_logits(utt, cond, prefix, z, caches).data[-1]
+            for token in follow:
+                full = forward_logits(utt, cond, [utt.cfg.bos] + tokens, z=z).data[-1]
+                assert np.abs(cached - full).max() < 1e-12
+                tokens.append(int(token))
+                cached = utt_mod._step_logits(utt, cond.length, tokens, caches).data[-1]
+
+    def test_z_changes_the_logits(self):
+        mate, utt = _z_model()
+        cond = CONDITIONS["text"](mate)
+        a = forward_logits(utt, cond, [utt.cfg.bos, 1]).data
+        b = forward_logits(utt, cond, [utt.cfg.bos, 1], z=np.ones(4)).data
+        assert not np.allclose(a, b)
+
+    @pytest.mark.parametrize("modality", sorted(CONDITIONS))
+    @pytest.mark.parametrize("use_z", [False, True])
+    @pytest.mark.parametrize("primitive", [[], [2, 7]])
+    @pytest.mark.parametrize("sampling, min_len", [
+        (SamplingConfig(mode="greedy"), 0),
+        (SamplingConfig(mode="topk", top_k=4, temperature=1.0), 0),
+        (SamplingConfig(mode="topk", top_k=K + 2, temperature=2.0), 12),
+    ])
+    def test_tokens_equal_the_uncached_loop(self, modality, use_z, primitive, sampling,
+                                            min_len):
+        mate, utt = _z_model()
+        cond = CONDITIONS[modality](mate)
+        z = np.random.default_rng(4).standard_normal(4) if use_z else None
+        for seed in range(3):
+            got = generate_tokens(utt, cond, 12, sampling, primitive=primitive, z=z,
+                                  seed=seed, min_len=min_len)
+            want = _reference_tokens(utt, cond, 12, sampling, primitive, z, seed, min_len)
+            assert np.array_equal(got, want)
+            if min_len:
+                assert got.size == 12
+
+    def test_outgrowing_max_context_raises_at_the_same_step(self):
+        # 1 + 5 condition rows, BOS and three tokens fill the 10 rows; the
+        # step after the fourth token needs 11
+        mate, utt = _z_model(max_context=10)
+        cond = CONDITIONS["text"](mate)
+        sampling = SamplingConfig(mode="greedy")
+        with pytest.raises(LengthError) as want:
+            _reference_tokens(utt, cond, 8, sampling, min_len=8)
+        with pytest.raises(LengthError) as got:
+            generate_tokens(utt, cond, 8, sampling, min_len=8)
+        assert str(got.value) == str(want.value) == "context of 11 exceeds 10"
+        assert generate_tokens(utt, cond, 4, sampling, min_len=4).size == 4
+
+    def test_primitive_longer_than_the_context_raises_on_the_first_pass(self):
+        mate, utt = _z_model(max_context=10)
+        cond = CONDITIONS["text"](mate)
+        with pytest.raises(LengthError, match="context of 11 exceeds 10"):
+            generate_tokens(utt, cond, 8, primitive=[1, 2, 3, 4])
 
 
 class TestDiscriminator:
