@@ -91,7 +91,7 @@ class RunConfig:
     epochs_utt: int = 18
     epochs_dmd: int = 12
     epochs_retrieval: int = 25
-    batch_size: int = 8
+    batch_size: int = 8  # also the size of eval's sampling groups
     z_prob: float = 0.5
     seed: int = 0
 

@@ -113,7 +113,8 @@ def vq_loss(model: MQModel, frames) -> tuple:
     """Total training loss and its parts for one sequence.
 
     Returns (total, parts) where parts maps "recon" / "codebook" /
-    "commit" to scalar tensors and "tokens" to the chosen indices. The
+    "commit" to scalar tensors, "tokens" to the chosen indices and "e" to
+    the encoder output (the trainer's dead-code stash reads it). The
     decoder consumes e + sg(q - e), so reconstruction gradients reach the
     encoder straight through the quantizer, while the codebook learns only
     from the codebook term.
@@ -128,7 +129,8 @@ def vq_loss(model: MQModel, frames) -> tuple:
     l_code = ((e.detach() - q) ** 2).mean()
     l_commit = ((e - q.detach()) ** 2).mean()
     total = l_rec + model.cfg.beta_codebook * l_code + model.cfg.beta_commit * l_commit
-    parts = {"recon": l_rec, "codebook": l_code, "commit": l_commit, "tokens": tokens}
+    parts = {"recon": l_rec, "codebook": l_code, "commit": l_commit, "tokens": tokens,
+             "e": e}
     return total, parts
 
 
@@ -186,8 +188,7 @@ def train_mq(model: MQModel, motions, epochs: int, seed: int, lr: float = 1e-3,
                 for key in ("recon", "codebook", "commit"):
                     sums[key] += parts[key].item()
                 if len(stash) < 256:
-                    with nm.no_grad():
-                        stash.append(model.encode(motions[i]).data)
+                    stash.append(parts["e"].data)
             loss = sum(losses[1:], losses[0]) * (1.0 / len(losses))
             opt.zero_grad()
             loss.backward()

@@ -6,10 +6,10 @@ masks are additive (0 visible, large negative hidden) so that masked
 scores underflow to exactly zero weight after softmax.
 
 For incremental decoding each attention layer can take a cache, a list that
-is empty or holds the [K, V] of earlier rows (each [heads, rows, dh]). The
-new rows attend to the cached rows plus themselves, and the extended pair is
-stored back, so feeding rows one at a time reproduces the rows of a full
-forward under a causal mask.
+is empty or holds the [K, V] of earlier rows (each [heads, rows, dh], or
+[B, heads, rows, dh] for a batch). The new rows attend to the cached rows
+plus themselves, and the extended pair is stored back, so feeding rows one
+at a time reproduces the rows of a full forward under a causal mask.
 """
 
 from __future__ import annotations
@@ -93,25 +93,31 @@ class MultiHeadAttention(Module):
 
     def __call__(self, x, add_mask: np.ndarray | None = None,
                  cache: list | None = None) -> Tensor:
-        """Attention of the rows of x over [cached rows, x]; add_mask is
-        [rows of x, cached rows + rows of x]."""
-        length = x.shape[0]
-        h, dh = self.heads, self.dim // self.heads
+        """Attention of the rows of x over [cached rows, x].
 
-        def split(t):  # [L, D] -> [H, L, dh]
-            return nm.transpose(t.reshape(length, h, dh), (1, 0, 2))
+        x is [L, D], or [B, L, D] for a batch of independent sequences.
+        add_mask broadcasts against the scores, [L, cached rows + L] or, for
+        a batch, e.g. [B, 1, 1, cached rows + L] to hide padded keys.
+        """
+        *batch, length, _ = x.shape
+        h, dh = self.heads, self.dim // self.heads
+        heads_first = (0, 2, 1, 3) if batch else (1, 0, 2)
+        keys_last = (0, 1, 3, 2) if batch else (0, 2, 1)
+
+        def split(t):  # [(B,) L, D] -> [(B,) H, L, dh]
+            return nm.transpose(t.reshape(*batch, length, h, dh), heads_first)
 
         q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
         if cache is not None:
             if cache:
-                k = nm.concat([cache[0], k], axis=1)
-                v = nm.concat([cache[1], v], axis=1)
+                k = nm.concat([cache[0], k], axis=-2)
+                v = nm.concat([cache[1], v], axis=-2)
             cache[:] = [k, v]
-        scores = nm.matmul(q, nm.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(dh))
+        scores = nm.matmul(q, nm.transpose(k, keys_last)) * (1.0 / math.sqrt(dh))
         if add_mask is not None:
             scores = scores + Tensor(add_mask)
         attn = nm.softmax(scores, axis=-1)
-        out = nm.transpose(nm.matmul(attn, v), (1, 0, 2)).reshape(length, self.dim)
+        out = nm.transpose(nm.matmul(attn, v), heads_first).reshape(*batch, length, self.dim)
         return self.wo(out)
 
 

@@ -18,6 +18,8 @@ Conventions:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericsError, TrainingError
@@ -41,7 +43,10 @@ class no_grad:
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    # A sum of squares is finite only if every element is, so one np.vdot
+    # (which raises no numpy warning when it overflows) clears almost every
+    # array; huge finite values overflow it and fall through to the scan.
+    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
         raise NumericsError(f"non-finite values produced by {what}")
 
 
@@ -453,11 +458,10 @@ def conv1d_temporal(x, kernel, stride: int = 1, pad=0) -> Tensor:
 
 
 def embedding(table, ids) -> Tensor:
-    """Row lookup into `table` [N, D] by an integer id vector."""
+    """Row lookup into `table` [N, D] by an integer id array; the output is
+    [*ids.shape, D]."""
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise DimensionError("embedding ids must be a 1-d integer array")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise DimensionError("embedding id out of range")
 

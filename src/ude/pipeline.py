@@ -24,6 +24,7 @@ from . import checkpoint as ckpt
 from . import dmd as dmd_mod
 from . import metrics as metrics_mod
 from . import mq as mq_mod
+from . import numerics as nm
 from . import utt as utt_mod
 from .audio import AudioFeatureSequence
 from .config import RunConfig, parse_counts
@@ -191,9 +192,12 @@ def train_stage(stage: str, cfg: RunConfig, data_dir, out_dir, seed: int,
     deps = {dep: ckpt.stage_hash(out_dir, dep) for dep in spec.deps}
     train = load_samples(data_dir, split="train")
     rng = np.random.default_rng(np.random.SeedSequence([seed, spec.tag]))
-    models, buffers, history = spec.train(
-        cfg, train, data_dir, out_dir, rng, seed,
-        epochs if epochs is not None else getattr(cfg, f"epochs_{stage}"))
+    # every op's finite check raises NumericsError on a diverging run, so
+    # numpy's own overflow warnings would only come first and say less
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        models, buffers, history = spec.train(
+            cfg, train, data_dir, out_dir, rng, seed,
+            epochs if epochs is not None else getattr(cfg, f"epochs_{stage}"))
     sections = {name: {"config": config, "params": ckpt.params_blob(model)}
                 for name, (config, model) in models.items()}
     ckpt.save_checkpoint(ckpt.stage_path(out_dir, stage), stage, sections,
@@ -292,23 +296,42 @@ def condition_from_request(stack, cfg: RunConfig, modality: str, prompt=None,
     raise ConfigError(f"unknown modality {modality!r}")
 
 
-def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed: int,
+def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
                     prompt=None, features=None, use_z: bool = False,
-                    decoder: str = "vq", primitive=None) -> dict:
-    """Condition -> tokens -> frames. Returns tokens, frames, and flags."""
+                    decoder: str = "vq", primitive=None):
+    """Condition -> tokens -> frames. Returns tokens, frames, and flags.
+
+    A batch of requests of one modality and one frame count passes a list
+    of seeds plus a list of prompts (text) or feature matrices (audio), and
+    a list of primitives if any; it returns one result per request, each
+    the one it would get alone, and samples their tokens together.
+    """
     if frames % 4 != 0:
         raise ConfigError(f"target frames {frames} must be divisible by 4")
-    inp, unk_only = condition_from_request(stack, cfg, modality, prompt, features)
-    cond = mate_encode(stack["mate"], inp)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 41]))
-    z = rng.standard_normal(stack["utt"].cfg.z_dim) if use_z else None
-    sampling = SamplingConfig(temperature=cfg.temperature, top_k=cfg.top_k)
+    batch = isinstance(seed, (list, tuple))
+    seeds = list(seed) if batch else [seed]
+    prompts, feats, primitives = (utt_mod._per_request(value, len(seeds), batch)
+                                  for value in (prompt, features, primitive))
+    utt = stack["utt"]
     n_tokens = frames // 4
-    tokens = utt_mod.generate_tokens(stack["utt"], cond, n_tokens, sampling,
-                                     primitive=primitive, z=z, seed=seed,
-                                     min_len=n_tokens)
-    return {"tokens": tokens, "frames": _decode(stack, decoder, tokens, seed),
-            "unk_only": unk_only}
+    conds, zs, unk_only = [], [], []
+    for s, p, f in zip(seeds, prompts, feats):
+        inp, unk = condition_from_request(stack, cfg, modality, p, f)
+        with nm.no_grad():  # a batch holds all its conditions: keep no graphs
+            cond = mate_encode(stack["mate"], inp)
+        if cond.length + n_tokens > utt.cfg.max_context:
+            raise ConfigError(f"{frames} frames need a context of {cond.length + n_tokens}, "
+                              f"more than max_context {utt.cfg.max_context}")
+        conds.append(cond)
+        rng = np.random.default_rng(np.random.SeedSequence([s, 41]))
+        zs.append(rng.standard_normal(utt.cfg.z_dim) if use_z else None)
+        unk_only.append(unk)
+    sampling = SamplingConfig(temperature=cfg.temperature, top_k=cfg.top_k)
+    tokens = utt_mod.generate_tokens(utt, conds, n_tokens, sampling, primitive=primitives,
+                                     z=zs, seed=seeds, min_len=n_tokens)
+    results = [{"tokens": t, "frames": _decode(stack, decoder, t, s), "unk_only": u}
+               for t, s, u in zip(tokens, seeds, unk_only)]
+    return results if batch else results[0]
 
 
 def _decode(stack, decoder: str, tokens, seed: int) -> np.ndarray:
@@ -422,15 +445,23 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
     text_samples = [s for s in samples if s.modality == "text"]
     audio_samples = [s for s in samples if s.modality == "audio"]
 
-    generated = {}
+    # requests of one modality and length are sampled in groups of batch_size
+    groups = {}
     for sample in samples:
-        for rep in range(spi):
-            out = generate_motion(
-                stack, cfg, sample.modality, sample.motion.length,
-                _sample_seed(seed, rep, sample.id), prompt=sample.sentence,
-                features=sample.features.features if sample.features else None,
+        key = (sample.modality, sample.motion.length)
+        groups.setdefault(key, []).extend((sample, rep) for rep in range(spi))
+    generated = {}
+    for (modality, frames), requests in groups.items():
+        for start in range(0, len(requests), cfg.batch_size):
+            group = requests[start:start + cfg.batch_size]
+            outs = generate_motion(
+                stack, cfg, modality, frames,
+                [_sample_seed(seed, rep, s.id) for s, rep in group],
+                prompt=[s.sentence for s, _ in group],
+                features=[s.features.features if s.features else None for s, _ in group],
                 use_z=False, decoder=decoder)
-            generated.setdefault(sample.id, []).append(MotionSequence(cfg.fps, out["frames"]))
+            for (s, _), out in zip(group, outs):
+                generated.setdefault(s.id, []).append(MotionSequence(cfg.fps, out["frames"]))
 
     report = {"config": cfg.to_dict(), "seed": seed, "split": split,
               "decoder": decoder, "samples_per_input": spi,

@@ -13,7 +13,9 @@ every row's K/V; each later step feeds one row, the last sampled token. This
 is exact, not an approximation: condition rows see only condition rows and
 motion rows see only earlier rows, so appending a token changes no earlier
 row's hidden state, and the cached K/V are what a full forward over the
-longer prefix would compute for those rows.
+longer prefix would compute for those rows. A batch of requests shares the
+later steps: their caches are stacked, padded to the longest first pass,
+and a key mask hides the padding.
 """
 
 from __future__ import annotations
@@ -119,55 +121,135 @@ def _check_context(model: UTTModel, length: int) -> None:
         raise LengthError(f"context of {length} exceeds {model.cfg.max_context}")
 
 
-def _step_logits(model: UTTModel, cond_len: int, tokens: list, caches: list) -> Tensor:
-    """Next-token logits [1, K+2] after [BOS] + tokens, feeding only the last
-    token: one row that attends to every cached row and to itself."""
-    position = len(tokens)  # BOS sits at position 0
-    _check_context(model, cond_len + position + 1)
-    row = model.token_table(tokens[-1:]) + Tensor(model.pos[position:position + 1])
-    return model.out_proj(model.encoder(row, None, caches))
+def _step_logits(model: UTTModel, cond_lens, tokens: list, caches: list,
+                 key_mask: np.ndarray | None = None) -> Tensor:
+    """Next-token logits [B, 1, K+2] of B requests after [BOS] + tokens[b],
+    feeding only each request's last token: one row per request, at its own
+    position, that attends to its cached rows and to itself.
+
+    caches hold one [K, V] pair of [B, heads, rows, dh] per layer (see
+    `_stack_caches`); key_mask [B, 1, 1, >= rows + 1] hides the padding
+    between a request's first-pass rows and its later rows, None when no
+    request is padded.
+    """
+    positions = [len(t) for t in tokens]  # BOS sits at position 0
+    _check_context(model, max(map(sum, zip(cond_lens, positions))) + 1)
+    last = [t[-1:] for t in tokens]  # [B, 1]
+    rows = model.token_table(last) + Tensor(model.pos[positions][:, None])
+    if key_mask is not None:
+        key_mask = key_mask[..., :caches[0][0].shape[-2] + 1]
+    return model.out_proj(model.encoder(rows, key_mask, caches))
 
 
-def generate_tokens(model: UTTModel, cond: CondEmbedding, max_len: int,
+def _stack_caches(caches: list, room: int) -> tuple:
+    """One batch cache from per-request caches (per layer, [K, V] of
+    [heads, rows, dh]): per layer, [K, V] of [B, heads, longest, dh] with
+    each request's rows first and zeros after them, plus the additive key
+    mask [B, 1, 1, longest + room] that hides the zeros (None when every
+    request has the same rows). The zero keys get exactly zero attention
+    weight, so padding changes no logit beyond float reassociation."""
+    lengths = np.array([per_request[0][0].shape[-2] for per_request in caches])
+    longest = int(lengths.max())
+    stacked = []
+    for layer in zip(*caches):  # the [K, V] of every request at one layer
+        pair = []
+        for j in (0, 1):
+            heads, _, dh = layer[0][j].shape
+            arr = np.zeros((len(layer), heads, longest, dh))
+            for b, kv in enumerate(layer):
+                arr[b, :, :lengths[b]] = kv[j].data
+            pair.append(Tensor(arr))
+        stacked.append(pair)
+    if (lengths == longest).all():
+        return stacked, None
+    cols = np.arange(longest + room)
+    padded = (cols >= lengths[:, None]) & (cols < longest)
+    return stacked, additive_mask(~padded)[:, None, None, :]
+
+
+class TokenBatch(list):
+    """The token arrays of a batched `generate_tokens` call, one per request
+    in request order; `size` counts all their tokens, as an array's does."""
+
+    @property
+    def size(self) -> int:
+        return sum(tokens.size for tokens in self)
+
+
+def _per_request(value, count: int, batch: bool) -> list:
+    if not batch:
+        return [value]
+    values = [None] * count if value is None else list(value)
+    if len(values) != count:
+        raise ContractError(f"a batch of {count} requests got {len(values)} values")
+    return values
+
+
+def generate_tokens(model: UTTModel, cond, max_len: int,
                     sampling: SamplingConfig | None = None, primitive=None,
-                    z=None, seed: int = 0, min_len: int = 0) -> np.ndarray:
+                    z=None, seed=0, min_len: int = 0):
     """Sample a codebook-token sequence.
 
     The output starts with `primitive` verbatim (if given) and continues
     until EOS or max_len tokens. EOS is suppressed before min_len so exact
     lengths can be requested. Deterministic given the seed.
 
-    The first step runs `forward_logits` over the condition, BOS and the
-    primitive and fills a per-layer K/V cache; each later step feeds only
-    the token just sampled. The logits equal those of `forward_logits` on
-    the full prefix, because no row of the mask sees a later row, so the
-    cached K/V never change as the prefix grows.
+    For a batch, `cond` is a list of conditions and `seed` a list of seeds;
+    `primitive` and `z` are then per-request lists, or None for none. The
+    result is a `TokenBatch`. Each request keeps its own RNG, position and
+    EOS, so it gets the same tokens alone or in any batch.
+
+    Each request's first step runs `forward_logits` over its condition, BOS
+    and primitive and fills its own per-layer K/V cache. The caches are then
+    stacked, padded to the longest, and every later step feeds one row per
+    unfinished request, the token it just sampled, through one encoder call.
+    The logits equal those of `forward_logits` on the full prefix, because
+    no row of the mask sees a later row, so the cached K/V never change as
+    the prefix grows.
     """
+    batch = isinstance(cond, (list, tuple))
+    conds = list(cond) if batch else [cond]
+    seeds = _per_request(seed, len(conds), batch)
+    zs = _per_request(z, len(conds), batch)
     sampling = sampling or SamplingConfig()
-    primitive = np.asarray(primitive if primitive is not None else [], dtype=np.int64)
-    if max_len < primitive.size:
-        raise ContractError("max_len is smaller than the primitive")
-    if primitive.size and (primitive.min() < 0 or primitive.max() >= model.cfg.code_count):
-        raise TokenError("primitive contains non-codebook ids")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
-    tokens = list(primitive)
-    caches = [[] for _ in model.encoder.layers]
+    tokens = []
+    for prim in _per_request(primitive, len(conds), batch):
+        prim = np.asarray(prim if prim is not None else [], dtype=np.int64)
+        if max_len < prim.size:
+            raise ContractError("max_len is smaller than the primitive")
+        if prim.size and (prim.min() < 0 or prim.max() >= model.cfg.code_count):
+            raise TokenError("primitive contains non-codebook ids")
+        tokens.append([int(t) for t in prim])
+    rngs = [np.random.default_rng(np.random.SeedSequence([s, 5])) for s in seeds]
+    live = [b for b in range(len(conds)) if len(tokens[b]) < max_len]
     with nm.no_grad():
-        while len(tokens) < max_len:
-            if len(tokens) == primitive.size:
-                prefix = np.array([model.cfg.bos] + tokens, dtype=np.int64)
-                logits = forward_logits(model, cond, prefix, z, caches)
-            else:
-                logits = _step_logits(model, cond.length, tokens, caches)
-            logits = logits.data[-1].copy()
-            logits[model.cfg.bos] = -np.inf
-            if len(tokens) < min_len:
-                logits[model.cfg.eos] = -np.inf
-            choice = _sample_one(logits, sampling, rng)
-            if choice == model.cfg.eos:
-                break
-            tokens.append(int(choice))
-    return np.array(tokens, dtype=np.int64)
+        caches = [[[] for _ in model.encoder.layers] for _ in live]
+        logits = np.array([
+            forward_logits(model, conds[b], [model.cfg.bos] + tokens[b], zs[b], c).data[-1]
+            for b, c in zip(live, caches)])
+        if live:
+            caches, key_mask = _stack_caches(caches, max_len)
+        while live:
+            logits[:, model.cfg.bos] = -np.inf
+            keep = []
+            for row, b in enumerate(live):
+                if len(tokens[b]) < min_len:
+                    logits[row, model.cfg.eos] = -np.inf
+                choice = _sample_one(logits[row], sampling, rngs[b])
+                if choice != model.cfg.eos:
+                    tokens[b].append(choice)
+                    if len(tokens[b]) < max_len:
+                        keep.append(row)
+            if len(keep) < len(live):  # drop the finished requests
+                live = [live[row] for row in keep]
+                for layer in caches:
+                    layer[:] = [Tensor(t.data[keep]) for t in layer]
+                key_mask = None if key_mask is None else key_mask[keep]
+            if live:
+                logits = _step_logits(model, [conds[b].length for b in live],
+                                      [tokens[b] for b in live], caches, key_mask).data[:, -1]
+    out = [np.array(t, dtype=np.int64) for t in tokens]
+    return TokenBatch(out) if batch else out[0]
 
 
 def _sample_one(logits: np.ndarray, sampling: SamplingConfig,

@@ -5,6 +5,7 @@ failure."""
 import json
 import os
 import shutil
+import warnings
 
 import pytest
 
@@ -161,6 +162,24 @@ def test_diverging_training_exits_5(first_run, tiny_cfg, tmp_path, capsys):
     assert _cli("train", "--config", config, "--stage", "mq", "--data",
                 first_run[0] / "data", "--out", tmp_path / "ckpt", "--epochs", 2) == 5
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_diverging_training_prints_no_numpy_warning(first_run, tiny_cfg, tmp_path):
+    config = tmp_path / "hot.json"
+    config.write_text(json.dumps({**tiny_cfg.to_dict(), "lr": 1e300}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _cli("train", "--config", config, "--stage", "mq", "--data",
+                    first_run[0] / "data", "--out", tmp_path / "ckpt", "--epochs", 2) == 5
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_more_frames_than_the_context_holds_exits_2(first_run, config, tmp_path):
+    out = tmp_path / "m.udem"
+    assert _cli("generate", "--config", config, "--ckpt", first_run[0] / "ckpt",
+                "--modality", "text", "--prompt", "a person walks", "--decoder", "vq",
+                "--frames", 2048, "--out", out) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("modality, decoder", [("text", "dmd"), ("audio", "vq")])

@@ -128,6 +128,8 @@ def test_indexing_ops():
         ids = rng.integers(0, 4, size=6)
         red_e = _weighted(rng, (6, 3))
         check_gradients(lambda t: red_e(nm.embedding(t, ids)), [table])
+        red_b = _weighted(rng, (3, 2, 3))
+        check_gradients(lambda t: red_b(nm.embedding(t, ids.reshape(3, 2))), [table])
         red_r = _weighted(rng, (10, 3))
         check_gradients(lambda x: red_r(nm.repeat_rows(x, 2)), [a])
         row_ids = rng.integers(0, 3, size=5)
@@ -166,6 +168,22 @@ def test_attention_with_cache_composition():
         return red(attn(xin, mask, [kin, vin]))
 
     check_gradients(build, [x, k, v])
+
+
+def test_batched_attention_with_padding_mask():
+    # two sequences of 3 and 2 rows in one [2, 3, 8] batch; the padded key of
+    # the second is hidden, and its padded query row is left out of the loss
+    rng = np.random.default_rng(15)
+    attn = MultiHeadAttention(8, 2, rng)
+    visible = np.array([[True, True, True], [True, True, False]])
+    mask = additive_mask(visible)[:, None, None, :]
+    x = rng.uniform(-1, 1, (2, 3, 8))
+    w = rng.standard_normal((2, 3, 8)) * visible[:, :, None]
+
+    def build(xin):
+        return (attn(xin, mask) * Tensor(w)).sum()
+
+    check_gradients(build, [x])
 
 
 def test_full_encoder_composition():

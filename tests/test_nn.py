@@ -1,5 +1,6 @@
 """Incremental attention: rows fed through a K/V cache equal the rows of one
-full forward under `causal_prefix_mask`."""
+full forward under `causal_prefix_mask`; a batch of padded sequences equals
+each sequence alone."""
 
 import numpy as np
 import pytest
@@ -48,3 +49,15 @@ def test_filling_empty_caches_leaves_the_forward_unchanged(rng):
     x = nm.Tensor(rng.standard_normal((4, DIM)))
     mask = additive_mask(causal_prefix_mask(1, 3))
     assert np.array_equal(enc(x, mask).data, enc(x, mask, [[] for _ in enc.layers]).data)
+
+
+def test_batched_attention_with_key_padding_equals_each_sequence_alone(rng):
+    attn = MultiHeadAttention(DIM, HEADS, rng)
+    lengths = [5, 2, 4]
+    x = rng.standard_normal((3, 5, DIM))  # rows past a length are padding
+    visible = np.arange(5)[None, :] < np.array(lengths)[:, None]
+    out = attn(nm.Tensor(x), additive_mask(visible)[:, None, None, :]).data
+    assert out.shape == (3, 5, DIM)
+    for b, n in enumerate(lengths):
+        alone = attn(nm.Tensor(x[b, :n])).data
+        assert np.abs(out[b, :n] - alone).max() < 1e-12

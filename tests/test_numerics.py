@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,16 @@ class TestFiniteChecks:
         with pytest.raises(NumericsError), np.errstate(over="ignore"):
             Tensor([1e200]) * 1e200
 
+    def test_huge_finite_values_pass_without_a_warning(self):
+        # their sum of squares overflows, so the exact scan decides
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Tensor([1e308, 1e308]).shape == (2,)
+            assert (Tensor([[1e300, -1e300]]) * 1.0).shape == (1, 2)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NumericsError):
+                Tensor([1e308, bad, 1e308])
+
 
 class TestAdam:
     def test_zero_grads_fresh_state_no_move(self):
@@ -264,6 +275,12 @@ class TestShapeOps:
         assert np.allclose(out.data, [5.0, 2.0])
         out.sum().backward()
         assert np.allclose(a.grad, [[0, 1, 0], [1, 0, 0]])
+
+    def test_embedding_keeps_the_id_shape(self):
+        table = Tensor(np.arange(12.0).reshape(4, 3))
+        out = nm.embedding(table, np.array([[3], [0]]))
+        assert out.shape == (2, 1, 3)
+        np.testing.assert_array_equal(out.data[:, 0], table.data[[3, 0]])
 
     def test_embedding_scatter(self):
         table = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,35 @@ def test_load_models_rejects_what_no_model_owns(tmp_path, tiny_cfg, part):
                                body["config"], buffers=body["buffers"])
     with pytest.raises(FormatError):
         pipeline.load_models(ckpt, "mq")
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory, tiny_cfg):
+    root = tmp_path_factory.mktemp("trained")
+    pipeline.run_synth(tiny_cfg, 0, root / "data")
+    pipeline.train_stage("all", tiny_cfg, root / "data", root / "ckpt", 0, epochs=1)
+    return root / "data", root / "ckpt"
+
+
+def test_a_batch_of_requests_gets_what_each_gets_alone(trained, tiny_cfg):
+    stack = pipeline.load_generation_stack(trained[1], decoder="vq")
+    prompts = ["a person walks", "a person waves both arms high", "jump"]
+    primitives = [[1, 2], None, [3]]
+    seeds = [7, 8, 9]
+    batch = pipeline.generate_motion(stack, tiny_cfg, "text", 32, seeds, prompt=prompts,
+                                     use_z=True, primitive=primitives)
+    assert len(batch) == 3
+    for out, seed, prompt, primitive in zip(batch, seeds, prompts, primitives):
+        alone = pipeline.generate_motion(stack, tiny_cfg, "text", 32, seed, prompt=prompt,
+                                         use_z=True, primitive=primitive)
+        np.testing.assert_array_equal(out["tokens"], alone["tokens"])
+        np.testing.assert_array_equal(out["frames"], alone["frames"])
+        assert out["unk_only"] == alone["unk_only"]
+
+
+def test_eval_reports_do_not_depend_on_the_group_size(trained, tiny_cfg):
+    data, ckpt = trained
+    reports = [pipeline.evaluate(replace(tiny_cfg, batch_size=size), data, ckpt, seed=3,
+                                 samples_per_input=2)
+               for size in (1, 3)]
+    assert reports[0]["metrics"] == reports[1]["metrics"]

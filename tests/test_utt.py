@@ -215,11 +215,12 @@ class TestKVCache:
         with nm.no_grad():
             prefix = np.array([utt.cfg.bos] + tokens)
             cached = forward_logits(utt, cond, prefix, z, caches).data[-1]
+            caches, _ = utt_mod._stack_caches([caches], 0)
             for token in follow:
                 full = forward_logits(utt, cond, [utt.cfg.bos] + tokens, z=z).data[-1]
                 assert np.abs(cached - full).max() < 1e-12
                 tokens.append(int(token))
-                cached = utt_mod._step_logits(utt, cond.length, tokens, caches).data[-1]
+                cached = utt_mod._step_logits(utt, [cond.length], [tokens], caches).data[0, -1]
 
     def test_z_changes_the_logits(self):
         mate, utt = _z_model()
@@ -267,6 +268,79 @@ class TestKVCache:
         cond = CONDITIONS["text"](mate)
         with pytest.raises(LengthError, match="context of 11 exceeds 10"):
             generate_tokens(utt, cond, 8, primitive=[1, 2, 3, 4])
+
+
+def _mixed_requests(mate):
+    """Text and audio conditions of different lengths, z and a primitive on
+    some of them: (conds, zs, primitives, seeds)."""
+    feats = np.random.default_rng(10).standard_normal((11, 5))
+    conds = [encode(mate, text_input([1, 2, 3])), encode(mate, audio_input(feats)),
+             encode(mate, text_input([4, 5, 6, 7, 8, 9])), encode(mate, audio_input(feats[:4]))]
+    zs = [None, np.random.default_rng(4).standard_normal(4), None,
+          np.random.default_rng(5).standard_normal(4)]
+    primitives = [[], [2, 7], None, [5]]
+    return conds, zs, primitives, [3, 14, 15, 92]
+
+
+class TestBatchedSampling:
+    @pytest.mark.parametrize("sampling, min_len", [
+        (SamplingConfig(mode="greedy"), 12),
+        (SamplingConfig(mode="topk", top_k=4, temperature=1.0), 12),
+        (SamplingConfig(mode="topk", top_k=K + 2, temperature=2.0), 5),
+    ])
+    def test_tokens_equal_each_request_alone_and_the_uncached_loop(self, sampling, min_len):
+        mate, utt = _z_model()
+        conds, zs, primitives, seeds = _mixed_requests(mate)
+        got = generate_tokens(utt, conds, 12, sampling, primitive=primitives, z=zs,
+                              seed=seeds, min_len=min_len)
+        assert isinstance(got, utt_mod.TokenBatch) and len(got) == 4
+        assert got.size == sum(t.size for t in got)
+        for b in range(4):
+            alone = generate_tokens(utt, conds[b], 12, sampling, primitive=primitives[b],
+                                    z=zs[b], seed=seeds[b], min_len=min_len)
+            want = _reference_tokens(utt, conds[b], 12, sampling, primitives[b] or (),
+                                     zs[b], seeds[b], min_len)
+            assert np.array_equal(got[b], alone)
+            assert np.array_equal(got[b], want)
+            assert min_len <= got[b].size <= 12
+        if min_len < 12:  # a row ends on EOS while others go on
+            assert min(t.size for t in got) < 12
+
+    def test_step_logits_equal_each_request_alone(self):
+        mate, utt = _z_model()
+        conds, zs, primitives, _ = _mixed_requests(mate)
+        tokens = [list(p or []) for p in primitives]
+        follow = np.random.default_rng(6).integers(0, K, size=(6, 4))
+        with nm.no_grad():
+            caches = [[[] for _ in utt.encoder.layers] for _ in conds]
+            for cond, z, t, c in zip(conds, zs, tokens, caches):
+                forward_logits(utt, cond, [utt.cfg.bos] + t, z, c)
+            caches, key_mask = utt_mod._stack_caches(caches, follow.shape[0])
+            assert key_mask is not None
+            for step in follow:
+                for t, token in zip(tokens, step):
+                    t.append(int(token))
+                got = utt_mod._step_logits(utt, [c.length for c in conds], tokens, caches,
+                                           key_mask).data[:, -1]
+                for b, (cond, z, t) in enumerate(zip(conds, zs, tokens)):
+                    full = forward_logits(utt, cond, [utt.cfg.bos] + t, z=z).data[-1]
+                    assert np.abs(got[b] - full).max() < 1e-12
+
+    def test_a_single_request_is_a_batch_of_one(self):
+        mate, utt = _z_model()
+        cond = CONDITIONS["audio"](mate)
+        alone = generate_tokens(utt, cond, 9, seed=4)
+        batch = generate_tokens(utt, [cond], 9, seed=[4])
+        assert isinstance(alone, np.ndarray) and np.array_equal(batch[0], alone)
+        assert generate_tokens(utt, [], 9, seed=[]) == []
+
+    def test_per_request_lists_must_match_the_batch(self):
+        mate, utt = _z_model()
+        conds = _mixed_requests(mate)[0]
+        with pytest.raises(ContractError):
+            generate_tokens(utt, conds, 4, seed=[1, 2])
+        with pytest.raises(ContractError):
+            generate_tokens(utt, conds, 4, seed=[1, 2, 3, 4], primitive=[[1]])
 
 
 class TestDiscriminator:
