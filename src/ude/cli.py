@@ -16,14 +16,14 @@ import numpy as np
 from . import pipeline
 from .audio import load_features
 from .config import RunConfig, load_config
-from .errors import (AudioError, ConfigError, ContractError, DimensionError,
-                     FormatError, MappingError, MetricError, NumericsError,
-                     PreprocessingError, StageError, TokenError, TrainingError)
+from .errors import (ConfigError, ContractError, DimensionError, FormatError,
+                     MetricError, NumericsError, PreprocessingError, StageError,
+                     TokenError, TrainingError)
 from .fileio import atomic_write_text
 from .motion import MotionSequence, save_motion
 
-DATA_ERRORS = (FormatError, MappingError, AudioError, PreprocessingError,
-               DimensionError, ContractError, TokenError, MetricError)
+DATA_ERRORS = (FormatError, PreprocessingError, DimensionError, ContractError,
+               TokenError, MetricError)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,9 +4,6 @@ Every knob has a default; a JSON config file may override any subset.
 Unknown keys, values of the wrong type and out-of-range counts are
 rejected. The resolved config is echoed into every output artifact
 (checkpoints, loss logs, metric reports, generation sidecars).
-
-`LARGE_SCALE` documents the reference full-scale settings this desk setup
-is scaled down from; they are constants, not defaults.
 """
 
 from __future__ import annotations
@@ -16,31 +13,10 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
 
-# Reference full-scale hyperparameters (documented, not defaults): codebook
-# 2048x1024, 6-layer condition encoder (8 heads, hidden 1024, 256-d
-# projection), 8-layer token transformer (hidden 1024), 8+8 diffusion
-# layers with 1000 steps, Adam lr 1e-4, 438-d audio features, 24 joints.
-LARGE_SCALE = {
-    "code_count": 2048,
-    "code_dim": 1024,
-    "mate_layers": 6,
-    "mate_heads": 8,
-    "mate_hidden": 1024,
-    "mate_proj_dim": 256,
-    "utt_layers": 8,
-    "utt_hidden": 1024,
-    "dmd_cond_layers": 8,
-    "dmd_layers": 8,
-    "dmd_hidden": 1024,
-    "dmd_heads": 8,
-    "diffusion_steps": 1000,
-    "lr": 1e-4,
-    "beta_codebook": 1.0,
-    "beta_commit": 1.0,
-    "beta_adv": 1.0,
-    "audio_feature_dim": 438,
-    "joints": 24,
-}
+# The defaults scale down these full-scale settings: codebook 2048x1024,
+# 6-layer condition encoder (8 heads, hidden 1024, 256-d projection), 8-layer
+# token transformer (hidden 1024), 8+8 diffusion layers with 1000 steps, Adam
+# lr 1e-4, 438-d audio features, 24 joints.
 
 
 @dataclass
@@ -133,13 +109,13 @@ def parse_counts(spec: str) -> dict:
     return {k: v for k, v in out.items() if v > 0}
 
 
-def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional JSON file plus overrides.
+def load_config(path=None) -> RunConfig:
+    """Build a RunConfig from an optional JSON file.
 
     Unknown keys are rejected; values are coerced to the field types.
     """
     known = {f.name: _FIELD_TYPES[f.type] for f in fields(RunConfig)}
-    merged: dict = {}
+    loaded: dict = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -150,12 +126,10 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        merged.update(loaded)
-    merged.update(overrides or {})
-    unknown = set(merged) - set(known)
+    unknown = set(loaded) - set(known)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = RunConfig(**{k: _coerce(k, known[k], v) for k, v in merged.items()})
+    cfg = RunConfig(**{k: _coerce(k, known[k], v) for k, v in loaded.items()})
     _check_ranges(cfg)
     return cfg
 

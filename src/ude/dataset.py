@@ -47,10 +47,6 @@ TEXT_FAMILIES = ("walk", "wave", "jump", "turn")
 GENRE_BEAT_HZ = {"sway": 1.0, "groove": 1.6, "pulse": 2.0}
 
 
-def build_vocabulary() -> dict:
-    return {w: i for i, w in enumerate(VOCAB_WORDS)}
-
-
 def save_vocabulary(path, words=VOCAB_WORDS) -> None:
     atomic_write_text(path, "\n".join(words) + "\n")
 
@@ -278,9 +274,9 @@ def _sample_action(family: str, rng: np.random.Generator):
 
 
 def make_text_motion(families, frames: int, fps: float, rng: np.random.Generator,
-                     compose_fraction: float = 0.3, skeleton: Skeleton | None = None):
+                     compose_fraction: float = 0.3):
     """One text sample: (MotionSequence, sentence)."""
-    skel = skeleton or default_skeleton()
+    skel = default_skeleton()
     subject = _SUBJECTS[rng.integers(len(_SUBJECTS))]
     compose = rng.random() < compose_fraction and frames >= 16
     chosen = [families[rng.integers(len(families))]]
@@ -310,7 +306,7 @@ def _genre_pattern(genre: str, dim: int) -> np.ndarray:
 
 
 def make_dance_motion(genre: str, frames: int, fps: float, feature_dim: int,
-                      rng: np.random.Generator, skeleton: Skeleton | None = None):
+                      rng: np.random.Generator):
     """One audio sample: (MotionSequence, AudioFeatureSequence).
 
     All oscillators follow cos(pi * f_beat * t) so every joint's speed
@@ -319,7 +315,7 @@ def make_dance_motion(genre: str, frames: int, fps: float, feature_dim: int,
     """
     if genre not in GENRE_BEAT_HZ:
         raise ConfigError(f"unknown dance genre {genre!r}")
-    skel = skeleton or default_skeleton()
+    skel = default_skeleton()
     f_beat = GENRE_BEAT_HZ[genre]
     duration = frames / fps
     times = np.arange(frames) / fps
@@ -457,16 +453,14 @@ class Sample:
     features: AudioFeatureSequence | None = None
 
 
-def load_samples(data_dir, split=None, modality=None, normalize=True) -> list:
+def load_samples(data_dir, split=None, modality=None) -> list:
     """Load manifest entries into memory, heading-normalizing motions."""
     data_dir = os.fspath(data_dir)
     manifest = load_manifest(os.path.join(data_dir, "manifest.jsonl"))
     vocab = load_vocabulary(os.path.join(data_dir, "vocab.txt"))
     out = []
     for e in manifest.select(split, modality):
-        motion = load_motion(os.path.join(data_dir, e.motion))
-        if normalize:
-            motion = normalize_heading(motion)
+        motion = normalize_heading(load_motion(os.path.join(data_dir, e.motion)))
         sample = Sample(e.id, e.modality, e.split, motion)
         if e.modality == "text":
             with open(os.path.join(data_dir, e.cond), "r", encoding="utf-8") as fh:

@@ -79,8 +79,6 @@ class DMDConfig:
     heads: int = 4
     max_tokens: int = 128
     max_frames: int = 512
-    beta_start: float | None = None
-    beta_end: float | None = None
 
 
 class DMDModel(Module):

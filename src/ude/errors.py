@@ -46,14 +46,6 @@ class PreprocessingError(UdeError):
     """Motion preprocessing failed (degenerate input pose)."""
 
 
-class MappingError(UdeError):
-    """A joint mapping table does not cover the target skeleton."""
-
-
-class AudioError(UdeError):
-    """Audio input too short or otherwise unusable."""
-
-
 class MetricError(UdeError):
     """A metric was called on inputs outside its domain."""
 

@@ -40,12 +40,12 @@ def kinetic_features(m: MotionSequence) -> np.ndarray:
     return np.concatenate([speed.mean(axis=0), speed.std(axis=0), acc_mag.mean(axis=0)])
 
 
-def geometric_features(m: MotionSequence, max_subset: int = 8) -> np.ndarray:
-    """Time-averaged pairwise distances over a fixed joint subset, plus
-    bounding-box extents and root-height mean/std."""
+def geometric_features(m: MotionSequence) -> np.ndarray:
+    """Time-averaged pairwise distances over a fixed subset of at most 8
+    joints, plus bounding-box extents and root-height mean/std."""
     pos = m.positions()
     j = m.joint_count
-    subset = np.linspace(0, j - 1, min(j, max_subset)).round().astype(int)
+    subset = np.linspace(0, j - 1, min(j, 8)).round().astype(int)
     subset = np.unique(subset)
     sub = pos[:, subset]                        # [T, S, 3]
     diff = sub[:, :, None, :] - sub[:, None, :, :]
@@ -76,12 +76,13 @@ def feature_set(kind: str, motions) -> FeatureSet:
 # -- Frechet distance ---------------------------------------------------------------
 
 
-def _sqrtm_psd(mat: np.ndarray, clip: float = -1e-8) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition; eigenvalues below
-    `clip` are an error, small negatives are clamped to zero."""
+def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root via eigendecomposition. Negative eigenvalues
+    within round-off of the largest magnitude are clamped to zero; any below
+    that is an error."""
     sym = (mat + mat.T) / 2.0
     w, v = np.linalg.eigh(sym)
-    if w.min() < clip:
+    if w.min() < -1e-10 * np.abs(w).max():
         raise MetricError(f"matrix not PSD (eigenvalue {w.min():.3e})")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.T
@@ -122,14 +123,14 @@ def diversity(a: FeatureSet | np.ndarray) -> float:
 # -- beats ------------------------------------------------------------------------
 
 
-def detect_motion_beats(m: MotionSequence, smooth_window: int = 5) -> np.ndarray:
-    """Beat times (seconds): local minima of the smoothed total joint-speed
-    envelope."""
+def detect_motion_beats(m: MotionSequence) -> np.ndarray:
+    """Beat times (seconds): local minima of the total joint-speed envelope,
+    smoothed over 5 frames."""
     if m.length < 5:
         raise MetricError("beat detection needs at least 5 frames")
     pos = m.positions()
     vel = np.linalg.norm(pos[1:] - pos[:-1], axis=-1).sum(axis=-1)  # [T-1]
-    kernel = np.ones(smooth_window)
+    kernel = np.ones(5)
     # edge-aware moving average: divide by the actual window size at each index
     smoothed = np.convolve(vel, kernel, mode="same")
     smoothed /= np.convolve(np.ones_like(vel), kernel, mode="same")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, MappingError, PreprocessingError
+from .errors import DimensionError, FormatError, PreprocessingError
 from .fileio import atomic_write_text
 
 MOTION_MAGIC = "UDEMOTION v1"
@@ -88,28 +88,24 @@ class MotionSequence:
     def length(self) -> int:
         return self.frames.shape[0]
 
-    @property
-    def duration(self) -> float:
-        return self.frames.shape[0] / self.fps
-
     def positions(self) -> np.ndarray:
         """Frames reshaped to [T, J, 3]."""
         return self.frames.reshape(self.length, self.joint_count, 3)
 
 
-def normalize_heading(m: MotionSequence, left_hip: int = 1, right_hip: int = 2) -> MotionSequence:
+def normalize_heading(m: MotionSequence) -> MotionSequence:
     """Rotate about the vertical axis so the first frame faces +X, and move
     the first frame's root to the origin in the ground plane.
 
     Heading is the ground-plane normal of the hip axis (left hip minus right
-    hip). Idempotent; preserves all inter-joint distances.
+    hip, joints 1 and 2). Idempotent; preserves all inter-joint distances.
     """
     pos = m.positions().copy()
     root0 = pos[0, 0]
     pos[:, :, 0] -= root0[0]
     pos[:, :, 2] -= root0[2]
 
-    hip = pos[0, left_hip] - pos[0, right_hip]
+    hip = pos[0, 1] - pos[0, 2]
     lateral = np.array([hip[0], 0.0, hip[2]])
     norm = np.linalg.norm(lateral)
     if norm < 1e-8 * max(np.linalg.norm(hip), 1e-12) or norm < 1e-12:
@@ -124,43 +120,6 @@ def normalize_heading(m: MotionSequence, left_hip: int = 1, right_hip: int = 2) 
     pos[:, :, 0] = c * x + s * z
     pos[:, :, 2] = -s * x + c * z
     return MotionSequence(m.fps, pos.reshape(m.length, -1))
-
-
-def bone_lengths(m: MotionSequence, skeleton: Skeleton) -> np.ndarray:
-    """Per-frame bone lengths, [T, J-1] (one per non-root joint)."""
-    pos = m.positions()
-    out = np.zeros((m.length, skeleton.joint_count - 1))
-    for j in range(1, skeleton.joint_count):
-        out[:, j - 1] = np.linalg.norm(pos[:, j] - pos[:, skeleton.parents[j]], axis=-1)
-    return out
-
-
-def unify_joints(m: MotionSequence, src: Skeleton, dst: Skeleton, mapping: dict) -> MotionSequence:
-    """Re-express a motion on a different skeleton.
-
-    `mapping` sends each destination joint index to a list of
-    (source joint index, weight) pairs; weights are normalized so every
-    destination joint is a convex combination of source joints.
-    """
-    if m.joint_count != src.joint_count:
-        raise DimensionError("motion does not match the source skeleton")
-    pos = m.positions()
-    out = np.zeros((m.length, dst.joint_count, 3))
-    for j in range(dst.joint_count):
-        if j not in mapping or not mapping[j]:
-            raise MappingError(f"destination joint {j} ({dst.names[j]}) is unmapped")
-        total = sum(w for _, w in mapping[j])
-        if total <= 0:
-            raise MappingError(f"destination joint {j} has non-positive total weight")
-        for s, w in mapping[j]:
-            if not 0 <= s < src.joint_count:
-                raise MappingError(f"source joint {s} out of range for joint {j}")
-            out[:, j] += (w / total) * pos[:, s]
-    return MotionSequence(m.fps, out.reshape(m.length, -1))
-
-
-def identity_mapping(j: int) -> dict:
-    return {i: [(i, 1.0)] for i in range(j)}
 
 
 _HEADER_RE = re.compile(rf"^{MOTION_MAGIC} fps=([0-9.eE+-]+) joints=(\d+)\s*$")

@@ -134,25 +134,6 @@ def vq_loss(model: MQModel, frames) -> tuple:
     return total, parts
 
 
-def reconstruction_mse(model: MQModel, motions) -> float:
-    """Mean squared reconstruction error over a list of frame arrays."""
-    total, count = 0.0, 0
-    with nm.no_grad():
-        for frames in motions:
-            recon = model.decode_embedding(
-                model.embed_tokens(model.encode_tokens(frames))).data
-            total += float(((recon - frames) ** 2).sum())
-            count += frames.size
-    return total / count
-
-
-def codebook_utilization(model: MQModel, motions) -> float:
-    used = np.zeros(model.cfg.code_count, dtype=bool)
-    for frames in motions:
-        used[np.unique(model.encode_tokens(frames))] = True
-    return used.mean()
-
-
 def train_mq(model: MQModel, motions, epochs: int, seed: int, lr: float = 1e-3,
              batch_size: int = 8, log=None) -> list:
     """Train in place; returns one history row per epoch.

@@ -40,9 +40,6 @@ class Module:
                         out.extend(item.named_parameters(f"{prefix}{key}.{i}."))
         return out
 
-    def parameters(self):
-        return [p for _, p in self.named_parameters()]
-
 
 def glorot(rng: np.random.Generator, shape) -> np.ndarray:
     fan_in, fan_out = shape[0], shape[-1]
@@ -137,10 +134,8 @@ class EncoderLayer(Module):
 class TransformerEncoder(Module):
     """A stack of encoder layers plus a final layer norm."""
 
-    def __init__(self, layers: int, dim: int, heads: int, rng: np.random.Generator,
-                 ff_hidden: int | None = None):
-        ff_hidden = ff_hidden or 4 * dim
-        self.layers = [EncoderLayer(dim, heads, ff_hidden, rng) for _ in range(layers)]
+    def __init__(self, layers: int, dim: int, heads: int, rng: np.random.Generator):
+        self.layers = [EncoderLayer(dim, heads, 4 * dim, rng) for _ in range(layers)]
         self.ln = LayerNorm(dim)
 
     def __call__(self, x, add_mask=None, caches=None) -> Tensor:

@@ -228,7 +228,11 @@ def load_models(ckpt_dir, stage: str) -> dict:
     for name, section in body["sections"].items():
         if name not in MODELS:
             raise FormatError(f"{stage} checkpoint has an unknown section {name!r}")
-        models[name] = MODELS[name](section["config"], np.random.default_rng(0))
+        try:
+            models[name] = MODELS[name](section["config"], np.random.default_rng(0))
+        except TypeError as exc:  # a config key the model lacks, or one it needs
+            raise FormatError(f"{stage} checkpoint section {name!r} does not fit its "
+                              f"model ({exc}); retrain stage {stage}") from exc
         ckpt.load_params(models[name], section["params"])
     for name, value in body.get("buffers", {}).items():
         default = getattr(models.get(stage), name, None)
@@ -306,8 +310,9 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
     a list of primitives if any; it returns one result per request, each
     the one it would get alone, and samples their tokens together.
     """
-    if frames % 4 != 0:
-        raise ConfigError(f"target frames {frames} must be divisible by 4")
+    if frames < 4 or frames % 4 != 0:
+        raise ConfigError(f"target frames {frames} must be a positive multiple of 4")
+    _check_decodable(stack, decoder, frames)
     batch = isinstance(seed, (list, tuple))
     seeds = list(seed) if batch else [seed]
     prompts, feats, primitives = (utt_mod._per_request(value, len(seeds), batch)
@@ -334,6 +339,15 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
     return results if batch else results[0]
 
 
+def _check_decodable(stack, decoder: str, frames: int) -> None:
+    """Before any sampling: the diffusion decoder takes at most max_tokens
+    tokens (4 frames each)."""
+    dmd = stack["dmd"] if decoder == "dmd" else None
+    if dmd is not None and frames // 4 > dmd.cfg.max_tokens:
+        raise ConfigError(f"{frames} frames need {frames // 4} tokens, more than the "
+                          f"diffusion decoder's max_tokens {dmd.cfg.max_tokens}")
+
+
 def _decode(stack, decoder: str, tokens, seed: int) -> np.ndarray:
     if decoder == "vq":
         return stack["mq"].decode_tokens(tokens)
@@ -350,13 +364,15 @@ def transition_motion(stack, cfg: RunConfig, prompt: str, features, seed: int,
     """Text segment, then an audio segment conditioned on the last
     `primitive_len` text tokens; the concatenated tokens are decoded in one
     pass and the junction discontinuity is reported."""
+    # the text segment has exactly text_frames / 4 tokens to take the primitive from
+    if min(text_frames, audio_frames) < 4 or not 0 <= primitive_len <= text_frames // 4:
+        raise ConfigError(f"a transition needs at least 4 text and 4 audio frames and a "
+                          f"primitive of 0 to text_frames/4 tokens, got {text_frames}, "
+                          f"{audio_frames} and {primitive_len}")
+    _check_decodable(stack, decoder, text_frames + audio_frames)
     text_out = generate_motion(stack, cfg, "text", text_frames, seed,
                                prompt=prompt, decoder="vq")
     text_tokens = text_out["tokens"]
-    if primitive_len > text_tokens.size:
-        raise ContractError(
-            f"text segment has {text_tokens.size} tokens, fewer than the "
-            f"{primitive_len}-token primitive")
     primitive = text_tokens[text_tokens.size - primitive_len:]
     audio_out = generate_motion(stack, cfg, "audio", audio_frames + 4 * primitive_len,
                                 seed + 1, features=features, decoder="vq",

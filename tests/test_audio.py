@@ -1,51 +1,8 @@
 import numpy as np
 import pytest
 
-from ude.audio import (AudioFeatureSequence, extract_audio_features,
-                       load_features, save_features)
-from ude.errors import AudioError, FormatError
-
-
-class TestExtractAudioFeatures:
-    def test_silence_has_zero_onset(self):
-        rate = 4000
-        feats = extract_audio_features(np.zeros(rate * 2), rate, fps=16.0, mfcc_count=5)
-        assert np.allclose(feats.features[:, -1], 0.0)
-
-    def test_feature_width_contract(self):
-        rate = 4000
-        feats = extract_audio_features(np.zeros(rate), rate, fps=16.0, mfcc_count=7)
-        assert feats.dim == 7 * 2 + 1
-
-    def test_click_train_onsets_at_2hz(self):
-        rate, fps = 4000, 16.0
-        n = rate * 4
-        samples = np.zeros(n)
-        clicks = np.arange(0.5, 4.0, 0.5)  # 2 Hz
-        for t in clicks:
-            i = int(t * rate)
-            samples[i:i + 20] = 1.0
-        feats = extract_audio_features(samples, rate, fps=fps, mfcc_count=5)
-        onset = feats.features[:, -1]
-        threshold = onset.max() * 0.5
-        peak_frames = [i for i in range(1, len(onset) - 1)
-                       if onset[i] >= threshold
-                       and onset[i] >= onset[i - 1] and onset[i] >= onset[i + 1]]
-        peak_times = np.array(peak_frames) / fps
-        hop_seconds = 1.0 / fps
-        for t in clicks:
-            assert np.min(np.abs(peak_times - t)) <= hop_seconds + 1e-9
-
-    def test_feature_rate_matches_fps(self):
-        rate = 8000
-        feats = extract_audio_features(np.zeros(rate * 2), rate, fps=20.0)
-        assert feats.frame_rate == 20.0
-        # two seconds of signal, minus one window of lookahead
-        assert abs(feats.length - 2 * 20) <= 2
-
-    def test_window_longer_than_signal_rejected(self):
-        with pytest.raises(AudioError):
-            extract_audio_features(np.zeros(100), 4000, fps=16.0)
+from ude.audio import AudioFeatureSequence, load_features, save_features
+from ude.errors import FormatError
 
 
 class TestFeatureFiles:

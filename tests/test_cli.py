@@ -182,6 +182,37 @@ def test_more_frames_than_the_context_holds_exits_2(first_run, config, tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, request_args", [
+    ("generate", ["--frames", 0]),
+    ("generate", ["--frames", -4]),
+    ("generate", ["--frames", 516, "--decoder", "dmd"]),  # 129 tokens, the dmd takes 128
+    ("transition", ["--text-frames", 0]),
+    ("transition", ["--primitive-len", -1]),
+    ("transition", ["--text-frames", 4]),  # one text token, the primitive takes 8
+    ("transition", ["--audio-frames", 500, "--decoder", "dmd"]),
+], ids=["zero-frames", "negative-frames", "dmd-too-long", "zero-text-frames",
+        "negative-primitive", "primitive-longer-than-text", "dmd-transition-too-long"])
+def test_request_that_cannot_be_served_exits_2_and_writes_nothing(first_run, config,
+                                                                  tmp_path, command,
+                                                                  request_args):
+    root = first_run[0]
+    features = ["--features", root / "data" / "conds" / "audio_test_00020.udef"]
+    condition = (["--modality", "text", "--prompt", "a person walks"]
+                 if command == "generate" else ["--prompt", "a person waves", *features])
+    out = tmp_path / "out"
+    assert _cli(command, "--config", config, "--ckpt", root / "ckpt", *condition,
+                *request_args, "--out", out / "m.udem") == 2
+    assert not out.exists()
+
+
+def test_eval_with_the_diffusion_decoder(first_run, config, tmp_path):
+    root = first_run[0]
+    out = tmp_path / "eval.json"
+    assert _cli("eval", "--config", config, "--seed", SEED, "--ckpt", root / "ckpt",
+                "--data", root / "data", "--decoder", "dmd", "--out", out) == 0
+    assert json.loads(out.read_text())["decoder"] == "dmd"
+
+
 @pytest.mark.parametrize("modality, decoder", [("text", "dmd"), ("audio", "vq")])
 def test_either_decoder_serves_either_modality(first_run, config, tmp_path, modality,
                                                decoder):

@@ -4,12 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from ude.dataset import (GENRE_BEAT_HZ, SynthConfig, build_vocabulary,
-                         load_manifest, load_samples, make_dance_motion,
-                         make_text_motion, synth_dataset, tokenize)
+from ude.dataset import (GENRE_BEAT_HZ, VOCAB_WORDS, SynthConfig, load_manifest,
+                         load_samples, make_dance_motion, make_text_motion,
+                         synth_dataset, tokenize)
 from ude.errors import ConfigError
 from ude.metrics import detect_motion_beats
-from ude.motion import bone_lengths, default_skeleton
+from ude.motion import default_skeleton
 
 
 def _tiny_config():
@@ -19,6 +19,12 @@ def _tiny_config():
         genres_train={"sway": 2, "groove": 2, "pulse": 2},
         genres_test={"sway": 1},
     )
+
+
+def _bone_lengths(m, skel):
+    """Per-frame length of each non-root joint's bone, [T, J-1]."""
+    pos = m.positions()
+    return np.linalg.norm(pos[:, 1:] - pos[:, list(skel.parents[1:])], axis=-1)
 
 
 def _dir_digest(root):
@@ -34,14 +40,14 @@ def _dir_digest(root):
 
 class TestVocabulary:
     def test_unknown_words_map_to_unk(self):
-        vocab = build_vocabulary()
+        vocab = {w: i for i, w in enumerate(VOCAB_WORDS)}
         ids = tokenize("A person zorbulates Forward!", vocab)
         assert ids[0] == vocab["a"]
         assert ids[2] == vocab["<unk>"]
         assert ids[3] == vocab["forward"]
 
     def test_all_ids_in_range(self):
-        vocab = build_vocabulary()
+        vocab = {w: i for i, w in enumerate(VOCAB_WORDS)}
         ids = tokenize("someone waves their left hand then jumps twice", vocab)
         assert ids.max() < len(vocab)
         assert (ids >= 0).all()
@@ -66,7 +72,7 @@ class TestGenerators:
         rest = np.linalg.norm(skel.offsets[1:], axis=-1)
         for fam in ("walk", "wave", "jump", "turn"):
             motion, _ = make_text_motion([fam], 32, 16.0, rng, compose_fraction=0.5)
-            lengths = bone_lengths(motion, skel)
+            lengths = _bone_lengths(motion, skel)
             assert np.abs(lengths - rest).max() <= 0.05 * rest.min() + 1e-9
 
     def test_dance_beats_spacing_2hz(self):

@@ -97,6 +97,17 @@ class TestFid:
             b = FeatureSet("kinetic", rng.standard_normal((12, 3)))
             assert fid(a, b) >= -1e-9
 
+    def test_rank_deficient_covariance_at_large_scale(self, rng):
+        # 4 and 6 samples in 24 dims: the covariances (about 1e8) are singular,
+        # and round-off leaves eigenvalues far below an absolute -1e-8
+        a = FeatureSet("kinetic", rng.standard_normal((4, 24)) * 1e4)
+        b = FeatureSet("kinetic", rng.standard_normal((6, 24)) * 1e4)
+        assert fid(a, b) >= 0.0
+
+    def test_indefinite_covariance_rejected(self):
+        with pytest.raises(MetricError, match="not PSD"):
+            fid_gaussian([0.0, 0.0], np.diag([1.0, -1.0]), [0.0, 0.0], np.eye(2))
+
     def test_kind_mismatch_rejected(self, rng):
         a = FeatureSet("kinetic", rng.standard_normal((5, 3)))
         b = FeatureSet("geometric", rng.standard_normal((5, 3)))
@@ -163,7 +174,7 @@ class TestMotionBeats:
         m = MotionSequence(16.0, frames)
         beats = detect_motion_beats(m)
         assert np.all(np.diff(beats) > 0)
-        assert np.all((beats >= 0) & (beats <= m.duration))
+        assert np.all((beats >= 0) & (beats <= m.length / m.fps))
 
 
 class TestBeatAlign:

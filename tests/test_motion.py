@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ude.errors import DimensionError, FormatError, MappingError, PreprocessingError
-from ude.motion import (MotionSequence, Skeleton, bone_lengths, default_skeleton,
-                        identity_mapping, load_motion, normalize_heading,
-                        save_motion, unify_joints)
+from ude.errors import DimensionError, FormatError, PreprocessingError
+from ude.motion import (MotionSequence, Skeleton, default_skeleton, load_motion,
+                        normalize_heading, save_motion)
 
 
 def _rest_pose_motion(t=5, fps=16.0):
@@ -26,6 +25,12 @@ def _rotate_y(m: MotionSequence, theta: float, dx=0.0, dz=0.0) -> MotionSequence
     pos[:, :, 0] = c * x + s * z + dx
     pos[:, :, 2] = -s * x + c * z + dz
     return MotionSequence(m.fps, pos.reshape(m.length, -1))
+
+
+def _bone_lengths(m, skel):
+    """Per-frame length of each non-root joint's bone, [T, J-1]."""
+    pos = m.positions()
+    return np.linalg.norm(pos[:, 1:] - pos[:, list(skel.parents[1:])], axis=-1)
 
 
 def _pairwise(m: MotionSequence) -> np.ndarray:
@@ -79,45 +84,6 @@ class TestNormalizeHeading:
             normalize_heading(broken)
 
 
-class TestUnifyJoints:
-    def test_identity(self):
-        m = _rest_pose_motion()
-        skel = default_skeleton()
-        out = unify_joints(m, skel, skel, identity_mapping(skel.joint_count))
-        assert np.allclose(out.frames, m.frames)
-
-    def test_midpoint_interpolation(self):
-        m = _rest_pose_motion()
-        src = default_skeleton()
-        dst = Skeleton(("root", "mid"), (-1, 0), np.zeros((2, 3)))
-        mapping = {0: [(0, 1.0)], 1: [(1, 0.5), (2, 0.5)]}
-        out = unify_joints(m, src, dst, mapping)
-        pos = m.positions()
-        expected = (pos[:, 1] + pos[:, 2]) / 2
-        assert np.allclose(out.positions()[:, 1], expected)
-
-    def test_22_to_24_expansion(self, rng):
-        def chain(j):
-            offsets = np.zeros((j, 3))
-            offsets[1:, 1] = 0.1
-            return Skeleton(tuple(f"j{i}" for i in range(j)),
-                            (-1,) + tuple(range(j - 1)), offsets)
-
-        src, dst = chain(22), chain(24)
-        m = MotionSequence(16.0, rng.standard_normal((4, 22 * 3)))
-        mapping = {i: [(min(i, 21), 1.0)] for i in range(24)}
-        out = unify_joints(m, src, dst, mapping)
-        assert out.joint_count == 24
-
-    def test_unmapped_joint_rejected(self):
-        m = _rest_pose_motion()
-        skel = default_skeleton()
-        mapping = identity_mapping(skel.joint_count)
-        del mapping[3]
-        with pytest.raises(MappingError):
-            unify_joints(m, skel, skel, mapping)
-
-
 class TestMotionFiles:
     def test_round_trip(self, tmp_path, rng):
         m = MotionSequence(23.5, rng.standard_normal((7, 24)))
@@ -158,6 +124,6 @@ class TestSkeleton:
     def test_bone_lengths_of_rest_pose(self):
         skel = default_skeleton()
         m = _rest_pose_motion()
-        lengths = bone_lengths(m, skel)
+        lengths = _bone_lengths(m, skel)
         expected = np.linalg.norm(skel.offsets[1:], axis=-1)
         assert np.allclose(lengths, np.tile(expected, (m.length, 1)))
