@@ -1,9 +1,10 @@
 """Flat run configuration with desk-scale defaults.
 
 Every knob has a default; a JSON config file may override any subset.
-Unknown keys, values of the wrong type and out-of-range counts are
-rejected. The resolved config is echoed into every output artifact
-(checkpoints, loss logs, metric reports, generation sidecars).
+Unknown keys, values of the wrong type, out-of-range values and unknown
+action families or dance genres are rejected. The resolved config is
+echoed into every output artifact (checkpoints, loss logs, metric
+reports, generation sidecars).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 
+from .dataset import synth_counts
 from .errors import ConfigError
 
 # The defaults scale down these full-scale settings: codebook 2048x1024,
@@ -89,26 +91,6 @@ class RunConfig:
         return self.beat_sigma_frames / self.fps
 
 
-def parse_counts(spec: str) -> dict:
-    """Parse "name:count,name:count" (or bare "name" = count 1) specs."""
-    out = {}
-    if not spec.strip():
-        return out
-    for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if ":" in chunk:
-            name, _, count = chunk.partition(":")
-            try:
-                out[name.strip()] = int(count)
-            except ValueError as exc:
-                raise ConfigError(f"bad count in {chunk!r}") from exc
-        else:
-            out[chunk] = 1
-    return {k: v for k, v in out.items() if v > 0}
-
-
 def load_config(path=None) -> RunConfig:
     """Build a RunConfig from an optional JSON file.
 
@@ -138,7 +120,7 @@ def load_config(path=None) -> RunConfig:
 _MINIMUMS = {"frames": 4, "code_count": 1, "embed_dim": 1, "mate_heads": 1,
              "utt_heads": 1, "dmd_heads": 1, "top_k": 1, "diffusion_steps": 1,
              "batch_size": 1, "epochs_mq": 0, "epochs_utt": 0, "epochs_dmd": 0,
-             "epochs_retrieval": 0, "samples_per_input": 1}
+             "epochs_retrieval": 0, "samples_per_input": 1, "retrieval_trials": 1}
 
 
 def _check_ranges(cfg: RunConfig) -> None:
@@ -146,8 +128,12 @@ def _check_ranges(cfg: RunConfig) -> None:
         if getattr(cfg, name) < least:
             raise ConfigError(f"config key {name!r} must be at least {least}, "
                               f"got {getattr(cfg, name)}")
+    for name in ("fps", "beat_sigma_frames"):
+        if not getattr(cfg, name) > 0:
+            raise ConfigError(f"config key {name!r} must be positive, got {getattr(cfg, name)}")
     if cfg.frames % 4:
         raise ConfigError(f"frames {cfg.frames} must be divisible by 4")
+    synth_counts(cfg)  # every family and genre name is one the generators know
     for heads in ("mate_heads", "utt_heads", "dmd_heads"):
         if cfg.embed_dim % getattr(cfg, heads):
             raise ConfigError(f"embed_dim {cfg.embed_dim} must be divisible by "

@@ -359,32 +359,41 @@ def make_dance_motion(genre: str, frames: int, fps: float, feature_dim: int,
 # -- dataset synthesis -----------------------------------------------------------------
 
 
-@dataclass
-class SynthConfig:
-    fps: float = 16.0
-    frames: int = 64
-    feature_dim: int = 16
-    compose_fraction: float = 0.3
-    # per-family text sample counts and per-genre audio sample counts
-    families_train: dict = field(default_factory=lambda: {f: 64 for f in TEXT_FAMILIES})
-    families_test: dict = field(default_factory=lambda: {f: 16 for f in TEXT_FAMILIES})
-    genres_train: dict = field(default_factory=lambda: {"sway": 86, "groove": 85, "pulse": 85})
-    genres_test: dict = field(default_factory=lambda: {"sway": 22, "groove": 21, "pulse": 21})
-
-    def validate(self):
-        for fam in list(self.families_train) + list(self.families_test):
-            if fam not in TEXT_FAMILIES:
-                raise ConfigError(f"unknown action family {fam!r}")
-        for gen in list(self.genres_train) + list(self.genres_test):
-            if gen not in GENRE_BEAT_HZ:
-                raise ConfigError(f"unknown dance genre {gen!r}")
-        if self.frames % 4 != 0:
-            raise ConfigError("frames must be divisible by 4")
+def parse_counts(spec: str) -> dict:
+    """Parse "name:count,name:count" (or bare "name" = count 1) specs."""
+    out = {}
+    for chunk in spec.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if ":" in chunk:
+            name, _, count = chunk.partition(":")
+            try:
+                out[name.strip()] = int(count)
+            except ValueError as exc:
+                raise ConfigError(f"bad count in {chunk!r}") from exc
+        else:
+            out[chunk] = 1
+    return {k: v for k, v in out.items() if v > 0}
 
 
-def synth_dataset(cfg: SynthConfig, seed: int, out_dir) -> DatasetManifest:
-    """Generate the dataset under out_dir and return its manifest."""
-    cfg.validate()
+def synth_counts(cfg) -> tuple:
+    """(families_train, families_test, genres_train, genres_test), each
+    {name: sample count}, parsed from a RunConfig's count strings; a name the
+    generators do not know raises ConfigError."""
+    out = tuple(map(parse_counts, (cfg.families, cfg.families_test, cfg.genres, cfg.genres_test)))
+    kinds = [(TEXT_FAMILIES, "action family")] * 2 + [(GENRE_BEAT_HZ, "dance genre")] * 2
+    for counts, (known, kind) in zip(out, kinds):
+        unknown = [name for name in counts if name not in known]
+        if unknown:
+            raise ConfigError(f"unknown {kind} {unknown[0]!r}")
+    return out
+
+
+def synth_dataset(cfg, seed: int, out_dir) -> DatasetManifest:
+    """Generate the dataset a RunConfig describes under out_dir and return
+    its manifest."""
+    families_train, families_test, genres_train, genres_test = synth_counts(cfg)
     out_dir = os.fspath(out_dir)
     os.makedirs(os.path.join(out_dir, "motions"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "conds"), exist_ok=True)
@@ -428,10 +437,10 @@ def synth_dataset(cfg: SynthConfig, seed: int, out_dir) -> DatasetManifest:
                 entries.append(ManifestEntry(sid, "audio", mrel, crel, split))
                 counter += 1
 
-    text_batch(cfg.families_train, "train")
-    text_batch(cfg.families_test, "test")
-    audio_batch(cfg.genres_train, "train")
-    audio_batch(cfg.genres_test, "test")
+    text_batch(families_train, "train")
+    text_batch(families_test, "test")
+    audio_batch(genres_train, "train")
+    audio_batch(genres_test, "test")
 
     save_vocabulary(os.path.join(out_dir, "vocab.txt"))
     manifest = DatasetManifest(entries)

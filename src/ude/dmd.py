@@ -8,6 +8,10 @@ width, adds (condition + timestep embedding + frame positions) to every
 row, runs a transformer and projects back to frame space, predicting the
 injected noise. Sampling is the standard ancestral reverse process with
 sigma_t = sqrt(beta_t) and no noise at the final step.
+
+Every function takes a batch of equal-length sequences (tokens [B, N],
+frames [B, T, c], conditions [B, dim], a diffusion step t[b] and, to sample,
+one seed and so one random stream per row); one sequence is a batch of one.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import ConfigError, ContractError, TokenError, TrainingError
-from .mq import MQModel
+from .mq import MQModel, encode_motions
 from .nn import Embedding, Linear, Module, TransformerEncoder, sinusoidal_table
 from .numerics import Tensor
 
@@ -32,10 +36,6 @@ class NoiseSchedule:
     betas: np.ndarray       # [steps + 1]; betas[0] unused
     alphas: np.ndarray
     alpha_bars: np.ndarray  # alpha_bars[0] == 1
-
-    def check_step(self, t: int) -> None:
-        if not 1 <= t <= self.steps:
-            raise ContractError(f"step {t} outside [1, {self.steps}]")
 
 
 def make_schedule(steps: int, beta_start: float | None = None,
@@ -59,13 +59,20 @@ def make_schedule(steps: int, beta_start: float | None = None,
     return NoiseSchedule(steps, betas, alphas, alpha_bars)
 
 
-def q_sample(sched: NoiseSchedule, x0: np.ndarray, t: int, eps: np.ndarray) -> np.ndarray:
-    """Noisy sample at step t: sqrt(abar_t) x0 + sqrt(1 - abar_t) eps."""
-    sched.check_step(t)
-    if x0.shape != eps.shape:
-        raise ContractError("noise must match the data shape")
-    abar = sched.alpha_bars[t]
-    return math.sqrt(abar) * x0 + math.sqrt(1.0 - abar) * eps
+def _check_steps(t, steps: int) -> None:
+    t = np.asarray(t)
+    if t.min() < 1 or t.max() > steps:
+        raise ContractError(f"steps {t} outside [1, {steps}]")
+
+
+def q_sample(sched: NoiseSchedule, x0: np.ndarray, t, eps: np.ndarray) -> np.ndarray:
+    """Noisy sample at step t: sqrt(abar_t) x0 + sqrt(1 - abar_t) eps, with
+    x0 and eps [B, T, c] and one step per row, t [B]."""
+    _check_steps(t, sched.steps)
+    if x0.shape != eps.shape or np.shape(t) != x0.shape[:-2]:
+        raise ContractError("need noise of the data's shape and one step per sequence")
+    abar = sched.alpha_bars[np.asarray(t)][..., None, None]
+    return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
 
 
 @dataclass
@@ -98,30 +105,31 @@ class DMDModel(Module):
 
 
 def encode_condition(model: DMDModel, tokens) -> Tensor:
-    """Token sequence -> one condition vector via element-wise temporal max."""
+    """Token sequences [B, N] -> condition vectors [B, dim] via element-wise
+    temporal max."""
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.size == 0:
         raise ContractError("empty token sequence")
     if tokens.min() < 0 or tokens.max() >= model.cfg.code_count:
         raise TokenError(f"token index outside [0, {model.cfg.code_count})")
-    h = model.token_table(tokens) + Tensor(model.token_pos[:tokens.size])
-    return nm.reduce_max(model.cond_encoder(h), axis=0)
+    h = model.token_table(tokens) + Tensor(model.token_pos[:tokens.shape[-1]])
+    return nm.reduce_max(model.cond_encoder(h), axis=-2)
 
 
-def predict_noise(model: DMDModel, cond: Tensor, t: int, x_t) -> Tensor:
-    """Predicted noise for x_t at step t under a pooled token condition."""
-    if not 1 <= t <= model.cfg.steps:
-        raise ContractError(f"step {t} outside [1, {model.cfg.steps}]")
+def predict_noise(model: DMDModel, cond: Tensor, t, x_t) -> Tensor:
+    """Predicted noise for x_t [B, T, c] under pooled token conditions
+    [B, dim], row b at diffusion step t[b]."""
+    _check_steps(t, model.cfg.steps)
     x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, dtype=np.float64))
-    step_emb = model.step_table(np.array([t]))[0]
-    shift = (cond + step_emb).reshape(1, -1)
-    h = model.in_proj(x) + shift + Tensor(model.frame_pos[:x.shape[0]])
+    shift = (cond + model.step_table(t)).reshape(*np.shape(t), 1, -1)
+    h = model.in_proj(x) + shift + Tensor(model.frame_pos[:x.shape[-2]])
     return model.out_proj(model.denoiser(h))
 
 
 def dmd_loss_at(model: DMDModel, sched: NoiseSchedule, x0: np.ndarray, tokens,
-                t: int, eps: np.ndarray) -> Tensor:
-    """Squared noise-prediction error at a fixed (t, eps)."""
+                t, eps: np.ndarray) -> Tensor:
+    """Squared noise-prediction error at fixed per-row (t, eps), averaged
+    over the batch (for equal lengths, the mean of the per-row losses)."""
     x_t = q_sample(sched, x0, t, eps)
     cond = encode_condition(model, tokens)
     eps_hat = predict_noise(model, cond, t, x_t)
@@ -130,16 +138,18 @@ def dmd_loss_at(model: DMDModel, sched: NoiseSchedule, x0: np.ndarray, tokens,
 
 def dmd_loss(model: DMDModel, sched: NoiseSchedule, x0: np.ndarray, tokens,
              rng: np.random.Generator) -> Tensor:
-    """Training loss with t ~ Uniform[1, steps] and eps ~ N(0, I)."""
-    t = int(rng.integers(1, sched.steps + 1))
-    eps = rng.standard_normal(x0.shape)
-    return dmd_loss_at(model, sched, x0, tokens, t, eps)
+    """Training loss with t ~ Uniform[1, steps] and eps ~ N(0, I), both
+    drawn row by row in batch order."""
+    draws = [(rng.integers(1, sched.steps + 1), rng.standard_normal(x0.shape[1:])) for _ in x0]
+    return dmd_loss_at(model, sched, x0, tokens, np.array([t for t, _ in draws]),
+                       np.stack([eps for _, eps in draws]))
 
 
 def sample_reverse(model: DMDModel, sched: NoiseSchedule, cond: Tensor,
-                   n_frames: int, seed: int = 0, deterministic: bool = False,
+                   n_frames: int, seeds, deterministic: bool = False,
                    noise_fn=None) -> np.ndarray:
-    """Ancestral reverse sampling from x_T ~ N(0, I).
+    """Ancestral reverse sampling from x_T ~ N(0, I), [B, n_frames, c] for
+    conditions [B, dim]; row b draws all its noise from seeds[b].
 
     x_{t-1} = (x_t - beta_t/sqrt(1-abar_t) * eps_hat)/sqrt(alpha_t) + sqrt(beta_t)*z,
     with z = 0 at t = 1 (and at every step when deterministic=True).
@@ -147,28 +157,30 @@ def sample_reverse(model: DMDModel, sched: NoiseSchedule, cond: Tensor,
     """
     if n_frames < 1:
         raise ContractError("need at least one frame")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 9]))
-    x = rng.standard_normal((n_frames, model.cfg.frame_dim))
+    rngs = [np.random.default_rng(np.random.SeedSequence([s, 9])) for s in seeds]
+    shape = (n_frames, model.cfg.frame_dim)
+    x = np.stack([rng.standard_normal(shape) for rng in rngs])
     with nm.no_grad():
         for t in range(sched.steps, 0, -1):
             if noise_fn is not None:
                 eps_hat = np.asarray(noise_fn(t, x), dtype=np.float64)
             else:
-                eps_hat = predict_noise(model, cond, t, x).data
+                eps_hat = predict_noise(model, cond, np.full(len(rngs), t), x).data
             beta = sched.betas[t]
             coef = beta / math.sqrt(1.0 - sched.alpha_bars[t])
             x = (x - coef * eps_hat) / math.sqrt(sched.alphas[t])
             if t > 1 and not deterministic:
-                x = x + math.sqrt(beta) * rng.standard_normal(x.shape)
+                x = x + math.sqrt(beta) * np.stack([rng.standard_normal(shape) for rng in rngs])
     return x
 
 
-def decode_tokens_dmd(model: DMDModel, sched: NoiseSchedule, tokens,
-                      seed: int = 0) -> np.ndarray:
-    """Sample one motion for a token sequence (4 frames per token)."""
+def decode_tokens_dmd(model: DMDModel, sched: NoiseSchedule, tokens, seeds) -> np.ndarray:
+    """Sample one motion per token sequence of tokens [B, N] (4 frames per
+    token), row b from seeds[b]."""
+    tokens = np.asarray(tokens)
     with nm.no_grad():
         cond = encode_condition(model, tokens)
-    return sample_reverse(model, sched, cond, 4 * len(np.asarray(tokens)), seed=seed)
+    return sample_reverse(model, sched, cond, 4 * tokens.shape[-1], seeds)
 
 
 def train_dmd(model: DMDModel, sched: NoiseSchedule, mq: MQModel, motions,
@@ -179,7 +191,7 @@ def train_dmd(model: DMDModel, sched: NoiseSchedule, mq: MQModel, motions,
     if not motions:
         raise TrainingError("empty training set")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 31]))
-    token_cache = [mq.encode_tokens(frames) for frames in motions]
+    token_cache = encode_motions(mq, motions, batch_size)
     opt = nm.Adam(model.named_parameters(), lr=lr)
     history = []
     for epoch in range(epochs):
@@ -187,14 +199,12 @@ def train_dmd(model: DMDModel, sched: NoiseSchedule, mq: MQModel, motions,
         total = 0.0
         for start in range(0, len(order), batch_size):
             batch = order[start:start + batch_size]
-            losses = []
-            for i in batch:
-                try:
-                    losses.append(dmd_loss(model, sched, motions[i], token_cache[i], rng))
-                except nm.NumericsError as exc:
-                    raise TrainingError(f"non-finite loss at epoch {epoch}: {exc}") from exc
-                total += losses[-1].item()
-            loss = sum(losses[1:], losses[0]) * (1.0 / len(losses))
+            try:
+                loss = dmd_loss(model, sched, np.stack([motions[i] for i in batch]),
+                                token_cache[batch], rng)
+            except nm.NumericsError as exc:
+                raise TrainingError(f"non-finite loss at epoch {epoch}: {exc}") from exc
+            total += loss.item() * len(batch)
             opt.zero_grad()
             loss.backward()
             opt.step()

@@ -5,6 +5,10 @@ a quarter of the frame rate) maps frames to embeddings, each embedding row
 snaps to its nearest codebook vector, and a mirrored conv decoder maps the
 codes back to frames. Training optimizes reconstruction + codebook +
 commitment terms with a straight-through estimator across the quantizer.
+
+Every forward takes a batch of equal-length sequences, frames [B, T, c] and
+tokens [B, T/4]; one sequence is a batch of one. The convolutions read time
+on axis -2, and leading axes carry through.
 """
 
 from __future__ import annotations
@@ -32,15 +36,14 @@ class MQConfig:
 
 
 class _Conv(Module):
-    def __init__(self, width, c_in, c_out, stride, pad, rng):
+    def __init__(self, width, c_in, c_out, stride, rng):
         scale = np.sqrt(2.0 / (width * c_in))
         self.kernel = Tensor(rng.normal(0.0, scale, (width, c_in, c_out)), requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
         self.stride = stride
-        self.pad = pad
 
     def __call__(self, x):
-        return nm.conv1d_temporal(x, self.kernel, stride=self.stride, pad=self.pad) + self.bias
+        return nm.conv1d_temporal(x, self.kernel, stride=self.stride, pad=1) + self.bias
 
 
 class MQModel(Module):
@@ -50,12 +53,12 @@ class MQModel(Module):
         c, h, d = cfg.frame_dim, cfg.hidden, cfg.code_dim
         self.cfg = cfg
         # width-4 stride-2 convs halve T exactly (floor semantics for odd T)
-        self.enc1 = _Conv(4, c, h, 2, 1, rng)
-        self.enc2 = _Conv(4, h, h, 2, 1, rng)
-        self.enc3 = _Conv(3, h, d, 1, 1, rng)
-        self.dec1 = _Conv(3, d, h, 1, 1, rng)
-        self.dec2 = _Conv(3, h, h, 1, 1, rng)
-        self.dec3 = _Conv(3, h, c, 1, 1, rng)
+        self.enc1 = _Conv(4, c, h, 2, rng)
+        self.enc2 = _Conv(4, h, h, 2, rng)
+        self.enc3 = _Conv(3, h, d, 1, rng)
+        self.dec1 = _Conv(3, d, h, 1, rng)
+        self.dec2 = _Conv(3, h, h, 1, rng)
+        self.dec3 = _Conv(3, h, c, 1, rng)
         self.codebook = Embedding(cfg.code_count, d, rng, scale=0.5)
         # per-coordinate input standardization, filled in by the trainer
         self.center = np.zeros(c)
@@ -65,59 +68,66 @@ class MQModel(Module):
     # -- forward pieces ------------------------------------------------------
 
     def encode(self, frames) -> Tensor:
-        """Frames [T, c] -> embeddings [T/4, code_dim]. T must divide by 4."""
+        """Frames [B, T, c] -> embeddings [B, T/4, code_dim]. T must divide by 4."""
         x = frames if isinstance(frames, Tensor) else Tensor(np.asarray(frames, dtype=np.float64))
-        if x.ndim != 2 or x.shape[1] != self.cfg.frame_dim:
-            raise DimensionError(f"expected [T, {self.cfg.frame_dim}] frames, got {x.shape}")
-        if x.shape[0] % DOWNSAMPLE != 0:
+        if x.ndim != 3 or x.shape[2] != self.cfg.frame_dim:
+            raise DimensionError(f"expected [B, T, {self.cfg.frame_dim}] frames, got {x.shape}")
+        if x.shape[1] % DOWNSAMPLE != 0:
             raise DimensionError(
-                f"frame count {x.shape[0]} not divisible by {DOWNSAMPLE}; pad or crop first")
+                f"frame count {x.shape[1]} not divisible by {DOWNSAMPLE}; pad or crop first")
         x = (x - Tensor(self.center)) * Tensor(1.0 / self.scale)
         h = nm.relu(self.enc1(x))
         h = nm.relu(self.enc2(h))
         return self.enc3(h)
 
     def decode_embedding(self, codes) -> Tensor:
-        """Code rows [T', code_dim] -> frames [T'*4, frame_dim]."""
+        """Code rows [..., T', code_dim] -> frames [..., T'*4, frame_dim]."""
         h = nm.relu(self.dec1(codes))
         h = nm.relu(self.dec2(nm.repeat_rows(h, 2)))
         out = self.dec3(nm.repeat_rows(h, 2))
         return out * Tensor(self.scale) + Tensor(self.center)
 
-    def embed_tokens(self, tokens) -> Tensor:
+    def decode_tokens(self, tokens) -> np.ndarray:
+        """Token indices [B, T'] -> motion frames [B, 4T', c], deterministically."""
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.size and (tokens.min() < 0 or tokens.max() >= self.cfg.code_count):
             raise TokenError(f"token index outside [0, {self.cfg.code_count})")
-        return self.codebook(tokens)
-
-    def decode_tokens(self, tokens) -> np.ndarray:
-        """Token indices -> motion frames, deterministically."""
         with nm.no_grad():
-            return self.decode_embedding(self.embed_tokens(tokens)).data
+            return self.decode_embedding(self.codebook(tokens)).data
 
     def encode_tokens(self, frames) -> np.ndarray:
-        """Frames -> nearest-code token indices (no gradients)."""
+        """Frames [B, T, c] -> nearest-code token indices [B, T/4] (no gradients)."""
         with nm.no_grad():
             e = self.encode(frames)
         return quantize(self.codebook.table.data, e.data)
 
 
+def encode_motions(model: MQModel, motions, chunk: int) -> np.ndarray:
+    """Token rows [N, T/4] of N equal-length motions, encoded `chunk` at a time
+    so that quantize's [rows, codes, code_dim] difference array stays small."""
+    return np.concatenate([model.encode_tokens(np.stack(motions[i:i + chunk]))
+                           for i in range(0, len(motions), chunk)])
+
+
 def quantize(codebook: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
-    """Nearest code per row (squared Euclidean); ties go to the lowest index."""
-    diff = embeddings[:, None, :] - codebook[None, :, :]
+    """Nearest code per row of embeddings [..., N, d] (squared Euclidean),
+    as tokens [..., N]; ties go to the lowest index."""
+    flat = embeddings.reshape(-1, embeddings.shape[-1])
+    diff = flat[:, None, :] - codebook[None, :, :]
     d2 = np.einsum("tkd,tkd->tk", diff, diff)
-    return np.argmin(d2, axis=1).astype(np.int64)
+    return np.argmin(d2, axis=1).astype(np.int64).reshape(embeddings.shape[:-1])
 
 
 def vq_loss(model: MQModel, frames) -> tuple:
-    """Total training loss and its parts for one sequence.
+    """Total training loss and its parts for a batch of sequences [B, T, c].
 
     Returns (total, parts) where parts maps "recon" / "codebook" /
-    "commit" to scalar tensors, "tokens" to the chosen indices and "e" to
-    the encoder output (the trainer's dead-code stash reads it). The
-    decoder consumes e + sg(q - e), so reconstruction gradients reach the
-    encoder straight through the quantizer, while the codebook learns only
-    from the codebook term.
+    "commit" to scalar tensors, "tokens" to the chosen indices [B, T/4] and
+    "e" to the encoder output (the trainer's dead-code stash reads it). Each
+    term is a mean over the whole batch, which for equal-length sequences is
+    the mean of the per-sequence terms. The decoder consumes e + sg(q - e),
+    so reconstruction gradients reach the encoder straight through the
+    quantizer, while the codebook learns only from the codebook term.
     """
     x = frames if isinstance(frames, Tensor) else Tensor(np.asarray(frames, dtype=np.float64))
     e = model.encode(x)
@@ -154,23 +164,19 @@ def train_mq(model: MQModel, motions, epochs: int, seed: int, lr: float = 1e-3,
         order = rng.permutation(len(motions))
         epoch_usage = np.zeros(model.cfg.code_count, dtype=np.int64)
         sums = {"total": 0.0, "recon": 0.0, "codebook": 0.0, "commit": 0.0}
-        stash = []
+        stash = []  # encoder rows of the epoch's first 256 motions
         for start in range(0, len(order), batch_size):
             batch = order[start:start + batch_size]
-            losses = []
-            for i in batch:
-                try:
-                    total, parts = vq_loss(model, motions[i])
-                except nm.NumericsError as exc:
-                    raise TrainingError(f"non-finite loss at epoch {epoch}: {exc}") from exc
-                losses.append(total)
-                epoch_usage[np.unique(parts["tokens"])] += 1
-                sums["total"] += total.item()
-                for key in ("recon", "codebook", "commit"):
-                    sums[key] += parts[key].item()
-                if len(stash) < 256:
-                    stash.append(parts["e"].data)
-            loss = sum(losses[1:], losses[0]) * (1.0 / len(losses))
+            try:
+                loss, parts = vq_loss(model, np.stack([motions[i] for i in batch]))
+            except nm.NumericsError as exc:
+                raise TrainingError(f"non-finite loss at epoch {epoch}: {exc}") from exc
+            # a code counts once for each motion that uses it
+            used = parts["tokens"][:, :, None] == np.arange(model.cfg.code_count)
+            epoch_usage += used.any(axis=1).sum(axis=0)
+            for key in sums:
+                sums[key] += (loss if key == "total" else parts[key]).item() * len(batch)
+            stash.extend(parts["e"].data[:256 - len(stash)])
             opt.zero_grad()
             loss.backward()
             opt.step()

@@ -3,11 +3,13 @@
 Every model in this package is built from the ops here: broadcasting
 elementwise arithmetic, (batched) matmul, numerically stable softmax and
 log-softmax, layer norm, temporal 1-D convolution, embedding lookup and a
-few shape ops. Graphs are recorded eagerly as tensors are produced: each
-op computes its output and everything its gradient needs, then hands
-``_from_op`` one closure ``vjp(g)`` that adds the output gradient ``g``
-into the op's inputs; the closure is kept only when a graph is recorded.
-``Tensor.backward()`` calls them in reverse topological order.
+few shape ops. Sequence ops (conv1d, repeat_rows) put time on axis -2, so
+one call runs a batch [B, T, C] as it runs one sequence [T, C]. Graphs are
+recorded eagerly as tensors are produced: each op computes its output and
+everything its gradient needs, then hands ``_from_op`` one closure
+``vjp(g)`` that adds the output gradient ``g`` into the op's inputs; the
+closure is kept only when a graph is recorded. ``Tensor.backward()`` calls
+them in reverse topological order.
 
 Conventions:
   * everything is float64; any op that produces NaN/Inf raises NumericsError,
@@ -411,45 +413,41 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 # -- temporal convolution -----------------------------------------------------------
 
 
-def conv1d_temporal(x, kernel, stride: int = 1, pad=0) -> Tensor:
+def conv1d_temporal(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     """1-D temporal convolution (cross-correlation, no kernel flip).
 
-    x is [T, Cin], kernel is [W, Cin, Cout]; output is [T', Cout] with
-    T' = floor((T + 2*pad - W) / stride) + 1. pad may be an int or "same"
-    (stride 1, odd W only).
+    x is [..., T, Cin] with time on axis -2 and any leading axes a batch;
+    kernel is [W, Cin, Cout]; the output is [..., T', Cout] with
+    T' = floor((T + 2*pad - W) / stride) + 1.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
-    if x.ndim != 2 or kernel.ndim != 3:
-        raise DimensionError("conv1d_temporal expects x [T,Cin] and kernel [W,Cin,Cout]")
-    t_in, c_in = x.shape
+    if x.ndim < 2 or kernel.ndim != 3:
+        raise DimensionError("conv1d_temporal expects x [..., T, Cin] and kernel [W, Cin, Cout]")
+    *lead, t_in, c_in = x.shape
     w, kc_in, c_out = kernel.shape
     if kc_in != c_in:
         raise DimensionError(f"kernel expects {kc_in} input channels, signal has {c_in}")
     if stride not in (1, 2):
         raise ContractError("stride must be 1 or 2")
-    if pad == "same":
-        if w % 2 == 0:
-            raise DimensionError('pad="same" requires an odd kernel width')
-        pad = (w - 1) // 2
-    pad = int(pad)
     t_out = (t_in + 2 * pad - w) // stride + 1
     if t_out < 1:
         raise DimensionError(f"conv output length {t_out} < 1 (T={t_in}, W={w}, pad={pad})")
 
-    xp = np.zeros((t_in + 2 * pad, c_in))
-    xp[pad:pad + t_in] = x.data
+    xp = np.zeros((*lead, t_in + 2 * pad, c_in))
+    xp[..., pad:pad + t_in, :] = x.data
     idx = np.arange(t_out)[:, None] * stride + np.arange(w)[None, :]
-    cols = xp[idx]  # [T', W, Cin]
-    out_data = cols.reshape(t_out, w * c_in) @ kernel.data.reshape(w * c_in, c_out)
+    cols = xp[..., idx, :].reshape(*lead, t_out, w * c_in)  # [..., T', W*Cin]
+    k2 = kernel.data.reshape(w * c_in, c_out)
+    out_data = cols @ k2  # one product per sequence: a batch row is bit-identical alone
 
     def vjp(g):
-        gk = cols.reshape(t_out, w * c_in).T @ g
+        gk = cols.reshape(-1, w * c_in).T @ g.reshape(-1, c_out)
         _accumulate(kernel, gk.reshape(w, c_in, c_out))
-        gcols = (g @ kernel.data.reshape(w * c_in, c_out).T).reshape(t_out, w, c_in)
+        gcols = (g @ k2.T).reshape(*lead, t_out, w, c_in)
         gxp = np.zeros_like(xp)
         for j in range(w):
-            gxp[j:j + stride * t_out:stride] += gcols[:, j, :]
-        _accumulate(x, gxp[pad:pad + t_in])
+            gxp[..., j:j + stride * t_out:stride, :] += gcols[..., j, :]
+        _accumulate(x, gxp[..., pad:pad + t_in, :])
 
     return _from_op(out_data, (x, kernel), vjp, "conv1d_temporal")
 
@@ -515,14 +513,15 @@ def concat(parts, axis: int = 0) -> Tensor:
 
 
 def repeat_rows(a, k: int) -> Tensor:
-    """Repeat every row k times (nearest-neighbor temporal upsampling)."""
+    """Repeat every row (axis -2) k times: nearest-neighbor temporal
+    upsampling of [..., T, C] to [..., T*k, C]."""
     a = _as_tensor(a)
-    t = a.shape[0]
+    *lead, t, c = a.shape
 
     def vjp(g):
-        _accumulate(a, g.reshape(t, k, *a.shape[1:]).sum(axis=1))
+        _accumulate(a, g.reshape(*lead, t, k, c).sum(axis=-2))
 
-    return _from_op(np.repeat(a.data, k, axis=0), (a,), vjp, "repeat_rows")
+    return _from_op(np.repeat(a.data, k, axis=-2), (a,), vjp, "repeat_rows")
 
 
 def reshape(a, shape) -> Tensor:

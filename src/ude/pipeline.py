@@ -27,9 +27,8 @@ from . import mq as mq_mod
 from . import numerics as nm
 from . import utt as utt_mod
 from .audio import AudioFeatureSequence
-from .config import RunConfig, parse_counts
-from .dataset import (SynthConfig, load_samples, load_vocabulary, save_vocabulary,
-                      synth_dataset, tokenize)
+from .config import RunConfig
+from .dataset import load_samples, load_vocabulary, save_vocabulary, synth_dataset, tokenize
 from .errors import ConfigError, ContractError, DimensionError, FormatError, StageError
 from .fileio import atomic_write_text
 from .mate import MATEConfig, MATEModel, audio_input, text_input
@@ -38,21 +37,8 @@ from .motion import MotionSequence
 from .utt import SamplingConfig
 
 
-def synth_config(cfg: RunConfig) -> SynthConfig:
-    return SynthConfig(
-        fps=cfg.fps,
-        frames=cfg.frames,
-        feature_dim=cfg.feature_dim,
-        compose_fraction=cfg.compose_fraction,
-        families_train=parse_counts(cfg.families),
-        families_test=parse_counts(cfg.families_test),
-        genres_train=parse_counts(cfg.genres),
-        genres_test=parse_counts(cfg.genres_test),
-    )
-
-
 def run_synth(cfg: RunConfig, seed: int, out_dir) -> dict:
-    manifest = synth_dataset(synth_config(cfg), seed, out_dir)
+    manifest = synth_dataset(cfg, seed, out_dir)
     atomic_write_text(os.path.join(os.fspath(out_dir), "config.json"),
                       json.dumps({"config": cfg.to_dict(), "seed": seed}, indent=2) + "\n")
     counts = {}
@@ -308,7 +294,7 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
     A batch of requests of one modality and one frame count passes a list
     of seeds plus a list of prompts (text) or feature matrices (audio), and
     a list of primitives if any; it returns one result per request, each
-    the one it would get alone, and samples their tokens together.
+    the one it would get alone, and samples and decodes them together.
     """
     if frames < 4 or frames % 4 != 0:
         raise ConfigError(f"target frames {frames} must be a positive multiple of 4")
@@ -334,8 +320,9 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
     sampling = SamplingConfig(temperature=cfg.temperature, top_k=cfg.top_k)
     tokens = utt_mod.generate_tokens(utt, conds, n_tokens, sampling, primitive=primitives,
                                      z=zs, seed=seeds, min_len=n_tokens)
-    results = [{"tokens": t, "frames": _decode(stack, decoder, t, s), "unk_only": u}
-               for t, s, u in zip(tokens, seeds, unk_only)]
+    frames_out = _decode(stack, decoder, np.stack(tokens), seeds)
+    results = [{"tokens": t, "frames": f, "unk_only": u}
+               for t, f, u in zip(tokens, frames_out, unk_only)]
     return results if batch else results[0]
 
 
@@ -348,13 +335,15 @@ def _check_decodable(stack, decoder: str, frames: int) -> None:
                           f"diffusion decoder's max_tokens {dmd.cfg.max_tokens}")
 
 
-def _decode(stack, decoder: str, tokens, seed: int) -> np.ndarray:
+def _decode(stack, decoder: str, tokens, seeds) -> np.ndarray:
+    """Frames [B, 4N, c] for token rows [B, N], row b seeded by seeds[b]
+    (the vq decoder draws nothing)."""
     if decoder == "vq":
         return stack["mq"].decode_tokens(tokens)
     if decoder == "dmd":
         if stack["dmd"] is None:
             raise StageError("requires stage dmd: no diffusion decoder loaded")
-        return dmd_mod.decode_tokens_dmd(stack["dmd"], stack["sched"], tokens, seed=seed)
+        return dmd_mod.decode_tokens_dmd(stack["dmd"], stack["sched"], tokens, seeds)
     raise ConfigError(f"unknown decoder {decoder!r}")
 
 
@@ -380,7 +369,7 @@ def transition_motion(stack, cfg: RunConfig, prompt: str, features, seed: int,
     cont_tokens = audio_out["tokens"]
     full = np.concatenate([text_tokens, cont_tokens[primitive_len:]])
     boundary_frame = 4 * text_tokens.size
-    motion = MotionSequence(cfg.fps, _decode(stack, decoder, full, seed))
+    motion = MotionSequence(cfg.fps, _decode(stack, decoder, full[None], [seed])[0])
     report = boundary_report(motion, boundary_frame)
     report.update({
         "text_tokens": text_tokens.tolist(),

@@ -27,7 +27,7 @@ import numpy as np
 from . import numerics as nm
 from .errors import ContractError, DimensionError, LengthError, TokenError, TrainingError
 from .mate import CondEmbedding, MATEModel, ModalityInput, encode
-from .mq import MQModel
+from .mq import MQModel, encode_motions
 from .nn import (Embedding, Linear, Module, TransformerEncoder, additive_mask,
                  causal_prefix_mask, sinusoidal_table)
 from .numerics import Tensor
@@ -362,7 +362,7 @@ def mean_cross_entropy(mate: MATEModel, model: UTTModel, mq: MQModel, samples) -
     with nm.no_grad():
         for inp, frames in samples:
             cond = encode(mate, inp)
-            tokens = mq.encode_tokens(frames)
+            tokens = mq.encode_tokens(frames[None])[0]
             prefix = np.concatenate([[model.cfg.bos], tokens])
             targets = np.concatenate([tokens, [model.cfg.eos]])
             logits = forward_logits(model, cond, prefix)
@@ -390,7 +390,7 @@ def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator, mq: MQModel
 
     text_idx = [i for i, (inp, _) in enumerate(samples) if inp.modality == "text"]
     audio_idx = [i for i, (inp, _) in enumerate(samples) if inp.modality == "audio"]
-    token_cache = {i: mq.encode_tokens(frames) for i, (_, frames) in enumerate(samples)}
+    token_cache = encode_motions(mq, [frames for _, frames in samples], batch_size)
 
     history = []
     for epoch in range(epochs):

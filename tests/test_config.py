@@ -56,6 +56,11 @@ def test_values_that_do_not_fit_the_field_type_raise(tmp_path, values):
     {"max_context": 273},
     {"max_text_len": 500},
     {"frames": 1024},
+    {"retrieval_trials": 0},
+    {"beat_sigma_frames": 0.0},
+    {"fps": -16.0},
+    {"families": "walk:4,moonwalk:4"},
+    {"genres_test": "polka:1"},
 ])
 def test_values_out_of_range_raise(tmp_path, values):
     with pytest.raises(ConfigError):

@@ -1,24 +1,21 @@
 import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ude.dataset import (GENRE_BEAT_HZ, VOCAB_WORDS, SynthConfig, load_manifest,
-                         load_samples, make_dance_motion, make_text_motion,
-                         synth_dataset, tokenize)
+from ude.config import RunConfig
+from ude.dataset import (GENRE_BEAT_HZ, VOCAB_WORDS, load_manifest, load_samples,
+                         make_dance_motion, make_text_motion, synth_dataset, tokenize)
 from ude.errors import ConfigError
 from ude.metrics import detect_motion_beats
 from ude.motion import default_skeleton
 
 
 def _tiny_config():
-    return SynthConfig(
-        families_train={"walk": 2, "wave": 2, "jump": 2, "turn": 2},
-        families_test={"walk": 1, "wave": 1},
-        genres_train={"sway": 2, "groove": 2, "pulse": 2},
-        genres_test={"sway": 1},
-    )
+    return RunConfig(families="walk:2,wave:2,jump:2,turn:2", families_test="walk:1,wave:1",
+                     genres="sway:2,groove:2,pulse:2", genres_test="sway:1")
 
 
 def _bone_lengths(m, skel):
@@ -124,9 +121,7 @@ class TestSynthDataset:
         assert len(manifest.select("test", "audio")) == 1
 
     def test_zero_count_family_absent(self, tmp_path):
-        cfg = _tiny_config()
-        cfg.families_train = {"walk": 3}
-        cfg.families_test = {}
+        cfg = replace(_tiny_config(), families="walk:3", families_test="")
         manifest = synth_dataset(cfg, seed=2, out_dir=tmp_path)
         samples = load_samples(tmp_path, modality="text")
         assert len(samples) == 3
@@ -134,8 +129,7 @@ class TestSynthDataset:
                    or "march" in s.sentence for s in samples)
 
     def test_unknown_family_rejected(self, tmp_path):
-        cfg = _tiny_config()
-        cfg.families_train = {"moonwalk": 4}
+        cfg = replace(_tiny_config(), families="moonwalk:4")
         with pytest.raises(ConfigError):
             synth_dataset(cfg, seed=0, out_dir=tmp_path)
 

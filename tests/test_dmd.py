@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ude import numerics as nm
 from ude.dmd import (DMDConfig, DMDModel, NoiseSchedule, dmd_loss, dmd_loss_at,
                      encode_condition, make_schedule, predict_noise, q_sample,
                      sample_reverse, train_dmd)
@@ -87,6 +88,12 @@ class TestQSample:
         with pytest.raises(ContractError):
             q_sample(sched, np.zeros((2, 1)), 6, np.zeros((2, 1)))
 
+    def test_one_step_per_sequence(self):
+        # an unbatched [T, c] with one step per frame would broadcast to [T, T, c]
+        sched = make_schedule(5)
+        with pytest.raises(ContractError):
+            q_sample(sched, np.zeros((4, 1)), np.ones(4, dtype=int), np.zeros((4, 1)))
+
     def test_matches_composed_single_steps_in_distribution(self):
         # iterating x_t = sqrt(1-beta_t) x_{t-1} + sqrt(beta_t) z must match
         # the closed form in mean/variance
@@ -142,26 +149,26 @@ class TestEncodeCondition:
 class TestPredictNoise:
     def test_shape_and_determinism(self, rng):
         model = _model()
-        cond = encode_condition(model, np.array([0, 1]))
-        x_t = rng.standard_normal((8, C))
-        a = predict_noise(model, cond, 3, x_t)
-        b = predict_noise(model, cond, 3, x_t)
+        cond = encode_condition(model, np.array([[0, 1]]))
+        x_t = rng.standard_normal((1, 8, C))
+        a = predict_noise(model, cond, [3], x_t)
+        b = predict_noise(model, cond, [3], x_t)
         assert a.shape == x_t.shape
         assert np.array_equal(a.data, b.data)
 
     def test_sensitive_to_timestep(self, rng):
         model = _model()
-        cond = encode_condition(model, np.array([0, 1]))
-        x_t = rng.standard_normal((8, C))
-        a = predict_noise(model, cond, 2, x_t).data
-        b = predict_noise(model, cond, 7, x_t).data
+        cond = encode_condition(model, np.array([[0, 1]]))
+        x_t = rng.standard_normal((1, 8, C))
+        a = predict_noise(model, cond, [2], x_t).data
+        b = predict_noise(model, cond, [7], x_t).data
         assert not np.allclose(a, b)
 
     def test_step_out_of_range(self, rng):
         model = _model(steps=5)
-        cond = encode_condition(model, np.array([0]))
+        cond = encode_condition(model, np.array([[0], [1]]))
         with pytest.raises(ContractError):
-            predict_noise(model, cond, 6, rng.standard_normal((4, C)))
+            predict_noise(model, cond, [1, 6], rng.standard_normal((2, 4, C)))
 
 
 class TestDmdLoss:
@@ -169,8 +176,8 @@ class TestDmdLoss:
         # with eps_hat = 0 the loss is E[eps^2] = 1 per coordinate
         model = _zero_model()
         sched = make_schedule(10)
-        x0 = np.zeros((6, C))
-        tokens = np.array([0, 1])
+        x0 = np.zeros((1, 6, C))
+        tokens = np.array([[0, 1]])
         vals = []
         for seed in range(200):
             rng = np.random.default_rng(seed)
@@ -183,45 +190,66 @@ class TestDmdLoss:
 
         model = _model()
         sched = make_schedule(10)
-        x0 = rng.standard_normal((4, C))
-        eps = rng.standard_normal((4, C))
+        x0 = rng.standard_normal((1, 4, C))
+        eps = rng.standard_normal((1, 4, C))
         monkeypatch.setattr(dmd_mod, "predict_noise",
                             lambda m, c, t, x: Tensor(eps))
-        loss = dmd_mod.dmd_loss_at(model, sched, x0, np.array([1]), 3, eps)
+        loss = dmd_mod.dmd_loss_at(model, sched, x0, np.array([[1]]), [3], eps)
         assert loss.item() == 0.0
 
     def test_loss_nonnegative(self, rng):
         model = _model()
         sched = make_schedule(10)
-        loss = dmd_loss(model, sched, rng.standard_normal((4, C)), np.array([0]),
+        loss = dmd_loss(model, sched, rng.standard_normal((1, 4, C)), np.array([[0]]),
                         np.random.default_rng(1))
         assert loss.item() >= 0.0
+
+    def test_batch_equals_mean_of_its_rows(self, rng):
+        model = _model()
+        sched = make_schedule(10)
+        x0 = rng.standard_normal((4, 8, C))
+        tokens = rng.integers(0, K, size=(4, 3))
+        t = np.array([1, 4, 7, 10])
+        eps = rng.standard_normal((4, 8, C))
+        batched = dmd_loss_at(model, sched, x0, tokens, t, eps)
+        rows = [dmd_loss_at(model, sched, x0[b:b + 1], tokens[b:b + 1], t[b:b + 1],
+                            eps[b:b + 1]) for b in range(4)]
+        mean = sum(rows[1:], rows[0]) * 0.25
+        assert abs(batched.item() - mean.item()) < 1e-12
+        for a, b in zip(_gradients(model, batched), _gradients(model, mean)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def _gradients(model, loss):
+    nm.Adam(model.named_parameters()).zero_grad()
+    loss.backward()
+    return [p.grad.copy() for _, p in model.named_parameters()]
 
 
 class TestSampleReverse:
     def test_single_step_zero_model(self):
         model = _zero_model(steps=1)
         sched = make_schedule(1, beta_start=0.36, beta_end=0.36)
-        cond = encode_condition(model, np.array([0]))
-        out = sample_reverse(model, sched, cond, 4, seed=5)
+        cond = encode_condition(model, np.array([[0]]))
+        out = sample_reverse(model, sched, cond, 4, [5])
         rng = np.random.default_rng(np.random.SeedSequence([5, 9]))
         x1 = rng.standard_normal((4, C))
-        assert np.allclose(out, x1 / math.sqrt(1 - 0.36), atol=1e-12)
+        assert np.allclose(out[0], x1 / math.sqrt(1 - 0.36), atol=1e-12)
 
     def test_deterministic_per_seed(self):
         model = _model()
         sched = make_schedule(10)
-        cond = encode_condition(model, np.array([0, 1]))
-        a = sample_reverse(model, sched, cond, 8, seed=3)
-        b = sample_reverse(model, sched, cond, 8, seed=3)
+        cond = encode_condition(model, np.array([[0, 1]]))
+        a = sample_reverse(model, sched, cond, 8, [3])
+        b = sample_reverse(model, sched, cond, 8, [3])
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         model = _model()
         sched = make_schedule(10)
-        cond = encode_condition(model, np.array([0, 1]))
-        a = sample_reverse(model, sched, cond, 8, seed=3)
-        b = sample_reverse(model, sched, cond, 8, seed=4)
+        cond = encode_condition(model, np.array([[0, 1]]))
+        a = sample_reverse(model, sched, cond, 8, [3])
+        b = sample_reverse(model, sched, cond, 8, [4])
         assert np.linalg.norm(a - b) > 0
 
     def test_perfect_oracle_recovers_x0_with_zero_tail_noise(self):
@@ -236,10 +264,10 @@ class TestSampleReverse:
             abar = sched.alpha_bars[t]
             return (x_t - math.sqrt(abar) * x0) / math.sqrt(1.0 - abar)
 
-        cond = encode_condition(model, np.array([0]))
-        out = sample_reverse(model, sched, cond, 5, seed=11,
+        cond = encode_condition(model, np.array([[0]]))
+        out = sample_reverse(model, sched, cond, 5, [11],
                              deterministic=True, noise_fn=oracle)
-        assert np.abs(out - x0).max() < 1e-9
+        assert np.abs(out[0] - x0).max() < 1e-9
 
 
 class TestTrainDmd:

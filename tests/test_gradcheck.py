@@ -106,6 +106,23 @@ def test_conv1d(stride, pad):
         check_gradients(lambda a, b: red(nm.conv1d_temporal(a, b, stride=stride, pad=pad)), [x, k])
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv1d_on_a_batch(stride):
+    for rng in _cases(11):
+        x = rng.uniform(-1, 1, (3, 8, 2))
+        k = rng.uniform(-1, 1, (4, 2, 3))
+        t_out = (8 + 2 - 4) // stride + 1
+        red = _weighted(rng, (3, t_out, 3))
+        check_gradients(lambda a, b: red(nm.conv1d_temporal(a, b, stride=stride, pad=1)), [x, k])
+
+
+def test_repeat_rows_on_a_batch():
+    for rng in _cases(12):
+        a = rng.uniform(-1, 1, (2, 4, 3))
+        red = _weighted(rng, (2, 8, 3))
+        check_gradients(lambda x: red(nm.repeat_rows(x, 2)), [a])
+
+
 def test_reductions_and_shapes():
     for rng in _cases(9):
         a = rng.uniform(-1, 1, (3, 4))

@@ -22,26 +22,26 @@ def _zero_params(model):
 class TestEncode:
     def test_shape_contract(self, rng):
         model = _model()
-        e = model.encode(rng.standard_normal((64, 6)))
-        assert e.shape == (16, 4)
+        e = model.encode(rng.standard_normal((2, 64, 6)))
+        assert e.shape == (2, 16, 4)
 
     def test_indivisible_length_rejected(self, rng):
         model = _model()
         with pytest.raises(DimensionError, match="divisible"):
-            model.encode(rng.standard_normal((30, 6)))
+            model.encode(rng.standard_normal((1, 30, 6)))
 
     def test_zero_input_zero_biases_zero_embedding(self):
         model = _model()
         _zero_params(model)
-        e = model.encode(np.zeros((16, 6)))
+        e = model.encode(np.zeros((1, 16, 6)))
         assert np.allclose(e.data, 0.0)
 
     def test_shift_equivariance_on_interior_rows(self, rng):
         model = _model()
-        x = rng.standard_normal((40, 6))
-        shifted = np.roll(x, -4, axis=0)
-        e1 = model.encode(x).data
-        e2 = model.encode(shifted).data
+        x = rng.standard_normal((1, 40, 6))
+        shifted = np.roll(x, -4, axis=1)
+        e1 = model.encode(x).data[0]
+        e2 = model.encode(shifted).data[0]
         # interior token rows shift by one (edges feel the padding)
         assert np.allclose(e1[3:8], e2[2:7], atol=1e-10)
 
@@ -90,8 +90,8 @@ class TestDecode:
 
     def test_length_contract(self, rng):
         model = _model()
-        out = model.decode_tokens(rng.integers(0, 8, size=16))
-        assert out.shape == (64, 6)
+        out = model.decode_tokens(rng.integers(0, 8, size=(2, 16)))
+        assert out.shape == (2, 64, 6)
 
     def test_out_of_range_token_rejected(self):
         model = _model()
@@ -102,9 +102,9 @@ class TestDecode:
 class TestVqLoss:
     def test_zero_terms_when_embeddings_equal_codes(self, rng):
         model = _model()
-        x = rng.standard_normal((16, 6))
+        x = rng.standard_normal((1, 16, 6))
         with nm.no_grad():
-            e = model.encode(x).data
+            e = model.encode(x).data[0]
         # shrink the codebook to exactly the embeddings produced
         model.codebook.table.data[:e.shape[0]] = e
         _, parts = vq_loss(model, x)
@@ -113,13 +113,13 @@ class TestVqLoss:
 
     def test_zero_weights_reduce_to_mse(self, rng):
         model = _model(beta_codebook=0.0, beta_commit=0.0)
-        x = rng.standard_normal((16, 6))
+        x = rng.standard_normal((1, 16, 6))
         total, parts = vq_loss(model, x)
         assert abs(total.item() - parts["recon"].item()) < 1e-15
 
     def test_total_is_weighted_sum(self, rng):
         model = _model(beta_codebook=0.7, beta_commit=1.3)
-        x = rng.standard_normal((16, 6))
+        x = rng.standard_normal((1, 16, 6))
         total, parts = vq_loss(model, x)
         expected = (parts["recon"].item() + 0.7 * parts["codebook"].item()
                     + 1.3 * parts["commit"].item())
@@ -129,7 +129,7 @@ class TestVqLoss:
 
     def test_straight_through_reaches_encoder(self, rng):
         model = _model()
-        x = rng.standard_normal((16, 6))
+        x = rng.standard_normal((1, 16, 6))
         total, parts = vq_loss(model, x)
         opt = nm.Adam(model.named_parameters(), lr=0.0)
         opt.zero_grad()
@@ -140,7 +140,7 @@ class TestVqLoss:
 
     def test_codebook_term_pulls_codes_toward_embeddings(self, rng):
         model = _model()
-        x = rng.standard_normal((16, 6))
+        x = rng.standard_normal((1, 16, 6))
         _, parts = vq_loss(model, x)
         opt = nm.Adam([("cb", model.codebook.table)], lr=1e-3)
         opt.zero_grad()
@@ -148,6 +148,23 @@ class TestVqLoss:
         opt.step()
         _, parts2 = vq_loss(model, x)
         assert parts2["codebook"].item() < parts["codebook"].item()
+
+    def test_batch_equals_mean_of_its_rows(self, rng):
+        # one batched graph stands in for the mean of per-sequence graphs
+        model = _model()
+        x = rng.standard_normal((4, 16, 6))
+        batched, _ = vq_loss(model, x)
+        rows = [vq_loss(model, x[b:b + 1])[0] for b in range(4)]
+        mean = sum(rows[1:], rows[0]) * 0.25
+        assert abs(batched.item() - mean.item()) < 1e-12
+        for a, b in zip(_gradients(model, batched), _gradients(model, mean)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def _gradients(model, loss):
+    nm.Adam(model.named_parameters()).zero_grad()
+    loss.backward()
+    return [p.grad.copy() for _, p in model.named_parameters()]
 
 
 class TestTrainMq:

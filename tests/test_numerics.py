@@ -149,9 +149,15 @@ class TestConv1d:
         with pytest.raises(DimensionError):
             nm.conv1d_temporal(Tensor(np.zeros((1, 1))), Tensor(np.zeros((5, 1, 1))), stride=2)
 
-    def test_same_padding_needs_odd_width(self):
-        with pytest.raises(DimensionError):
-            nm.conv1d_temporal(Tensor(np.zeros((4, 1))), Tensor(np.zeros((4, 1, 1))), pad="same")
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_each_row_of_a_batch_is_its_own_sequence(self, rng, stride):
+        # bit for bit: batched decoding must give what each request gets alone
+        x = rng.standard_normal((5, 16, 3))
+        kernel = rng.standard_normal((4, 3, 6))
+        out = nm.conv1d_temporal(Tensor(x), Tensor(kernel), stride=stride, pad=1).data
+        for b in range(5):
+            alone = nm.conv1d_temporal(Tensor(x[b]), Tensor(kernel), stride=stride, pad=1)
+            np.testing.assert_array_equal(out[b], alone.data)
 
 
 class TestBackward:
@@ -263,6 +269,12 @@ class TestShapeOps:
         assert np.allclose(out.data[:3], [[1, 2]] * 3)
         out.sum().backward()
         assert np.allclose(a.grad, 3.0)
+
+    def test_repeat_rows_repeats_along_time_of_a_batch(self):
+        a = np.arange(12.0).reshape(2, 3, 2)
+        out = nm.repeat_rows(Tensor(a), 2).data
+        assert out.shape == (2, 6, 2)
+        np.testing.assert_array_equal(out[1, 2:4], [a[1, 1], a[1, 1]])
 
     def test_take_per_row(self):
         a = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)

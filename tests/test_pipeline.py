@@ -54,17 +54,18 @@ def trained(tmp_path_factory, tiny_cfg):
     return root / "data", root / "ckpt"
 
 
-def test_a_batch_of_requests_gets_what_each_gets_alone(trained, tiny_cfg):
-    stack = pipeline.load_generation_stack(trained[1], decoder="vq")
+@pytest.mark.parametrize("decoder", ["vq", "dmd"])
+def test_a_batch_of_requests_gets_what_each_gets_alone(trained, tiny_cfg, decoder):
+    stack = pipeline.load_generation_stack(trained[1], decoder=decoder)
     prompts = ["a person walks", "a person waves both arms high", "jump"]
     primitives = [[1, 2], None, [3]]
     seeds = [7, 8, 9]
     batch = pipeline.generate_motion(stack, tiny_cfg, "text", 32, seeds, prompt=prompts,
-                                     use_z=True, primitive=primitives)
+                                     use_z=True, decoder=decoder, primitive=primitives)
     assert len(batch) == 3
     for out, seed, prompt, primitive in zip(batch, seeds, prompts, primitives):
         alone = pipeline.generate_motion(stack, tiny_cfg, "text", 32, seed, prompt=prompt,
-                                         use_z=True, primitive=primitive)
+                                         use_z=True, decoder=decoder, primitive=primitive)
         np.testing.assert_array_equal(out["tokens"], alone["tokens"])
         np.testing.assert_array_equal(out["frames"], alone["frames"])
         assert out["unk_only"] == alone["unk_only"]
