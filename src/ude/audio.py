@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 
 FEATURE_MAGIC = "UDEFEAT v1"
 
@@ -61,8 +61,7 @@ def save_features(seq: AudioFeatureSequence, path) -> None:
 
 
 def load_features(path) -> AudioFeatureSequence:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty feature file")
     match = _FEAT_HEADER_RE.match(lines[0])
@@ -72,13 +71,18 @@ def load_features(path) -> AudioFeatureSequence:
     dims = int(match.group(2))
     rows, beats = [], None
     for i, ln in enumerate(lines[1:], start=2):
-        if ln.startswith("beats:"):
-            beats = np.array([float(v) for v in ln[len("beats:"):].split()])
-            continue
-        values = ln.split()
-        if len(values) != dims:
+        is_beats = ln.startswith("beats:")
+        values = ln.removeprefix("beats:").split()
+        if not is_beats and len(values) != dims:
             raise FormatError(f"{path}: line {i}: expected {dims} values, got {len(values)}")
-        rows.append([float(v) for v in values])
+        try:
+            numbers = [float(v) for v in values]
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {i}: {exc}") from exc
+        if is_beats:
+            beats = np.array(numbers)
+        else:
+            rows.append(numbers)
     if not rows:
         raise FormatError(f"{path}: no feature rows")
     return AudioFeatureSequence(rate, np.array(rows), beats)

@@ -21,7 +21,7 @@ import os
 import numpy as np
 
 from .errors import FormatError, StageError
-from .fileio import atomic_write_text, sha256_file
+from .fileio import atomic_write_text, read_text, sha256_file
 
 CKPT_MAGIC = "UDECKPT v1"
 
@@ -37,7 +37,10 @@ def load_params(module, blob: dict) -> None:
         missing = set(names) ^ set(blob)
         raise FormatError(f"parameter names do not match checkpoint: {sorted(missing)[:4]}")
     for name, entry in blob.items():
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        try:
+            arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad parameter {name}: {exc}") from exc
         if arr.shape != names[name].data.shape:
             raise FormatError(f"shape mismatch for {name}: {arr.shape}")
         names[name].data[...] = arr
@@ -57,9 +60,7 @@ def save_checkpoint(path, stage: str, sections: dict, run_config: dict,
 
 def load_checkpoint(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            rest = fh.read()
+        header, _, rest = read_text(path).partition("\n")
     except FileNotFoundError as exc:
         raise StageError(f"checkpoint not found: {path}") from exc
     if not header.startswith(CKPT_MAGIC + " module="):
@@ -69,7 +70,7 @@ def load_checkpoint(path) -> dict:
         body = json.loads(rest)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: bad checkpoint body: {exc}") from exc
-    if body.get("stage") != stage:
+    if not isinstance(body, dict) or body.get("stage") != stage:
         raise FormatError(f"{path}: header/body stage mismatch")
     return body
 

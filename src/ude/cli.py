@@ -191,10 +191,7 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"stage error: {exc}", file=sys.stderr)
         return 3
-    except DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
+    except (*DATA_ERRORS, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 4
     except (TrainingError, NumericsError) as exc:

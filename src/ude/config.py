@@ -13,7 +13,8 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .dataset import synth_counts
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
+from .fileio import read_text
 
 # The defaults scale down these full-scale settings: codebook 2048x1024,
 # 6-layer condition encoder (8 heads, hidden 1024, 256-d projection), 8-layer
@@ -100,11 +101,10 @@ def load_config(path=None) -> RunConfig:
     loaded: dict = {}
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
+            loaded = json.loads(read_text(path))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, FormatError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")

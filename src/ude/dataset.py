@@ -26,7 +26,7 @@ import numpy as np
 
 from .audio import AudioFeatureSequence, load_features, save_features
 from .errors import ConfigError, FormatError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 from .motion import MotionSequence, Skeleton, default_skeleton, normalize_heading, save_motion, load_motion
 
 UNK = "<unk>"
@@ -52,8 +52,7 @@ def save_vocabulary(path, words=VOCAB_WORDS) -> None:
 
 
 def load_vocabulary(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        words = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
+    words = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
     return {w: i for i, w in enumerate(words)}
 
 
@@ -104,16 +103,15 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 def load_manifest(path) -> DatasetManifest:
     entries = []
     base = os.path.dirname(os.fspath(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, ln in enumerate(fh, start=1):
-            if not ln.strip():
-                continue
-            try:
-                obj = json.loads(ln)
-                entries.append(ManifestEntry(obj["id"], obj["modality"], obj["motion"],
-                                             obj["cond"], obj["split"]))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise FormatError(f"{path}: line {i}: {exc}") from exc
+    for i, ln in enumerate(read_text(path).splitlines(), start=1):
+        if not ln.strip():
+            continue
+        try:
+            obj = json.loads(ln)
+            entries.append(ManifestEntry(obj["id"], obj["modality"], obj["motion"],
+                                         obj["cond"], obj["split"]))
+        except (json.JSONDecodeError, KeyError) as exc:
+            raise FormatError(f"{path}: line {i}: {exc}") from exc
     for e in entries:
         for rel in (e.motion, e.cond):
             if not os.path.exists(os.path.join(base, rel)):
@@ -400,8 +398,16 @@ def synth_dataset(cfg, seed: int, out_dir) -> DatasetManifest:
     entries = []
     counter = 0
 
-    def text_batch(counts: dict, split: str):
+    def add(modality: str, split: str, motion, ext: str, write_cond):
         nonlocal counter
+        sid = f"{modality}_{split}_{counter:05d}"
+        mrel, crel = f"motions/{sid}.udem", f"conds/{sid}.{ext}"
+        save_motion(motion, os.path.join(out_dir, mrel))
+        write_cond(os.path.join(out_dir, crel))
+        entries.append(ManifestEntry(sid, modality, mrel, crel, split))
+        counter += 1
+
+    def text_batch(counts: dict, split: str):
         used = set()
         for fam in TEXT_FAMILIES:
             for _ in range(counts.get(fam, 0)):
@@ -410,32 +416,19 @@ def synth_dataset(cfg, seed: int, out_dir) -> DatasetManifest:
                 for _attempt in range(64):
                     motion, sentence = make_text_motion(
                         [fam], cfg.frames, cfg.fps, rng, cfg.compose_fraction)
-                    key = (split, sentence)
-                    if key not in used:
-                        used.add(key)
+                    if sentence not in used:
                         break
-                sid = f"text_{split}_{counter:05d}"
-                mrel = f"motions/{sid}.udem"
-                crel = f"conds/{sid}.txt"
-                save_motion(motion, os.path.join(out_dir, mrel))
-                atomic_write_text(os.path.join(out_dir, crel), sentence + "\n")
-                entries.append(ManifestEntry(sid, "text", mrel, crel, split))
-                counter += 1
+                used.add(sentence)
+                add("text", split, motion, "txt",
+                    lambda path: atomic_write_text(path, sentence + "\n"))
 
     def audio_batch(counts: dict, split: str):
-        nonlocal counter
         for gen in GENRE_BEAT_HZ:
             for _ in range(counts.get(gen, 0)):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, 2, counter]))
                 motion, feats = make_dance_motion(gen, cfg.frames, cfg.fps,
                                                   cfg.feature_dim, rng)
-                sid = f"audio_{split}_{counter:05d}"
-                mrel = f"motions/{sid}.udem"
-                crel = f"conds/{sid}.udef"
-                save_motion(motion, os.path.join(out_dir, mrel))
-                save_features(feats, os.path.join(out_dir, crel))
-                entries.append(ManifestEntry(sid, "audio", mrel, crel, split))
-                counter += 1
+                add("audio", split, motion, "udef", lambda path: save_features(feats, path))
 
     text_batch(families_train, "train")
     text_batch(families_test, "test")
@@ -472,8 +465,7 @@ def load_samples(data_dir, split=None, modality=None) -> list:
         motion = normalize_heading(load_motion(os.path.join(data_dir, e.motion)))
         sample = Sample(e.id, e.modality, e.split, motion)
         if e.modality == "text":
-            with open(os.path.join(data_dir, e.cond), "r", encoding="utf-8") as fh:
-                sample.sentence = fh.read().strip()
+            sample.sentence = read_text(os.path.join(data_dir, e.cond)).strip()
             sample.text_ids = tokenize(sample.sentence, vocab)
         else:
             sample.features = load_features(os.path.join(data_dir, e.cond))

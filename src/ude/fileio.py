@@ -1,10 +1,21 @@
-"""Small file helpers: atomic writes and content hashing."""
+"""Small file helpers: text reads, atomic writes and content hashing."""
 
 from __future__ import annotations
 
 import hashlib
 import os
 import tempfile
+
+from .errors import FormatError
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file; other bytes raise FormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a UTF-8 text file ({exc})") from exc
 
 
 def atomic_write_text(path, text: str) -> None:

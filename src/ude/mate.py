@@ -7,6 +7,8 @@ is added to every payload element, sinusoidal positions are added to the
 whole sequence, and a full-attention transformer produces the output. The
 first output row is the global embedding, the rest the sequential
 embedding; downstream consumers never branch on the source modality.
+Each input is encoded as a batch of one; `stack_conditions` pads several
+encodings into one batch.
 """
 
 from __future__ import annotations
@@ -45,16 +47,26 @@ def audio_input(features) -> ModalityInput:
 
 @dataclass
 class CondEmbedding:
-    """(global, sequential) condition pair plus its source tag."""
+    """(global, sequential) embeddings of B conditions; row b of seq holds
+    lengths[b] real elements, then zero padding up to the longest."""
 
-    glob: Tensor        # [D]
-    seq: Tensor         # [I, D]
-    modality: str
+    glob: Tensor           # [B, D]
+    seq: Tensor            # [B, I, D]
+    lengths: np.ndarray    # [B]
 
     @property
     def length(self) -> int:
-        """Rows the condition occupies as a transformer prefix (1 + I)."""
-        return 1 + self.seq.shape[0]
+        """Rows each condition takes as a transformer prefix, padding included (1 + I)."""
+        return 1 + self.seq.shape[1]
+
+
+def stack_conditions(conds) -> CondEmbedding:
+    """One batch of the conditions of several CondEmbeddings, in order."""
+    longest = max(c.seq.shape[1] for c in conds)
+    seqs = [nm.concat([c.seq, np.zeros((len(c.lengths), longest - c.seq.shape[1],
+                                        c.seq.shape[2]))], axis=1) for c in conds]
+    return CondEmbedding(nm.concat([c.glob for c in conds], axis=0), nm.concat(seqs, axis=0),
+                         np.concatenate([c.lengths for c in conds]))
 
 
 @dataclass
@@ -113,12 +125,12 @@ def assemble_sequence(model: MATEModel, raw: Tensor, modality: str) -> Tensor:
 
 
 def encode(model: MATEModel, inp: ModalityInput) -> CondEmbedding:
-    """Full condition encoding: returns the (global, sequential) pair."""
+    """Full condition encoding of one input, as a batch of one."""
     if len(inp.payload) > model.max_payload(inp.modality):
         raise LengthError(
             f"{inp.modality} condition of {len(inp.payload)} elements exceeds "
             f"the {model.max_payload(inp.modality)}-element limit")
     raw = embed_modality(model, inp)
     seq_in = assemble_sequence(model, raw, inp.modality)
-    out = model.encoder(seq_in)
-    return CondEmbedding(glob=out[0], seq=out[1:], modality=inp.modality)
+    out = model.encoder(seq_in.reshape(1, *seq_in.shape))
+    return CondEmbedding(glob=out[:, 0], seq=out[:, 1:], lengths=np.array([raw.shape[0]]))

@@ -162,7 +162,8 @@ def beat_align(motion_beats, audio_beats, sigma: float) -> float:
 
 
 def _l2_normalize(t: Tensor) -> Tensor:
-    return t * ((t * t).sum() + 1e-12) ** -0.5
+    """Each row of t [B, d] scaled to unit length."""
+    return t * ((t * t).sum(axis=-1, keepdims=True) + 1e-12) ** -0.5
 
 
 class RetrievalEncoder(Module):
@@ -180,24 +181,29 @@ class RetrievalEncoder(Module):
         self.out_dim = out_dim
 
     def encode_motion(self, frames: np.ndarray) -> Tensor:
+        """Unit embeddings [B, d] of B equal-length motions [B, T, c]."""
         h = nm.conv1d_temporal(Tensor(frames), self.motion_k1, stride=2, pad=1)
         h = nm.relu(h + self.motion_b1)
         h = nm.conv1d_temporal(h, self.motion_k2, stride=2, pad=1)
         h = nm.relu(h + self.motion_b2)
-        return _l2_normalize(self.motion_out(h.mean(axis=0)))
+        return _l2_normalize(self.motion_out(h.mean(axis=-2)))
 
-    def encode_text(self, token_ids: np.ndarray) -> Tensor:
-        h = self.word_table(token_ids).mean(axis=0)
+    def encode_text(self, token_ids) -> Tensor:
+        """Unit embeddings [B, d] of B token-id arrays: the mean word
+        embedding over each array's own tokens."""
+        lengths = np.array([len(ids) for ids in token_ids])
+        real = np.arange(lengths.max()) < lengths[:, None]
+        padded = np.zeros(real.shape, dtype=np.int64)
+        padded[real] = np.concatenate(token_ids)
+        h = (self.word_table(padded) * real[..., None]).sum(axis=1) / lengths[:, None]
         return _l2_normalize(self.text_out(h))
 
 
-def contrastive_loss(motion_embs, text_embs, temperature: float = 0.07) -> Tensor:
-    """Symmetric in-batch InfoNCE over paired embeddings."""
-    m = nm.concat([e.reshape(1, -1) for e in motion_embs], axis=0)
-    t = nm.concat([e.reshape(1, -1) for e in text_embs], axis=0)
-    logits = nm.matmul(m, t.transpose((1, 0))) * (1.0 / temperature)
-    n = len(motion_embs)
-    targets = np.arange(n)
+def contrastive_loss(motion_embs: Tensor, text_embs: Tensor,
+                     temperature: float = 0.07) -> Tensor:
+    """Symmetric in-batch InfoNCE over paired embeddings [B, d]."""
+    logits = nm.matmul(motion_embs, text_embs.transpose((1, 0))) * (1.0 / temperature)
+    targets = np.arange(motion_embs.shape[0])
     loss_mt = -nm.take_per_row(nm.log_softmax(logits, axis=-1), targets).mean()
     loss_tm = -nm.take_per_row(nm.log_softmax(logits.transpose((1, 0)), axis=-1), targets).mean()
     return (loss_mt + loss_tm) * 0.5
@@ -221,9 +227,9 @@ def train_retrieval_encoder(pairs, frame_dim: int, vocab_size: int, epochs: int,
             batch = order[start:start + batch_size]
             if len(batch) < 2:
                 continue
-            m_embs = [enc.encode_motion(pairs[i][0]) for i in batch]
-            t_embs = [enc.encode_text(pairs[i][1]) for i in batch]
-            loss = contrastive_loss(m_embs, t_embs, temperature)
+            loss = contrastive_loss(enc.encode_motion(np.stack([pairs[i][0] for i in batch])),
+                                    enc.encode_text([pairs[i][1] for i in batch]),
+                                    temperature)
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -236,22 +242,19 @@ def train_retrieval_encoder(pairs, frame_dim: int, vocab_size: int, epochs: int,
 def retrieval_accuracy(encoder, pairs, distractors: int = 60, trials: int = 10,
                        seed: int = 0) -> tuple:
     """Top-1/top-5 retrieval of the paired text among `distractors` + 1
-    candidates, by cosine similarity of unit embeddings.
+    candidates, by cosine similarity of unit embeddings. The motions of
+    `pairs` share one length.
 
     The true text is inserted at a seeded random slot; ties resolve by
     candidate order.
     """
-    texts = {}
-    for _, ids in pairs:
-        texts.setdefault(tuple(ids), None)
-    if len(texts) < distractors + 1:
+    keys = list(dict.fromkeys(tuple(ids) for _, ids in pairs))
+    if len(keys) < distractors + 1:
         raise MetricError(
-            f"need at least {distractors + 1} distinct texts, have {len(texts)}")
+            f"need at least {distractors + 1} distinct texts, have {len(keys)}")
     with nm.no_grad():
-        text_emb = {key: encoder.encode_text(np.array(key, dtype=np.int64)).data
-                    for key in texts}
-        motion_emb = [encoder.encode_motion(frames).data for frames, _ in pairs]
-    keys = list(text_emb)
+        text_emb = dict(zip(keys, encoder.encode_text(keys).data))
+        motion_emb = encoder.encode_motion(np.stack([frames for frames, _ in pairs])).data
     rng = np.random.default_rng(np.random.SeedSequence([seed, 61]))
     top1 = top5 = total = 0
     for _ in range(trials):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, FormatError, PreprocessingError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 
 MOTION_MAGIC = "UDEMOTION v1"
 
@@ -133,9 +133,7 @@ def save_motion(m: MotionSequence, path) -> None:
 
 
 def load_motion(path) -> MotionSequence:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty motion file")
     match = _HEADER_RE.match(lines[0])

@@ -99,14 +99,21 @@ class Tensor:
 
         self must be scalar. Unreachable parameters keep their (zero)
         gradient, so "no path" and "zero gradient" look the same to Adam.
+
+        A graph is backpropagated once: each node drops its gradient, vjp
+        and parents as soon as its vjp has run, so the graph is freed as it
+        is walked.
         """
         if self.data.size != 1:
             raise ContractError("backward() expects a scalar loss tensor")
         order = _toposort(self)
         _accumulate(self, np.ones_like(self.data))
-        for t in reversed(order):
-            if t._vjp is not None and t.grad is not None:
-                t._vjp(t.grad)
+        while order:
+            t = order.pop()
+            if t._vjp is not None:
+                if t.grad is not None:
+                    t._vjp(t.grad)
+                t.grad, t._vjp, t._parents = None, None, ()
 
     # -- operator sugar --------------------------------------------------------
 

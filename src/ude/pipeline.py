@@ -31,7 +31,7 @@ from .config import RunConfig
 from .dataset import load_samples, load_vocabulary, save_vocabulary, synth_dataset, tokenize
 from .errors import ConfigError, ContractError, DimensionError, FormatError, StageError
 from .fileio import atomic_write_text
-from .mate import MATEConfig, MATEModel, audio_input, text_input
+from .mate import MATEConfig, MATEModel, audio_input, stack_conditions, text_input
 from .mate import encode as mate_encode
 from .motion import MotionSequence
 from .utt import SamplingConfig
@@ -273,9 +273,7 @@ def condition_from_request(stack, cfg: RunConfig, modality: str, prompt=None,
         ids = tokenize(prompt or "", stack["vocab"])
         if ids.size == 0:
             raise ContractError("empty prompt")
-        unk = stack["vocab"].get("<unk>", 0)
-        warned = bool(ids.size) and bool((ids == unk).all())
-        return text_input(ids), warned
+        return text_input(ids), bool((ids == stack["vocab"].get("<unk>", 0)).all())
     if modality == "audio":
         feats = features.features if isinstance(features, AudioFeatureSequence) else features
         feats = np.asarray(feats, dtype=np.float64)
@@ -301,7 +299,7 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
     _check_decodable(stack, decoder, frames)
     batch = isinstance(seed, (list, tuple))
     seeds = list(seed) if batch else [seed]
-    prompts, feats, primitives = (utt_mod._per_request(value, len(seeds), batch)
+    prompts, feats, primitives = (utt_mod._per_row(value, len(seeds)) if batch else [value]
                                   for value in (prompt, features, primitive))
     utt = stack["utt"]
     n_tokens = frames // 4
@@ -318,8 +316,9 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
         zs.append(rng.standard_normal(utt.cfg.z_dim) if use_z else None)
         unk_only.append(unk)
     sampling = SamplingConfig(temperature=cfg.temperature, top_k=cfg.top_k)
-    tokens = utt_mod.generate_tokens(utt, conds, n_tokens, sampling, primitive=primitives,
-                                     z=zs, seed=seeds, min_len=n_tokens)
+    tokens = utt_mod.generate_tokens(utt, stack_conditions(conds), n_tokens, sampling,
+                                     primitive=primitives, z=zs, seed=seeds,
+                                     min_len=n_tokens)
     frames_out = _decode(stack, decoder, np.stack(tokens), seeds)
     results = [{"tokens": t, "frames": f, "unk_only": u}
                for t, f, u in zip(tokens, frames_out, unk_only)]

@@ -7,15 +7,15 @@ Token vocabulary: the K codebook ids plus BOS (=K) and EOS (=K+1). A
 teacher-forced step consumes [BOS, t_0..t_{S-1}] and targets
 [t_0..t_{S-1}, EOS].
 
-Sampling keeps a per-layer key/value cache: the first pass runs the encoder
-once over [glob, condition, BOS, primitive] under `build_mask` and stores
-every row's K/V; each later step feeds one row, the last sampled token. This
-is exact, not an approximation: condition rows see only condition rows and
-motion rows see only earlier rows, so appending a token changes no earlier
-row's hidden state, and the cached K/V are what a full forward over the
-longer prefix would compute for those rows. A batch of requests shares the
-later steps: their caches are stacked, padded to the longest first pass,
-and a key mask hides the padding.
+Every forward takes a batch of B conditions and B token prefixes, row b
+laid out as [glob, seq, padding, BOS, tokens, padding] under one mask that
+hides the padding, so each row sees what it would see alone. Training runs
+one forward per minibatch. Sampling runs one as its first pass, which fills
+a per-layer key/value cache; each later step feeds one row per unfinished
+request, its last sampled token. This is exact: condition rows see only
+condition rows and motion rows only earlier rows, so appending a token
+changes no earlier row, and the cached K/V are what a full forward over
+the longer prefix would compute.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import ContractError, DimensionError, LengthError, TokenError, TrainingError
-from .mate import CondEmbedding, MATEModel, ModalityInput, encode
+from .mate import CondEmbedding, MATEModel, encode, stack_conditions
 from .mq import MQModel, encode_motions
 from .nn import (Embedding, Linear, Module, TransformerEncoder, additive_mask,
                  causal_prefix_mask, sinusoidal_table)
@@ -76,10 +76,6 @@ class UTTModel(Module):
         self.out_proj = Linear(d, cfg.vocab, rng)
         self.pos = sinusoidal_table(cfg.max_context, d)
 
-    def z_shift(self, z) -> Tensor:
-        row = Tensor(np.asarray(z, dtype=np.float64)).reshape(1, -1)
-        return self.z2(nm.relu(self.z1(row))).reshape(-1)
-
 
 def build_mask(cond_len: int, seq_len: int) -> np.ndarray:
     """Visibility matrix over [condition rows, motion rows]: column c is
@@ -89,31 +85,46 @@ def build_mask(cond_len: int, seq_len: int) -> np.ndarray:
     return causal_prefix_mask(cond_len, seq_len)
 
 
-def forward_logits(model: UTTModel, cond: CondEmbedding, prefix, z=None,
-                   caches=None) -> Tensor:
-    """Next-token logits [S, K+2] for a teacher-forced prefix.
+def _visible_keys(cond: CondEmbedding, seq_lens: np.ndarray, room: int = 0) -> np.ndarray:
+    """[B, cond.length + longest prefix + room]: False at the padding
+    columns of a pass over B prefixes of seq_lens tokens."""
+    cols = np.arange(seq_lens.max() + room)
+    return np.concatenate([np.arange(cond.length) <= cond.lengths[:, None],
+                           (cols < seq_lens[:, None]) | (cols >= seq_lens.max())], axis=1)
 
-    prefix must start with BOS; logits at position i predict element i+1.
-    When z is given the global condition becomes mlp(z) + glob. When
-    caches (one empty list per encoder layer) is given, every row's K/V is
-    stored in it for later one-row steps.
+
+def forward_logits(model: UTTModel, cond: CondEmbedding, prefixes, z=None,
+                   caches=None) -> Tensor:
+    """Next-token logits [B, S, K+2] of B teacher-forced prefixes, S the
+    longest; row b's logits past its own prefix are padding.
+
+    Every prefix must start with BOS; logits at position i predict element
+    i+1. z is None or B entries, each a z vector or None for none; a z
+    vector makes the row's global condition mlp(z) + glob. When caches (one
+    empty list per encoder layer) is given, every column's K/V is stored in
+    it for later one-row steps.
     """
-    prefix = np.asarray(prefix, dtype=np.int64)
-    if prefix.size == 0 or prefix[0] != model.cfg.bos:
+    if len(prefixes) != len(cond.lengths):
+        raise ContractError(f"{len(cond.lengths)} conditions got {len(prefixes)} prefixes")
+    seq_lens = np.array([len(p) for p in prefixes])
+    if not seq_lens.all() or any(p[0] != model.cfg.bos for p in prefixes):
         raise ContractError("token prefix must start with BOS")
-    if prefix.min() < 0 or prefix.max() >= model.cfg.vocab:
+    ids = np.full((len(prefixes), seq_lens.max()), model.cfg.bos)
+    for row, prefix in zip(ids, prefixes):
+        row[:len(prefix)] = prefix
+    if ids.min() < 0 or ids.max() >= model.cfg.vocab:
         raise TokenError("prefix contains out-of-vocabulary ids")
-    cond_len = cond.length
-    seq_len = prefix.size
-    _check_context(model, cond_len + seq_len)
+    _check_context(model, int((1 + cond.lengths + seq_lens).max()))
     glob = cond.glob
-    if z is not None:
-        glob = glob + model.z_shift(z)
-    motion = model.token_table(prefix) + Tensor(model.pos[:seq_len])
-    stacked = nm.concat([glob.reshape(1, -1), cond.seq, motion], axis=0)
-    mask = additive_mask(build_mask(cond_len, seq_len))
-    hidden = model.encoder(stacked, mask, caches)
-    return model.out_proj(hidden[cond_len:])
+    if z is not None and any(v is not None for v in z):  # rows without z shift by 0
+        rows = Tensor([np.zeros(model.cfg.z_dim) if v is None else v for v in z])
+        live = np.array([[v is not None] for v in z], dtype=np.float64)
+        glob = glob + model.z2(nm.relu(model.z1(rows))) * live
+    motion = model.token_table(ids) + Tensor(model.pos[:ids.shape[1]])
+    stacked = nm.concat([glob.reshape(len(ids), 1, -1), cond.seq, motion], axis=1)
+    visible = build_mask(cond.length, ids.shape[1]) & _visible_keys(cond, seq_lens)[:, None]
+    hidden = model.encoder(stacked, additive_mask(visible)[:, None], caches)
+    return model.out_proj(hidden[:, cond.length:])
 
 
 def _check_context(model: UTTModel, length: int) -> None:
@@ -127,10 +138,9 @@ def _step_logits(model: UTTModel, cond_lens, tokens: list, caches: list,
     feeding only each request's last token: one row per request, at its own
     position, that attends to its cached rows and to itself.
 
-    caches hold one [K, V] pair of [B, heads, rows, dh] per layer (see
-    `_stack_caches`); key_mask [B, 1, 1, >= rows + 1] hides the padding
-    between a request's first-pass rows and its later rows, None when no
-    request is padded.
+    cond_lens are the requests' real condition rows (1 + elements); caches
+    hold one [K, V] pair of [B, heads, rows, dh] per layer; key_mask
+    [B, 1, 1, >= rows + 1] hides padding columns, None when there are none.
     """
     positions = [len(t) for t in tokens]  # BOS sits at position 0
     _check_context(model, max(map(sum, zip(cond_lens, positions))) + 1)
@@ -141,79 +151,44 @@ def _step_logits(model: UTTModel, cond_lens, tokens: list, caches: list,
     return model.out_proj(model.encoder(rows, key_mask, caches))
 
 
-def _stack_caches(caches: list, room: int) -> tuple:
-    """One batch cache from per-request caches (per layer, [K, V] of
-    [heads, rows, dh]): per layer, [K, V] of [B, heads, longest, dh] with
-    each request's rows first and zeros after them, plus the additive key
-    mask [B, 1, 1, longest + room] that hides the zeros (None when every
-    request has the same rows). The zero keys get exactly zero attention
-    weight, so padding changes no logit beyond float reassociation."""
-    lengths = np.array([per_request[0][0].shape[-2] for per_request in caches])
-    longest = int(lengths.max())
-    stacked = []
-    for layer in zip(*caches):  # the [K, V] of every request at one layer
-        pair = []
-        for j in (0, 1):
-            heads, _, dh = layer[0][j].shape
-            arr = np.zeros((len(layer), heads, longest, dh))
-            for b, kv in enumerate(layer):
-                arr[b, :, :lengths[b]] = kv[j].data
-            pair.append(Tensor(arr))
-        stacked.append(pair)
-    if (lengths == longest).all():
-        return stacked, None
-    cols = np.arange(longest + room)
-    padded = (cols >= lengths[:, None]) & (cols < longest)
-    return stacked, additive_mask(~padded)[:, None, None, :]
-
-
 class TokenBatch(list):
-    """The token arrays of a batched `generate_tokens` call, one per request
-    in request order; `size` counts all their tokens, as an array's does."""
+    """Token arrays of a `generate_tokens` call in request order; `size` counts all tokens."""
 
     @property
     def size(self) -> int:
         return sum(tokens.size for tokens in self)
 
 
-def _per_request(value, count: int, batch: bool) -> list:
-    if not batch:
-        return [value]
+def _per_row(value, count: int) -> list:
     values = [None] * count if value is None else list(value)
     if len(values) != count:
         raise ContractError(f"a batch of {count} requests got {len(values)} values")
     return values
 
 
-def generate_tokens(model: UTTModel, cond, max_len: int,
+def generate_tokens(model: UTTModel, cond: CondEmbedding, max_len: int,
                     sampling: SamplingConfig | None = None, primitive=None,
-                    z=None, seed=0, min_len: int = 0):
-    """Sample a codebook-token sequence.
+                    z=None, *, seed, min_len: int = 0) -> TokenBatch:
+    """Sample a codebook-token sequence for each of the B conditions of
+    `cond`, with `seed` a list of B seeds; `primitive` and `z` are None or
+    B entries, each None for none.
 
-    The output starts with `primitive` verbatim (if given) and continues
-    until EOS or max_len tokens. EOS is suppressed before min_len so exact
-    lengths can be requested. Deterministic given the seed.
+    Each output starts with its primitive verbatim and continues until EOS
+    or max_len tokens. EOS is suppressed before min_len so exact lengths can
+    be requested. Each request keeps its own RNG, position and EOS, so it
+    gets the same tokens alone or in any batch.
 
-    For a batch, `cond` is a list of conditions and `seed` a list of seeds;
-    `primitive` and `z` are then per-request lists, or None for none. The
-    result is a `TokenBatch`. Each request keeps its own RNG, position and
-    EOS, so it gets the same tokens alone or in any batch.
-
-    Each request's first step runs `forward_logits` over its condition, BOS
-    and primitive and fills its own per-layer K/V cache. The caches are then
-    stacked, padded to the longest, and every later step feeds one row per
-    unfinished request, the token it just sampled, through one encoder call.
-    The logits equal those of `forward_logits` on the full prefix, because
-    no row of the mask sees a later row, so the cached K/V never change as
-    the prefix grows.
+    The first pass is one `forward_logits` call over the unfinished
+    requests; it fills the K/V cache of the batch, padding columns
+    included. Every later step feeds one row per unfinished request through
+    `_step_logits`, under a key mask that hides those padding columns.
     """
-    batch = isinstance(cond, (list, tuple))
-    conds = list(cond) if batch else [cond]
-    seeds = _per_request(seed, len(conds), batch)
-    zs = _per_request(z, len(conds), batch)
+    count = len(cond.lengths)
+    seeds = _per_row(seed, count)
+    zs = _per_row(z, count)
     sampling = sampling or SamplingConfig()
     tokens = []
-    for prim in _per_request(primitive, len(conds), batch):
+    for prim in _per_row(primitive, count):
         prim = np.asarray(prim if prim is not None else [], dtype=np.int64)
         if max_len < prim.size:
             raise ContractError("max_len is smaller than the primitive")
@@ -221,14 +196,20 @@ def generate_tokens(model: UTTModel, cond, max_len: int,
             raise TokenError("primitive contains non-codebook ids")
         tokens.append([int(t) for t in prim])
     rngs = [np.random.default_rng(np.random.SeedSequence([s, 5])) for s in seeds]
-    live = [b for b in range(len(conds)) if len(tokens[b]) < max_len]
+    live = [b for b in range(count) if len(tokens[b]) < max_len]
     with nm.no_grad():
-        caches = [[[] for _ in model.encoder.layers] for _ in live]
-        logits = np.array([
-            forward_logits(model, conds[b], [model.cfg.bos] + tokens[b], zs[b], c).data[-1]
-            for b, c in zip(live, caches)])
+        if 0 < len(live) < count:  # the first pass takes the unfinished rows
+            cond = CondEmbedding(Tensor(cond.glob.data[live]), Tensor(cond.seq.data[live]),
+                                 cond.lengths[live])
         if live:
-            caches, key_mask = _stack_caches(caches, max_len)
+            caches = [[] for _ in model.encoder.layers]
+            prefixes = [[model.cfg.bos] + tokens[b] for b in live]
+            ends = np.array([len(p) for p in prefixes])
+            logits = forward_logits(model, cond, prefixes, [zs[b] for b in live],
+                                    caches).data[np.arange(len(live)), ends - 1]
+            visible = _visible_keys(cond, ends, max_len)
+            key_mask = None if visible.all() else additive_mask(visible)[:, None, None]
+            cond_lens = 1 + cond.lengths
         while live:
             logits[:, model.cfg.bos] = -np.inf
             keep = []
@@ -245,11 +226,11 @@ def generate_tokens(model: UTTModel, cond, max_len: int,
                 for layer in caches:
                     layer[:] = [Tensor(t.data[keep]) for t in layer]
                 key_mask = None if key_mask is None else key_mask[keep]
+                cond_lens = cond_lens[keep]
             if live:
-                logits = _step_logits(model, [conds[b].length for b in live],
-                                      [tokens[b] for b in live], caches, key_mask).data[:, -1]
-    out = [np.array(t, dtype=np.int64) for t in tokens]
-    return TokenBatch(out) if batch else out[0]
+                logits = _step_logits(model, cond_lens, [tokens[b] for b in live], caches,
+                                      key_mask).data[:, -1]
+    return TokenBatch(np.array(t, dtype=np.int64) for t in tokens)
 
 
 def _sample_one(logits: np.ndarray, sampling: SamplingConfig,
@@ -292,62 +273,69 @@ class Discriminator(Module):
 
 
 def discriminate(disc: Discriminator, glob, motion) -> Tensor:
-    """T/4 validity scores for a motion of T frames under a condition."""
-    x = motion if isinstance(motion, Tensor) else Tensor(np.asarray(motion, dtype=np.float64))
-    if x.shape[0] % 4 != 0:
-        raise DimensionError(f"frame count {x.shape[0]} not divisible by 4")
-    g = glob if isinstance(glob, Tensor) else Tensor(np.asarray(glob, dtype=np.float64))
-    h = nm.relu(nm.conv1d_temporal(x, disc.k1, stride=2, pad=1) + disc.b1)
+    """Validity scores [B, T/4] of motions [B, T, c] under global conditions [B, D]."""
+    if motion.shape[-2] % 4 != 0:
+        raise DimensionError(f"frame count {motion.shape[-2]} not divisible by 4")
+    h = nm.relu(nm.conv1d_temporal(motion, disc.k1, stride=2, pad=1) + disc.b1)
     h = nm.relu(nm.conv1d_temporal(h, disc.k2, stride=2, pad=1) + disc.b2)
-    h = h + disc.glob_proj(g.reshape(1, -1))
+    h = h + disc.glob_proj(glob).reshape(glob.shape[0], 1, -1)
     hidden = disc.encoder(h)
-    return disc.score(hidden).reshape(-1)
+    return disc.score(hidden).reshape(glob.shape[0], -1)
 
 
 # -- losses ----------------------------------------------------------------------------
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean token-level cross-entropy of next-token logits."""
+    """Mean token-level cross-entropy of next-token logits [..., V] against
+    targets [...]."""
     targets = np.asarray(targets, dtype=np.int64)
-    return -nm.take_per_row(nm.log_softmax(logits, axis=-1), targets).mean()
+    flat = logits.reshape(-1, logits.shape[-1])
+    return -nm.take_per_row(nm.log_softmax(flat, axis=-1), targets.ravel()).mean()
 
 
-def straight_through_decode(model: UTTModel, mq: MQModel, logits: Tensor) -> tuple:
-    """Decode the argmax codebook tokens with gradients flowing through the
-    softmax-weighted codebook mixture (straight-through)."""
-    code_logits = logits[:, :model.cfg.code_count]
+def straight_through_decode(model: UTTModel, mq: MQModel, logits: Tensor) -> Tensor:
+    """Decode the argmax codebook tokens of logits [B, S, K+2] with
+    gradients flowing through the softmax-weighted codebook mixture
+    (straight-through)."""
+    code_logits = logits[..., :model.cfg.code_count]
     tokens = np.argmax(code_logits.data, axis=-1)
     probs = nm.softmax(code_logits, axis=-1)
     soft = nm.matmul(probs, mq.codebook.table.detach())
     hard = mq.codebook.table.data[tokens]
     mixed = soft + Tensor(hard - soft.data)
-    return mq.decode_embedding(mixed), tokens
+    return mq.decode_embedding(mixed)
+
+
+def _teacher_forcing(model: UTTModel, gt_tokens) -> tuple:
+    """(prefixes [BOS, t..], targets [t.., EOS]) of token rows [B, S]."""
+    gt_tokens = np.asarray(gt_tokens, dtype=np.int64)
+    return (np.pad(gt_tokens, ((0, 0), (1, 0)), constant_values=model.cfg.bos),
+            np.pad(gt_tokens, ((0, 0), (0, 1)), constant_values=model.cfg.eos))
 
 
 def utt_loss(model: UTTModel, disc: Discriminator, cond: CondEmbedding,
              gt_tokens, mq: MQModel, z=None, beta_adv: float | None = None) -> tuple:
-    """Teacher-forced training loss: (total, parts).
+    """Teacher-forced training loss of B conditions and token rows [B, S],
+    averaged over the batch: (total, parts).
 
     parts carries "ce" (cross-entropy over [t_0.., EOS]), "adv" (the
     non-saturating generator term on the decoded predicted tokens) and
-    "fake" (the decoded motion, for the discriminator step).
+    "fake" (the decoded motions [B, 4S, c], for the discriminator step).
+    z is as for `forward_logits`.
     """
     beta = model.cfg.beta_adv if beta_adv is None else beta_adv
-    gt_tokens = np.asarray(gt_tokens, dtype=np.int64)
-    prefix = np.concatenate([[model.cfg.bos], gt_tokens])
-    targets = np.concatenate([gt_tokens, [model.cfg.eos]])
-    logits = forward_logits(model, cond, prefix, z=z)
-    assert logits.shape[0] == targets.size  # teacher-forcing bookkeeping
+    prefixes, targets = _teacher_forcing(model, gt_tokens)
+    logits = forward_logits(model, cond, prefixes, z=z)
     l_ce = cross_entropy(logits, targets)
-    fake, pred_tokens = straight_through_decode(model, mq, logits[:gt_tokens.size])
+    fake = straight_through_decode(model, mq, logits[:, :-1])
     l_adv = -discriminate(disc, cond.glob, fake).mean()
     total = l_ce + beta * l_adv
-    return total, {"ce": l_ce, "adv": l_adv, "fake": fake, "pred_tokens": pred_tokens}
+    return total, {"ce": l_ce, "adv": l_adv, "fake": fake}
 
 
 def hinge_disc_loss(disc: Discriminator, glob, real, fake) -> Tensor:
-    """Hinge real/fake objective on (condition, motion) pairs."""
+    """Hinge real/fake objective on globs [B, D] and motions [B, T, c]."""
     real_scores = discriminate(disc, glob, real)
     fake_scores = discriminate(disc, glob, fake)
     return nm.relu(1.0 - real_scores).mean() + nm.relu(1.0 + fake_scores).mean()
@@ -357,28 +345,25 @@ def hinge_disc_loss(disc: Discriminator, glob, real, fake) -> Tensor:
 
 
 def mean_cross_entropy(mate: MATEModel, model: UTTModel, mq: MQModel, samples) -> float:
-    """Held-out teacher-forced CE over (ModalityInput, frames) samples."""
-    total = 0.0
+    """Held-out teacher-forced CE over (ModalityInput, frames) samples of
+    equal length."""
     with nm.no_grad():
-        for inp, frames in samples:
-            cond = encode(mate, inp)
-            tokens = mq.encode_tokens(frames[None])[0]
-            prefix = np.concatenate([[model.cfg.bos], tokens])
-            targets = np.concatenate([tokens, [model.cfg.eos]])
-            logits = forward_logits(model, cond, prefix)
-            total += cross_entropy(logits, targets).item()
-    return total / max(len(samples), 1)
+        cond = stack_conditions([encode(mate, inp) for inp, _ in samples])
+        tokens = mq.encode_tokens(np.stack([frames for _, frames in samples]))
+        prefixes, targets = _teacher_forcing(model, tokens)
+        return cross_entropy(forward_logits(model, cond, prefixes), targets).item()
 
 
 def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator, mq: MQModel,
               samples, epochs: int, seed: int, lr: float = 1e-3,
               batch_size: int = 4, z_prob: float = 0.5, log=None) -> list:
     """Adversarial teacher-forced training of MATE+UTT against the patch
-    discriminator, alternating generator/discriminator steps 1:1.
+    discriminator, alternating generator/discriminator steps 1:1, one
+    graph each per minibatch.
 
-    `samples` are (ModalityInput, frames) pairs covering both modalities;
-    batches interleave them 1:1 when both are present. The quantizer is
-    frozen throughout. Deterministic per seed.
+    `samples` are (ModalityInput, frames) pairs covering both modalities,
+    all with the same frame count; batches interleave them 1:1 when both
+    are present. The quantizer is frozen throughout. Deterministic per seed.
     """
     if not samples:
         raise TrainingError("empty training set")
@@ -398,28 +383,22 @@ def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator, mq: MQModel
         sums = {"ce": 0.0, "adv": 0.0, "disc": 0.0}
         for start in range(0, len(order), batch_size):
             batch = order[start:start + batch_size]
-            gen_losses, disc_losses = [], []
-            for i in batch:
-                inp, frames = samples[i]
-                tokens = token_cache[i]
-                z = rng.standard_normal(model.cfg.z_dim) if rng.random() < z_prob else None
-                cond = encode(mate, inp)
-                try:
-                    total, parts = utt_loss(model, disc, cond, tokens, mq, z=z)
-                except nm.NumericsError as exc:
-                    raise TrainingError(f"non-finite loss at epoch {epoch}: {exc}") from exc
-                gen_losses.append(total)
-                sums["ce"] += parts["ce"].item()
-                sums["adv"] += parts["adv"].item()
-                d_loss = hinge_disc_loss(disc, cond.glob.detach(),
-                                         frames, parts["fake"].detach())
-                disc_losses.append(d_loss)
-                sums["disc"] += d_loss.item()
-            gen_loss = sum(gen_losses[1:], gen_losses[0]) * (1.0 / len(gen_losses))
+            zs = [rng.standard_normal(model.cfg.z_dim) if rng.random() < z_prob else None
+                  for _ in batch]
+            cond = stack_conditions([encode(mate, samples[i][0]) for i in batch])
+            try:
+                gen_loss, parts = utt_loss(model, disc, cond, token_cache[batch], mq, z=zs)
+            except nm.NumericsError as exc:
+                raise TrainingError(f"non-finite loss at epoch {epoch}: {exc}") from exc
+            disc_loss = hinge_disc_loss(disc, cond.glob.detach(),
+                                        np.stack([samples[i][1] for i in batch]),
+                                        parts["fake"].detach())
+            sums["ce"] += parts["ce"].item() * len(batch)
+            sums["adv"] += parts["adv"].item() * len(batch)
+            sums["disc"] += disc_loss.item() * len(batch)
             gen_opt.zero_grad()
             gen_loss.backward()
             gen_opt.step()
-            disc_loss = sum(disc_losses[1:], disc_losses[0]) * (1.0 / len(disc_losses))
             disc_opt.zero_grad()
             disc_loss.backward()
             disc_opt.step()

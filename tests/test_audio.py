@@ -24,3 +24,8 @@ class TestFeatureFiles:
         (tmp_path / "bad.udef").write_text("UDEFEAT v1 rate=16.0 dims=3\n1 2\n")
         with pytest.raises(FormatError, match="line 2"):
             load_features(tmp_path / "bad.udef")
+
+    def test_bad_beat_time_names_line(self, tmp_path):
+        (tmp_path / "bad.udef").write_text("UDEFEAT v1 rate=16.0 dims=1\n1\nbeats: 0.5 x\n")
+        with pytest.raises(FormatError, match="line 3"):
+            load_features(tmp_path / "bad.udef")

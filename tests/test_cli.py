@@ -124,12 +124,46 @@ def test_generate_without_vocabulary_exits_3(first_run, config, tmp_path):
     assert _generate_text(config, ckpt, tmp_path / "m.udem") == 3
 
 
-def test_features_file_with_bad_header_exits_4(first_run, config, tmp_path):
-    features = tmp_path / "bad.udef"
-    features.write_text("NOT A FEATURE FILE\n1.0 2.0\n")
-    assert _cli("generate", "--config", config, "--ckpt", first_run[0] / "ckpt",
-                "--modality", "audio", "--features", features, "--decoder", "vq",
-                "--out", tmp_path / "m.udem") == 4
+def _drop_a_float(path):
+    """Rewrite a checkpoint with one float missing from its first parameter."""
+    header, body = path.read_text().split("\n", 1)
+    blob = json.loads(body)
+    first = next(iter(next(iter(blob["sections"].values()))["params"].values()))
+    first["data"].pop()
+    path.write_text(header + "\n" + json.dumps(blob) + "\n")
+
+
+NOT_UTF8 = b"\xff\xfe\x00\x81" * 64
+
+# (file that is corrupted, what it gets: text, bytes or a rewrite)
+CORRUPT_INPUTS = {
+    "feature-header": ("features", "NOT A FEATURE FILE\n1.0 2.0\n"),
+    "feature-value": ("features", "UDEFEAT v1 rate=16.0 dims=2\n1.0 abc\n"),
+    "feature-binary": ("features", NOT_UTF8),
+    "ckpt-binary": ("utt.ckpt", NOT_UTF8),
+    "ckpt-body-a-list": ("utt.ckpt", "UDECKPT v1 module=utt\n[1,2]\n"),
+    "ckpt-parameter-short": ("utt.ckpt", _drop_a_float),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_INPUTS))
+def test_corrupt_input_file_exits_4(first_run, config, tmp_path, case):
+    target, content = CORRUPT_INPUTS[case]
+    if target == "features":
+        ckpt, path = first_run[0] / "ckpt", tmp_path / "bad.udef"
+        condition = ["--modality", "audio", "--features", path]
+    else:
+        ckpt = _ckpt_copy(first_run, tmp_path)
+        path = ckpt / target
+        condition = ["--modality", "text", "--prompt", "a person walks"]
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif isinstance(content, str):
+        path.write_text(content)
+    else:
+        content(path)
+    assert _cli("generate", "--config", config, "--ckpt", ckpt, *condition,
+                "--decoder", "vq", "--out", tmp_path / "m.udem") == 4
 
 
 def test_zero_epochs_trains_no_stage(first_run, config, tmp_path):

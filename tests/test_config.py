@@ -24,6 +24,15 @@ def test_defaults_round_trip_unchanged(tmp_path):
     assert _load(tmp_path, RunConfig().to_dict()) == RunConfig()
 
 
+@pytest.mark.parametrize("content", [b"{frames: 64}", b"\xff\xfe\x00\x81"],
+                         ids=["not-json", "not-utf8"])
+def test_unreadable_config_file_raises(tmp_path, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
 @pytest.mark.parametrize("values", [
     {"frames": "sixty-four"},
     {"frames": 64.5},

@@ -116,13 +116,13 @@ class TestQSample:
 class TestEncodeCondition:
     def test_pool_of_one(self):
         model = _model()
-        tokens = np.array([2])
+        tokens = np.array([[2]])
         cond = encode_condition(model, tokens).data
         from ude import numerics as nm
         from ude.numerics import Tensor
         h = model.token_table(tokens) + Tensor(model.token_pos[:1])
         full = model.cond_encoder(h).data
-        assert np.array_equal(cond, full[0])
+        assert np.array_equal(cond, full[:, 0])
 
     def test_constant_rows_pool_to_that_row(self, rng):
         model = _model()
@@ -133,8 +133,8 @@ class TestEncodeCondition:
 
     def test_permutation_changes_output(self):
         model = _model()
-        a = encode_condition(model, np.array([0, 1, 2, 3])).data
-        b = encode_condition(model, np.array([1, 0, 2, 3])).data
+        a = encode_condition(model, np.array([[0, 1, 2, 3]])).data
+        b = encode_condition(model, np.array([[1, 0, 2, 3]])).data
         assert not np.allclose(a, b)
 
     def test_empty_tokens_rejected(self):

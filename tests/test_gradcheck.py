@@ -161,8 +161,8 @@ def test_attention_layer_composition():
     rng = np.random.default_rng(11)
     attn = MultiHeadAttention(8, 2, rng)
     mask = additive_mask(causal_prefix_mask(2, 3))
-    x = rng.uniform(-1, 1, (5, 8))
-    red = _weighted(rng, (5, 8))
+    x = rng.uniform(-1, 1, (1, 5, 8))
+    red = _weighted(rng, (1, 5, 8))
 
     def build(xin):
         return red(attn(xin, mask))
@@ -176,10 +176,10 @@ def test_attention_with_cache_composition():
     rng = np.random.default_rng(14)
     attn = MultiHeadAttention(8, 2, rng)
     mask = additive_mask(causal_prefix_mask(3, 2))[3:]
-    x = rng.uniform(-1, 1, (2, 8))
-    k = rng.uniform(-1, 1, (2, 3, 4))
-    v = rng.uniform(-1, 1, (2, 3, 4))
-    red = _weighted(rng, (2, 8))
+    x = rng.uniform(-1, 1, (1, 2, 8))
+    k = rng.uniform(-1, 1, (1, 2, 3, 4))
+    v = rng.uniform(-1, 1, (1, 2, 3, 4))
+    red = _weighted(rng, (1, 2, 8))
 
     def build(xin, kin, vin):
         return red(attn(xin, mask, [kin, vin]))
@@ -206,16 +206,16 @@ def test_batched_attention_with_padding_mask():
 def test_full_encoder_composition():
     rng = np.random.default_rng(12)
     enc = TransformerEncoder(2, 8, 2, rng)
-    x = rng.uniform(-1, 1, (4, 8))
-    red = _weighted(rng, (4, 8))
+    x = rng.uniform(-1, 1, (1, 4, 8))
+    red = _weighted(rng, (1, 4, 8))
     check_gradients(lambda xin: red(enc(xin)), [x])
 
 
 def test_parameter_gradients_through_encoder():
     rng = np.random.default_rng(13)
     layer = EncoderLayer(6, 2, 12, rng)
-    x = Tensor(rng.uniform(-1, 1, (3, 6)))
-    red = _weighted(rng, (3, 6))
+    x = Tensor(rng.uniform(-1, 1, (1, 3, 6)))
+    red = _weighted(rng, (1, 3, 6))
     w = layer.attn.wq.w
 
     loss = red(layer(x))

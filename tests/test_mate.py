@@ -73,11 +73,11 @@ class TestEncode:
     def test_output_shapes(self, rng):
         model = _model()
         out = encode(model, text_input([1, 2, 3]))
-        assert out.glob.shape == (16,)
-        assert out.seq.shape == (3, 16)
+        assert out.glob.shape == (1, 16)
+        assert out.seq.shape == (1, 3, 16)
         out_a = encode(model, audio_input(rng.standard_normal((7, 5))))
-        assert out_a.glob.shape == (16,)
-        assert out_a.seq.shape == (7, 16)
+        assert out_a.glob.shape == (1, 16)
+        assert out_a.seq.shape == (1, 7, 16)
 
     def test_deterministic(self):
         model = _model()
@@ -104,10 +104,10 @@ class TestEncode:
         # zeroing payload element i changes outputs at other positions
         model = _model()
         feats = rng.standard_normal((6, 5))
-        base = encode(model, audio_input(feats)).seq.data
+        base = encode(model, audio_input(feats)).seq.data[0]
         bumped_feats = feats.copy()
         bumped_feats[2] = 0.0
-        bumped = encode(model, audio_input(bumped_feats)).seq.data
+        bumped = encode(model, audio_input(bumped_feats)).seq.data[0]
         others = [i for i in range(6) if i != 2]
         assert not np.allclose(base[others], bumped[others])
 
@@ -120,4 +120,4 @@ class TestEncode:
         model = _model()
         out = encode(model, text_input([1, 2, 3, 4, 5, 6, 7]))
         assert isinstance(out, CondEmbedding)
-        assert out.seq.shape[0] == 7
+        assert out.seq.shape[1] == 7 and list(out.lengths) == [7]

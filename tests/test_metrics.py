@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ude import numerics as nm
 from ude.errors import DimensionError, MetricError
-from ude.metrics import (FeatureSet, beat_align, detect_motion_beats, diversity,
-                         feature_set, fid, fid_gaussian, geometric_features,
-                         kinetic_features, recon_accuracy)
+from ude.metrics import (FeatureSet, RetrievalEncoder, beat_align, contrastive_loss,
+                         detect_motion_beats, diversity, feature_set, fid, fid_gaussian,
+                         geometric_features, kinetic_features, recon_accuracy,
+                         retrieval_accuracy)
 from ude.motion import MotionSequence
 
 
@@ -264,3 +266,40 @@ class TestFeatureSetHelper:
         fs = feature_set("kinetic", motions)
         assert fs.matrix.shape[0] == 3
         assert fs.kind == "kinetic"
+
+
+class TestRetrieval:
+    def test_batch_equals_its_slices(self, rng):
+        # one batched graph, ragged texts included, gives the loss and
+        # gradients of embeddings encoded one pair at a time
+        enc = RetrievalEncoder(6, 12, np.random.default_rng(3), out_dim=8)
+        frames = rng.standard_normal((4, 16, 6))
+        texts = [rng.integers(0, 12, size=n) for n in (3, 7, 1, 5)]
+
+        def gradients(loss):
+            nm.Adam(enc.named_parameters()).zero_grad()
+            loss.backward()
+            return [p.grad.copy() for _, p in enc.named_parameters()]
+
+        batched = contrastive_loss(enc.encode_motion(frames), enc.encode_text(texts))
+        slices = contrastive_loss(
+            nm.concat([enc.encode_motion(frames[b:b + 1]) for b in range(4)], axis=0),
+            nm.concat([enc.encode_text(texts[b:b + 1]) for b in range(4)], axis=0))
+        assert abs(batched.item() - slices.item()) < 1e-12
+        for a, b in zip(gradients(batched), gradients(slices)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_coinciding_embeddings_retrieve_every_text_first(self):
+        class Matched:
+            """Motion b and text (b,) both embed as the b-th unit vector."""
+
+            def encode_motion(self, frames):
+                assert frames.shape == (6, 8, 3)  # every motion in one call
+                return nm.Tensor(np.eye(6)[frames[:, 0, 0].astype(int)])
+
+            def encode_text(self, token_ids):
+                assert len(token_ids) == 6  # every distinct text in one call
+                return nm.Tensor(np.eye(6)[[ids[0] for ids in token_ids]])
+
+        pairs = [(np.full((8, 3), float(b)), np.array([b])) for b in range(6)]
+        assert retrieval_accuracy(Matched(), pairs, distractors=4, trials=3) == (1.0, 1.0)

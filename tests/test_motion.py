@@ -105,6 +105,12 @@ class TestMotionFiles:
         with pytest.raises(FormatError, match="line 1"):
             load_motion(path)
 
+    def test_binary_file(self, tmp_path):
+        path = tmp_path / "bad.udem"
+        path.write_bytes(b"\xff\xfe\x00\x81" * 16)
+        with pytest.raises(FormatError, match="not a UTF-8 text file"):
+            load_motion(path)
+
     def test_fps_preserved_exactly(self, tmp_path):
         m = MotionSequence(23.976000000000003, np.zeros((2, 6)))
         save_motion(m, tmp_path / "m.udem")

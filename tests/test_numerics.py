@@ -198,6 +198,13 @@ class TestBackward:
         (x * 3.0).sum().backward()
         assert np.allclose(x.grad, [5.0])
 
+    def test_backward_frees_the_graph_and_keeps_leaf_gradients(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        h = x * 3.0
+        (h * h).sum().backward()
+        assert h.grad is None and h._vjp is None and h._parents == ()
+        np.testing.assert_array_equal(x.grad, [18.0, 36.0])
+
 
 class TestFiniteChecks:
     def test_nan_raises(self):

@@ -6,8 +6,10 @@ import pytest
 from ude import numerics as nm
 from ude import utt as utt_mod
 from ude.errors import ContractError, DimensionError, LengthError
-from ude.mate import MATEConfig, MATEModel, audio_input, encode, text_input
+from ude.mate import (MATEConfig, MATEModel, audio_input, encode, stack_conditions,
+                      text_input)
 from ude.mq import MQConfig, MQModel
+from ude.nn import additive_mask
 from ude.numerics import Tensor
 from ude.utt import (Discriminator, SamplingConfig, UTTConfig, UTTModel,
                      build_mask, cross_entropy, discriminate, forward_logits,
@@ -31,6 +33,20 @@ def _models(seed=0):
 
 def _cond(mate, ids=(1, 2, 3)):
     return encode(mate, text_input(list(ids)))
+
+
+def _logits(utt, cond, prefix, z=None):
+    """forward_logits of one request, as a batch of one: [S, K+2]."""
+    return forward_logits(utt, cond, [prefix], None if z is None else [z]).data[0]
+
+
+def _generate(utt, cond, max_len, sampling=None, primitive=None, z=None, seed=0,
+              min_len=0):
+    """generate_tokens of one request, as a batch of one."""
+    out = generate_tokens(utt, cond, max_len, sampling, primitive=[primitive], z=[z],
+                          seed=[seed], min_len=min_len)
+    assert isinstance(out, utt_mod.TokenBatch) and len(out) == 1
+    return out[0]
 
 
 class TestBuildMask:
@@ -63,19 +79,19 @@ class TestForwardLogits:
         utt.z2.b.data[...] = 0.0
         cond = _cond(mate)
         prefix = [utt.cfg.bos, 1, 2]
-        a = forward_logits(utt, cond, prefix).data
-        b = forward_logits(utt, cond, prefix, z=np.zeros(4)).data
+        a = _logits(utt, cond, prefix)
+        b = _logits(utt, cond, prefix, z=np.zeros(4))
         assert np.array_equal(a, b)
 
     def test_causality_bitwise(self):
         mate, utt, _, _ = _models()
         cond = _cond(mate)
         prefix = np.array([utt.cfg.bos, 1, 2, 3, 4])
-        base = forward_logits(utt, cond, prefix).data
+        base = _logits(utt, cond, prefix)
         for j in range(2, 5):
             bumped = prefix.copy()
             bumped[j] = (bumped[j] + 3) % K
-            out = forward_logits(utt, cond, bumped).data
+            out = _logits(utt, cond, bumped)
             assert np.array_equal(base[:j], out[:j])
             assert not np.array_equal(base[j:], out[j:])
 
@@ -84,37 +100,37 @@ class TestForwardLogits:
         # residue is float re-association in the row sums (last-ulp level)
         mate, utt, _, _ = _models()
         cond = _cond(mate)
-        short = forward_logits(utt, cond, [utt.cfg.bos, 1, 2]).data
-        long = forward_logits(utt, cond, [utt.cfg.bos, 1, 2, 5, 6]).data
+        short = _logits(utt, cond, [utt.cfg.bos, 1, 2])
+        long = _logits(utt, cond, [utt.cfg.bos, 1, 2, 5, 6])
         assert np.abs(short - long[:3]).max() < 1e-12
 
     def test_glob_perturbation_changes_all_positions(self):
         # bump one coordinate; per-row constant shifts would vanish in layer norm
         mate, utt, _, _ = _models()
         cond = _cond(mate)
-        base = forward_logits(utt, cond, [utt.cfg.bos, 1, 2, 3]).data
+        base = _logits(utt, cond, [utt.cfg.bos, 1, 2, 3])
         g = cond.glob.data.copy()
-        g[3] += 0.5
-        cond_shift = type(cond)(glob=Tensor(g), seq=cond.seq, modality=cond.modality)
-        out = forward_logits(utt, cond_shift, [utt.cfg.bos, 1, 2, 3]).data
+        g[0, 3] += 0.5
+        cond_shift = type(cond)(glob=Tensor(g), seq=cond.seq, lengths=cond.lengths)
+        out = _logits(utt, cond_shift, [utt.cfg.bos, 1, 2, 3])
         for i in range(out.shape[0]):
             assert not np.allclose(base[i], out[i])
 
     def test_seq_elements_all_visible(self):
         mate, utt, _, _ = _models()
         cond = _cond(mate, ids=(1, 2, 3, 4))
-        base = forward_logits(utt, cond, [utt.cfg.bos, 1]).data
-        for i in range(cond.seq.shape[0]):
+        base = _logits(utt, cond, [utt.cfg.bos, 1])
+        for i in range(cond.seq.shape[1]):
             bumped_seq = cond.seq.data.copy()
-            bumped_seq[i, 5] += 0.5
-            cond2 = type(cond)(glob=cond.glob, seq=Tensor(bumped_seq), modality=cond.modality)
-            out = forward_logits(utt, cond2, [utt.cfg.bos, 1]).data
+            bumped_seq[0, i, 5] += 0.5
+            cond2 = type(cond)(glob=cond.glob, seq=Tensor(bumped_seq), lengths=cond.lengths)
+            out = _logits(utt, cond2, [utt.cfg.bos, 1])
             assert not np.allclose(base, out)
 
     def test_prefix_must_start_with_bos(self):
         mate, utt, _, _ = _models()
         with pytest.raises(ContractError):
-            forward_logits(utt, _cond(mate), [1, 2])
+            forward_logits(utt, _cond(mate), [[1, 2]])
 
 
 class TestGenerate:
@@ -122,47 +138,44 @@ class TestGenerate:
         mate, utt, _, _ = _models()
         cond = _cond(mate)
         cfg = SamplingConfig(mode="greedy")
-        a = generate_tokens(utt, cond, 8, cfg, seed=1)
-        b = generate_tokens(utt, cond, 8, cfg, seed=2)
+        a = _generate(utt, cond, 8, cfg, seed=1)
+        b = _generate(utt, cond, 8, cfg, seed=2)
         assert np.array_equal(a, b)
 
     def test_primitive_prefix_verbatim(self):
         mate, utt, _, _ = _models()
         cond = _cond(mate)
         primitive = np.array([3, 1, 4, 1, 5, 2, 6, 5])
-        out = generate_tokens(utt, cond, 12, SamplingConfig(mode="greedy"),
-                              primitive=primitive)
+        out = _generate(utt, cond, 12, SamplingConfig(mode="greedy"), primitive=primitive)
         assert np.array_equal(out[:8], primitive)
 
     def test_tiny_temperature_equals_greedy(self):
         mate, utt, _, _ = _models()
         cond = _cond(mate)
-        greedy = generate_tokens(utt, cond, 8, SamplingConfig(mode="greedy"), seed=0)
-        cold = generate_tokens(utt, cond, 8,
-                               SamplingConfig(mode="topk", temperature=1e-6, top_k=K),
-                               seed=0)
+        greedy = _generate(utt, cond, 8, SamplingConfig(mode="greedy"), seed=0)
+        cold = _generate(utt, cond, 8,
+                         SamplingConfig(mode="topk", temperature=1e-6, top_k=K), seed=0)
         assert np.array_equal(greedy, cold)
 
     def test_top_k_one_is_greedy(self):
         mate, utt, _, _ = _models()
         cond = _cond(mate)
-        greedy = generate_tokens(utt, cond, 8, SamplingConfig(mode="greedy"), seed=3)
-        k1 = generate_tokens(utt, cond, 8,
-                             SamplingConfig(mode="topk", temperature=1.0, top_k=1),
-                             seed=3)
+        greedy = _generate(utt, cond, 8, SamplingConfig(mode="greedy"), seed=3)
+        k1 = _generate(utt, cond, 8, SamplingConfig(mode="topk", temperature=1.0, top_k=1),
+                       seed=3)
         assert np.array_equal(greedy, k1)
 
     def test_min_len_forces_exact_length(self):
         mate, utt, _, _ = _models()
         cond = _cond(mate)
-        out = generate_tokens(utt, cond, 16, SamplingConfig(mode="greedy"), min_len=16)
+        out = _generate(utt, cond, 16, SamplingConfig(mode="greedy"), min_len=16)
         assert out.size == 16
         assert out.max() < K
 
     def test_max_len_smaller_than_primitive_rejected(self):
         mate, utt, _, _ = _models()
         with pytest.raises(ContractError):
-            generate_tokens(utt, _cond(mate), 2, primitive=np.array([1, 2, 3]))
+            _generate(utt, _cond(mate), 2, primitive=np.array([1, 2, 3]))
 
 
 def _reference_tokens(model, cond, max_len, sampling, primitive=(), z=None, seed=0,
@@ -174,7 +187,7 @@ def _reference_tokens(model, cond, max_len, sampling, primitive=(), z=None, seed
     with nm.no_grad():
         while len(tokens) < max_len:
             prefix = np.array([model.cfg.bos] + tokens, dtype=np.int64)
-            logits = forward_logits(model, cond, prefix, z=z).data[-1].copy()
+            logits = _logits(model, cond, prefix, z=z)[-1].copy()
             logits[model.cfg.bos] = -np.inf
             if len(tokens) < min_len:
                 logits[model.cfg.eos] = -np.inf
@@ -214,10 +227,9 @@ class TestKVCache:
         follow = np.random.default_rng(6).integers(0, K, size=10)
         with nm.no_grad():
             prefix = np.array([utt.cfg.bos] + tokens)
-            cached = forward_logits(utt, cond, prefix, z, caches).data[-1]
-            caches, _ = utt_mod._stack_caches([caches], 0)
+            cached = forward_logits(utt, cond, [prefix], [z], caches).data[0, -1]
             for token in follow:
-                full = forward_logits(utt, cond, [utt.cfg.bos] + tokens, z=z).data[-1]
+                full = _logits(utt, cond, [utt.cfg.bos] + tokens, z=z)[-1]
                 assert np.abs(cached - full).max() < 1e-12
                 tokens.append(int(token))
                 cached = utt_mod._step_logits(utt, [cond.length], [tokens], caches).data[0, -1]
@@ -225,8 +237,8 @@ class TestKVCache:
     def test_z_changes_the_logits(self):
         mate, utt = _z_model()
         cond = CONDITIONS["text"](mate)
-        a = forward_logits(utt, cond, [utt.cfg.bos, 1]).data
-        b = forward_logits(utt, cond, [utt.cfg.bos, 1], z=np.ones(4)).data
+        a = _logits(utt, cond, [utt.cfg.bos, 1])
+        b = _logits(utt, cond, [utt.cfg.bos, 1], z=np.ones(4))
         assert not np.allclose(a, b)
 
     @pytest.mark.parametrize("modality", sorted(CONDITIONS))
@@ -243,8 +255,8 @@ class TestKVCache:
         cond = CONDITIONS[modality](mate)
         z = np.random.default_rng(4).standard_normal(4) if use_z else None
         for seed in range(3):
-            got = generate_tokens(utt, cond, 12, sampling, primitive=primitive, z=z,
-                                  seed=seed, min_len=min_len)
+            got = _generate(utt, cond, 12, sampling, primitive=primitive, z=z, seed=seed,
+                            min_len=min_len)
             want = _reference_tokens(utt, cond, 12, sampling, primitive, z, seed, min_len)
             assert np.array_equal(got, want)
             if min_len:
@@ -259,15 +271,15 @@ class TestKVCache:
         with pytest.raises(LengthError) as want:
             _reference_tokens(utt, cond, 8, sampling, min_len=8)
         with pytest.raises(LengthError) as got:
-            generate_tokens(utt, cond, 8, sampling, min_len=8)
+            _generate(utt, cond, 8, sampling, min_len=8)
         assert str(got.value) == str(want.value) == "context of 11 exceeds 10"
-        assert generate_tokens(utt, cond, 4, sampling, min_len=4).size == 4
+        assert _generate(utt, cond, 4, sampling, min_len=4).size == 4
 
     def test_primitive_longer_than_the_context_raises_on_the_first_pass(self):
         mate, utt = _z_model(max_context=10)
         cond = CONDITIONS["text"](mate)
         with pytest.raises(LengthError, match="context of 11 exceeds 10"):
-            generate_tokens(utt, cond, 8, primitive=[1, 2, 3, 4])
+            _generate(utt, cond, 8, primitive=[1, 2, 3, 4])
 
 
 def _mixed_requests(mate):
@@ -291,13 +303,13 @@ class TestBatchedSampling:
     def test_tokens_equal_each_request_alone_and_the_uncached_loop(self, sampling, min_len):
         mate, utt = _z_model()
         conds, zs, primitives, seeds = _mixed_requests(mate)
-        got = generate_tokens(utt, conds, 12, sampling, primitive=primitives, z=zs,
-                              seed=seeds, min_len=min_len)
+        got = generate_tokens(utt, stack_conditions(conds), 12, sampling,
+                              primitive=primitives, z=zs, seed=seeds, min_len=min_len)
         assert isinstance(got, utt_mod.TokenBatch) and len(got) == 4
         assert got.size == sum(t.size for t in got)
         for b in range(4):
-            alone = generate_tokens(utt, conds[b], 12, sampling, primitive=primitives[b],
-                                    z=zs[b], seed=seeds[b], min_len=min_len)
+            alone = _generate(utt, conds[b], 12, sampling, primitive=primitives[b],
+                              z=zs[b], seed=seeds[b], min_len=min_len)
             want = _reference_tokens(utt, conds[b], 12, sampling, primitives[b] or (),
                                      zs[b], seeds[b], min_len)
             assert np.array_equal(got[b], alone)
@@ -306,62 +318,78 @@ class TestBatchedSampling:
         if min_len < 12:  # a row ends on EOS while others go on
             assert min(t.size for t in got) < 12
 
+    def test_padded_rows_equal_each_request_alone(self):
+        # conditions of 3, 11, 6 and 4 elements, prefixes of 1, 3, 1 and 2 tokens
+        mate, utt = _z_model()
+        conds, zs, primitives, _ = _mixed_requests(mate)
+        prefixes = [[utt.cfg.bos] + list(p or []) for p in primitives]
+        got = forward_logits(utt, stack_conditions(conds), prefixes, zs).data
+        assert got.shape == (4, 3, K + 2)
+        for b, prefix in enumerate(prefixes):
+            alone = _logits(utt, conds[b], prefix, zs[b])
+            assert np.abs(got[b, :len(prefix)] - alone).max() < 1e-12
+
     def test_step_logits_equal_each_request_alone(self):
         mate, utt = _z_model()
         conds, zs, primitives, _ = _mixed_requests(mate)
+        cond = stack_conditions(conds)
         tokens = [list(p or []) for p in primitives]
         follow = np.random.default_rng(6).integers(0, K, size=(6, 4))
         with nm.no_grad():
-            caches = [[[] for _ in utt.encoder.layers] for _ in conds]
-            for cond, z, t, c in zip(conds, zs, tokens, caches):
-                forward_logits(utt, cond, [utt.cfg.bos] + t, z, c)
-            caches, key_mask = utt_mod._stack_caches(caches, follow.shape[0])
-            assert key_mask is not None
+            caches = [[] for _ in utt.encoder.layers]
+            prefixes = [[utt.cfg.bos] + t for t in tokens]
+            forward_logits(utt, cond, prefixes, zs, caches)
+            visible = utt_mod._visible_keys(cond, np.array([len(p) for p in prefixes]),
+                                            follow.shape[0])
+            assert not visible.all()
+            key_mask = additive_mask(visible)[:, None, None]
             for step in follow:
                 for t, token in zip(tokens, step):
                     t.append(int(token))
-                got = utt_mod._step_logits(utt, [c.length for c in conds], tokens, caches,
+                got = utt_mod._step_logits(utt, 1 + cond.lengths, tokens, caches,
                                            key_mask).data[:, -1]
-                for b, (cond, z, t) in enumerate(zip(conds, zs, tokens)):
-                    full = forward_logits(utt, cond, [utt.cfg.bos] + t, z=z).data[-1]
+                for b, (z, t) in enumerate(zip(zs, tokens)):
+                    full = _logits(utt, conds[b], [utt.cfg.bos] + t, z)[-1]
                     assert np.abs(got[b] - full).max() < 1e-12
 
     def test_a_single_request_is_a_batch_of_one(self):
         mate, utt = _z_model()
         cond = CONDITIONS["audio"](mate)
-        alone = generate_tokens(utt, cond, 9, seed=4)
-        batch = generate_tokens(utt, [cond], 9, seed=[4])
-        assert isinstance(alone, np.ndarray) and np.array_equal(batch[0], alone)
-        assert generate_tokens(utt, [], 9, seed=[]) == []
+        alone = generate_tokens(utt, cond, 9, seed=[4])
+        assert isinstance(alone, utt_mod.TokenBatch) and len(alone) == 1
+        assert np.array_equal(alone[0], _reference_tokens(utt, cond, 9, SamplingConfig(),
+                                                          seed=4))
 
     def test_per_request_lists_must_match_the_batch(self):
         mate, utt = _z_model()
-        conds = _mixed_requests(mate)[0]
+        cond = stack_conditions(_mixed_requests(mate)[0])
         with pytest.raises(ContractError):
-            generate_tokens(utt, conds, 4, seed=[1, 2])
+            generate_tokens(utt, cond, 4, seed=[1, 2])
         with pytest.raises(ContractError):
-            generate_tokens(utt, conds, 4, seed=[1, 2, 3, 4], primitive=[[1]])
+            generate_tokens(utt, cond, 4, seed=[1, 2, 3, 4], primitive=[[1]])
+        with pytest.raises(ContractError):
+            forward_logits(utt, cond, [[utt.cfg.bos]])
 
 
 class TestDiscriminator:
     def test_sixteen_scores_for_64_frames(self, rng):
         _, _, disc, _ = _models()
-        scores = discriminate(disc, rng.standard_normal(16),
-                              rng.standard_normal((64, FRAME_DIM)))
-        assert scores.shape == (16,)
+        scores = discriminate(disc, rng.standard_normal((1, 16)),
+                              rng.standard_normal((1, 64, FRAME_DIM)))
+        assert scores.shape == (1, 16)
 
     def test_zero_parameters_zero_scores(self, rng):
         _, _, disc, _ = _models()
         for _, p in disc.named_parameters():
             p.data[...] = 0.0
-        scores = discriminate(disc, rng.standard_normal(16),
-                              rng.standard_normal((32, FRAME_DIM)))
+        scores = discriminate(disc, rng.standard_normal((1, 16)),
+                              rng.standard_normal((1, 32, FRAME_DIM)))
         assert np.allclose(scores.data, 0.0)
 
     def test_condition_changes_every_patch_score(self, rng):
         _, _, disc, _ = _models()
-        motion = rng.standard_normal((32, FRAME_DIM))
-        glob = rng.standard_normal(16)
+        motion = rng.standard_normal((1, 32, FRAME_DIM))
+        glob = rng.standard_normal((1, 16))
         a = discriminate(disc, glob, motion).data
         b = discriminate(disc, glob + 0.5, motion).data
         assert np.all(np.abs(a - b) > 0)
@@ -369,8 +397,8 @@ class TestDiscriminator:
     def test_indivisible_length_rejected(self, rng):
         _, _, disc, _ = _models()
         with pytest.raises(DimensionError):
-            discriminate(disc, rng.standard_normal(16),
-                         rng.standard_normal((30, FRAME_DIM)))
+            discriminate(disc, rng.standard_normal((1, 16)),
+                         rng.standard_normal((1, 30, FRAME_DIM)))
 
 
 class TestLosses:
@@ -386,21 +414,21 @@ class TestLosses:
     def test_beta_zero_total_is_ce(self):
         mate, utt, disc, mq = _models()
         cond = _cond(mate)
-        tokens = np.array([1, 2, 3, 4])
+        tokens = np.array([[1, 2, 3, 4]])
         total, parts = utt_loss(utt, disc, cond, tokens, mq, beta_adv=0.0)
         assert abs(total.item() - parts["ce"].item()) < 1e-12
 
     def test_total_is_weighted_sum(self):
         mate, utt, disc, mq = _models()
         cond = _cond(mate)
-        tokens = np.array([1, 2, 3, 4])
+        tokens = np.array([[1, 2, 3, 4]])
         total, parts = utt_loss(utt, disc, cond, tokens, mq, beta_adv=0.7)
         assert abs(total.item() - parts["ce"].item() - 0.7 * parts["adv"].item()) < 1e-12
 
     def test_adversarial_gradient_reaches_mate_and_utt(self):
         mate, utt, disc, mq = _models()
         cond = _cond(mate)
-        tokens = np.array([1, 2, 3, 4])
+        tokens = np.array([[1, 2, 3, 4]])
         _, parts = utt_loss(utt, disc, cond, tokens, mq)
         opt = nm.Adam(mate.named_parameters() + utt.named_parameters(), lr=0.0)
         opt.zero_grad()
@@ -414,7 +442,7 @@ class TestLosses:
         # the soft mixture uses a detached codebook, so the table never learns here
         mate, utt, disc, mq = _models()
         cond = _cond(mate)
-        _, parts = utt_loss(utt, disc, cond, np.array([1, 2]), mq)
+        _, parts = utt_loss(utt, disc, cond, np.array([[1, 2]]), mq)
         opt = nm.Adam([("cb", mq.codebook.table)], lr=0.0)
         opt.zero_grad()
         (parts["ce"] + parts["adv"]).backward()
@@ -422,10 +450,42 @@ class TestLosses:
 
     def test_hinge_disc_loss_nonnegative(self, rng):
         _, _, disc, _ = _models()
-        loss = hinge_disc_loss(disc, rng.standard_normal(16),
-                               rng.standard_normal((16, FRAME_DIM)),
-                               rng.standard_normal((16, FRAME_DIM)))
+        loss = hinge_disc_loss(disc, rng.standard_normal((1, 16)),
+                               rng.standard_normal((1, 16, FRAME_DIM)),
+                               rng.standard_normal((1, 16, FRAME_DIM)))
         assert loss.item() >= 0.0
+
+    def test_batch_equals_mean_of_its_rows(self, rng):
+        # one batched graph over a mixed text/audio batch with z on two rows
+        # stands in for the mean of per-request graphs
+        mate, utt = _z_model()
+        _, _, disc, mq = _models()
+        feats = rng.standard_normal((11, 5))
+        inputs = [text_input([1, 2, 3]), audio_input(feats), text_input([4, 5, 6, 7, 8, 9]),
+                  audio_input(feats[:4])]
+        zs = [None, rng.standard_normal(4), None, rng.standard_normal(4)]
+        tokens = rng.integers(0, K, size=(4, 4))
+        real = rng.standard_normal((4, 16, FRAME_DIM))
+        params = mate.named_parameters() + utt.named_parameters() + disc.named_parameters()
+
+        def losses(rows):
+            cond = stack_conditions([encode(mate, inputs[b]) for b in rows])
+            total, parts = utt_loss(utt, disc, cond, tokens[rows], mq,
+                                    z=[zs[b] for b in rows])
+            return total, hinge_disc_loss(disc, cond.glob, real[rows], parts["fake"])
+
+        def gradients(loss):
+            nm.Adam(params).zero_grad()
+            loss.backward()
+            return [p.grad.copy() for _, p in params]
+
+        for pick in (0, 1):  # utt_loss, then hinge_disc_loss
+            batched = losses([0, 1, 2, 3])[pick]
+            rows = [losses([b])[pick] for b in range(4)]
+            mean = sum(rows[1:], rows[0]) * 0.25
+            assert abs(batched.item() - mean.item()) < 1e-12
+            for a, b in zip(gradients(batched), gradients(mean)):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 class TestTrainUtt:
