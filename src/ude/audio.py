@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .fileio import atomic_write_text, read_text
+from .fileio import atomic_write, read_text
 
 FEATURE_MAGIC = "UDEFEAT v1"
 
@@ -57,7 +57,7 @@ def save_features(seq: AudioFeatureSequence, path) -> None:
         lines.append(" ".join(format(v, ".9f") for v in row))
     if seq.beat_times is not None:
         lines.append("beats: " + " ".join(format(t, ".9f") for t in seq.beat_times))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def load_features(path) -> AudioFeatureSequence:

@@ -1,46 +1,55 @@
 """Checkpoint container shared by every model stage.
 
-A checkpoint file is one header line
+A checkpoint file has three parts:
 
-    UDECKPT v1 module=<stage>
+    UDECKPT v2 module=<stage>
+    {"stage": ..., "config": ..., "deps": ..., "buffers": ..., "sections": ...}
+    <payload>
 
-followed by a JSON blob holding one or more named sections (each with its
-model config and parameter tensors), buffers, the resolved run config, and
-the content hashes of the stage checkpoints it was trained against. Floats
-round-trip exactly through JSON (repr is shortest-round-trip).
+The first line is the header. The second is one UTF-8 JSON object: the
+stage name, the resolved run config, the content hashes of the stage
+checkpoints it was trained against (`deps`), small buffers as JSON lists,
+and one or more named sections, each `{"config": model config, "params":
+{name: {"shape": [...], "offset": n}}}`. The rest of the file is the
+payload: every parameter as raw little-endian float64, C order, parameter
+`name` starting `offset` values in. The payload holds exactly the values
+the metadata names, so its length is 8 bytes times the parameter count.
+Parameters round-trip bit for bit.
 
-`load_stage` checks the recorded dependency hashes against the stage files
-in the directory, so a stale or missing prerequisite fails loudly.
+`load_checkpoint` reads a file once and validates the metadata and the
+payload against each other; anything that does not fit raises FormatError.
+A file in the older JSON-only `v1` format is rejected with a message to
+retrain its stage. `load_stage` checks the recorded dependency hashes
+against the stage files in the directory, so a stale or missing
+prerequisite fails loudly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
 
 from .errors import FormatError, StageError
-from .fileio import atomic_write_text, read_text, sha256_file
+from .fileio import atomic_write, sha256_file
 
-CKPT_MAGIC = "UDECKPT v1"
+CKPT_MAGIC = "UDECKPT v2"
+PAYLOAD_DTYPE = np.dtype("<f8")
 
 
 def params_blob(module) -> dict:
-    return {name: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
-            for name, p in module.named_parameters()}
+    return {name: p.data for name, p in module.named_parameters()}
 
 
-def load_params(module, blob: dict) -> None:
+def load_params(module, params: dict) -> None:
+    """Copy each saved array into the module's own parameter array."""
     names = dict(module.named_parameters())
-    if set(names) != set(blob):
-        missing = set(names) ^ set(blob)
+    if set(names) != set(params):
+        missing = set(names) ^ set(params)
         raise FormatError(f"parameter names do not match checkpoint: {sorted(missing)[:4]}")
-    for name, entry in blob.items():
-        try:
-            arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad parameter {name}: {exc}") from exc
+    for name, arr in params.items():
         if arr.shape != names[name].data.shape:
             raise FormatError(f"shape mismatch for {name}: {arr.shape}")
         names[name].data[...] = arr
@@ -48,31 +57,99 @@ def load_params(module, blob: dict) -> None:
 
 def save_checkpoint(path, stage: str, sections: dict, run_config: dict,
                     deps: dict | None = None, buffers: dict | None = None) -> None:
-    body = {
+    """Write one stage checkpoint; `sections` maps each section name to
+    `{"config": dict, "params": {name: array}}`."""
+    layout, chunks, offset = {}, [], 0
+    for name, section in sections.items():
+        params = {}
+        for pname, value in section["params"].items():
+            arr = np.asarray(value, dtype=PAYLOAD_DTYPE)
+            params[pname] = {"shape": list(arr.shape), "offset": offset}
+            chunks.append(arr.tobytes())
+            offset += arr.size
+        layout[name] = {"config": section["config"], "params": params}
+    meta = {
         "stage": stage,
-        "sections": sections,
         "config": run_config,
         "deps": deps or {},
         "buffers": {k: np.asarray(v).tolist() for k, v in (buffers or {}).items()},
+        "sections": layout,
     }
-    atomic_write_text(path, f"{CKPT_MAGIC} module={stage}\n" + json.dumps(body) + "\n")
+    head = f"{CKPT_MAGIC} module={stage}\n{json.dumps(meta)}\n".encode("utf-8")
+    atomic_write(path, head + b"".join(chunks))
 
 
 def load_checkpoint(path) -> dict:
+    """The checkpoint's metadata, with each section's `params` mapped to
+    read-only arrays over the payload."""
     try:
-        header, _, rest = read_text(path).partition("\n")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError as exc:
         raise StageError(f"checkpoint not found: {path}") from exc
-    if not header.startswith(CKPT_MAGIC + " module="):
-        raise FormatError(f"{path}: bad checkpoint header {header!r}")
-    stage = header.split("module=", 1)[1].strip()
+    header, _, rest = data.partition(b"\n")
+    prefix = f"{CKPT_MAGIC} module=".encode()
+    if not header.startswith(prefix):
+        if header.startswith(b"UDECKPT v1 module="):
+            stage = header.split(b"=", 1)[1].decode("utf-8", "replace").strip()
+            raise FormatError(f"{path}: {stage} checkpoint is in the old v1 format, "
+                              f"which is no longer read; retrain stage {stage}")
+        raise FormatError(f"{path}: bad checkpoint header {header[:64]!r}")
+    stage = header[len(prefix):].decode("utf-8", "replace").strip()
+    line, newline, _ = rest.partition(b"\n")
+    if not newline:
+        raise FormatError(f"{path}: checkpoint ends inside its metadata")
     try:
-        body = json.loads(rest)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: bad checkpoint body: {exc}") from exc
-    if not isinstance(body, dict) or body.get("stage") != stage:
-        raise FormatError(f"{path}: header/body stage mismatch")
-    return body
+        meta = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: bad checkpoint metadata: {exc}") from exc
+    _check_metadata(path, stage, meta)
+    start = len(header) + len(line) + 2
+    count = sum(math.prod(p["shape"]) for section in meta["sections"].values()
+                for p in section["params"].values())
+    if len(data) - start != count * PAYLOAD_DTYPE.itemsize:
+        raise FormatError(f"{path}: payload is {len(data) - start} bytes, but the "
+                          f"metadata names {count} float64 values")
+    flat = np.frombuffer(data, PAYLOAD_DTYPE, count=count, offset=start)
+    for section in meta["sections"].values():
+        params = section["params"]
+        for name, entry in params.items():
+            size, offset = math.prod(entry["shape"]), entry["offset"]
+            if offset + size > count:
+                raise FormatError(f"{path}: parameter {name} ends past the payload")
+            params[name] = flat[offset:offset + size].reshape(entry["shape"])
+    return meta
+
+
+def _check_metadata(path, stage: str, meta) -> None:
+    """Raise FormatError unless `meta` has the layout the module docstring
+    gives, with the header's stage and a section of that name."""
+    def fail(what):
+        raise FormatError(f"{path}: bad checkpoint metadata: {what}")
+
+    if not isinstance(meta, dict):
+        fail("not an object")
+    if meta.get("stage") != stage:
+        fail("header/body stage mismatch")
+    for key in ("sections", "deps", "buffers"):
+        if not isinstance(meta.get(key), dict):
+            fail(f"{key!r} is not an object")
+    if stage not in meta["sections"]:
+        fail(f"no {stage!r} section")
+    for name, section in meta["sections"].items():
+        if not (isinstance(section, dict) and isinstance(section.get("config"), dict)
+                and isinstance(section.get("params"), dict)):
+            fail(f"section {name!r} lacks a config or params object")
+        for pname, entry in section["params"].items():
+            shape = entry.get("shape") if isinstance(entry, dict) else None
+            offset = entry.get("offset") if isinstance(entry, dict) else None
+            if not (isinstance(shape, list) and all(_is_count(n) for n in shape)
+                    and _is_count(offset)):
+                fail(f"parameter {pname!r} needs a shape and an offset of counts")
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 # -- stage files --------------------------------------------------------------------
@@ -96,7 +173,7 @@ def load_stage(ckpt_dir, stage: str) -> dict:
     if not os.path.exists(path):
         raise StageError(f"requires stage {stage}: checkpoint {path} is missing")
     body = load_checkpoint(path)
-    for dep, recorded in body.get("deps", {}).items():
+    for dep, recorded in body["deps"].items():
         if stage_hash(ckpt_dir, dep) != recorded:
             raise StageError(
                 f"stage {stage} was trained against a different {dep} "

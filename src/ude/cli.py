@@ -19,7 +19,7 @@ from .config import RunConfig, load_config
 from .errors import (ConfigError, ContractError, DimensionError, FormatError,
                      MetricError, NumericsError, PreprocessingError, StageError,
                      TokenError, TrainingError)
-from .fileio import atomic_write_text
+from .fileio import atomic_write
 from .motion import MotionSequence, save_motion
 
 DATA_ERRORS = (FormatError, PreprocessingError, DimensionError, ContractError,
@@ -116,10 +116,10 @@ def _write_generation(out_path, cfg: RunConfig, seed: int, result, extra: dict,
     meta = {"config": cfg.to_dict(), "seed": seed,
             "tokens": np.asarray(result["tokens"]).tolist()}
     meta.update(extra)
-    atomic_write_text(str(out_path) + ".meta.json", json.dumps(meta, indent=2) + "\n")
+    atomic_write(str(out_path) + ".meta.json", (json.dumps(meta, indent=2) + "\n").encode())
     if plot:
         _make_parent(plot)
-        atomic_write_text(plot, pipeline.motion_svg(motion) + "\n")
+        atomic_write(plot, (pipeline.motion_svg(motion) + "\n").encode())
 
 
 def cmd_generate(args) -> int:
@@ -157,7 +157,7 @@ def cmd_transition(args) -> int:
     save_motion(result["motion"], args.out)
     report = {"config": cfg.to_dict(), "seed": seed}
     report.update(result["report"])
-    atomic_write_text(str(args.out) + ".meta.json", json.dumps(report, indent=2) + "\n")
+    atomic_write(str(args.out) + ".meta.json", (json.dumps(report, indent=2) + "\n").encode())
     print(f"wrote {args.out} (boundary max jump "
           f"{result['report']['boundary_max_jump']:.4f} m, median displacement "
           f"{result['report']['median_displacement']:.4f} m)")
@@ -170,7 +170,7 @@ def cmd_eval(args) -> int:
                                seed=seed, decoder=args.decoder,
                                samples_per_input=args.samples_per_input)
     _make_parent(args.out)
-    atomic_write_text(args.out, json.dumps(report, indent=2) + "\n")
+    atomic_write(args.out, (json.dumps(report, indent=2) + "\n").encode())
     for modality, block in report["metrics"].items():
         keys = ", ".join(f"{k}={v:.4f}" for k, v in sorted(block.items()))
         print(f"{modality}: {keys}")

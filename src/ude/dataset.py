@@ -26,7 +26,7 @@ import numpy as np
 
 from .audio import AudioFeatureSequence, load_features, save_features
 from .errors import ConfigError, FormatError
-from .fileio import atomic_write_text, read_text
+from .fileio import atomic_write, read_text
 from .motion import MotionSequence, Skeleton, default_skeleton, normalize_heading, save_motion, load_motion
 
 UNK = "<unk>"
@@ -48,7 +48,7 @@ GENRE_BEAT_HZ = {"sway": 1.0, "groove": 1.6, "pulse": 2.0}
 
 
 def save_vocabulary(path, words=VOCAB_WORDS) -> None:
-    atomic_write_text(path, "\n".join(words) + "\n")
+    atomic_write(path, ("\n".join(words) + "\n").encode())
 
 
 def load_vocabulary(path) -> dict:
@@ -97,7 +97,7 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
         lines.append(json.dumps(
             {"id": e.id, "modality": e.modality, "motion": e.motion,
              "cond": e.cond, "split": e.split}))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -420,7 +420,7 @@ def synth_dataset(cfg, seed: int, out_dir) -> DatasetManifest:
                         break
                 used.add(sentence)
                 add("text", split, motion, "txt",
-                    lambda path: atomic_write_text(path, sentence + "\n"))
+                    lambda path: atomic_write(path, (sentence + "\n").encode()))
 
     def audio_batch(counts: dict, split: str):
         for gen in GENRE_BEAT_HZ:

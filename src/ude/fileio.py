@@ -18,14 +18,15 @@ def read_text(path) -> str:
         raise FormatError(f"{path}: not a UTF-8 text file ({exc})") from exc
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to `path` via a temp file and rename."""
+def atomic_write(path, data: bytes) -> None:
+    """Write bytes to `path` via a temp file and rename; text callers
+    encode as UTF-8."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, FormatError, PreprocessingError
-from .fileio import atomic_write_text, read_text
+from .fileio import atomic_write, read_text
 
 MOTION_MAGIC = "UDEMOTION v1"
 
@@ -129,7 +129,7 @@ def save_motion(m: MotionSequence, path) -> None:
     lines = [f"{MOTION_MAGIC} fps={m.fps!r} joints={m.joint_count}"]
     for row in m.frames:
         lines.append(" ".join(format(v, ".9f") for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def load_motion(path) -> MotionSequence:

@@ -20,11 +20,38 @@ Conventions:
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericsError, TrainingError
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 16 MiB and its trim threshold at 64 MiB.
+
+    A 256-frame DMD request allocates several 2 MiB attention temporaries
+    ([1, 4, 256, 256] float64) in every layer. glibc serves a block above
+    its mmap threshold with a fresh mapping; the threshold starts at 128 KiB
+    and rises only when the process frees a large mapped block, so whether
+    these temporaries are reused, or mapped, touched and unmapped again
+    each time (about 200k minor page faults and twice the time for one such
+    request), depends on what the process happened to free before. Fixed,
+    blocks below 16 MiB come from the heap, and up to 64 MiB of freed heap
+    is kept for reuse instead of being returned to the kernel. Where libc
+    has no `mallopt`, nothing is done.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_pin_malloc_thresholds()
 
 _grad_enabled = True  # cleared inside `no_grad`
 

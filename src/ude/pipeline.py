@@ -30,7 +30,7 @@ from .audio import AudioFeatureSequence
 from .config import RunConfig
 from .dataset import load_samples, load_vocabulary, save_vocabulary, synth_dataset, tokenize
 from .errors import ConfigError, ContractError, DimensionError, FormatError, StageError
-from .fileio import atomic_write_text
+from .fileio import atomic_write
 from .mate import MATEConfig, MATEModel, audio_input, stack_conditions, text_input
 from .mate import encode as mate_encode
 from .motion import MotionSequence
@@ -39,8 +39,8 @@ from .utt import SamplingConfig
 
 def run_synth(cfg: RunConfig, seed: int, out_dir) -> dict:
     manifest = synth_dataset(cfg, seed, out_dir)
-    atomic_write_text(os.path.join(os.fspath(out_dir), "config.json"),
-                      json.dumps({"config": cfg.to_dict(), "seed": seed}, indent=2) + "\n")
+    atomic_write(os.path.join(os.fspath(out_dir), "config.json"),
+                 (json.dumps({"config": cfg.to_dict(), "seed": seed}, indent=2) + "\n").encode())
     counts = {}
     for entry in manifest.entries:
         key = f"{entry.split}/{entry.modality}"
@@ -78,7 +78,7 @@ def _write_loss_log(path, cfg: RunConfig, seed: int, history, columns) -> None:
              ",".join(["epoch", *columns])]
     for row in history:
         lines.append(",".join([str(row["epoch"])] + [repr(float(row[c])) for c in columns]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 # -- training stages -----------------------------------------------------------------
@@ -220,11 +220,18 @@ def load_models(ckpt_dir, stage: str) -> dict:
             raise FormatError(f"{stage} checkpoint section {name!r} does not fit its "
                               f"model ({exc}); retrain stage {stage}") from exc
         ckpt.load_params(models[name], section["params"])
-    for name, value in body.get("buffers", {}).items():
-        default = getattr(models.get(stage), name, None)
+    for name, value in body["buffers"].items():
+        default = getattr(models[stage], name, None)
         if not isinstance(default, np.ndarray):
             raise FormatError(f"{stage} checkpoint has an unknown buffer {name!r}")
-        setattr(models[stage], name, np.array(value, dtype=default.dtype))
+        try:
+            value = np.array(value, dtype=default.dtype)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{stage} checkpoint buffer {name!r}: {exc}") from exc
+        if value.shape != default.shape:
+            raise FormatError(f"{stage} checkpoint buffer {name!r} has shape {value.shape}, "
+                              f"not {default.shape}")
+        setattr(models[stage], name, value)
     return models
 
 

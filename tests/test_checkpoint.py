@@ -1,0 +1,50 @@
+import numpy as np
+import pytest
+
+from ude import checkpoint
+from ude.errors import FormatError
+from ude.nn import Linear
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.pi, -1.0 / 3.0]
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
+
+
+def test_round_trip_is_bit_exact_and_the_payload_is_raw(tmp_path, rng):
+    layer = Linear(3, 4, rng)
+    layer.w.data.ravel()[:len(EDGE_VALUES)] = EDGE_VALUES
+    sections = {"mq": {"config": {"d": 3}, "params": checkpoint.params_blob(layer)},
+                "extra": {"config": {}, "params": {"scalar": np.array(-0.0),
+                                                   "empty": np.zeros((0, 2))}}}
+    path = tmp_path / "mq.ckpt"
+    checkpoint.save_checkpoint(path, "mq", sections, {"seed": 1}, buffers={"usage": [1, 2]})
+
+    body = checkpoint.load_checkpoint(path)
+    for name, section in sections.items():
+        assert body["sections"][name]["config"] == section["config"]
+        for pname, value in section["params"].items():
+            np.testing.assert_array_equal(_bits(body["sections"][name]["params"][pname]),
+                                          _bits(value))
+    assert body["buffers"] == {"usage": [1, 2]} and body["deps"] == {}
+
+    data = path.read_bytes()
+    header, line, _ = data.split(b"\n", 2)
+    count = sum(np.size(v) for s in sections.values() for v in s["params"].values())
+    assert header == b"UDECKPT v2 module=mq"
+    assert len(data) == len(header) + len(line) + 2 + 8 * count
+
+    fresh = Linear(3, 4, np.random.default_rng(0))
+    checkpoint.load_params(fresh, body["sections"]["mq"]["params"])
+    for (_, saved), (_, loaded) in zip(layer.named_parameters(), fresh.named_parameters()):
+        np.testing.assert_array_equal(_bits(loaded.data), _bits(saved.data))
+        assert loaded.data.flags.writeable  # a copy, not a view of the payload
+
+
+def test_load_params_rejects_a_wrong_shape(tmp_path, rng):
+    layer = Linear(3, 4, rng)
+    params = checkpoint.params_blob(layer)
+    params["w"] = params["w"].T
+    with pytest.raises(FormatError, match="shape mismatch for w"):
+        checkpoint.load_params(Linear(3, 4, rng), params)

@@ -3,6 +3,7 @@ byte-identical re-run with the same seed, and the exit code of each kind of
 failure."""
 
 import json
+import math
 import os
 import shutil
 import warnings
@@ -124,13 +125,21 @@ def test_generate_without_vocabulary_exits_3(first_run, config, tmp_path):
     assert _generate_text(config, ckpt, tmp_path / "m.udem") == 3
 
 
-def _drop_a_float(path):
-    """Rewrite a checkpoint with one float missing from its first parameter."""
-    header, body = path.read_text().split("\n", 1)
-    blob = json.loads(body)
-    first = next(iter(next(iter(blob["sections"].values()))["params"].values()))
-    first["data"].pop()
-    path.write_text(header + "\n" + json.dumps(blob) + "\n")
+def _rewrite_metadata(change):
+    """A corruption that passes a checkpoint's metadata object through
+    `change` and keeps its header and payload."""
+    def rewrite(path):
+        header, line, payload = path.read_bytes().split(b"\n", 2)
+        meta = json.loads(line)
+        change(meta)
+        path.write_bytes(header + b"\n" + json.dumps(meta).encode() + b"\n" + payload)
+    return rewrite
+
+
+def _end_one_past_payload(meta):
+    params = [p for section in meta["sections"].values() for p in section["params"].values()]
+    total = sum(math.prod(p["shape"]) for p in params)
+    params[0]["offset"] = total - math.prod(params[0]["shape"]) + 1
 
 
 NOT_UTF8 = b"\xff\xfe\x00\x81" * 64
@@ -141,13 +150,32 @@ CORRUPT_INPUTS = {
     "feature-value": ("features", "UDEFEAT v1 rate=16.0 dims=2\n1.0 abc\n"),
     "feature-binary": ("features", NOT_UTF8),
     "ckpt-binary": ("utt.ckpt", NOT_UTF8),
-    "ckpt-body-a-list": ("utt.ckpt", "UDECKPT v1 module=utt\n[1,2]\n"),
-    "ckpt-parameter-short": ("utt.ckpt", _drop_a_float),
+    "ckpt-v1": ("utt.ckpt", 'UDECKPT v1 module=utt\n{"stage": "utt", "sections": {}}\n'),
+    "ckpt-body-a-list": ("utt.ckpt", "UDECKPT v2 module=utt\n[1,2]\n"),
+    "ckpt-metadata-not-utf8": ("utt.ckpt", b"UDECKPT v2 module=utt\n" + NOT_UTF8 + b"\n"),
+    "ckpt-no-sections": ("utt.ckpt", _rewrite_metadata(lambda m: m.pop("sections"))),
+    "ckpt-no-own-section": ("utt.ckpt", _rewrite_metadata(lambda m: m["sections"].pop("utt"))),
+    "ckpt-section-without-config": (
+        "utt.ckpt", _rewrite_metadata(lambda m: m["sections"]["mate"].pop("config"))),
+    "ckpt-deps-a-list": ("utt.ckpt", _rewrite_metadata(
+        lambda m: m.update(deps=list(m["deps"].values())))),
+    "ckpt-buffers-a-list": ("mq.ckpt", _rewrite_metadata(
+        lambda m: m.update(buffers=list(m["buffers"].values())))),
+    "ckpt-buffer-not-numbers": ("mq.ckpt", _rewrite_metadata(
+        lambda m: m["buffers"].update(center="abc"))),
+    "ckpt-buffer-wrong-shape": ("mq.ckpt", _rewrite_metadata(
+        lambda m: m["buffers"].update(center=[0.0]))),
+    "ckpt-parameter-short": ("utt.ckpt", lambda path: path.write_bytes(path.read_bytes()[:-8])),
+    "ckpt-trailing-bytes": ("utt.ckpt",
+                            lambda path: path.write_bytes(path.read_bytes() + b"\0" * 8)),
+    "ckpt-offset-past-end": ("utt.ckpt", _rewrite_metadata(_end_one_past_payload)),
 }
+# what the error message must say, where it matters
+CORRUPT_MESSAGES = {"ckpt-v1": "retrain stage utt"}
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPT_INPUTS))
-def test_corrupt_input_file_exits_4(first_run, config, tmp_path, case):
+def test_corrupt_input_file_exits_4(first_run, config, tmp_path, capsys, case):
     target, content = CORRUPT_INPUTS[case]
     if target == "features":
         ckpt, path = first_run[0] / "ckpt", tmp_path / "bad.udef"
@@ -164,6 +192,7 @@ def test_corrupt_input_file_exits_4(first_run, config, tmp_path, case):
         content(path)
     assert _cli("generate", "--config", config, "--ckpt", ckpt, *condition,
                 "--decoder", "vq", "--out", tmp_path / "m.udem") == 4
+    assert CORRUPT_MESSAGES.get(case, "") in capsys.readouterr().err
 
 
 def test_zero_epochs_trains_no_stage(first_run, config, tmp_path):
