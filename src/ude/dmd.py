@@ -38,21 +38,16 @@ class NoiseSchedule:
     alpha_bars: np.ndarray  # alpha_bars[0] == 1
 
 
-def make_schedule(steps: int, beta_start: float | None = None,
-                  beta_end: float | None = None) -> NoiseSchedule:
+def make_schedule(steps: int) -> NoiseSchedule:
     """Linear beta schedule.
 
-    Defaults follow the 1000-step convention (1e-4 .. 0.02) rescaled by
-    1000/steps so total noising stays comparable at smaller step counts.
+    The 1000-step convention (1e-4 .. 0.02), rescaled by 1000/steps so total
+    noising stays comparable at smaller step counts and capped at 0.999.
     """
     if steps < 1:
         raise ConfigError("need at least one diffusion step")
-    if beta_start is None:
-        beta_start = min(1e-4 * (1000.0 / steps), 0.999)
-    if beta_end is None:
-        beta_end = min(0.02 * (1000.0 / steps), 0.999)
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ConfigError(f"invalid beta range [{beta_start}, {beta_end}]")
+    beta_start = min(1e-4 * (1000.0 / steps), 0.999)
+    beta_end = min(0.02 * (1000.0 / steps), 0.999)
     betas = np.concatenate([[0.0], np.linspace(beta_start, beta_end, steps)])
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)

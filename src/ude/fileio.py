@@ -19,13 +19,16 @@ def read_text(path) -> str:
 
 
 def atomic_write(path, data: bytes) -> None:
-    """Write bytes to `path` via a temp file and rename; text callers
-    encode as UTF-8."""
+    """Write bytes to `path` via a temp file and rename, with the mode that
+    `open` gives (0o666 less the umask); text callers encode as UTF-8."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

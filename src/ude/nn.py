@@ -1,9 +1,10 @@
 """Small neural-net building blocks shared by the model modules.
 
 Layers follow the pre-norm transformer recipe: x + attn(ln(x)) then
-x + ff(ln(x)), with a final layer norm on top of the stack. Attention
-masks are additive (0 visible, large negative hidden) so that masked
-scores underflow to exactly zero weight after softmax.
+x + ff(ln(x)), with a final layer norm on top of the stack. A linear layer
+is one ``matmul`` with its bias. Attention masks are additive (0 visible,
+large negative hidden) so that masked scores underflow to exactly zero
+weight in the one ``softmax`` call that also applies the 1/sqrt(dh) scale.
 
 Every transformer input is a batch [B, L, D] of B sequences; one sequence
 is a batch of one. For incremental decoding each attention layer can take a
@@ -55,7 +56,7 @@ class Linear(Module):
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x) -> Tensor:
-        return nm.matmul(x, self.w) + self.b
+        return nm.matmul(x, self.w, self.b)
 
 
 class Embedding(Module):
@@ -106,10 +107,8 @@ class MultiHeadAttention(Module):
                 k = nm.concat([cache[0], k], axis=-2)
                 v = nm.concat([cache[1], v], axis=-2)
             cache[:] = [k, v]
-        scores = nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-        if add_mask is not None:
-            scores = scores + Tensor(add_mask)
-        attn = nm.softmax(scores, axis=-1)
+        attn = nm.softmax(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))),
+                          scale=1.0 / math.sqrt(dh), add_mask=add_mask)
         out = nm.transpose(nm.matmul(attn, v), (0, 2, 1, 3)).reshape(batch, length, self.dim)
         return self.wo(out)
 

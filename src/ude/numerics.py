@@ -1,20 +1,21 @@
 """Dense float64 tensors with reverse-mode autodiff and an Adam optimizer.
 
 Every model in this package is built from the ops here: broadcasting
-elementwise arithmetic, (batched) matmul, numerically stable softmax and
-log-softmax, layer norm, temporal 1-D convolution, embedding lookup and a
-few shape ops. Sequence ops (conv1d, repeat_rows) put time on axis -2, so
-one call runs a batch [B, T, C] as it runs one sequence [T, C]. Graphs are
-recorded eagerly as tensors are produced: each op computes its output and
-everything its gradient needs, then hands ``_from_op`` one closure
-``vjp(g)`` that adds the output gradient ``g`` into the op's inputs; the
-closure is kept only when a graph is recorded. ``Tensor.backward()`` calls
-them in reverse topological order.
+elementwise arithmetic, (batched) matmul plus bias, stable softmax of
+scaled, masked scores, log-softmax, layer norm, temporal 1-D convolution,
+embedding lookup and a few shape ops. Sequence ops (conv1d, repeat_rows) put
+time on axis -2, so one call runs a batch [B, T, C] as it runs one sequence
+[T, C]. Graphs are recorded eagerly as tensors are produced: each op
+computes its output and everything its gradient needs, then hands
+``_from_op`` one closure ``vjp(g)`` that adds the output gradient ``g`` into
+the op's inputs; the closure is kept only when a graph is recorded.
+``Tensor.backward()`` calls them in reverse topological order.
 
 Conventions:
   * everything is float64; any op that produces NaN/Inf raises NumericsError,
   * gradients accumulate (sum) across fan-out and across backward calls;
     callers reset them between optimizer steps,
+  * no vjp writes into the ``g`` it receives, which may be stored uncopied,
   * conv1d uses the cross-correlation convention (no kernel flip).
 """
 
@@ -214,7 +215,7 @@ def _toposort(root: Tensor) -> list:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not (t.requires_grad or t._parents):
         return
-    t.grad = np.array(g) if t.grad is None else t.grad + g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _as_tensor(x) -> Tensor:
@@ -320,25 +321,32 @@ def relu(a) -> Tensor:
     def vjp(g):
         _accumulate(a, g * mask)
 
-    return _from_op(np.where(mask, a.data, 0.0), (a,), vjp, "relu")
+    return _from_op(np.maximum(a.data, 0.0), (a,), vjp, "relu")
 
 
 # -- linear algebra --------------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product; leading axes broadcast like numpy's ``@``."""
+def matmul(a, b, bias=None) -> Tensor:
+    """Matrix product plus an optional bias; leading axes broadcast like
+    numpy's ``@``, and the bias broadcasts against the product."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
+    out = a.data @ b.data
+    if bias is not None:
+        bias = _as_tensor(bias)
+        out += bias.data
 
     def vjp(g):
         _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
         _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+        if bias is not None:
+            _accumulate(bias, _unbroadcast(g, bias.shape))
 
-    return _from_op(a.data @ b.data, (a, b), vjp, "matmul")
+    return _from_op(out, (a, b) if bias is None else (a, b, bias), vjp, "matmul")
 
 
 # -- reductions -------------------------------------------------------------------
@@ -388,18 +396,23 @@ def reduce_max(a, axis: int) -> Tensor:
 # -- normalization and softmax ----------------------------------------------------
 
 
-def softmax(x, axis: int = -1) -> Tensor:
-    """Stable softmax along `axis`; rows sum to one."""
+def softmax(x, axis: int = -1, scale: float = 1.0, add_mask=None) -> Tensor:
+    """Stable softmax of ``x * scale + add_mask`` along `axis`; rows sum to
+    one. The mask is a plain array (no gradient) that broadcasts against x;
+    all steps run in place on one buffer, and backward keeps only the output."""
     x = _as_tensor(x)
     if x.shape[axis] == 0:
         raise DimensionError("softmax over an empty axis")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=axis, keepdims=True)
+    y = x.data * scale
+    if add_mask is not None:
+        y += add_mask
+    y -= np.max(y, axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.sum(y, axis=axis, keepdims=True)
 
     def vjp(g):
         dot = np.sum(g * y, axis=axis, keepdims=True)
-        _accumulate(x, y * (g - dot))
+        _accumulate(x, y * (g - dot) * scale)
 
     return _from_op(y, (x,), vjp, "softmax")
 

@@ -1,7 +1,11 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
 from ude import checkpoint
+from ude.dataset import save_vocabulary
 from ude.errors import FormatError
 from ude.nn import Linear
 
@@ -48,3 +52,16 @@ def test_load_params_rejects_a_wrong_shape(tmp_path, rng):
     params["w"] = params["w"].T
     with pytest.raises(FormatError, match="shape mismatch for w"):
         checkpoint.load_params(Linear(3, 4, rng), params)
+
+
+def test_written_files_get_the_umask_mode_not_the_temp_files(tmp_path, rng):
+    ckpt, vocab = tmp_path / "mq.ckpt", tmp_path / "vocab.txt"
+    old = os.umask(0o022)
+    try:
+        params = checkpoint.params_blob(Linear(3, 4, rng))
+        checkpoint.save_checkpoint(ckpt, "mq", {"mq": {"config": {}, "params": params}}, {})
+        save_vocabulary(vocab)
+    finally:
+        os.umask(old)
+    for path in (ckpt, vocab):
+        assert stat.filemode(path.stat().st_mode) == "-rw-r--r--", path

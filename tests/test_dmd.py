@@ -20,6 +20,13 @@ def _model(steps=10, seed=0, dim=16):
     return DMDModel(cfg, np.random.default_rng(seed))
 
 
+def _table(*betas):
+    """A NoiseSchedule whose steps 1..n have the given betas."""
+    betas = np.concatenate([[0.0], betas])
+    alphas = 1.0 - betas
+    return NoiseSchedule(len(betas) - 1, betas, alphas, np.cumprod(alphas))
+
+
 def _zero_model(steps=10):
     model = _model(steps=steps)
     model.out_proj.w.data[...] = 0.0
@@ -47,7 +54,7 @@ class TestSchedule:
         assert sched.alpha_bars[50] < 0.01
 
     def test_single_step(self):
-        sched = make_schedule(1, beta_start=0.3, beta_end=0.3)
+        sched = _table(0.3)
         assert abs(sched.alpha_bars[1] - 0.7) < 1e-15
 
     def test_alpha_bar_zero_is_one(self):
@@ -58,28 +65,32 @@ class TestSchedule:
         sigmas = np.sqrt(sched.betas[1:])
         assert np.all((sigmas > 0) & (sigmas < 1))
 
-    def test_invalid_range_rejected(self):
+    def test_fewer_than_one_step_rejected(self):
         with pytest.raises(ConfigError):
-            make_schedule(10, beta_start=0.5, beta_end=0.1)
+            make_schedule(0)
         with pytest.raises(ConfigError):
-            make_schedule(10, beta_start=0.0, beta_end=0.5)
+            make_schedule(-1)
+
+    def test_few_steps_cap_beta_below_one(self):
+        sched = make_schedule(2)
+        assert sched.betas[1] == 0.05 and sched.betas[2] == 0.999
 
 
 class TestQSample:
     def test_no_noise_limit(self):
-        sched = make_schedule(5, beta_start=1e-9, beta_end=1e-9)
+        sched = _table(*[1e-9] * 5)
         x0 = np.array([[1.0, 2.0, 3.0]])
         out = q_sample(sched, x0, 1, np.zeros_like(x0))
         assert np.allclose(out, x0, atol=1e-8)
 
     def test_quarter_alpha_bar_signal(self):
-        sched = make_schedule(1, beta_start=0.75, beta_end=0.75)
+        sched = _table(0.75)
         assert abs(sched.alpha_bars[1] - 0.25) < 1e-15
         out = q_sample(sched, np.array([[1.0]]), 1, np.array([[0.0]]))
         assert abs(out[0, 0] - 0.5) < 1e-12
 
     def test_quarter_alpha_bar_noise(self):
-        sched = make_schedule(1, beta_start=0.75, beta_end=0.75)
+        sched = _table(0.75)
         out = q_sample(sched, np.array([[0.0]]), 1, np.array([[1.0]]))
         assert abs(out[0, 0] - math.sqrt(0.75)) < 1e-12
 
@@ -97,7 +108,7 @@ class TestQSample:
     def test_matches_composed_single_steps_in_distribution(self):
         # iterating x_t = sqrt(1-beta_t) x_{t-1} + sqrt(beta_t) z must match
         # the closed form in mean/variance
-        sched = make_schedule(5, beta_start=0.05, beta_end=0.3)
+        sched = _table(*np.linspace(0.05, 0.3, 5))
         rng = np.random.default_rng(0)
         n, x0 = 10_000, 1.7
         for t_stop in (1, 3, 5):
@@ -229,7 +240,7 @@ def _gradients(model, loss):
 class TestSampleReverse:
     def test_single_step_zero_model(self):
         model = _zero_model(steps=1)
-        sched = make_schedule(1, beta_start=0.36, beta_end=0.36)
+        sched = _table(0.36)
         cond = encode_condition(model, np.array([[0]]))
         out = sample_reverse(model, sched, cond, 4, [5])
         rng = np.random.default_rng(np.random.SeedSequence([5, 9]))
@@ -256,7 +267,7 @@ class TestSampleReverse:
         # oracle returns the noise that the closed form attributes to x_t;
         # with all injected noise zeroed the chain ends exactly at x0
         model = _model(steps=8)
-        sched = make_schedule(8, beta_start=0.02, beta_end=0.3)
+        sched = _table(*np.linspace(0.02, 0.3, 8))
         rng = np.random.default_rng(7)
         x0 = rng.standard_normal((5, C))
 

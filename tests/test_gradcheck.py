@@ -63,6 +63,19 @@ def test_batched_matmul():
         check_gradients(lambda x, y: red(nm.matmul(x, y)), [a, b])
 
 
+@pytest.mark.parametrize("a_shape,b_shape,bias_shape", [
+    ((3, 4), (4, 2), (2,)),
+    ((2, 3, 4), (4, 3), (3,)),        # batch axis on a only
+    ((3, 4), (2, 4, 3), (3, 3)),      # batch axis on b only; a bias per element
+    ((2, 1, 3, 4), (3, 4, 2), (1, 3, 2)),
+])
+def test_matmul_with_bias(a_shape, b_shape, bias_shape):
+    for rng in _cases(16):
+        arrays = [rng.uniform(-1, 1, s) for s in (a_shape, b_shape, bias_shape)]
+        red = _weighted(rng, (np.zeros(a_shape) @ np.zeros(b_shape)).shape)
+        check_gradients(lambda x, y, z: red(nm.matmul(x, y, z)), arrays)
+
+
 def test_relu():
     for rng in _cases(4):
         a = rng.uniform(-1, 1, (4, 4))
@@ -85,6 +98,19 @@ def test_softmax_and_log_softmax():
         red = _weighted(rng, (3, 5))
         check_gradients(lambda x: red(nm.softmax(x, axis=-1)), [a])
         check_gradients(lambda x: red(nm.log_softmax(x, axis=-1)), [a])
+
+
+@pytest.mark.parametrize("mask_shape", [None, (3, 5), (2, 1, 1, 5)])
+def test_scaled_masked_softmax(mask_shape):
+    for rng in _cases(17):
+        x = rng.uniform(-1, 1, (2, 2, 3, 5))
+        mask = None
+        if mask_shape is not None:
+            visible = rng.uniform(size=mask_shape) < 0.7
+            visible[..., 0] = True  # every row keeps a visible column
+            mask = additive_mask(visible)
+        red = _weighted(rng, (2, 2, 3, 5))
+        check_gradients(lambda t: red(nm.softmax(t, scale=0.37, add_mask=mask)), [x])
 
 
 def test_layer_norm():

@@ -1,6 +1,6 @@
 """Incremental attention: rows fed through a K/V cache equal the rows of one
 full forward under `causal_prefix_mask`; a batch of padded sequences equals
-each sequence alone."""
+each sequence alone. A recorded attention graph keeps few score arrays."""
 
 import numpy as np
 import pytest
@@ -61,3 +61,41 @@ def test_batched_attention_with_key_padding_equals_each_sequence_alone(rng):
     for b, n in enumerate(lengths):
         alone = attn(nm.Tensor(x[b:b + 1, :n])).data[0]
         assert np.abs(out[b, :n] - alone).max() < 1e-12
+
+
+def _arrays_in_graph(root):
+    """Every distinct buffer the graph below `root` keeps alive: each node's
+    data and whatever its vjp closure holds."""
+    buffers, seen, stack = {}, set(), [root]
+
+    def keep(arr):
+        while arr.base is not None:
+            arr = arr.base
+        buffers[id(arr)] = arr
+
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        keep(t.data)
+        for cell in (t._vjp.__closure__ or ()) if t._vjp is not None else ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                keep(value)
+            elif isinstance(value, nm.Tensor):
+                stack.append(value)
+        stack.extend(t._parents)
+    return list(buffers.values())
+
+
+def test_recorded_attention_keeps_two_score_arrays_per_layer(rng):
+    # scores are [B, H, L, L] = [2, 2, 5, 5]: 100 values, a size no other
+    # array of this graph has (dh = 4, so q, k and v hold 80)
+    layers, batch, length = 2, 2, 5
+    enc = TransformerEncoder(layers, DIM, HEADS, rng)
+    x = nm.Tensor(rng.standard_normal((batch, length, DIM)), requires_grad=True)
+    loss = enc(x, additive_mask(causal_prefix_mask(0, length))).sum()
+    score_size = batch * HEADS * length * length
+    scores = [a for a in _arrays_in_graph(loss) if a.size == score_size]
+    assert len(scores) <= 2 * layers

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import platform
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from ude import numerics as nm
 from ude.errors import ContractError, DimensionError, NumericsError, TrainingError
+from ude.nn import EncoderLayer, additive_mask, causal_prefix_mask
 from ude.numerics import Adam, Tensor
 
 
@@ -311,6 +313,154 @@ class TestShapeOps:
         assert np.allclose(out.data, [[2, 3], [2, 3], [6, 7]])
         out.sum().backward()
         assert np.allclose(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
+
+
+def _forward_and_grads(build, arrays, w):
+    """Output of build(*tensors) and the gradients of sum(output * w)."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    out = build(*tensors)
+    (out * Tensor(w)).sum().backward()
+    return out.data, [t.grad for t in tensors]
+
+
+def _assert_bit_identical(fused, composed, arrays, rng):
+    w = rng.standard_normal(fused(*[Tensor(a) for a in arrays]).shape)
+    out, grads = _forward_and_grads(fused, arrays, w)
+    ref_out, ref_grads = _forward_and_grads(composed, arrays, w)
+    assert np.array_equal(out, ref_out)
+    for g, ref in zip(grads, ref_grads):
+        assert np.array_equal(g, ref)
+
+
+class TestFusedOps:
+    """A bias in matmul and a scale and mask in softmax give, bit for bit,
+    the values and gradients of the composed ops they replace."""
+
+    @pytest.mark.parametrize("a_shape,b_shape,bias_shape", [
+        ((5, 4), (4, 3), (3,)),
+        ((2, 5, 4), (4, 3), (3,)),
+        ((5, 4), (2, 4, 3), (5, 3)),
+        ((2, 1, 5, 4), (3, 4, 6), (1, 5, 6)),
+    ])
+    def test_matmul_bias_equals_matmul_plus_bias(self, rng, a_shape, b_shape, bias_shape):
+        arrays = [rng.standard_normal(s) for s in (a_shape, b_shape, bias_shape)]
+        _assert_bit_identical(lambda a, b, c: nm.matmul(a, b, c),
+                              lambda a, b, c: nm.matmul(a, b) + c, arrays, rng)
+
+    @pytest.mark.parametrize("mask_shape", [None, (4, 6), (2, 1, 1, 6)])
+    def test_attention_softmax_equals_scaled_masked_composition(self, rng, mask_shape):
+        q, k = rng.standard_normal((2, 3, 4, 5)), rng.standard_normal((2, 3, 6, 5))
+        scale = 1.0 / math.sqrt(5)
+        mask = None
+        if mask_shape is not None:
+            visible = rng.uniform(size=mask_shape) < 0.6
+            visible[..., 0] = True
+            mask = additive_mask(visible)
+
+        def fused(q, k):
+            return nm.softmax(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))),
+                              scale=scale, add_mask=mask)
+
+        def composed(q, k):
+            scores = nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))) * scale
+            if mask is not None:
+                scores = scores + Tensor(mask)
+            return nm.softmax(scores, axis=-1)
+
+        _assert_bit_identical(fused, composed, [q, k], rng)
+        scores = q @ k.swapaxes(-1, -2) * scale + (0.0 if mask is None else mask)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        assert np.array_equal(fused(Tensor(q), Tensor(k)).data, e / e.sum(axis=-1, keepdims=True))
+
+    def test_relu_equals_where(self, rng):
+        a = rng.standard_normal((6, 7))
+        a[::2, ::3] = 0.0
+        assert np.array_equal(nm.relu(a).data, np.where(a > 0, a, 0.0))
+
+
+def _positive(rng, shape):
+    return rng.uniform(0.5, 1.5, shape)
+
+
+# Every op of the engine: a builder over tensors and its input arrays.
+OP_CASES = {
+    "add": (lambda a, b: nm.add(a, b), lambda r: [r.standard_normal((3, 4)), r.standard_normal(4)]),
+    "sub": (lambda a, b: nm.sub(a, b), lambda r: [r.standard_normal((3, 4)), r.standard_normal(4)]),
+    "mul": (lambda a, b: nm.mul(a, b), lambda r: [r.standard_normal((3, 4)), r.standard_normal(4)]),
+    "div": (lambda a, b: nm.div(a, b), lambda r: [r.standard_normal((3, 4)), _positive(r, 4)]),
+    "neg": (lambda a: nm.neg(a), lambda r: [r.standard_normal((3, 4))]),
+    "power": (lambda a: nm.power(a, 1.5), lambda r: [_positive(r, (3, 4))]),
+    "relu": (lambda a: nm.relu(a), lambda r: [r.standard_normal((3, 4))]),
+    "matmul": (lambda a, b, c: nm.matmul(a, b, c),
+               lambda r: [r.standard_normal((2, 3, 4)), r.standard_normal((4, 5)),
+                          r.standard_normal(5)]),
+    "tsum": (lambda a: nm.tsum(a, axis=1), lambda r: [r.standard_normal((3, 4))]),
+    "tmean": (lambda a: nm.tmean(a), lambda r: [r.standard_normal((3, 4))]),
+    "reduce_max": (lambda a: nm.reduce_max(a, axis=0), lambda r: [r.standard_normal((3, 4))]),
+    "softmax": (lambda a: nm.softmax(a, scale=0.5, add_mask=additive_mask(np.tri(4) > 0)),
+                lambda r: [r.standard_normal((2, 4, 4))]),
+    "log_softmax": (lambda a: nm.log_softmax(a), lambda r: [r.standard_normal((3, 4))]),
+    "layer_norm": (lambda a, g, b: nm.layer_norm(a, g, b),
+                   lambda r: [r.standard_normal((3, 4)), _positive(r, 4), r.standard_normal(4)]),
+    "conv1d_temporal": (lambda a, k: nm.conv1d_temporal(a, k, stride=2, pad=1),
+                        lambda r: [r.standard_normal((2, 8, 3)), r.standard_normal((4, 3, 2))]),
+    "embedding": (lambda t: nm.embedding(t, np.array([[0, 2], [2, 1]])),
+                  lambda r: [r.standard_normal((3, 4))]),
+    "take": (lambda a: nm.take(a, (slice(1, 3), 2)), lambda r: [r.standard_normal((3, 4))]),
+    "take_per_row": (lambda a: nm.take_per_row(a, np.array([3, 0, 3])),
+                     lambda r: [r.standard_normal((3, 4))]),
+    "concat": (lambda a, b: nm.concat([a, b, a], axis=-1),
+               lambda r: [r.standard_normal((3, 4)), r.standard_normal((3, 2))]),
+    "repeat_rows": (lambda a: nm.repeat_rows(a, 2), lambda r: [r.standard_normal((2, 3, 4))]),
+    "reshape": (lambda a: nm.reshape(a, (4, 3)), lambda r: [r.standard_normal((3, 4))]),
+    "transpose": (lambda a: nm.transpose(a, (1, 0)), lambda r: [r.standard_normal((3, 4))]),
+}
+
+
+@pytest.fixture
+def read_only_output_grads(monkeypatch):
+    """Hand every vjp its incoming gradient as a read-only view, so a vjp
+    that writes into it raises."""
+    from_op = nm._from_op
+
+    def guarded(data, parents, vjp, op):
+        def read_only_vjp(g):
+            g = g.view()
+            g.setflags(write=False)
+            vjp(g)
+
+        return from_op(data, parents, read_only_vjp, op)
+
+    monkeypatch.setattr(nm, "_from_op", guarded)
+
+
+class TestNoVjpWritesIntoItsGradient:
+    """`_accumulate` stores the first gradient uncopied; that is safe only
+    while no vjp writes into the gradient it receives."""
+
+    def test_every_op_has_a_case(self):
+        ops = {name for name, fn in vars(nm).items()
+               if inspect.isfunction(fn) and "_from_op" in fn.__code__.co_names}
+        assert ops == set(OP_CASES)
+
+    @pytest.mark.parametrize("op", sorted(OP_CASES))
+    def test_op_backward_with_a_read_only_gradient(self, request, op):
+        build, inputs = OP_CASES[op]
+        arrays = inputs(np.random.default_rng(3))
+        w = np.random.default_rng(4).standard_normal(build(*[Tensor(a) for a in arrays]).shape)
+        _, grads = _forward_and_grads(build, arrays, w)
+        request.getfixturevalue("read_only_output_grads")
+        _, guarded = _forward_and_grads(build, arrays, w)
+        for g, ref in zip(guarded, grads):
+            assert np.array_equal(g, ref)
+
+    def test_encoder_layer_backward_with_read_only_gradients(self, rng, read_only_output_grads):
+        layer = EncoderLayer(8, 2, 16, rng)
+        cache = [Tensor(rng.standard_normal((1, 2, 2, 4)), requires_grad=True) for _ in range(2)]
+        x = Tensor(rng.standard_normal((1, 3, 8)), requires_grad=True)
+        mask = additive_mask(causal_prefix_mask(2, 3))[2:]
+        layer(x, mask, list(cache)).sum().backward()
+        assert all(np.isfinite(t.grad).all() for t in [x, *cache])
 
 
 # Four 2 MiB blocks, the size of a 256-frame DMD request's attention
