@@ -179,32 +179,18 @@ def decode_tokens_dmd(model: DMDModel, sched: NoiseSchedule, tokens, seeds) -> n
 
 
 def train_dmd(model: DMDModel, sched: NoiseSchedule, mq: MQModel, motions,
-              epochs: int, seed: int, lr: float = 1e-3, batch_size: int = 8,
-              log=None) -> list:
-    """Noise-prediction training; conditioning tokens come from the frozen
-    quantizer. Deterministic per seed."""
+              epochs: int, seed: int, lr: float = 1e-3, batch_size: int = 8) -> list:
+    """Noise-prediction training through `numerics.fit`; conditioning tokens
+    come from the frozen quantizer. Deterministic per seed."""
     if not motions:
         raise TrainingError("empty training set")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 31]))
     token_cache = encode_motions(mq, motions, batch_size)
     opt = nm.Adam(model.named_parameters(), lr=lr)
-    history = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(motions))
-        total = 0.0
-        for start in range(0, len(order), batch_size):
-            batch = order[start:start + batch_size]
-            try:
-                loss = dmd_loss(model, sched, np.stack([motions[i] for i in batch]),
-                                token_cache[batch], rng)
-            except nm.NumericsError as exc:
-                raise TrainingError(f"non-finite loss at epoch {epoch}: {exc}") from exc
-            total += loss.item() * len(batch)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        row = {"epoch": epoch, "loss": total / len(motions)}
-        history.append(row)
-        if log:
-            log(row)
-    return history
+
+    def step(batch):
+        loss = dmd_loss(model, sched, np.stack([motions[i] for i in batch]),
+                        token_cache[batch], rng)
+        return [(opt, loss)], {"loss": loss.item()}
+
+    return nm.fit(epochs, batch_size, lambda: rng.permutation(len(motions)), step)

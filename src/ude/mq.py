@@ -145,11 +145,11 @@ def vq_loss(model: MQModel, frames) -> tuple:
 
 
 def train_mq(model: MQModel, motions, epochs: int, seed: int, lr: float = 1e-3,
-             batch_size: int = 8, log=None) -> list:
-    """Train in place; returns one history row per epoch.
+             batch_size: int = 8) -> list:
+    """Train in place through `numerics.fit`; returns one history row per epoch.
 
     Dead codes (unused for a whole epoch) are re-seeded to random encoder
-    outputs so the codebook cannot collapse.
+    outputs so the codebook cannot collapse; each row counts them.
     """
     if not motions:
         raise TrainingError("empty training set")
@@ -159,39 +159,32 @@ def train_mq(model: MQModel, motions, epochs: int, seed: int, lr: float = 1e-3,
     named = model.named_parameters()
     opt = nm.Adam(named, lr=lr)
     code_param_index = next(i for i, (name, _) in enumerate(named) if "codebook" in name)
-    history = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(motions))
-        epoch_usage = np.zeros(model.cfg.code_count, dtype=np.int64)
-        sums = {"total": 0.0, "recon": 0.0, "codebook": 0.0, "commit": 0.0}
-        stash = []  # encoder rows of the epoch's first 256 motions
-        for start in range(0, len(order), batch_size):
-            batch = order[start:start + batch_size]
-            try:
-                loss, parts = vq_loss(model, np.stack([motions[i] for i in batch]))
-            except nm.NumericsError as exc:
-                raise TrainingError(f"non-finite loss at epoch {epoch}: {exc}") from exc
-            # a code counts once for each motion that uses it
-            used = parts["tokens"][:, :, None] == np.arange(model.cfg.code_count)
-            epoch_usage += used.any(axis=1).sum(axis=0)
-            for key in sums:
-                sums[key] += (loss if key == "total" else parts[key]).item() * len(batch)
-            stash.extend(parts["e"].data[:256 - len(stash)])
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        model.usage = epoch_usage
-        dead = np.where(epoch_usage == 0)[0]
+    stash = []  # encoder rows of the epoch's first 256 motions
+
+    def order():
+        # each epoch counts code use and stashes encoder rows afresh
+        model.usage = np.zeros(model.cfg.code_count, dtype=np.int64)
+        stash.clear()
+        return rng.permutation(len(motions))
+
+    def step(batch):
+        loss, parts = vq_loss(model, np.stack([motions[i] for i in batch]))
+        # a code counts once for each motion that uses it
+        used = parts["tokens"][:, :, None] == np.arange(model.cfg.code_count)
+        model.usage += used.any(axis=1).sum(axis=0)
+        stash.extend(parts["e"].data[:256 - len(stash)])
+        return [(opt, loss)], {"total": loss.item(), "recon": parts["recon"].item(),
+                               "codebook": parts["codebook"].item(),
+                               "commit": parts["commit"].item()}
+
+    def end_epoch():
+        dead = np.where(model.usage == 0)[0]
         if dead.size and stash:
             pool = np.vstack(stash)
             picks = rng.integers(0, pool.shape[0], size=dead.size)
             model.codebook.table.data[dead] = pool[picks] + 0.01 * rng.standard_normal(
                 (dead.size, model.cfg.code_dim))
             opt.reset_state(code_param_index, rows=dead)
-        row = {key: val / len(motions) for key, val in sums.items()}
-        row["epoch"] = epoch
-        row["dead_codes"] = int(dead.size)
-        history.append(row)
-        if log:
-            log(row)
-    return history
+        return {"dead_codes": int(dead.size)}
+
+    return nm.fit(epochs, batch_size, order, step, end_epoch)

@@ -1,4 +1,5 @@
-"""Dense float64 tensors with reverse-mode autodiff and an Adam optimizer.
+"""Dense float64 tensors with reverse-mode autodiff, an Adam optimizer and
+the minibatch loop (`fit`) that every trainer runs.
 
 Every model in this package is built from the ops here: broadcasting
 elementwise arithmetic, (batched) matmul plus bias, stable softmax of
@@ -641,3 +642,39 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+
+# -- training loop --------------------------------------------------------------------
+
+
+def fit(epochs: int, batch_size: int, order, step, end_epoch=None) -> list:
+    """The minibatch loop of every trainer; returns one history row per epoch.
+
+    Each epoch walks the indices `order()` returns in batches of
+    `batch_size`. `step(batch)` builds the batch's graphs and returns its
+    `(optimizer, loss)` pairs and a dict of scalar loss parts; each pair is
+    then zeroed, back-propagated and stepped, in the order given. A row holds
+    each part's per-item mean over the epoch's order, then "epoch", then
+    whatever `end_epoch()` returns. A NumericsError from `step` becomes a
+    TrainingError naming the epoch.
+    """
+    history = []
+    for epoch in range(epochs):
+        indices = order()
+        sums = {}
+        for start in range(0, len(indices), batch_size):
+            batch = indices[start:start + batch_size]
+            try:
+                pairs, parts = step(batch)
+            except NumericsError as exc:
+                raise TrainingError(f"non-finite loss at epoch {epoch}: {exc}") from exc
+            for opt, loss in pairs:
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+            for key, value in parts.items():
+                sums[key] = sums.get(key, 0.0) + value * len(batch)
+        row = {key: total / len(indices) for key, total in sums.items()}
+        row["epoch"] = epoch
+        history.append({**row, **(end_epoch() if end_epoch else {})})
+    return history

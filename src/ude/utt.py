@@ -356,10 +356,10 @@ def mean_cross_entropy(mate: MATEModel, model: UTTModel, mq: MQModel, samples) -
 
 def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator, mq: MQModel,
               samples, epochs: int, seed: int, lr: float = 1e-3,
-              batch_size: int = 4, z_prob: float = 0.5, log=None) -> list:
+              batch_size: int = 4, z_prob: float = 0.5) -> list:
     """Adversarial teacher-forced training of MATE+UTT against the patch
-    discriminator, alternating generator/discriminator steps 1:1, one
-    graph each per minibatch.
+    discriminator through `numerics.fit`: each minibatch builds one
+    generator and one discriminator graph and steps them in that order.
 
     `samples` are (ModalityInput, frames) pairs covering both modalities,
     all with the same frame count; batches interleave them 1:1 when both
@@ -377,37 +377,19 @@ def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator, mq: MQModel
     audio_idx = [i for i, (inp, _) in enumerate(samples) if inp.modality == "audio"]
     token_cache = encode_motions(mq, [frames for _, frames in samples], batch_size)
 
-    history = []
-    for epoch in range(epochs):
-        order = _interleave(rng, text_idx, audio_idx)
-        sums = {"ce": 0.0, "adv": 0.0, "disc": 0.0}
-        for start in range(0, len(order), batch_size):
-            batch = order[start:start + batch_size]
-            zs = [rng.standard_normal(model.cfg.z_dim) if rng.random() < z_prob else None
-                  for _ in batch]
-            cond = stack_conditions([encode(mate, samples[i][0]) for i in batch])
-            try:
-                gen_loss, parts = utt_loss(model, disc, cond, token_cache[batch], mq, z=zs)
-            except nm.NumericsError as exc:
-                raise TrainingError(f"non-finite loss at epoch {epoch}: {exc}") from exc
-            disc_loss = hinge_disc_loss(disc, cond.glob.detach(),
-                                        np.stack([samples[i][1] for i in batch]),
-                                        parts["fake"].detach())
-            sums["ce"] += parts["ce"].item() * len(batch)
-            sums["adv"] += parts["adv"].item() * len(batch)
-            sums["disc"] += disc_loss.item() * len(batch)
-            gen_opt.zero_grad()
-            gen_loss.backward()
-            gen_opt.step()
-            disc_opt.zero_grad()
-            disc_loss.backward()
-            disc_opt.step()
-        row = {key: val / len(order) for key, val in sums.items()}
-        row["epoch"] = epoch
-        history.append(row)
-        if log:
-            log(row)
-    return history
+    def step(batch):
+        zs = [rng.standard_normal(model.cfg.z_dim) if rng.random() < z_prob else None
+              for _ in batch]
+        cond = stack_conditions([encode(mate, samples[i][0]) for i in batch])
+        gen_loss, parts = utt_loss(model, disc, cond, token_cache[batch], mq, z=zs)
+        disc_loss = hinge_disc_loss(disc, cond.glob.detach(),
+                                    np.stack([samples[i][1] for i in batch]),
+                                    parts["fake"].detach())
+        return ([(gen_opt, gen_loss), (disc_opt, disc_loss)],
+                {"ce": parts["ce"].item(), "adv": parts["adv"].item(),
+                 "disc": disc_loss.item()})
+
+    return nm.fit(epochs, batch_size, lambda: _interleave(rng, text_idx, audio_idx), step)
 
 
 def _interleave(rng: np.random.Generator, text_idx, audio_idx) -> list:

@@ -264,6 +264,83 @@ class TestAdam:
             opt.step()
 
 
+class _Recorder:
+    """Stands in for an optimizer or a loss and records each call."""
+
+    def __init__(self, name, calls):
+        self.name, self.calls = name, calls
+
+    def zero_grad(self):
+        self.calls.append((self.name, "zero_grad"))
+
+    def backward(self):
+        self.calls.append((self.name, "backward"))
+
+    def step(self):
+        self.calls.append((self.name, "step"))
+
+
+class TestFit:
+    def test_visits_each_index_once_per_epoch_in_the_given_order(self):
+        orders = iter([[3, 0, 2, 1, 4], [4, 1, 0, 3, 2]])
+        seen = []
+
+        def step(batch):
+            seen.append(list(batch))
+            return [], {}
+
+        assert nm.fit(2, 2, lambda: next(orders), step) == [{"epoch": 0}, {"epoch": 1}]
+        assert seen == [[3, 0], [2, 1], [4], [4, 1], [0, 3], [2]]
+
+    def test_steps_each_pair_in_the_order_given(self):
+        calls = []
+        gen, disc = _Recorder("gen", calls), _Recorder("disc", calls)
+        nm.fit(1, 2, lambda: [0, 1, 2], lambda batch: ([(gen, gen), (disc, disc)], {}))
+        one_batch = [(name, call) for name in ("gen", "disc")
+                     for call in ("zero_grad", "backward", "step")]
+        assert calls == one_batch * 2
+
+    def test_short_final_batch_still_gives_the_per_item_mean(self):
+        values = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+
+        def step(batch):
+            return [], {"loss": values[batch].mean(), "twice": 2 * values[batch].mean()}
+
+        history = nm.fit(1, 2, lambda: np.arange(5), step, lambda: {"dead_codes": 3})
+        # the per-batch mean would be (1.5 + 6 + 16) / 3
+        assert history == [{"loss": 6.2, "twice": 12.4, "epoch": 0, "dead_codes": 3}]
+        assert list(history[0]) == ["loss", "twice", "epoch", "dead_codes"]
+
+    def test_empty_order_gives_a_row_without_parts(self):
+        step = lambda batch: pytest.fail("no batch to step")  # noqa: E731
+        assert nm.fit(2, 4, lambda: [], step) == [{"epoch": 0}, {"epoch": 1}]
+
+    def test_numerics_error_in_step_names_the_epoch(self):
+        def step(batch):
+            if batch[0] >= 10:  # the second epoch's order starts at 10
+                raise NumericsError("non-finite values produced by mul")
+            return [], {"loss": 1.0}
+
+        orders = iter([[0, 1, 2], [10, 11, 12]])
+        with pytest.raises(TrainingError, match="at epoch 1") as info:
+            nm.fit(2, 2, lambda: next(orders), step)
+        assert isinstance(info.value.__cause__, NumericsError)
+
+    def test_zero_epochs_return_nothing_and_leave_parameters_alone(self, rng):
+        p = Tensor(rng.standard_normal(3), requires_grad=True, name="p")
+        before = p.data.copy()
+        opt = Adam([("p", p)], lr=0.1)
+
+        def step(batch):
+            loss = (p * p).sum()
+            return [(opt, loss)], {"loss": loss.item()}
+
+        assert nm.fit(0, 2, lambda: np.arange(4), step) == []
+        assert np.array_equal(p.data, before)
+        assert len(nm.fit(1, 2, lambda: np.arange(4), step)) == 1
+        assert not np.array_equal(p.data, before)
+
+
 class TestShapeOps:
     def test_concat_and_slices(self, rng):
         a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
