@@ -212,31 +212,27 @@ def contrastive_loss(motion_embs: Tensor, text_embs: Tensor,
 def train_retrieval_encoder(pairs, frame_dim: int, vocab_size: int, epochs: int,
                             seed: int, batch_size: int = 16, lr: float = 1e-3,
                             temperature: float = 0.07, out_dim: int = 32):
-    """Train towers on (frames, token_ids) pairs; deterministic per seed.
+    """Train towers on (frames, token_ids) pairs through `numerics.fit`;
+    deterministic per seed.
 
-    Returns (encoder, history) with one mean-loss row per epoch.
+    Returns (encoder, history) with one per-item mean-loss row per epoch.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 77]))
     enc = RetrievalEncoder(frame_dim, vocab_size, rng, out_dim=out_dim)
     opt = nm.Adam(enc.named_parameters(), lr=lr)
-    history = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(pairs))
-        total, batches = 0.0, 0
-        for start in range(0, len(order) - 1, batch_size):
-            batch = order[start:start + batch_size]
-            if len(batch) < 2:
-                continue
-            loss = contrastive_loss(enc.encode_motion(np.stack([pairs[i][0] for i in batch])),
-                                    enc.encode_text([pairs[i][1] for i in batch]),
-                                    temperature)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += loss.item()
-            batches += 1
-        history.append({"epoch": epoch, "loss": total / max(batches, 1)})
-    return enc, history
+
+    def order():
+        indices = rng.permutation(len(pairs))
+        # InfoNCE over one pair has no negatives: a trailing single item sits out
+        return indices[:-1] if len(indices) % batch_size == 1 else indices
+
+    def step(batch):
+        loss = contrastive_loss(enc.encode_motion(np.stack([pairs[i][0] for i in batch])),
+                                enc.encode_text([pairs[i][1] for i in batch]), temperature)
+        return [(opt, loss)], {"loss": loss.item()}
+
+    # with fewer than two pairs every order is empty and nothing trains
+    return enc, [{"loss": 0.0, **row} for row in nm.fit(epochs, batch_size, order, step)]
 
 
 def retrieval_accuracy(encoder, pairs, distractors: int = 60, trials: int = 10,

@@ -6,11 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ude import numerics as nm
-from ude.errors import DimensionError, MetricError
+from ude.errors import DimensionError, MetricError, TrainingError
 from ude.metrics import (FeatureSet, RetrievalEncoder, beat_align, contrastive_loss,
                          detect_motion_beats, diversity, feature_set, fid, fid_gaussian,
                          geometric_features, kinetic_features, recon_accuracy,
-                         retrieval_accuracy)
+                         retrieval_accuracy, train_retrieval_encoder)
 from ude.motion import MotionSequence
 
 
@@ -288,6 +288,22 @@ class TestRetrieval:
         assert abs(batched.item() - slices.item()) < 1e-12
         for a, b in zip(gradients(batched), gradients(slices)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_one_pair_trains_nothing_and_reads_loss_zero(self, rng):
+        # InfoNCE over one pair has no negatives, so no batch runs
+        pairs = [(rng.standard_normal((16, 6)), np.array([1, 2]))]
+        enc, history = train_retrieval_encoder(pairs, 6, 12, epochs=2, seed=0, out_dim=8)
+        fresh, _ = train_retrieval_encoder(pairs, 6, 12, epochs=0, seed=0, out_dim=8)
+        assert history == [{"loss": 0.0, "epoch": 0}, {"loss": 0.0, "epoch": 1}]
+        for (_, p), (_, q) in zip(enc.named_parameters(), fresh.named_parameters()):
+            np.testing.assert_array_equal(p.data, q.data)
+
+    def test_diverging_training_names_the_epoch(self, rng):
+        pairs = [(rng.standard_normal((16, 6)), rng.integers(0, 12, size=3)) for _ in range(4)]
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingError, match="at epoch"):
+            train_retrieval_encoder(pairs, 6, 12, epochs=3, seed=0, batch_size=2, lr=1e300,
+                                    out_dim=8)
 
     def test_coinciding_embeddings_retrieve_every_text_first(self):
         class Matched:
