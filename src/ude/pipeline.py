@@ -2,8 +2,8 @@
 from text or audio conditions, stitch text-to-audio transitions through
 token primitives, and run the metric battery.
 
-Stage order is mq -> utt (mate+utt+disc) -> dmd -> retrieval, one `STAGES`
-entry each; the utt and dmd stages record the content hash of the mq
+Stage order is mq -> utt (mate+utt, trained against a discriminator that
+is not saved) -> dmd -> retrieval, one `STAGES` entry each; the utt and dmd stages record the content hash of the mq
 checkpoint they were trained against, and loading verifies those hashes so
 stale mixes fail loudly. `MODELS` maps every checkpoint section to its one
 constructor: the trainers build through it and `load_models` rebuilds any
@@ -50,9 +50,10 @@ def run_synth(cfg: RunConfig, seed: int, out_dir) -> dict:
 
 # -- models ------------------------------------------------------------------------
 #
-# Every checkpoint section's model, built from its recorded config dict. The
-# trainers build through this table and the loaders rebuild through it, so
-# each constructor is spelled once.
+# Every checkpoint section's model, built from its recorded config dict, plus
+# the utt stage's discriminator, which is trained but not saved. The trainers
+# build through this table and the loaders rebuild through it, so each
+# constructor is spelled once.
 
 MODELS = {
     "mq": lambda c, rng: mq_mod.MQModel(mq_mod.MQConfig(**c), rng),
@@ -107,10 +108,11 @@ def _train_utt(cfg, train, data_dir, out_dir, rng, seed, epochs) -> tuple:
         "utt": _build("utt", rng, code_count=cfg.code_count, dim=cfg.embed_dim,
                       layers=cfg.utt_layers, heads=cfg.utt_heads, z_dim=cfg.z_dim,
                       max_context=cfg.max_context, beta_adv=cfg.beta_adv),
-        "disc": _build("disc", rng, frame_dim=cfg.frame_dim, dim=cfg.embed_dim,
-                       heads=cfg.utt_heads),
     }
-    mate, utt, disc = (model for _, model in models.values())
+    # inference reads only mate and utt, so the discriminator is not saved
+    _, disc = _build("disc", rng, frame_dim=cfg.frame_dim, dim=cfg.embed_dim,
+                     heads=cfg.utt_heads)
+    mate, utt = (model for _, model in models.values())
     samples = [(_sample_input(s), s.motion.frames) for s in train]
     history = utt_mod.train_utt(mate, utt, disc, mq_model, samples, epochs=epochs,
                                 seed=seed, lr=cfg.lr, batch_size=cfg.batch_size,
@@ -240,9 +242,9 @@ def load_mq(ckpt_dir) -> mq_mod.MQModel:
 
 
 def load_utt_stack(ckpt_dir) -> tuple:
-    """(mate, utt, disc) rebuilt from the utt checkpoint, deps verified."""
+    """(mate, utt) rebuilt from the utt checkpoint, deps verified."""
     models = load_models(ckpt_dir, "utt")
-    return models["mate"], models["utt"], models["disc"]
+    return models["mate"], models["utt"]
 
 
 def load_dmd(ckpt_dir) -> tuple:
@@ -257,7 +259,7 @@ def load_retrieval(ckpt_dir) -> metrics_mod.RetrievalEncoder:
 def load_generation_stack(ckpt_dir, decoder: str = "dmd"):
     """Everything `generate` needs; decoder is "vq" or "dmd"."""
     mq_model = load_mq(ckpt_dir)
-    mate, utt, _ = load_utt_stack(ckpt_dir)
+    mate, utt = load_utt_stack(ckpt_dir)
     vocab_path = os.path.join(os.fspath(ckpt_dir), "vocab.txt")
     if not os.path.exists(vocab_path):
         raise StageError(f"requires stage utt: vocabulary {vocab_path} is missing")

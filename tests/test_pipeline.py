@@ -54,6 +54,12 @@ def trained(tmp_path_factory, tiny_cfg):
     return root / "data", root / "ckpt"
 
 
+def test_utt_checkpoint_holds_only_what_inference_reads(trained):
+    body = checkpoint.load_stage(trained[1], "utt")
+    assert set(body["sections"]) == {"mate", "utt"}
+    assert len(pipeline.load_utt_stack(trained[1])) == 2
+
+
 @pytest.mark.parametrize("decoder", ["vq", "dmd"])
 def test_a_batch_of_requests_gets_what_each_gets_alone(trained, tiny_cfg, decoder):
     stack = pipeline.load_generation_stack(trained[1], decoder=decoder)
