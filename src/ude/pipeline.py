@@ -78,7 +78,9 @@ def _write_loss_log(path, cfg: RunConfig, seed: int, history, columns) -> None:
     lines = [f"# config: {json.dumps(cfg.to_dict())} seed: {seed}",
              ",".join(["epoch", *columns])]
     for row in history:
-        lines.append(",".join([str(row["epoch"])] + [repr(float(row[c])) for c in columns]))
+        # counts (the epoch, dead codes) stay integers
+        lines.append(",".join(str(row[c]) if isinstance(row[c], int) else repr(float(row[c]))
+                              for c in ("epoch", *columns)))
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
@@ -159,7 +161,7 @@ class Stage:
 
 # in training order; a stage comes after every stage it depends on
 STAGES = {
-    "mq": Stage(_train_mq, (), ("total", "recon", "codebook", "commit"), 101),
+    "mq": Stage(_train_mq, (), ("total", "recon", "codebook", "commit", "dead_codes"), 101),
     "utt": Stage(_train_utt, ("mq",), ("ce", "adv", "disc"), 102),
     "dmd": Stage(_train_dmd, ("mq",), ("loss",), 103),
     "retrieval": Stage(_train_retrieval, (), ("loss",), 104),

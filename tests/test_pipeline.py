@@ -20,6 +20,16 @@ def test_load_mq_restores_every_saved_buffer(tmp_path, tiny_cfg):
     assert model.usage.dtype == np.int64
 
 
+def test_mq_loss_log_counts_dead_codes(tmp_path, tiny_cfg):
+    data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+    pipeline.run_synth(tiny_cfg, 0, data)
+    history = pipeline.train_stage("mq", tiny_cfg, data, ckpt, 0, epochs=2)["history"]
+    lines = (ckpt / "mq_loss.csv").read_text().splitlines()
+    assert lines[1] == "epoch,total,recon,codebook,commit,dead_codes"
+    assert [line.split(",")[-1] for line in lines[2:]] == [str(row["dead_codes"])
+                                                            for row in history]
+
+
 def test_every_test_sample_gets_its_own_seed(tmp_path, tiny_cfg):
     pipeline.run_synth(tiny_cfg, 0, tmp_path)
     ids = [s.id for s in load_samples(tmp_path, split="test")]
