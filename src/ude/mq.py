@@ -173,9 +173,8 @@ def train_mq(model: MQModel, motions, epochs: int, seed: int, lr: float = 1e-3,
         used = parts["tokens"][:, :, None] == np.arange(model.cfg.code_count)
         model.usage += used.any(axis=1).sum(axis=0)
         stash.extend(parts["e"].data[:256 - len(stash)])
-        return [(opt, loss)], {"total": loss.item(), "recon": parts["recon"].item(),
-                               "codebook": parts["codebook"].item(),
-                               "commit": parts["commit"].item()}
+        return [(opt, loss)], {"total": loss.item(), **{
+            key: parts[key].item() for key in ("recon", "codebook", "commit")}}
 
     def end_epoch():
         dead = np.where(model.usage == 0)[0]

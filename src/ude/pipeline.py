@@ -3,11 +3,12 @@ from text or audio conditions, stitch text-to-audio transitions through
 token primitives, and run the metric battery.
 
 Stage order is mq -> utt (mate+utt, trained against a discriminator that
-is not saved) -> dmd -> retrieval, one `STAGES` entry each; the utt and dmd stages record the content hash of the mq
-checkpoint they were trained against, and loading verifies those hashes so
-stale mixes fail loudly. `MODELS` maps every checkpoint section to its one
-constructor: the trainers build through it and `load_models` rebuilds any
-stage's sections through it.
+is not saved) -> dmd -> retrieval, one `STAGES` entry each; the utt and
+dmd stages record the content hash of the mq checkpoint they were trained
+against, and loading verifies those hashes so stale mixes fail loudly.
+`MODELS` maps every checkpoint section to its one constructor: the
+trainers build through it and `load_models` rebuilds any stage's sections
+through it.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ def _write_loss_log(path, cfg: RunConfig, seed: int, history, columns) -> None:
     lines = [f"# config: {json.dumps(cfg.to_dict())} seed: {seed}",
              ",".join(["epoch", *columns])]
     for row in history:
-        # counts (the epoch, dead codes) stay integers
         lines.append(",".join(str(row[c]) if isinstance(row[c], int) else repr(float(row[c]))
                               for c in ("epoch", *columns)))
     atomic_write(path, ("\n".join(lines) + "\n").encode())

@@ -219,12 +219,18 @@ def test_eval_with_fewer_than_one_sample_per_input_exits_2(first_run, config, tm
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_diverging_training_exits_5(first_run, tiny_cfg, tmp_path, capsys):
+@pytest.mark.parametrize("stage", ["mq", "utt", "dmd", "retrieval"])
+def test_diverging_training_exits_5(first_run, tiny_cfg, tmp_path, capsys, stage):
     config = tmp_path / "hot.json"
     config.write_text(json.dumps({**tiny_cfg.to_dict(), "lr": 1e300}))
-    assert _cli("train", "--config", config, "--stage", "mq", "--data",
-                first_run[0] / "data", "--out", tmp_path / "ckpt", "--epochs", 2) == 5
-    assert "numerical failure" in capsys.readouterr().err
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    if stage in ("utt", "dmd"):  # both train against the first run's quantizer
+        shutil.copy(first_run[0] / "ckpt" / "mq.ckpt", ckpt)
+    assert _cli("train", "--config", config, "--stage", stage, "--data",
+                first_run[0] / "data", "--out", ckpt, "--epochs", 2) == 5
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "at epoch" in err
 
 
 def test_diverging_training_prints_no_numpy_warning(first_run, tiny_cfg, tmp_path):

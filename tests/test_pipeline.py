@@ -1,3 +1,4 @@
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +69,22 @@ def test_utt_checkpoint_holds_only_what_inference_reads(trained):
     body = checkpoint.load_stage(trained[1], "utt")
     assert set(body["sections"]) == {"mate", "utt"}
     assert len(pipeline.load_utt_stack(trained[1])) == 2
+
+
+def test_an_older_utt_checkpoint_that_holds_the_discriminator_still_loads(trained, tiny_cfg,
+                                                                          tmp_path):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(trained[1], ckpt)
+    body = checkpoint.load_stage(ckpt, "utt")
+    config, disc = pipeline._build("disc", np.random.default_rng(0),
+                                   frame_dim=tiny_cfg.frame_dim, dim=tiny_cfg.embed_dim,
+                                   heads=tiny_cfg.utt_heads)
+    body["sections"]["disc"] = {"config": config, "params": checkpoint.params_blob(disc)}
+    checkpoint.save_checkpoint(checkpoint.stage_path(ckpt, "utt"), "utt", body["sections"],
+                               body["config"], deps=body["deps"], buffers=body["buffers"])
+    mate, utt = pipeline.load_utt_stack(ckpt)
+    for name, p in utt.named_parameters():
+        np.testing.assert_array_equal(p.data, body["sections"]["utt"]["params"][name])
 
 
 @pytest.mark.parametrize("decoder", ["vq", "dmd"])
