@@ -674,7 +674,6 @@ def fit(epochs: int, batch_size: int, order, step, end_epoch=None) -> list:
                 opt.step()
             for key, value in parts.items():
                 sums[key] = sums.get(key, 0.0) + value * len(batch)
-        row = {key: total / len(indices) for key, total in sums.items()}
-        row["epoch"] = epoch
-        history.append({**row, **(end_epoch() if end_epoch else {})})
+        means = {key: total / len(indices) for key, total in sums.items()}
+        history.append({**means, "epoch": epoch, **(end_epoch() if end_epoch else {})})
     return history
