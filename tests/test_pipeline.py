@@ -82,7 +82,7 @@ def test_an_older_utt_checkpoint_that_holds_the_discriminator_still_loads(traine
     body["sections"]["disc"] = {"config": config, "params": checkpoint.params_blob(disc)}
     checkpoint.save_checkpoint(checkpoint.stage_path(ckpt, "utt"), "utt", body["sections"],
                                body["config"], deps=body["deps"], buffers=body["buffers"])
-    mate, utt = pipeline.load_utt_stack(ckpt)
+    _, utt = pipeline.load_utt_stack(ckpt)
     for name, p in utt.named_parameters():
         np.testing.assert_array_equal(p.data, body["sections"]["utt"]["params"][name])
 
