@@ -36,8 +36,12 @@ class AudioFeatureSequence:
             raise DimensionError("features must be a [T, F] matrix with F >= 1")
         if self.frame_rate <= 0:
             raise DimensionError("frame rate must be positive")
+        if not np.all(np.isfinite(self.features)):
+            raise DimensionError("non-finite feature values")
         if self.beat_times is not None:
             self.beat_times = np.asarray(self.beat_times, dtype=np.float64)
+            if not np.all(np.isfinite(self.beat_times)):
+                raise DimensionError("non-finite beat times")
 
     @property
     def length(self) -> int:

@@ -1,15 +1,16 @@
 """Flat run configuration with desk-scale defaults.
 
 Every knob has a default; a JSON config file may override any subset.
-Unknown keys, values of the wrong type, out-of-range values and unknown
-action families or dance genres are rejected. The resolved config is
-echoed into every output artifact (checkpoints, loss logs, metric
-reports, generation sidecars).
+Unknown keys, values of the wrong type, non-finite floats, out-of-range
+values and unknown action families or dance genres are rejected. The
+resolved config is echoed into every output artifact (checkpoints, loss
+logs, metric reports, generation sidecars).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .dataset import synth_counts
@@ -128,9 +129,15 @@ def _check_ranges(cfg: RunConfig) -> None:
         if getattr(cfg, name) < least:
             raise ConfigError(f"config key {name!r} must be at least {least}, "
                               f"got {getattr(cfg, name)}")
+    for f in fields(cfg):
+        if f.type == "float" and not math.isfinite(getattr(cfg, f.name)):
+            raise ConfigError(f"config key {f.name!r} must be finite, got {getattr(cfg, f.name)}")
     for name in ("fps", "beat_sigma_frames"):
         if not getattr(cfg, name) > 0:
             raise ConfigError(f"config key {name!r} must be positive, got {getattr(cfg, name)}")
+    for name in ("z_prob", "compose_fraction"):
+        if not 0 <= getattr(cfg, name) <= 1:
+            raise ConfigError(f"config key {name!r} must lie in [0, 1], got {getattr(cfg, name)}")
     if cfg.frames % 4:
         raise ConfigError(f"frames {cfg.frames} must be divisible by 4")
     synth_counts(cfg)  # every family and genre name is one the generators know

@@ -10,8 +10,9 @@ whose last channel peaks at those beats.
 Everything is a pure function of the seed: the same seed reproduces the
 same files byte for byte.
 
-Manifest: one JSON object per line with keys id, modality, motion, cond,
-split. A vocabulary file (one word per line, line number = id) sits next
+Manifest: one JSON object per line with string fields id, modality
+("text" or "audio"), motion, cond and split; in memory, a list of
+ManifestEntry. A vocabulary file (one word per line, line number = id) sits next
 to it.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -78,29 +79,17 @@ class ManifestEntry:
     split: str     # "train" | "test"
 
 
-@dataclass
-class DatasetManifest:
-    entries: list = field(default_factory=list)
-
-    def select(self, split=None, modality=None):
-        out = self.entries
-        if split is not None:
-            out = [e for e in out if e.split == split]
-        if modality is not None:
-            out = [e for e in out if e.modality == modality]
-        return out
+_MANIFEST_KEYS = tuple(f.name for f in fields(ManifestEntry))
 
 
-def save_manifest(manifest: DatasetManifest, path) -> None:
-    lines = []
-    for e in manifest.entries:
-        lines.append(json.dumps(
-            {"id": e.id, "modality": e.modality, "motion": e.motion,
-             "cond": e.cond, "split": e.split}))
+def save_manifest(entries: list, path) -> None:
+    lines = [json.dumps({key: getattr(e, key) for key in _MANIFEST_KEYS}) for e in entries]
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
-def load_manifest(path) -> DatasetManifest:
+def load_manifest(path) -> list:
+    """The manifest's entries; a line that is not an object of the five
+    string fields, with modality "text" or "audio", raises FormatError."""
     entries = []
     base = os.path.dirname(os.fspath(path))
     for i, ln in enumerate(read_text(path).splitlines(), start=1):
@@ -108,10 +97,15 @@ def load_manifest(path) -> DatasetManifest:
             continue
         try:
             obj = json.loads(ln)
-            entries.append(ManifestEntry(obj["id"], obj["modality"], obj["motion"],
-                                         obj["cond"], obj["split"]))
-        except (json.JSONDecodeError, KeyError) as exc:
+        except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: line {i}: {exc}") from exc
+        if not isinstance(obj, dict) or not all(isinstance(obj.get(k), str)
+                                                for k in _MANIFEST_KEYS):
+            raise FormatError(f"{path}: line {i}: need an object with string fields "
+                              f"{', '.join(_MANIFEST_KEYS)}")
+        if obj["modality"] not in ("text", "audio"):
+            raise FormatError(f"{path}: line {i}: unknown modality {obj['modality']!r}")
+        entries.append(ManifestEntry(*(obj[k] for k in _MANIFEST_KEYS)))
     for e in entries:
         for rel in (e.motion, e.cond):
             if not os.path.exists(os.path.join(base, rel)):
@@ -119,7 +113,7 @@ def load_manifest(path) -> DatasetManifest:
     ids = [e.id for e in entries]
     if len(set(ids)) != len(ids):
         raise FormatError(f"{path}: duplicate sample ids")
-    return DatasetManifest(entries)
+    return entries
 
 
 # -- motion assembly ---------------------------------------------------------------
@@ -388,9 +382,9 @@ def synth_counts(cfg) -> tuple:
     return out
 
 
-def synth_dataset(cfg, seed: int, out_dir) -> DatasetManifest:
+def synth_dataset(cfg, seed: int, out_dir) -> list:
     """Generate the dataset a RunConfig describes under out_dir and return
-    its manifest."""
+    its manifest entries."""
     families_train, families_test, genres_train, genres_test = synth_counts(cfg)
     out_dir = os.fspath(out_dir)
     os.makedirs(os.path.join(out_dir, "motions"), exist_ok=True)
@@ -436,9 +430,8 @@ def synth_dataset(cfg, seed: int, out_dir) -> DatasetManifest:
     audio_batch(genres_test, "test")
 
     save_vocabulary(os.path.join(out_dir, "vocab.txt"))
-    manifest = DatasetManifest(entries)
-    save_manifest(manifest, os.path.join(out_dir, "manifest.jsonl"))
-    return manifest
+    save_manifest(entries, os.path.join(out_dir, "manifest.jsonl"))
+    return entries
 
 
 # -- loading ------------------------------------------------------------------------
@@ -455,13 +448,16 @@ class Sample:
     features: AudioFeatureSequence | None = None
 
 
-def load_samples(data_dir, split=None, modality=None) -> list:
-    """Load manifest entries into memory, heading-normalizing motions."""
+def load_samples(data_dir, split=None) -> list:
+    """Load the manifest entries of `split` (all when None) into memory,
+    heading-normalizing motions."""
     data_dir = os.fspath(data_dir)
-    manifest = load_manifest(os.path.join(data_dir, "manifest.jsonl"))
+    entries = load_manifest(os.path.join(data_dir, "manifest.jsonl"))
     vocab = load_vocabulary(os.path.join(data_dir, "vocab.txt"))
     out = []
-    for e in manifest.select(split, modality):
+    for e in entries:
+        if split is not None and e.split != split:
+            continue
         motion = normalize_heading(load_motion(os.path.join(data_dir, e.motion)))
         sample = Sample(e.id, e.modality, e.split, motion)
         if e.modality == "text":

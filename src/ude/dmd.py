@@ -141,14 +141,12 @@ def dmd_loss(model: DMDModel, sched: NoiseSchedule, x0: np.ndarray, tokens,
 
 
 def sample_reverse(model: DMDModel, sched: NoiseSchedule, cond: Tensor,
-                   n_frames: int, seeds, deterministic: bool = False,
-                   noise_fn=None) -> np.ndarray:
+                   n_frames: int, seeds) -> np.ndarray:
     """Ancestral reverse sampling from x_T ~ N(0, I), [B, n_frames, c] for
     conditions [B, dim]; row b draws all its noise from seeds[b].
 
     x_{t-1} = (x_t - beta_t/sqrt(1-abar_t) * eps_hat)/sqrt(alpha_t) + sqrt(beta_t)*z,
-    with z = 0 at t = 1 (and at every step when deterministic=True).
-    `noise_fn(t, x_t)` can replace the model prediction (testing hook).
+    with z = 0 at t = 1.
     """
     if n_frames < 1:
         raise ContractError("need at least one frame")
@@ -157,14 +155,11 @@ def sample_reverse(model: DMDModel, sched: NoiseSchedule, cond: Tensor,
     x = np.stack([rng.standard_normal(shape) for rng in rngs])
     with nm.no_grad():
         for t in range(sched.steps, 0, -1):
-            if noise_fn is not None:
-                eps_hat = np.asarray(noise_fn(t, x), dtype=np.float64)
-            else:
-                eps_hat = predict_noise(model, cond, np.full(len(rngs), t), x).data
+            eps_hat = predict_noise(model, cond, np.full(len(rngs), t), x).data
             beta = sched.betas[t]
             coef = beta / math.sqrt(1.0 - sched.alpha_bars[t])
             x = (x - coef * eps_hat) / math.sqrt(sched.alphas[t])
-            if t > 1 and not deterministic:
+            if t > 1:
                 x = x + math.sqrt(beta) * np.stack([rng.standard_normal(shape) for rng in rngs])
     return x
 

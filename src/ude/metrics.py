@@ -166,11 +166,17 @@ def _l2_normalize(t: Tensor) -> Tensor:
     return t * ((t * t).sum(axis=-1, keepdims=True) + 1e-12) ** -0.5
 
 
+RETRIEVAL_HIDDEN = 64      # width of both towers before their output maps
+RETRIEVAL_BATCH = 16       # pairs per contrastive minibatch
+RETRIEVAL_TEMPERATURE = 0.07
+
+
 class RetrievalEncoder(Module):
     """Motion and text towers trained contrastively; both emit unit vectors."""
 
     def __init__(self, frame_dim: int, vocab_size: int, rng: np.random.Generator,
-                 hidden: int = 64, out_dim: int = 32):
+                 out_dim: int = 32):
+        hidden = RETRIEVAL_HIDDEN
         self.motion_k1 = Tensor(rng.normal(0, 0.25, (4, frame_dim, hidden)), requires_grad=True)
         self.motion_b1 = Tensor(np.zeros(hidden), requires_grad=True)
         self.motion_k2 = Tensor(rng.normal(0, 0.1, (4, hidden, hidden)), requires_grad=True)
@@ -199,10 +205,10 @@ class RetrievalEncoder(Module):
         return _l2_normalize(self.text_out(h))
 
 
-def contrastive_loss(motion_embs: Tensor, text_embs: Tensor,
-                     temperature: float = 0.07) -> Tensor:
-    """Symmetric in-batch InfoNCE over paired embeddings [B, d]."""
-    logits = nm.matmul(motion_embs, text_embs.transpose((1, 0))) * (1.0 / temperature)
+def contrastive_loss(motion_embs: Tensor, text_embs: Tensor) -> Tensor:
+    """Symmetric in-batch InfoNCE over paired embeddings [B, d] at
+    temperature RETRIEVAL_TEMPERATURE."""
+    logits = nm.matmul(motion_embs, text_embs.transpose((1, 0))) * (1.0 / RETRIEVAL_TEMPERATURE)
     targets = np.arange(motion_embs.shape[0])
     loss_mt = -nm.take_per_row(nm.log_softmax(logits, axis=-1), targets).mean()
     loss_tm = -nm.take_per_row(nm.log_softmax(logits.transpose((1, 0)), axis=-1), targets).mean()
@@ -210,10 +216,9 @@ def contrastive_loss(motion_embs: Tensor, text_embs: Tensor,
 
 
 def train_retrieval_encoder(pairs, frame_dim: int, vocab_size: int, epochs: int,
-                            seed: int, batch_size: int = 16, lr: float = 1e-3,
-                            temperature: float = 0.07, out_dim: int = 32):
-    """Train towers on (frames, token_ids) pairs through `numerics.fit`;
-    deterministic per seed.
+                            seed: int, lr: float = 1e-3, out_dim: int = 32):
+    """Train towers on (frames, token_ids) pairs through `numerics.fit`, in
+    minibatches of RETRIEVAL_BATCH; deterministic per seed.
 
     Returns (encoder, history) with one per-item mean-loss row per epoch.
     """
@@ -224,15 +229,15 @@ def train_retrieval_encoder(pairs, frame_dim: int, vocab_size: int, epochs: int,
     def order():
         indices = rng.permutation(len(pairs))
         # InfoNCE over one pair has no negatives: a trailing single item sits out
-        return indices[:-1] if len(indices) % batch_size == 1 else indices
+        return indices[:-1] if len(indices) % RETRIEVAL_BATCH == 1 else indices
 
     def step(batch):
         loss = contrastive_loss(enc.encode_motion(np.stack([pairs[i][0] for i in batch])),
-                                enc.encode_text([pairs[i][1] for i in batch]), temperature)
+                                enc.encode_text([pairs[i][1] for i in batch]))
         return [(opt, loss)], {"loss": loss.item()}
 
     # with fewer than two pairs every order is empty and nothing trains
-    return enc, [{"loss": 0.0, **row} for row in nm.fit(epochs, batch_size, order, step)]
+    return enc, [{"loss": 0.0, **row} for row in nm.fit(epochs, RETRIEVAL_BATCH, order, step)]
 
 
 def retrieval_accuracy(encoder, pairs, distractors: int = 60, trials: int = 10,

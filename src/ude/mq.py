@@ -13,13 +13,13 @@ on axis -2, and leading axes carry through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
 from .errors import DimensionError, TokenError, TrainingError
-from .nn import Embedding, Module
+from .nn import Conv1d, Embedding, Module
 from .numerics import Tensor
 
 DOWNSAMPLE = 4  # two stride-2 convolutions
@@ -35,17 +35,6 @@ class MQConfig:
     beta_commit: float = 1.0
 
 
-class _Conv(Module):
-    def __init__(self, width, c_in, c_out, stride, rng):
-        scale = np.sqrt(2.0 / (width * c_in))
-        self.kernel = Tensor(rng.normal(0.0, scale, (width, c_in, c_out)), requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
-        self.stride = stride
-
-    def __call__(self, x):
-        return nm.conv1d_temporal(x, self.kernel, stride=self.stride, pad=1) + self.bias
-
-
 class MQModel(Module):
     """Encoder/decoder conv stacks plus the learned codebook."""
 
@@ -53,12 +42,12 @@ class MQModel(Module):
         c, h, d = cfg.frame_dim, cfg.hidden, cfg.code_dim
         self.cfg = cfg
         # width-4 stride-2 convs halve T exactly (floor semantics for odd T)
-        self.enc1 = _Conv(4, c, h, 2, rng)
-        self.enc2 = _Conv(4, h, h, 2, rng)
-        self.enc3 = _Conv(3, h, d, 1, rng)
-        self.dec1 = _Conv(3, d, h, 1, rng)
-        self.dec2 = _Conv(3, h, h, 1, rng)
-        self.dec3 = _Conv(3, h, c, 1, rng)
+        self.enc1 = Conv1d(4, c, h, 2, rng)
+        self.enc2 = Conv1d(4, h, h, 2, rng)
+        self.enc3 = Conv1d(3, h, d, 1, rng)
+        self.dec1 = Conv1d(3, d, h, 1, rng)
+        self.dec2 = Conv1d(3, h, h, 1, rng)
+        self.dec3 = Conv1d(3, h, c, 1, rng)
         self.codebook = Embedding(cfg.code_count, d, rng, scale=0.5)
         # per-coordinate input standardization, filled in by the trainer
         self.center = np.zeros(c)

@@ -2,7 +2,8 @@
 
 Layers follow the pre-norm transformer recipe: x + attn(ln(x)) then
 x + ff(ln(x)), with a final layer norm on top of the stack. A linear layer
-is one ``matmul`` with its bias. Attention masks are additive (0 visible,
+is one ``matmul`` with its bias, and a conv layer one ``conv1d_temporal``
+(padding 1) plus its bias. Attention masks are additive (0 visible,
 large negative hidden) so that masked scores underflow to exactly zero
 weight in the one ``softmax`` call that also applies the 1/sqrt(dh) scale.
 
@@ -67,14 +68,27 @@ class Embedding(Module):
         return nm.embedding(self.table, ids)
 
 
-class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
-        self.gain = Tensor(np.ones(dim), requires_grad=True)
-        self.bias = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
+class Conv1d(Module):
+    """Temporal conv over [..., T, c_in] with a He-scaled kernel [width, c_in, c_out]."""
+
+    def __init__(self, width: int, c_in: int, c_out: int, stride: int,
+                 rng: np.random.Generator):
+        scale = np.sqrt(2.0 / (width * c_in))
+        self.kernel = Tensor(rng.normal(0.0, scale, (width, c_in, c_out)), requires_grad=True)
+        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
+        self.stride = stride
 
     def __call__(self, x) -> Tensor:
-        return nm.layer_norm(x, self.gain, self.bias, eps=self.eps)
+        return nm.conv1d_temporal(x, self.kernel, stride=self.stride, pad=1) + self.bias
+
+
+class LayerNorm(Module):
+    def __init__(self, dim: int):
+        self.gain = Tensor(np.ones(dim), requires_grad=True)
+        self.bias = Tensor(np.zeros(dim), requires_grad=True)
+
+    def __call__(self, x) -> Tensor:
+        return nm.layer_norm(x, self.gain, self.bias)
 
 
 class MultiHeadAttention(Module):

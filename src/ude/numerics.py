@@ -84,15 +84,14 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
 class Tensor:
     """A dense float64 array plus the bookkeeping needed for backprop."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         _check_finite(arr, "tensor construction")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if requires_grad else None
-        self.name = name
         self._parents: tuple = ()
         self._vjp = None
 
@@ -114,8 +113,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}{tag}, grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, grad={self.requires_grad})"
 
     def detach(self) -> "Tensor":
         """A graph-free view of this tensor's value."""
@@ -227,7 +225,6 @@ def _from_op(data: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.name = None
     out.grad = None
     if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
         out.requires_grad = True
@@ -432,15 +429,16 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     return _from_op(y, (x,), vjp, "log_softmax")
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x, gain, bias) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (variance eps
+    1e-5), then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if x.shape[-1] < 1:
         raise DimensionError("layer_norm needs a non-empty last axis")
     mu = np.mean(x.data, axis=-1, keepdims=True)
     xc = x.data - mu
     var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xh = xc * inv
     out_data = xh * gain.data + bias.data
 
@@ -598,17 +596,16 @@ def transpose(a, axes) -> Tensor:
 class Adam:
     """Adam with bias correction over a list of (name, parameter) pairs.
 
-    lr defaults to 1e-4. A non-finite gradient raises TrainingError naming
-    the offending parameter. lr=0 leaves parameters untouched.
+    lr defaults to 1e-4; beta1, beta2 and eps are the usual 0.9, 0.999 and
+    1e-8. A non-finite gradient raises TrainingError naming the offending
+    parameter. lr=0 leaves parameters untouched.
     """
 
-    def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr: float = 1e-4):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = [np.zeros_like(p.data) for _, p in self.params]
         self.v = [np.zeros_like(p.data) for _, p in self.params]
@@ -620,28 +617,24 @@ class Adam:
             else:
                 p.grad.fill(0.0)
 
-    def reset_state(self, index, rows=None) -> None:
-        """Clear first/second moments (optionally just some rows) of one param."""
-        if rows is None:
-            self.m[index].fill(0.0)
-            self.v[index].fill(0.0)
-        else:
-            self.m[index][rows] = 0.0
-            self.v[index][rows] = 0.0
+    def reset_state(self, index, rows) -> None:
+        """Clear the first/second moments of some rows of one param."""
+        self.m[index][rows] = 0.0
+        self.v[index][rows] = 0.0
 
     def step(self) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - self.BETA1 ** self.t
+        b2t = 1.0 - self.BETA2 ** self.t
         for (name, p), m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.all(np.isfinite(g)):
                 raise TrainingError(f"non-finite gradient for parameter {name!r}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * (g * g)
+            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.EPS)
 
 
 # -- training loop --------------------------------------------------------------------

@@ -39,11 +39,11 @@ from .utt import SamplingConfig
 
 
 def run_synth(cfg: RunConfig, seed: int, out_dir) -> dict:
-    manifest = synth_dataset(cfg, seed, out_dir)
+    entries = synth_dataset(cfg, seed, out_dir)
     atomic_write(os.path.join(os.fspath(out_dir), "config.json"),
                  (json.dumps({"config": cfg.to_dict(), "seed": seed}, indent=2) + "\n").encode())
     counts = {}
-    for entry in manifest.entries:
+    for entry in entries:
         key = f"{entry.split}/{entry.modality}"
         counts[key] = counts.get(key, 0) + 1
     return counts

@@ -28,7 +28,7 @@ from . import numerics as nm
 from .errors import ContractError, DimensionError, LengthError, TokenError, TrainingError
 from .mate import CondEmbedding, MATEModel, encode, stack_conditions
 from .mq import MQModel, encode_motions
-from .nn import (Embedding, Linear, Module, TransformerEncoder, additive_mask,
+from .nn import (Conv1d, Embedding, Linear, Module, TransformerEncoder, additive_mask,
                  causal_prefix_mask, sinusoidal_table)
 from .numerics import Tensor
 
@@ -58,7 +58,8 @@ class UTTConfig:
 
 @dataclass
 class SamplingConfig:
-    mode: str = "topk"        # "greedy" | "topk"
+    """Top-k sampling at a temperature; top_k=1 is greedy decoding."""
+
     temperature: float = 1.0
     top_k: int = 16
 
@@ -75,14 +76,6 @@ class UTTModel(Module):
         self.encoder = TransformerEncoder(cfg.layers, d, cfg.heads, rng)
         self.out_proj = Linear(d, cfg.vocab, rng)
         self.pos = sinusoidal_table(cfg.max_context, d)
-
-
-def build_mask(cond_len: int, seq_len: int) -> np.ndarray:
-    """Visibility matrix over [condition rows, motion rows]: column c is
-    visible to row r iff c < cond_len or c <= r."""
-    if cond_len < 1 or seq_len < 0:
-        raise ContractError("need cond_len >= 1 and seq_len >= 0")
-    return causal_prefix_mask(cond_len, seq_len)
 
 
 def _visible_keys(cond: CondEmbedding, seq_lens: np.ndarray, room: int = 0) -> np.ndarray:
@@ -122,7 +115,8 @@ def forward_logits(model: UTTModel, cond: CondEmbedding, prefixes, z=None,
         glob = glob + model.z2(nm.relu(model.z1(rows))) * live
     motion = model.token_table(ids) + Tensor(model.pos[:ids.shape[1]])
     stacked = nm.concat([glob.reshape(len(ids), 1, -1), cond.seq, motion], axis=1)
-    visible = build_mask(cond.length, ids.shape[1]) & _visible_keys(cond, seq_lens)[:, None]
+    visible = (causal_prefix_mask(cond.length, ids.shape[1])
+               & _visible_keys(cond, seq_lens)[:, None])
     hidden = model.encoder(stacked, additive_mask(visible)[:, None], caches)
     return model.out_proj(hidden[:, cond.length:])
 
@@ -235,10 +229,6 @@ def generate_tokens(model: UTTModel, cond: CondEmbedding, max_len: int,
 
 def _sample_one(logits: np.ndarray, sampling: SamplingConfig,
                 rng: np.random.Generator) -> int:
-    if sampling.mode == "greedy":
-        return int(np.argmax(logits))
-    if sampling.mode != "topk":
-        raise ContractError(f"unknown sampling mode {sampling.mode!r}")
     k = max(1, min(sampling.top_k, np.isfinite(logits).sum()))
     keep = np.argsort(-logits, kind="stable")[:k]
     tau = max(sampling.temperature, 1e-12)
@@ -261,12 +251,8 @@ class Discriminator(Module):
     """
 
     def __init__(self, frame_dim: int, dim: int, heads: int, rng: np.random.Generator):
-        scale1 = np.sqrt(2.0 / (4 * frame_dim))
-        scale2 = np.sqrt(2.0 / (4 * dim))
-        self.k1 = Tensor(rng.normal(0, scale1, (4, frame_dim, dim)), requires_grad=True)
-        self.b1 = Tensor(np.zeros(dim), requires_grad=True)
-        self.k2 = Tensor(rng.normal(0, scale2, (4, dim, dim)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(dim), requires_grad=True)
+        self.conv1 = Conv1d(4, frame_dim, dim, 2, rng)
+        self.conv2 = Conv1d(4, dim, dim, 2, rng)
         self.glob_proj = Linear(dim, dim, rng)
         self.encoder = TransformerEncoder(2, dim, heads, rng)
         self.score = Linear(dim, 1, rng)
@@ -276,8 +262,7 @@ def discriminate(disc: Discriminator, glob, motion) -> Tensor:
     """Validity scores [B, T/4] of motions [B, T, c] under global conditions [B, D]."""
     if motion.shape[-2] % 4 != 0:
         raise DimensionError(f"frame count {motion.shape[-2]} not divisible by 4")
-    h = nm.relu(nm.conv1d_temporal(motion, disc.k1, stride=2, pad=1) + disc.b1)
-    h = nm.relu(nm.conv1d_temporal(h, disc.k2, stride=2, pad=1) + disc.b2)
+    h = nm.relu(disc.conv2(nm.relu(disc.conv1(motion))))
     h = h + disc.glob_proj(glob).reshape(glob.shape[0], 1, -1)
     hidden = disc.encoder(h)
     return disc.score(hidden).reshape(glob.shape[0], -1)
@@ -315,22 +300,21 @@ def _teacher_forcing(model: UTTModel, gt_tokens) -> tuple:
 
 
 def utt_loss(model: UTTModel, disc: Discriminator, cond: CondEmbedding,
-             gt_tokens, mq: MQModel, z=None, beta_adv: float | None = None) -> tuple:
+             gt_tokens, mq: MQModel, z=None) -> tuple:
     """Teacher-forced training loss of B conditions and token rows [B, S],
     averaged over the batch: (total, parts).
 
     parts carries "ce" (cross-entropy over [t_0.., EOS]), "adv" (the
     non-saturating generator term on the decoded predicted tokens) and
     "fake" (the decoded motions [B, 4S, c], for the discriminator step).
-    z is as for `forward_logits`.
+    z is as for `forward_logits`; model.cfg.beta_adv weighs "adv".
     """
-    beta = model.cfg.beta_adv if beta_adv is None else beta_adv
     prefixes, targets = _teacher_forcing(model, gt_tokens)
     logits = forward_logits(model, cond, prefixes, z=z)
     l_ce = cross_entropy(logits, targets)
     fake = straight_through_decode(model, mq, logits[:, :-1])
     l_adv = -discriminate(disc, cond.glob, fake).mean()
-    total = l_ce + beta * l_adv
+    total = l_ce + model.cfg.beta_adv * l_adv
     return total, {"ce": l_ce, "adv": l_adv, "fake": fake}
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ude.audio import AudioFeatureSequence, load_features, save_features
-from ude.errors import FormatError
+from ude.errors import DimensionError, FormatError
 
 
 class TestFeatureFiles:
@@ -28,4 +28,14 @@ class TestFeatureFiles:
     def test_bad_beat_time_names_line(self, tmp_path):
         (tmp_path / "bad.udef").write_text("UDEFEAT v1 rate=16.0 dims=1\n1\nbeats: 0.5 x\n")
         with pytest.raises(FormatError, match="line 3"):
+            load_features(tmp_path / "bad.udef")
+
+    @pytest.mark.parametrize("text", [
+        "UDEFEAT v1 rate=16.0 dims=2\n1 nan\n",
+        "UDEFEAT v1 rate=16.0 dims=2\n1 2\n-inf 2\n",
+        "UDEFEAT v1 rate=16.0 dims=1\n1\nbeats: 0.5 inf\n",
+    ], ids=["nan-value", "infinite-value", "infinite-beat"])
+    def test_non_finite_values_are_rejected(self, tmp_path, text):
+        (tmp_path / "bad.udef").write_text(text)
+        with pytest.raises(DimensionError, match="non-finite"):
             load_features(tmp_path / "bad.udef")

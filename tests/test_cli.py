@@ -149,6 +149,8 @@ CORRUPT_INPUTS = {
     "feature-header": ("features", "NOT A FEATURE FILE\n1.0 2.0\n"),
     "feature-value": ("features", "UDEFEAT v1 rate=16.0 dims=2\n1.0 abc\n"),
     "feature-binary": ("features", NOT_UTF8),
+    # a full row of feature_dim (16) values, so that the width check passes
+    "feature-nan": ("features", "UDEFEAT v1 rate=16.0 dims=16\n" + "0.5 " * 15 + "nan\n"),
     "ckpt-binary": ("utt.ckpt", NOT_UTF8),
     "ckpt-v1": ("utt.ckpt", 'UDECKPT v1 module=utt\n{"stage": "utt", "sections": {}}\n'),
     "ckpt-body-a-list": ("utt.ckpt", "UDECKPT v2 module=utt\n[1,2]\n"),
@@ -193,6 +195,31 @@ def test_corrupt_input_file_exits_4(first_run, config, tmp_path, capsys, case):
     assert _cli("generate", "--config", config, "--ckpt", ckpt, *condition,
                 "--decoder", "vq", "--out", tmp_path / "m.udem") == 4
     assert CORRUPT_MESSAGES.get(case, "") in capsys.readouterr().err
+
+
+def _first_line_as(replace):
+    return lambda line: json.dumps(replace(json.loads(line)))
+
+
+CORRUPT_MANIFEST_LINES = {
+    "not-json": lambda line: line[:-1],
+    "a-list": lambda line: "[1, 2]",
+    "motion-a-number": _first_line_as(lambda obj: {**obj, "motion": 5}),
+    "no-split": _first_line_as(lambda obj: {k: v for k, v in obj.items() if k != "split"}),
+    "unknown-modality": _first_line_as(lambda obj: {**obj, "modality": "video"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_MANIFEST_LINES))
+def test_corrupt_manifest_line_exits_4(first_run, config, tmp_path, capsys, case):
+    data = tmp_path / "data"
+    shutil.copytree(first_run[0] / "data", data)
+    lines = (data / "manifest.jsonl").read_text().splitlines()
+    lines[0] = CORRUPT_MANIFEST_LINES[case](lines[0])
+    (data / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+    assert _cli("train", "--config", config, "--stage", "mq", "--data", data,
+                "--out", tmp_path / "ckpt", "--epochs", 1) == 4
+    assert "line 1" in capsys.readouterr().err
 
 
 def test_zero_epochs_trains_no_stage(first_run, config, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -70,6 +71,14 @@ def test_values_that_do_not_fit_the_field_type_raise(tmp_path, values):
     {"fps": -16.0},
     {"families": "walk:4,moonwalk:4"},
     {"genres_test": "polka:1"},
+    {"lr": math.nan},
+    {"lr": "nan"},
+    {"beta_adv": "inf"},
+    {"fps": math.inf},
+    {"z_prob": 7.5},
+    {"z_prob": -0.1},
+    {"compose_fraction": -3},
+    {"compose_fraction": 1.5},
 ])
 def test_values_out_of_range_raise(tmp_path, values):
     with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 import hashlib
 import os
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -114,16 +115,15 @@ class TestSynthDataset:
         assert _dir_digest(a) != _dir_digest(b)
 
     def test_counts_and_splits(self, tmp_path):
-        manifest = synth_dataset(_tiny_config(), seed=1, out_dir=tmp_path)
-        assert len(manifest.select("train", "text")) == 8
-        assert len(manifest.select("test", "text")) == 2
-        assert len(manifest.select("train", "audio")) == 6
-        assert len(manifest.select("test", "audio")) == 1
+        entries = synth_dataset(_tiny_config(), seed=1, out_dir=tmp_path)
+        counts = Counter((e.split, e.modality) for e in entries)
+        assert counts == {("train", "text"): 8, ("test", "text"): 2,
+                          ("train", "audio"): 6, ("test", "audio"): 1}
 
     def test_zero_count_family_absent(self, tmp_path):
         cfg = replace(_tiny_config(), families="walk:3", families_test="")
-        manifest = synth_dataset(cfg, seed=2, out_dir=tmp_path)
-        samples = load_samples(tmp_path, modality="text")
+        synth_dataset(cfg, seed=2, out_dir=tmp_path)
+        samples = [s for s in load_samples(tmp_path) if s.modality == "text"]
         assert len(samples) == 3
         assert all("walk" in s.sentence or "stroll" in s.sentence
                    or "march" in s.sentence for s in samples)
@@ -134,9 +134,9 @@ class TestSynthDataset:
             synth_dataset(cfg, seed=0, out_dir=tmp_path)
 
     def test_manifest_round_trip(self, tmp_path):
-        synth_dataset(_tiny_config(), seed=3, out_dir=tmp_path)
-        manifest = load_manifest(tmp_path / "manifest.jsonl")
-        ids = [e.id for e in manifest.entries]
+        entries = synth_dataset(_tiny_config(), seed=3, out_dir=tmp_path)
+        assert load_manifest(tmp_path / "manifest.jsonl") == entries
+        ids = [e.id for e in entries]
         assert len(set(ids)) == len(ids)
 
     def test_loaded_samples_have_conditions(self, tmp_path):

@@ -263,21 +263,24 @@ class TestSampleReverse:
         b = sample_reverse(model, sched, cond, 8, [4])
         assert np.linalg.norm(a - b) > 0
 
-    def test_perfect_oracle_recovers_x0_with_zero_tail_noise(self):
-        # oracle returns the noise that the closed form attributes to x_t;
-        # with all injected noise zeroed the chain ends exactly at x0
+    def test_perfect_oracle_recovers_x0_with_zero_tail_noise(self, monkeypatch):
+        # the oracle returns the noise that the closed form attributes to x_t;
+        # the last step adds no noise, so from any x_1 it lands exactly on x0
+        import ude.dmd as dmd_mod
+        from ude.numerics import Tensor
+
         model = _model(steps=8)
         sched = _table(*np.linspace(0.02, 0.3, 8))
         rng = np.random.default_rng(7)
         x0 = rng.standard_normal((5, C))
 
-        def oracle(t, x_t):
-            abar = sched.alpha_bars[t]
-            return (x_t - math.sqrt(abar) * x0) / math.sqrt(1.0 - abar)
+        def oracle(m, c, t, x_t):
+            abar = sched.alpha_bars[t[0]]
+            return Tensor((x_t - math.sqrt(abar) * x0) / math.sqrt(1.0 - abar))
 
+        monkeypatch.setattr(dmd_mod, "predict_noise", oracle)
         cond = encode_condition(model, np.array([[0]]))
-        out = sample_reverse(model, sched, cond, 5, [11],
-                             deterministic=True, noise_fn=oracle)
+        out = sample_reverse(model, sched, cond, 5, [11])
         assert np.abs(out[0] - x0).max() < 1e-9
 
 

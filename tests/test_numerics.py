@@ -234,7 +234,7 @@ class TestFiniteChecks:
 
 class TestAdam:
     def test_zero_grads_fresh_state_no_move(self):
-        p = Tensor([1.0, 2.0], requires_grad=True, name="p")
+        p = Tensor([1.0, 2.0], requires_grad=True)
         opt = Adam([("p", p)], lr=0.1)
         opt.zero_grad()
         opt.step()
@@ -242,14 +242,14 @@ class TestAdam:
 
     def test_single_step_matches_hand_update(self):
         # bias-corrected first step with g=1 gives a step of exactly -lr/(1+eps)
-        p = Tensor([0.0], requires_grad=True, name="p")
+        p = Tensor([0.0], requires_grad=True)
         opt = Adam([("p", p)], lr=1e-4)
         p.grad[:] = 1.0
         opt.step()
         assert abs(p.data[0] + 1e-4) < 1e-10
 
     def test_lr_zero_is_identity(self, rng):
-        p = Tensor(rng.standard_normal(5), requires_grad=True, name="p")
+        p = Tensor(rng.standard_normal(5), requires_grad=True)
         before = p.data.copy()
         opt = Adam([("p", p)], lr=0.0)
         p.grad[:] = rng.standard_normal(5)
@@ -257,7 +257,7 @@ class TestAdam:
         assert np.array_equal(p.data, before)
 
     def test_nan_grad_names_parameter(self):
-        p = Tensor([0.0], requires_grad=True, name="weights")
+        p = Tensor([0.0], requires_grad=True)
         opt = Adam([("weights", p)], lr=0.1)
         p.grad[:] = np.nan
         with pytest.raises(TrainingError, match="weights"):
@@ -327,7 +327,7 @@ class TestFit:
         assert isinstance(info.value.__cause__, NumericsError)
 
     def test_zero_epochs_return_nothing_and_leave_parameters_alone(self, rng):
-        p = Tensor(rng.standard_normal(3), requires_grad=True, name="p")
+        p = Tensor(rng.standard_normal(3), requires_grad=True)
         before = p.data.copy()
         opt = Adam([("p", p)], lr=0.1)
 

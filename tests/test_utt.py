@@ -9,10 +9,10 @@ from ude.errors import ContractError, DimensionError, LengthError
 from ude.mate import (MATEConfig, MATEModel, audio_input, encode, stack_conditions,
                       text_input)
 from ude.mq import MQConfig, MQModel
-from ude.nn import additive_mask
+from ude.nn import additive_mask, causal_prefix_mask
 from ude.numerics import Tensor
 from ude.utt import (Discriminator, SamplingConfig, UTTConfig, UTTModel,
-                     build_mask, cross_entropy, discriminate, forward_logits,
+                     cross_entropy, discriminate, forward_logits,
                      generate_tokens, hinge_disc_loss, mean_cross_entropy,
                      train_utt, utt_loss)
 
@@ -50,24 +50,26 @@ def _generate(utt, cond, max_len, sampling=None, primitive=None, z=None, seed=0,
 
 
 class TestBuildMask:
+    """The condition-prefix causal mask that `forward_logits` builds."""
+
     def test_enumerated_rule(self):
-        mask = build_mask(2, 3)
+        mask = causal_prefix_mask(2, 3)
         for r in range(5):
             for c in range(5):
                 assert mask[r, c] == (c < 2 or c <= r)
 
     def test_motion_rows_see_condition_plus_own_prefix(self):
-        mask = build_mask(2, 3)
+        mask = causal_prefix_mask(2, 3)
         for i in range(3):
             row = 2 + i
             visible = set(np.where(mask[row])[0])
             assert visible == set(range(2)) | set(range(2, 2 + i + 1))
 
     def test_no_motion_rows_all_visible(self):
-        assert build_mask(4, 0).all()
+        assert causal_prefix_mask(4, 0).all()
 
     def test_last_motion_row_sees_everything(self):
-        assert build_mask(3, 5)[-1].all()
+        assert causal_prefix_mask(3, 5)[-1].all()
 
 
 class TestForwardLogits:
@@ -137,7 +139,7 @@ class TestGenerate:
     def test_greedy_deterministic(self):
         mate, utt, _, _ = _models()
         cond = _cond(mate)
-        cfg = SamplingConfig(mode="greedy")
+        cfg = SamplingConfig(top_k=1)
         a = _generate(utt, cond, 8, cfg, seed=1)
         b = _generate(utt, cond, 8, cfg, seed=2)
         assert np.array_equal(a, b)
@@ -146,29 +148,36 @@ class TestGenerate:
         mate, utt, _, _ = _models()
         cond = _cond(mate)
         primitive = np.array([3, 1, 4, 1, 5, 2, 6, 5])
-        out = _generate(utt, cond, 12, SamplingConfig(mode="greedy"), primitive=primitive)
+        out = _generate(utt, cond, 12, SamplingConfig(top_k=1), primitive=primitive)
         assert np.array_equal(out[:8], primitive)
 
     def test_tiny_temperature_equals_greedy(self):
         mate, utt, _, _ = _models()
         cond = _cond(mate)
-        greedy = _generate(utt, cond, 8, SamplingConfig(mode="greedy"), seed=0)
+        greedy = _generate(utt, cond, 8, SamplingConfig(top_k=1), seed=0)
         cold = _generate(utt, cond, 8,
-                         SamplingConfig(mode="topk", temperature=1e-6, top_k=K), seed=0)
+                         SamplingConfig(temperature=1e-6, top_k=K), seed=0)
         assert np.array_equal(greedy, cold)
 
     def test_top_k_one_is_greedy(self):
         mate, utt, _, _ = _models()
         cond = _cond(mate)
-        greedy = _generate(utt, cond, 8, SamplingConfig(mode="greedy"), seed=3)
-        k1 = _generate(utt, cond, 8, SamplingConfig(mode="topk", temperature=1.0, top_k=1),
-                       seed=3)
-        assert np.array_equal(greedy, k1)
+        k1 = _generate(utt, cond, 8, SamplingConfig(temperature=1.0, top_k=1), seed=3)
+        greedy = []
+        with nm.no_grad():
+            while len(greedy) < 8:
+                logits = _logits(utt, cond, [utt.cfg.bos] + greedy)[-1]
+                logits[utt.cfg.bos] = -np.inf
+                choice = int(np.argmax(logits))
+                if choice == utt.cfg.eos:
+                    break
+                greedy.append(choice)
+        assert k1.tolist() == greedy
 
     def test_min_len_forces_exact_length(self):
         mate, utt, _, _ = _models()
         cond = _cond(mate)
-        out = _generate(utt, cond, 16, SamplingConfig(mode="greedy"), min_len=16)
+        out = _generate(utt, cond, 16, SamplingConfig(top_k=1), min_len=16)
         assert out.size == 16
         assert out.max() < K
 
@@ -245,9 +254,9 @@ class TestKVCache:
     @pytest.mark.parametrize("use_z", [False, True])
     @pytest.mark.parametrize("primitive", [[], [2, 7]])
     @pytest.mark.parametrize("sampling, min_len", [
-        (SamplingConfig(mode="greedy"), 0),
-        (SamplingConfig(mode="topk", top_k=4, temperature=1.0), 0),
-        (SamplingConfig(mode="topk", top_k=K + 2, temperature=2.0), 12),
+        (SamplingConfig(top_k=1), 0),
+        (SamplingConfig(top_k=4, temperature=1.0), 0),
+        (SamplingConfig(top_k=K + 2, temperature=2.0), 12),
     ])
     def test_tokens_equal_the_uncached_loop(self, modality, use_z, primitive, sampling,
                                             min_len):
@@ -267,7 +276,7 @@ class TestKVCache:
         # step after the fourth token needs 11
         mate, utt = _z_model(max_context=10)
         cond = CONDITIONS["text"](mate)
-        sampling = SamplingConfig(mode="greedy")
+        sampling = SamplingConfig(top_k=1)
         with pytest.raises(LengthError) as want:
             _reference_tokens(utt, cond, 8, sampling, min_len=8)
         with pytest.raises(LengthError) as got:
@@ -296,9 +305,9 @@ def _mixed_requests(mate):
 
 class TestBatchedSampling:
     @pytest.mark.parametrize("sampling, min_len", [
-        (SamplingConfig(mode="greedy"), 12),
-        (SamplingConfig(mode="topk", top_k=4, temperature=1.0), 12),
-        (SamplingConfig(mode="topk", top_k=K + 2, temperature=2.0), 5),
+        (SamplingConfig(top_k=1), 12),
+        (SamplingConfig(top_k=4, temperature=1.0), 12),
+        (SamplingConfig(top_k=K + 2, temperature=2.0), 5),
     ])
     def test_tokens_equal_each_request_alone_and_the_uncached_loop(self, sampling, min_len):
         mate, utt = _z_model()
@@ -415,14 +424,16 @@ class TestLosses:
         mate, utt, disc, mq = _models()
         cond = _cond(mate)
         tokens = np.array([[1, 2, 3, 4]])
-        total, parts = utt_loss(utt, disc, cond, tokens, mq, beta_adv=0.0)
+        utt.cfg.beta_adv = 0.0
+        total, parts = utt_loss(utt, disc, cond, tokens, mq)
         assert abs(total.item() - parts["ce"].item()) < 1e-12
 
     def test_total_is_weighted_sum(self):
         mate, utt, disc, mq = _models()
         cond = _cond(mate)
         tokens = np.array([[1, 2, 3, 4]])
-        total, parts = utt_loss(utt, disc, cond, tokens, mq, beta_adv=0.7)
+        utt.cfg.beta_adv = 0.7
+        total, parts = utt_loss(utt, disc, cond, tokens, mq)
         assert abs(total.item() - parts["ce"].item() - 0.7 * parts["adv"].item()) < 1e-12
 
     def test_adversarial_gradient_reaches_mate_and_utt(self):
