@@ -12,8 +12,8 @@ same files byte for byte.
 
 Manifest: one JSON object per line with string fields id, modality
 ("text" or "audio"), motion, cond and split; in memory, a list of
-ManifestEntry. A vocabulary file (one word per line, line number = id) sits next
-to it.
+ManifestEntry. A vocabulary file (one word per line, line number = id)
+sits next to it.
 """
 
 from __future__ import annotations
