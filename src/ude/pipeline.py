@@ -216,6 +216,8 @@ def load_models(ckpt_dir, stage: str) -> dict:
     body = ckpt.load_stage(ckpt_dir, stage)
     models = {}
     for name, section in body["sections"].items():
+        if name == "disc":  # older utt checkpoints hold it; nothing reads it
+            continue
         if name not in MODELS:
             raise FormatError(f"{stage} checkpoint has an unknown section {name!r}")
         try:

@@ -79,7 +79,13 @@ def test_an_older_utt_checkpoint_that_holds_the_discriminator_still_loads(traine
     config, disc = pipeline._build("disc", np.random.default_rng(0),
                                    frame_dim=tiny_cfg.frame_dim, dim=tiny_cfg.embed_dim,
                                    heads=tiny_cfg.utt_heads)
-    body["sections"]["disc"] = {"config": config, "params": checkpoint.params_blob(disc)}
+    # such checkpoints name the discriminator's conv parameters k1, b1, k2, b2
+    older_names = {"conv1.kernel": "k1", "conv1.bias": "b1",
+                   "conv2.kernel": "k2", "conv2.bias": "b2"}
+    params = {older_names.get(name, name): value
+              for name, value in checkpoint.params_blob(disc).items()}
+    assert {"k1", "b1", "k2", "b2"} <= set(params)
+    body["sections"]["disc"] = {"config": config, "params": params}
     checkpoint.save_checkpoint(checkpoint.stage_path(ckpt, "utt"), "utt", body["sections"],
                                body["config"], deps=body["deps"], buffers=body["buffers"])
     _, utt = pipeline.load_utt_stack(ckpt)
