@@ -302,18 +302,21 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
                     decoder: str = "vq", primitive=None):
     """Condition -> tokens -> frames. Returns tokens, frames, and flags.
 
-    A batch of requests of one modality and one frame count passes a list
-    of seeds plus a list of prompts (text) or feature matrices (audio), and
-    a list of primitives if any; it returns one result per request, each
-    the one it would get alone, and samples and decodes them together.
+    Every request gets exactly frames / 4 tokens. A batch of requests of
+    one modality and one frame count passes a list of seeds plus a list of
+    prompts (text) or feature matrices (audio), and a list of equal-length
+    primitives if any; it returns one result per request, each the one it
+    would get alone, and samples and decodes them together.
     """
     if frames < 4 or frames % 4 != 0:
         raise ConfigError(f"target frames {frames} must be a positive multiple of 4")
     _check_decodable(stack, decoder, frames)
     batch = isinstance(seed, (list, tuple))
     seeds = list(seed) if batch else [seed]
-    prompts, feats, primitives = (utt_mod._per_row(value, len(seeds)) if batch else [value]
-                                  for value in (prompt, features, primitive))
+    prompts, feats = (utt_mod._per_row(value, len(seeds)) if batch else [value]
+                      for value in (prompt, features))
+    if primitive is not None and not batch:
+        primitive = [primitive]
     utt = stack["utt"]
     n_tokens = frames // 4
     conds, zs, unk_only = [], [], []
@@ -330,9 +333,8 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
         unk_only.append(unk)
     sampling = SamplingConfig(temperature=cfg.temperature, top_k=cfg.top_k)
     tokens = utt_mod.generate_tokens(utt, stack_conditions(conds), n_tokens, sampling,
-                                     primitive=primitives, z=zs, seed=seeds,
-                                     min_len=n_tokens)
-    frames_out = _decode(stack, decoder, np.stack(tokens), seeds)
+                                     primitive=primitive, z=zs, seed=seeds)
+    frames_out = _decode(stack, decoder, tokens, seeds)
     results = [{"tokens": t, "frames": f, "unk_only": u}
                for t, f, u in zip(tokens, frames_out, unk_only)]
     return results if batch else results[0]

@@ -7,15 +7,16 @@ Token vocabulary: the K codebook ids plus BOS (=K) and EOS (=K+1). A
 teacher-forced step consumes [BOS, t_0..t_{S-1}] and targets
 [t_0..t_{S-1}, EOS].
 
-Every forward takes a batch of B conditions and B token prefixes, row b
-laid out as [glob, seq, padding, BOS, tokens, padding] under one mask that
-hides the padding, so each row sees what it would see alone. Training runs
-one forward per minibatch. Sampling runs one as its first pass, which fills
-a per-layer key/value cache; each later step feeds one row per unfinished
-request, its last sampled token. This is exact: condition rows see only
-condition rows and motion rows only earlier rows, so appending a token
-changes no earlier row, and the cached K/V are what a full forward over
-the longer prefix would compute.
+Every forward takes B conditions and B token prefixes of one length, row
+b laid out as [glob, seq, padding, BOS, tokens] under one mask that hides
+the condition padding, so each row sees what it would see alone. Training
+runs one forward per minibatch. Sampling draws an exact token count, never
+BOS or EOS, so every row ends on the same step. Its first pass is one
+forward, which fills a per-layer key/value cache; each later step feeds
+every row's last sampled token at one shared position. This is exact:
+condition rows see only condition rows and motion rows only earlier rows,
+so appending a token changes no earlier row, and the cached K/V are what a
+full forward over the longer prefix would compute.
 """
 
 from __future__ import annotations
@@ -78,18 +79,15 @@ class UTTModel(Module):
         self.pos = sinusoidal_table(cfg.max_context, d)
 
 
-def _visible_keys(cond: CondEmbedding, seq_lens: np.ndarray, room: int = 0) -> np.ndarray:
-    """[B, cond.length + longest prefix + room]: False at the padding
-    columns of a pass over B prefixes of seq_lens tokens."""
-    cols = np.arange(seq_lens.max() + room)
-    return np.concatenate([np.arange(cond.length) <= cond.lengths[:, None],
-                           (cols < seq_lens[:, None]) | (cols >= seq_lens.max())], axis=1)
+def _visible_keys(cond: CondEmbedding, width: int) -> np.ndarray:
+    """[B, cond.length + width]: False only at each row's condition padding."""
+    cols = np.arange(cond.length + width)
+    return (cols <= cond.lengths[:, None]) | (cols >= cond.length)
 
 
 def forward_logits(model: UTTModel, cond: CondEmbedding, prefixes, z=None,
                    caches=None) -> Tensor:
-    """Next-token logits [B, S, K+2] of B teacher-forced prefixes, S the
-    longest; row b's logits past its own prefix are padding.
+    """Next-token logits [B, S, K+2] of B teacher-forced prefixes [B, S].
 
     Every prefix must start with BOS; logits at position i predict element
     i+1. z is None or B entries, each a z vector or None for none; a z
@@ -97,17 +95,14 @@ def forward_logits(model: UTTModel, cond: CondEmbedding, prefixes, z=None,
     empty list per encoder layer) is given, every column's K/V is stored in
     it for later one-row steps.
     """
-    if len(prefixes) != len(cond.lengths):
-        raise ContractError(f"{len(cond.lengths)} conditions got {len(prefixes)} prefixes")
-    seq_lens = np.array([len(p) for p in prefixes])
-    if not seq_lens.all() or any(p[0] != model.cfg.bos for p in prefixes):
+    ids = np.asarray(prefixes, dtype=np.int64)
+    if ids.ndim != 2 or len(ids) != len(cond.lengths):
+        raise ContractError(f"{len(cond.lengths)} conditions got prefixes of shape {ids.shape}")
+    if not ids.shape[1] or (ids[:, 0] != model.cfg.bos).any():
         raise ContractError("token prefix must start with BOS")
-    ids = np.full((len(prefixes), seq_lens.max()), model.cfg.bos)
-    for row, prefix in zip(ids, prefixes):
-        row[:len(prefix)] = prefix
     if ids.min() < 0 or ids.max() >= model.cfg.vocab:
         raise TokenError("prefix contains out-of-vocabulary ids")
-    _check_context(model, int((1 + cond.lengths + seq_lens).max()))
+    _check_context(model, 1 + int(cond.lengths.max()) + ids.shape[1])
     glob = cond.glob
     if z is not None and any(v is not None for v in z):  # rows without z shift by 0
         rows = Tensor([np.zeros(model.cfg.z_dim) if v is None else v for v in z])
@@ -116,7 +111,7 @@ def forward_logits(model: UTTModel, cond: CondEmbedding, prefixes, z=None,
     motion = model.token_table(ids) + Tensor(model.pos[:ids.shape[1]])
     stacked = nm.concat([glob.reshape(len(ids), 1, -1), cond.seq, motion], axis=1)
     visible = (causal_prefix_mask(cond.length, ids.shape[1])
-               & _visible_keys(cond, seq_lens)[:, None])
+               & _visible_keys(cond, ids.shape[1])[:, None])
     hidden = model.encoder(stacked, additive_mask(visible)[:, None], caches)
     return model.out_proj(hidden[:, cond.length:])
 
@@ -126,31 +121,19 @@ def _check_context(model: UTTModel, length: int) -> None:
         raise LengthError(f"context of {length} exceeds {model.cfg.max_context}")
 
 
-def _step_logits(model: UTTModel, cond_lens, tokens: list, caches: list,
+def _step_logits(model: UTTModel, position: int, last, caches: list,
                  key_mask: np.ndarray | None = None) -> Tensor:
-    """Next-token logits [B, 1, K+2] of B requests after [BOS] + tokens[b],
-    feeding only each request's last token: one row per request, at its own
-    position, that attends to its cached rows and to itself.
+    """Next-token logits [B, 1, K+2] after feeding each of B requests its
+    last token (last is [B, 1]) at one shared position: one row per request
+    that attends to its cached rows and to itself.
 
-    cond_lens are the requests' real condition rows (1 + elements); caches
-    hold one [K, V] pair of [B, heads, rows, dh] per layer; key_mask
-    [B, 1, 1, >= rows + 1] hides padding columns, None when there are none.
+    caches hold one [K, V] pair of [B, heads, rows, dh] per layer; key_mask
+    [B, 1, 1, >= rows + 1] hides condition padding, None when there is none.
     """
-    positions = [len(t) for t in tokens]  # BOS sits at position 0
-    _check_context(model, max(map(sum, zip(cond_lens, positions))) + 1)
-    last = [t[-1:] for t in tokens]  # [B, 1]
-    rows = model.token_table(last) + Tensor(model.pos[positions][:, None])
+    rows = model.token_table(last) + Tensor(model.pos[position])
     if key_mask is not None:
         key_mask = key_mask[..., :caches[0][0].shape[-2] + 1]
     return model.out_proj(model.encoder(rows, key_mask, caches))
-
-
-class TokenBatch(list):
-    """Token arrays of a `generate_tokens` call in request order; `size` counts all tokens."""
-
-    @property
-    def size(self) -> int:
-        return sum(tokens.size for tokens in self)
 
 
 def _per_row(value, count: int) -> list:
@@ -162,74 +145,57 @@ def _per_row(value, count: int) -> list:
 
 def generate_tokens(model: UTTModel, cond: CondEmbedding, max_len: int,
                     sampling: SamplingConfig | None = None, primitive=None,
-                    z=None, *, seed, min_len: int = 0) -> TokenBatch:
-    """Sample a codebook-token sequence for each of the B conditions of
-    `cond`, with `seed` a list of B seeds; `primitive` and `z` are None or
-    B entries, each None for none.
+                    z=None, *, seed) -> np.ndarray:
+    """Token rows [B, max_len] of codebook ids for the B conditions of
+    `cond`, with `seed` a list of B seeds; `primitive` is None or [B, P],
+    and `z` None or B entries, each a z vector or None for none.
 
-    Each output starts with its primitive verbatim and continues until EOS
-    or max_len tokens. EOS is suppressed before min_len so exact lengths can
-    be requested. Each request keeps its own RNG, position and EOS, so it
-    gets the same tokens alone or in any batch.
+    Each row starts with its primitive verbatim; every later token is drawn
+    from the codebook ids only (BOS and EOS are masked), so all rows end on
+    the same step. Each request keeps its own RNG, so it gets the same
+    tokens alone or in any batch.
 
-    The first pass is one `forward_logits` call over the unfinished
-    requests; it fills the K/V cache of the batch, padding columns
-    included. Every later step feeds one row per unfinished request through
-    `_step_logits`, under a key mask that hides those padding columns.
+    The first pass is one `forward_logits` call over [BOS, primitive], which
+    fills the K/V cache; every later step feeds each row's last token
+    through `_step_logits`.
     """
     count = len(cond.lengths)
-    seeds = _per_row(seed, count)
+    rngs = [np.random.default_rng(np.random.SeedSequence([s, 5]))
+            for s in _per_row(seed, count)]
     zs = _per_row(z, count)
+    try:
+        prim = np.array([[]] * count if primitive is None else primitive, dtype=np.int64)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"primitives must be {count} rows of one length") from exc
+    if prim.ndim != 2 or len(prim) != count:
+        raise ContractError(f"a batch of {count} requests got primitives of shape {prim.shape}")
+    start = prim.shape[1]
+    if max_len < start:
+        raise ContractError("max_len is smaller than the primitive")
+    if prim.size and (prim.min() < 0 or prim.max() >= model.cfg.code_count):
+        raise TokenError("primitive contains non-codebook ids")
+    _check_context(model, 1 + int(cond.lengths.max()) + max_len)
+    tokens = np.zeros((count, max_len), dtype=np.int64)
+    tokens[:, :start] = prim
     sampling = sampling or SamplingConfig()
-    tokens = []
-    for prim in _per_row(primitive, count):
-        prim = np.asarray(prim if prim is not None else [], dtype=np.int64)
-        if max_len < prim.size:
-            raise ContractError("max_len is smaller than the primitive")
-        if prim.size and (prim.min() < 0 or prim.max() >= model.cfg.code_count):
-            raise TokenError("primitive contains non-codebook ids")
-        tokens.append([int(t) for t in prim])
-    rngs = [np.random.default_rng(np.random.SeedSequence([s, 5])) for s in seeds]
-    live = [b for b in range(count) if len(tokens[b]) < max_len]
+    visible = _visible_keys(cond, max_len)
+    key_mask = None if visible.all() else additive_mask(visible)[:, None, None]
+    caches = [[] for _ in model.encoder.layers]
     with nm.no_grad():
-        if 0 < len(live) < count:  # the first pass takes the unfinished rows
-            cond = CondEmbedding(Tensor(cond.glob.data[live]), Tensor(cond.seq.data[live]),
-                                 cond.lengths[live])
-        if live:
-            caches = [[] for _ in model.encoder.layers]
-            prefixes = [[model.cfg.bos] + tokens[b] for b in live]
-            ends = np.array([len(p) for p in prefixes])
-            logits = forward_logits(model, cond, prefixes, [zs[b] for b in live],
-                                    caches).data[np.arange(len(live)), ends - 1]
-            visible = _visible_keys(cond, ends, max_len)
-            key_mask = None if visible.all() else additive_mask(visible)[:, None, None]
-            cond_lens = 1 + cond.lengths
-        while live:
-            logits[:, model.cfg.bos] = -np.inf
-            keep = []
-            for row, b in enumerate(live):
-                if len(tokens[b]) < min_len:
-                    logits[row, model.cfg.eos] = -np.inf
-                choice = _sample_one(logits[row], sampling, rngs[b])
-                if choice != model.cfg.eos:
-                    tokens[b].append(choice)
-                    if len(tokens[b]) < max_len:
-                        keep.append(row)
-            if len(keep) < len(live):  # drop the finished requests
-                live = [live[row] for row in keep]
-                for layer in caches:
-                    layer[:] = [Tensor(t.data[keep]) for t in layer]
-                key_mask = None if key_mask is None else key_mask[keep]
-                cond_lens = cond_lens[keep]
-            if live:
-                logits = _step_logits(model, cond_lens, [tokens[b] for b in live], caches,
-                                      key_mask).data[:, -1]
-    return TokenBatch(np.array(t, dtype=np.int64) for t in tokens)
+        for step in range(start, max_len):
+            if step == start:
+                prefixes = np.pad(prim, ((0, 0), (1, 0)), constant_values=model.cfg.bos)
+                logits = forward_logits(model, cond, prefixes, zs, caches)
+            else:  # BOS sits at position 0, so token step - 1 at position step
+                logits = _step_logits(model, step, tokens[:, step - 1:step], caches, key_mask)
+            codes = logits.data[:, -1, :model.cfg.code_count]  # BOS and EOS are the last two
+            tokens[:, step] = [_sample_one(row, sampling, rng) for row, rng in zip(codes, rngs)]
+    return tokens
 
 
 def _sample_one(logits: np.ndarray, sampling: SamplingConfig,
                 rng: np.random.Generator) -> int:
-    k = max(1, min(sampling.top_k, np.isfinite(logits).sum()))
+    k = min(sampling.top_k, logits.size)
     keep = np.argsort(-logits, kind="stable")[:k]
     tau = max(sampling.temperature, 1e-12)
     scaled = (logits[keep] - logits[keep].max()) / tau

@@ -97,7 +97,7 @@ def test_an_older_utt_checkpoint_that_holds_the_discriminator_still_loads(traine
 def test_a_batch_of_requests_gets_what_each_gets_alone(trained, tiny_cfg, decoder):
     stack = pipeline.load_generation_stack(trained[1], decoder=decoder)
     prompts = ["a person walks", "a person waves both arms high", "jump"]
-    primitives = [[1, 2], None, [3]]
+    primitives = [[1, 2], [5, 5], [3, 0]]
     seeds = [7, 8, 9]
     batch = pipeline.generate_motion(stack, tiny_cfg, "text", 32, seeds, prompt=prompts,
                                      use_z=True, decoder=decoder, primitive=primitives)

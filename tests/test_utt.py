@@ -40,12 +40,12 @@ def _logits(utt, cond, prefix, z=None):
     return forward_logits(utt, cond, [prefix], None if z is None else [z]).data[0]
 
 
-def _generate(utt, cond, max_len, sampling=None, primitive=None, z=None, seed=0,
-              min_len=0):
+def _generate(utt, cond, max_len, sampling=None, primitive=None, z=None, seed=0):
     """generate_tokens of one request, as a batch of one."""
-    out = generate_tokens(utt, cond, max_len, sampling, primitive=[primitive], z=[z],
-                          seed=[seed], min_len=min_len)
-    assert isinstance(out, utt_mod.TokenBatch) and len(out) == 1
+    out = generate_tokens(utt, cond, max_len, sampling,
+                          primitive=None if primitive is None else [primitive], z=[z],
+                          seed=[seed])
+    assert out.shape == (1, max_len) and out.dtype == np.int64
     return out[0]
 
 
@@ -167,43 +167,43 @@ class TestGenerate:
         with nm.no_grad():
             while len(greedy) < 8:
                 logits = _logits(utt, cond, [utt.cfg.bos] + greedy)[-1]
-                logits[utt.cfg.bos] = -np.inf
-                choice = int(np.argmax(logits))
-                if choice == utt.cfg.eos:
-                    break
-                greedy.append(choice)
+                logits[[utt.cfg.bos, utt.cfg.eos]] = -np.inf
+                greedy.append(int(np.argmax(logits)))
         assert k1.tolist() == greedy
 
-    def test_min_len_forces_exact_length(self):
-        mate, utt, _, _ = _models()
-        cond = _cond(mate)
-        out = _generate(utt, cond, 16, SamplingConfig(top_k=1), min_len=16)
-        assert out.size == 16
-        assert out.max() < K
+    def test_every_row_gets_exactly_max_len_codebook_ids(self):
+        # top_k beyond the codebook at a high temperature: BOS and EOS would
+        # be drawn now and then if they were not masked
+        mate, utt = _z_model()
+        conds, zs, _, seeds = _mixed_requests(mate)
+        out = generate_tokens(utt, stack_conditions(conds), 16,
+                              SamplingConfig(top_k=K + 2, temperature=2.0), z=zs, seed=seeds)
+        assert out.shape == (4, 16) and out.dtype == np.int64
+        assert out.min() >= 0 and out.max() < K
 
     def test_max_len_smaller_than_primitive_rejected(self):
         mate, utt, _, _ = _models()
         with pytest.raises(ContractError):
             _generate(utt, _cond(mate), 2, primitive=np.array([1, 2, 3]))
 
+    @pytest.mark.parametrize("primitive", [[[1, 2], [3]], [[1, 2], None], [1, 2]])
+    def test_primitives_must_be_one_row_per_request_of_one_length(self, primitive):
+        mate, utt, _, _ = _models()
+        cond = stack_conditions([_cond(mate), _cond(mate, ids=(4, 5))])
+        with pytest.raises(ContractError):
+            generate_tokens(utt, cond, 4, primitive=primitive, seed=[1, 2])
 
-def _reference_tokens(model, cond, max_len, sampling, primitive=(), z=None, seed=0,
-                      min_len=0):
+
+def _reference_tokens(model, cond, max_len, sampling, primitive=(), z=None, seed=0):
     """Sampling without a cache: the full forward over the whole prefix for
-    every token."""
+    every token, drawing among the codebook ids only (BOS and EOS masked)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     tokens = [int(t) for t in primitive]
     with nm.no_grad():
         while len(tokens) < max_len:
             prefix = np.array([model.cfg.bos] + tokens, dtype=np.int64)
-            logits = _logits(model, cond, prefix, z=z)[-1].copy()
-            logits[model.cfg.bos] = -np.inf
-            if len(tokens) < min_len:
-                logits[model.cfg.eos] = -np.inf
-            choice = utt_mod._sample_one(logits, sampling, rng)
-            if choice == model.cfg.eos:
-                break
-            tokens.append(int(choice))
+            logits = _logits(model, cond, prefix, z=z)[-1, :model.cfg.code_count]
+            tokens.append(utt_mod._sample_one(logits, sampling, rng))
     return np.array(tokens, dtype=np.int64)
 
 
@@ -241,7 +241,8 @@ class TestKVCache:
                 full = _logits(utt, cond, [utt.cfg.bos] + tokens, z=z)[-1]
                 assert np.abs(cached - full).max() < 1e-12
                 tokens.append(int(token))
-                cached = utt_mod._step_logits(utt, [cond.length], [tokens], caches).data[0, -1]
+                cached = utt_mod._step_logits(utt, len(tokens), [[int(token)]],
+                                              caches).data[0, -1]
 
     def test_z_changes_the_logits(self):
         mate, utt = _z_model()
@@ -253,42 +254,32 @@ class TestKVCache:
     @pytest.mark.parametrize("modality", sorted(CONDITIONS))
     @pytest.mark.parametrize("use_z", [False, True])
     @pytest.mark.parametrize("primitive", [[], [2, 7]])
-    @pytest.mark.parametrize("sampling, min_len", [
+    @pytest.mark.parametrize("sampling, first_seed", [
         (SamplingConfig(top_k=1), 0),
         (SamplingConfig(top_k=4, temperature=1.0), 0),
         (SamplingConfig(top_k=K + 2, temperature=2.0), 12),
     ])
     def test_tokens_equal_the_uncached_loop(self, modality, use_z, primitive, sampling,
-                                            min_len):
+                                            first_seed):
         mate, utt = _z_model()
         cond = CONDITIONS[modality](mate)
         z = np.random.default_rng(4).standard_normal(4) if use_z else None
-        for seed in range(3):
-            got = _generate(utt, cond, 12, sampling, primitive=primitive, z=z, seed=seed,
-                            min_len=min_len)
-            want = _reference_tokens(utt, cond, 12, sampling, primitive, z, seed, min_len)
+        for seed in range(first_seed, first_seed + 3):
+            got = _generate(utt, cond, 12, sampling, primitive=primitive, z=z, seed=seed)
+            want = _reference_tokens(utt, cond, 12, sampling, primitive, z, seed)
             assert np.array_equal(got, want)
-            if min_len:
-                assert got.size == 12
 
-    def test_outgrowing_max_context_raises_at_the_same_step(self):
-        # 1 + 5 condition rows, BOS and three tokens fill the 10 rows; the
-        # step after the fourth token needs 11
+    @pytest.mark.parametrize("primitive", [None, [1, 2, 3, 4]])
+    def test_a_context_too_short_for_max_len_raises_before_sampling(self, primitive,
+                                                                    monkeypatch):
+        # 1 + 5 condition rows, BOS and four tokens fill the 11 rows that
+        # sampling a fifth token needs; the first pass alone would fit
         mate, utt = _z_model(max_context=10)
         cond = CONDITIONS["text"](mate)
-        sampling = SamplingConfig(top_k=1)
-        with pytest.raises(LengthError) as want:
-            _reference_tokens(utt, cond, 8, sampling, min_len=8)
-        with pytest.raises(LengthError) as got:
-            _generate(utt, cond, 8, sampling, min_len=8)
-        assert str(got.value) == str(want.value) == "context of 11 exceeds 10"
-        assert _generate(utt, cond, 4, sampling, min_len=4).size == 4
-
-    def test_primitive_longer_than_the_context_raises_on_the_first_pass(self):
-        mate, utt = _z_model(max_context=10)
-        cond = CONDITIONS["text"](mate)
-        with pytest.raises(LengthError, match="context of 11 exceeds 10"):
-            _generate(utt, cond, 8, primitive=[1, 2, 3, 4])
+        assert _generate(utt, cond, 4, primitive=primitive).size == 4
+        monkeypatch.setattr(utt_mod, "forward_logits", None)  # never reached
+        with pytest.raises(LengthError, match="^context of 11 exceeds 10$"):
+            _generate(utt, cond, 5, primitive=primitive)
 
 
 def _mixed_requests(mate):
@@ -299,63 +290,57 @@ def _mixed_requests(mate):
              encode(mate, text_input([4, 5, 6, 7, 8, 9])), encode(mate, audio_input(feats[:4]))]
     zs = [None, np.random.default_rng(4).standard_normal(4), None,
           np.random.default_rng(5).standard_normal(4)]
-    primitives = [[], [2, 7], None, [5]]
+    primitives = [[2, 7], [1, 0], [6, 6], [5, 3]]
     return conds, zs, primitives, [3, 14, 15, 92]
 
 
 class TestBatchedSampling:
-    @pytest.mark.parametrize("sampling, min_len", [
+    @pytest.mark.parametrize("sampling, max_len", [
         (SamplingConfig(top_k=1), 12),
         (SamplingConfig(top_k=4, temperature=1.0), 12),
         (SamplingConfig(top_k=K + 2, temperature=2.0), 5),
     ])
-    def test_tokens_equal_each_request_alone_and_the_uncached_loop(self, sampling, min_len):
+    def test_tokens_equal_each_request_alone_and_the_uncached_loop(self, sampling, max_len):
         mate, utt = _z_model()
         conds, zs, primitives, seeds = _mixed_requests(mate)
-        got = generate_tokens(utt, stack_conditions(conds), 12, sampling,
-                              primitive=primitives, z=zs, seed=seeds, min_len=min_len)
-        assert isinstance(got, utt_mod.TokenBatch) and len(got) == 4
-        assert got.size == sum(t.size for t in got)
+        got = generate_tokens(utt, stack_conditions(conds), max_len, sampling,
+                              primitive=primitives, z=zs, seed=seeds)
+        assert got.shape == (4, max_len)
         for b in range(4):
-            alone = _generate(utt, conds[b], 12, sampling, primitive=primitives[b],
-                              z=zs[b], seed=seeds[b], min_len=min_len)
-            want = _reference_tokens(utt, conds[b], 12, sampling, primitives[b] or (),
-                                     zs[b], seeds[b], min_len)
+            alone = _generate(utt, conds[b], max_len, sampling, primitive=primitives[b],
+                              z=zs[b], seed=seeds[b])
+            want = _reference_tokens(utt, conds[b], max_len, sampling, primitives[b],
+                                     zs[b], seeds[b])
             assert np.array_equal(got[b], alone)
             assert np.array_equal(got[b], want)
-            assert min_len <= got[b].size <= 12
-        if min_len < 12:  # a row ends on EOS while others go on
-            assert min(t.size for t in got) < 12
 
     def test_padded_rows_equal_each_request_alone(self):
-        # conditions of 3, 11, 6 and 4 elements, prefixes of 1, 3, 1 and 2 tokens
+        # conditions of 3, 11, 6 and 4 elements
         mate, utt = _z_model()
         conds, zs, primitives, _ = _mixed_requests(mate)
-        prefixes = [[utt.cfg.bos] + list(p or []) for p in primitives]
+        prefixes = [[utt.cfg.bos] + p for p in primitives]
         got = forward_logits(utt, stack_conditions(conds), prefixes, zs).data
         assert got.shape == (4, 3, K + 2)
         for b, prefix in enumerate(prefixes):
             alone = _logits(utt, conds[b], prefix, zs[b])
-            assert np.abs(got[b, :len(prefix)] - alone).max() < 1e-12
+            assert np.abs(got[b] - alone).max() < 1e-12
 
     def test_step_logits_equal_each_request_alone(self):
         mate, utt = _z_model()
         conds, zs, primitives, _ = _mixed_requests(mate)
         cond = stack_conditions(conds)
-        tokens = [list(p or []) for p in primitives]
+        tokens = [list(p) for p in primitives]
         follow = np.random.default_rng(6).integers(0, K, size=(6, 4))
         with nm.no_grad():
             caches = [[] for _ in utt.encoder.layers]
-            prefixes = [[utt.cfg.bos] + t for t in tokens]
-            forward_logits(utt, cond, prefixes, zs, caches)
-            visible = utt_mod._visible_keys(cond, np.array([len(p) for p in prefixes]),
-                                            follow.shape[0])
+            forward_logits(utt, cond, [[utt.cfg.bos] + t for t in tokens], zs, caches)
+            visible = utt_mod._visible_keys(cond, 1 + len(tokens[0]) + follow.shape[0])
             assert not visible.all()
             key_mask = additive_mask(visible)[:, None, None]
             for step in follow:
                 for t, token in zip(tokens, step):
                     t.append(int(token))
-                got = utt_mod._step_logits(utt, 1 + cond.lengths, tokens, caches,
+                got = utt_mod._step_logits(utt, len(tokens[0]), step[:, None], caches,
                                            key_mask).data[:, -1]
                 for b, (z, t) in enumerate(zip(zs, tokens)):
                     full = _logits(utt, conds[b], [utt.cfg.bos] + t, z)[-1]
@@ -365,7 +350,7 @@ class TestBatchedSampling:
         mate, utt = _z_model()
         cond = CONDITIONS["audio"](mate)
         alone = generate_tokens(utt, cond, 9, seed=[4])
-        assert isinstance(alone, utt_mod.TokenBatch) and len(alone) == 1
+        assert alone.shape == (1, 9)
         assert np.array_equal(alone[0], _reference_tokens(utt, cond, 9, SamplingConfig(),
                                                           seed=4))
 
