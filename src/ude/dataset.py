@@ -89,7 +89,8 @@ def save_manifest(entries: list, path) -> None:
 
 def load_manifest(path) -> list:
     """The manifest's entries; a line that is not an object of the five
-    string fields, with modality "text" or "audio", raises FormatError."""
+    string fields, with modality "text" or "audio" and split "train" or
+    "test", raises FormatError."""
     entries = []
     base = os.path.dirname(os.fspath(path))
     for i, ln in enumerate(read_text(path).splitlines(), start=1):
@@ -105,6 +106,8 @@ def load_manifest(path) -> list:
                               f"{', '.join(_MANIFEST_KEYS)}")
         if obj["modality"] not in ("text", "audio"):
             raise FormatError(f"{path}: line {i}: unknown modality {obj['modality']!r}")
+        if obj["split"] not in ("train", "test"):
+            raise FormatError(f"{path}: line {i}: unknown split {obj['split']!r}")
         entries.append(ManifestEntry(*(obj[k] for k in _MANIFEST_KEYS)))
     for e in entries:
         for rel in (e.motion, e.cond):

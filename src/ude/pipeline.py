@@ -181,6 +181,8 @@ def train_stage(stage: str, cfg: RunConfig, data_dir, out_dir, seed: int,
     os.makedirs(os.fspath(out_dir), exist_ok=True)
     deps = {dep: ckpt.stage_hash(out_dir, dep) for dep in spec.deps}
     train = load_samples(data_dir, split="train")
+    if not train:
+        raise FormatError(f"{data_dir}: the manifest lists no train samples")
     rng = np.random.default_rng(np.random.SeedSequence([seed, spec.tag]))
     # every op's finite check raises NumericsError on a diverging run, so
     # numpy's own overflow warnings would only come first and say less

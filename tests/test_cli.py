@@ -207,6 +207,7 @@ CORRUPT_MANIFEST_LINES = {
     "motion-a-number": _first_line_as(lambda obj: {**obj, "motion": 5}),
     "no-split": _first_line_as(lambda obj: {k: v for k, v in obj.items() if k != "split"}),
     "unknown-modality": _first_line_as(lambda obj: {**obj, "modality": "video"}),
+    "misspelled-split": _first_line_as(lambda obj: {**obj, "split": "Train"}),
 }
 
 
@@ -220,6 +221,18 @@ def test_corrupt_manifest_line_exits_4(first_run, config, tmp_path, capsys, case
     assert _cli("train", "--config", config, "--stage", "mq", "--data", data,
                 "--out", tmp_path / "ckpt", "--epochs", 1) == 4
     assert "line 1" in capsys.readouterr().err
+
+
+def test_an_empty_train_split_exits_4_before_training(first_run, config, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(first_run[0] / "data", data)
+    lines = [json.loads(line) for line in (data / "manifest.jsonl").read_text().splitlines()]
+    (data / "manifest.jsonl").write_text(
+        "".join(json.dumps({**obj, "split": "test"}) + "\n" for obj in lines))
+    assert _cli("train", "--config", config, "--stage", "mq", "--data", data,
+                "--out", tmp_path / "ckpt", "--epochs", 1) == 4
+    assert "no train samples" in capsys.readouterr().err
+    assert not (tmp_path / "ckpt" / "mq.ckpt").exists()
 
 
 def test_zero_epochs_trains_no_stage(first_run, config, tmp_path):
