@@ -34,8 +34,8 @@ class AudioFeatureSequence:
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[1] < 1:
             raise DimensionError("features must be a [T, F] matrix with F >= 1")
-        if self.frame_rate <= 0:
-            raise DimensionError("frame rate must be positive")
+        if not 0 < self.frame_rate < np.inf:
+            raise DimensionError(f"frame rate must be finite and positive, got {self.frame_rate}")
         if not np.all(np.isfinite(self.features)):
             raise DimensionError("non-finite feature values")
         if self.beat_times is not None:
@@ -52,7 +52,7 @@ class AudioFeatureSequence:
         return self.features.shape[1]
 
 
-_FEAT_HEADER_RE = re.compile(rf"^{FEATURE_MAGIC} rate=([0-9.eE+-]+) dims=(\d+)\s*$")
+_FEAT_HEADER_RE = re.compile(rf"^{FEATURE_MAGIC} rate=(\d+\.?\d*(?:[eE][+-]?\d+)?) dims=(\d+)\s*$")
 
 
 def save_features(seq: AudioFeatureSequence, path) -> None:

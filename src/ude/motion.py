@@ -75,8 +75,8 @@ class MotionSequence:
             raise DimensionError("frames must be a [T, J*3] array with T >= 1")
         if self.frames.shape[1] % 3 != 0:
             raise DimensionError("frame width must be a multiple of 3")
-        if self.fps <= 0:
-            raise DimensionError("fps must be positive")
+        if not 0 < self.fps < np.inf:
+            raise DimensionError(f"fps must be finite and positive, got {self.fps}")
         if not np.all(np.isfinite(self.frames)):
             raise DimensionError("non-finite joint positions")
 
@@ -122,7 +122,7 @@ def normalize_heading(m: MotionSequence) -> MotionSequence:
     return MotionSequence(m.fps, pos.reshape(m.length, -1))
 
 
-_HEADER_RE = re.compile(rf"^{MOTION_MAGIC} fps=([0-9.eE+-]+) joints=(\d+)\s*$")
+_HEADER_RE = re.compile(rf"^{MOTION_MAGIC} fps=(\d+\.?\d*(?:[eE][+-]?\d+)?) joints=(\d+)\s*$")
 
 
 def save_motion(m: MotionSequence, path) -> None:

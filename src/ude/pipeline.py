@@ -290,8 +290,12 @@ def condition_from_request(stack, cfg: RunConfig, modality: str, prompt=None,
             raise ContractError("empty prompt")
         return text_input(ids), bool((ids == stack["vocab"].get("<unk>", 0)).all())
     if modality == "audio":
-        feats = features.features if isinstance(features, AudioFeatureSequence) else features
-        feats = np.asarray(feats, dtype=np.float64)
+        if isinstance(features, AudioFeatureSequence):
+            if features.frame_rate != cfg.fps:
+                raise DimensionError(f"features at {features.frame_rate} rows/s do not match "
+                                     f"the config's fps {cfg.fps}")
+            features = features.features
+        feats = np.asarray(features, dtype=np.float64)
         want = stack["mate"].cfg.audio_dim
         if feats.ndim != 2 or feats.shape[1] != want:
             raise DimensionError(f"feature matrix must be [T, {want}]")

@@ -39,3 +39,14 @@ class TestFeatureFiles:
         (tmp_path / "bad.udef").write_text(text)
         with pytest.raises(DimensionError, match="non-finite"):
             load_features(tmp_path / "bad.udef")
+
+    @pytest.mark.parametrize("rate", [0.0, -16.0, float("nan"), float("inf")])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(DimensionError, match="finite and positive"):
+            AudioFeatureSequence(rate, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("rate", ["1e999", "..", "1e-", "-16", "nan"])
+    def test_a_rate_that_is_not_a_finite_positive_decimal_is_rejected(self, tmp_path, rate):
+        (tmp_path / "bad.udef").write_text(f"UDEFEAT v1 rate={rate} dims=1\n1\n")
+        with pytest.raises((FormatError, DimensionError)):
+            load_features(tmp_path / "bad.udef")

@@ -151,6 +151,10 @@ CORRUPT_INPUTS = {
     "feature-binary": ("features", NOT_UTF8),
     # a full row of feature_dim (16) values, so that the width check passes
     "feature-nan": ("features", "UDEFEAT v1 rate=16.0 dims=16\n" + "0.5 " * 15 + "nan\n"),
+    "feature-rate-infinite": ("features", "UDEFEAT v1 rate=1e999 dims=16\n" + "0.5 " * 16 + "\n"),
+    # a finite rate that is not the config's fps (16)
+    "feature-rate-mismatch": ("features", "UDEFEAT v1 rate=0.0001 dims=16\n" + "0.5 " * 16 + "\n"),
+    "feature-rate-garbled": ("features", "UDEFEAT v1 rate=1e- dims=16\n" + "0.5 " * 16 + "\n"),
     "ckpt-binary": ("utt.ckpt", NOT_UTF8),
     "ckpt-v1": ("utt.ckpt", 'UDECKPT v1 module=utt\n{"stage": "utt", "sections": {}}\n'),
     "ckpt-body-a-list": ("utt.ckpt", "UDECKPT v2 module=utt\n[1,2]\n"),
@@ -173,7 +177,8 @@ CORRUPT_INPUTS = {
     "ckpt-offset-past-end": ("utt.ckpt", _rewrite_metadata(_end_one_past_payload)),
 }
 # what the error message must say, where it matters
-CORRUPT_MESSAGES = {"ckpt-v1": "retrain stage utt"}
+CORRUPT_MESSAGES = {"ckpt-v1": "retrain stage utt", "feature-rate-infinite": "finite",
+                    "feature-rate-mismatch": "fps 16.0"}
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPT_INPUTS))
@@ -233,6 +238,17 @@ def test_an_empty_train_split_exits_4_before_training(first_run, config, tmp_pat
                 "--out", tmp_path / "ckpt", "--epochs", 1) == 4
     assert "no train samples" in capsys.readouterr().err
     assert not (tmp_path / "ckpt" / "mq.ckpt").exists()
+
+
+def test_transition_with_features_at_another_rate_exits_4(first_run, config, tmp_path):
+    root = first_run[0]
+    text = (root / "data" / "conds" / "audio_test_00020.udef").read_text()
+    features = tmp_path / "f.udef"
+    features.write_text(text.replace("rate=16.0 ", "rate=20.0 ", 1))
+    assert _cli("transition", "--config", config, "--ckpt", root / "ckpt", "--prompt",
+                "a person waves", "--features", features, "--primitive-len", 2,
+                "--text-frames", 16, "--audio-frames", 16, "--out", tmp_path / "t.udem") == 4
+    assert not (tmp_path / "t.udem").exists()
 
 
 def test_zero_epochs_trains_no_stage(first_run, config, tmp_path):

@@ -111,6 +111,18 @@ class TestMotionFiles:
         with pytest.raises(FormatError, match="not a UTF-8 text file"):
             load_motion(path)
 
+    @pytest.mark.parametrize("fps", ["0.0", "1e999", "..", "1e-", "-16"])
+    def test_fps_that_is_not_a_finite_positive_decimal_is_rejected(self, tmp_path, fps):
+        path = tmp_path / "bad.udem"
+        path.write_text(f"UDEMOTION v1 fps={fps} joints=1\n1 2 3\n")
+        with pytest.raises((FormatError, DimensionError)):
+            load_motion(path)
+
+    @pytest.mark.parametrize("fps", [0.0, float("nan"), float("inf")])
+    def test_fps_must_be_finite_and_positive(self, fps):
+        with pytest.raises(DimensionError, match="finite and positive"):
+            MotionSequence(fps, np.zeros((2, 6)))
+
     def test_fps_preserved_exactly(self, tmp_path):
         m = MotionSequence(23.976000000000003, np.zeros((2, 6)))
         save_motion(m, tmp_path / "m.udem")
