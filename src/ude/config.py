@@ -16,11 +16,12 @@ from dataclasses import asdict, dataclass, field, fields
 from .dataset import synth_counts
 from .errors import ConfigError, FormatError
 from .fileio import read_text
+from .motion import default_skeleton
 
 # The defaults scale down these full-scale settings: codebook 2048x1024,
 # 6-layer condition encoder (8 heads, hidden 1024, 256-d projection), 8-layer
 # token transformer (hidden 1024), 8+8 diffusion layers with 1000 steps, Adam
-# lr 1e-4, 438-d audio features, 24 joints.
+# lr 1e-4, 438-d audio features, 24 joints (the synthetic skeleton has 8).
 
 
 @dataclass
@@ -28,7 +29,6 @@ class RunConfig:
     # data
     fps: float = 16.0
     frames: int = 64
-    joints: int = 8
     feature_dim: int = 16
     families: str = "walk:64,wave:64,jump:64,turn:64"
     families_test: str = "walk:16,wave:16,jump:16,turn:16"
@@ -87,7 +87,8 @@ class RunConfig:
 
     @property
     def frame_dim(self) -> int:
-        return self.joints * 3
+        """Width of a frame of the synthetic dataset's skeleton, the only one it writes."""
+        return default_skeleton().joint_count * 3
 
     def beat_sigma_seconds(self) -> float:
         return self.beat_sigma_frames / self.fps

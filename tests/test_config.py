@@ -5,6 +5,7 @@ import pytest
 
 from ude.config import RunConfig, load_config
 from ude.errors import ConfigError
+from ude.motion import default_skeleton
 
 
 def _load(tmp_path, values):
@@ -87,3 +88,10 @@ def test_values_out_of_range_raise(tmp_path, values):
 
 def test_longest_context_may_fill_max_context(tmp_path):
     assert _load(tmp_path, {"max_context": 274}).max_context == 274
+
+
+def test_the_frame_width_is_the_synthetic_skeletons(tmp_path):
+    # synth writes only the 8-joint skeleton, so no key can set another width
+    assert RunConfig().frame_dim == 3 * default_skeleton().joint_count == 24
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        _load(tmp_path, {"joints": 10})
