@@ -186,7 +186,8 @@ class TestGenerate:
         with pytest.raises(ContractError):
             _generate(utt, _cond(mate), 2, primitive=np.array([1, 2, 3]))
 
-    @pytest.mark.parametrize("primitive", [[[1, 2], [3]], [[1, 2], None], [1, 2]])
+    @pytest.mark.parametrize("primitive", [[[1, 2], [3]], [[1, 2], None], [1, 2]],
+                             ids=["ragged", "a-row-of-none", "one-dimensional"])
     def test_primitives_must_be_one_row_per_request_of_one_length(self, primitive):
         mate, utt, _, _ = _models()
         cond = stack_conditions([_cond(mate), _cond(mate, ids=(4, 5))])
@@ -269,7 +270,7 @@ class TestKVCache:
             want = _reference_tokens(utt, cond, 12, sampling, primitive, z, seed)
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("primitive", [None, [1, 2, 3, 4]])
+    @pytest.mark.parametrize("primitive", [None, [1, 2, 3, 4]], ids=["none", "four-tokens"])
     def test_a_context_too_short_for_max_len_raises_before_sampling(self, primitive,
                                                                     monkeypatch):
         # 1 + 5 condition rows, BOS and four tokens fill the 11 rows that
