@@ -12,8 +12,8 @@ same files byte for byte.
 
 Manifest: one JSON object per line with string fields id, modality
 ("text" or "audio"), motion, cond and split; in memory, a list of
-ManifestEntry. A vocabulary file (one word per line, line number = id)
-sits next to it.
+ManifestEntry. Token ids index the constant VOCAB_WORDS; no file carries
+the vocabulary.
 """
 
 from __future__ import annotations
@@ -48,23 +48,16 @@ TEXT_FAMILIES = ("walk", "wave", "jump", "turn")
 GENRE_BEAT_HZ = {"sway": 1.0, "groove": 1.6, "pulse": 2.0}
 
 
-def save_vocabulary(path, words=VOCAB_WORDS) -> None:
-    atomic_write(path, ("\n".join(words) + "\n").encode())
-
-
-def load_vocabulary(path) -> dict:
-    words = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
-    return {w: i for i, w in enumerate(words)}
-
+VOCAB = {w: i for i, w in enumerate(VOCAB_WORDS)}
+UNK_ID = VOCAB[UNK]
 
 _PUNCT = str.maketrans({c: " " for c in ".,!?;:()\"'"})
 
 
-def tokenize(text: str, vocab: dict) -> np.ndarray:
+def tokenize(text: str) -> np.ndarray:
     """Lowercase, strip punctuation, split on whitespace, map unknowns to UNK."""
-    unk = vocab.get(UNK, 0)
     words = text.lower().translate(_PUNCT).split()
-    return np.array([vocab.get(w, unk) for w in words], dtype=np.int64)
+    return np.array([VOCAB.get(w, UNK_ID) for w in words], dtype=np.int64)
 
 
 # -- manifest -------------------------------------------------------------------
@@ -432,7 +425,6 @@ def synth_dataset(cfg, seed: int, out_dir) -> list:
     audio_batch(genres_train, "train")
     audio_batch(genres_test, "test")
 
-    save_vocabulary(os.path.join(out_dir, "vocab.txt"))
     save_manifest(entries, os.path.join(out_dir, "manifest.jsonl"))
     return entries
 
@@ -456,7 +448,6 @@ def load_samples(data_dir, split=None) -> list:
     heading-normalizing motions."""
     data_dir = os.fspath(data_dir)
     entries = load_manifest(os.path.join(data_dir, "manifest.jsonl"))
-    vocab = load_vocabulary(os.path.join(data_dir, "vocab.txt"))
     out = []
     for e in entries:
         if split is not None and e.split != split:
@@ -465,7 +456,7 @@ def load_samples(data_dir, split=None) -> list:
         sample = Sample(e.id, e.modality, e.split, motion)
         if e.modality == "text":
             sample.sentence = read_text(os.path.join(data_dir, e.cond)).strip()
-            sample.text_ids = tokenize(sample.sentence, vocab)
+            sample.text_ids = tokenize(sample.sentence)
         else:
             sample.features = load_features(os.path.join(data_dir, e.cond))
         out.append(sample)

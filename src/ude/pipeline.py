@@ -29,7 +29,7 @@ from . import numerics as nm
 from . import utt as utt_mod
 from .audio import AudioFeatureSequence
 from .config import RunConfig
-from .dataset import load_samples, load_vocabulary, save_vocabulary, synth_dataset, tokenize
+from .dataset import UNK_ID, VOCAB_WORDS, load_samples, synth_dataset, tokenize
 from .errors import ConfigError, ContractError, DimensionError, FormatError, StageError
 from .fileio import atomic_write
 from .mate import MATEConfig, MATEModel, audio_input, stack_conditions, text_input
@@ -88,9 +88,10 @@ def _write_loss_log(path, cfg: RunConfig, seed: int, history, columns) -> None:
 #
 # Each trainer builds its models from `rng`, trains them on the train split for
 # `epochs` epochs and returns ({section: (config, model)}, buffers, loss history).
+# The utt and dmd trainers read the mq checkpoint from `out_dir`.
 
 
-def _train_mq(cfg, train, data_dir, out_dir, rng, seed, epochs) -> tuple:
+def _train_mq(cfg, train, out_dir, rng, seed, epochs) -> tuple:
     config, model = _build("mq", rng, frame_dim=cfg.frame_dim, code_count=cfg.code_count,
                            code_dim=cfg.code_dim, hidden=cfg.mq_hidden,
                            beta_codebook=cfg.beta_codebook, beta_commit=cfg.beta_commit)
@@ -100,11 +101,10 @@ def _train_mq(cfg, train, data_dir, out_dir, rng, seed, epochs) -> tuple:
     return {"mq": (config, model)}, buffers, history
 
 
-def _train_utt(cfg, train, data_dir, out_dir, rng, seed, epochs) -> tuple:
+def _train_utt(cfg, train, out_dir, rng, seed, epochs) -> tuple:
     mq_model = load_mq(out_dir)
-    vocab = load_vocabulary(os.path.join(os.fspath(data_dir), "vocab.txt"))
     models = {
-        "mate": _build("mate", rng, vocab_size=len(vocab), audio_dim=cfg.feature_dim,
+        "mate": _build("mate", rng, vocab_size=len(VOCAB_WORDS), audio_dim=cfg.feature_dim,
                        dim=cfg.embed_dim, layers=cfg.mate_layers, heads=cfg.mate_heads,
                        max_text_len=cfg.max_text_len, max_audio_len=cfg.max_audio_len),
         "utt": _build("utt", rng, code_count=cfg.code_count, dim=cfg.embed_dim,
@@ -119,12 +119,10 @@ def _train_utt(cfg, train, data_dir, out_dir, rng, seed, epochs) -> tuple:
     history = utt_mod.train_utt(mate, utt, disc, mq_model, samples, epochs=epochs,
                                 seed=seed, lr=cfg.lr, batch_size=cfg.batch_size,
                                 z_prob=cfg.z_prob)
-    # generation needs the vocabulary next to the checkpoints
-    save_vocabulary(os.path.join(os.fspath(out_dir), "vocab.txt"), _vocab_words(vocab))
     return models, None, history
 
 
-def _train_dmd(cfg, train, data_dir, out_dir, rng, seed, epochs) -> tuple:
+def _train_dmd(cfg, train, out_dir, rng, seed, epochs) -> tuple:
     mq_model = load_mq(out_dir)
     config, model = _build("dmd", rng, frame_dim=cfg.frame_dim, code_count=cfg.code_count,
                            steps=cfg.diffusion_steps, dim=cfg.embed_dim,
@@ -137,10 +135,9 @@ def _train_dmd(cfg, train, data_dir, out_dir, rng, seed, epochs) -> tuple:
     return {"dmd": (config, model)}, None, history
 
 
-def _train_retrieval(cfg, train, data_dir, out_dir, rng, seed, epochs) -> tuple:
+def _train_retrieval(cfg, train, out_dir, rng, seed, epochs) -> tuple:
     # the encoder draws its weights from its own rng stream inside the trainer
-    vocab = load_vocabulary(os.path.join(os.fspath(data_dir), "vocab.txt"))
-    config = {"frame_dim": cfg.frame_dim, "vocab_size": len(vocab),
+    config = {"frame_dim": cfg.frame_dim, "vocab_size": len(VOCAB_WORDS),
               "out_dim": cfg.retrieval_dim}
     pairs = [(s.motion.frames, s.text_ids) for s in train if s.modality == "text"]
     enc, history = metrics_mod.train_retrieval_encoder(pairs, **config, epochs=epochs,
@@ -188,7 +185,7 @@ def train_stage(stage: str, cfg: RunConfig, data_dir, out_dir, seed: int,
     # numpy's own overflow warnings would only come first and say less
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         models, buffers, history = spec.train(
-            cfg, train, data_dir, out_dir, rng, seed,
+            cfg, train, out_dir, rng, seed,
             epochs if epochs is not None else getattr(cfg, f"epochs_{stage}"))
     sections = {name: {"config": config, "params": ckpt.params_blob(model)}
                 for name, (config, model) in models.items()}
@@ -203,10 +200,6 @@ def _sample_input(sample):
     if sample.modality == "text":
         return text_input(sample.text_ids)
     return audio_input(sample.features.features)
-
-
-def _vocab_words(vocab: dict) -> tuple:
-    return tuple(sorted(vocab, key=vocab.get))
 
 
 # -- loading -----------------------------------------------------------------------
@@ -263,14 +256,11 @@ def load_retrieval(ckpt_dir) -> metrics_mod.RetrievalEncoder:
 
 
 def load_generation_stack(ckpt_dir, decoder: str = "dmd"):
-    """Everything `generate` needs; decoder is "vq" or "dmd"."""
+    """Everything `generate` needs, from the checkpoints alone; decoder is
+    "vq" or "dmd"."""
     mq_model = load_mq(ckpt_dir)
     mate, utt = load_utt_stack(ckpt_dir)
-    vocab_path = os.path.join(os.fspath(ckpt_dir), "vocab.txt")
-    if not os.path.exists(vocab_path):
-        raise StageError(f"requires stage utt: vocabulary {vocab_path} is missing")
-    stack = {"mq": mq_model, "mate": mate, "utt": utt, "vocab": load_vocabulary(vocab_path),
-             "dmd": None, "sched": None}
+    stack = {"mq": mq_model, "mate": mate, "utt": utt, "dmd": None, "sched": None}
     if decoder == "dmd":
         model, sched = load_dmd(ckpt_dir)
         stack["dmd"], stack["sched"] = model, sched
@@ -285,10 +275,10 @@ def load_generation_stack(ckpt_dir, decoder: str = "dmd"):
 def condition_from_request(stack, cfg: RunConfig, modality: str, prompt=None,
                            features=None):
     if modality == "text":
-        ids = tokenize(prompt or "", stack["vocab"])
+        ids = tokenize(prompt or "")
         if ids.size == 0:
             raise ContractError("empty prompt")
-        return text_input(ids), bool((ids == stack["vocab"].get("<unk>", 0)).all())
+        return text_input(ids), bool((ids == UNK_ID).all())
     if modality == "audio":
         if isinstance(features, AudioFeatureSequence):
             if features.frame_rate != cfg.fps:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ude import checkpoint
-from ude.dataset import save_vocabulary
+from ude.dataset import save_manifest
 from ude.errors import FormatError
 from ude.nn import Linear
 
@@ -55,13 +55,13 @@ def test_load_params_rejects_a_wrong_shape(tmp_path, rng):
 
 
 def test_written_files_get_the_umask_mode_not_the_temp_files(tmp_path, rng):
-    ckpt, vocab = tmp_path / "mq.ckpt", tmp_path / "vocab.txt"
+    ckpt, manifest = tmp_path / "mq.ckpt", tmp_path / "manifest.jsonl"
     old = os.umask(0o022)
     try:
         params = checkpoint.params_blob(Linear(3, 4, rng))
         checkpoint.save_checkpoint(ckpt, "mq", {"mq": {"config": {}, "params": params}}, {})
-        save_vocabulary(vocab)
+        save_manifest([], manifest)
     finally:
         os.umask(old)
-    for path in (ckpt, vocab):
+    for path in (ckpt, manifest):
         assert stat.filemode(path.stat().st_mode) == "-rw-r--r--", path

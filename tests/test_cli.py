@@ -80,11 +80,13 @@ def test_every_step_writes_its_artifacts(first_run):
     files = first_run[1]
     for name in ("ckpt/mq.ckpt", "ckpt/utt.ckpt", "ckpt/dmd.ckpt", "ckpt/retrieval.ckpt",
                  "ckpt/mq_loss.csv", "ckpt/utt_loss.csv", "ckpt/dmd_loss.csv",
-                 "ckpt/retrieval_loss.csv", "ckpt/vocab.txt", "gen/text.udem",
+                 "ckpt/retrieval_loss.csv", "gen/text.udem",
                  "gen/text.udem.meta.json", "gen/audio.udem", "gen/audio.svg",
                  "gen/trans.udem.meta.json", "eval.json"):
         assert name in files
     assert not any(os.path.basename(name) == "bundle.json" for name in files)
+    # the vocabulary is a constant of the code: neither data/ nor ckpt/ carries it
+    assert not any(os.path.basename(name) == "vocab.txt" for name in files)
     report = json.loads(files["eval.json"])
     assert set(report["metrics"]) == {"text", "audio"}
 
@@ -116,12 +118,6 @@ def test_generate_after_retraining_mq_exits_3(first_run, config, tmp_path):
     ckpt = _ckpt_copy(first_run, tmp_path)
     assert _cli("train", "--config", config, "--seed", SEED + 1, "--stage", "mq",
                 "--data", first_run[0] / "data", "--out", ckpt, "--epochs", 1) == 0
-    assert _generate_text(config, ckpt, tmp_path / "m.udem") == 3
-
-
-def test_generate_without_vocabulary_exits_3(first_run, config, tmp_path):
-    ckpt = _ckpt_copy(first_run, tmp_path)
-    os.remove(ckpt / "vocab.txt")
     assert _generate_text(config, ckpt, tmp_path / "m.udem") == 3
 
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from ude.config import RunConfig
-from ude.dataset import (GENRE_BEAT_HZ, VOCAB_WORDS, load_manifest, load_samples,
-                         make_dance_motion, make_text_motion, synth_dataset, tokenize)
+from ude.dataset import (GENRE_BEAT_HZ, UNK_ID, VOCAB, VOCAB_WORDS, load_manifest,
+                         load_samples, make_dance_motion, make_text_motion, synth_dataset,
+                         tokenize)
 from ude.errors import ConfigError
 from ude.metrics import detect_motion_beats
 from ude.motion import default_skeleton
@@ -38,17 +39,14 @@ def _dir_digest(root):
 
 class TestVocabulary:
     def test_unknown_words_map_to_unk(self):
-        vocab = {w: i for i, w in enumerate(VOCAB_WORDS)}
-        ids = tokenize("A person zorbulates Forward!", vocab)
-        assert ids[0] == vocab["a"]
-        assert ids[2] == vocab["<unk>"]
-        assert ids[3] == vocab["forward"]
+        ids = tokenize("A person zorbulates Forward!")
+        assert ids.tolist() == [VOCAB["a"], VOCAB["person"], UNK_ID, VOCAB["forward"]]
+        assert VOCAB_WORDS[UNK_ID] == "<unk>"
 
     def test_all_ids_in_range(self):
-        vocab = {w: i for i, w in enumerate(VOCAB_WORDS)}
-        ids = tokenize("someone waves their left hand then jumps twice", vocab)
-        assert ids.max() < len(vocab)
-        assert (ids >= 0).all()
+        ids = tokenize("someone waves their left hand then jumps twice")
+        assert ids.max() < len(VOCAB_WORDS)
+        assert (ids >= 0).all() and UNK_ID not in ids
 
 
 class TestGenerators:
