@@ -180,6 +180,7 @@ def train_stage(stage: str, cfg: RunConfig, data_dir, out_dir, seed: int,
     train = load_samples(data_dir, split="train")
     if not train:
         raise FormatError(f"{data_dir}: the manifest lists no train samples")
+    _check_rates(train, cfg)
     rng = np.random.default_rng(np.random.SeedSequence([seed, spec.tag]))
     # every op's finite check raises NumericsError on a diverging run, so
     # numpy's own overflow warnings would only come first and say less
@@ -194,6 +195,19 @@ def train_stage(stage: str, cfg: RunConfig, data_dir, out_dir, seed: int,
     _write_loss_log(os.path.join(os.fspath(out_dir), f"{stage}_loss.csv"), cfg, seed,
                     history, spec.columns)
     return {"history": history}
+
+
+def _check_rates(samples, cfg: RunConfig) -> None:
+    """Every sample's motion and features must run at the config's fps, the
+    rate that training and the beat metrics read them at."""
+    for s in samples:
+        rates = {"motion": s.motion.fps}
+        if s.features is not None:
+            rates["features"] = s.features.frame_rate
+        for kind, rate in rates.items():
+            if rate != cfg.fps:
+                raise FormatError(f"sample {s.id}: {kind} rate {rate} is not the config's "
+                                  f"fps {cfg.fps}")
 
 
 def _sample_input(sample):
@@ -453,6 +467,7 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
     samples = load_samples(data_dir, split=split)
     if not samples:
         raise ConfigError(f"split {split!r} is empty")
+    _check_rates(samples, cfg)
     stack = load_generation_stack(ckpt_dir, decoder=decoder)
     retrieval = load_retrieval(ckpt_dir)
     sigma = cfg.beat_sigma_seconds()

@@ -247,6 +247,33 @@ def test_transition_with_features_at_another_rate_exits_4(first_run, config, tmp
     assert not (tmp_path / "t.udem").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("changed", ["config-fps", "feature-rate"])
+def test_data_at_another_rate_than_the_config_exits_4(first_run, config, tiny_cfg, tmp_path,
+                                                      capsys, command, changed):
+    # the tiny data is synthesized at the default 16 fps
+    root, data = first_run[0], first_run[0] / "data"
+    if changed == "config-fps":
+        config = tmp_path / "fast.json"
+        config.write_text(json.dumps({**tiny_cfg.to_dict(), "fps": 20.0}))
+        message = "motion rate 16.0 is not the config's fps 20.0"
+    else:
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        for path in (data / "conds").glob("*.udef"):
+            path.write_text(path.read_text().replace("rate=16.0 ", "rate=20.0 ", 1))
+        message = "features rate 20.0 is not the config's fps 16.0"
+    if command == "train":
+        request, out = ["--stage", "mq", "--epochs", 1], tmp_path / "ckpt"
+        written = out / "mq.ckpt"
+    else:
+        request, out = ["--ckpt", root / "ckpt"], tmp_path / "eval.json"
+        written = out
+    assert _cli(command, "--config", config, "--data", data, *request, "--out", out) == 4
+    assert message in capsys.readouterr().err
+    assert not written.exists()
+
+
 def test_zero_epochs_trains_no_stage(first_run, config, tmp_path):
     assert _cli("train", "--config", config, "--stage", "all", "--data",
                 first_run[0] / "data", "--out", tmp_path, "--epochs", 0) == 0
