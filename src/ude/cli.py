@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import pipeline
+from . import checkpoint, pipeline
 from .audio import load_features
 from .config import RunConfig, load_config
 from .errors import (ConfigError, ContractError, DimensionError, FormatError,
@@ -100,7 +100,7 @@ def cmd_train(args) -> int:
                          epochs=args.epochs)
     stages = pipeline.STAGES if args.stage == "all" else [args.stage]
     for stage in stages:
-        print(f"wrote {os.path.join(args.out, stage + '.ckpt')}")
+        print(f"wrote {checkpoint.stage_path(args.out, stage)}")
     return 0
 
 

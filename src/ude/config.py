@@ -17,6 +17,7 @@ from .dataset import synth_counts
 from .errors import ConfigError, FormatError
 from .fileio import read_text
 from .motion import default_skeleton
+from .mq import DOWNSAMPLE
 
 # The defaults scale down these full-scale settings: codebook 2048x1024,
 # 6-layer condition encoder (8 heads, hidden 1024, 256-d projection), 8-layer
@@ -119,7 +120,7 @@ def load_config(path=None) -> RunConfig:
 
 
 # smallest value each count may take
-_MINIMUMS = {"frames": 4, "code_count": 1, "embed_dim": 1, "mate_heads": 1,
+_MINIMUMS = {"frames": DOWNSAMPLE, "code_count": 1, "embed_dim": 1, "mate_heads": 1,
              "utt_heads": 1, "dmd_heads": 1, "top_k": 1, "diffusion_steps": 1,
              "batch_size": 1, "epochs_mq": 0, "epochs_utt": 0, "epochs_dmd": 0,
              "epochs_retrieval": 0, "samples_per_input": 1, "retrieval_trials": 1}
@@ -139,18 +140,18 @@ def _check_ranges(cfg: RunConfig) -> None:
     for name in ("z_prob", "compose_fraction"):
         if not 0 <= getattr(cfg, name) <= 1:
             raise ConfigError(f"config key {name!r} must lie in [0, 1], got {getattr(cfg, name)}")
-    if cfg.frames % 4:
-        raise ConfigError(f"frames {cfg.frames} must be divisible by 4")
+    if cfg.frames % DOWNSAMPLE:
+        raise ConfigError(f"frames {cfg.frames} must be divisible by {DOWNSAMPLE}")
     synth_counts(cfg)  # every family and genre name is one the generators know
     for heads in ("mate_heads", "utt_heads", "dmd_heads"):
         if cfg.embed_dim % getattr(cfg, heads):
             raise ConfigError(f"embed_dim {cfg.embed_dim} must be divisible by "
                               f"{heads} {getattr(cfg, heads)}")
     # the longest UTT context: glob, the longest condition, BOS and every token
-    longest = 1 + max(cfg.max_text_len, cfg.max_audio_len) + 1 + cfg.frames // 4
+    longest = 1 + max(cfg.max_text_len, cfg.max_audio_len) + 1 + cfg.frames // DOWNSAMPLE
     if longest > cfg.max_context:
         raise ConfigError(f"the longest context ({longest}: 1 + max(max_text_len, "
-                          f"max_audio_len) + 1 + frames/4) exceeds max_context "
+                          f"max_audio_len) + 1 + frames/{DOWNSAMPLE}) exceeds max_context "
                           f"{cfg.max_context}")
 
 

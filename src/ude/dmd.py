@@ -23,7 +23,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import ConfigError, ContractError, TokenError, TrainingError
-from .mq import MQModel, encode_motions
+from .mq import DOWNSAMPLE, MQModel, encode_motions
 from .nn import Embedding, Linear, Module, TransformerEncoder, sinusoidal_table
 from .numerics import Tensor
 
@@ -165,12 +165,12 @@ def sample_reverse(model: DMDModel, sched: NoiseSchedule, cond: Tensor,
 
 
 def decode_tokens_dmd(model: DMDModel, sched: NoiseSchedule, tokens, seeds) -> np.ndarray:
-    """Sample one motion per token sequence of tokens [B, N] (4 frames per
-    token), row b from seeds[b]."""
+    """Sample one motion per token sequence of tokens [B, N] (DOWNSAMPLE
+    frames per token), row b from seeds[b]."""
     tokens = np.asarray(tokens)
     with nm.no_grad():
         cond = encode_condition(model, tokens)
-    return sample_reverse(model, sched, cond, 4 * tokens.shape[-1], seeds)
+    return sample_reverse(model, sched, cond, DOWNSAMPLE * tokens.shape[-1], seeds)
 
 
 def train_dmd(model: DMDModel, sched: NoiseSchedule, mq: MQModel, motions,

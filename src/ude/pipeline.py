@@ -35,6 +35,7 @@ from .fileio import atomic_write
 from .mate import MATEConfig, MATEModel, audio_input, stack_conditions, text_input
 from .mate import encode as mate_encode
 from .motion import MotionSequence
+from .mq import DOWNSAMPLE
 from .utt import SamplingConfig
 
 
@@ -318,8 +319,8 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
     primitives if any; it returns one result per request, each the one it
     would get alone, and samples and decodes them together.
     """
-    if frames < 4 or frames % 4 != 0:
-        raise ConfigError(f"target frames {frames} must be a positive multiple of 4")
+    if frames < DOWNSAMPLE or frames % DOWNSAMPLE != 0:
+        raise ConfigError(f"target frames {frames} must be a positive multiple of {DOWNSAMPLE}")
     _check_decodable(stack, decoder, frames)
     batch = isinstance(seed, (list, tuple))
     seeds = list(seed) if batch else [seed]
@@ -328,7 +329,7 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
     if primitive is not None and not batch:
         primitive = [primitive]
     utt = stack["utt"]
-    n_tokens = frames // 4
+    n_tokens = frames // DOWNSAMPLE
     conds, zs, unk_only = [], [], []
     for s, p, f in zip(seeds, prompts, feats):
         inp, unk = condition_from_request(stack, cfg, modality, p, f)
@@ -352,10 +353,11 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
 
 def _check_decodable(stack, decoder: str, frames: int) -> None:
     """Before any sampling: the diffusion decoder takes at most max_tokens
-    tokens (4 frames each)."""
+    tokens (DOWNSAMPLE frames each)."""
     dmd = stack["dmd"] if decoder == "dmd" else None
-    if dmd is not None and frames // 4 > dmd.cfg.max_tokens:
-        raise ConfigError(f"{frames} frames need {frames // 4} tokens, more than the "
+    tokens = frames // DOWNSAMPLE
+    if dmd is not None and tokens > dmd.cfg.max_tokens:
+        raise ConfigError(f"{frames} frames need {tokens} tokens, more than the "
                           f"diffusion decoder's max_tokens {dmd.cfg.max_tokens}")
 
 
@@ -377,22 +379,23 @@ def transition_motion(stack, cfg: RunConfig, prompt: str, features, seed: int,
     """Text segment, then an audio segment conditioned on the last
     `primitive_len` text tokens; the concatenated tokens are decoded in one
     pass and the junction discontinuity is reported."""
-    # the text segment has exactly text_frames / 4 tokens to take the primitive from
-    if min(text_frames, audio_frames) < 4 or not 0 <= primitive_len <= text_frames // 4:
-        raise ConfigError(f"a transition needs at least 4 text and 4 audio frames and a "
-                          f"primitive of 0 to text_frames/4 tokens, got {text_frames}, "
-                          f"{audio_frames} and {primitive_len}")
+    # the text segment has exactly text_frames / DOWNSAMPLE tokens to take the primitive from
+    if (min(text_frames, audio_frames) < DOWNSAMPLE
+            or not 0 <= primitive_len <= text_frames // DOWNSAMPLE):
+        raise ConfigError(f"a transition needs at least {DOWNSAMPLE} text and {DOWNSAMPLE} "
+                          f"audio frames and a primitive of 0 to text_frames/{DOWNSAMPLE} "
+                          f"tokens, got {text_frames}, {audio_frames} and {primitive_len}")
     _check_decodable(stack, decoder, text_frames + audio_frames)
     text_out = generate_motion(stack, cfg, "text", text_frames, seed,
                                prompt=prompt, decoder="vq")
     text_tokens = text_out["tokens"]
     primitive = text_tokens[text_tokens.size - primitive_len:]
-    audio_out = generate_motion(stack, cfg, "audio", audio_frames + 4 * primitive_len,
+    audio_out = generate_motion(stack, cfg, "audio", audio_frames + DOWNSAMPLE * primitive_len,
                                 seed + 1, features=features, decoder="vq",
                                 primitive=primitive)
     cont_tokens = audio_out["tokens"]
     full = np.concatenate([text_tokens, cont_tokens[primitive_len:]])
-    boundary_frame = 4 * text_tokens.size
+    boundary_frame = DOWNSAMPLE * text_tokens.size
     motion = MotionSequence(cfg.fps, _decode(stack, decoder, full[None], [seed])[0])
     report = boundary_report(motion, boundary_frame)
     report.update({

@@ -28,7 +28,7 @@ import numpy as np
 from . import numerics as nm
 from .errors import ContractError, DimensionError, LengthError, TokenError, TrainingError
 from .mate import CondEmbedding, MATEModel, encode, stack_conditions
-from .mq import MQModel, encode_motions
+from .mq import DOWNSAMPLE, MQModel, encode_motions
 from .nn import (Conv1d, Embedding, Linear, Module, TransformerEncoder, additive_mask,
                  causal_prefix_mask, sinusoidal_table)
 from .numerics import Tensor
@@ -226,8 +226,8 @@ class Discriminator(Module):
 
 def discriminate(disc: Discriminator, glob, motion) -> Tensor:
     """Validity scores [B, T/4] of motions [B, T, c] under global conditions [B, D]."""
-    if motion.shape[-2] % 4 != 0:
-        raise DimensionError(f"frame count {motion.shape[-2]} not divisible by 4")
+    if motion.shape[-2] % DOWNSAMPLE != 0:
+        raise DimensionError(f"frame count {motion.shape[-2]} not divisible by {DOWNSAMPLE}")
     h = nm.relu(disc.conv2(nm.relu(disc.conv1(motion))))
     h = h + disc.glob_proj(glob).reshape(glob.shape[0], 1, -1)
     hidden = disc.encoder(h)
