@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FormatError
+from .errors import DataError
 from .fileio import atomic_write, read_text
 
 FEATURE_MAGIC = "UDEFEAT v1"
@@ -33,15 +33,15 @@ class AudioFeatureSequence:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[1] < 1:
-            raise DimensionError("features must be a [T, F] matrix with F >= 1")
+            raise DataError("features must be a [T, F] matrix with F >= 1")
         if not 0 < self.frame_rate < np.inf:
-            raise DimensionError(f"frame rate must be finite and positive, got {self.frame_rate}")
+            raise DataError(f"frame rate must be finite and positive, got {self.frame_rate}")
         if not np.all(np.isfinite(self.features)):
-            raise DimensionError("non-finite feature values")
+            raise DataError("non-finite feature values")
         if self.beat_times is not None:
             self.beat_times = np.asarray(self.beat_times, dtype=np.float64)
             if not np.all(np.isfinite(self.beat_times)):
-                raise DimensionError("non-finite beat times")
+                raise DataError("non-finite beat times")
 
     @property
     def length(self) -> int:
@@ -67,10 +67,10 @@ def save_features(seq: AudioFeatureSequence, path) -> None:
 def load_features(path) -> AudioFeatureSequence:
     lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
-        raise FormatError(f"{path}: empty feature file")
+        raise DataError(f"{path}: empty feature file")
     match = _FEAT_HEADER_RE.match(lines[0])
     if not match:
-        raise FormatError(f"{path}: line 1: bad header {lines[0]!r}")
+        raise DataError(f"{path}: line 1: bad header {lines[0]!r}")
     rate = float(match.group(1))
     dims = int(match.group(2))
     rows, beats = [], None
@@ -78,15 +78,15 @@ def load_features(path) -> AudioFeatureSequence:
         is_beats = ln.startswith("beats:")
         values = ln.removeprefix("beats:").split()
         if not is_beats and len(values) != dims:
-            raise FormatError(f"{path}: line {i}: expected {dims} values, got {len(values)}")
+            raise DataError(f"{path}: line {i}: expected {dims} values, got {len(values)}")
         try:
             numbers = [float(v) for v in values]
         except ValueError as exc:
-            raise FormatError(f"{path}: line {i}: {exc}") from exc
+            raise DataError(f"{path}: line {i}: {exc}") from exc
         if is_beats:
             beats = np.array(numbers)
         else:
             rows.append(numbers)
     if not rows:
-        raise FormatError(f"{path}: no feature rows")
+        raise DataError(f"{path}: no feature rows")
     return AudioFeatureSequence(rate, np.array(rows), beats)

@@ -17,7 +17,7 @@ the metadata names, so its length is 8 bytes times the parameter count.
 Parameters round-trip bit for bit.
 
 `load_checkpoint` reads a file once and validates the metadata and the
-payload against each other; anything that does not fit raises FormatError.
+payload against each other; anything that does not fit raises DataError.
 A file in the older JSON-only `v1` format is rejected with a message to
 retrain its stage. `load_stage` checks the recorded dependency hashes
 against the stage files in the directory, so a stale or missing
@@ -32,7 +32,7 @@ import os
 
 import numpy as np
 
-from .errors import FormatError, StageError
+from .errors import DataError, StageError
 from .fileio import atomic_write, sha256_file
 
 CKPT_MAGIC = "UDECKPT v2"
@@ -48,10 +48,10 @@ def load_params(module, params: dict) -> None:
     names = dict(module.named_parameters())
     if set(names) != set(params):
         missing = set(names) ^ set(params)
-        raise FormatError(f"parameter names do not match checkpoint: {sorted(missing)[:4]}")
+        raise DataError(f"parameter names do not match checkpoint: {sorted(missing)[:4]}")
     for name, arr in params.items():
         if arr.shape != names[name].data.shape:
-            raise FormatError(f"shape mismatch for {name}: {arr.shape}")
+            raise DataError(f"shape mismatch for {name}: {arr.shape}")
         names[name].data[...] = arr
 
 
@@ -92,40 +92,40 @@ def load_checkpoint(path) -> dict:
     if not header.startswith(prefix):
         if header.startswith(b"UDECKPT v1 module="):
             stage = header.split(b"=", 1)[1].decode("utf-8", "replace").strip()
-            raise FormatError(f"{path}: {stage} checkpoint is in the old v1 format, "
-                              f"which is no longer read; retrain stage {stage}")
-        raise FormatError(f"{path}: bad checkpoint header {header[:64]!r}")
+            raise DataError(f"{path}: {stage} checkpoint is in the old v1 format, "
+                            f"which is no longer read; retrain stage {stage}")
+        raise DataError(f"{path}: bad checkpoint header {header[:64]!r}")
     stage = header[len(prefix):].decode("utf-8", "replace").strip()
     line, newline, _ = rest.partition(b"\n")
     if not newline:
-        raise FormatError(f"{path}: checkpoint ends inside its metadata")
+        raise DataError(f"{path}: checkpoint ends inside its metadata")
     try:
         meta = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: bad checkpoint metadata: {exc}") from exc
+        raise DataError(f"{path}: bad checkpoint metadata: {exc}") from exc
     _check_metadata(path, stage, meta)
     start = len(header) + len(line) + 2
     count = sum(math.prod(p["shape"]) for section in meta["sections"].values()
                 for p in section["params"].values())
     if len(data) - start != count * PAYLOAD_DTYPE.itemsize:
-        raise FormatError(f"{path}: payload is {len(data) - start} bytes, but the "
-                          f"metadata names {count} float64 values")
+        raise DataError(f"{path}: payload is {len(data) - start} bytes, but the "
+                        f"metadata names {count} float64 values")
     flat = np.frombuffer(data, PAYLOAD_DTYPE, count=count, offset=start)
     for section in meta["sections"].values():
         params = section["params"]
         for name, entry in params.items():
             size, offset = math.prod(entry["shape"]), entry["offset"]
             if offset + size > count:
-                raise FormatError(f"{path}: parameter {name} ends past the payload")
+                raise DataError(f"{path}: parameter {name} ends past the payload")
             params[name] = flat[offset:offset + size].reshape(entry["shape"])
     return meta
 
 
 def _check_metadata(path, stage: str, meta) -> None:
-    """Raise FormatError unless `meta` has the layout the module docstring
+    """Raise DataError unless `meta` has the layout the module docstring
     gives, with the header's stage and a section of that name."""
     def fail(what):
-        raise FormatError(f"{path}: bad checkpoint metadata: {what}")
+        raise DataError(f"{path}: bad checkpoint metadata: {what}")
 
     if not isinstance(meta, dict):
         fail("not an object")

@@ -1,7 +1,9 @@
 """Command line entry point: `ude synth|train|generate|transition|eval`.
 
-Exit codes: 0 success, 2 config error, 3 missing/stale stage dependency,
-4 data or format error, 5 numerical failure.
+Exit codes: 0 success, and one per `ude.errors` class: 2 `ConfigError`
+(bad config or request), 3 `StageError` (missing or stale stage checkpoint),
+4 `DataError` (bad data, file or format; also any `OSError`) and 5
+`NumericsError` (non-finite values).
 """
 
 from __future__ import annotations
@@ -16,14 +18,9 @@ import numpy as np
 from . import checkpoint, pipeline
 from .audio import load_features
 from .config import RunConfig, load_config
-from .errors import (ConfigError, ContractError, DimensionError, FormatError,
-                     MetricError, NumericsError, PreprocessingError, StageError,
-                     TokenError, TrainingError)
+from .errors import ConfigError, DataError, UdeError
 from .fileio import atomic_write
 from .motion import MotionSequence, save_motion
-
-DATA_ERRORS = (FormatError, PreprocessingError, DimensionError, ContractError,
-               TokenError, MetricError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,18 +182,12 @@ def main(argv=None) -> int:
                 "transition": cmd_transition, "eval": cmd_eval}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except StageError as exc:
-        print(f"stage error: {exc}", file=sys.stderr)
-        return 3
-    except (*DATA_ERRORS, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 4
-    except (TrainingError, NumericsError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 5
+    except UdeError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
+        print(f"{DataError.label}: {exc}", file=sys.stderr)
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

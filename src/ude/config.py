@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .dataset import synth_counts
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DataError
 from .fileio import read_text
 from .motion import default_skeleton
 from .mq import DOWNSAMPLE
@@ -107,7 +107,7 @@ def load_config(path=None) -> RunConfig:
             loaded = json.loads(read_text(path))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
-        except (json.JSONDecodeError, FormatError) as exc:
+        except (json.JSONDecodeError, DataError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")

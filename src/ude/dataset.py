@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .audio import AudioFeatureSequence, load_features, save_features
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DataError
 from .fileio import atomic_write, read_text
 from .motion import MotionSequence, Skeleton, default_skeleton, normalize_heading, save_motion, load_motion
 
@@ -83,7 +83,7 @@ def save_manifest(entries: list, path) -> None:
 def load_manifest(path) -> list:
     """The manifest's entries; a line that is not an object of the five
     string fields, with modality "text" or "audio" and split "train" or
-    "test", raises FormatError."""
+    "test", raises DataError."""
     entries = []
     base = os.path.dirname(os.fspath(path))
     for i, ln in enumerate(read_text(path).splitlines(), start=1):
@@ -92,23 +92,23 @@ def load_manifest(path) -> list:
         try:
             obj = json.loads(ln)
         except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: line {i}: {exc}") from exc
+            raise DataError(f"{path}: line {i}: {exc}") from exc
         if not isinstance(obj, dict) or not all(isinstance(obj.get(k), str)
                                                 for k in _MANIFEST_KEYS):
-            raise FormatError(f"{path}: line {i}: need an object with string fields "
-                              f"{', '.join(_MANIFEST_KEYS)}")
+            raise DataError(f"{path}: line {i}: need an object with string fields "
+                            f"{', '.join(_MANIFEST_KEYS)}")
         if obj["modality"] not in ("text", "audio"):
-            raise FormatError(f"{path}: line {i}: unknown modality {obj['modality']!r}")
+            raise DataError(f"{path}: line {i}: unknown modality {obj['modality']!r}")
         if obj["split"] not in ("train", "test"):
-            raise FormatError(f"{path}: line {i}: unknown split {obj['split']!r}")
+            raise DataError(f"{path}: line {i}: unknown split {obj['split']!r}")
         entries.append(ManifestEntry(*(obj[k] for k in _MANIFEST_KEYS)))
     for e in entries:
         for rel in (e.motion, e.cond):
             if not os.path.exists(os.path.join(base, rel)):
-                raise FormatError(f"{path}: referenced file missing: {rel}")
+                raise DataError(f"{path}: referenced file missing: {rel}")
     ids = [e.id for e in entries]
     if len(set(ids)) != len(ids):
-        raise FormatError(f"{path}: duplicate sample ids")
+        raise DataError(f"{path}: duplicate sample ids")
     return entries
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, ContractError, TokenError, TrainingError
+from .errors import ConfigError, DataError
 from .mq import DOWNSAMPLE, MQModel, encode_motions
 from .nn import Embedding, Linear, Module, TransformerEncoder, sinusoidal_table
 from .numerics import Tensor
@@ -57,7 +57,7 @@ def make_schedule(steps: int) -> NoiseSchedule:
 def _check_steps(t, steps: int) -> None:
     t = np.asarray(t)
     if t.min() < 1 or t.max() > steps:
-        raise ContractError(f"steps {t} outside [1, {steps}]")
+        raise DataError(f"steps {t} outside [1, {steps}]")
 
 
 def q_sample(sched: NoiseSchedule, x0: np.ndarray, t, eps: np.ndarray) -> np.ndarray:
@@ -65,7 +65,7 @@ def q_sample(sched: NoiseSchedule, x0: np.ndarray, t, eps: np.ndarray) -> np.nda
     x0 and eps [B, T, c] and one step per row, t [B]."""
     _check_steps(t, sched.steps)
     if x0.shape != eps.shape or np.shape(t) != x0.shape[:-2]:
-        raise ContractError("need noise of the data's shape and one step per sequence")
+        raise DataError("need noise of the data's shape and one step per sequence")
     abar = sched.alpha_bars[np.asarray(t)][..., None, None]
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
 
@@ -104,9 +104,9 @@ def encode_condition(model: DMDModel, tokens) -> Tensor:
     temporal max."""
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.size == 0:
-        raise ContractError("empty token sequence")
+        raise DataError("empty token sequence")
     if tokens.min() < 0 or tokens.max() >= model.cfg.code_count:
-        raise TokenError(f"token index outside [0, {model.cfg.code_count})")
+        raise DataError(f"token index outside [0, {model.cfg.code_count})")
     h = model.token_table(tokens) + Tensor(model.token_pos[:tokens.shape[-1]])
     return nm.reduce_max(model.cond_encoder(h), axis=-2)
 
@@ -149,7 +149,7 @@ def sample_reverse(model: DMDModel, sched: NoiseSchedule, cond: Tensor,
     with z = 0 at t = 1.
     """
     if n_frames < 1:
-        raise ContractError("need at least one frame")
+        raise DataError("need at least one frame")
     rngs = [np.random.default_rng(np.random.SeedSequence([s, 9])) for s in seeds]
     shape = (n_frames, model.cfg.frame_dim)
     x = np.stack([rng.standard_normal(shape) for rng in rngs])
@@ -178,7 +178,7 @@ def train_dmd(model: DMDModel, sched: NoiseSchedule, mq: MQModel, motions,
     """Noise-prediction training through `numerics.fit`; conditioning tokens
     come from the frozen quantizer. Deterministic per seed."""
     if not motions:
-        raise TrainingError("empty training set")
+        raise DataError("empty training set")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 31]))
     token_cache = encode_motions(mq, motions, batch_size)
     opt = nm.Adam(model.named_parameters(), lr=lr)

@@ -1,54 +1,40 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: one class per CLI exit code.
 
-The CLI maps these onto exit codes: configuration problems exit 2, missing
-or stale stage checkpoints exit 3, data/format/contract problems exit 4 and
-numerical failures exit 5.
+Each class names whose fault an error is, and carries the code and the
+stderr label that `cli.main` reports it with:
+
+* `ConfigError` (2): a bad config value or request, found before any work;
+* `StageError` (3): a required stage checkpoint is missing or stale;
+* `DataError` (4): an input file, tensor or sequence that does not fit its
+  format, shape, length or a metric's domain;
+* `NumericsError` (5): a computation or a training run went non-finite.
 """
 
 
 class UdeError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; each subclass sets
+    `exit_code` and `label`."""
 
 
 class ConfigError(UdeError):
-    """Bad or unknown configuration value."""
+    """Bad or unknown configuration value or request."""
+    exit_code = 2
+    label = "config error"
 
 
 class StageError(UdeError):
     """A required training-stage checkpoint is missing or stale."""
+    exit_code = 3
+    label = "stage error"
 
 
-class DimensionError(UdeError):
-    """Tensor or sequence shapes do not line up."""
-
-
-class ContractError(UdeError):
-    """A documented precondition was violated by the caller."""
-
-
-class LengthError(ContractError):
-    """A sequence exceeds the supported length."""
+class DataError(UdeError):
+    """Data, a file or a caller's input violates its format or contract."""
+    exit_code = 4
+    label = "data error"
 
 
 class NumericsError(UdeError):
-    """A forward computation produced NaN or Inf."""
-
-
-class TrainingError(UdeError):
-    """Training aborted (non-finite loss or gradient)."""
-
-
-class FormatError(UdeError):
-    """A file does not follow its documented format."""
-
-
-class PreprocessingError(UdeError):
-    """Motion preprocessing failed (degenerate input pose)."""
-
-
-class MetricError(UdeError):
-    """A metric was called on inputs outside its domain."""
-
-
-class TokenError(UdeError):
-    """A token index is outside the codebook range."""
+    """A forward computation, loss or gradient produced NaN or Inf."""
+    exit_code = 5
+    label = "numerical failure"

@@ -6,16 +6,16 @@ import hashlib
 import os
 import tempfile
 
-from .errors import FormatError
+from .errors import DataError
 
 
 def read_text(path) -> str:
-    """The text of a UTF-8 file; other bytes raise FormatError."""
+    """The text of a UTF-8 file; other bytes raise DataError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not a UTF-8 text file ({exc})") from exc
+        raise DataError(f"{path}: not a UTF-8 text file ({exc})") from exc
 
 
 def atomic_write(path, data: bytes) -> None:

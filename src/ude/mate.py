@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import ContractError, LengthError
+from .errors import DataError
 from .nn import Embedding, Linear, Module, TransformerEncoder, sinusoidal_table
 from .numerics import Tensor
 
@@ -34,7 +34,7 @@ class ModalityInput:
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
-            raise ContractError(f"unknown modality {self.modality!r}")
+            raise DataError(f"unknown modality {self.modality!r}")
 
 
 def text_input(token_ids) -> ModalityInput:
@@ -103,7 +103,7 @@ def embed_modality(model: MATEModel, inp: ModalityInput) -> Tensor:
         return model.word_table(inp.payload)
     if inp.modality == "audio":
         return model.audio_proj(Tensor(inp.payload))
-    raise ContractError(f"unknown modality {inp.modality!r}")
+    raise DataError(f"unknown modality {inp.modality!r}")
 
 
 def assemble_sequence(model: MATEModel, raw: Tensor, modality: str) -> Tensor:
@@ -111,10 +111,10 @@ def assemble_sequence(model: MATEModel, raw: Tensor, modality: str) -> Tensor:
     add positions to everything: output[0] = agg + pos[0],
     output[i+1] = raw[i] + token + pos[i+1]."""
     if modality not in MODALITIES:
-        raise ContractError(f"unknown modality {modality!r}")
+        raise DataError(f"unknown modality {modality!r}")
     count = raw.shape[0]
     if count + 1 > model.pos.shape[0]:
-        raise LengthError(f"condition of {count} elements exceeds the positional table")
+        raise DataError(f"condition of {count} elements exceeds the positional table")
     agg = model.text_agg if modality == "text" else model.audio_agg
     token = model.text_token if modality == "text" else model.audio_token
     first = (agg + Tensor(model.pos[0])).reshape(1, -1)
@@ -127,7 +127,7 @@ def assemble_sequence(model: MATEModel, raw: Tensor, modality: str) -> Tensor:
 def encode(model: MATEModel, inp: ModalityInput) -> CondEmbedding:
     """Full condition encoding of one input, as a batch of one."""
     if len(inp.payload) > model.max_payload(inp.modality):
-        raise LengthError(
+        raise DataError(
             f"{inp.modality} condition of {len(inp.payload)} elements exceeds "
             f"the {model.max_payload(inp.modality)}-element limit")
     raw = embed_modality(model, inp)

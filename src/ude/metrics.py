@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from . import numerics as nm
-from .errors import DimensionError, MetricError
+from .errors import DataError
 from .motion import MotionSequence
 from .nn import Embedding, Linear, Module
 from .numerics import Tensor
@@ -31,7 +31,7 @@ def kinetic_features(m: MotionSequence) -> np.ndarray:
     at a different fps leaves the features (nearly) unchanged.
     """
     if m.length < 3:
-        raise MetricError("kinetic features need at least 3 frames")
+        raise DataError("kinetic features need at least 3 frames")
     pos = m.positions()
     vel = (pos[1:] - pos[:-1]) * m.fps          # [T-1, J, 3]
     speed = np.linalg.norm(vel, axis=-1)        # [T-1, J]
@@ -65,7 +65,7 @@ class FeatureSet:
     def __post_init__(self):
         self.matrix = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))
         if not np.all(np.isfinite(self.matrix)):
-            raise MetricError("non-finite feature rows")
+            raise DataError("non-finite feature rows")
 
 
 def feature_set(kind: str, motions) -> FeatureSet:
@@ -83,7 +83,7 @@ def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
     sym = (mat + mat.T) / 2.0
     w, v = np.linalg.eigh(sym)
     if w.min() < -1e-10 * np.abs(w).max():
-        raise MetricError(f"matrix not PSD (eigenvalue {w.min():.3e})")
+        raise DataError(f"matrix not PSD (eigenvalue {w.min():.3e})")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.T
 
@@ -101,11 +101,11 @@ def fid_gaussian(mu_a, cov_a, mu_b, cov_b) -> float:
 def fid(a: FeatureSet, b: FeatureSet) -> float:
     """Frechet distance between the empirical feature distributions."""
     if a.kind != b.kind:
-        raise DimensionError(f"feature kinds differ: {a.kind} vs {b.kind}")
+        raise DataError(f"feature kinds differ: {a.kind} vs {b.kind}")
     if a.matrix.shape[1] != b.matrix.shape[1]:
-        raise DimensionError("feature dimensions differ")
+        raise DataError("feature dimensions differ")
     if a.matrix.shape[0] < 2 or b.matrix.shape[0] < 2:
-        raise MetricError("need at least 2 samples per set")
+        raise DataError("need at least 2 samples per set")
     mu_a, mu_b = a.matrix.mean(axis=0), b.matrix.mean(axis=0)
     cov_a = np.cov(a.matrix, rowvar=False)
     cov_b = np.cov(b.matrix, rowvar=False)
@@ -116,7 +116,7 @@ def diversity(a: FeatureSet | np.ndarray) -> float:
     """Mean pairwise Euclidean distance over all unordered row pairs."""
     matrix = a.matrix if isinstance(a, FeatureSet) else np.atleast_2d(a)
     if matrix.shape[0] < 2:
-        raise MetricError("diversity needs at least 2 samples")
+        raise DataError("diversity needs at least 2 samples")
     return float(pdist(matrix).mean())
 
 
@@ -127,7 +127,7 @@ def detect_motion_beats(m: MotionSequence) -> np.ndarray:
     """Beat times (seconds): local minima of the total joint-speed envelope,
     smoothed over 5 frames."""
     if m.length < 5:
-        raise MetricError("beat detection needs at least 5 frames")
+        raise DataError("beat detection needs at least 5 frames")
     pos = m.positions()
     vel = np.linalg.norm(pos[1:] - pos[:-1], axis=-1).sum(axis=-1)  # [T-1]
     kernel = np.ones(5)
@@ -149,9 +149,9 @@ def beat_align(motion_beats, audio_beats, sigma: float) -> float:
     audio_beats = np.asarray(audio_beats, dtype=np.float64)
     motion_beats = np.asarray(motion_beats, dtype=np.float64)
     if audio_beats.size == 0:
-        raise MetricError("no audio beats given")
+        raise DataError("no audio beats given")
     if sigma <= 0:
-        raise MetricError("sigma must be positive")
+        raise DataError("sigma must be positive")
     if motion_beats.size == 0:
         return 0.0
     d2 = (audio_beats[:, None] - motion_beats[None, :]) ** 2
@@ -251,7 +251,7 @@ def retrieval_accuracy(encoder, pairs, distractors: int = 60, trials: int = 10,
     """
     keys = list(dict.fromkeys(tuple(ids) for _, ids in pairs))
     if len(keys) < distractors + 1:
-        raise MetricError(
+        raise DataError(
             f"need at least {distractors + 1} distinct texts, have {len(keys)}")
     with nm.no_grad():
         text_emb = dict(zip(keys, encoder.encode_text(keys).data))
@@ -284,7 +284,7 @@ def recon_accuracy(gen: MotionSequence, gt: MotionSequence) -> dict:
     difference of per-joint temporal position variance.
     """
     if gen.frames.shape != gt.frames.shape:
-        raise DimensionError("sequences must have equal T and J")
+        raise DataError("sequences must have equal T and J")
     pg, pt = gen.positions(), gt.positions()
     dist = np.linalg.norm(pg - pt, axis=-1)        # [T, J]
     var_g = pg.var(axis=0)                         # [J, 3]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, PreprocessingError
+from .errors import DataError
 from .fileio import atomic_write, read_text
 
 MOTION_MAGIC = "UDEMOTION v1"
@@ -31,14 +31,14 @@ class Skeleton:
     def __post_init__(self):
         j = len(self.names)
         if len(self.parents) != j or self.offsets.shape != (j, 3):
-            raise DimensionError("skeleton fields disagree about joint count")
+            raise DataError("skeleton fields disagree about joint count")
         if self.parents[0] != -1:
-            raise PreprocessingError("joint 0 must be the root (parent -1)")
+            raise DataError("joint 0 must be the root (parent -1)")
         for i, p in enumerate(self.parents[1:], start=1):
             if not 0 <= p < i:
-                raise PreprocessingError(f"parents must form a tree, joint {i} -> {p}")
+                raise DataError(f"parents must form a tree, joint {i} -> {p}")
         if not np.all(np.isfinite(self.offsets)):
-            raise PreprocessingError("non-finite rest offsets")
+            raise DataError("non-finite rest offsets")
 
     @property
     def joint_count(self) -> int:
@@ -72,13 +72,13 @@ class MotionSequence:
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 2 or self.frames.shape[0] < 1:
-            raise DimensionError("frames must be a [T, J*3] array with T >= 1")
+            raise DataError("frames must be a [T, J*3] array with T >= 1")
         if self.frames.shape[1] % 3 != 0:
-            raise DimensionError("frame width must be a multiple of 3")
+            raise DataError("frame width must be a multiple of 3")
         if not 0 < self.fps < np.inf:
-            raise DimensionError(f"fps must be finite and positive, got {self.fps}")
+            raise DataError(f"fps must be finite and positive, got {self.fps}")
         if not np.all(np.isfinite(self.frames)):
-            raise DimensionError("non-finite joint positions")
+            raise DataError("non-finite joint positions")
 
     @property
     def joint_count(self) -> int:
@@ -109,7 +109,7 @@ def normalize_heading(m: MotionSequence) -> MotionSequence:
     lateral = np.array([hip[0], 0.0, hip[2]])
     norm = np.linalg.norm(lateral)
     if norm < 1e-8 * max(np.linalg.norm(hip), 1e-12) or norm < 1e-12:
-        raise PreprocessingError("hip axis is parallel to the vertical axis")
+        raise DataError("hip axis is parallel to the vertical axis")
     lateral /= norm
     # facing +X with y up puts the left hip at +Z; forward = up x lateral
     forward = np.array([lateral[2], 0.0, -lateral[0]])
@@ -135,10 +135,10 @@ def save_motion(m: MotionSequence, path) -> None:
 def load_motion(path) -> MotionSequence:
     lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
-        raise FormatError(f"{path}: empty motion file")
+        raise DataError(f"{path}: empty motion file")
     match = _HEADER_RE.match(lines[0])
     if not match:
-        raise FormatError(f"{path}: line 1: bad header {lines[0]!r}")
+        raise DataError(f"{path}: line 1: bad header {lines[0]!r}")
     fps = float(match.group(1))
     joints = int(match.group(2))
     width = joints * 3
@@ -146,11 +146,11 @@ def load_motion(path) -> MotionSequence:
     for i, ln in enumerate(lines[1:], start=2):
         values = ln.split()
         if len(values) != width:
-            raise FormatError(f"{path}: line {i}: expected {width} values, got {len(values)}")
+            raise DataError(f"{path}: line {i}: expected {width} values, got {len(values)}")
         try:
             rows.append([float(v) for v in values])
         except ValueError as exc:
-            raise FormatError(f"{path}: line {i}: {exc}") from exc
+            raise DataError(f"{path}: line {i}: {exc}") from exc
     if not rows:
-        raise FormatError(f"{path}: no frames")
+        raise DataError(f"{path}: no frames")
     return MotionSequence(fps, np.array(rows))

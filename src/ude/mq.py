@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import DimensionError, TokenError, TrainingError
+from .errors import DataError
 from .nn import Conv1d, Embedding, Module
 from .numerics import Tensor
 
@@ -60,9 +60,9 @@ class MQModel(Module):
         """Frames [B, T, c] -> embeddings [B, T/4, code_dim]. T must divide by 4."""
         x = frames if isinstance(frames, Tensor) else Tensor(np.asarray(frames, dtype=np.float64))
         if x.ndim != 3 or x.shape[2] != self.cfg.frame_dim:
-            raise DimensionError(f"expected [B, T, {self.cfg.frame_dim}] frames, got {x.shape}")
+            raise DataError(f"expected [B, T, {self.cfg.frame_dim}] frames, got {x.shape}")
         if x.shape[1] % DOWNSAMPLE != 0:
-            raise DimensionError(
+            raise DataError(
                 f"frame count {x.shape[1]} not divisible by {DOWNSAMPLE}; pad or crop first")
         x = (x - Tensor(self.center)) * Tensor(1.0 / self.scale)
         h = nm.relu(self.enc1(x))
@@ -80,7 +80,7 @@ class MQModel(Module):
         """Token indices [B, T'] -> motion frames [B, 4T', c], deterministically."""
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.size and (tokens.min() < 0 or tokens.max() >= self.cfg.code_count):
-            raise TokenError(f"token index outside [0, {self.cfg.code_count})")
+            raise DataError(f"token index outside [0, {self.cfg.code_count})")
         with nm.no_grad():
             return self.decode_embedding(self.codebook(tokens)).data
 
@@ -141,7 +141,7 @@ def train_mq(model: MQModel, motions, epochs: int, seed: int, lr: float = 1e-3,
     outputs so the codebook cannot collapse; each row counts them.
     """
     if not motions:
-        raise TrainingError("empty training set")
+        raise DataError("empty training set")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     model.center = np.mean([m.mean(axis=0) for m in motions], axis=0)
     model.scale = np.maximum(np.mean([m.std(axis=0) for m in motions], axis=0), 1e-3)

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericsError, TrainingError
+from .errors import DataError, NumericsError
 
 
 def _pin_malloc_thresholds() -> None:
@@ -132,7 +132,7 @@ class Tensor:
         is walked.
         """
         if self.data.size != 1:
-            raise ContractError("backward() expects a scalar loss tensor")
+            raise DataError("backward() expects a scalar loss tensor")
         order = _toposort(self)
         _accumulate(self, np.ones_like(self.data))
         while order:
@@ -330,9 +330,9 @@ def matmul(a, b, bias=None) -> Tensor:
     numpy's ``@``, and the bias broadcasts against the product."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
+        raise DataError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
+        raise DataError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     out = a.data @ b.data
     if bias is not None:
         bias = _as_tensor(bias)
@@ -400,7 +400,7 @@ def softmax(x, axis: int = -1, scale: float = 1.0, add_mask=None) -> Tensor:
     all steps run in place on one buffer, and backward keeps only the output."""
     x = _as_tensor(x)
     if x.shape[axis] == 0:
-        raise DimensionError("softmax over an empty axis")
+        raise DataError("softmax over an empty axis")
     y = x.data * scale
     if add_mask is not None:
         y += add_mask
@@ -418,7 +418,7 @@ def softmax(x, axis: int = -1, scale: float = 1.0, add_mask=None) -> Tensor:
 def log_softmax(x, axis: int = -1) -> Tensor:
     x = _as_tensor(x)
     if x.shape[axis] == 0:
-        raise DimensionError("log_softmax over an empty axis")
+        raise DataError("log_softmax over an empty axis")
     shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
     lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
     y = shifted - lse
@@ -434,7 +434,7 @@ def layer_norm(x, gain, bias) -> Tensor:
     1e-5), then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if x.shape[-1] < 1:
-        raise DimensionError("layer_norm needs a non-empty last axis")
+        raise DataError("layer_norm needs a non-empty last axis")
     mu = np.mean(x.data, axis=-1, keepdims=True)
     xc = x.data - mu
     var = np.mean(xc * xc, axis=-1, keepdims=True)
@@ -468,16 +468,16 @@ def conv1d_temporal(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim < 2 or kernel.ndim != 3:
-        raise DimensionError("conv1d_temporal expects x [..., T, Cin] and kernel [W, Cin, Cout]")
+        raise DataError("conv1d_temporal expects x [..., T, Cin] and kernel [W, Cin, Cout]")
     *lead, t_in, c_in = x.shape
     w, kc_in, c_out = kernel.shape
     if kc_in != c_in:
-        raise DimensionError(f"kernel expects {kc_in} input channels, signal has {c_in}")
+        raise DataError(f"kernel expects {kc_in} input channels, signal has {c_in}")
     if stride not in (1, 2):
-        raise ContractError("stride must be 1 or 2")
+        raise DataError("stride must be 1 or 2")
     t_out = (t_in + 2 * pad - w) // stride + 1
     if t_out < 1:
-        raise DimensionError(f"conv output length {t_out} < 1 (T={t_in}, W={w}, pad={pad})")
+        raise DataError(f"conv output length {t_out} < 1 (T={t_in}, W={w}, pad={pad})")
 
     xp = np.zeros((*lead, t_in + 2 * pad, c_in))
     xp[..., pad:pad + t_in, :] = x.data
@@ -507,7 +507,7 @@ def embedding(table, ids) -> Tensor:
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise DimensionError("embedding id out of range")
+        raise DataError("embedding id out of range")
 
     def vjp(g):
         gt = np.zeros_like(table.data)
@@ -597,7 +597,7 @@ class Adam:
     """Adam with bias correction over a list of (name, parameter) pairs.
 
     lr defaults to 1e-4; beta1, beta2 and eps are the usual 0.9, 0.999 and
-    1e-8. A non-finite gradient raises TrainingError naming the offending
+    1e-8. A non-finite gradient raises NumericsError naming the offending
     parameter. lr=0 leaves parameters untouched.
     """
 
@@ -629,7 +629,7 @@ class Adam:
         for (name, p), m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient for parameter {name!r}")
+                raise NumericsError(f"non-finite gradient for parameter {name!r}")
             m *= self.BETA1
             m += (1.0 - self.BETA1) * g
             v *= self.BETA2
@@ -648,8 +648,8 @@ def fit(epochs: int, batch_size: int, order, step, end_epoch=None) -> list:
     `(optimizer, loss)` pairs and a dict of scalar loss parts; each pair is
     then zeroed, back-propagated and stepped, in the order given. A row holds
     each part's per-item mean over the epoch's order, then "epoch", then
-    whatever `end_epoch()` returns. A NumericsError from `step` becomes a
-    TrainingError naming the epoch.
+    whatever `end_epoch()` returns. A NumericsError from `step` is raised
+    again with the epoch in its message.
     """
     history = []
     for epoch in range(epochs):
@@ -660,7 +660,7 @@ def fit(epochs: int, batch_size: int, order, step, end_epoch=None) -> list:
             try:
                 pairs, parts = step(batch)
             except NumericsError as exc:
-                raise TrainingError(f"non-finite loss at epoch {epoch}: {exc}") from exc
+                raise NumericsError(f"non-finite loss at epoch {epoch}: {exc}") from exc
             for opt, loss in pairs:
                 opt.zero_grad()
                 loss.backward()

@@ -30,7 +30,7 @@ from . import utt as utt_mod
 from .audio import AudioFeatureSequence
 from .config import RunConfig
 from .dataset import UNK_ID, VOCAB_WORDS, load_samples, synth_dataset, tokenize
-from .errors import ConfigError, ContractError, DimensionError, FormatError, StageError
+from .errors import ConfigError, DataError, StageError
 from .fileio import atomic_write
 from .mate import MATEConfig, MATEModel, audio_input, stack_conditions, text_input
 from .mate import encode as mate_encode
@@ -180,7 +180,7 @@ def train_stage(stage: str, cfg: RunConfig, data_dir, out_dir, seed: int,
     deps = {dep: ckpt.stage_hash(out_dir, dep) for dep in spec.deps}
     train = load_samples(data_dir, split="train")
     if not train:
-        raise FormatError(f"{data_dir}: the manifest lists no train samples")
+        raise DataError(f"{data_dir}: the manifest lists no train samples")
     _check_rates(train, cfg)
     rng = np.random.default_rng(np.random.SeedSequence([seed, spec.tag]))
     # every op's finite check raises NumericsError on a diverging run, so
@@ -207,8 +207,8 @@ def _check_rates(samples, cfg: RunConfig) -> None:
             rates["features"] = s.features.frame_rate
         for kind, rate in rates.items():
             if rate != cfg.fps:
-                raise FormatError(f"sample {s.id}: {kind} rate {rate} is not the config's "
-                                  f"fps {cfg.fps}")
+                raise DataError(f"sample {s.id}: {kind} rate {rate} is not the config's "
+                                f"fps {cfg.fps}")
 
 
 def _sample_input(sample):
@@ -229,24 +229,24 @@ def load_models(ckpt_dir, stage: str) -> dict:
         if name == "disc":  # older utt checkpoints hold it; nothing reads it
             continue
         if name not in MODELS:
-            raise FormatError(f"{stage} checkpoint has an unknown section {name!r}")
+            raise DataError(f"{stage} checkpoint has an unknown section {name!r}")
         try:
             models[name] = MODELS[name](section["config"], np.random.default_rng(0))
         except TypeError as exc:  # a config key the model lacks, or one it needs
-            raise FormatError(f"{stage} checkpoint section {name!r} does not fit its "
-                              f"model ({exc}); retrain stage {stage}") from exc
+            raise DataError(f"{stage} checkpoint section {name!r} does not fit its "
+                            f"model ({exc}); retrain stage {stage}") from exc
         ckpt.load_params(models[name], section["params"])
     for name, value in body["buffers"].items():
         default = getattr(models[stage], name, None)
         if not isinstance(default, np.ndarray):
-            raise FormatError(f"{stage} checkpoint has an unknown buffer {name!r}")
+            raise DataError(f"{stage} checkpoint has an unknown buffer {name!r}")
         try:
             value = np.array(value, dtype=default.dtype)
         except (TypeError, ValueError) as exc:
-            raise FormatError(f"{stage} checkpoint buffer {name!r}: {exc}") from exc
+            raise DataError(f"{stage} checkpoint buffer {name!r}: {exc}") from exc
         if value.shape != default.shape:
-            raise FormatError(f"{stage} checkpoint buffer {name!r} has shape {value.shape}, "
-                              f"not {default.shape}")
+            raise DataError(f"{stage} checkpoint buffer {name!r} has shape {value.shape}, "
+                            f"not {default.shape}")
         setattr(models[stage], name, value)
     return models
 
@@ -292,18 +292,18 @@ def condition_from_request(stack, cfg: RunConfig, modality: str, prompt=None,
     if modality == "text":
         ids = tokenize(prompt or "")
         if ids.size == 0:
-            raise ContractError("empty prompt")
+            raise DataError("empty prompt")
         return text_input(ids), bool((ids == UNK_ID).all())
     if modality == "audio":
         if isinstance(features, AudioFeatureSequence):
             if features.frame_rate != cfg.fps:
-                raise DimensionError(f"features at {features.frame_rate} rows/s do not match "
-                                     f"the config's fps {cfg.fps}")
+                raise DataError(f"features at {features.frame_rate} rows/s do not match "
+                                f"the config's fps {cfg.fps}")
             features = features.features
         feats = np.asarray(features, dtype=np.float64)
         want = stack["mate"].cfg.audio_dim
         if feats.ndim != 2 or feats.shape[1] != want:
-            raise DimensionError(f"feature matrix must be [T, {want}]")
+            raise DataError(f"feature matrix must be [T, {want}]")
         return audio_input(feats), False
     raise ConfigError(f"unknown modality {modality!r}")
 

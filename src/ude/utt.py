@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import ContractError, DimensionError, LengthError, TokenError, TrainingError
+from .errors import DataError
 from .mate import CondEmbedding, MATEModel, encode, stack_conditions
 from .mq import DOWNSAMPLE, MQModel, encode_motions
 from .nn import (Conv1d, Embedding, Linear, Module, TransformerEncoder, additive_mask,
@@ -97,11 +97,11 @@ def forward_logits(model: UTTModel, cond: CondEmbedding, prefixes, z=None,
     """
     ids = np.asarray(prefixes, dtype=np.int64)
     if ids.ndim != 2 or len(ids) != len(cond.lengths):
-        raise ContractError(f"{len(cond.lengths)} conditions got prefixes of shape {ids.shape}")
+        raise DataError(f"{len(cond.lengths)} conditions got prefixes of shape {ids.shape}")
     if not ids.shape[1] or (ids[:, 0] != model.cfg.bos).any():
-        raise ContractError("token prefix must start with BOS")
+        raise DataError("token prefix must start with BOS")
     if ids.min() < 0 or ids.max() >= model.cfg.vocab:
-        raise TokenError("prefix contains out-of-vocabulary ids")
+        raise DataError("prefix contains out-of-vocabulary ids")
     _check_context(model, 1 + int(cond.lengths.max()) + ids.shape[1])
     glob = cond.glob
     if z is not None and any(v is not None for v in z):  # rows without z shift by 0
@@ -118,7 +118,7 @@ def forward_logits(model: UTTModel, cond: CondEmbedding, prefixes, z=None,
 
 def _check_context(model: UTTModel, length: int) -> None:
     if length > model.cfg.max_context:
-        raise LengthError(f"context of {length} exceeds {model.cfg.max_context}")
+        raise DataError(f"context of {length} exceeds {model.cfg.max_context}")
 
 
 def _step_logits(model: UTTModel, position: int, last, caches: list,
@@ -139,7 +139,7 @@ def _step_logits(model: UTTModel, position: int, last, caches: list,
 def _per_row(value, count: int) -> list:
     values = [None] * count if value is None else list(value)
     if len(values) != count:
-        raise ContractError(f"a batch of {count} requests got {len(values)} values")
+        raise DataError(f"a batch of {count} requests got {len(values)} values")
     return values
 
 
@@ -166,14 +166,14 @@ def generate_tokens(model: UTTModel, cond: CondEmbedding, max_len: int,
     try:
         prim = np.array([[]] * count if primitive is None else primitive, dtype=np.int64)
     except (TypeError, ValueError) as exc:
-        raise ContractError(f"primitives must be {count} rows of one length") from exc
+        raise DataError(f"primitives must be {count} rows of one length") from exc
     if prim.ndim != 2 or len(prim) != count:
-        raise ContractError(f"a batch of {count} requests got primitives of shape {prim.shape}")
+        raise DataError(f"a batch of {count} requests got primitives of shape {prim.shape}")
     start = prim.shape[1]
     if max_len < start:
-        raise ContractError("max_len is smaller than the primitive")
+        raise DataError("max_len is smaller than the primitive")
     if prim.size and (prim.min() < 0 or prim.max() >= model.cfg.code_count):
-        raise TokenError("primitive contains non-codebook ids")
+        raise DataError("primitive contains non-codebook ids")
     _check_context(model, 1 + int(cond.lengths.max()) + max_len)
     tokens = np.zeros((count, max_len), dtype=np.int64)
     tokens[:, :start] = prim
@@ -227,7 +227,7 @@ class Discriminator(Module):
 def discriminate(disc: Discriminator, glob, motion) -> Tensor:
     """Validity scores [B, T/4] of motions [B, T, c] under global conditions [B, D]."""
     if motion.shape[-2] % DOWNSAMPLE != 0:
-        raise DimensionError(f"frame count {motion.shape[-2]} not divisible by {DOWNSAMPLE}")
+        raise DataError(f"frame count {motion.shape[-2]} not divisible by {DOWNSAMPLE}")
     h = nm.relu(disc.conv2(nm.relu(disc.conv1(motion))))
     h = h + disc.glob_proj(glob).reshape(glob.shape[0], 1, -1)
     hidden = disc.encoder(h)
@@ -316,7 +316,7 @@ def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator, mq: MQModel
     are present. The quantizer is frozen throughout. Deterministic per seed.
     """
     if not samples:
-        raise TrainingError("empty training set")
+        raise DataError("empty training set")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 23]))
     gen_opt = nm.Adam(mate.named_parameters() + model.named_parameters(), lr=lr)
     disc_opt = nm.Adam(disc.named_parameters(), lr=lr)

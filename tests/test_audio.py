@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ude.audio import AudioFeatureSequence, load_features, save_features
-from ude.errors import DimensionError, FormatError
+from ude.errors import DataError
 
 
 class TestFeatureFiles:
@@ -22,12 +22,12 @@ class TestFeatureFiles:
 
     def test_wrong_width_names_line(self, tmp_path):
         (tmp_path / "bad.udef").write_text("UDEFEAT v1 rate=16.0 dims=3\n1 2\n")
-        with pytest.raises(FormatError, match="line 2"):
+        with pytest.raises(DataError, match="line 2"):
             load_features(tmp_path / "bad.udef")
 
     def test_bad_beat_time_names_line(self, tmp_path):
         (tmp_path / "bad.udef").write_text("UDEFEAT v1 rate=16.0 dims=1\n1\nbeats: 0.5 x\n")
-        with pytest.raises(FormatError, match="line 3"):
+        with pytest.raises(DataError, match="line 3"):
             load_features(tmp_path / "bad.udef")
 
     @pytest.mark.parametrize("text", [
@@ -37,16 +37,16 @@ class TestFeatureFiles:
     ], ids=["nan-value", "infinite-value", "infinite-beat"])
     def test_non_finite_values_are_rejected(self, tmp_path, text):
         (tmp_path / "bad.udef").write_text(text)
-        with pytest.raises(DimensionError, match="non-finite"):
+        with pytest.raises(DataError, match="non-finite"):
             load_features(tmp_path / "bad.udef")
 
     @pytest.mark.parametrize("rate", [0.0, -16.0, float("nan"), float("inf")])
     def test_rate_must_be_finite_and_positive(self, rate):
-        with pytest.raises(DimensionError, match="finite and positive"):
+        with pytest.raises(DataError, match="finite and positive"):
             AudioFeatureSequence(rate, np.zeros((2, 3)))
 
     @pytest.mark.parametrize("rate", ["1e999", "..", "1e-", "-16", "nan"])
     def test_a_rate_that_is_not_a_finite_positive_decimal_is_rejected(self, tmp_path, rate):
         (tmp_path / "bad.udef").write_text(f"UDEFEAT v1 rate={rate} dims=1\n1\n")
-        with pytest.raises((FormatError, DimensionError)):
+        with pytest.raises(DataError):
             load_features(tmp_path / "bad.udef")

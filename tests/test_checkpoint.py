@@ -6,7 +6,7 @@ import pytest
 
 from ude import checkpoint
 from ude.dataset import save_manifest
-from ude.errors import FormatError
+from ude.errors import DataError
 from ude.nn import Linear
 
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.pi, -1.0 / 3.0]
@@ -50,7 +50,7 @@ def test_load_params_rejects_a_wrong_shape(tmp_path, rng):
     layer = Linear(3, 4, rng)
     params = checkpoint.params_blob(layer)
     params["w"] = params["w"].T
-    with pytest.raises(FormatError, match="shape mismatch for w"):
+    with pytest.raises(DataError, match="shape mismatch for w"):
         checkpoint.load_params(Linear(3, 4, rng), params)
 
 

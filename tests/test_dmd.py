@@ -7,7 +7,7 @@ from ude import numerics as nm
 from ude.dmd import (DMDConfig, DMDModel, NoiseSchedule, dmd_loss, dmd_loss_at,
                      encode_condition, make_schedule, predict_noise, q_sample,
                      sample_reverse, train_dmd)
-from ude.errors import ConfigError, ContractError, TokenError
+from ude.errors import ConfigError, DataError
 from ude.mq import MQConfig, MQModel
 
 C = 3
@@ -96,13 +96,13 @@ class TestQSample:
 
     def test_out_of_range_step(self):
         sched = make_schedule(5)
-        with pytest.raises(ContractError):
+        with pytest.raises(DataError, match="outside"):
             q_sample(sched, np.zeros((2, 1)), 6, np.zeros((2, 1)))
 
     def test_one_step_per_sequence(self):
         # an unbatched [T, c] with one step per frame would broadcast to [T, T, c]
         sched = make_schedule(5)
-        with pytest.raises(ContractError):
+        with pytest.raises(DataError, match="noise of the data's shape"):
             q_sample(sched, np.zeros((4, 1)), np.ones(4, dtype=int), np.zeros((4, 1)))
 
     def test_matches_composed_single_steps_in_distribution(self):
@@ -149,11 +149,11 @@ class TestEncodeCondition:
         assert not np.allclose(a, b)
 
     def test_empty_tokens_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(DataError, match="empty token sequence"):
             encode_condition(_model(), np.array([], dtype=np.int64))
 
     def test_out_of_range_token_rejected(self):
-        with pytest.raises(TokenError):
+        with pytest.raises(DataError, match="token index outside"):
             encode_condition(_model(), np.array([0, K]))
 
 
@@ -178,7 +178,7 @@ class TestPredictNoise:
     def test_step_out_of_range(self, rng):
         model = _model(steps=5)
         cond = encode_condition(model, np.array([[0], [1]]))
-        with pytest.raises(ContractError):
+        with pytest.raises(DataError, match="outside"):
             predict_noise(model, cond, [1, 6], rng.standard_normal((2, 4, C)))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ude import numerics as nm
-from ude.errors import ContractError, LengthError
+from ude.errors import DataError
 from ude.mate import (CondEmbedding, MATEConfig, MATEModel, ModalityInput,
                       assemble_sequence, audio_input, embed_modality, encode,
                       text_input)
@@ -34,7 +34,7 @@ class TestEmbedModality:
         assert np.array_equal(a.data[1], b.data[1])
 
     def test_unknown_modality_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(DataError, match="unknown modality"):
             ModalityInput("video", np.zeros(3))
 
 
@@ -65,7 +65,7 @@ class TestAssembleSequence:
 
     def test_too_long_payload_rejected(self, rng):
         model = _model()
-        with pytest.raises(LengthError):
+        with pytest.raises(DataError, match="positional table"):
             assemble_sequence(model, nm.Tensor(rng.standard_normal((40, 16))), "text")
 
 
@@ -113,7 +113,7 @@ class TestEncode:
 
     def test_over_limit_rejected(self, rng):
         model = _model()
-        with pytest.raises(LengthError):
+        with pytest.raises(DataError, match="24-element limit"):
             encode(model, audio_input(rng.standard_normal((25, 5))))
 
     def test_condition_length_matches_payload(self):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ude import numerics as nm
-from ude.errors import DimensionError, MetricError
+from ude.errors import DataError
 from ude.metrics import (FeatureSet, RetrievalEncoder, beat_align, contrastive_loss,
                          detect_motion_beats, diversity, feature_set, fid, fid_gaussian,
                          geometric_features, kinetic_features, recon_accuracy,
@@ -48,7 +48,7 @@ class TestKineticFeatures:
         assert np.allclose(f_lo[:2], f_hi[:2], rtol=0.05, atol=1e-6)
 
     def test_too_short_rejected(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(DataError, match="at least 3 frames"):
             kinetic_features(MotionSequence(16.0, np.zeros((2, 6))))
 
 
@@ -107,13 +107,13 @@ class TestFid:
         assert fid(a, b) >= 0.0
 
     def test_indefinite_covariance_rejected(self):
-        with pytest.raises(MetricError, match="not PSD"):
+        with pytest.raises(DataError, match="not PSD"):
             fid_gaussian([0.0, 0.0], np.diag([1.0, -1.0]), [0.0, 0.0], np.eye(2))
 
     def test_kind_mismatch_rejected(self, rng):
         a = FeatureSet("kinetic", rng.standard_normal((5, 3)))
         b = FeatureSet("geometric", rng.standard_normal((5, 3)))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError, match="feature kinds differ"):
             fid(a, b)
 
 
@@ -147,7 +147,7 @@ class TestDiversity:
         assert abs(diversity(x) - total / count) < 1e-12
 
     def test_needs_two_rows(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(DataError, match="at least 2 samples"):
             diversity(np.ones((1, 3)))
 
 
@@ -205,7 +205,7 @@ class TestBeatAlign:
         assert beat_align(np.array([]), np.array([1.0]), sigma=0.5) == 0.0
 
     def test_empty_audio_beats_rejected(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(DataError, match="no audio beats"):
             beat_align(np.array([1.0]), np.array([]), sigma=0.5)
 
     def test_superset_never_decreases(self, rng):
@@ -256,7 +256,7 @@ class TestReconAccuracy:
     def test_shape_mismatch_rejected(self, rng):
         a = MotionSequence(16.0, rng.standard_normal((5, 9)))
         b = MotionSequence(16.0, rng.standard_normal((6, 9)))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError, match="equal T and J"):
             recon_accuracy(a, b)
 
 

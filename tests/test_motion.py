@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ude.errors import DimensionError, FormatError, PreprocessingError
+from ude.errors import DataError
 from ude.motion import (MotionSequence, Skeleton, default_skeleton, load_motion,
                         normalize_heading, save_motion)
 
@@ -80,7 +80,7 @@ class TestNormalizeHeading:
         pos[0, 1] = pos[0, 0] + np.array([0.0, 0.1, 0.0])
         pos[0, 2] = pos[0, 0] + np.array([0.0, -0.1, 0.0])
         broken = MotionSequence(m.fps, pos.reshape(m.length, -1))
-        with pytest.raises(PreprocessingError):
+        with pytest.raises(DataError, match="hip axis"):
             normalize_heading(broken)
 
 
@@ -96,31 +96,31 @@ class TestMotionFiles:
     def test_short_row_names_line(self, tmp_path):
         path = tmp_path / "bad.udem"
         path.write_text("UDEMOTION v1 fps=16.0 joints=2\n1 2 3 4 5\n")
-        with pytest.raises(FormatError, match="line 2"):
+        with pytest.raises(DataError, match="line 2"):
             load_motion(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.udem"
         path.write_text("MOTION 1.0\n")
-        with pytest.raises(FormatError, match="line 1"):
+        with pytest.raises(DataError, match="line 1"):
             load_motion(path)
 
     def test_binary_file(self, tmp_path):
         path = tmp_path / "bad.udem"
         path.write_bytes(b"\xff\xfe\x00\x81" * 16)
-        with pytest.raises(FormatError, match="not a UTF-8 text file"):
+        with pytest.raises(DataError, match="not a UTF-8 text file"):
             load_motion(path)
 
     @pytest.mark.parametrize("fps", ["0.0", "1e999", "..", "1e-", "-16"])
     def test_fps_that_is_not_a_finite_positive_decimal_is_rejected(self, tmp_path, fps):
         path = tmp_path / "bad.udem"
         path.write_text(f"UDEMOTION v1 fps={fps} joints=1\n1 2 3\n")
-        with pytest.raises((FormatError, DimensionError)):
+        with pytest.raises(DataError):
             load_motion(path)
 
     @pytest.mark.parametrize("fps", [0.0, float("nan"), float("inf")])
     def test_fps_must_be_finite_and_positive(self, fps):
-        with pytest.raises(DimensionError, match="finite and positive"):
+        with pytest.raises(DataError, match="finite and positive"):
             MotionSequence(fps, np.zeros((2, 6)))
 
     def test_fps_preserved_exactly(self, tmp_path):
@@ -136,7 +136,7 @@ class TestSkeleton:
         assert skel.parents[0] == -1
 
     def test_cyclic_parents_rejected(self):
-        with pytest.raises(PreprocessingError):
+        with pytest.raises(DataError, match="must form a tree"):
             Skeleton(("a", "b"), (-1, 1), np.zeros((2, 3)))
 
     def test_bone_lengths_of_rest_pose(self):

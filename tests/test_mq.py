@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ude import numerics as nm
-from ude.errors import DimensionError, TokenError
+from ude.errors import DataError
 from ude.mq import MQConfig, MQModel, quantize, train_mq, vq_loss
 
 
@@ -27,7 +27,7 @@ class TestEncode:
 
     def test_indivisible_length_rejected(self, rng):
         model = _model()
-        with pytest.raises(DimensionError, match="divisible"):
+        with pytest.raises(DataError, match="divisible"):
             model.encode(rng.standard_normal((1, 30, 6)))
 
     def test_zero_input_zero_biases_zero_embedding(self):
@@ -95,7 +95,7 @@ class TestDecode:
 
     def test_out_of_range_token_rejected(self):
         model = _model()
-        with pytest.raises(TokenError):
+        with pytest.raises(DataError, match="token index outside"):
             model.decode_tokens(np.array([0, 3, 8]))
 
 

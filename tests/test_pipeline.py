@@ -6,7 +6,7 @@ import pytest
 
 from ude import checkpoint, pipeline
 from ude.dataset import load_samples
-from ude.errors import FormatError
+from ude.errors import DataError
 
 
 def test_load_mq_restores_every_saved_buffer(tmp_path, tiny_cfg):
@@ -53,7 +53,7 @@ def test_load_models_rejects_what_no_model_owns(tmp_path, tiny_cfg, part):
     checkpoint.save_checkpoint(checkpoint.stage_path(ckpt, "mq"), "mq", body["sections"],
                                body["config"], buffers=body["buffers"])
     names = "mq checkpoint section 'mq'.*beta_start.*retrain stage mq"
-    with pytest.raises(FormatError, match=names if part == "config" else None):
+    with pytest.raises(DataError, match=names if part == "config" else None):
         pipeline.load_models(ckpt, "mq")
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from ude import numerics as nm
 from ude import utt as utt_mod
-from ude.errors import ContractError, DimensionError, LengthError
+from ude.errors import DataError
 from ude.mate import (MATEConfig, MATEModel, audio_input, encode, stack_conditions,
                       text_input)
 from ude.mq import MQConfig, MQModel
@@ -131,7 +131,7 @@ class TestForwardLogits:
 
     def test_prefix_must_start_with_bos(self):
         mate, utt, _, _ = _models()
-        with pytest.raises(ContractError):
+        with pytest.raises(DataError, match="must start with BOS"):
             forward_logits(utt, _cond(mate), [[1, 2]])
 
 
@@ -183,7 +183,7 @@ class TestGenerate:
 
     def test_max_len_smaller_than_primitive_rejected(self):
         mate, utt, _, _ = _models()
-        with pytest.raises(ContractError):
+        with pytest.raises(DataError, match="smaller than the primitive"):
             _generate(utt, _cond(mate), 2, primitive=np.array([1, 2, 3]))
 
     @pytest.mark.parametrize("primitive", [[[1, 2], [3]], [[1, 2], None], [1, 2]],
@@ -191,7 +191,7 @@ class TestGenerate:
     def test_primitives_must_be_one_row_per_request_of_one_length(self, primitive):
         mate, utt, _, _ = _models()
         cond = stack_conditions([_cond(mate), _cond(mate, ids=(4, 5))])
-        with pytest.raises(ContractError):
+        with pytest.raises(DataError, match="primitives"):
             generate_tokens(utt, cond, 4, primitive=primitive, seed=[1, 2])
 
 
@@ -279,7 +279,7 @@ class TestKVCache:
         cond = CONDITIONS["text"](mate)
         assert _generate(utt, cond, 4, primitive=primitive).size == 4
         monkeypatch.setattr(utt_mod, "forward_logits", None)  # never reached
-        with pytest.raises(LengthError, match="^context of 11 exceeds 10$"):
+        with pytest.raises(DataError, match="^context of 11 exceeds 10$"):
             _generate(utt, cond, 5, primitive=primitive)
 
 
@@ -358,11 +358,11 @@ class TestBatchedSampling:
     def test_per_request_lists_must_match_the_batch(self):
         mate, utt = _z_model()
         cond = stack_conditions(_mixed_requests(mate)[0])
-        with pytest.raises(ContractError):
+        with pytest.raises(DataError, match="got 2 values"):
             generate_tokens(utt, cond, 4, seed=[1, 2])
-        with pytest.raises(ContractError):
+        with pytest.raises(DataError, match="primitives of shape"):
             generate_tokens(utt, cond, 4, seed=[1, 2, 3, 4], primitive=[[1]])
-        with pytest.raises(ContractError):
+        with pytest.raises(DataError, match="prefixes of shape"):
             forward_logits(utt, cond, [[utt.cfg.bos]])
 
 
@@ -391,7 +391,7 @@ class TestDiscriminator:
 
     def test_indivisible_length_rejected(self, rng):
         _, _, disc, _ = _models()
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError, match="not divisible by 4"):
             discriminate(disc, rng.standard_normal((1, 16)),
                          rng.standard_normal((1, 30, FRAME_DIM)))
 
