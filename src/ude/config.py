@@ -153,6 +153,9 @@ def _check_ranges(cfg: RunConfig) -> None:
         raise ConfigError(f"the longest context ({longest}: 1 + max(max_text_len, "
                           f"max_audio_len) + 1 + frames/{DOWNSAMPLE}) exceeds max_context "
                           f"{cfg.max_context}")
+    if cfg.max_audio_len < cfg.frames:  # synth writes one feature row per frame
+        raise ConfigError(f"max_audio_len {cfg.max_audio_len} is below frames {cfg.frames}, "
+                          f"the feature rows of each synthesized audio clip")
 
 
 _FIELD_TYPES = {"int": int, "float": float, "str": str}

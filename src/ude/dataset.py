@@ -133,7 +133,7 @@ def _rot_axis(axis: str, theta: np.ndarray) -> np.ndarray:
         out[:, 0, 0], out[:, 0, 1] = c, -s
         out[:, 1, 0], out[:, 1, 1] = s, c
     else:
-        raise ValueError(axis)
+        raise DataError(f"unknown rotation axis {axis!r}")
     return out
 
 

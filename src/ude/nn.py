@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from . import numerics as nm
+from .errors import ConfigError
 from .numerics import Tensor
 
 MASK_HIDDEN = -1e9
@@ -94,7 +95,7 @@ class LayerNorm(Module):
 class MultiHeadAttention(Module):
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads != 0:
-            raise ValueError("attention dim must divide evenly across heads")
+            raise ConfigError("attention dim must divide evenly across heads")
         self.heads = heads
         self.dim = dim
         self.wq = Linear(dim, dim, rng)

@@ -181,7 +181,7 @@ def train_stage(stage: str, cfg: RunConfig, data_dir, out_dir, seed: int,
     train = load_samples(data_dir, split="train")
     if not train:
         raise DataError(f"{data_dir}: the manifest lists no train samples")
-    _check_rates(train, cfg)
+    _check_samples(train, cfg)
     rng = np.random.default_rng(np.random.SeedSequence([seed, spec.tag]))
     # every op's finite check raises NumericsError on a diverging run, so
     # numpy's own overflow warnings would only come first and say less
@@ -198,9 +198,10 @@ def train_stage(stage: str, cfg: RunConfig, data_dir, out_dir, seed: int,
     return {"history": history}
 
 
-def _check_rates(samples, cfg: RunConfig) -> None:
-    """Every sample's motion and features must run at the config's fps, the
-    rate that training and the beat metrics read them at."""
+def _check_samples(samples, cfg: RunConfig) -> None:
+    """Before any model is built: every sample's motion and features run at
+    the config's fps, the rate that training and the beat metrics read them
+    at, and every condition fits MATE's length limits."""
     for s in samples:
         rates = {"motion": s.motion.fps}
         if s.features is not None:
@@ -209,6 +210,13 @@ def _check_rates(samples, cfg: RunConfig) -> None:
             if rate != cfg.fps:
                 raise DataError(f"sample {s.id}: {kind} rate {rate} is not the config's "
                                 f"fps {cfg.fps}")
+    for s in samples:
+        if s.text_ids is not None and s.text_ids.size > cfg.max_text_len:
+            raise DataError(f"sample {s.id}: text of {s.text_ids.size} tokens exceeds "
+                            f"max_text_len {cfg.max_text_len}")
+        if s.features is not None and s.features.length > cfg.max_audio_len:
+            raise DataError(f"sample {s.id}: {s.features.length} feature rows exceed "
+                            f"max_audio_len {cfg.max_audio_len}")
 
 
 def _sample_input(sample):
@@ -293,6 +301,9 @@ def condition_from_request(stack, cfg: RunConfig, modality: str, prompt=None,
         ids = tokenize(prompt or "")
         if ids.size == 0:
             raise DataError("empty prompt")
+        if ids.size > stack["mate"].cfg.max_text_len:
+            raise ConfigError(f"a prompt of {ids.size} tokens exceeds max_text_len "
+                              f"{stack['mate'].cfg.max_text_len}")
         return text_input(ids), bool((ids == UNK_ID).all())
     if modality == "audio":
         if isinstance(features, AudioFeatureSequence):
@@ -470,7 +481,12 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
     samples = load_samples(data_dir, split=split)
     if not samples:
         raise ConfigError(f"split {split!r} is empty")
-    _check_rates(samples, cfg)
+    _check_samples(samples, cfg)
+    # retrieval draws its distractors from the split's other texts
+    texts = {tuple(s.text_ids) for s in samples if s.modality == "text"}
+    if texts and len(texts) < cfg.retrieval_distractors + 1:
+        raise DataError(f"need at least {cfg.retrieval_distractors + 1} distinct texts, "
+                        f"have {len(texts)}")
     stack = load_generation_stack(ckpt_dir, decoder=decoder)
     retrieval = load_retrieval(ckpt_dir)
     sigma = cfg.beat_sigma_seconds()

@@ -10,7 +10,9 @@ import warnings
 
 import pytest
 
+from ude import cli
 from ude.cli import main
+from ude.errors import ConfigError, DataError, NumericsError, StageError
 
 SEED = 5
 
@@ -272,6 +274,60 @@ def test_data_at_another_rate_than_the_config_exits_4(first_run, config, tiny_cf
     assert _cli(command, "--config", config, "--data", data, *request, "--out", out) == 4
     assert message in capsys.readouterr().err
     assert not written.exists()
+
+
+# (command, config change, exit code, message) of data or requests beyond MATE's
+# limits or the retrieval metric's needs, each found before any model is built or
+# sampled; the tiny config synthesizes 16-frame clips and sentences of up to 7 words
+BEYOND_LIMITS = {
+    "clips-longer-than-max-audio-len": ("train", {"max_audio_len": 8}, 2,
+                                        "max_audio_len 8 is below frames 16"),
+    "data-clips-longer-than-max-audio-len": ("train", {"frames": 8, "max_audio_len": 8}, 4,
+                                             "16 feature rows exceed max_audio_len 8"),
+    "sentences-longer-than-max-text-len": ("train", {"max_text_len": 5}, 4,
+                                           "tokens exceeds max_text_len 5"),
+    "prompt-longer-than-max-text-len": ("generate", {}, 2,
+                                        "a prompt of 78 tokens exceeds max_text_len 77"),
+    "too-few-texts-for-the-distractors": ("eval", {"retrieval_distractors": 8}, 4,
+                                          "need at least 9 distinct texts, have 8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BEYOND_LIMITS))
+def test_inputs_beyond_the_limits_exit_before_any_work(first_run, tiny_cfg, tmp_path,
+                                                       capsys, case):
+    command, change, code, message = BEYOND_LIMITS[case]
+    root, out = first_run[0], tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**tiny_cfg.to_dict(), **change}))
+    request = {
+        "train": ["--stage", "all", "--data", root / "data", "--epochs", 1, "--out", out],
+        "generate": ["--ckpt", root / "ckpt", "--modality", "text", "--prompt",
+                     " ".join(["walks"] * 78), "--decoder", "vq", "--out", out / "m.udem"],
+        # no checkpoints: the split is checked before any model is loaded
+        "eval": ["--ckpt", tmp_path / "no-ckpt", "--data", root / "data",
+                 "--out", out / "eval.json"],
+    }[command]
+    assert _cli(command, "--config", config, *request) == code
+    assert message in capsys.readouterr().err
+    # no checkpoint, motion or report
+    assert [path for path in out.rglob("*") if path.is_file()] == []
+
+
+@pytest.mark.parametrize("error, code, label", [
+    (ConfigError("boom"), 2, "config error"),
+    (StageError("boom"), 3, "stage error"),
+    (DataError("boom"), 4, "data error"),
+    (OSError("boom"), 4, "data error"),
+    (NumericsError("boom"), 5, "numerical failure"),
+], ids=["config", "stage", "data", "os", "numerics"])
+def test_each_error_class_exits_with_its_code_and_label(monkeypatch, capsys, tmp_path,
+                                                        error, code, label):
+    def fail(args):
+        raise error
+    monkeypatch.setattr(cli, "cmd_synth", fail)
+    assert main(["synth", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == f"{label}: boom\n"
 
 
 def test_zero_epochs_trains_no_stage(first_run, config, tmp_path):

@@ -67,6 +67,7 @@ def test_values_that_do_not_fit_the_field_type_raise(tmp_path, values):
     {"max_context": 273},
     {"max_text_len": 500},
     {"frames": 1024},
+    {"max_audio_len": 63},  # synth writes 64 feature rows per audio clip
     {"retrieval_trials": 0},
     {"beat_sigma_frames": 0.0},
     {"fps": -16.0},

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ude import numerics as nm
+from ude.errors import ConfigError
 from ude.nn import MultiHeadAttention, TransformerEncoder, additive_mask, causal_prefix_mask
 
 DIM, HEADS = 8, 2
@@ -42,6 +43,11 @@ def test_encoder_rows_one_at_a_time_match_full_forward(rng, cond_len):
     with nm.no_grad():
         rows = _incremental(lambda part, mask: enc(part, mask, caches), x, cond_len)
     assert np.abs(rows - full).max() < 1e-12
+
+
+def test_attention_dim_must_split_across_the_heads(rng):
+    with pytest.raises(ConfigError, match="divide evenly across heads"):
+        MultiHeadAttention(6, 4, rng)
 
 
 def test_filling_empty_caches_leaves_the_forward_unchanged(rng):
