@@ -120,10 +120,12 @@ def load_config(path=None) -> RunConfig:
 
 
 # smallest value each count may take
-_MINIMUMS = {"frames": DOWNSAMPLE, "code_count": 1, "embed_dim": 1, "mate_heads": 1,
-             "utt_heads": 1, "dmd_heads": 1, "top_k": 1, "diffusion_steps": 1,
-             "batch_size": 1, "epochs_mq": 0, "epochs_utt": 0, "epochs_dmd": 0,
-             "epochs_retrieval": 0, "samples_per_input": 1, "retrieval_trials": 1}
+_MINIMUMS = {"frames": DOWNSAMPLE, "feature_dim": 1, "code_count": 1, "code_dim": 1,
+             "mq_hidden": 1, "embed_dim": 1, "mate_heads": 1, "utt_layers": 1, "utt_heads": 1,
+             "z_dim": 0, "dmd_heads": 1, "top_k": 1, "diffusion_steps": 1, "batch_size": 1,
+             "epochs_mq": 0, "epochs_utt": 0, "epochs_dmd": 0, "epochs_retrieval": 0,
+             "samples_per_input": 1, "retrieval_distractors": 0, "retrieval_trials": 1,
+             "retrieval_dim": 0}
 
 
 def _check_ranges(cfg: RunConfig) -> None:

@@ -69,6 +69,14 @@ def test_values_that_do_not_fit_the_field_type_raise(tmp_path, values):
     {"frames": 1024},
     {"max_audio_len": 63},  # synth writes 64 feature rows per audio clip
     {"retrieval_trials": 0},
+    # each of these used to load, then die with a traceback in synth, train or eval
+    {"feature_dim": 0},
+    {"code_dim": 0},
+    {"mq_hidden": 0},
+    {"utt_layers": 0},
+    {"z_dim": -1},
+    {"retrieval_distractors": -1},
+    {"retrieval_dim": -1},
     {"beat_sigma_frames": 0.0},
     {"fps": -16.0},
     {"families": "walk:4,moonwalk:4"},
