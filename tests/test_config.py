@@ -69,7 +69,7 @@ def test_values_that_do_not_fit_the_field_type_raise(tmp_path, values):
     {"frames": 1024},
     {"max_audio_len": 63},  # synth writes 64 feature rows per audio clip
     {"retrieval_trials": 0},
-    # each of these used to load, then die with a traceback in synth, train or eval
+    # counts below which synth, train or eval cannot run
     {"feature_dim": 0},
     {"code_dim": 0},
     {"mq_hidden": 0},
