@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .fileio import atomic_write, read_text
+from .fileio import atomic_write, format_matrix, parse_matrix, read_text
 
 FEATURE_MAGIC = "UDEFEAT v1"
 
@@ -56,15 +56,21 @@ _FEAT_HEADER_RE = re.compile(rf"^{FEATURE_MAGIC} rate=(\d+\.?\d*(?:[eE][+-]?\d+)
 
 
 def save_features(seq: AudioFeatureSequence, path) -> None:
-    lines = [f"{FEATURE_MAGIC} rate={seq.frame_rate!r} dims={seq.dim}"]
-    for row in seq.features:
-        lines.append(" ".join(format(v, ".9f") for v in row))
+    """Write `seq` as a UDEFEAT file: the header, one line of ".9f" decimals
+    per row, then the beats line if there are beats, byte for byte what
+    formatting each value alone gives."""
+    text = f"{FEATURE_MAGIC} rate={seq.frame_rate!r} dims={seq.dim}\n"
+    text += format_matrix(seq.features)
     if seq.beat_times is not None:
-        lines.append("beats: " + " ".join(format(t, ".9f") for t in seq.beat_times))
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+        text += "beats: " + " ".join(format(t, ".9f") for t in seq.beat_times) + "\n"
+    atomic_write(path, text.encode())
 
 
 def load_features(path) -> AudioFeatureSequence:
+    """Read a UDEFEAT file. The rows are parsed in one numpy call that
+    accepts exactly the values `float()` does and gives the same floats; a
+    file it rejects is rescanned line by line, so the DataError names the
+    first bad line."""
     lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty feature file")
@@ -73,8 +79,22 @@ def load_features(path) -> AudioFeatureSequence:
         raise DataError(f"{path}: line 1: bad header {lines[0]!r}")
     rate = float(match.group(1))
     dims = int(match.group(2))
+    body = lines[1:]
+    features = parse_matrix([ln for ln in body if not ln.startswith("beats:")], dims)
+    try:  # every beats line must parse, and the last one counts
+        beat_rows = [np.array(ln.removeprefix("beats:").split(), np.float64)
+                     for ln in body if ln.startswith("beats:")]
+    except ValueError:
+        beat_rows = None
+    if features is None or beat_rows is None:
+        return AudioFeatureSequence(rate, *_parse_body(path, body, dims))
+    return AudioFeatureSequence(rate, features, beat_rows[-1] if beat_rows else None)
+
+
+def _parse_body(path, lines, dims: int) -> tuple:
+    """(features, beats) parsed value by value, raising at the first bad line."""
     rows, beats = [], None
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in enumerate(lines, start=2):
         is_beats = ln.startswith("beats:")
         values = ln.removeprefix("beats:").split()
         if not is_beats and len(values) != dims:
@@ -89,4 +109,4 @@ def load_features(path) -> AudioFeatureSequence:
             rows.append(numbers)
     if not rows:
         raise DataError(f"{path}: no feature rows")
-    return AudioFeatureSequence(rate, np.array(rows), beats)
+    return np.array(rows), beats

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .dataset import synth_counts
+from .dataset import longest_sentence, synth_counts
 from .errors import ConfigError, DataError
 from .fileio import read_text
 from .motion import default_skeleton
@@ -121,11 +121,12 @@ def load_config(path=None) -> RunConfig:
 
 # smallest value each count may take
 _MINIMUMS = {"frames": DOWNSAMPLE, "feature_dim": 1, "code_count": 1, "code_dim": 1,
-             "mq_hidden": 1, "embed_dim": 1, "mate_heads": 1, "utt_layers": 1, "utt_heads": 1,
-             "z_dim": 0, "dmd_heads": 1, "top_k": 1, "diffusion_steps": 1, "batch_size": 1,
-             "epochs_mq": 0, "epochs_utt": 0, "epochs_dmd": 0, "epochs_retrieval": 0,
-             "samples_per_input": 1, "retrieval_distractors": 0, "retrieval_trials": 1,
-             "retrieval_dim": 0}
+             "mq_hidden": 1, "embed_dim": 1, "mate_layers": 1, "mate_heads": 1,
+             "utt_layers": 1, "utt_heads": 1, "z_dim": 0, "dmd_layers": 1,
+             "dmd_cond_layers": 1, "dmd_heads": 1, "top_k": 1, "diffusion_steps": 1,
+             "batch_size": 1, "epochs_mq": 0, "epochs_utt": 0, "epochs_dmd": 0,
+             "epochs_retrieval": 0, "samples_per_input": 1, "retrieval_distractors": 1,
+             "retrieval_trials": 1, "retrieval_dim": 1}
 
 
 def _check_ranges(cfg: RunConfig) -> None:
@@ -145,6 +146,10 @@ def _check_ranges(cfg: RunConfig) -> None:
     if cfg.frames % DOWNSAMPLE:
         raise ConfigError(f"frames {cfg.frames} must be divisible by {DOWNSAMPLE}")
     synth_counts(cfg)  # every family and genre name is one the generators know
+    sentence = longest_sentence(cfg)
+    if sentence > cfg.max_text_len:
+        raise ConfigError(f"synth can write sentences of {sentence} tokens, more than "
+                          f"max_text_len {cfg.max_text_len}")
     for heads in ("mate_heads", "utt_heads", "dmd_heads"):
         if cfg.embed_dim % getattr(cfg, heads):
             raise ConfigError(f"embed_dim {cfg.embed_dim} must be divisible by "

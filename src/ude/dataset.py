@@ -223,42 +223,64 @@ def _build_action_track(family: str, params: dict, times: np.ndarray,
 
 
 _SUBJECTS = ("a person", "the person", "someone", "a figure", "the character")
-_WALK_VERBS = ("walks", "strolls", "marches")
 _WALK_SPEEDS = {"slowly": 0.5, "steadily": 0.9, "quickly": 1.4, "briskly": 1.4, "casually": 0.7}
-_WAVE_VERBS = ("waves", "raises")
 _WAVE_FREQS = {"gently": 1.0, "": 1.5, "rapidly": 2.2}
-_JUMP_VERBS = ("jumps", "hops", "bounces")
-_TURN_VERBS = ("turns", "spins", "rotates")
+_JUMP_STYLES = {"up and down": (1.25, 0.22), "in place": (1.25, 0.18), "high": (1.0, 0.35),
+                "twice": (0.5, 0.25)}  # (frequency, height)
+_SIDES = ("left", "right")
+# A family's phrase is one choice from each of its slots, joined by spaces;
+# an empty choice adds no word.
+_PHRASES = {
+    "walk": (("walks", "strolls", "marches"), ("forward", "backward"), tuple(_WALK_SPEEDS)),
+    "wave": (("waves", "raises"), ("their",), _SIDES, ("hand",), tuple(_WAVE_FREQS)),
+    "jump": (("jumps", "hops", "bounces"), tuple(_JUMP_STYLES)),
+    "turn": (("turns", "spins", "rotates"), ("around to the",), _SIDES, ("fully", "")),
+}
+# clips at least this long may compose two actions joined by "then"
+_COMPOSE_MIN_FRAMES = 16
 
 
 def _sample_action(family: str, rng: np.random.Generator):
     """One action draw: (phrase, params). The phrase omits the subject."""
+    if family not in _PHRASES:
+        raise ConfigError(f"unknown action family {family!r}")
+    slots = _PHRASES[family]
+    picks = [rng.integers(len(slots[0]))]  # the verb
     if family == "walk":
-        verb = _WALK_VERBS[rng.integers(len(_WALK_VERBS))]
-        direction = "forward" if rng.random() < 0.7 else "backward"
-        speed_word = list(_WALK_SPEEDS)[rng.integers(len(_WALK_SPEEDS))]
-        phrase = f"{verb} {direction} {speed_word}"
-        return phrase, {"speed": _WALK_SPEEDS[speed_word], "direction": direction}
+        picks += [int(rng.random() >= 0.7), rng.integers(len(slots[2]))]
+    elif family == "wave":
+        picks += [0, int(rng.random() >= 0.5), 0, rng.integers(len(slots[4]))]
+    elif family == "jump":
+        picks += [rng.integers(len(slots[1]))]
+    else:
+        picks += [0, int(rng.random() >= 0.5), int(rng.random() >= 0.4)]
+    words = [slot[i] for slot, i in zip(slots, picks)]
+    phrase = " ".join(w for w in words if w)
+    if family == "walk":
+        return phrase, {"speed": _WALK_SPEEDS[words[2]], "direction": words[1]}
     if family == "wave":
-        verb = _WAVE_VERBS[rng.integers(len(_WAVE_VERBS))]
-        side = "left" if rng.random() < 0.5 else "right"
-        speed_word = list(_WAVE_FREQS)[rng.integers(len(_WAVE_FREQS))]
-        phrase = f"{verb} their {side} hand" + (f" {speed_word}" if speed_word else "")
-        return phrase, {"side": side, "freq": _WAVE_FREQS[speed_word]}
+        return phrase, {"side": words[2], "freq": _WAVE_FREQS[words[4]]}
     if family == "jump":
-        verb = _JUMP_VERBS[rng.integers(len(_JUMP_VERBS))]
-        style = ("up and down", "in place", "high", "twice")[rng.integers(4)]
-        phrase = f"{verb} {style}"
-        freq = {"up and down": 1.25, "in place": 1.25, "high": 1.0, "twice": 0.5}[style]
-        height = {"up and down": 0.22, "in place": 0.18, "high": 0.35, "twice": 0.25}[style]
+        freq, height = _JUMP_STYLES[words[1]]
         return phrase, {"freq": freq, "height": height}
-    if family == "turn":
-        verb = _TURN_VERBS[rng.integers(len(_TURN_VERBS))]
-        side = "left" if rng.random() < 0.5 else "right"
-        fully = rng.random() < 0.4
-        phrase = f"{verb} around to the {side}" + (" fully" if fully else "")
-        return phrase, {"side": side, "angle": math.pi if fully else math.pi / 2}
-    raise ConfigError(f"unknown action family {family!r}")
+    return phrase, {"side": words[2], "angle": math.pi if words[3] else math.pi / 2}
+
+
+def longest_sentence(cfg) -> int:
+    """Tokens in the longest sentence `synth` can write for a RunConfig's
+    train and test action families (0 when it writes none): the longest
+    subject and phrase, plus "then" and a second phrase when clips may be
+    composed."""
+    families = {name for counts in synth_counts(cfg)[:2] for name in counts}
+    if not families:
+        return 0
+
+    def words(options):
+        return max(len(option.split()) for option in options)
+
+    phrase = max(sum(map(words, _PHRASES[family])) for family in families)
+    composed = cfg.compose_fraction > 0 and cfg.frames >= _COMPOSE_MIN_FRAMES
+    return words(_SUBJECTS) + phrase + (1 + phrase if composed else 0)
 
 
 def make_text_motion(families, frames: int, fps: float, rng: np.random.Generator,
@@ -266,7 +288,7 @@ def make_text_motion(families, frames: int, fps: float, rng: np.random.Generator
     """One text sample: (MotionSequence, sentence)."""
     skel = default_skeleton()
     subject = _SUBJECTS[rng.integers(len(_SUBJECTS))]
-    compose = rng.random() < compose_fraction and frames >= 16
+    compose = rng.random() < compose_fraction and frames >= _COMPOSE_MIN_FRAMES
     chosen = [families[rng.integers(len(families))]]
     if compose:
         chosen.append(families[rng.integers(len(families))])

@@ -1,10 +1,13 @@
-"""Small file helpers: text reads, atomic writes and content hashing."""
+"""Small file helpers: text reads, atomic writes, content hashing, and the
+decimal matrix bodies of the motion and feature files."""
 
 from __future__ import annotations
 
 import hashlib
 import os
 import tempfile
+
+import numpy as np
 
 from .errors import DataError
 
@@ -43,3 +46,25 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def format_matrix(matrix: np.ndarray) -> str:
+    """The rows of a 2-D float array as lines of space-separated ".9f"
+    decimals, each ending in a newline, built by one `%` format. `"%.9f" % v`
+    and `format(v, ".9f")` are the same routine, so the bytes are those of
+    formatting value by value."""
+    rows, width = matrix.shape
+    return ((" ".join(["%.9f"] * width) + "\n") * rows) % tuple(matrix.ravel().tolist())
+
+
+def parse_matrix(lines, width: int) -> np.ndarray | None:
+    """The [len(lines), width] float64 matrix of the whitespace-separated
+    decimals on `lines`, converted by one numpy call, which parses each
+    value as `float()` does. None when there are no lines, a line holds
+    another number of values, or a value does not parse: the callers then
+    rescan line by line to name the line."""
+    try:
+        matrix = np.array([ln.split() for ln in lines], np.float64)
+    except ValueError:  # rows of unequal length, or a value that does not parse
+        return None
+    return matrix if matrix.shape == (len(lines), width) else None

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .fileio import atomic_write, read_text
+from .fileio import atomic_write, format_matrix, parse_matrix, read_text
 
 MOTION_MAGIC = "UDEMOTION v1"
 
@@ -126,13 +126,17 @@ _HEADER_RE = re.compile(rf"^{MOTION_MAGIC} fps=(\d+\.?\d*(?:[eE][+-]?\d+)?) join
 
 
 def save_motion(m: MotionSequence, path) -> None:
-    lines = [f"{MOTION_MAGIC} fps={m.fps!r} joints={m.joint_count}"]
-    for row in m.frames:
-        lines.append(" ".join(format(v, ".9f") for v in row))
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+    """Write `m` as a UDEMOTION file: the header, then one line of ".9f"
+    decimals per frame, byte for byte what formatting each value alone gives."""
+    header = f"{MOTION_MAGIC} fps={m.fps!r} joints={m.joint_count}\n"
+    atomic_write(path, (header + format_matrix(m.frames)).encode())
 
 
 def load_motion(path) -> MotionSequence:
+    """Read a UDEMOTION file. The frames are parsed in one numpy call that
+    accepts exactly the values `float()` does and gives the same floats; a
+    file it rejects is rescanned line by line, so the DataError names the
+    first bad line."""
     lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty motion file")
@@ -140,10 +144,17 @@ def load_motion(path) -> MotionSequence:
     if not match:
         raise DataError(f"{path}: line 1: bad header {lines[0]!r}")
     fps = float(match.group(1))
-    joints = int(match.group(2))
-    width = joints * 3
+    width = int(match.group(2)) * 3
+    frames = parse_matrix(lines[1:], width)
+    if frames is None:
+        frames = _parse_rows(path, lines[1:], width)
+    return MotionSequence(fps, frames)
+
+
+def _parse_rows(path, lines, width: int) -> np.ndarray:
+    """The frame lines parsed value by value, raising at the first bad line."""
     rows = []
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in enumerate(lines, start=2):
         values = ln.split()
         if len(values) != width:
             raise DataError(f"{path}: line {i}: expected {width} values, got {len(values)}")
@@ -153,4 +164,4 @@ def load_motion(path) -> MotionSequence:
             raise DataError(f"{path}: line {i}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: no frames")
-    return MotionSequence(fps, np.array(rows))
+    return np.array(rows)

@@ -168,20 +168,38 @@ STAGES = {
 
 def train_stage(stage: str, cfg: RunConfig, data_dir, out_dir, seed: int,
                 epochs: int | None = None) -> dict:
-    """Train one stage (or "all"), writing checkpoints and loss logs."""
-    if stage == "all":
-        return {s: train_stage(s, cfg, data_dir, out_dir, seed, epochs) for s in STAGES}
-    if stage not in STAGES:
+    """Train one stage, or "all" of them in order, writing checkpoints and
+    loss logs. The train split is read and checked once per call, after the
+    first stage's dependency checkpoints are found."""
+    if stage != "all" and stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
     if epochs is not None and epochs < 0:
         raise ConfigError(f"epoch count {epochs} is negative")
-    spec = STAGES[stage]
     os.makedirs(os.fspath(out_dir), exist_ok=True)
-    deps = {dep: ckpt.stage_hash(out_dir, dep) for dep in spec.deps}
+    if stage == "all":
+        train = _load_train(cfg, data_dir)
+        return {s: _train_one(s, cfg, train, out_dir, seed, epochs, _dep_hashes(out_dir, s))
+                for s in STAGES}
+    deps = _dep_hashes(out_dir, stage)
+    return _train_one(stage, cfg, _load_train(cfg, data_dir), out_dir, seed, epochs, deps)
+
+
+def _dep_hashes(out_dir, stage: str) -> dict:
+    return {dep: ckpt.stage_hash(out_dir, dep) for dep in STAGES[stage].deps}
+
+
+def _load_train(cfg: RunConfig, data_dir) -> list:
     train = load_samples(data_dir, split="train")
     if not train:
         raise DataError(f"{data_dir}: the manifest lists no train samples")
     _check_samples(train, cfg)
+    return train
+
+
+def _train_one(stage: str, cfg: RunConfig, train, out_dir, seed: int, epochs, deps) -> dict:
+    """Train one stage on the loaded train split and save its checkpoint,
+    recording the dependency hashes `deps`, and its loss log."""
+    spec = STAGES[stage]
     rng = np.random.default_rng(np.random.SeedSequence([seed, spec.tag]))
     # every op's finite check raises NumericsError on a diverging run, so
     # numpy's own overflow warnings would only come first and say less
@@ -540,7 +558,8 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
             retrieval, pairs, distractors=cfg.retrieval_distractors,
             trials=cfg.retrieval_trials, seed=seed)
         report["metrics"]["text"]["top1"] = top1
-        report["metrics"]["text"]["top5"] = top5
+        if cfg.retrieval_distractors >= 5:  # among 5 or fewer candidates top5 is always 1
+            report["metrics"]["text"]["top5"] = top5
 
     if audio_samples:
         aligns, gt_aligns = [], []

@@ -7,10 +7,11 @@ import math
 import os
 import shutil
 import warnings
+from dataclasses import replace
 
 import pytest
 
-from ude import cli
+from ude import cli, pipeline
 from ude.cli import main
 from ude.errors import ConfigError, DataError, NumericsError, StageError
 
@@ -91,6 +92,16 @@ def test_every_step_writes_its_artifacts(first_run):
     assert not any(os.path.basename(name) == "vocab.txt" for name in files)
     report = json.loads(files["eval.json"])
     assert set(report["metrics"]) == {"text", "audio"}
+    # among the tiny config's 4 retrieval candidates every text is in the top 5
+    assert "top1" in report["metrics"]["text"] and "top5" not in report["metrics"]["text"]
+
+
+@pytest.mark.parametrize("distractors", [4, 5])
+def test_top5_is_reported_only_when_it_can_miss(first_run, tiny_cfg, distractors):
+    cfg = replace(tiny_cfg, retrieval_distractors=distractors)
+    text = pipeline.evaluate(cfg, first_run[0] / "data", first_run[0] / "ckpt")["metrics"]["text"]
+    assert "top1" in text
+    assert ("top5" in text) == (distractors >= 5)
 
 
 def test_same_seed_rerun_is_byte_identical(first_run, config, tmp_path):
@@ -278,14 +289,20 @@ def test_data_at_another_rate_than_the_config_exits_4(first_run, config, tiny_cf
 
 # (command, config change, exit code, message) of data or requests beyond MATE's
 # limits or the retrieval metric's needs, each found before any model is built or
-# sampled; the tiny config synthesizes 16-frame clips and sentences of up to 7 words
+# sampled; the tiny config synthesizes 16-frame clips, and its grammar can write
+# sentences of up to 15 tokens
 BEYOND_LIMITS = {
     "clips-longer-than-max-audio-len": ("train", {"max_audio_len": 8}, 2,
                                         "max_audio_len 8 is below frames 16"),
     "data-clips-longer-than-max-audio-len": ("train", {"frames": 8, "max_audio_len": 8}, 4,
                                              "16 feature rows exceed max_audio_len 8"),
-    "sentences-longer-than-max-text-len": ("train", {"max_text_len": 5}, 4,
-                                           "tokens exceeds max_text_len 5"),
+    "sentences-longer-than-max-text-len": ("train", {"max_text_len": 14}, 2,
+                                           "synth can write sentences of 15 tokens, more "
+                                           "than max_text_len 14"),
+    # walk phrases alone fit 5 tokens, but the data holds wave and turn sentences
+    "data-sentences-longer-than-max-text-len": (
+        "train", {"families": "walk:2", "families_test": "walk:2", "compose_fraction": 0.0,
+                  "max_text_len": 5}, 4, "tokens exceeds max_text_len 5"),
     "prompt-longer-than-max-text-len": ("generate", {}, 2,
                                         "a prompt of 78 tokens exceeds max_text_len 77"),
     "too-few-texts-for-the-distractors": ("eval", {"retrieval_distractors": 8}, 4,
@@ -312,6 +329,14 @@ def test_inputs_beyond_the_limits_exit_before_any_work(first_run, tiny_cfg, tmp_
     assert message in capsys.readouterr().err
     # no checkpoint, motion or report
     assert [path for path in out.rglob("*") if path.is_file()] == []
+
+
+def test_sentences_beyond_max_text_len_exit_before_synth_writes(tiny_cfg, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**tiny_cfg.to_dict(), "max_text_len": 14}))
+    assert _cli("synth", "--config", config, "--out", tmp_path / "data") == 2
+    assert "synth can write sentences of 15 tokens" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("error, code, label", [

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from ude.config import RunConfig, load_config
+from ude.dataset import longest_sentence
 from ude.errors import ConfigError
 from ude.motion import default_skeleton
 
@@ -89,6 +90,17 @@ def test_values_that_do_not_fit_the_field_type_raise(tmp_path, values):
     {"z_prob": -0.1},
     {"compose_fraction": -3},
     {"compose_fraction": 1.5},
+    # layer counts below one, a zero-width retrieval embedding, and retrieval
+    # without a distractor
+    {"mate_layers": 0},
+    {"mate_layers": -1},
+    {"dmd_layers": -1},
+    {"dmd_cond_layers": 0},
+    {"retrieval_dim": 0},
+    {"retrieval_distractors": 0},
+    # the default families can write "<subject> <turn phrase> then <turn phrase>",
+    # 2 + 6 + 1 + 6 = 15 tokens
+    {"max_text_len": 14},
 ])
 def test_values_out_of_range_raise(tmp_path, values):
     with pytest.raises(ConfigError):
@@ -104,3 +116,19 @@ def test_the_frame_width_is_the_synthetic_skeletons(tmp_path):
     assert RunConfig().frame_dim == 3 * default_skeleton().joint_count == 24
     with pytest.raises(ConfigError, match="unknown config keys"):
         _load(tmp_path, {"joints": 10})
+
+
+@pytest.mark.parametrize("values, longest", [
+    ({}, 15),
+    ({"compose_fraction": 0.0}, 8),
+    ({"frames": 8}, 8),  # clips under 16 frames hold one action
+    ({"families": "walk:4", "families_test": "jump:1"}, 11),
+    ({"families": "walk:4", "families_test": "", "compose_fraction": 0.0}, 5),
+    ({"families": "", "families_test": "", "max_text_len": 1}, 0),
+])
+def test_max_text_len_may_equal_the_longest_sentence(tmp_path, values, longest):
+    assert longest_sentence(_load(tmp_path, values)) == longest
+    if longest:
+        assert _load(tmp_path, {**values, "max_text_len": longest}).max_text_len == longest
+        with pytest.raises(ConfigError, match=f"sentences of {longest} tokens"):
+            _load(tmp_path, {**values, "max_text_len": longest - 1})

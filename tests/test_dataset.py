@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from ude.config import RunConfig
-from ude.dataset import (GENRE_BEAT_HZ, UNK_ID, VOCAB, VOCAB_WORDS, load_manifest,
-                         load_samples, make_dance_motion, make_text_motion, synth_dataset,
-                         tokenize)
+from ude.dataset import (GENRE_BEAT_HZ, TEXT_FAMILIES, UNK_ID, VOCAB, VOCAB_WORDS,
+                         load_manifest, load_samples, longest_sentence, make_dance_motion,
+                         make_text_motion, synth_dataset, tokenize)
 from ude.errors import ConfigError
 from ude.metrics import detect_motion_beats
 from ude.motion import default_skeleton
@@ -146,3 +146,22 @@ class TestSynthDataset:
             else:
                 assert s.features is not None
                 assert s.features.length == s.motion.length
+
+
+class TestSentenceBound:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_synthesized_sentence_fits_the_bound(self, tmp_path, tiny_cfg, seed):
+        synth_dataset(tiny_cfg, seed, tmp_path)
+        lengths = [tokenize(path.read_text()).size for path in (tmp_path / "conds").glob("*.txt")]
+        assert len(lengths) == 16
+        assert max(lengths) <= longest_sentence(tiny_cfg) == 15
+
+    @pytest.mark.parametrize("family", TEXT_FAMILIES)
+    @pytest.mark.parametrize("compose", [0.0, 1.0])
+    def test_each_familys_bound_is_reached(self, family, compose):
+        cfg = replace(RunConfig(), families=f"{family}:1", families_test="",
+                      compose_fraction=compose)
+        rng = np.random.default_rng(0)
+        lengths = [tokenize(make_text_motion([family], 16, 16.0, rng, compose)[1]).size
+                   for _ in range(100)]
+        assert max(lengths) == longest_sentence(cfg)

@@ -57,6 +57,23 @@ def test_load_models_rejects_what_no_model_owns(tmp_path, tiny_cfg, part):
         pipeline.load_models(ckpt, "mq")
 
 
+@pytest.mark.parametrize("stage", ["all", "utt"])
+def test_train_stage_reads_the_train_split_once(tmp_path, tiny_cfg, monkeypatch, stage):
+    data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+    pipeline.run_synth(tiny_cfg, 0, data)
+    pipeline.train_stage("mq", tiny_cfg, data, ckpt, 0, epochs=0)
+    splits = []
+
+    def counted(data_dir, split=None):
+        splits.append(split)
+        return load_samples(data_dir, split=split)
+
+    monkeypatch.setattr(pipeline, "load_samples", counted)
+    result = pipeline.train_stage(stage, tiny_cfg, data, ckpt, 0, epochs=0)
+    assert splits == ["train"]
+    assert set(result) == (set(pipeline.STAGES) if stage == "all" else {"history"})
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory, tiny_cfg):
     root = tmp_path_factory.mktemp("trained")
