@@ -119,9 +119,10 @@ def load_config(path=None) -> RunConfig:
     return cfg
 
 
-# smallest value each count may take
-_MINIMUMS = {"frames": DOWNSAMPLE, "feature_dim": 1, "code_count": 1, "code_dim": 1,
-             "mq_hidden": 1, "embed_dim": 1, "mate_layers": 1, "mate_heads": 1,
+# smallest value each count, the learning rate and the frame rate may take; at
+# a rate far below one frame per second, synth would place billions of beats
+_MINIMUMS = {"lr": 0, "fps": 1.0, "frames": DOWNSAMPLE, "feature_dim": 1, "code_count": 1,
+             "code_dim": 1, "mq_hidden": 1, "embed_dim": 1, "mate_layers": 1, "mate_heads": 1,
              "utt_layers": 1, "utt_heads": 1, "z_dim": 0, "dmd_layers": 1,
              "dmd_cond_layers": 1, "dmd_heads": 1, "top_k": 1, "diffusion_steps": 1,
              "batch_size": 1, "epochs_mq": 0, "epochs_utt": 0, "epochs_dmd": 0,
@@ -137,7 +138,7 @@ def _check_ranges(cfg: RunConfig) -> None:
     for f in fields(cfg):
         if f.type == "float" and not math.isfinite(getattr(cfg, f.name)):
             raise ConfigError(f"config key {f.name!r} must be finite, got {getattr(cfg, f.name)}")
-    for name in ("fps", "beat_sigma_frames"):
+    for name in ("beat_sigma_frames", "temperature"):
         if not getattr(cfg, name) > 0:
             raise ConfigError(f"config key {name!r} must be positive, got {getattr(cfg, name)}")
     for name in ("z_prob", "compose_fraction"):
@@ -145,7 +146,13 @@ def _check_ranges(cfg: RunConfig) -> None:
             raise ConfigError(f"config key {name!r} must lie in [0, 1], got {getattr(cfg, name)}")
     if cfg.frames % DOWNSAMPLE:
         raise ConfigError(f"frames {cfg.frames} must be divisible by {DOWNSAMPLE}")
-    synth_counts(cfg)  # every family and genre name is one the generators know
+    families, families_test, genres, genres_test = synth_counts(cfg)  # known names only
+    for split, texts, clips in (("train", families, genres), ("test", families_test, genres_test)):
+        if not texts and not clips:
+            raise ConfigError(f"synth would write an empty {split} split")
+    if sum(genres_test.values()) == 1:  # eval's FID and diversity compare two motions or more
+        raise ConfigError("genres_test gives the test split one audio sample; eval needs "
+                          "none or at least 2")
     sentence = longest_sentence(cfg)
     if sentence > cfg.max_text_len:
         raise ConfigError(f"synth can write sentences of {sentence} tokens, more than "

@@ -7,13 +7,19 @@ scaled, masked scores, log-softmax, layer norm, temporal 1-D convolution,
 embedding lookup and a few shape ops. Sequence ops (conv1d, repeat_rows) put
 time on axis -2, so one call runs a batch [B, T, C] as it runs one sequence
 [T, C]. Graphs are recorded eagerly as tensors are produced: each op
-computes its output and everything its gradient needs, then hands
-``_from_op`` one closure ``vjp(g)`` that adds the output gradient ``g`` into
-the op's inputs; the closure is kept only when a graph is recorded.
-``Tensor.backward()`` calls them in reverse topological order.
+computes its output, then hands ``_from_op`` one closure ``vjp(g)`` that
+adds the output gradient ``g`` into the op's inputs; the closure is kept
+only when a graph is recorded. ``Tensor.backward()`` calls them in reverse
+topological order.
 
 Conventions:
   * everything is float64; any op that produces NaN/Inf raises NumericsError,
+  * a forward pays only for its output: what only a vjp reads (an inverse
+    permutation, split offsets, a mask) is computed inside the vjp, and hot
+    ops call ufunc reductions (``np.add.reduce``, ``np.maximum.reduce``),
+    not numpy's wrapper functions (``np.mean``, ``np.max``, ``np.sum``),
+    which reach the same reductions, and give the same bits, at a higher
+    cost per call,
   * gradients accumulate (sum) across fan-out and across backward calls;
     callers reset them between optimizer steps,
   * no vjp writes into the ``g`` it receives, which may be stored uncopied,
@@ -314,10 +320,9 @@ def power(a, p: float) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    mask = a.data > 0
 
     def vjp(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, g * (a.data > 0))
 
     return _from_op(np.maximum(a.data, 0.0), (a,), vjp, "relu")
 
@@ -369,12 +374,15 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
-    count = a.size if axis is None else np.prod([a.shape[ax] for ax in np.atleast_1d(axis)])
+    count = a.size if axis is None else math.prod(
+        a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,)))
 
     def vjp(g):
         _accumulate(a, _expand_reduced(g, a.shape, axis, keepdims) / count)
 
-    return _from_op(np.mean(a.data, axis=axis, keepdims=keepdims), (a,), vjp, "mean")
+    # np.mean's own steps: a pairwise add-reduce, then one true divide
+    return _from_op(np.add.reduce(a.data, axis=axis, keepdims=keepdims) / count, (a,), vjp,
+                    "mean")
 
 
 def reduce_max(a, axis: int) -> Tensor:
@@ -404,12 +412,12 @@ def softmax(x, axis: int = -1, scale: float = 1.0, add_mask=None) -> Tensor:
     y = x.data * scale
     if add_mask is not None:
         y += add_mask
-    y -= np.max(y, axis=axis, keepdims=True)
+    y -= np.maximum.reduce(y, axis=axis, keepdims=True)
     np.exp(y, out=y)
-    y /= np.sum(y, axis=axis, keepdims=True)
+    y /= np.add.reduce(y, axis=axis, keepdims=True)
 
     def vjp(g):
-        dot = np.sum(g * y, axis=axis, keepdims=True)
+        dot = np.add.reduce(g * y, axis=axis, keepdims=True)
         _accumulate(x, y * (g - dot) * scale)
 
     return _from_op(y, (x,), vjp, "softmax")
@@ -419,12 +427,12 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     x = _as_tensor(x)
     if x.shape[axis] == 0:
         raise DataError("log_softmax over an empty axis")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
+    lse = np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
     y = shifted - lse
 
     def vjp(g):
-        _accumulate(x, g - np.exp(y) * np.sum(g, axis=axis, keepdims=True))
+        _accumulate(x, g - np.exp(y) * np.add.reduce(g, axis=axis, keepdims=True))
 
     return _from_op(y, (x,), vjp, "log_softmax")
 
@@ -435,9 +443,10 @@ def layer_norm(x, gain, bias) -> Tensor:
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if x.shape[-1] < 1:
         raise DataError("layer_norm needs a non-empty last axis")
-    mu = np.mean(x.data, axis=-1, keepdims=True)
+    n = x.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n  # np.mean's own steps
     xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + 1e-5)
     xh = xc * inv
     out_data = xh * gain.data + bias.data
@@ -448,8 +457,8 @@ def layer_norm(x, gain, bias) -> Tensor:
         gh = g * gain.data
         gx = inv * (
             gh
-            - np.mean(gh, axis=-1, keepdims=True)
-            - xh * np.mean(gh * xh, axis=-1, keepdims=True)
+            - np.add.reduce(gh, axis=-1, keepdims=True) / n
+            - xh * (np.add.reduce(gh * xh, axis=-1, keepdims=True) / n)
         )
         _accumulate(x, gx)
 
@@ -546,11 +555,11 @@ def take_per_row(a, ids) -> Tensor:
 
 def concat(parts, axis: int = 0) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
 
     def vjp(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        hi = 0
+        for p in parts:
+            lo, hi = hi, hi + p.shape[axis]
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
             _accumulate(p, g[tuple(sl)])
@@ -582,10 +591,9 @@ def reshape(a, shape) -> Tensor:
 
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
-    inv = np.argsort(axes)
 
     def vjp(g):
-        _accumulate(a, g.transpose(inv))
+        _accumulate(a, g.transpose(np.argsort(axes)))
 
     return _from_op(np.ascontiguousarray(a.data.transpose(axes)), (a,), vjp, "transpose")
 

@@ -195,14 +195,24 @@ def generate_tokens(model: UTTModel, cond: CondEmbedding, max_len: int,
 
 def _sample_one(logits: np.ndarray, sampling: SamplingConfig,
                 rng: np.random.Generator) -> int:
+    """One token id drawn from the top_k logits at the temperature.
+
+    The draw is `rng.choice(k, p=probs)`'s own algorithm (a normalized
+    cumulative sum searched with one `rng.random()` double) without its
+    per-call checks on p, so it returns the same id and leaves the stream
+    where `choice` leaves it.
+    """
     k = min(sampling.top_k, logits.size)
-    keep = np.argsort(-logits, kind="stable")[:k]
+    keep = (-logits).argsort(kind="stable")[:k]
+    top = logits[keep]
     tau = max(sampling.temperature, 1e-12)
-    scaled = (logits[keep] - logits[keep].max()) / tau
+    scaled = (top - top.max()) / tau
     with np.errstate(under="ignore"):
         probs = np.exp(scaled)
     probs /= probs.sum()
-    return int(keep[rng.choice(k, p=probs)])
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(keep[cdf.searchsorted(rng.random(), side="right")])
 
 
 # -- discriminator -------------------------------------------------------------------

@@ -2,17 +2,25 @@
 byte-identical re-run with the same seed, and the exit code of each kind of
 failure."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
 import shutil
+import tempfile
 import warnings
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from ude import cli, pipeline
 from ude.cli import main
+from ude.config import load_config
+from ude.dataset import load_samples
 from ude.errors import ConfigError, DataError, NumericsError, StageError
 
 SEED = 5
@@ -468,3 +476,64 @@ def test_outputs_go_into_directories_that_do_not_exist_yet(first_run, config, tm
                 "--text-frames", 16, "--audio-frames", 16,
                 "--out", tmp_path / "trans" / "t.udem") == 0
     assert out.exists() and plot.exists() and (tmp_path / "trans" / "t.udem").exists()
+
+
+# count strings a mutation may give each split: one sample, none, other families
+_SPLITS = {"families": ["walk:1", "", "jump:3,turn:1", "wave:4"],
+           "families_test": ["walk:1", "", "turn:3", "walk:2,wave:2"],
+           "genres": ["sway:1", "", "pulse:3"],
+           "genres_test": ["groove:1", "", "sway:3,pulse:2"]}
+
+
+def _mutations(tiny: dict):
+    """One or two keys of the tiny config set to values around theirs and past
+    the edges of their ranges."""
+    def values(key):
+        v = tiny[key]
+        if isinstance(v, str):
+            return st.sampled_from(_SPLITS[key])
+        if isinstance(v, float):
+            return st.sampled_from([-1.0, 0.0, 1e-9, 0.25, 0.5, 1.0, 2.0, v / 4, v * 4, 1e6])
+        return st.sampled_from([-1, 0, 1, 2, 3, v // 2, v - 1, v + 1, 2 * v])
+
+    keys = st.lists(st.sampled_from(sorted(set(tiny) - {"seed"})), min_size=1, max_size=2,
+                    unique=True)
+    return keys.flatmap(lambda ks: st.fixed_dictionaries({k: values(k) for k in ks}))
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_a_config_that_loads_runs_end_to_end(tiny_cfg, data):
+    """synth, train all and eval with either decoder exit 0, or 5 on divergence,
+    under every config that load_config accepts. Eval's exit 4 for a test split
+    with too few distinct texts for the retrieval distractors is the one
+    exception: synth draws the texts, so duplicates can cause it, and eval
+    exits before it samples anything (see too-few-texts-for-the-distractors
+    above)."""
+    change = data.draw(_mutations(tiny_cfg.to_dict()), label="change")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        config = root / "config.json"
+        config.write_text(json.dumps({**tiny_cfg.to_dict(), **change}))
+        try:
+            cfg = load_config(config)
+        except ConfigError:
+            reject()
+        common = ["--config", config, "--seed", SEED]
+        data_dir, ckpt = root / "data", root / "ckpt"
+        assert _cli("synth", *common, "--out", data_dir) == 0
+        code = _cli("train", *common, "--stage", "all", "--data", data_dir, "--out", ckpt,
+                    "--epochs", 1)
+        assert code in (0, 5)
+        for decoder in ("vq", "dmd") if code == 0 else ():
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = _cli("eval", *common, "--ckpt", ckpt, "--data", data_dir,
+                            "--decoder", decoder, "--out", root / f"{decoder}.json")
+            if code == 4 and "distinct texts" in err.getvalue():
+                texts = {tuple(s.text_ids) for s in load_samples(data_dir, split="test")
+                         if s.modality == "text"}
+                assert len(texts) <= cfg.retrieval_distractors
+                assert not (root / f"{decoder}.json").exists()
+                continue
+            assert code in (0, 5), err.getvalue()

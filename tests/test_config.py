@@ -101,10 +101,32 @@ def test_values_that_do_not_fit_the_field_type_raise(tmp_path, values):
     # the default families can write "<subject> <turn phrase> then <turn phrase>",
     # 2 + 6 + 1 + 6 = 15 tokens
     {"max_text_len": 14},
+    # a temperature at or below zero, and gradient ascent
+    {"temperature": 0.0},
+    {"temperature": -1.0},
+    {"lr": -1e-3},
+    # under one frame per second, and splits that train or eval cannot use
+    {"fps": 0.5},
+    {"families": "", "genres": ""},
+    {"families_test": "", "genres_test": ""},
+    {"genres_test": "groove:1"},
 ])
 def test_values_out_of_range_raise(tmp_path, values):
     with pytest.raises(ConfigError):
         _load(tmp_path, values)
+
+
+@pytest.mark.parametrize("values", [
+    {"lr": 0.0},  # Adam leaves the parameters where they are
+    {"temperature": 1e-9},
+    {"fps": 1.0},
+    {"families": "", "families_test": ""},  # audio only
+    {"genres_test": ""},
+    {"genres_test": "groove:2"},
+])
+def test_values_at_the_edges_of_their_ranges_load(tmp_path, values):
+    cfg = _load(tmp_path, values)
+    assert all(getattr(cfg, key) == value for key, value in values.items())
 
 
 def test_longest_context_may_fill_max_context(tmp_path):

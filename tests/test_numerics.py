@@ -455,6 +455,93 @@ class TestFusedOps:
         assert np.array_equal(nm.relu(a).data, np.where(a > 0, a, 0.0))
 
 
+def _reference_layer_norm(x, gain, bias, g):
+    """layer_norm's output and input gradients, written with np.mean."""
+    mu = np.mean(x, axis=-1, keepdims=True)
+    xc = x - mu
+    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xh = xc * inv
+    gh = g * gain
+    gx = inv * (gh - np.mean(gh, axis=-1, keepdims=True)
+                - xh * np.mean(gh * xh, axis=-1, keepdims=True))
+    lead = tuple(range(x.ndim - 1))
+    return xh * gain + bias, [gx, (g * xh).sum(axis=lead), g.sum(axis=lead)]
+
+
+def _reference_softmax(x, g, axis, scale, mask):
+    y = x * scale
+    if mask is not None:
+        y += mask
+    y -= np.max(y, axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.sum(y, axis=axis, keepdims=True)
+    return y, [y * (g - np.sum(g * y, axis=axis, keepdims=True)) * scale]
+
+
+def _reference_log_softmax(x, g, axis):
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    y = shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    return y, [g - np.exp(y) * np.sum(g, axis=axis, keepdims=True)]
+
+
+def _reference_mean(x, g, axis, keepdims):
+    count = x.size if axis is None else np.prod([x.shape[ax] for ax in np.atleast_1d(axis)])
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.mean(x, axis=axis, keepdims=keepdims), [np.broadcast_to(g, x.shape) / count]
+
+
+def _assert_matches_reference(build, reference, arrays, rng):
+    w = rng.standard_normal(np.shape(build(*[Tensor(a) for a in arrays]).data))
+    out, grads = _forward_and_grads(build, arrays, w)
+    ref_out, ref_grads = reference(*arrays, w)
+    assert np.array_equal(out, ref_out)
+    assert len(grads) == len(ref_grads)
+    for grad, ref in zip(grads, ref_grads):
+        assert np.array_equal(grad, ref)
+
+
+class TestReductionsMatchNumpysWrappers:
+    """layer_norm, softmax, log_softmax and mean reduce with ufunc reductions;
+    their outputs and input gradients equal, bit for bit, the same formulas
+    written with np.mean, np.max and np.sum. Shapes include one decode step
+    ([1, 1, D] rows, [1, H, 1, keys] scores) and a training batch."""
+
+    @pytest.mark.parametrize("shape", [(1, 1, 64), (1, 1, 16), (8, 37, 64), (5, 3)])
+    def test_layer_norm(self, rng, shape):
+        x = rng.standard_normal(shape) * 3.0 + 1.5
+        arrays = [x, _positive(rng, shape[-1]), rng.standard_normal(shape[-1])]
+        _assert_matches_reference(nm.layer_norm, _reference_layer_norm, arrays, rng)
+
+    @pytest.mark.parametrize("shape, axis, masked", [
+        ((1, 4, 1, 97), -1, True), ((1, 4, 1, 97), -1, False), ((8, 4, 37, 37), -1, True),
+        ((6, 5), 0, False)])
+    def test_softmax(self, rng, shape, axis, masked):
+        mask = None
+        if masked:
+            visible = rng.uniform(size=(1,) * (len(shape) - 1) + shape[-1:]) < 0.7
+            visible[..., 0] = True
+            mask = additive_mask(visible)
+        _assert_matches_reference(
+            lambda x: nm.softmax(x, axis=axis, scale=0.25, add_mask=mask),
+            lambda x, g: _reference_softmax(x, g, axis, 0.25, mask),
+            [rng.standard_normal(shape) * 4.0], rng)
+
+    @pytest.mark.parametrize("shape, axis", [((256, 66), -1), ((1, 10), -1), ((6, 5), 0)])
+    def test_log_softmax(self, rng, shape, axis):
+        _assert_matches_reference(lambda x: nm.log_softmax(x, axis=axis),
+                                  lambda x, g: _reference_log_softmax(x, g, axis),
+                                  [rng.standard_normal(shape) * 4.0], rng)
+
+    @pytest.mark.parametrize("axis, keepdims", [
+        (None, False), (None, True), (1, False), (-1, True), ((0, 2), False), ((0, 2), True)])
+    def test_mean(self, rng, axis, keepdims):
+        _assert_matches_reference(lambda x: nm.tmean(x, axis=axis, keepdims=keepdims),
+                                  lambda x, g: _reference_mean(x, g, axis, keepdims),
+                                  [rng.standard_normal((3, 7, 5)) * 2.0 + 0.3], rng)
+
+
 def _positive(rng, shape):
     return rng.uniform(0.5, 1.5, shape)
 

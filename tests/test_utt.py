@@ -195,6 +195,41 @@ class TestGenerate:
             generate_tokens(utt, cond, 4, primitive=primitive, seed=[1, 2])
 
 
+def _choice_draw(logits, sampling, rng):
+    """The token draw through rng.choice, with its checks on p."""
+    k = min(sampling.top_k, logits.size)
+    keep = np.argsort(-logits, kind="stable")[:k]
+    tau = max(sampling.temperature, 1e-12)
+    scaled = (logits[keep] - logits[keep].max()) / tau
+    with np.errstate(under="ignore"):
+        probs = np.exp(scaled)
+    probs /= probs.sum()
+    return int(keep[rng.choice(k, p=probs)])
+
+
+@pytest.mark.parametrize("width, sampling, ties", [
+    (K, SamplingConfig(), False),
+    (K, SamplingConfig(), True),
+    (64, SamplingConfig(), False),
+    (64, SamplingConfig(), True),
+    (K, SamplingConfig(top_k=K + 5), False),  # top_k beyond the codebook
+    (64, SamplingConfig(temperature=1e-9), False),
+    (64, SamplingConfig(temperature=1e-9), True),
+    (64, SamplingConfig(top_k=3, temperature=3.0), True),
+    (K, SamplingConfig(top_k=1), False),
+], ids=["k8", "k8-ties", "k64", "k64-ties", "top-k-beyond-k", "tiny-temperature",
+        "tiny-temperature-ties", "hot-top-3-ties", "greedy"])
+def test_the_draw_gives_rng_choices_token_and_stream_position(width, sampling, ties):
+    source = np.random.default_rng(11)
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(1500):
+        logits = source.standard_normal(width) * 3.0
+        if ties:  # a handful of distinct values, so most logits tie with another
+            logits = np.round(logits / 2.0)
+        assert utt_mod._sample_one(logits, sampling, rng) == _choice_draw(logits, sampling, ref)
+        assert rng.random() == ref.random()
+
+
 def _reference_tokens(model, cond, max_len, sampling, primitive=(), z=None, seed=0):
     """Sampling without a cache: the full forward over the whole prefix for
     every token, drawing among the codebook ids only (BOS and EOS masked)."""
