@@ -119,15 +119,23 @@ def load_config(path=None) -> RunConfig:
     return cfg
 
 
-# smallest value each count, the learning rate and the frame rate may take; at
-# a rate far below one frame per second, synth would place billions of beats
-_MINIMUMS = {"lr": 0, "fps": 1.0, "frames": DOWNSAMPLE, "feature_dim": 1, "code_count": 1,
-             "code_dim": 1, "mq_hidden": 1, "embed_dim": 1, "mate_layers": 1, "mate_heads": 1,
+# smallest value each count, the learning rate, the frame rate and the beat
+# tolerance may take; at a rate far below one frame per second, synth would
+# place billions of beats, and a tolerance below a hundredth of a frame is
+# finer than any frame grid can tell (at 1e-300 frames, beat_align's 2 sigma^2
+# underflows to a division by zero)
+_MINIMUMS = {"lr": 0, "fps": 1.0, "beat_sigma_frames": 0.01, "frames": DOWNSAMPLE,
+             "feature_dim": 1, "code_count": 1, "code_dim": 1, "mq_hidden": 1, "embed_dim": 1,
+             "mate_layers": 1, "mate_heads": 1,
              "utt_layers": 1, "utt_heads": 1, "z_dim": 0, "dmd_layers": 1,
              "dmd_cond_layers": 1, "dmd_heads": 1, "top_k": 1, "diffusion_steps": 1,
              "batch_size": 1, "epochs_mq": 0, "epochs_utt": 0, "epochs_dmd": 0,
              "epochs_retrieval": 0, "samples_per_input": 1, "retrieval_distractors": 1,
              "retrieval_trials": 1, "retrieval_dim": 1}
+# largest value the frame rate may take: motion capture records at a few
+# hundred frames per second, and the metrics scale frame differences by fps
+# (at 1e300 the kinetic features' velocities overflow)
+_MAXIMUMS = {"fps": 1000.0}
 
 
 def _check_ranges(cfg: RunConfig) -> None:
@@ -135,12 +143,15 @@ def _check_ranges(cfg: RunConfig) -> None:
         if getattr(cfg, name) < least:
             raise ConfigError(f"config key {name!r} must be at least {least}, "
                               f"got {getattr(cfg, name)}")
+    for name, most in _MAXIMUMS.items():
+        if getattr(cfg, name) > most:
+            raise ConfigError(f"config key {name!r} must be at most {most}, "
+                              f"got {getattr(cfg, name)}")
     for f in fields(cfg):
         if f.type == "float" and not math.isfinite(getattr(cfg, f.name)):
             raise ConfigError(f"config key {f.name!r} must be finite, got {getattr(cfg, f.name)}")
-    for name in ("beat_sigma_frames", "temperature"):
-        if not getattr(cfg, name) > 0:
-            raise ConfigError(f"config key {name!r} must be positive, got {getattr(cfg, name)}")
+    if not cfg.temperature > 0:
+        raise ConfigError(f"config key 'temperature' must be positive, got {cfg.temperature}")
     for name in ("z_prob", "compose_fraction"):
         if not 0 <= getattr(cfg, name) <= 1:
             raise ConfigError(f"config key {name!r} must lie in [0, 1], got {getattr(cfg, name)}")

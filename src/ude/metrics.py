@@ -6,6 +6,9 @@ Feature extractors are handcrafted so every metric has an exact oracle:
 kinetic features are per-joint speed/acceleration statistics, geometric
 features are time-averaged pairwise joint distances plus bounding-box and
 root-height statistics.
+
+Everything here needs numpy only: `diversity` computes what scipy's `pdist`
+would, in the same order and to the same bit.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from . import numerics as nm
 from .errors import DataError
@@ -48,10 +50,8 @@ def geometric_features(m: MotionSequence) -> np.ndarray:
     subset = np.linspace(0, j - 1, min(j, 8)).round().astype(int)
     subset = np.unique(subset)
     sub = pos[:, subset]                        # [T, S, 3]
-    diff = sub[:, :, None, :] - sub[:, None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)        # [T, S, S]
-    iu = np.triu_indices(len(subset), k=1)
-    pair_means = dist[:, iu[0], iu[1]].mean(axis=0)
+    first, second = np.triu_indices(len(subset), k=1)  # the S(S-1)/2 pairs averaged
+    pair_means = np.linalg.norm(sub[:, first] - sub[:, second], axis=-1).mean(axis=0)
     extents = (pos.max(axis=(0, 1)) - pos.min(axis=(0, 1)))
     root_y = pos[:, 0, 1]
     return np.concatenate([pair_means, extents, [root_y.mean(), root_y.std()]])
@@ -68,9 +68,11 @@ class FeatureSet:
             raise DataError("non-finite feature rows")
 
 
+EXTRACTORS = {"kinetic": kinetic_features, "geometric": geometric_features}
+
+
 def feature_set(kind: str, motions) -> FeatureSet:
-    extractor = {"kinetic": kinetic_features, "geometric": geometric_features}[kind]
-    return FeatureSet(kind, np.stack([extractor(m) for m in motions]))
+    return FeatureSet(kind, np.stack([EXTRACTORS[kind](m) for m in motions]))
 
 
 # -- Frechet distance ---------------------------------------------------------------
@@ -113,11 +115,21 @@ def fid(a: FeatureSet, b: FeatureSet) -> float:
 
 
 def diversity(a: FeatureSet | np.ndarray) -> float:
-    """Mean pairwise Euclidean distance over all unordered row pairs."""
+    """Mean pairwise Euclidean distance over all unordered row pairs.
+
+    This is scipy's ``pdist(matrix).mean()`` bit for bit: each pair's squared
+    differences are summed one column at a time, in column order, as pdist
+    does, where numpy's pairwise sums (``add.reduce``, ``einsum``,
+    ``linalg.norm``) group them differently."""
     matrix = a.matrix if isinstance(a, FeatureSet) else np.atleast_2d(a)
     if matrix.shape[0] < 2:
         raise DataError("diversity needs at least 2 samples")
-    return float(pdist(matrix).mean())
+    i, j = np.triu_indices(matrix.shape[0], k=1)  # pdist's condensed pair order
+    total = np.zeros(len(i))
+    for column in matrix.T:
+        d = column[i] - column[j]
+        total += d * d
+    return float(np.sqrt(total).mean())
 
 
 # -- beats ------------------------------------------------------------------------
@@ -254,19 +266,23 @@ def retrieval_accuracy(encoder, pairs, distractors: int = 60, trials: int = 10,
         raise DataError(
             f"need at least {distractors + 1} distinct texts, have {len(keys)}")
     with nm.no_grad():
-        text_emb = dict(zip(keys, encoder.encode_text(keys).data))
+        text_emb = encoder.encode_text(keys).data
         motion_emb = encoder.encode_motion(np.stack([frames for frames, _ in pairs])).data
+    # [pairs, distinct texts]: every similarity a trial can read, each the
+    # one dot product of a motion row with a text row
+    table = np.array([[m @ t for t in text_emb] for m in motion_emb])
+    key_index = {key: k for k, key in enumerate(keys)}
+    every_key = np.arange(len(keys))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 61]))
     top1 = top5 = total = 0
     for _ in range(trials):
         for i, (_, ids) in enumerate(pairs):
-            true_key = tuple(ids)
-            others = [k for k in keys if k != true_key]
-            chosen = [others[j] for j in rng.choice(len(others), size=distractors, replace=False)]
+            true_k = key_index[tuple(ids)]
+            others = np.delete(every_key, true_k)  # keys in their order, less the true one
+            chosen = others[rng.choice(len(others), size=distractors, replace=False)]
             slot = int(rng.integers(0, distractors + 1))
-            candidates = chosen[:slot] + [true_key] + chosen[slot:]
-            sims = np.array([motion_emb[i] @ text_emb[k] for k in candidates])
-            order = np.argsort(-sims, kind="stable")
+            candidates = np.insert(chosen, slot, true_k)
+            order = np.argsort(-table[i, candidates], kind="stable")
             rank = int(np.where(order == slot)[0][0])
             top1 += rank == 0
             top5 += rank < 5

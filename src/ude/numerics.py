@@ -8,14 +8,25 @@ embedding lookup and a few shape ops. Sequence ops (conv1d, repeat_rows) put
 time on axis -2, so one call runs a batch [B, T, C] as it runs one sequence
 [T, C]. Graphs are recorded eagerly as tensors are produced: each op
 computes its output, then hands ``_from_op`` one closure ``vjp(g)`` that
-adds the output gradient ``g`` into the op's inputs; the closure is kept
-only when a graph is recorded. ``Tensor.backward()`` calls them in reverse
-topological order.
+maps the output gradient ``g`` to one gradient per input. When a graph is
+recorded, the output gets a ``_Node`` holding the vjp, the nodes of its
+inputs (None for an input that needs no gradient) and, during backward, its
+gradient; ``Tensor.backward()`` walks the nodes in reverse topological
+order.
+
+A graph keeps nodes, not tensors: each vjp closes over only the arrays it
+reads (matmul, mul, div and power their operands, softmax and log_softmax
+their output, layer_norm its normalized input and inverse deviation, conv1d
+its unfolded columns, relu its output) and over shapes, so an op output that
+no vjp reads (a residual sum, attention scores, a projection that is
+transposed next, conv1d's padded input) is freed as soon as the forward
+drops it.
 
 Conventions:
   * everything is float64; any op that produces NaN/Inf raises NumericsError,
-  * a forward pays only for its output: what only a vjp reads (an inverse
-    permutation, split offsets, a mask) is computed inside the vjp, and hot
+  * a forward pays for its output and little more: what only a vjp reads
+    (an inverse permutation, split offsets, a mask) is computed inside the
+    vjp from the shapes and arrays it keeps, and hot
     ops call ufunc reductions (``np.add.reduce``, ``np.maximum.reduce``),
     not numpy's wrapper functions (``np.mean``, ``np.max``, ``np.sum``),
     which reach the same reductions, and give the same bits, at a higher
@@ -87,21 +98,46 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise NumericsError(f"non-finite values produced by {what}")
 
 
-class Tensor:
-    """A dense float64 array plus the bookkeeping needed for backprop."""
+class _Node:
+    """A tensor's place in a recorded graph: the gradient accumulated into it
+    so far, the nodes of the op's inputs (None for one that needs no
+    gradient) and the op's vjp. A leaf that requires grad has a node with no
+    parents and no vjp, and keeps its gradient across backward calls."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("grad", "parents", "vjp")
+
+    def __init__(self, grad=None, parents=(), vjp=None):
+        self.grad = grad
+        self.parents = parents
+        self.vjp = vjp
+
+
+class Tensor:
+    """A dense float64 array plus, when it takes part in a graph, its node."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         _check_finite(arr, "tensor construction")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(arr) if requires_grad else None
-        self._parents: tuple = ()
-        self._vjp = None
+        self._node = _Node(np.zeros_like(arr)) if requires_grad else None
 
     # -- basic introspection -------------------------------------------------
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        if self._node is None:
+            raise DataError("a tensor that does not require grad has no gradient")
+        self._node.grad = value
 
     @property
     def shape(self) -> tuple:
@@ -139,14 +175,17 @@ class Tensor:
         """
         if self.data.size != 1:
             raise DataError("backward() expects a scalar loss tensor")
-        order = _toposort(self)
-        _accumulate(self, np.ones_like(self.data))
+        if self._node is None:
+            return
+        order = _toposort(self._node)
+        _accumulate(self._node, np.ones_like(self.data))
         while order:
-            t = order.pop()
-            if t._vjp is not None:
-                if t.grad is not None:
-                    t._vjp(t.grad)
-                t.grad, t._vjp, t._parents = None, None, ()
+            node = order.pop()
+            if node.vjp is not None:
+                if node.grad is not None:
+                    for parent, g in zip(node.parents, node.vjp(node.grad)):
+                        _accumulate(parent, g)
+                node.grad, node.vjp, node.parents = None, None, ()
 
     # -- operator sugar --------------------------------------------------------
 
@@ -199,28 +238,27 @@ class Tensor:
         return transpose(self, axes)
 
 
-def _toposort(root: Tensor) -> list:
+def _toposort(root: _Node) -> list:
     order, state, stack = [], {}, [root]
     while stack:
-        t = stack[-1]
-        st = state.get(id(t), 0)
+        node = stack[-1]
+        st = state.get(id(node), 0)
         if st == 0:
-            state[id(t)] = 1
-            for p in t._parents:
-                if state.get(id(p), 0) == 0:
+            state[id(node)] = 1
+            for p in node.parents:
+                if p is not None and state.get(id(p), 0) == 0:
                     stack.append(p)
         else:
             stack.pop()
             if st == 1:
-                state[id(t)] = 2
-                order.append(t)
+                state[id(node)] = 2
+                order.append(node)
     return order
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not (t.requires_grad or t._parents):
-        return
-    t.grad = g if t.grad is None else t.grad + g
+def _accumulate(node, g: np.ndarray) -> None:
+    if node is not None:
+        node.grad = g if node.grad is None else node.grad + g
 
 
 def _as_tensor(x) -> Tensor:
@@ -228,18 +266,16 @@ def _as_tensor(x) -> Tensor:
 
 
 def _from_op(data: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
+    """The op's output; it gets a node when a graph is recorded and any input
+    takes part in one. `vjp(g)` returns one gradient per parent, in order."""
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._vjp = None
+    out._node = None
+    if _grad_enabled:
+        nodes = tuple([p._node for p in parents])
+        if any(nodes):
+            out._node = _Node(None, nodes, vjp)
     return out
 
 
@@ -261,70 +297,72 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _from_op(a.data + b.data, (a, b), vjp, "add")
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return _from_op(a.data - b.data, (a, b), vjp, "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    ad, bd = a.data, b.data
 
     def vjp(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return _from_op(a.data * b.data, (a, b), vjp, "mul")
+    return _from_op(ad * bd, (a, b), vjp, "mul")
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    ad, bd = a.data, b.data
 
     def vjp(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        return (_unbroadcast(g / bd, ad.shape),
+                _unbroadcast(-g * ad / (bd * bd), bd.shape))
 
-    return _from_op(a.data / b.data, (a, b), vjp, "div")
+    return _from_op(ad / bd, (a, b), vjp, "div")
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
 
     def vjp(g):
-        _accumulate(a, -g)
+        return (-g,)
 
     return _from_op(-a.data, (a,), vjp, "neg")
 
 
 def power(a, p: float) -> Tensor:
     a = _as_tensor(a)
-    p = float(p)
+    ad, p = a.data, float(p)
 
     def vjp(g):
-        _accumulate(a, g * p * a.data ** (p - 1.0))
+        return (g * p * ad ** (p - 1.0),)
 
-    return _from_op(a.data ** p, (a,), vjp, "power")
+    return _from_op(ad ** p, (a,), vjp, "power")
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
+    y = np.maximum(a.data, 0.0)
 
     def vjp(g):
-        _accumulate(a, g * (a.data > 0))
+        return (g * (y > 0),)  # y > 0 exactly where the input is
 
-    return _from_op(np.maximum(a.data, 0.0), (a,), vjp, "relu")
+    return _from_op(y, (a,), vjp, "relu")
 
 
 # -- linear algebra --------------------------------------------------------------
@@ -334,20 +372,22 @@ def matmul(a, b, bias=None) -> Tensor:
     """Matrix product plus an optional bias; leading axes broadcast like
     numpy's ``@``, and the bias broadcasts against the product."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DataError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DataError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise DataError(f"matmul needs >=2-d operands, got {ad.shape} @ {bd.shape}")
+    if ad.shape[-1] != bd.shape[-2]:
+        raise DataError(f"matmul inner extents differ: {ad.shape} @ {bd.shape}")
+    out = ad @ bd
+    bias_shape = None
     if bias is not None:
         bias = _as_tensor(bias)
         out += bias.data
+        bias_shape = bias.shape
 
     def vjp(g):
-        _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
-        if bias is not None:
-            _accumulate(bias, _unbroadcast(g, bias.shape))
+        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
+        gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
+        return (ga, gb) if bias_shape is None else (ga, gb, _unbroadcast(g, bias_shape))
 
     return _from_op(out, (a, b) if bias is None else (a, b, bias), vjp, "matmul")
 
@@ -365,20 +405,22 @@ def _expand_reduced(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.nda
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
+    shape = a.shape
 
     def vjp(g):
-        _accumulate(a, _expand_reduced(g, a.shape, axis, keepdims).copy())
+        return (_expand_reduced(g, shape, axis, keepdims).copy(),)
 
     return _from_op(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), vjp, "sum")
 
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
+    shape = a.shape
     count = a.size if axis is None else math.prod(
-        a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,)))
+        shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,)))
 
     def vjp(g):
-        _accumulate(a, _expand_reduced(g, a.shape, axis, keepdims) / count)
+        return (_expand_reduced(g, shape, axis, keepdims) / count,)
 
     # np.mean's own steps: a pairwise add-reduce, then one true divide
     return _from_op(np.add.reduce(a.data, axis=axis, keepdims=keepdims) / count, (a,), vjp,
@@ -388,13 +430,14 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
 def reduce_max(a, axis: int) -> Tensor:
     """Max along one axis; the gradient flows to the first argmax."""
     a = _as_tensor(a)
+    shape = a.shape
     idx = np.argmax(a.data, axis=axis)
     out_data = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
 
     def vjp(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         np.put_along_axis(full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
-        _accumulate(a, full)
+        return (full,)
 
     return _from_op(out_data, (a,), vjp, "reduce_max")
 
@@ -418,7 +461,7 @@ def softmax(x, axis: int = -1, scale: float = 1.0, add_mask=None) -> Tensor:
 
     def vjp(g):
         dot = np.add.reduce(g * y, axis=axis, keepdims=True)
-        _accumulate(x, y * (g - dot) * scale)
+        return (y * (g - dot) * scale,)
 
     return _from_op(y, (x,), vjp, "softmax")
 
@@ -432,7 +475,7 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     y = shifted - lse
 
     def vjp(g):
-        _accumulate(x, g - np.exp(y) * np.add.reduce(g, axis=axis, keepdims=True))
+        return (g - np.exp(y) * np.add.reduce(g, axis=axis, keepdims=True),)
 
     return _from_op(y, (x,), vjp, "log_softmax")
 
@@ -444,23 +487,22 @@ def layer_norm(x, gain, bias) -> Tensor:
     if x.shape[-1] < 1:
         raise DataError("layer_norm needs a non-empty last axis")
     n = x.shape[-1]
+    gd, gain_shape, bias_shape = gain.data, gain.shape, bias.shape
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n  # np.mean's own steps
     xc = x.data - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + 1e-5)
     xh = xc * inv
-    out_data = xh * gain.data + bias.data
+    out_data = xh * gd + bias.data
 
     def vjp(g):
-        _accumulate(gain, _unbroadcast(g * xh, gain.shape))
-        _accumulate(bias, _unbroadcast(g, bias.shape))
-        gh = g * gain.data
+        gh = g * gd
         gx = inv * (
             gh
             - np.add.reduce(gh, axis=-1, keepdims=True) / n
             - xh * (np.add.reduce(gh * xh, axis=-1, keepdims=True) / n)
         )
-        _accumulate(x, gx)
+        return gx, _unbroadcast(g * xh, gain_shape), _unbroadcast(g, bias_shape)
 
     return _from_op(out_data, (x, gain, bias), vjp, "layer_norm")
 
@@ -492,17 +534,17 @@ def conv1d_temporal(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     xp[..., pad:pad + t_in, :] = x.data
     idx = np.arange(t_out)[:, None] * stride + np.arange(w)[None, :]
     cols = xp[..., idx, :].reshape(*lead, t_out, w * c_in)  # [..., T', W*Cin]
+    xp_shape = xp.shape  # backward reads only the padded input's shape
     k2 = kernel.data.reshape(w * c_in, c_out)
     out_data = cols @ k2  # one product per sequence: a batch row is bit-identical alone
 
     def vjp(g):
         gk = cols.reshape(-1, w * c_in).T @ g.reshape(-1, c_out)
-        _accumulate(kernel, gk.reshape(w, c_in, c_out))
         gcols = (g @ k2.T).reshape(*lead, t_out, w, c_in)
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros(xp_shape)
         for j in range(w):
             gxp[..., j:j + stride * t_out:stride, :] += gcols[..., j, :]
-        _accumulate(x, gxp[..., pad:pad + t_in, :])
+        return gxp[..., pad:pad + t_in, :], gk.reshape(w, c_in, c_out)
 
     return _from_op(out_data, (x, kernel), vjp, "conv1d_temporal")
 
@@ -517,11 +559,12 @@ def embedding(table, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise DataError("embedding id out of range")
+    shape = table.shape
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape)
         np.add.at(gt, ids, g)
-        _accumulate(table, gt)
+        return (gt,)
 
     return _from_op(table.data[ids].copy(), (table,), vjp, "embedding")
 
@@ -529,12 +572,13 @@ def embedding(table, ids) -> Tensor:
 def take(a, key) -> Tensor:
     """Basic (int/slice) indexing with gradient scatter."""
     a = _as_tensor(a)
+    shape = a.shape
     out_data = np.array(a.data[key])
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         ga[key] = ga[key] + g
-        _accumulate(a, ga)
+        return (ga,)
 
     return _from_op(out_data, (a,), vjp, "take")
 
@@ -542,29 +586,33 @@ def take(a, key) -> Tensor:
 def take_per_row(a, ids) -> Tensor:
     """out[i] = a[i, ids[i]] for a 2-d tensor (used by cross-entropy)."""
     a = _as_tensor(a)
+    shape = a.shape
     ids = np.asarray(ids, dtype=np.int64)
-    rows = np.arange(a.shape[0])
+    rows = np.arange(shape[0])
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         np.add.at(ga, (rows, ids), g)
-        _accumulate(a, ga)
+        return (ga,)
 
     return _from_op(a.data[rows, ids].copy(), (a,), vjp, "take_per_row")
 
 
 def concat(parts, axis: int = 0) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
+    arrays = [p.data for p in parts]
+    sizes = [arr.shape[axis] for arr in arrays]
 
     def vjp(g):
-        hi = 0
-        for p in parts:
-            lo, hi = hi, hi + p.shape[axis]
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accumulate(p, g[tuple(sl)])
+        sl, hi = [slice(None)] * g.ndim, 0
+        grads = []
+        for size in sizes:
+            sl[axis] = slice(hi, hi + size)
+            grads.append(g[tuple(sl)])
+            hi += size
+        return grads
 
-    return _from_op(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), vjp, "concat")
+    return _from_op(np.concatenate(arrays, axis=axis), tuple(parts), vjp, "concat")
 
 
 def repeat_rows(a, k: int) -> Tensor:
@@ -574,7 +622,7 @@ def repeat_rows(a, k: int) -> Tensor:
     *lead, t, c = a.shape
 
     def vjp(g):
-        _accumulate(a, g.reshape(*lead, t, k, c).sum(axis=-2))
+        return (g.reshape(*lead, t, k, c).sum(axis=-2),)
 
     return _from_op(np.repeat(a.data, k, axis=-2), (a,), vjp, "repeat_rows")
 
@@ -584,7 +632,7 @@ def reshape(a, shape) -> Tensor:
     old = a.shape
 
     def vjp(g):
-        _accumulate(a, g.reshape(old))
+        return (g.reshape(old),)
 
     return _from_op(a.data.reshape(shape), (a,), vjp, "reshape")
 
@@ -593,7 +641,7 @@ def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
 
     def vjp(g):
-        _accumulate(a, g.transpose(np.argsort(axes)))
+        return (g.transpose(np.argsort(axes)),)
 
     return _from_op(np.ascontiguousarray(a.data.transpose(axes)), (a,), vjp, "transpose")
 

@@ -30,7 +30,7 @@ from . import utt as utt_mod
 from .audio import AudioFeatureSequence
 from .config import RunConfig
 from .dataset import UNK_ID, VOCAB_WORDS, load_samples, synth_dataset, tokenize
-from .errors import ConfigError, DataError, StageError
+from .errors import ConfigError, DataError, NumericsError, StageError
 from .fileio import atomic_write
 from .mate import MATEConfig, MATEModel, audio_input, stack_conditions, text_input
 from .mate import encode as mate_encode
@@ -375,6 +375,8 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
     tokens = utt_mod.generate_tokens(utt, stack_conditions(conds), n_tokens, sampling,
                                      primitive=primitive, z=zs, seed=seeds)
     frames_out = _decode(stack, decoder, tokens, seeds)
+    if not np.isfinite(frames_out).all():  # the dmd decoder's last update runs outside the engine
+        raise NumericsError(f"the {decoder} decoder produced non-finite {modality} frames")
     results = [{"tokens": t, "frames": f, "unk_only": u}
                for t, f, u in zip(tokens, frames_out, unk_only)]
     return results if batch else results[0]
@@ -518,17 +520,21 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
         key = (sample.modality, sample.motion.length)
         groups.setdefault(key, []).extend((sample, rep) for rep in range(spi))
     generated = {}
-    for (modality, frames), requests in groups.items():
-        for start in range(0, len(requests), cfg.batch_size):
-            group = requests[start:start + cfg.batch_size]
-            outs = generate_motion(
-                stack, cfg, modality, frames,
-                [_sample_seed(seed, rep, s.id) for s, rep in group],
-                prompt=[s.sentence for s, _ in group],
-                features=[s.features.features if s.features else None for s, _ in group],
-                use_z=False, decoder=decoder)
-            for (s, _), out in zip(group, outs):
-                generated.setdefault(s.id, []).append(MotionSequence(cfg.fps, out["frames"]))
+    # a model trained to huge weights overflows in an engine op, whose finite
+    # check raises NumericsError, or in the features of the motions it decodes
+    # (see _generated_feature_set); numpy's warnings would only come first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for (modality, frames), requests in groups.items():
+            for start in range(0, len(requests), cfg.batch_size):
+                group = requests[start:start + cfg.batch_size]
+                outs = generate_motion(
+                    stack, cfg, modality, frames,
+                    [_sample_seed(seed, rep, s.id) for s, rep in group],
+                    prompt=[s.sentence for s, _ in group],
+                    features=[s.features.features if s.features else None for s, _ in group],
+                    use_z=False, decoder=decoder)
+                for (s, _), out in zip(group, outs):
+                    generated.setdefault(s.id, []).append(MotionSequence(cfg.fps, out["frames"]))
 
     report = {"config": cfg.to_dict(), "seed": seed, "split": split,
               "decoder": decoder, "samples_per_input": spi,
@@ -543,7 +549,7 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
         block = {}
         for kind, tag in (("kinetic", "k"), ("geometric", "m")):
             gt_fs = metrics_mod.feature_set(kind, gt_motions)
-            gen_fs = metrics_mod.feature_set(kind, gen_motions)
+            gen_fs = _generated_feature_set(kind, gen_motions, modality)
             block[f"fid_{tag}"] = metrics_mod.fid(gen_fs, gt_fs)
             block[f"div_{tag}"] = metrics_mod.diversity(gen_fs)
             block[f"div_{tag}_gt"] = metrics_mod.diversity(gt_fs)
@@ -554,9 +560,10 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
 
     if text_samples:
         pairs = [(generated[s.id][0].frames, s.text_ids) for s in text_samples]
-        top1, top5 = metrics_mod.retrieval_accuracy(
-            retrieval, pairs, distractors=cfg.retrieval_distractors,
-            trials=cfg.retrieval_trials, seed=seed)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as above
+            top1, top5 = metrics_mod.retrieval_accuracy(
+                retrieval, pairs, distractors=cfg.retrieval_distractors,
+                trials=cfg.retrieval_trials, seed=seed)
         report["metrics"]["text"]["top1"] = top1
         if cfg.retrieval_distractors >= 5:  # among 5 or fewer candidates top5 is always 1
             report["metrics"]["text"]["top5"] = top5
@@ -575,6 +582,18 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
             report["metrics"]["audio"]["beat_align_gt"] = float(np.mean(gt_aligns))
 
     return report
+
+
+def _generated_feature_set(kind: str, motions, modality: str):
+    """Features of generated motions. A model trained to huge weights decodes
+    huge frames whose features overflow: a numerical failure of the model
+    (exit 5), where non-finite features of the data stay a DataError (exit 4)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = np.stack([metrics_mod.EXTRACTORS[kind](m) for m in motions])
+    if not np.isfinite(matrix).all():
+        raise NumericsError(f"the generated {modality} motions have non-finite {kind} "
+                            f"features: the model diverged")
+    return metrics_mod.FeatureSet(kind, matrix)
 
 
 def _sample_seed(seed: int, rep: int, sample_id: str) -> int:

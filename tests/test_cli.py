@@ -9,6 +9,8 @@ import math
 import os
 import pathlib
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -117,6 +119,14 @@ def test_same_seed_rerun_is_byte_identical(first_run, config, tmp_path):
     again = _run_sequence(tmp_path, config)
     assert sorted(again) == sorted(files)
     assert [name for name in files if again[name] != files[name]] == []
+
+
+def test_the_cli_imports_numpy_and_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", "import sys, ude.cli; "
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                         env=env, check=True, capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -409,6 +419,55 @@ def test_diverging_training_prints_no_numpy_warning(first_run, tiny_cfg, tmp_pat
         assert _cli("train", "--config", config, "--stage", "mq", "--data",
                     first_run[0] / "data", "--out", tmp_path / "ckpt", "--epochs", 2) == 5
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("decoder, message", [
+    # the vq decoder's huge frames overflow their kinetic features
+    ("vq", "the generated text motions have non-finite kinetic features"),
+    # the dmd decoder's frames pass, and the retrieval encoder's engine ops overflow
+    ("dmd", "non-finite values produced by"),
+])
+def test_eval_of_a_diverged_model_is_a_numerical_failure(tiny_cfg, tmp_path, capsys, decoder,
+                                                         message):
+    # lr 1e30 trains to huge but finite weights: training passes every finite check
+    config = tmp_path / "hot.json"
+    config.write_text(json.dumps({**tiny_cfg.to_dict(), "lr": 1e30}))
+    common = ["--config", config, "--seed", 0]
+    data, ckpt, out = tmp_path / "data", tmp_path / "ckpt", tmp_path / "eval.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _cli("synth", *common, "--out", data) == 0
+        assert _cli("train", *common, "--stage", "all", "--data", data, "--out", ckpt,
+                    "--epochs", 1) == 0
+        capsys.readouterr()
+        assert _cli("eval", *common, "--ckpt", ckpt, "--data", data, "--decoder", decoder,
+                    "--out", out) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, bound, past", [
+    ("fps", 1000.0, math.nextafter(1000.0, math.inf)),
+    ("beat_sigma_frames", 0.01, math.nextafter(0.01, 0.0)),
+])
+def test_float_bounds_run_end_to_end_without_a_warning(tiny_cfg, tmp_path, capsys, key, bound,
+                                                       past):
+    config, beyond = tmp_path / "edge.json", tmp_path / "beyond.json"
+    config.write_text(json.dumps({**tiny_cfg.to_dict(), key: bound}))
+    beyond.write_text(json.dumps({**tiny_cfg.to_dict(), key: past}))
+    data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _cli("synth", "--config", config, "--out", data) == 0
+        assert _cli("train", "--config", config, "--stage", "all", "--data", data,
+                    "--out", ckpt, "--epochs", 1) == 0
+        assert _cli("eval", "--config", config, "--ckpt", ckpt, "--data", data,
+                    "--out", tmp_path / "eval.json") == 0
+    capsys.readouterr()
+    assert _cli("synth", "--config", beyond, "--out", tmp_path / "beyond") == 2
+    assert f"config key {key!r} must be at" in capsys.readouterr().err
+    assert not (tmp_path / "beyond").exists()
 
 
 def test_more_frames_than_the_context_holds_exits_2(first_run, config, tmp_path):

@@ -107,6 +107,12 @@ def test_values_that_do_not_fit_the_field_type_raise(tmp_path, values):
     {"lr": -1e-3},
     # under one frame per second, and splits that train or eval cannot use
     {"fps": 0.5},
+    # float values far past their useful range (numpy warned at both), and the
+    # nearest values past each bound
+    {"fps": 1e300},
+    {"fps": math.nextafter(1000.0, math.inf)},
+    {"beat_sigma_frames": 1e-300},
+    {"beat_sigma_frames": math.nextafter(0.01, 0.0)},
     {"families": "", "genres": ""},
     {"families_test": "", "genres_test": ""},
     {"genres_test": "groove:1"},
@@ -120,6 +126,8 @@ def test_values_out_of_range_raise(tmp_path, values):
     {"lr": 0.0},  # Adam leaves the parameters where they are
     {"temperature": 1e-9},
     {"fps": 1.0},
+    {"fps": 1000.0},
+    {"beat_sigma_frames": 0.01},
     {"families": "", "families_test": ""},  # audio only
     {"genres_test": ""},
     {"genres_test": "groove:2"},

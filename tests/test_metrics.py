@@ -79,6 +79,18 @@ class TestGeometricFeatures:
         assert np.allclose(a[:n_pairs], b[:n_pairs], atol=1e-9)
 
 
+def test_geometric_features_equal_the_full_distance_array_bit_for_bit(rng):
+    for _ in range(8):
+        m = MotionSequence(16.0, rng.standard_normal((12, 24)) * 3.0)
+        pos = m.positions()
+        subset = np.unique(np.linspace(0, 7, 8).round().astype(int))
+        sub = pos[:, subset]
+        dist = np.linalg.norm(sub[:, :, None, :] - sub[:, None, :, :], axis=-1)  # [T, S, S]
+        iu = np.triu_indices(len(subset), k=1)
+        np.testing.assert_array_equal(geometric_features(m)[:len(iu[0])],
+                                      dist[:, iu[0], iu[1]].mean(axis=0))
+
+
 class TestFid:
     def test_identical_sets_zero(self, rng):
         x = rng.standard_normal((20, 5))
@@ -145,6 +157,25 @@ class TestDiversity:
                 total += np.linalg.norm(x[i] - x[j])
                 count += 1
         assert abs(diversity(x) - total / count) < 1e-12
+
+    @pytest.mark.parametrize("width", [1, 3, 8, 9, 24, 33, 100])
+    def test_bits_of_the_column_order_reference(self, width):
+        x = np.random.default_rng(width).standard_normal((17, width)) * np.geomspace(
+            1e-3, 1e3, width)
+        pairs = [(a, b) for a in range(17) for b in range(a + 1, 17)]
+        dists = []
+        for a, b in pairs:  # pdist's loop: one running sum, one column at a time
+            total = 0.0
+            for k in range(width):
+                total += (x[a, k] - x[b, k]) ** 2
+            dists.append(math.sqrt(total))
+        assert diversity(x) == float(np.mean(dists))
+
+    @pytest.mark.parametrize("width", [1, 3, 8, 9, 24, 33, 100])
+    def test_bits_of_scipy_pdist(self, width):
+        pdist = pytest.importorskip("scipy.spatial.distance").pdist
+        x = np.random.default_rng(width + 1).standard_normal((40, width))
+        assert diversity(x) == float(pdist(x).mean())
 
     def test_needs_two_rows(self):
         with pytest.raises(DataError, match="at least 2 samples"):
@@ -312,3 +343,50 @@ class TestRetrieval:
 
         pairs = [(np.full((8, 3), float(b)), np.array([b])) for b in range(6)]
         assert retrieval_accuracy(Matched(), pairs, distractors=4, trials=3) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_similarity_table_matches_the_per_candidate_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        texts, motions = 12, 30
+        # texts 0-3 share one embedding and 4-5 another, and motions 0-9 embed
+        # as text 0, so exact ties fall among the candidates
+        text_rows = rng.standard_normal((texts, 5))
+        text_rows[1:4] = text_rows[0]
+        text_rows[5] = text_rows[4]
+        motion_rows = rng.standard_normal((motions, 5))
+        motion_rows[:10] = text_rows[0]
+
+        class Planted:
+            def encode_motion(self, frames):
+                return nm.Tensor(motion_rows[frames[:, 0, 0].astype(int)])
+
+            def encode_text(self, token_ids):
+                return nm.Tensor(text_rows[[ids[0] for ids in token_ids]])
+
+        pairs = [(np.full((4, 2), float(i)), np.array([i % texts])) for i in range(motions)]
+        for distractors in (3, 6, 11):
+            got = retrieval_accuracy(Planted(), pairs, distractors=distractors, trials=4,
+                                     seed=seed)
+            assert got == _per_candidate_retrieval(Planted(), pairs, distractors, 4, seed)
+
+
+def _per_candidate_retrieval(encoder, pairs, distractors, trials, seed):
+    """`retrieval_accuracy` as one dot product per candidate of every trial."""
+    keys = list(dict.fromkeys(tuple(ids) for _, ids in pairs))
+    text_emb = dict(zip(keys, encoder.encode_text(keys).data))
+    motion_emb = encoder.encode_motion(np.stack([frames for frames, _ in pairs])).data
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 61]))
+    top1 = top5 = total = 0
+    for _ in range(trials):
+        for i, (_, ids) in enumerate(pairs):
+            true_key = tuple(ids)
+            others = [k for k in keys if k != true_key]
+            chosen = [others[j] for j in rng.choice(len(others), size=distractors, replace=False)]
+            slot = int(rng.integers(0, distractors + 1))
+            candidates = chosen[:slot] + [true_key] + chosen[slot:]
+            sims = np.array([motion_emb[i] @ text_emb[k] for k in candidates])
+            rank = int(np.where(np.argsort(-sims, kind="stable") == slot)[0][0])
+            top1 += rank == 0
+            top5 += rank < 5
+            total += 1
+    return top1 / total, top5 / total

@@ -1,6 +1,6 @@
 """Incremental attention: rows fed through a K/V cache equal the rows of one
 full forward under `causal_prefix_mask`; a batch of padded sequences equals
-each sequence alone. A recorded attention graph keeps few score arrays."""
+each sequence alone. A recorded graph keeps only the arrays its vjps read."""
 
 import numpy as np
 import pytest
@@ -70,9 +70,10 @@ def test_batched_attention_with_key_padding_equals_each_sequence_alone(rng):
 
 
 def _arrays_in_graph(root):
-    """Every distinct buffer the graph below `root` keeps alive: each node's
-    data and whatever its vjp closure holds."""
-    buffers, seen, stack = {}, set(), [root]
+    """Every distinct buffer the graph below tensor `root` keeps alive: what
+    each node's vjp closure holds. (A leaf's gradient is its own, kept with
+    or without a graph.)"""
+    buffers, seen, stack = {}, set(), [root._node]
 
     def keep(arr):
         while arr.base is not None:
@@ -80,28 +81,43 @@ def _arrays_in_graph(root):
         buffers[id(arr)] = arr
 
     while stack:
-        t = stack.pop()
-        if id(t) in seen:
+        node = stack.pop()
+        if node is None or id(node) in seen:
             continue
-        seen.add(id(t))
-        keep(t.data)
-        for cell in (t._vjp.__closure__ or ()) if t._vjp is not None else ():
+        seen.add(id(node))
+        for cell in (node.vjp.__closure__ or ()) if node.vjp is not None else ():
             value = cell.cell_contents
+            assert not isinstance(value, nm.Tensor), "a vjp holds a whole tensor"
             if isinstance(value, np.ndarray):
                 keep(value)
-            elif isinstance(value, nm.Tensor):
-                stack.append(value)
-        stack.extend(t._parents)
+        stack.extend(node.parents)
     return list(buffers.values())
 
 
-def test_recorded_attention_keeps_two_score_arrays_per_layer(rng):
+def test_recorded_attention_keeps_one_score_array_per_layer(rng):
     # scores are [B, H, L, L] = [2, 2, 5, 5]: 100 values, a size no other
-    # array of this graph has (dh = 4, so q, k and v hold 80)
+    # array of this graph has (dh = 4, so q, k and v hold 80). The softmax
+    # keeps its output; the raw scores it was fed are read by no vjp.
     layers, batch, length = 2, 2, 5
     enc = TransformerEncoder(layers, DIM, HEADS, rng)
     x = nm.Tensor(rng.standard_normal((batch, length, DIM)), requires_grad=True)
     loss = enc(x, additive_mask(causal_prefix_mask(0, length))).sum()
     score_size = batch * HEADS * length * length
     scores = [a for a in _arrays_in_graph(loss) if a.size == score_size]
-    assert len(scores) <= 2 * layers
+    assert len(scores) == layers
+
+
+def test_recorded_graph_holds_no_residual_sum_and_no_padded_conv_input(rng):
+    x = nm.Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
+    kernel = nm.Tensor(rng.standard_normal((3, 3, 4)), requires_grad=True)
+    h = nm.conv1d_temporal(x, kernel, pad=2)  # pads [2, 5, 3] to [2, 9, 3]
+    residual = h + nm.Tensor(rng.standard_normal(h.shape))
+    gain, bias = nm.Tensor(np.ones(4), requires_grad=True), nm.Tensor(np.zeros(4))
+    weights = nm.Tensor(rng.standard_normal(h.shape))
+    loss = (nm.layer_norm(residual, gain, bias) * weights).sum()
+    buffers = _arrays_in_graph(loss)
+    assert not any(a.shape == (2, 9, 3) for a in buffers)
+    assert not any(a is residual.data for a in buffers)
+    # the graph still back-propagates through both
+    loss.backward()
+    assert np.abs(x.grad).max() > 0 and np.abs(kernel.grad).max() > 0

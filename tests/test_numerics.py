@@ -207,9 +207,22 @@ class TestBackward:
     def test_backward_frees_the_graph_and_keeps_leaf_gradients(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         h = x * 3.0
-        (h * h).sum().backward()
-        assert h.grad is None and h._vjp is None and h._parents == ()
+        loss = (h * h).sum()
+        loss.backward()
+        for node in (h._node, loss._node):
+            assert node.grad is None and node.vjp is None and node.parents == ()
+        assert h.grad is None and h.requires_grad
+        assert x._node.parents == () and x._node.vjp is None
         np.testing.assert_array_equal(x.grad, [18.0, 36.0])
+
+    def test_only_a_tensor_that_requires_grad_takes_a_gradient(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        x.grad = np.ones(2)
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+        constant = Tensor([1.0, 2.0])
+        assert constant.grad is None and not constant.requires_grad
+        with pytest.raises(DataError, match="does not require grad"):
+            constant.grad = np.ones(2)
 
 
 class TestFiniteChecks:
@@ -591,7 +604,7 @@ def read_only_output_grads(monkeypatch):
         def read_only_vjp(g):
             g = g.view()
             g.setflags(write=False)
-            vjp(g)
+            return vjp(g)
 
         return from_op(data, parents, read_only_vjp, op)
 

@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ude import checkpoint, pipeline
+from ude import checkpoint, metrics, pipeline
 from ude.dataset import load_samples
-from ude.errors import DataError
+from ude.errors import DataError, NumericsError
+from ude.motion import MotionSequence
 
 
 def test_load_mq_restores_every_saved_buffer(tmp_path, tiny_cfg):
@@ -133,3 +134,23 @@ def test_eval_reports_do_not_depend_on_the_group_size(trained, tiny_cfg):
                                  samples_per_input=2)
                for size in (1, 3)]
     assert reports[0]["metrics"] == reports[1]["metrics"]
+
+
+def test_non_finite_frames_from_a_decoder_are_a_numerical_failure(trained, tiny_cfg,
+                                                                  monkeypatch):
+    stack = pipeline.load_generation_stack(trained[1], decoder="dmd")
+    monkeypatch.setattr(pipeline, "_decode",
+                        lambda stack, decoder, tokens, seeds: np.full((1, 16, 24), np.inf))
+    with pytest.raises(NumericsError, match="the dmd decoder produced non-finite text frames"):
+        pipeline.generate_motion(stack, tiny_cfg, "text", 16, 0, prompt="a person walks",
+                                 decoder="dmd")
+
+
+def test_non_finite_features_are_a_numerical_failure_only_of_generated_motions():
+    # finite frames whose per-second velocities overflow
+    huge = [MotionSequence(16.0, np.arange(8.0)[:, None] * np.full((8, 24), 1e307))] * 2
+    with pytest.raises(NumericsError, match="generated audio motions have non-finite kinetic"):
+        pipeline._generated_feature_set("kinetic", huge, "audio")
+    with pytest.raises(DataError, match="non-finite feature rows"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        metrics.feature_set("kinetic", huge)
