@@ -164,6 +164,11 @@ def _check_ranges(cfg: RunConfig) -> None:
     if sum(genres_test.values()) == 1:  # eval's FID and diversity compare two motions or more
         raise ConfigError("genres_test gives the test split one audio sample; eval needs "
                           "none or at least 2")
+    texts = sum(families_test.values())
+    if 0 < texts <= cfg.retrieval_distractors:  # retrieval ranks each text among distractors
+        raise ConfigError(f"families_test gives the test split {texts} text samples; eval "
+                          f"needs none or more than retrieval_distractors "
+                          f"{cfg.retrieval_distractors}")
     sentence = longest_sentence(cfg)
     if sentence > cfg.max_text_len:
         raise ConfigError(f"synth can write sentences of {sentence} tokens, more than "

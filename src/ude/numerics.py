@@ -31,9 +31,10 @@ Conventions:
     not numpy's wrapper functions (``np.mean``, ``np.max``, ``np.sum``),
     which reach the same reductions, and give the same bits, at a higher
     cost per call,
-  * gradients accumulate (sum) across fan-out and across backward calls;
-    callers reset them between optimizer steps,
-  * no vjp writes into the ``g`` it receives, which may be stored uncopied,
+  * only backward creates a gradient (a leaf's first contribution, stored
+    uncopied; later ones, from fan-out or another backward, are summed into
+    new arrays), ``Adam.zero_grad`` drops them, and nothing writes into a
+    gradient or into the ``g`` a vjp receives,
   * conv1d uses the cross-correlation convention (no kernel flip).
 """
 
@@ -106,8 +107,8 @@ class _Node:
 
     __slots__ = ("grad", "parents", "vjp")
 
-    def __init__(self, grad=None, parents=(), vjp=None):
-        self.grad = grad
+    def __init__(self, parents=(), vjp=None):
+        self.grad = None
         self.parents = parents
         self.vjp = vjp
 
@@ -121,7 +122,7 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         _check_finite(arr, "tensor construction")
         self.data = arr
-        self._node = _Node(np.zeros_like(arr)) if requires_grad else None
+        self._node = _Node() if requires_grad else None
 
     # -- basic introspection -------------------------------------------------
 
@@ -166,8 +167,8 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable leaf's .grad.
 
-        self must be scalar. Unreachable parameters keep their (zero)
-        gradient, so "no path" and "zero gradient" look the same to Adam.
+        self must be scalar. An unreachable parameter keeps its gradient:
+        None if no backward reached it since `zero_grad`; Adam reads it as 0.
 
         A graph is backpropagated once: each node drops its gradient, vjp
         and parents as soon as its vjp has run, so the graph is freed as it
@@ -275,7 +276,7 @@ def _from_op(data: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
     if _grad_enabled:
         nodes = tuple([p._node for p in parents])
         if any(nodes):
-            out._node = _Node(None, nodes, vjp)
+            out._node = _Node(nodes, vjp)
     return out
 
 
@@ -653,7 +654,8 @@ class Adam:
     """Adam with bias correction over a list of (name, parameter) pairs.
 
     lr defaults to 1e-4; beta1, beta2 and eps are the usual 0.9, 0.999 and
-    1e-8. A non-finite gradient raises NumericsError naming the offending
+    1e-8. `zero_grad` drops the gradients and `step` reads None as zero. A
+    non-finite gradient raises NumericsError naming the offending
     parameter. lr=0 leaves parameters untouched.
     """
 
@@ -668,10 +670,7 @@ class Adam:
 
     def zero_grad(self) -> None:
         for _, p in self.params:
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
-            else:
-                p.grad.fill(0.0)
+            p.grad = None
 
     def reset_state(self, index, rows) -> None:
         """Clear the first/second moments of some rows of one param."""

@@ -560,10 +560,14 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
 
     if text_samples:
         pairs = [(generated[s.id][0].frames, s.text_ids) for s in text_samples]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as above
-            top1, top5 = metrics_mod.retrieval_accuracy(
-                retrieval, pairs, distractors=cfg.retrieval_distractors,
-                trials=cfg.retrieval_trials, seed=seed)
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as above
+                top1, top5 = metrics_mod.retrieval_accuracy(
+                    retrieval, pairs, distractors=cfg.retrieval_distractors,
+                    trials=cfg.retrieval_trials, seed=seed)
+        except NumericsError as exc:
+            raise NumericsError(f"the retrieval encoder failed ({exc}); "
+                                f"retrain stage retrieval") from exc
         report["metrics"]["text"]["top1"] = top1
         if cfg.retrieval_distractors >= 5:  # among 5 or fewer candidates top5 is always 1
             report["metrics"]["text"]["top5"] = top5

@@ -330,8 +330,6 @@ def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator, mq: MQModel
     rng = np.random.default_rng(np.random.SeedSequence([seed, 23]))
     gen_opt = nm.Adam(mate.named_parameters() + model.named_parameters(), lr=lr)
     disc_opt = nm.Adam(disc.named_parameters(), lr=lr)
-    mq_params = {id(p) for _, p in mq.named_parameters()}
-    assert not any(id(p) in mq_params for _, p in gen_opt.params)
 
     text_idx = [i for i, (inp, _) in enumerate(samples) if inp.modality == "text"]
     audio_idx = [i for i, (inp, _) in enumerate(samples) if inp.modality == "audio"]

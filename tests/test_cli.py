@@ -319,12 +319,14 @@ BEYOND_LIMITS = {
                                            "than max_text_len 14"),
     # walk phrases alone fit 5 tokens, but the data holds wave and turn sentences
     "data-sentences-longer-than-max-text-len": (
-        "train", {"families": "walk:2", "families_test": "walk:2", "compose_fraction": 0.0,
+        "train", {"families": "walk:2", "families_test": "walk:4", "compose_fraction": 0.0,
                   "max_text_len": 5}, 4, "tokens exceeds max_text_len 5"),
     "prompt-longer-than-max-text-len": ("generate", {}, 2,
                                         "a prompt of 78 tokens exceeds max_text_len 77"),
-    "too-few-texts-for-the-distractors": ("eval", {"retrieval_distractors": 8}, 4,
-                                          "need at least 9 distinct texts, have 8"),
+    "too-few-texts-for-the-distractors": ("eval", {"retrieval_distractors": 8}, 2,
+                                          "families_test gives the test split 8 text "
+                                          "samples; eval needs none or more than "
+                                          "retrieval_distractors 8"),
 }
 
 
@@ -347,6 +349,21 @@ def test_inputs_beyond_the_limits_exit_before_any_work(first_run, tiny_cfg, tmp_
     assert message in capsys.readouterr().err
     # no checkpoint, motion or report
     assert [path for path in out.rglob("*") if path.is_file()] == []
+
+
+def test_eval_of_a_split_with_repeated_sentences_exits_4(first_run, config, tmp_path, capsys):
+    # the config's 8 test texts pass load_config against 3 distractors, but
+    # the sentences themselves repeat: eval's distinct-text check is the backstop
+    data, out = tmp_path / "data", tmp_path / "eval.json"
+    shutil.copytree(first_run[0] / "data", data)
+    texts = sorted((data / "conds").glob("text_test_*.txt"))
+    assert len(texts) == 8
+    for path in texts:
+        path.write_text("a person walks forward\n")
+    assert _cli("eval", "--config", config, "--ckpt", first_run[0] / "ckpt", "--data", data,
+                "--out", out) == 4
+    assert "need at least 4 distinct texts, have 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sentences_beyond_max_text_len_exit_before_synth_writes(tiny_cfg, tmp_path, capsys):
@@ -425,7 +442,7 @@ def test_diverging_training_prints_no_numpy_warning(first_run, tiny_cfg, tmp_pat
     # the vq decoder's huge frames overflow their kinetic features
     ("vq", "the generated text motions have non-finite kinetic features"),
     # the dmd decoder's frames pass, and the retrieval encoder's engine ops overflow
-    ("dmd", "non-finite values produced by"),
+    ("dmd", "the retrieval encoder failed (non-finite values produced by"),
 ])
 def test_eval_of_a_diverged_model_is_a_numerical_failure(tiny_cfg, tmp_path, capsys, decoder,
                                                          message):
@@ -566,9 +583,10 @@ def test_a_config_that_loads_runs_end_to_end(tiny_cfg, data):
     """synth, train all and eval with either decoder exit 0, or 5 on divergence,
     under every config that load_config accepts. Eval's exit 4 for a test split
     with too few distinct texts for the retrieval distractors is the one
-    exception: synth draws the texts, so duplicates can cause it, and eval
-    exits before it samples anything (see too-few-texts-for-the-distractors
-    above)."""
+    exception: load_config rejects too few text samples, but synth draws the
+    sentences, so repeats can leave too few distinct ones, and eval exits
+    before it samples anything (see
+    test_eval_of_a_split_with_repeated_sentences_exits_4)."""
     change = data.draw(_mutations(tiny_cfg.to_dict()), label="change")
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
@@ -590,9 +608,9 @@ def test_a_config_that_loads_runs_end_to_end(tiny_cfg, data):
                 code = _cli("eval", *common, "--ckpt", ckpt, "--data", data_dir,
                             "--decoder", decoder, "--out", root / f"{decoder}.json")
             if code == 4 and "distinct texts" in err.getvalue():
-                texts = {tuple(s.text_ids) for s in load_samples(data_dir, split="test")
-                         if s.modality == "text"}
-                assert len(texts) <= cfg.retrieval_distractors
+                texts = [tuple(s.text_ids) for s in load_samples(data_dir, split="test")
+                         if s.modality == "text"]
+                assert len(set(texts)) <= cfg.retrieval_distractors < len(texts)
                 assert not (root / f"{decoder}.json").exists()
                 continue
             assert code in (0, 5), err.getvalue()

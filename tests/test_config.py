@@ -116,6 +116,10 @@ def test_values_that_do_not_fit_the_field_type_raise(tmp_path, values):
     {"families": "", "genres": ""},
     {"families_test": "", "genres_test": ""},
     {"genres_test": "groove:1"},
+    # eval ranks each test text among retrieval_distractors others: the
+    # default test split has 64 texts
+    {"retrieval_distractors": 64},
+    {"families_test": "walk:1"},
 ])
 def test_values_out_of_range_raise(tmp_path, values):
     with pytest.raises(ConfigError):
@@ -131,6 +135,8 @@ def test_values_out_of_range_raise(tmp_path, values):
     {"families": "", "families_test": ""},  # audio only
     {"genres_test": ""},
     {"genres_test": "groove:2"},
+    {"retrieval_distractors": 63},
+    {"families_test": "walk:61"},
 ])
 def test_values_at_the_edges_of_their_ranges_load(tmp_path, values):
     cfg = _load(tmp_path, values)
@@ -152,7 +158,7 @@ def test_the_frame_width_is_the_synthetic_skeletons(tmp_path):
     ({}, 15),
     ({"compose_fraction": 0.0}, 8),
     ({"frames": 8}, 8),  # clips under 16 frames hold one action
-    ({"families": "walk:4", "families_test": "jump:1"}, 11),
+    ({"families": "walk:4", "families_test": "jump:61"}, 11),
     ({"families": "walk:4", "families_test": "", "compose_fraction": 0.0}, 5),
     ({"families": "", "families_test": "", "max_text_len": 1}, 0),
 ])

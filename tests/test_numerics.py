@@ -187,16 +187,43 @@ class TestBackward:
             (x * 2.0).backward()
 
     def test_unreachable_parameter_keeps_zero(self):
+        # no backward reached it, so it holds no array: Adam reads None as zero
         x = Tensor([1.0], requires_grad=True)
         other = Tensor([5.0], requires_grad=True)
         (x * 3.0).sum().backward()
-        assert np.allclose(other.grad, [0.0])
+        assert other.grad is None
 
     def test_fanout_accumulates(self):
         x = Tensor([2.0], requires_grad=True)
         y = x * 3.0 + x * 4.0
         y.sum().backward()
         assert np.allclose(x.grad, [7.0])
+
+    def test_a_leaf_reached_by_two_paths_gets_their_sum(self):
+        # add's vjp hands both paths the same array
+        x = Tensor([2.0, -1.0], requires_grad=True)
+        ((x + x) * Tensor([3.0, 5.0])).sum().backward()
+        np.testing.assert_array_equal(x.grad, [6.0, 10.0])
+
+    def test_leaves_handed_one_array_keep_independent_gradients(self):
+        # x + y gives both leaves the same gradient array, stored uncopied; a
+        # second backward must sum into a new array, not write into it
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = Tensor([3.0, 4.0], requires_grad=True)
+        ((x + y) * Tensor([5.0, 7.0])).sum().backward()
+        y_first = y.grad
+        np.testing.assert_array_equal(x.grad, [5.0, 7.0])
+        (x * Tensor([10.0, 20.0])).sum().backward()
+        np.testing.assert_array_equal(x.grad, [15.0, 27.0])
+        np.testing.assert_array_equal(y.grad, [5.0, 7.0])
+        np.testing.assert_array_equal(y_first, [5.0, 7.0])
+        (y * 2.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, [15.0, 27.0])
+        np.testing.assert_array_equal(y.grad, [7.0, 9.0])
+
+    def test_a_parameter_holds_no_gradient_before_a_backward(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        assert x.requires_grad and x.grad is None
 
     def test_grads_accumulate_across_calls(self):
         x = Tensor([1.0], requires_grad=True)
@@ -257,7 +284,7 @@ class TestAdam:
         # bias-corrected first step with g=1 gives a step of exactly -lr/(1+eps)
         p = Tensor([0.0], requires_grad=True)
         opt = Adam([("p", p)], lr=1e-4)
-        p.grad[:] = 1.0
+        p.grad = np.ones(1)
         opt.step()
         assert abs(p.data[0] + 1e-4) < 1e-10
 
@@ -265,16 +292,40 @@ class TestAdam:
         p = Tensor(rng.standard_normal(5), requires_grad=True)
         before = p.data.copy()
         opt = Adam([("p", p)], lr=0.0)
-        p.grad[:] = rng.standard_normal(5)
+        p.grad = rng.standard_normal(5)
         opt.step()
         assert np.array_equal(p.data, before)
 
     def test_nan_grad_names_parameter(self):
         p = Tensor([0.0], requires_grad=True)
         opt = Adam([("weights", p)], lr=0.1)
-        p.grad[:] = np.nan
+        p.grad = np.full(1, np.nan)
         with pytest.raises(NumericsError, match="weights"):
             opt.step()
+
+    def test_zero_grad_drops_every_gradient(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0], requires_grad=True)
+        opt = Adam([("a", a), ("b", b)])
+        (a.sum() * b.sum()).backward()
+        assert a.grad is not None and b.grad is not None
+        opt.zero_grad()
+        assert a.grad is None and b.grad is None
+
+    def test_a_missing_gradient_steps_as_an_explicit_zero(self, rng):
+        # after a first step with a real gradient, so the moments are not zero
+        first = rng.standard_normal(5)
+        start = rng.standard_normal(5)
+        runs = []
+        for second in (None, np.zeros(5)):
+            p = Tensor(start.copy(), requires_grad=True)
+            opt = Adam([("p", p)], lr=1e-2)
+            p.grad = first.copy()
+            opt.step()
+            p.grad = second
+            opt.step()
+            runs.append([p.data.tobytes(), opt.m[0].tobytes(), opt.v[0].tobytes()])
+        assert runs[0] == runs[1]
 
 
 class _Recorder:

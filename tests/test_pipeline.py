@@ -83,6 +83,30 @@ def trained(tmp_path_factory, tiny_cfg):
     return root / "data", root / "ckpt"
 
 
+def test_loaded_models_hold_no_gradient(trained, tiny_cfg, monkeypatch):
+    # generation and eval run forward only, so a loaded model holds each
+    # weight once: no gradient array exists until a backward pass writes one
+    data, ckpt = trained
+    stack = pipeline.load_generation_stack(ckpt, "dmd")
+    models = [stack[name] for name in ("mq", "mate", "utt", "dmd")]
+    models.append(pipeline.load_retrieval(ckpt))
+    for decoder in ("vq", "dmd"):
+        pipeline.generate_motion(stack, tiny_cfg, "text", 16, 0, prompt="a person walks",
+                                 decoder=decoder)
+    load_models = pipeline.load_models
+
+    def loaded(ckpt_dir, stage):  # what evaluate loads for itself
+        built = load_models(ckpt_dir, stage)
+        models.extend(built.values())
+        return built
+
+    monkeypatch.setattr(pipeline, "load_models", loaded)
+    pipeline.evaluate(tiny_cfg, data, ckpt, decoder="dmd")
+    assert len(models) == 10
+    for model in models:
+        assert [name for name, p in model.named_parameters() if p.grad is not None] == []
+
+
 def test_utt_checkpoint_holds_only_what_inference_reads(trained):
     body = checkpoint.load_stage(trained[1], "utt")
     assert set(body["sections"]) == {"mate", "utt"}

@@ -465,10 +465,10 @@ class TestLosses:
         opt = nm.Adam(mate.named_parameters() + utt.named_parameters(), lr=0.0)
         opt.zero_grad()
         parts["adv"].backward()
-        grads = [np.abs(p.grad).max() for _, p in utt.named_parameters()]
-        assert max(grads) > 0.0
-        mate_grads = [np.abs(p.grad).max() for _, p in mate.named_parameters()]
-        assert max(mate_grads) > 0.0
+        for model in (utt, mate):
+            # a parameter no path reaches holds None, not zeros
+            reached = [p.grad for _, p in model.named_parameters() if p.grad is not None]
+            assert max(np.abs(g).max() for g in reached) > 0.0
 
     def test_codebook_table_gets_no_gradient(self):
         # the soft mixture uses a detached codebook, so the table never learns here
@@ -478,7 +478,7 @@ class TestLosses:
         opt = nm.Adam([("cb", mq.codebook.table)], lr=0.0)
         opt.zero_grad()
         (parts["ce"] + parts["adv"]).backward()
-        assert np.abs(mq.codebook.table.grad).max() == 0.0
+        assert mq.codebook.table.grad is None  # no backward path reached it
 
     def test_hinge_disc_loss_nonnegative(self, rng):
         _, _, disc, _ = _models()
@@ -540,11 +540,17 @@ class TestTrainUtt:
             assert np.array_equal(p.data, old)
 
     def test_mq_stays_frozen_during_training(self, rng):
+        # bit for bit: no optimizer of the generator or discriminator steps
+        # an MQ parameter, and nothing touches its buffers
         mate, utt, disc, mq = _models()
-        before = [p.data.copy() for _, p in mq.named_parameters()]
+
+        def state():
+            arrays = [p.data for _, p in mq.named_parameters()] + [mq.center, mq.scale, mq.usage]
+            return [a.tobytes() for a in arrays]
+
+        before = state()
         train_utt(mate, utt, disc, mq, self._samples(rng), epochs=2, seed=0)
-        for (_, p), old in zip(mq.named_parameters(), before):
-            assert np.array_equal(p.data, old)
+        assert state() == before
 
     def test_ce_improves_on_tiny_set(self, rng):
         mate, utt, disc, mq = _models()
