@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import checkpoint, pipeline
 from .audio import load_features
 from .config import RunConfig, load_config
@@ -105,18 +103,13 @@ def _make_parent(path) -> None:
     os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
 
 
-def _write_generation(out_path, cfg: RunConfig, seed: int, result, extra: dict,
-                      plot=None) -> None:
-    motion = MotionSequence(cfg.fps, result["frames"])
-    _make_parent(out_path)
-    save_motion(motion, out_path)
-    meta = {"config": cfg.to_dict(), "seed": seed,
-            "tokens": np.asarray(result["tokens"]).tolist()}
-    meta.update(extra)
-    atomic_write(str(out_path) + ".meta.json", (json.dumps(meta, indent=2) + "\n").encode())
-    if plot:
-        _make_parent(plot)
-        atomic_write(plot, (pipeline.motion_svg(motion) + "\n").encode())
+def _write_motion(path, motion: MotionSequence, cfg: RunConfig, seed: int, meta: dict) -> None:
+    """Save `motion` at `path` and, beside it in `<path>.meta.json`, the
+    config and seed followed by `meta`."""
+    _make_parent(path)
+    save_motion(motion, path)
+    meta = {"config": cfg.to_dict(), "seed": seed, **meta}
+    atomic_write(str(path) + ".meta.json", (json.dumps(meta, indent=2) + "\n").encode())
 
 
 def cmd_generate(args) -> int:
@@ -134,9 +127,13 @@ def cmd_generate(args) -> int:
     if result["unk_only"]:
         print("warning: prompt contains no known words; proceeding with "
               "unknown-word tokens", file=sys.stderr)
-    _write_generation(args.out, cfg, seed, result,
-                      {"modality": args.modality, "decoder": args.decoder,
-                       "z": args.z}, plot=args.plot)
+    motion = MotionSequence(cfg.fps, result["frames"])
+    _write_motion(args.out, motion, cfg, seed,
+                  {"tokens": result["tokens"].tolist(), "modality": args.modality,
+                   "decoder": args.decoder, "z": args.z})
+    if args.plot:
+        _make_parent(args.plot)
+        atomic_write(args.plot, (pipeline.motion_svg(motion) + "\n").encode())
     print(f"wrote {args.out} ({args.frames} frames, "
           f"{len(result['tokens'])} tokens)")
     return 0
@@ -150,11 +147,7 @@ def cmd_transition(args) -> int:
         stack, cfg, args.prompt, features, seed,
         text_frames=args.text_frames, audio_frames=args.audio_frames,
         primitive_len=args.primitive_len, decoder=args.decoder)
-    _make_parent(args.out)
-    save_motion(result["motion"], args.out)
-    report = {"config": cfg.to_dict(), "seed": seed}
-    report.update(result["report"])
-    atomic_write(str(args.out) + ".meta.json", (json.dumps(report, indent=2) + "\n").encode())
+    _write_motion(args.out, result["motion"], cfg, seed, result["report"])
     print(f"wrote {args.out} (boundary max jump "
           f"{result['report']['boundary_max_jump']:.4f} m, median displacement "
           f"{result['report']['median_displacement']:.4f} m)")

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
-from .dataset import longest_sentence, synth_counts
+from .dataset import JOINT_NAMES, longest_sentence, synth_counts
+from .dmd import DMDConfig
 from .errors import ConfigError, DataError
 from .fileio import read_text
-from .motion import default_skeleton
 from .mq import DOWNSAMPLE
 
 # The defaults scale down these full-scale settings: codebook 2048x1024,
@@ -89,7 +89,7 @@ class RunConfig:
     @property
     def frame_dim(self) -> int:
         """Width of a frame of the synthetic dataset's skeleton, the only one it writes."""
-        return default_skeleton().joint_count * 3
+        return 3 * len(JOINT_NAMES)
 
     def beat_sigma_seconds(self) -> float:
         return self.beat_sigma_frames / self.fps
@@ -134,8 +134,10 @@ _MINIMUMS = {"lr": 0, "fps": 1.0, "beat_sigma_frames": 0.01, "frames": DOWNSAMPL
              "retrieval_trials": 1, "retrieval_dim": 1}
 # largest value the frame rate may take: motion capture records at a few
 # hundred frames per second, and the metrics scale frame differences by fps
-# (at 1e300 the kinetic features' velocities overflow)
-_MAXIMUMS = {"fps": 1000.0}
+# (at 1e300 the kinetic features' velocities overflow); a clip fits the
+# diffusion decoder's frame and token position tables
+_MAXIMUMS = {"fps": 1000.0,
+             "frames": min(DMDConfig.max_frames, DOWNSAMPLE * DMDConfig.max_tokens)}
 
 
 def _check_ranges(cfg: RunConfig) -> None:

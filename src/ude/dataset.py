@@ -12,8 +12,9 @@ same files byte for byte.
 
 Manifest: one JSON object per line with string fields id, modality
 ("text" or "audio"), motion, cond and split; in memory, a list of
-ManifestEntry. Token ids index the constant VOCAB_WORDS; no file carries
-the vocabulary.
+ManifestEntry. Token ids index the constant VOCAB_WORDS, and every motion
+is posed on the constant skeleton JOINT_NAMES / JOINT_PARENTS /
+JOINT_OFFSETS; no file carries either.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .audio import AudioFeatureSequence, load_features, save_features
 from .errors import ConfigError, DataError
 from .fileio import atomic_write, read_text
-from .motion import MotionSequence, Skeleton, default_skeleton, normalize_heading, save_motion, load_motion
+from .motion import MotionSequence, normalize_heading, save_motion, load_motion
 
 UNK = "<unk>"
 
@@ -43,6 +44,22 @@ VOCAB_WORDS = (
     "turns", "spins", "rotates", "around", "to", "fully",
     "then",
 )
+
+# The one skeleton synth poses motions on: joint names, parent indices (the
+# root's is -1, any other joint's comes before it) and rest offsets from the
+# parent in meters. motion.normalize_heading reads joints 1 and 2 as hips.
+JOINT_NAMES = ("root", "l_hip", "r_hip", "chest", "l_wrist", "r_wrist", "l_foot", "r_foot")
+JOINT_PARENTS = (-1, 0, 0, 0, 3, 3, 1, 2)
+JOINT_OFFSETS = np.array([
+    [0.00, 0.00, 0.00],
+    [0.00, 0.00, 0.12],
+    [0.00, 0.00, -0.12],
+    [0.00, 0.50, 0.00],
+    [0.00, -0.10, 0.55],
+    [0.00, -0.10, -0.55],
+    [0.00, -0.95, 0.00],
+    [0.00, -0.95, 0.00],
+])
 
 TEXT_FAMILIES = ("walk", "wave", "jump", "turn")
 GENRE_BEAT_HZ = {"sway": 1.0, "groove": 1.6, "pulse": 2.0}
@@ -137,21 +154,22 @@ def _rot_axis(axis: str, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assemble(skel: Skeleton, root: np.ndarray, yaw: np.ndarray, local: dict) -> np.ndarray:
-    """Build [T, J*3] frames from a root path, yaw track and per-joint local
-    rotations (joint name -> [T,3,3]). Rotations keep bone lengths exact."""
+def _assemble(root: np.ndarray, yaw: np.ndarray, local: dict) -> np.ndarray:
+    """Build [T, J*3] frames of the synthetic skeleton from a root path, yaw
+    track and per-joint local rotations (joint name -> [T,3,3]). Rotations
+    keep bone lengths exact."""
     t = root.shape[0]
-    j = skel.joint_count
+    j = len(JOINT_NAMES)
     yaw_mat = _rot_axis("y", yaw)
     pos = np.zeros((t, j, 3))
     pos[:, 0] = root
     for idx in range(1, j):
-        name = skel.names[idx]
+        name = JOINT_NAMES[idx]
         rot = yaw_mat
         if name in local:
             rot = np.einsum("tij,tjk->tik", yaw_mat, local[name])
-        offset = skel.offsets[idx]
-        pos[:, idx] = pos[:, skel.parents[idx]] + np.einsum("tij,j->ti", rot, offset)
+        offset = JOINT_OFFSETS[idx]
+        pos[:, idx] = pos[:, JOINT_PARENTS[idx]] + np.einsum("tij,j->ti", rot, offset)
     return pos.reshape(t, j * 3)
 
 
@@ -286,7 +304,6 @@ def longest_sentence(cfg) -> int:
 def make_text_motion(families, frames: int, fps: float, rng: np.random.Generator,
                      compose_fraction: float = 0.3):
     """One text sample: (MotionSequence, sentence)."""
-    skel = default_skeleton()
     subject = _SUBJECTS[rng.integers(len(_SUBJECTS))]
     compose = rng.random() < compose_fraction and frames >= _COMPOSE_MIN_FRAMES
     chosen = [families[rng.integers(len(families))]]
@@ -301,7 +318,7 @@ def make_text_motion(families, frames: int, fps: float, rng: np.random.Generator
         times = (seg - seg[0]) / fps
         phrase, params = _sample_action(fam, rng)
         root, yaw, local, root0, yaw0 = _build_action_track(fam, params, times, root0, yaw0)
-        parts.append(_assemble(skel, root, yaw, local))
+        parts.append(_assemble(root, yaw, local))
         phrases.append(phrase)
     sentence = f"{subject} " + " then ".join(phrases)
     return MotionSequence(fps, np.vstack(parts)), sentence
@@ -325,7 +342,6 @@ def make_dance_motion(genre: str, frames: int, fps: float, feature_dim: int,
     """
     if genre not in GENRE_BEAT_HZ:
         raise ConfigError(f"unknown dance genre {genre!r}")
-    skel = default_skeleton()
     f_beat = GENRE_BEAT_HZ[genre]
     duration = frames / fps
     times = np.arange(frames) / fps
@@ -349,7 +365,7 @@ def make_dance_motion(genre: str, frames: int, fps: float, feature_dim: int,
         "l_foot": _rot_axis("z", 0.3 * amp * profile["legs"] * carrier),
         "r_foot": _rot_axis("z", -0.3 * amp * profile["legs"] * carrier),
     }
-    motion = MotionSequence(fps, _assemble(skel, root, yaw, local))
+    motion = MotionSequence(fps, _assemble(root, yaw, local))
 
     n_beats = int(math.floor(duration * f_beat - 1e-9))
     beat_times = np.arange(1, n_beats + 1) / f_beat

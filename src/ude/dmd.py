@@ -6,8 +6,10 @@ The condition path embeds tokens, runs a small transformer and max-pools
 over time to one vector. The denoiser projects noisy frames to the model
 width, adds (condition + timestep embedding + frame positions) to every
 row, runs a transformer and projects back to frame space, predicting the
-injected noise. Sampling is the standard ancestral reverse process with
-sigma_t = sqrt(beta_t) and no noise at the final step.
+injected noise. The model builds its noise schedule from `cfg.steps` and
+trains and samples under it; only `q_sample` takes a schedule. Sampling is
+the standard ancestral reverse process with sigma_t = sqrt(beta_t) and no
+noise at the final step.
 
 Every function takes a batch of equal-length sequences (tokens [B, N],
 frames [B, T, c], conditions [B, dim], a diffusion step t[b] and, to sample,
@@ -97,6 +99,7 @@ class DMDModel(Module):
         self.out_proj = Linear(d, cfg.frame_dim, rng)
         self.token_pos = sinusoidal_table(cfg.max_tokens, d)
         self.frame_pos = sinusoidal_table(cfg.max_frames, d)
+        self.sched = make_schedule(cfg.steps)
 
 
 def encode_condition(model: DMDModel, tokens) -> Tensor:
@@ -121,27 +124,25 @@ def predict_noise(model: DMDModel, cond: Tensor, t, x_t) -> Tensor:
     return model.out_proj(model.denoiser(h))
 
 
-def dmd_loss_at(model: DMDModel, sched: NoiseSchedule, x0: np.ndarray, tokens,
-                t, eps: np.ndarray) -> Tensor:
+def dmd_loss_at(model: DMDModel, x0: np.ndarray, tokens, t, eps: np.ndarray) -> Tensor:
     """Squared noise-prediction error at fixed per-row (t, eps), averaged
     over the batch (for equal lengths, the mean of the per-row losses)."""
-    x_t = q_sample(sched, x0, t, eps)
+    x_t = q_sample(model.sched, x0, t, eps)
     cond = encode_condition(model, tokens)
     eps_hat = predict_noise(model, cond, t, x_t)
     return ((eps_hat - Tensor(eps)) ** 2).mean()
 
 
-def dmd_loss(model: DMDModel, sched: NoiseSchedule, x0: np.ndarray, tokens,
-             rng: np.random.Generator) -> Tensor:
+def dmd_loss(model: DMDModel, x0: np.ndarray, tokens, rng: np.random.Generator) -> Tensor:
     """Training loss with t ~ Uniform[1, steps] and eps ~ N(0, I), both
     drawn row by row in batch order."""
-    draws = [(rng.integers(1, sched.steps + 1), rng.standard_normal(x0.shape[1:])) for _ in x0]
-    return dmd_loss_at(model, sched, x0, tokens, np.array([t for t, _ in draws]),
+    draws = [(rng.integers(1, model.sched.steps + 1), rng.standard_normal(x0.shape[1:]))
+             for _ in x0]
+    return dmd_loss_at(model, x0, tokens, np.array([t for t, _ in draws]),
                        np.stack([eps for _, eps in draws]))
 
 
-def sample_reverse(model: DMDModel, sched: NoiseSchedule, cond: Tensor,
-                   n_frames: int, seeds) -> np.ndarray:
+def sample_reverse(model: DMDModel, cond: Tensor, n_frames: int, seeds) -> np.ndarray:
     """Ancestral reverse sampling from x_T ~ N(0, I), [B, n_frames, c] for
     conditions [B, dim]; row b draws all its noise from seeds[b].
 
@@ -153,6 +154,7 @@ def sample_reverse(model: DMDModel, sched: NoiseSchedule, cond: Tensor,
     rngs = [np.random.default_rng(np.random.SeedSequence([s, 9])) for s in seeds]
     shape = (n_frames, model.cfg.frame_dim)
     x = np.stack([rng.standard_normal(shape) for rng in rngs])
+    sched = model.sched
     with nm.no_grad():
         for t in range(sched.steps, 0, -1):
             eps_hat = predict_noise(model, cond, np.full(len(rngs), t), x).data
@@ -164,17 +166,17 @@ def sample_reverse(model: DMDModel, sched: NoiseSchedule, cond: Tensor,
     return x
 
 
-def decode_tokens_dmd(model: DMDModel, sched: NoiseSchedule, tokens, seeds) -> np.ndarray:
+def decode_tokens_dmd(model: DMDModel, tokens, seeds) -> np.ndarray:
     """Sample one motion per token sequence of tokens [B, N] (DOWNSAMPLE
     frames per token), row b from seeds[b]."""
     tokens = np.asarray(tokens)
     with nm.no_grad():
         cond = encode_condition(model, tokens)
-    return sample_reverse(model, sched, cond, DOWNSAMPLE * tokens.shape[-1], seeds)
+    return sample_reverse(model, cond, DOWNSAMPLE * tokens.shape[-1], seeds)
 
 
-def train_dmd(model: DMDModel, sched: NoiseSchedule, mq: MQModel, motions,
-              epochs: int, seed: int, lr: float = 1e-3, batch_size: int = 8) -> list:
+def train_dmd(model: DMDModel, mq: MQModel, motions, epochs: int, seed: int,
+              lr: float = 1e-3, batch_size: int = 8) -> list:
     """Noise-prediction training through `numerics.fit`; conditioning tokens
     come from the frozen quantizer. Deterministic per seed."""
     if not motions:
@@ -184,8 +186,7 @@ def train_dmd(model: DMDModel, sched: NoiseSchedule, mq: MQModel, motions,
     opt = nm.Adam(model.named_parameters(), lr=lr)
 
     def step(batch):
-        loss = dmd_loss(model, sched, np.stack([motions[i] for i in batch]),
-                        token_cache[batch], rng)
+        loss = dmd_loss(model, np.stack([motions[i] for i in batch]), token_cache[batch], rng)
         return [(opt, loss)], {"loss": loss.item()}
 
     return nm.fit(epochs, batch_size, lambda: rng.permutation(len(motions)), step)

@@ -1,4 +1,4 @@
-"""Motion data model: skeletons, motion sequences, preprocessing and file I/O.
+"""Motion data model: motion sequences, preprocessing and file I/O.
 
 A motion sequence is T frames of J*3 joint positions in meters at a fixed
 frame rate, root joint first, y up. Files use a plain text format:
@@ -10,7 +10,7 @@ frame rate, root joint first, y up. Files use a plain text format:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,48 +18,6 @@ from .errors import DataError
 from .fileio import atomic_write, format_matrix, parse_matrix, read_text
 
 MOTION_MAGIC = "UDEMOTION v1"
-
-
-@dataclass(frozen=True)
-class Skeleton:
-    """Joint names, parent indices (root has parent -1) and rest offsets."""
-
-    names: tuple
-    parents: tuple
-    offsets: np.ndarray  # [J, 3] offset from parent, meters
-
-    def __post_init__(self):
-        j = len(self.names)
-        if len(self.parents) != j or self.offsets.shape != (j, 3):
-            raise DataError("skeleton fields disagree about joint count")
-        if self.parents[0] != -1:
-            raise DataError("joint 0 must be the root (parent -1)")
-        for i, p in enumerate(self.parents[1:], start=1):
-            if not 0 <= p < i:
-                raise DataError(f"parents must form a tree, joint {i} -> {p}")
-        if not np.all(np.isfinite(self.offsets)):
-            raise DataError("non-finite rest offsets")
-
-    @property
-    def joint_count(self) -> int:
-        return len(self.names)
-
-
-def default_skeleton() -> Skeleton:
-    """The 8-joint desk skeleton used by the synthetic dataset."""
-    names = ("root", "l_hip", "r_hip", "chest", "l_wrist", "r_wrist", "l_foot", "r_foot")
-    parents = (-1, 0, 0, 0, 3, 3, 1, 2)
-    offsets = np.array([
-        [0.00, 0.00, 0.00],
-        [0.00, 0.00, 0.12],
-        [0.00, 0.00, -0.12],
-        [0.00, 0.50, 0.00],
-        [0.00, -0.10, 0.55],
-        [0.00, -0.10, -0.55],
-        [0.00, -0.95, 0.00],
-        [0.00, -0.95, 0.00],
-    ])
-    return Skeleton(names, parents, offsets)
 
 
 @dataclass

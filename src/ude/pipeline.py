@@ -8,7 +8,8 @@ dmd stages record the content hash of the mq checkpoint they were trained
 against, and loading verifies those hashes so stale mixes fail loudly.
 `MODELS` maps every checkpoint section to its one constructor: the
 trainers build through it and `load_models` rebuilds any stage's sections
-through it.
+through it. The generation stack is a dict of the models "mq", "mate",
+"utt" and "dmd" (None when it is loaded for the vq decoder).
 """
 
 from __future__ import annotations
@@ -129,8 +130,7 @@ def _train_dmd(cfg, train, out_dir, rng, seed, epochs) -> tuple:
                            steps=cfg.diffusion_steps, dim=cfg.embed_dim,
                            cond_layers=cfg.dmd_cond_layers, layers=cfg.dmd_layers,
                            heads=cfg.dmd_heads)
-    sched = dmd_mod.make_schedule(cfg.diffusion_steps)
-    history = dmd_mod.train_dmd(model, sched, mq_model, [s.motion.frames for s in train],
+    history = dmd_mod.train_dmd(model, mq_model, [s.motion.frames for s in train],
                                 epochs=epochs, seed=seed, lr=cfg.lr,
                                 batch_size=cfg.batch_size)
     return {"dmd": (config, model)}, None, history
@@ -287,9 +287,8 @@ def load_utt_stack(ckpt_dir) -> tuple:
     return models["mate"], models["utt"]
 
 
-def load_dmd(ckpt_dir) -> tuple:
-    model = load_models(ckpt_dir, "dmd")["dmd"]
-    return model, dmd_mod.make_schedule(model.cfg.steps)
+def load_dmd(ckpt_dir) -> dmd_mod.DMDModel:
+    return load_models(ckpt_dir, "dmd")["dmd"]
 
 
 def load_retrieval(ckpt_dir) -> metrics_mod.RetrievalEncoder:
@@ -301,10 +300,9 @@ def load_generation_stack(ckpt_dir, decoder: str = "dmd"):
     "vq" or "dmd"."""
     mq_model = load_mq(ckpt_dir)
     mate, utt = load_utt_stack(ckpt_dir)
-    stack = {"mq": mq_model, "mate": mate, "utt": utt, "dmd": None, "sched": None}
+    stack = {"mq": mq_model, "mate": mate, "utt": utt, "dmd": None}
     if decoder == "dmd":
-        model, sched = load_dmd(ckpt_dir)
-        stack["dmd"], stack["sched"] = model, sched
+        stack["dmd"] = load_dmd(ckpt_dir)
     elif decoder != "vq":
         raise ConfigError(f"unknown decoder {decoder!r}")
     return stack
@@ -374,9 +372,7 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
     sampling = SamplingConfig(temperature=cfg.temperature, top_k=cfg.top_k)
     tokens = utt_mod.generate_tokens(utt, stack_conditions(conds), n_tokens, sampling,
                                      primitive=primitive, z=zs, seed=seeds)
-    frames_out = _decode(stack, decoder, tokens, seeds)
-    if not np.isfinite(frames_out).all():  # the dmd decoder's last update runs outside the engine
-        raise NumericsError(f"the {decoder} decoder produced non-finite {modality} frames")
+    frames_out = _decode(stack, decoder, tokens, seeds, modality)
     results = [{"tokens": t, "frames": f, "unk_only": u}
                for t, f, u in zip(tokens, frames_out, unk_only)]
     return results if batch else results[0]
@@ -392,16 +388,21 @@ def _check_decodable(stack, decoder: str, frames: int) -> None:
                           f"diffusion decoder's max_tokens {dmd.cfg.max_tokens}")
 
 
-def _decode(stack, decoder: str, tokens, seeds) -> np.ndarray:
+def _decode(stack, decoder: str, tokens, seeds, what: str) -> np.ndarray:
     """Frames [B, 4N, c] for token rows [B, N], row b seeded by seeds[b]
-    (the vq decoder draws nothing)."""
+    (the vq decoder draws nothing); `what` names the frames in the
+    NumericsError raised when any of them is not finite."""
     if decoder == "vq":
-        return stack["mq"].decode_tokens(tokens)
-    if decoder == "dmd":
+        frames = stack["mq"].decode_tokens(tokens)
+    elif decoder == "dmd":
         if stack["dmd"] is None:
             raise StageError("requires stage dmd: no diffusion decoder loaded")
-        return dmd_mod.decode_tokens_dmd(stack["dmd"], stack["sched"], tokens, seeds)
-    raise ConfigError(f"unknown decoder {decoder!r}")
+        frames = dmd_mod.decode_tokens_dmd(stack["dmd"], tokens, seeds)
+    else:
+        raise ConfigError(f"unknown decoder {decoder!r}")
+    if not np.isfinite(frames).all():  # the dmd decoder's last update runs outside the engine
+        raise NumericsError(f"the {decoder} decoder produced non-finite {what} frames")
+    return frames
 
 
 def transition_motion(stack, cfg: RunConfig, prompt: str, features, seed: int,
@@ -427,7 +428,8 @@ def transition_motion(stack, cfg: RunConfig, prompt: str, features, seed: int,
     cont_tokens = audio_out["tokens"]
     full = np.concatenate([text_tokens, cont_tokens[primitive_len:]])
     boundary_frame = DOWNSAMPLE * text_tokens.size
-    motion = MotionSequence(cfg.fps, _decode(stack, decoder, full[None], [seed])[0])
+    frames = _decode(stack, decoder, full[None], [seed], "transition")[0]
+    motion = MotionSequence(cfg.fps, frames)
     report = boundary_report(motion, boundary_frame)
     report.update({
         "text_tokens": text_tokens.tolist(),

@@ -21,6 +21,7 @@ full forward over the longer prefix would compute.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,14 +259,20 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 def straight_through_decode(model: UTTModel, mq: MQModel, logits: Tensor) -> Tensor:
     """Decode the argmax codebook tokens of logits [B, S, K+2] with
     gradients flowing through the softmax-weighted codebook mixture
-    (straight-through)."""
+    (straight-through). The quantizer is frozen: its codebook and decoder
+    weights enter as constants, so no gradient reaches them."""
     code_logits = logits[..., :model.cfg.code_count]
     tokens = np.argmax(code_logits.data, axis=-1)
     probs = nm.softmax(code_logits, axis=-1)
     soft = nm.matmul(probs, mq.codebook.table.detach())
     hard = mq.codebook.table.data[tokens]
     mixed = soft + Tensor(hard - soft.data)
-    return mq.decode_embedding(mixed)
+    frozen = copy.copy(mq)
+    for name in ("dec1", "dec2", "dec3"):
+        conv = copy.copy(getattr(mq, name))
+        conv.kernel, conv.bias = conv.kernel.detach(), conv.bias.detach()
+        setattr(frozen, name, conv)
+    return frozen.decode_embedding(mixed)
 
 
 def _teacher_forcing(model: UTTModel, gt_tokens) -> tuple:

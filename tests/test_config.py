@@ -4,9 +4,8 @@ import math
 import pytest
 
 from ude.config import RunConfig, load_config
-from ude.dataset import longest_sentence
+from ude.dataset import JOINT_NAMES, longest_sentence
 from ude.errors import ConfigError
-from ude.motion import default_skeleton
 
 
 def _load(tmp_path, values):
@@ -120,6 +119,8 @@ def test_values_that_do_not_fit_the_field_type_raise(tmp_path, values):
     # default test split has 64 texts
     {"retrieval_distractors": 64},
     {"families_test": "walk:1"},
+    # the diffusion decoder has positions for 512 frames (128 tokens)
+    {"frames": 516, "max_audio_len": 520, "max_context": 1024},
 ])
 def test_values_out_of_range_raise(tmp_path, values):
     with pytest.raises(ConfigError):
@@ -137,6 +138,7 @@ def test_values_out_of_range_raise(tmp_path, values):
     {"genres_test": "groove:2"},
     {"retrieval_distractors": 63},
     {"families_test": "walk:61"},
+    {"frames": 512, "max_audio_len": 512, "max_context": 1024},
 ])
 def test_values_at_the_edges_of_their_ranges_load(tmp_path, values):
     cfg = _load(tmp_path, values)
@@ -149,7 +151,7 @@ def test_longest_context_may_fill_max_context(tmp_path):
 
 def test_the_frame_width_is_the_synthetic_skeletons(tmp_path):
     # synth writes only the 8-joint skeleton, so no key can set another width
-    assert RunConfig().frame_dim == 3 * default_skeleton().joint_count == 24
+    assert RunConfig().frame_dim == 3 * len(JOINT_NAMES) == 24
     with pytest.raises(ConfigError, match="unknown config keys"):
         _load(tmp_path, {"joints": 10})
 

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from ude.config import RunConfig
-from ude.dataset import (GENRE_BEAT_HZ, TEXT_FAMILIES, UNK_ID, VOCAB, VOCAB_WORDS,
-                         load_manifest, load_samples, longest_sentence, make_dance_motion,
+from ude.dataset import (GENRE_BEAT_HZ, JOINT_NAMES, JOINT_OFFSETS, JOINT_PARENTS,
+                         TEXT_FAMILIES, UNK_ID, VOCAB, VOCAB_WORDS, load_manifest,
+                         load_samples, longest_sentence, make_dance_motion,
                          make_text_motion, synth_dataset, tokenize)
 from ude.errors import ConfigError
 from ude.metrics import detect_motion_beats
-from ude.motion import default_skeleton
 
 
 def _tiny_config():
@@ -20,10 +20,10 @@ def _tiny_config():
                      genres="sway:2,groove:2,pulse:2", genres_test="sway:1")
 
 
-def _bone_lengths(m, skel):
+def _bone_lengths(m):
     """Per-frame length of each non-root joint's bone, [T, J-1]."""
     pos = m.positions()
-    return np.linalg.norm(pos[:, 1:] - pos[:, list(skel.parents[1:])], axis=-1)
+    return np.linalg.norm(pos[:, 1:] - pos[:, list(JOINT_PARENTS[1:])], axis=-1)
 
 
 def _dir_digest(root):
@@ -57,18 +57,16 @@ class TestGenerators:
                                                 compose_fraction=0.0)
             pos = motion.positions()
             amp = pos[:, :, 1].max(axis=0) - pos[:, :, 1].min(axis=0)
-            skel = default_skeleton()
-            wrists = [skel.names.index("l_wrist"), skel.names.index("r_wrist")]
-            others = [j for j in range(skel.joint_count) if j not in wrists]
+            wrists = [JOINT_NAMES.index("l_wrist"), JOINT_NAMES.index("r_wrist")]
+            others = [j for j in range(len(JOINT_NAMES)) if j not in wrists]
             assert amp[wrists].max() >= 3.0 * amp[others].max()
 
     def test_bone_lengths_preserved(self):
         rng = np.random.default_rng(4)
-        skel = default_skeleton()
-        rest = np.linalg.norm(skel.offsets[1:], axis=-1)
+        rest = np.linalg.norm(JOINT_OFFSETS[1:], axis=-1)
         for fam in ("walk", "wave", "jump", "turn"):
             motion, _ = make_text_motion([fam], 32, 16.0, rng, compose_fraction=0.5)
-            lengths = _bone_lengths(motion, skel)
+            lengths = _bone_lengths(motion)
             assert np.abs(lengths - rest).max() <= 0.05 * rest.min() + 1e-9
 
     def test_dance_beats_spacing_2hz(self):

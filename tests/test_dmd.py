@@ -71,6 +71,13 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             make_schedule(-1)
 
+    def test_the_model_builds_the_schedule_of_its_step_count(self):
+        for steps in (1, 10):
+            sched = _model(steps=steps).sched
+            assert sched.steps == steps
+            for name in ("betas", "alphas", "alpha_bars"):
+                assert np.array_equal(getattr(sched, name), getattr(make_schedule(steps), name))
+
     def test_few_steps_cap_beta_below_one(self):
         sched = make_schedule(2)
         assert sched.betas[1] == 0.05 and sched.betas[2] == 0.999
@@ -186,13 +193,12 @@ class TestDmdLoss:
     def test_zero_model_loss_near_one(self):
         # with eps_hat = 0 the loss is E[eps^2] = 1 per coordinate
         model = _zero_model()
-        sched = make_schedule(10)
         x0 = np.zeros((1, 6, C))
         tokens = np.array([[0, 1]])
         vals = []
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            vals.append(dmd_loss(model, sched, x0, tokens, rng).item())
+            vals.append(dmd_loss(model, x0, tokens, rng).item())
         assert abs(np.mean(vals) - 1.0) < 0.05
 
     def test_perfect_oracle_zero_loss(self, monkeypatch, rng):
@@ -200,31 +206,28 @@ class TestDmdLoss:
         from ude.numerics import Tensor
 
         model = _model()
-        sched = make_schedule(10)
         x0 = rng.standard_normal((1, 4, C))
         eps = rng.standard_normal((1, 4, C))
         monkeypatch.setattr(dmd_mod, "predict_noise",
                             lambda m, c, t, x: Tensor(eps))
-        loss = dmd_mod.dmd_loss_at(model, sched, x0, np.array([[1]]), [3], eps)
+        loss = dmd_mod.dmd_loss_at(model, x0, np.array([[1]]), [3], eps)
         assert loss.item() == 0.0
 
     def test_loss_nonnegative(self, rng):
         model = _model()
-        sched = make_schedule(10)
-        loss = dmd_loss(model, sched, rng.standard_normal((1, 4, C)), np.array([[0]]),
+        loss = dmd_loss(model, rng.standard_normal((1, 4, C)), np.array([[0]]),
                         np.random.default_rng(1))
         assert loss.item() >= 0.0
 
     def test_batch_equals_mean_of_its_rows(self, rng):
         model = _model()
-        sched = make_schedule(10)
         x0 = rng.standard_normal((4, 8, C))
         tokens = rng.integers(0, K, size=(4, 3))
         t = np.array([1, 4, 7, 10])
         eps = rng.standard_normal((4, 8, C))
-        batched = dmd_loss_at(model, sched, x0, tokens, t, eps)
-        rows = [dmd_loss_at(model, sched, x0[b:b + 1], tokens[b:b + 1], t[b:b + 1],
-                            eps[b:b + 1]) for b in range(4)]
+        batched = dmd_loss_at(model, x0, tokens, t, eps)
+        rows = [dmd_loss_at(model, x0[b:b + 1], tokens[b:b + 1], t[b:b + 1], eps[b:b + 1])
+                for b in range(4)]
         mean = sum(rows[1:], rows[0]) * 0.25
         assert abs(batched.item() - mean.item()) < 1e-12
         for a, b in zip(_gradients(model, batched), _gradients(model, mean)):
@@ -240,27 +243,25 @@ def _gradients(model, loss):
 class TestSampleReverse:
     def test_single_step_zero_model(self):
         model = _zero_model(steps=1)
-        sched = _table(0.36)
+        model.sched = _table(0.36)
         cond = encode_condition(model, np.array([[0]]))
-        out = sample_reverse(model, sched, cond, 4, [5])
+        out = sample_reverse(model, cond, 4, [5])
         rng = np.random.default_rng(np.random.SeedSequence([5, 9]))
         x1 = rng.standard_normal((4, C))
         assert np.allclose(out[0], x1 / math.sqrt(1 - 0.36), atol=1e-12)
 
     def test_deterministic_per_seed(self):
         model = _model()
-        sched = make_schedule(10)
         cond = encode_condition(model, np.array([[0, 1]]))
-        a = sample_reverse(model, sched, cond, 8, [3])
-        b = sample_reverse(model, sched, cond, 8, [3])
+        a = sample_reverse(model, cond, 8, [3])
+        b = sample_reverse(model, cond, 8, [3])
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         model = _model()
-        sched = make_schedule(10)
         cond = encode_condition(model, np.array([[0, 1]]))
-        a = sample_reverse(model, sched, cond, 8, [3])
-        b = sample_reverse(model, sched, cond, 8, [4])
+        a = sample_reverse(model, cond, 8, [3])
+        b = sample_reverse(model, cond, 8, [4])
         assert np.linalg.norm(a - b) > 0
 
     def test_perfect_oracle_recovers_x0_with_zero_tail_noise(self, monkeypatch):
@@ -270,7 +271,7 @@ class TestSampleReverse:
         from ude.numerics import Tensor
 
         model = _model(steps=8)
-        sched = _table(*np.linspace(0.02, 0.3, 8))
+        sched = model.sched = _table(*np.linspace(0.02, 0.3, 8))
         rng = np.random.default_rng(7)
         x0 = rng.standard_normal((5, C))
 
@@ -280,7 +281,7 @@ class TestSampleReverse:
 
         monkeypatch.setattr(dmd_mod, "predict_noise", oracle)
         cond = encode_condition(model, np.array([[0]]))
-        out = sample_reverse(model, sched, cond, 5, [11])
+        out = sample_reverse(model, cond, 5, [11])
         assert np.abs(out[0] - x0).max() < 1e-9
 
 
@@ -291,20 +292,16 @@ class TestTrainDmd:
 
     def test_zero_epochs_unchanged(self, rng):
         model = _model()
-        sched = make_schedule(10)
         before = [p.data.copy() for _, p in model.named_parameters()]
-        history = train_dmd(model, sched, self._mq(), [rng.standard_normal((8, C))],
-                            epochs=0, seed=0)
+        history = train_dmd(model, self._mq(), [rng.standard_normal((8, C))], epochs=0, seed=0)
         assert history == []
         for (_, p), old in zip(model.named_parameters(), before):
             assert np.array_equal(p.data, old)
 
     def test_loss_decreases(self, rng):
         model = _model()
-        sched = make_schedule(10)
         motions = [np.tile(rng.standard_normal(C), (8, 1)) for _ in range(8)]
-        history = train_dmd(model, sched, self._mq(), motions, epochs=10, seed=0,
-                            lr=2e-3)
+        history = train_dmd(model, self._mq(), motions, epochs=10, seed=0, lr=2e-3)
         first = np.mean([h["loss"] for h in history[:3]])
         last = np.mean([h["loss"] for h in history[-3:]])
         assert last < first

@@ -3,17 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ude.dataset import JOINT_NAMES, JOINT_OFFSETS, JOINT_PARENTS
 from ude.errors import DataError
-from ude.motion import (MotionSequence, Skeleton, default_skeleton, load_motion,
-                        normalize_heading, save_motion)
+from ude.motion import MotionSequence, load_motion, normalize_heading, save_motion
 
 
 def _rest_pose_motion(t=5, fps=16.0):
-    skel = default_skeleton()
-    pose = np.zeros((skel.joint_count, 3))
-    for j in range(skel.joint_count):
-        parent = skel.parents[j]
-        pose[j] = (pose[parent] if parent >= 0 else np.array([0.0, 1.0, 0.0])) + skel.offsets[j]
+    pose = np.zeros((len(JOINT_NAMES), 3))
+    for j, parent in enumerate(JOINT_PARENTS):
+        pose[j] = (pose[parent] if parent >= 0 else np.array([0.0, 1.0, 0.0])) + JOINT_OFFSETS[j]
     frames = np.tile(pose.reshape(1, -1), (t, 1))
     return MotionSequence(fps, frames)
 
@@ -27,10 +25,11 @@ def _rotate_y(m: MotionSequence, theta: float, dx=0.0, dz=0.0) -> MotionSequence
     return MotionSequence(m.fps, pos.reshape(m.length, -1))
 
 
-def _bone_lengths(m, skel):
-    """Per-frame length of each non-root joint's bone, [T, J-1]."""
+def _bone_lengths(m):
+    """Per-frame length of each non-root joint's bone of the synthetic
+    skeleton, [T, J-1]."""
     pos = m.positions()
-    return np.linalg.norm(pos[:, 1:] - pos[:, list(skel.parents[1:])], axis=-1)
+    return np.linalg.norm(pos[:, 1:] - pos[:, list(JOINT_PARENTS[1:])], axis=-1)
 
 
 def _pairwise(m: MotionSequence) -> np.ndarray:
@@ -130,18 +129,17 @@ class TestMotionFiles:
 
 
 class TestSkeleton:
+    # the synthetic skeleton is a dataset constant; normalize_heading reads
+    # joints 1 and 2 as its hips
     def test_default_is_a_tree(self):
-        skel = default_skeleton()
-        assert skel.joint_count == 8
-        assert skel.parents[0] == -1
-
-    def test_cyclic_parents_rejected(self):
-        with pytest.raises(DataError, match="must form a tree"):
-            Skeleton(("a", "b"), (-1, 1), np.zeros((2, 3)))
+        assert len(JOINT_NAMES) == len(JOINT_PARENTS) == 8
+        assert JOINT_OFFSETS.shape == (8, 3) and np.isfinite(JOINT_OFFSETS).all()
+        assert JOINT_PARENTS[0] == -1
+        assert all(0 <= p < j for j, p in enumerate(JOINT_PARENTS) if j)
+        assert JOINT_NAMES[1:3] == ("l_hip", "r_hip")
 
     def test_bone_lengths_of_rest_pose(self):
-        skel = default_skeleton()
         m = _rest_pose_motion()
-        lengths = _bone_lengths(m, skel)
-        expected = np.linalg.norm(skel.offsets[1:], axis=-1)
+        lengths = _bone_lengths(m)
+        expected = np.linalg.norm(JOINT_OFFSETS[1:], axis=-1)
         assert np.allclose(lengths, np.tile(expected, (m.length, 1)))

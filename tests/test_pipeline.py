@@ -162,12 +162,20 @@ def test_eval_reports_do_not_depend_on_the_group_size(trained, tiny_cfg):
 
 def test_non_finite_frames_from_a_decoder_are_a_numerical_failure(trained, tiny_cfg,
                                                                   monkeypatch):
-    stack = pipeline.load_generation_stack(trained[1], decoder="dmd")
-    monkeypatch.setattr(pipeline, "_decode",
-                        lambda stack, decoder, tokens, seeds: np.full((1, 16, 24), np.inf))
+    data, ckpt = trained
+    stack = pipeline.load_generation_stack(ckpt, decoder="dmd")
+    monkeypatch.setattr(pipeline.dmd_mod, "decode_tokens_dmd",
+                        lambda model, tokens, seeds: np.full((len(seeds), 16, 24), np.inf))
     with pytest.raises(NumericsError, match="the dmd decoder produced non-finite text frames"):
         pipeline.generate_motion(stack, tiny_cfg, "text", 16, 0, prompt="a person walks",
                                  decoder="dmd")
+    # a transition decodes its tokens through the same check
+    features = next(s.features for s in load_samples(data) if s.features is not None)
+    with pytest.raises(NumericsError,
+                       match="the dmd decoder produced non-finite transition frames"):
+        pipeline.transition_motion(stack, tiny_cfg, "a person walks", features, 0,
+                                   text_frames=8, audio_frames=8, primitive_len=1,
+                                   decoder="dmd")
 
 
 def test_non_finite_features_are_a_numerical_failure_only_of_generated_motions():

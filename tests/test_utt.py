@@ -552,6 +552,15 @@ class TestTrainUtt:
         train_utt(mate, utt, disc, mq, self._samples(rng), epochs=2, seed=0)
         assert state() == before
 
+    def test_mq_holds_no_gradient_after_training(self, rng):
+        # the generator decodes through constants of the frozen decoder
+        # weights, so no MQ parameter collects a gradient no optimizer reads
+        mate, utt, disc, mq = _models()
+        train_utt(mate, utt, disc, mq, self._samples(rng), epochs=1, seed=0)
+        params = dict(mq.named_parameters())
+        assert {"dec1.kernel", "dec3.bias", "codebook.table"} <= set(params)
+        assert all(p.grad is None for p in params.values())
+
     def test_ce_improves_on_tiny_set(self, rng):
         mate, utt, disc, mq = _models()
         samples = self._samples(rng, n=6)
