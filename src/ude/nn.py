@@ -13,6 +13,15 @@ cache, a list that is empty or holds the [K, V] of earlier rows (each
 [B, heads, rows, dh]). The new rows attend to the cached rows plus
 themselves, and the extended pair is stored back, so feeding rows one at a
 time reproduces the rows of a full forward under a causal mask.
+
+A caller that reads only the rows from some `start` on passes it to the
+encoder. Every layer but the last computes every row; the last computes
+keys and values (and its cache) for every row, and its queries, attention
+output, residual and feed-forward, and the final norm, only for rows
+start.. . Those rows equal the full forward's to within 1e-12, not bit for
+bit: OpenBLAS picks its matmul kernel by row count, and in backward the
+gain and bias gradients sum over fewer rows. With start 0 the ops are those
+of the full forward.
 """
 
 from __future__ import annotations
@@ -104,19 +113,24 @@ class MultiHeadAttention(Module):
         self.wo = Linear(dim, dim, rng)
 
     def __call__(self, x, add_mask: np.ndarray | None = None,
-                 cache: list | None = None) -> Tensor:
-        """Attention of the rows of x over [cached rows, x].
+                 cache: list | None = None, start: int = 0) -> Tensor:
+        """Attention of the rows of x from row `start` on over [cached rows, x].
 
-        x is [B, L, D]; add_mask broadcasts against the scores
-        [B, heads, L, cached + L], e.g. [L, cached + L] or [B, 1, 1, cached + L].
+        x is [B, L, D]; every row gives a key and a value, and only rows
+        start.. give a query, so the output is [B, L - start, D]. add_mask
+        broadcasts against the scores of all L rows [B, heads, L, cached + L],
+        e.g. [L, cached + L] or [B, 1, 1, cached + L].
         """
         batch, length, _ = x.shape
         h, dh = self.heads, self.dim // self.heads
 
-        def split(t):  # [B, L, D] -> [B, H, L, dh]
-            return nm.transpose(t.reshape(batch, length, h, dh), (0, 2, 1, 3))
+        def split(t):  # [B, rows, D] -> [B, H, rows, dh]
+            return nm.transpose(t.reshape(batch, t.shape[1], h, dh), (0, 2, 1, 3))
 
-        q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
+        if start and add_mask is not None and add_mask.shape[-2] > 1:
+            add_mask = add_mask[..., start:, :]
+        q = split(self.wq(x[:, start:] if start else x))
+        k, v = split(self.wk(x)), split(self.wv(x))
         if cache is not None:
             if cache:
                 k = nm.concat([cache[0], k], axis=-2)
@@ -124,8 +138,8 @@ class MultiHeadAttention(Module):
             cache[:] = [k, v]
         attn = nm.softmax(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))),
                           scale=1.0 / math.sqrt(dh), add_mask=add_mask)
-        out = nm.transpose(nm.matmul(attn, v), (0, 2, 1, 3)).reshape(batch, length, self.dim)
-        return self.wo(out)
+        out = nm.transpose(nm.matmul(attn, v), (0, 2, 1, 3))
+        return self.wo(out.reshape(batch, length - start, self.dim))
 
 
 class EncoderLayer(Module):
@@ -136,8 +150,13 @@ class EncoderLayer(Module):
         self.ff1 = Linear(dim, ff_hidden, rng)
         self.ff2 = Linear(ff_hidden, dim, rng)
 
-    def __call__(self, x, add_mask=None, cache=None) -> Tensor:
-        x = x + self.attn(self.ln1(x), add_mask, cache)
+    def __call__(self, x, add_mask=None, cache=None, start: int = 0) -> Tensor:
+        """The layer's output rows start.. of x [B, L, D]; every row gives
+        attention a key and a value."""
+        h = self.ln1(x)
+        if start:
+            x = x[:, start:]
+        x = x + self.attn(h, add_mask, cache, start)
         return x + self.ff2(nm.relu(self.ff1(self.ln2(x))))
 
 
@@ -148,10 +167,18 @@ class TransformerEncoder(Module):
         self.layers = [EncoderLayer(dim, heads, 4 * dim, rng) for _ in range(layers)]
         self.ln = LayerNorm(dim)
 
-    def __call__(self, x, add_mask=None, caches=None) -> Tensor:
-        """caches: None, or one cache list per layer (see MultiHeadAttention)."""
-        for layer, cache in zip(self.layers, caches or [None] * len(self.layers)):
-            x = layer(x, add_mask, cache)
+    def __call__(self, x, add_mask=None, caches=None, start: int = 0) -> Tensor:
+        """Output rows start.. of x [B, L, D], the first row the caller reads.
+
+        caches: None, or one cache list per layer (see MultiHeadAttention).
+        Every layer but the last computes all L rows; the last one computes
+        keys and values (and its cache) for all of them, and the rest of its
+        work only for rows start..
+        """
+        caches = caches or [None] * len(self.layers)
+        last = len(self.layers) - 1
+        for i, (layer, cache) in enumerate(zip(self.layers, caches)):
+            x = layer(x, add_mask, cache, start if i == last else 0)
         return self.ln(x)
 
 

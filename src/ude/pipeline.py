@@ -14,6 +14,7 @@ through it. The generation stack is a dict of the models "mq", "mate",
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import zlib
@@ -346,8 +347,7 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
     primitives if any; it returns one result per request, each the one it
     would get alone, and samples and decodes them together.
     """
-    if frames < DOWNSAMPLE or frames % DOWNSAMPLE != 0:
-        raise ConfigError(f"target frames {frames} must be a positive multiple of {DOWNSAMPLE}")
+    _check_frames(frames)
     _check_decodable(stack, decoder, frames)
     batch = isinstance(seed, (list, tuple))
     seeds = list(seed) if batch else [seed]
@@ -355,12 +355,25 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
                       for value in (prompt, features))
     if primitive is not None and not batch:
         primitive = [primitive]
+    tokens, unk_only = _sample_tokens(stack, cfg, modality, frames, seeds, prompts, feats,
+                                      use_z, primitive)
+    frames_out = _decode(stack, decoder, tokens, seeds, modality)
+    results = [{"tokens": t, "frames": f, "unk_only": u}
+               for t, f, u in zip(tokens, frames_out, unk_only)]
+    return results if batch else results[0]
+
+
+def _sample_tokens(stack, cfg: RunConfig, modality: str, frames: int, seeds, prompts, feats,
+                   use_z: bool = False, primitive=None) -> tuple:
+    """(token rows [B, frames / 4], unk-only flags) of B requests of one
+    modality, each seeded by its entry of `seeds`; nothing is decoded."""
     utt = stack["utt"]
     n_tokens = frames // DOWNSAMPLE
     conds, zs, unk_only = [], [], []
     for s, p, f in zip(seeds, prompts, feats):
         inp, unk = condition_from_request(stack, cfg, modality, p, f)
-        with nm.no_grad():  # a batch holds all its conditions: keep no graphs
+        # a batch holds all its conditions: keep no graphs
+        with nm.no_grad(), _blame("the mate model", "utt"):
             cond = mate_encode(stack["mate"], inp)
         if cond.length + n_tokens > utt.cfg.max_context:
             raise ConfigError(f"{frames} frames need a context of {cond.length + n_tokens}, "
@@ -370,12 +383,28 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
         zs.append(rng.standard_normal(utt.cfg.z_dim) if use_z else None)
         unk_only.append(unk)
     sampling = SamplingConfig(temperature=cfg.temperature, top_k=cfg.top_k)
-    tokens = utt_mod.generate_tokens(utt, stack_conditions(conds), n_tokens, sampling,
-                                     primitive=primitive, z=zs, seed=seeds)
-    frames_out = _decode(stack, decoder, tokens, seeds, modality)
-    results = [{"tokens": t, "frames": f, "unk_only": u}
-               for t, f, u in zip(tokens, frames_out, unk_only)]
-    return results if batch else results[0]
+    with _blame("the utt model", "utt"):
+        tokens = utt_mod.generate_tokens(utt, stack_conditions(conds), n_tokens, sampling,
+                                         primitive=primitive, z=zs, seed=seeds)
+    return tokens, unk_only
+
+
+@contextlib.contextmanager
+def _blame(what: str, stage: str):
+    """Run a model: a NumericsError from the block is raised again naming
+    `what` failed and the stage to retrain. A model trained to huge weights
+    overflows in an engine op, whose finite check raises that error, so
+    numpy's own overflow warnings would only come first."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            yield
+    except NumericsError as exc:
+        raise NumericsError(f"{what} failed ({exc}); retrain stage {stage}") from exc
+
+
+def _check_frames(frames: int) -> None:
+    if frames < DOWNSAMPLE or frames % DOWNSAMPLE != 0:
+        raise ConfigError(f"target frames {frames} must be a positive multiple of {DOWNSAMPLE}")
 
 
 def _check_decodable(stack, decoder: str, frames: int) -> None:
@@ -393,11 +422,13 @@ def _decode(stack, decoder: str, tokens, seeds, what: str) -> np.ndarray:
     (the vq decoder draws nothing); `what` names the frames in the
     NumericsError raised when any of them is not finite."""
     if decoder == "vq":
-        frames = stack["mq"].decode_tokens(tokens)
+        with _blame("the mq model", "mq"):
+            frames = stack["mq"].decode_tokens(tokens)
     elif decoder == "dmd":
         if stack["dmd"] is None:
             raise StageError("requires stage dmd: no diffusion decoder loaded")
-        frames = dmd_mod.decode_tokens_dmd(stack["dmd"], tokens, seeds)
+        with _blame("the dmd model", "dmd"):
+            frames = dmd_mod.decode_tokens_dmd(stack["dmd"], tokens, seeds)
     else:
         raise ConfigError(f"unknown decoder {decoder!r}")
     if not np.isfinite(frames).all():  # the dmd decoder's last update runs outside the engine
@@ -418,14 +449,14 @@ def transition_motion(stack, cfg: RunConfig, prompt: str, features, seed: int,
                           f"audio frames and a primitive of 0 to text_frames/{DOWNSAMPLE} "
                           f"tokens, got {text_frames}, {audio_frames} and {primitive_len}")
     _check_decodable(stack, decoder, text_frames + audio_frames)
-    text_out = generate_motion(stack, cfg, "text", text_frames, seed,
-                               prompt=prompt, decoder="vq")
-    text_tokens = text_out["tokens"]
+    cont_frames = audio_frames + DOWNSAMPLE * primitive_len
+    _check_frames(text_frames)
+    _check_frames(cont_frames)
+    # only the joined tokens are decoded
+    (text_tokens,), _ = _sample_tokens(stack, cfg, "text", text_frames, [seed], [prompt], [None])
     primitive = text_tokens[text_tokens.size - primitive_len:]
-    audio_out = generate_motion(stack, cfg, "audio", audio_frames + DOWNSAMPLE * primitive_len,
-                                seed + 1, features=features, decoder="vq",
-                                primitive=primitive)
-    cont_tokens = audio_out["tokens"]
+    (cont_tokens,), _ = _sample_tokens(stack, cfg, "audio", cont_frames, [seed + 1], [None],
+                                       [features], primitive=[primitive])
     full = np.concatenate([text_tokens, cont_tokens[primitive_len:]])
     boundary_frame = DOWNSAMPLE * text_tokens.size
     frames = _decode(stack, decoder, full[None], [seed], "transition")[0]
@@ -522,21 +553,17 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
         key = (sample.modality, sample.motion.length)
         groups.setdefault(key, []).extend((sample, rep) for rep in range(spi))
     generated = {}
-    # a model trained to huge weights overflows in an engine op, whose finite
-    # check raises NumericsError, or in the features of the motions it decodes
-    # (see _generated_feature_set); numpy's warnings would only come first
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for (modality, frames), requests in groups.items():
-            for start in range(0, len(requests), cfg.batch_size):
-                group = requests[start:start + cfg.batch_size]
-                outs = generate_motion(
-                    stack, cfg, modality, frames,
-                    [_sample_seed(seed, rep, s.id) for s, rep in group],
-                    prompt=[s.sentence for s, _ in group],
-                    features=[s.features.features if s.features else None for s, _ in group],
-                    use_z=False, decoder=decoder)
-                for (s, _), out in zip(group, outs):
-                    generated.setdefault(s.id, []).append(MotionSequence(cfg.fps, out["frames"]))
+    for (modality, frames), requests in groups.items():
+        for start in range(0, len(requests), cfg.batch_size):
+            group = requests[start:start + cfg.batch_size]
+            outs = generate_motion(
+                stack, cfg, modality, frames,
+                [_sample_seed(seed, rep, s.id) for s, rep in group],
+                prompt=[s.sentence for s, _ in group],
+                features=[s.features.features if s.features else None for s, _ in group],
+                use_z=False, decoder=decoder)
+            for (s, _), out in zip(group, outs):
+                generated.setdefault(s.id, []).append(MotionSequence(cfg.fps, out["frames"]))
 
     report = {"config": cfg.to_dict(), "seed": seed, "split": split,
               "decoder": decoder, "samples_per_input": spi,
@@ -562,14 +589,10 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
 
     if text_samples:
         pairs = [(generated[s.id][0].frames, s.text_ids) for s in text_samples]
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as above
-                top1, top5 = metrics_mod.retrieval_accuracy(
-                    retrieval, pairs, distractors=cfg.retrieval_distractors,
-                    trials=cfg.retrieval_trials, seed=seed)
-        except NumericsError as exc:
-            raise NumericsError(f"the retrieval encoder failed ({exc}); "
-                                f"retrain stage retrieval") from exc
+        with _blame("the retrieval encoder", "retrieval"):
+            top1, top5 = metrics_mod.retrieval_accuracy(
+                retrieval, pairs, distractors=cfg.retrieval_distractors,
+                trials=cfg.retrieval_trials, seed=seed)
         report["metrics"]["text"]["top1"] = top1
         if cfg.retrieval_distractors >= 5:  # among 5 or fewer candidates top5 is always 1
             report["metrics"]["text"]["top5"] = top5

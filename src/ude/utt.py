@@ -9,14 +9,20 @@ teacher-forced step consumes [BOS, t_0..t_{S-1}] and targets
 
 Every forward takes B conditions and B token prefixes of one length, row
 b laid out as [glob, seq, padding, BOS, tokens] under one mask that hides
-the condition padding, so each row sees what it would see alone. Training
-runs one forward per minibatch. Sampling draws an exact token count, never
-BOS or EOS, so every row ends on the same step. Its first pass is one
-forward, which fills a per-layer key/value cache; each later step feeds
-every row's last sampled token at one shared position. This is exact:
-condition rows see only condition rows and motion rows only earlier rows,
-so appending a token changes no earlier row, and the cached K/V are what a
-full forward over the longer prefix would compute.
+the condition padding, so each row sees what it would see alone. Only the
+motion rows give logits, so the encoder's last layer computes everything
+but its keys and values for those rows only (`nn.TransformerEncoder`'s
+`start`): logits within 1e-12 of a forward whose last layer computes every
+row, and MATE and UTT gradients of a default-size `utt_loss` within 1e-15.
+Training runs one forward per minibatch, and builds the discriminator's
+graph only after the generator's step has freed the generator's graph.
+Sampling draws an exact token count, never BOS or EOS, so every row ends
+on the same step. Its first pass is one forward, which fills a per-layer
+key/value cache; each later step feeds every row's last sampled token at
+one shared position. This is exact: condition rows see only condition rows
+and motion rows only earlier rows, so appending a token changes no earlier
+row, and the cached K/V are what a full forward over the longer prefix
+would compute.
 """
 
 from __future__ import annotations
@@ -113,8 +119,8 @@ def forward_logits(model: UTTModel, cond: CondEmbedding, prefixes, z=None,
     stacked = nm.concat([glob.reshape(len(ids), 1, -1), cond.seq, motion], axis=1)
     visible = (causal_prefix_mask(cond.length, ids.shape[1])
                & _visible_keys(cond, ids.shape[1])[:, None])
-    hidden = model.encoder(stacked, additive_mask(visible)[:, None], caches)
-    return model.out_proj(hidden[:, cond.length:])
+    hidden = model.encoder(stacked, additive_mask(visible)[:, None], caches, cond.length)
+    return model.out_proj(hidden)
 
 
 def _check_context(model: UTTModel, length: int) -> None:
@@ -325,8 +331,10 @@ def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator, mq: MQModel
               samples, epochs: int, seed: int, lr: float = 1e-3,
               batch_size: int = 4, z_prob: float = 0.5) -> list:
     """Adversarial teacher-forced training of MATE+UTT against the patch
-    discriminator through `numerics.fit`: each minibatch builds one
-    generator and one discriminator graph and steps them in that order.
+    discriminator through `numerics.fit`: each minibatch builds the
+    generator's graph and steps it, then builds the discriminator's graph
+    (over the generator's detached global conditions and decoded motions)
+    and steps that, so one graph is alive at a time.
 
     `samples` are (ModalityInput, frames) pairs covering both modalities,
     all with the same frame count; batches interleave them 1:1 when both
@@ -347,12 +355,17 @@ def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator, mq: MQModel
               for _ in batch]
         cond = stack_conditions([encode(mate, samples[i][0]) for i in batch])
         gen_loss, parts = utt_loss(model, disc, cond, token_cache[batch], mq, z=zs)
-        disc_loss = hinge_disc_loss(disc, cond.glob.detach(),
-                                    np.stack([samples[i][1] for i in batch]),
-                                    parts["fake"].detach())
-        return ([(gen_opt, gen_loss), (disc_opt, disc_loss)],
-                {"ce": parts["ce"].item(), "adv": parts["adv"].item(),
-                 "disc": disc_loss.item()})
+        # plain arrays: the discriminator's graph is built after the generator's
+        # is freed, and the generator's step changes neither array
+        glob, fake = cond.glob.data, parts["fake"].data
+        losses = {"ce": parts["ce"].item(), "adv": parts["adv"].item()}
+
+        def disc_loss():
+            loss = hinge_disc_loss(disc, glob, np.stack([samples[i][1] for i in batch]), fake)
+            losses["disc"] = loss.item()
+            return loss
+
+        return [(gen_opt, gen_loss), (disc_opt, disc_loss)], losses
 
     return nm.fit(epochs, batch_size, lambda: _interleave(rng, text_idx, audio_idx), step)
 

@@ -464,6 +464,24 @@ def test_eval_of_a_diverged_model_is_a_numerical_failure(tiny_cfg, tmp_path, cap
     assert not out.exists()
 
 
+def test_generate_names_the_model_that_failed(first_run, config, tmp_path, capsys, monkeypatch):
+    load = pipeline.load_generation_stack
+
+    def diverged(ckpt_dir, decoder="dmd"):  # one UTT weight at 1e308
+        stack = load(ckpt_dir, decoder)
+        stack["utt"].token_table.table.data[...] = 1e308
+        return stack
+
+    monkeypatch.setattr(pipeline, "load_generation_stack", diverged)
+    capsys.readouterr()
+    out = tmp_path / "g.udem"
+    assert _generate_text(config, first_run[0] / "ckpt", out) == 5
+    assert capsys.readouterr().err == (
+        "numerical failure: the utt model failed (non-finite values produced by "
+        "layer_norm); retrain stage utt\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, bound, past", [
     ("fps", 1000.0, math.nextafter(1000.0, math.inf)),
     ("beat_sigma_frames", 0.01, math.nextafter(0.01, 0.0)),

@@ -1,6 +1,8 @@
 """Incremental attention: rows fed through a K/V cache equal the rows of one
 full forward under `causal_prefix_mask`; a batch of padded sequences equals
-each sequence alone. A recorded graph keeps only the arrays its vjps read."""
+each sequence alone; an encoder that computes its last layer from a start
+row on gives the full forward's rows from there. A recorded graph keeps only
+the arrays its vjps read."""
 
 import numpy as np
 import pytest
@@ -43,6 +45,34 @@ def test_encoder_rows_one_at_a_time_match_full_forward(rng, cond_len):
     with nm.no_grad():
         rows = _incremental(lambda part, mask: enc(part, mask, caches), x, cond_len)
     assert np.abs(rows - full).max() < 1e-12
+
+
+def _masks(batch, cond_len, length):
+    """No mask, one [L, L] mask for every sequence, and a [B, 1, L, L] mask
+    that also hides the second sequence's last condition row."""
+    shared = causal_prefix_mask(cond_len, length - cond_len)
+    per_row = np.stack([shared] * batch)
+    per_row[1, :, cond_len - 1] = False
+    return {"none": None, "shared": additive_mask(shared),
+            "per-row": additive_mask(per_row)[:, None]}
+
+
+@pytest.mark.parametrize("mask", ["none", "shared", "per-row"])
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+def test_encoder_rows_from_start_equal_the_full_forwards_rows(rng, mask, cached):
+    # the last layer's queries, residuals, feed-forward and final norm see
+    # fewer rows, so matmul may take another kernel: equal to 1e-12, not bit
+    # for bit; its keys and values, and so every cache, stay bit-identical
+    enc = TransformerEncoder(2, DIM, HEADS, rng)
+    x = nm.Tensor(rng.standard_normal((2, 7, DIM)))
+    add_mask = _masks(2, 3, 7)[mask]
+    full_caches, caches = ([[] for _ in enc.layers] for _ in range(2)) if cached else (None,) * 2
+    full = enc(x, add_mask, full_caches).data
+    rows = enc(x, add_mask, caches, start=3).data
+    assert rows.shape == (2, 4, DIM)
+    assert np.abs(rows - full[:, 3:]).max() < 1e-12
+    for got, want in zip(caches or [], full_caches or []):
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(got, want))
 
 
 def test_attention_dim_must_split_across_the_heads(rng):

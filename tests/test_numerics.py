@@ -364,6 +364,41 @@ class TestFit:
                      for call in ("zero_grad", "backward", "step")]
         assert calls == one_batch * 2
 
+    def test_a_loss_builder_runs_only_after_the_previous_pair_has_stepped(self):
+        calls = []
+        gen, disc = _Recorder("gen", calls), _Recorder("disc", calls)
+
+        def step(batch):
+            parts = {"gen": 1.0}
+
+            def build():
+                calls.append(("disc", "build"))
+                parts["disc"] = 2.0
+                return disc
+
+            return [(gen, gen), (disc, build)], parts
+
+        history = nm.fit(1, 2, lambda: [0, 1, 2], step)
+        one_batch = [("gen", "zero_grad"), ("gen", "backward"), ("gen", "step"),
+                     ("disc", "build"), ("disc", "zero_grad"), ("disc", "backward"),
+                     ("disc", "step")]
+        assert calls == one_batch * 2
+        # the builder's part is read with the others once every pair has stepped
+        assert history == [{"gen": 1.0, "disc": 2.0, "epoch": 0}]
+
+    def test_numerics_error_in_a_loss_builder_names_the_epoch(self):
+        calls = []
+        gen = _Recorder("gen", calls)
+
+        def build():
+            raise NumericsError("non-finite values produced by matmul")
+
+        with pytest.raises(NumericsError, match="^non-finite loss at epoch 0: non-finite "
+                                                "values produced by matmul$") as info:
+            nm.fit(1, 2, lambda: [0, 1], lambda batch: ([(gen, gen), (gen, build)], {}))
+        assert isinstance(info.value.__cause__, NumericsError)
+        assert calls == [("gen", "zero_grad"), ("gen", "backward"), ("gen", "step")]
+
     def test_short_final_batch_still_gives_the_per_item_mean(self):
         values = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
 

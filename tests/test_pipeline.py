@@ -178,6 +178,47 @@ def test_non_finite_frames_from_a_decoder_are_a_numerical_failure(trained, tiny_
                                    decoder="dmd")
 
 
+@pytest.mark.parametrize("decoder, decodes", [("vq", [(1, 8)]), ("dmd", [])])
+def test_a_transition_decodes_only_its_joined_tokens(trained, tiny_cfg, monkeypatch, decoder,
+                                                     decodes):
+    data, ckpt = trained
+    stack = pipeline.load_generation_stack(ckpt, decoder=decoder)
+    decode, calls = pipeline.mq_mod.MQModel.decode_tokens, []
+
+    def counted(model, tokens):
+        calls.append(np.shape(tokens))
+        return decode(model, tokens)
+
+    monkeypatch.setattr(pipeline.mq_mod.MQModel, "decode_tokens", counted)
+    features = next(s.features for s in load_samples(data) if s.features is not None)
+    out = pipeline.transition_motion(stack, tiny_cfg, "a person walks", features, 0,
+                                     text_frames=16, audio_frames=16, primitive_len=2,
+                                     decoder=decoder)
+    assert calls == decodes  # 4 text tokens and 4 continuation tokens, decoded once
+    assert out["motion"].length == 32
+
+
+@pytest.mark.parametrize("model, weight, stage, decoder", [
+    ("mate", "word_table.table", "utt", "vq"), ("utt", "token_table.table", "utt", "vq"),
+    ("mq", "dec1.kernel", "mq", "vq"), ("dmd", "token_table.table", "dmd", "dmd")])
+def test_a_numerics_error_in_generation_names_the_model_and_its_stage(
+        trained, tiny_cfg, model, weight, stage, decoder):
+    data, ckpt = trained
+    stack = pipeline.load_generation_stack(ckpt, decoder=decoder)
+    # a weight the model reads first, at 1e308: the first sum over it overflows
+    dict(stack[model].named_parameters())[weight].data[...] = 1e308
+    features = next(s.features for s in load_samples(data) if s.features is not None)
+    message = (rf"^the {model} model failed \(non-finite values produced by \w+\); "
+               rf"retrain stage {stage}$")
+    with pytest.raises(NumericsError, match=message):
+        pipeline.generate_motion(stack, tiny_cfg, "text", 16, 0, prompt="a person walks",
+                                 decoder=decoder)
+    with pytest.raises(NumericsError, match=message):
+        pipeline.transition_motion(stack, tiny_cfg, "a person walks", features, 0,
+                                   text_frames=8, audio_frames=8, primitive_len=1,
+                                   decoder=decoder)
+
+
 def test_non_finite_features_are_a_numerical_failure_only_of_generated_motions():
     # finite frames whose per-second velocities overflow
     huge = [MotionSequence(16.0, np.arange(8.0)[:, None] * np.full((8, 24), 1e307))] * 2

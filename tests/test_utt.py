@@ -49,6 +49,19 @@ def _generate(utt, cond, max_len, sampling=None, primitive=None, z=None, seed=0)
     return out[0]
 
 
+class _FullRows:
+    """Stands in for a UTT's encoder: computes every row of the last layer,
+    as the forward did before it started at the first motion row, and drops
+    the condition rows afterwards."""
+
+    def __init__(self, encoder):
+        self.encoder = encoder
+        self.layers = encoder.layers
+
+    def __call__(self, x, add_mask=None, caches=None, start=0):
+        return self.encoder(x, add_mask, caches)[:, start:]
+
+
 class TestBuildMask:
     """The condition-prefix causal mask that `forward_logits` builds."""
 
@@ -128,6 +141,31 @@ class TestForwardLogits:
             cond2 = type(cond)(glob=cond.glob, seq=Tensor(bumped_seq), lengths=cond.lengths)
             out = _logits(utt, cond2, [utt.cfg.bos, 1])
             assert not np.allclose(base, out)
+
+    @pytest.mark.parametrize("modality", ["text", "audio", "mixed"])
+    @pytest.mark.parametrize("use_z", [False, True])
+    @pytest.mark.parametrize("primitive", [[], [3, 1, 4]])
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    def test_motion_rows_equal_the_full_row_forward(self, monkeypatch, modality, use_z,
+                                                    primitive, cached):
+        mate, utt = _z_model()
+        conds, zs, _, _ = _mixed_requests(mate)
+        picks = {"text": [0, 2], "audio": [1, 3], "mixed": [0, 1, 2, 3]}[modality]
+        cond = stack_conditions([conds[b] for b in picks])
+        z = [zs[b] if use_z else None for b in picks]
+        prefixes = [[utt.cfg.bos] + primitive] * len(picks)
+
+        def run():
+            caches = [[] for _ in utt.encoder.layers] if cached else None
+            with nm.no_grad():
+                return forward_logits(utt, cond, prefixes, z, caches).data, caches
+
+        got, got_caches = run()
+        monkeypatch.setattr(utt, "encoder", _FullRows(utt.encoder))
+        want, want_caches = run()
+        assert np.abs(got - want).max() < 1e-12
+        for got_kv, want_kv in zip(got_caches or [], want_caches or []):
+            assert all(np.array_equal(a.data, b.data) for a, b in zip(got_kv, want_kv))
 
     def test_prefix_must_start_with_bos(self):
         mate, utt, _, _ = _models()
@@ -480,6 +518,47 @@ class TestLosses:
         (parts["ce"] + parts["adv"]).backward()
         assert mq.codebook.table.grad is None  # no backward path reached it
 
+    def test_default_size_gradients_equal_the_full_row_forwards(self, monkeypatch):
+        # a batch of 8 at the default sizes, text and audio conditions of up
+        # to 64 rows, z on two thirds of the rows: fewer rows in the last
+        # layer's sums move MATE and UTT gradients (up to about 1) by at most
+        # a few ulps of 1e-16 (1.7e-16 here); the stated tolerance is 1e-15
+        rng = np.random.default_rng(0)
+        mate = MATEModel(MATEConfig(vocab_size=40, audio_dim=16), rng)
+        utt = UTTModel(UTTConfig(code_count=64), rng)
+        utt.z2.w.data[...] = rng.normal(0.0, 0.1, utt.z2.w.shape)
+        disc = Discriminator(24, 64, 4, rng)
+        mq = MQModel(MQConfig(frame_dim=24, code_count=64, code_dim=32, hidden=64), rng)
+        inputs = [text_input(rng.integers(1, 40, size=3 + b)) if b % 2 == 0
+                  else audio_input(rng.standard_normal((64 - b, 16))) for b in range(8)]
+        zs = [rng.standard_normal(16) if b % 3 else None for b in range(8)]
+        tokens = rng.integers(0, 64, size=(8, 16))
+        params = mate.named_parameters() + utt.named_parameters()
+
+        def gradients():
+            nm.Adam(params).zero_grad()
+            cond = stack_conditions([encode(mate, inp) for inp in inputs])
+            utt_loss(utt, disc, cond, tokens, mq, z=zs)[0].backward()
+            return [p.grad for _, p in params]
+
+        got = gradients()
+        monkeypatch.setattr(utt, "encoder", _FullRows(utt.encoder))
+        want = gradients()
+        for (name, _), a, b in zip(params, got, want):
+            assert a is not None and b is not None, name
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-15, err_msg=name)
+
+    def test_held_out_ce_is_the_ce_part_of_the_training_loss(self, rng):
+        # both run the motion-rows-only forward: bit for bit the same number
+        mate, utt = _z_model()
+        _, _, disc, mq = _models()
+        inputs = [text_input([1, 2, 3, 4]), audio_input(rng.standard_normal((6, 5)))]
+        samples = [(inp, rng.standard_normal((16, FRAME_DIM))) for inp in inputs]
+        cond = stack_conditions([encode(mate, inp) for inp, _ in samples])
+        tokens = mq.encode_tokens(np.stack([frames for _, frames in samples]))
+        ce = utt_loss(utt, disc, cond, tokens, mq)[1]["ce"].item()
+        assert mean_cross_entropy(mate, utt, mq, samples) == ce
+
     def test_hinge_disc_loss_nonnegative(self, rng):
         _, _, disc, _ = _models()
         loss = hinge_disc_loss(disc, rng.standard_normal((1, 16)),
@@ -560,6 +639,20 @@ class TestTrainUtt:
         params = dict(mq.named_parameters())
         assert {"dec1.kernel", "dec3.bias", "codebook.table"} <= set(params)
         assert all(p.grad is None for p in params.values())
+
+    def test_the_discriminator_loss_is_built_after_the_generator_step(self, rng,
+                                                                        monkeypatch):
+        # so the generator's graph is freed before the discriminator's exists
+        mate, utt, disc, mq = _models()
+        hinge, stepped = utt_mod.hinge_disc_loss, []
+
+        def recorded(*args):
+            stepped.append(utt.out_proj.w.grad is not None)
+            return hinge(*args)
+
+        monkeypatch.setattr(utt_mod, "hinge_disc_loss", recorded)
+        train_utt(mate, utt, disc, mq, self._samples(rng), epochs=1, seed=0)
+        assert stepped == [True, True]
 
     def test_ce_improves_on_tiny_set(self, rng):
         mate, utt, disc, mq = _models()
