@@ -9,12 +9,14 @@ A checkpoint file has three parts:
 The first line is the header. The second is one UTF-8 JSON object: the
 stage name, the resolved run config, the content hashes of the stage
 checkpoints it was trained against (`deps`), small buffers as JSON lists,
-and one or more named sections, each `{"config": model config, "params":
-{name: {"shape": [...], "offset": n}}}`. The rest of the file is the
-payload: every parameter as raw little-endian float64, C order, parameter
-`name` starting `offset` values in. The payload holds exactly the values
-the metadata names, so its length is 8 bytes times the parameter count.
-Parameters round-trip bit for bit.
+and one or more named sections, each one model's parameters, `{"params":
+{name: {"shape": [...], "offset": n}}}`. A section records no architecture:
+the run config does, and the models are rebuilt from it (older files also
+hold a `config` object in each section, which is never read). The rest of
+the file is the payload: every parameter as raw little-endian float64, C
+order, parameter `name` starting `offset` values in. The payload holds
+exactly the values the metadata names, so its length is 8 bytes times the
+parameter count. Parameters round-trip bit for bit.
 
 `load_checkpoint` reads a file once and validates the metadata and the
 payload against each other; anything that does not fit raises DataError.
@@ -57,17 +59,17 @@ def load_params(module, params: dict) -> None:
 
 def save_checkpoint(path, stage: str, sections: dict, run_config: dict,
                     deps: dict | None = None, buffers: dict | None = None) -> None:
-    """Write one stage checkpoint; `sections` maps each section name to
-    `{"config": dict, "params": {name: array}}`."""
+    """Write one stage checkpoint; `sections` maps each section name to its
+    parameters, `{name: array}`."""
     layout, chunks, offset = {}, [], 0
     for name, section in sections.items():
         params = {}
-        for pname, value in section["params"].items():
+        for pname, value in section.items():
             arr = np.asarray(value, dtype=PAYLOAD_DTYPE)
             params[pname] = {"shape": list(arr.shape), "offset": offset}
             chunks.append(arr.tobytes())
             offset += arr.size
-        layout[name] = {"config": section["config"], "params": params}
+        layout[name] = {"params": params}
     meta = {
         "stage": stage,
         "config": run_config,
@@ -137,9 +139,8 @@ def _check_metadata(path, stage: str, meta) -> None:
     if stage not in meta["sections"]:
         fail(f"no {stage!r} section")
     for name, section in meta["sections"].items():
-        if not (isinstance(section, dict) and isinstance(section.get("config"), dict)
-                and isinstance(section.get("params"), dict)):
-            fail(f"section {name!r} lacks a config or params object")
+        if not (isinstance(section, dict) and isinstance(section.get("params"), dict)):
+            fail(f"section {name!r} lacks a params object")
         for pname, entry in section["params"].items():
             shape = entry.get("shape") if isinstance(entry, dict) else None
             offset = entry.get("offset") if isinstance(entry, dict) else None

@@ -4,7 +4,9 @@ Every knob has a default; a JSON config file may override any subset.
 Unknown keys, values of the wrong type, non-finite floats, out-of-range
 values and unknown action families or dance genres are rejected. The
 resolved config is echoed into every output artifact (checkpoints, loss
-logs, metric reports, generation sidecars).
+logs, metric reports, generation sidecars). A checkpoint's recorded run
+config is the description of its models: loading rebuilds them from it,
+after the same checks as a config file (`config_from_dict`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .dataset import JOINT_NAMES, longest_sentence, synth_counts
-from .dmd import DMDConfig
+from .dmd import MAX_FRAMES, MAX_TOKENS
 from .errors import ConfigError, DataError
 from .fileio import read_text
 from .mq import DOWNSAMPLE
@@ -96,21 +98,25 @@ class RunConfig:
 
 
 def load_config(path=None) -> RunConfig:
-    """Build a RunConfig from an optional JSON file.
+    """Build a RunConfig from an optional JSON file (see `config_from_dict`)."""
+    if path is None:
+        return config_from_dict({})
+    try:
+        loaded = json.loads(read_text(path))
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except (json.JSONDecodeError, DataError) as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    return config_from_dict(loaded)
 
-    Unknown keys are rejected; values are coerced to the field types.
-    """
+
+def config_from_dict(loaded) -> RunConfig:
+    """Build a RunConfig from a JSON object's values, defaults for the keys
+    it leaves out. Unknown keys are rejected; values are coerced to the
+    field types and checked."""
+    if not isinstance(loaded, dict):
+        raise ConfigError("a run config must be a JSON object")
     known = {f.name: _FIELD_TYPES[f.type] for f in fields(RunConfig)}
-    loaded: dict = {}
-    if path is not None:
-        try:
-            loaded = json.loads(read_text(path))
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
-        except (json.JSONDecodeError, DataError) as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
     unknown = set(loaded) - set(known)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -137,7 +143,7 @@ _MINIMUMS = {"lr": 0, "fps": 1.0, "beat_sigma_frames": 0.01, "frames": DOWNSAMPL
 # (at 1e300 the kinetic features' velocities overflow); a clip fits the
 # diffusion decoder's frame and token position tables
 _MAXIMUMS = {"fps": 1000.0,
-             "frames": min(DMDConfig.max_frames, DOWNSAMPLE * DMDConfig.max_tokens)}
+             "frames": min(MAX_FRAMES, DOWNSAMPLE * MAX_TOKENS)}
 
 
 def _check_ranges(cfg: RunConfig) -> None:

@@ -72,6 +72,12 @@ def q_sample(sched: NoiseSchedule, x0: np.ndarray, t, eps: np.ndarray) -> np.nda
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
 
 
+# rows of the token and frame position tables: the longest token sequence
+# and motion the decoder takes
+MAX_TOKENS = 128
+MAX_FRAMES = 512
+
+
 @dataclass
 class DMDConfig:
     frame_dim: int
@@ -81,8 +87,6 @@ class DMDConfig:
     cond_layers: int = 2
     layers: int = 2
     heads: int = 4
-    max_tokens: int = 128
-    max_frames: int = 512
 
 
 class DMDModel(Module):
@@ -97,8 +101,8 @@ class DMDModel(Module):
         self.in_proj = Linear(cfg.frame_dim, d, rng)
         self.denoiser = TransformerEncoder(cfg.layers, d, cfg.heads, rng)
         self.out_proj = Linear(d, cfg.frame_dim, rng)
-        self.token_pos = sinusoidal_table(cfg.max_tokens, d)
-        self.frame_pos = sinusoidal_table(cfg.max_frames, d)
+        self.token_pos = sinusoidal_table(MAX_TOKENS, d)
+        self.frame_pos = sinusoidal_table(MAX_FRAMES, d)
         self.sched = make_schedule(cfg.steps)
 
 

@@ -227,15 +227,11 @@ def contrastive_loss(motion_embs: Tensor, text_embs: Tensor) -> Tensor:
     return (loss_mt + loss_tm) * 0.5
 
 
-def train_retrieval_encoder(pairs, frame_dim: int, vocab_size: int, epochs: int,
-                            seed: int, lr: float = 1e-3, out_dim: int = 32):
-    """Train towers on (frames, token_ids) pairs through `numerics.fit`, in
-    minibatches of RETRIEVAL_BATCH; deterministic per seed.
-
-    Returns (encoder, history) with one per-item mean-loss row per epoch.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 77]))
-    enc = RetrievalEncoder(frame_dim, vocab_size, rng, out_dim=out_dim)
+def train_retrieval_encoder(enc: RetrievalEncoder, pairs, epochs: int,
+                            rng: np.random.Generator, lr: float = 1e-3) -> list:
+    """Train `enc` in place on (frames, token_ids) pairs through
+    `numerics.fit`, in minibatches of RETRIEVAL_BATCH ordered by draws from
+    `rng`. Returns one per-item mean-loss row per epoch."""
     opt = nm.Adam(enc.named_parameters(), lr=lr)
 
     def order():
@@ -249,7 +245,7 @@ def train_retrieval_encoder(pairs, frame_dim: int, vocab_size: int, epochs: int,
         return [(opt, loss)], {"loss": loss.item()}
 
     # with fewer than two pairs every order is empty and nothing trains
-    return enc, [{"loss": 0.0, **row} for row in nm.fit(epochs, RETRIEVAL_BATCH, order, step)]
+    return [{"loss": 0.0, **row} for row in nm.fit(epochs, RETRIEVAL_BATCH, order, step)]
 
 
 def retrieval_accuracy(encoder, pairs, distractors: int = 60, trials: int = 10,

@@ -6,10 +6,10 @@ Stage order is mq -> utt (mate+utt, trained against a discriminator that
 is not saved) -> dmd -> retrieval, one `STAGES` entry each; the utt and
 dmd stages record the content hash of the mq checkpoint they were trained
 against, and loading verifies those hashes so stale mixes fail loudly.
-`MODELS` maps every checkpoint section to its one constructor: the
-trainers build through it and `load_models` rebuilds any stage's sections
-through it. The generation stack is a dict of the models "mq", "mate",
-"utt" and "dmd" (None when it is loaded for the vq decoder).
+A checkpoint section holds only parameters: `MODELS` builds its model from
+the run config being trained, or from the one the checkpoint recorded,
+checked as a config file is. The generation stack is a dict of the models
+"mq", "mate", "utt" and "dmd" (None when it is loaded for the vq decoder).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import contextlib
 import json
 import os
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,7 @@ from . import mq as mq_mod
 from . import numerics as nm
 from . import utt as utt_mod
 from .audio import AudioFeatureSequence
-from .config import RunConfig
+from .config import RunConfig, config_from_dict
 from .dataset import UNK_ID, VOCAB_WORDS, load_samples, synth_dataset, tokenize
 from .errors import ConfigError, DataError, NumericsError, StageError
 from .fileio import atomic_write
@@ -54,28 +54,30 @@ def run_synth(cfg: RunConfig, seed: int, out_dir) -> dict:
 
 # -- models ------------------------------------------------------------------------
 #
-# Every checkpoint section's model, built from its recorded config dict, plus
-# the utt stage's discriminator, which is trained but not saved. The trainers
-# build through this table and the loaders rebuild through it, so each
-# constructor is spelled once.
+# Every checkpoint section's model, built from a run config `c`, plus the utt
+# stage's discriminator, which is trained but not saved. The trainers build
+# through this table and the loaders rebuild through it, so the mapping from
+# run config to architecture is spelled once.
 
 MODELS = {
-    "mq": lambda c, rng: mq_mod.MQModel(mq_mod.MQConfig(**c), rng),
-    "mate": lambda c, rng: MATEModel(MATEConfig(**c), rng),
-    "utt": lambda c, rng: utt_mod.UTTModel(utt_mod.UTTConfig(**c), rng),
-    "disc": lambda c, rng: utt_mod.Discriminator(**c, rng=rng),
-    "dmd": lambda c, rng: dmd_mod.DMDModel(dmd_mod.DMDConfig(**c), rng),
-    "retrieval": lambda c, rng: metrics_mod.RetrievalEncoder(**c, rng=rng),
+    "mq": lambda c, rng: mq_mod.MQModel(mq_mod.MQConfig(
+        frame_dim=c.frame_dim, code_count=c.code_count, code_dim=c.code_dim,
+        hidden=c.mq_hidden, beta_codebook=c.beta_codebook, beta_commit=c.beta_commit), rng),
+    "mate": lambda c, rng: MATEModel(MATEConfig(
+        vocab_size=len(VOCAB_WORDS), audio_dim=c.feature_dim, dim=c.embed_dim,
+        layers=c.mate_layers, heads=c.mate_heads, max_text_len=c.max_text_len,
+        max_audio_len=c.max_audio_len), rng),
+    "utt": lambda c, rng: utt_mod.UTTModel(utt_mod.UTTConfig(
+        code_count=c.code_count, dim=c.embed_dim, layers=c.utt_layers, heads=c.utt_heads,
+        z_dim=c.z_dim, max_context=c.max_context, beta_adv=c.beta_adv), rng),
+    "disc": lambda c, rng: utt_mod.Discriminator(c.frame_dim, c.embed_dim, c.utt_heads, rng),
+    "dmd": lambda c, rng: dmd_mod.DMDModel(dmd_mod.DMDConfig(
+        frame_dim=c.frame_dim, code_count=c.code_count, steps=c.diffusion_steps,
+        dim=c.embed_dim, cond_layers=c.dmd_cond_layers, layers=c.dmd_layers,
+        heads=c.dmd_heads), rng),
+    "retrieval": lambda c, rng: metrics_mod.RetrievalEncoder(
+        c.frame_dim, len(VOCAB_WORDS), rng, out_dim=c.retrieval_dim),
 }
-
-
-def _build(section: str, rng, **config) -> tuple:
-    """(recorded config, model) for one section; a model with a config
-    dataclass records all of its fields, defaults included."""
-    model = MODELS[section](config, rng)
-    if hasattr(model, "cfg"):
-        config = asdict(model.cfg)
-    return config, model
 
 
 def _write_loss_log(path, cfg: RunConfig, seed: int, history, columns) -> None:
@@ -89,69 +91,53 @@ def _write_loss_log(path, cfg: RunConfig, seed: int, history, columns) -> None:
 
 # -- training stages -----------------------------------------------------------------
 #
-# Each trainer builds its models from `rng`, trains them on the train split for
-# `epochs` epochs and returns ({section: (config, model)}, buffers, loss history).
-# The utt and dmd trainers read the mq checkpoint from `out_dir`.
+# Each trainer builds its models through MODELS from `rng`, trains them on the
+# train split for `epochs` epochs and returns ({section: model}, buffers, loss
+# history). The utt and dmd trainers read the mq checkpoint from `out_dir`.
 
 
 def _train_mq(cfg, train, out_dir, rng, seed, epochs) -> tuple:
-    config, model = _build("mq", rng, frame_dim=cfg.frame_dim, code_count=cfg.code_count,
-                           code_dim=cfg.code_dim, hidden=cfg.mq_hidden,
-                           beta_codebook=cfg.beta_codebook, beta_commit=cfg.beta_commit)
+    model = MODELS["mq"](cfg, rng)
     history = mq_mod.train_mq(model, [s.motion.frames for s in train], epochs=epochs,
                               seed=seed, lr=cfg.lr, batch_size=cfg.batch_size)
     buffers = {"center": model.center, "scale": model.scale, "usage": model.usage}
-    return {"mq": (config, model)}, buffers, history
+    return {"mq": model}, buffers, history
 
 
 def _train_utt(cfg, train, out_dir, rng, seed, epochs) -> tuple:
     mq_model = load_mq(out_dir)
-    models = {
-        "mate": _build("mate", rng, vocab_size=len(VOCAB_WORDS), audio_dim=cfg.feature_dim,
-                       dim=cfg.embed_dim, layers=cfg.mate_layers, heads=cfg.mate_heads,
-                       max_text_len=cfg.max_text_len, max_audio_len=cfg.max_audio_len),
-        "utt": _build("utt", rng, code_count=cfg.code_count, dim=cfg.embed_dim,
-                      layers=cfg.utt_layers, heads=cfg.utt_heads, z_dim=cfg.z_dim,
-                      max_context=cfg.max_context, beta_adv=cfg.beta_adv),
-    }
     # inference reads only mate and utt, so the discriminator is not saved
-    _, disc = _build("disc", rng, frame_dim=cfg.frame_dim, dim=cfg.embed_dim,
-                     heads=cfg.utt_heads)
-    mate, utt = (model for _, model in models.values())
+    mate, utt, disc = (MODELS[name](cfg, rng) for name in ("mate", "utt", "disc"))
     samples = [(_sample_input(s), s.motion.frames) for s in train]
     history = utt_mod.train_utt(mate, utt, disc, mq_model, samples, epochs=epochs,
                                 seed=seed, lr=cfg.lr, batch_size=cfg.batch_size,
                                 z_prob=cfg.z_prob)
-    return models, None, history
+    return {"mate": mate, "utt": utt}, None, history
 
 
 def _train_dmd(cfg, train, out_dir, rng, seed, epochs) -> tuple:
     mq_model = load_mq(out_dir)
-    config, model = _build("dmd", rng, frame_dim=cfg.frame_dim, code_count=cfg.code_count,
-                           steps=cfg.diffusion_steps, dim=cfg.embed_dim,
-                           cond_layers=cfg.dmd_cond_layers, layers=cfg.dmd_layers,
-                           heads=cfg.dmd_heads)
+    model = MODELS["dmd"](cfg, rng)
     history = dmd_mod.train_dmd(model, mq_model, [s.motion.frames for s in train],
                                 epochs=epochs, seed=seed, lr=cfg.lr,
                                 batch_size=cfg.batch_size)
-    return {"dmd": (config, model)}, None, history
+    return {"dmd": model}, None, history
 
 
 def _train_retrieval(cfg, train, out_dir, rng, seed, epochs) -> tuple:
-    # the encoder draws its weights from its own rng stream inside the trainer
-    config = {"frame_dim": cfg.frame_dim, "vocab_size": len(VOCAB_WORDS),
-              "out_dim": cfg.retrieval_dim}
+    enc = MODELS["retrieval"](cfg, rng)
     pairs = [(s.motion.frames, s.text_ids) for s in train if s.modality == "text"]
-    enc, history = metrics_mod.train_retrieval_encoder(pairs, **config, epochs=epochs,
-                                                       seed=seed, lr=cfg.lr)
-    return {"retrieval": (config, enc)}, None, history
+    history = metrics_mod.train_retrieval_encoder(enc, pairs, epochs=epochs, rng=rng,
+                                                  lr=cfg.lr)
+    return {"retrieval": enc}, None, history
 
 
 @dataclass(frozen=True)
 class Stage:
     """One training stage: its trainer, the stages whose checkpoint hashes it
     records, its loss-CSV columns and the tag of its rng stream (fixed, so
-    that a seed keeps giving the same models)."""
+    that a seed keeps giving the same models; retrieval's 77 is the stream
+    its trainer has always drawn the encoder and the minibatch orders from)."""
     train: Callable
     deps: tuple
     columns: tuple
@@ -163,7 +149,7 @@ STAGES = {
     "mq": Stage(_train_mq, (), ("total", "recon", "codebook", "commit", "dead_codes"), 101),
     "utt": Stage(_train_utt, ("mq",), ("ce", "adv", "disc"), 102),
     "dmd": Stage(_train_dmd, ("mq",), ("loss",), 103),
-    "retrieval": Stage(_train_retrieval, (), ("loss",), 104),
+    "retrieval": Stage(_train_retrieval, (), ("loss",), 77),
 }
 
 
@@ -208,8 +194,7 @@ def _train_one(stage: str, cfg: RunConfig, train, out_dir, seed: int, epochs, de
         models, buffers, history = spec.train(
             cfg, train, out_dir, rng, seed,
             epochs if epochs is not None else getattr(cfg, f"epochs_{stage}"))
-    sections = {name: {"config": config, "params": ckpt.params_blob(model)}
-                for name, (config, model) in models.items()}
+    sections = {name: ckpt.params_blob(model) for name, model in models.items()}
     ckpt.save_checkpoint(ckpt.stage_path(out_dir, stage), stage, sections,
                          cfg.to_dict(), deps=deps, buffers=buffers)
     _write_loss_log(os.path.join(os.fspath(out_dir), f"{stage}_loss.csv"), cfg, seed,
@@ -248,21 +233,28 @@ def _sample_input(sample):
 
 
 def load_models(ckpt_dir, stage: str) -> dict:
-    """{section: model} rebuilt from one stage checkpoint, its dependency
-    hashes verified and its buffers restored onto the stage's own model."""
+    """{section: model} rebuilt from one stage checkpoint's recorded run
+    config, its dependency hashes verified, its parameters loaded and its
+    buffers restored onto the stage's own model."""
     body = ckpt.load_stage(ckpt_dir, stage)
+    path = ckpt.stage_path(ckpt_dir, stage)
+    try:
+        cfg = config_from_dict(body.get("config"))
+    except ConfigError as exc:
+        raise DataError(f"{path}: the recorded run config does not load ({exc}); "
+                        f"retrain stage {stage}") from exc
     models = {}
     for name, section in body["sections"].items():
         if name == "disc":  # older utt checkpoints hold it; nothing reads it
             continue
         if name not in MODELS:
             raise DataError(f"{stage} checkpoint has an unknown section {name!r}")
+        models[name] = MODELS[name](cfg, np.random.default_rng(0))
         try:
-            models[name] = MODELS[name](section["config"], np.random.default_rng(0))
-        except TypeError as exc:  # a config key the model lacks, or one it needs
-            raise DataError(f"{stage} checkpoint section {name!r} does not fit its "
-                            f"model ({exc}); retrain stage {stage}") from exc
-        ckpt.load_params(models[name], section["params"])
+            ckpt.load_params(models[name], section["params"])
+        except DataError as exc:
+            raise DataError(f"{path}: section {name!r} does not fit the recorded run config "
+                            f"({exc}); retrain stage {stage}") from exc
     for name, value in body["buffers"].items():
         default = getattr(models[stage], name, None)
         if not isinstance(default, np.ndarray):
@@ -338,25 +330,22 @@ def condition_from_request(stack, cfg: RunConfig, modality: str, prompt=None,
 
 def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
                     prompt=None, features=None, use_z: bool = False,
-                    decoder: str = "vq", primitive=None):
+                    decoder: str = "vq"):
     """Condition -> tokens -> frames. Returns tokens, frames, and flags.
 
     Every request gets exactly frames / 4 tokens. A batch of requests of
     one modality and one frame count passes a list of seeds plus a list of
-    prompts (text) or feature matrices (audio), and a list of equal-length
-    primitives if any; it returns one result per request, each the one it
-    would get alone, and samples and decodes them together.
+    prompts (text) or feature matrices (audio); it returns one result per
+    request, each the one it would get alone, and samples and decodes them
+    together.
     """
     _check_frames(frames)
-    _check_decodable(stack, decoder, frames)
+    _check_decodable(decoder, frames)
     batch = isinstance(seed, (list, tuple))
     seeds = list(seed) if batch else [seed]
     prompts, feats = (utt_mod._per_row(value, len(seeds)) if batch else [value]
                       for value in (prompt, features))
-    if primitive is not None and not batch:
-        primitive = [primitive]
-    tokens, unk_only = _sample_tokens(stack, cfg, modality, frames, seeds, prompts, feats,
-                                      use_z, primitive)
+    tokens, unk_only = _sample_tokens(stack, cfg, modality, frames, seeds, prompts, feats, use_z)
     frames_out = _decode(stack, decoder, tokens, seeds, modality)
     results = [{"tokens": t, "frames": f, "unk_only": u}
                for t, f, u in zip(tokens, frames_out, unk_only)]
@@ -407,14 +396,13 @@ def _check_frames(frames: int) -> None:
         raise ConfigError(f"target frames {frames} must be a positive multiple of {DOWNSAMPLE}")
 
 
-def _check_decodable(stack, decoder: str, frames: int) -> None:
-    """Before any sampling: the diffusion decoder takes at most max_tokens
+def _check_decodable(decoder: str, frames: int) -> None:
+    """Before any sampling: the diffusion decoder takes at most MAX_TOKENS
     tokens (DOWNSAMPLE frames each)."""
-    dmd = stack["dmd"] if decoder == "dmd" else None
     tokens = frames // DOWNSAMPLE
-    if dmd is not None and tokens > dmd.cfg.max_tokens:
+    if decoder == "dmd" and tokens > dmd_mod.MAX_TOKENS:
         raise ConfigError(f"{frames} frames need {tokens} tokens, more than the "
-                          f"diffusion decoder's max_tokens {dmd.cfg.max_tokens}")
+                          f"diffusion decoder's max_tokens {dmd_mod.MAX_TOKENS}")
 
 
 def _decode(stack, decoder: str, tokens, seeds, what: str) -> np.ndarray:
@@ -448,7 +436,7 @@ def transition_motion(stack, cfg: RunConfig, prompt: str, features, seed: int,
         raise ConfigError(f"a transition needs at least {DOWNSAMPLE} text and {DOWNSAMPLE} "
                           f"audio frames and a primitive of 0 to text_frames/{DOWNSAMPLE} "
                           f"tokens, got {text_frames}, {audio_frames} and {primitive_len}")
-    _check_decodable(stack, decoder, text_frames + audio_frames)
+    _check_decodable(decoder, text_frames + audio_frames)
     cont_frames = audio_frames + DOWNSAMPLE * primitive_len
     _check_frames(text_frames)
     _check_frames(cont_frames)

@@ -19,23 +19,24 @@ def _bits(arr):
 def test_round_trip_is_bit_exact_and_the_payload_is_raw(tmp_path, rng):
     layer = Linear(3, 4, rng)
     layer.w.data.ravel()[:len(EDGE_VALUES)] = EDGE_VALUES
-    sections = {"mq": {"config": {"d": 3}, "params": checkpoint.params_blob(layer)},
-                "extra": {"config": {}, "params": {"scalar": np.array(-0.0),
-                                                   "empty": np.zeros((0, 2))}}}
+    sections = {"mq": checkpoint.params_blob(layer),
+                "extra": {"scalar": np.array(-0.0), "empty": np.zeros((0, 2))}}
     path = tmp_path / "mq.ckpt"
     checkpoint.save_checkpoint(path, "mq", sections, {"seed": 1}, buffers={"usage": [1, 2]})
 
     body = checkpoint.load_checkpoint(path)
-    for name, section in sections.items():
-        assert body["sections"][name]["config"] == section["config"]
-        for pname, value in section["params"].items():
+    assert body["config"] == {"seed": 1}
+    for name, params in sections.items():
+        # a section is its parameters: the run config describes the model
+        assert set(body["sections"][name]) == {"params"}
+        for pname, value in params.items():
             np.testing.assert_array_equal(_bits(body["sections"][name]["params"][pname]),
                                           _bits(value))
     assert body["buffers"] == {"usage": [1, 2]} and body["deps"] == {}
 
     data = path.read_bytes()
     header, line, _ = data.split(b"\n", 2)
-    count = sum(np.size(v) for s in sections.values() for v in s["params"].values())
+    count = sum(np.size(v) for params in sections.values() for v in params.values())
     assert header == b"UDECKPT v2 module=mq"
     assert len(data) == len(header) + len(line) + 2 + 8 * count
 
@@ -59,7 +60,7 @@ def test_written_files_get_the_umask_mode_not_the_temp_files(tmp_path, rng):
     old = os.umask(0o022)
     try:
         params = checkpoint.params_blob(Linear(3, 4, rng))
-        checkpoint.save_checkpoint(ckpt, "mq", {"mq": {"config": {}, "params": params}}, {})
+        checkpoint.save_checkpoint(ckpt, "mq", {"mq": params}, {})
         save_manifest([], manifest)
     finally:
         os.umask(old)

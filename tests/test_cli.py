@@ -19,10 +19,10 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from ude import cli, pipeline
+from ude import checkpoint, cli, pipeline
 from ude.cli import main
 from ude.config import load_config
-from ude.dataset import load_samples
+from ude.dataset import VOCAB_WORDS, load_samples
 from ude.errors import ConfigError, DataError, NumericsError, StageError
 
 SEED = 5
@@ -188,8 +188,23 @@ CORRUPT_INPUTS = {
     "ckpt-metadata-not-utf8": ("utt.ckpt", b"UDECKPT v2 module=utt\n" + NOT_UTF8 + b"\n"),
     "ckpt-no-sections": ("utt.ckpt", _rewrite_metadata(lambda m: m.pop("sections"))),
     "ckpt-no-own-section": ("utt.ckpt", _rewrite_metadata(lambda m: m["sections"].pop("utt"))),
-    "ckpt-section-without-config": (
-        "utt.ckpt", _rewrite_metadata(lambda m: m["sections"]["mate"].pop("config"))),
+    # the recorded run config describes the models, so it gets a config file's checks
+    "ckpt-no-run-config": ("utt.ckpt", _rewrite_metadata(lambda m: m.pop("config"))),
+    "ckpt-run-config-a-list": ("utt.ckpt", _rewrite_metadata(
+        lambda m: m.update(config=list(m["config"].values())))),
+    "ckpt-run-config-count-below-minimum": ("mq.ckpt", _rewrite_metadata(
+        lambda m: m["config"].update(code_count=-1))),
+    "ckpt-run-config-heads-not-dividing-embed-dim": ("utt.ckpt", _rewrite_metadata(
+        lambda m: m["config"].update(utt_heads=3))),
+    "ckpt-run-config-unknown-key": ("utt.ckpt", _rewrite_metadata(
+        lambda m: m["config"].update(no_such_key=1))),
+    "ckpt-run-config-string-for-int": ("mq.ckpt", _rewrite_metadata(
+        lambda m: m["config"].update(code_dim="many"))),
+    # a valid run config of another architecture than the parameters'
+    "ckpt-run-config-another-codebook": ("mq.ckpt", _rewrite_metadata(
+        lambda m: m["config"].update(code_count=9))),
+    "ckpt-run-config-another-depth": ("utt.ckpt", _rewrite_metadata(
+        lambda m: m["config"].update(mate_layers=2))),
     "ckpt-deps-a-list": ("utt.ckpt", _rewrite_metadata(
         lambda m: m.update(deps=list(m["deps"].values())))),
     "ckpt-buffers-a-list": ("mq.ckpt", _rewrite_metadata(
@@ -204,8 +219,22 @@ CORRUPT_INPUTS = {
     "ckpt-offset-past-end": ("utt.ckpt", _rewrite_metadata(_end_one_past_payload)),
 }
 # what the error message must say, where it matters
-CORRUPT_MESSAGES = {"ckpt-v1": "retrain stage utt", "feature-rate-infinite": "finite",
-                    "feature-rate-mismatch": "fps 16.0"}
+CORRUPT_MESSAGES = {"ckpt-v1": ("retrain stage utt",), "feature-rate-infinite": ("finite",),
+                    "feature-rate-mismatch": ("fps 16.0",),
+                    "ckpt-no-run-config": ("utt.ckpt: ", "retrain stage utt"),
+                    "ckpt-run-config-a-list": ("utt.ckpt: ", "retrain stage utt"),
+                    "ckpt-run-config-count-below-minimum": (
+                        "mq.ckpt: ", "'code_count' must be at least 1", "retrain stage mq"),
+                    "ckpt-run-config-heads-not-dividing-embed-dim": (
+                        "utt.ckpt: ", "utt_heads 3", "retrain stage utt"),
+                    "ckpt-run-config-unknown-key": (
+                        "utt.ckpt: ", "no_such_key", "retrain stage utt"),
+                    "ckpt-run-config-string-for-int": (
+                        "mq.ckpt: ", "'code_dim' must be int", "retrain stage mq"),
+                    "ckpt-run-config-another-codebook": (
+                        "mq.ckpt: section 'mq'", "codebook.table", "retrain stage mq"),
+                    "ckpt-run-config-another-depth": (
+                        "utt.ckpt: section 'mate'", "encoder.layers.1", "retrain stage utt")}
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPT_INPUTS))
@@ -226,7 +255,56 @@ def test_corrupt_input_file_exits_4(first_run, config, tmp_path, capsys, case):
         content(path)
     assert _cli("generate", "--config", config, "--ckpt", ckpt, *condition,
                 "--decoder", "vq", "--out", tmp_path / "m.udem") == 4
-    assert CORRUPT_MESSAGES.get(case, "") in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "config file" not in err
+    for part in CORRUPT_MESSAGES.get(case, ()):
+        assert part in err
+
+
+def _section_configs(cfg) -> dict:
+    """The `config` object that checkpoints written before sections held
+    only parameters carry in each section, as they were written from `cfg`."""
+    return {
+        "mq": {"frame_dim": cfg.frame_dim, "code_count": cfg.code_count,
+               "code_dim": cfg.code_dim, "hidden": cfg.mq_hidden,
+               "beta_codebook": cfg.beta_codebook, "beta_commit": cfg.beta_commit},
+        "mate": {"vocab_size": len(VOCAB_WORDS), "audio_dim": cfg.feature_dim,
+                 "dim": cfg.embed_dim, "layers": cfg.mate_layers, "heads": cfg.mate_heads,
+                 "max_text_len": cfg.max_text_len, "max_audio_len": cfg.max_audio_len},
+        "utt": {"code_count": cfg.code_count, "dim": cfg.embed_dim, "layers": cfg.utt_layers,
+                "heads": cfg.utt_heads, "z_dim": cfg.z_dim, "max_context": cfg.max_context,
+                "beta_adv": cfg.beta_adv},
+        "dmd": {"frame_dim": cfg.frame_dim, "code_count": cfg.code_count,
+                "steps": cfg.diffusion_steps, "dim": cfg.embed_dim,
+                "cond_layers": cfg.dmd_cond_layers, "layers": cfg.dmd_layers,
+                "heads": cfg.dmd_heads, "max_tokens": 128, "max_frames": 512},
+        "retrieval": {"frame_dim": cfg.frame_dim, "vocab_size": len(VOCAB_WORDS),
+                      "out_dim": cfg.retrieval_dim},
+    }
+
+
+@pytest.mark.parametrize("decoder", ["vq", "dmd"])
+def test_checkpoints_whose_sections_carry_a_config_generate_the_same(first_run, config,
+                                                                      tiny_cfg, tmp_path,
+                                                                      decoder):
+    ckpt = _ckpt_copy(first_run, tmp_path)
+    configs = _section_configs(tiny_cfg)
+
+    def older(meta):
+        for name, section in meta["sections"].items():
+            section["config"] = configs[name]
+        meta["deps"] = {dep: checkpoint.stage_hash(ckpt, dep) for dep in meta["deps"]}
+
+    for stage in pipeline.STAGES:  # mq first, so that the others record its new hash
+        _rewrite_metadata(older)(ckpt / f"{stage}.ckpt")
+    outs = []
+    for name, source in (("older", ckpt), ("written", first_run[0] / "ckpt")):
+        out = tmp_path / name / "m.udem"
+        assert _cli("generate", "--config", config, "--ckpt", source, "--modality", "text",
+                    "--prompt", "a person walks", "--decoder", decoder, "--z", "on",
+                    "--frames", 16, "--out", out) == 0
+        outs.append([out.read_bytes(), pathlib.Path(f"{out}.meta.json").read_bytes()])
+    assert outs[0] == outs[1]
 
 
 def _first_line_as(replace):

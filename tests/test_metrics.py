@@ -323,8 +323,9 @@ class TestRetrieval:
     def test_one_pair_trains_nothing_and_reads_loss_zero(self, rng):
         # InfoNCE over one pair has no negatives, so no batch runs
         pairs = [(rng.standard_normal((16, 6)), np.array([1, 2]))]
-        enc, history = train_retrieval_encoder(pairs, 6, 12, epochs=2, seed=0, out_dim=8)
-        fresh, _ = train_retrieval_encoder(pairs, 6, 12, epochs=0, seed=0, out_dim=8)
+        enc = RetrievalEncoder(6, 12, np.random.default_rng(0), out_dim=8)
+        fresh = RetrievalEncoder(6, 12, np.random.default_rng(0), out_dim=8)
+        history = train_retrieval_encoder(enc, pairs, epochs=2, rng=np.random.default_rng(1))
         assert history == [{"loss": 0.0, "epoch": 0}, {"loss": 0.0, "epoch": 1}]
         for (_, p), (_, q) in zip(enc.named_parameters(), fresh.named_parameters()):
             np.testing.assert_array_equal(p.data, q.data)

@@ -47,13 +47,16 @@ def test_load_models_rejects_what_no_model_owns(tmp_path, tiny_cfg, part):
     pipeline.train_stage("mq", tiny_cfg, data, ckpt, 0, epochs=0)
     body = checkpoint.load_stage(ckpt, "mq")
     assert set(pipeline.load_models(ckpt, "mq")) == {"mq"}
-    if part == "config":  # a key the model does not take, as beta_start in an old dmd.ckpt
-        body["sections"]["mq"]["config"]["beta_start"] = 1e-4
+    sections = {name: section["params"] for name, section in body["sections"].items()}
+    if part == "config":  # a key no run config has, as beta_start in an old dmd.ckpt
+        body["config"]["beta_start"] = 1e-4
+    elif part == "sections":
+        sections["extra"] = sections["mq"]
     else:
-        body[part]["extra"] = body["sections"]["mq"] if part == "sections" else [1.0]
-    checkpoint.save_checkpoint(checkpoint.stage_path(ckpt, "mq"), "mq", body["sections"],
+        body["buffers"]["extra"] = [1.0]
+    checkpoint.save_checkpoint(checkpoint.stage_path(ckpt, "mq"), "mq", sections,
                                body["config"], buffers=body["buffers"])
-    names = "mq checkpoint section 'mq'.*beta_start.*retrain stage mq"
+    names = "mq.ckpt: the recorded run config.*beta_start.*retrain stage mq"
     with pytest.raises(DataError, match=names if part == "config" else None):
         pipeline.load_models(ckpt, "mq")
 
@@ -118,17 +121,15 @@ def test_an_older_utt_checkpoint_that_holds_the_discriminator_still_loads(traine
     ckpt = tmp_path / "ckpt"
     shutil.copytree(trained[1], ckpt)
     body = checkpoint.load_stage(ckpt, "utt")
-    config, disc = pipeline._build("disc", np.random.default_rng(0),
-                                   frame_dim=tiny_cfg.frame_dim, dim=tiny_cfg.embed_dim,
-                                   heads=tiny_cfg.utt_heads)
+    disc = pipeline.MODELS["disc"](tiny_cfg, np.random.default_rng(0))
     # such checkpoints name the discriminator's conv parameters k1, b1, k2, b2
     older_names = {"conv1.kernel": "k1", "conv1.bias": "b1",
                    "conv2.kernel": "k2", "conv2.bias": "b2"}
-    params = {older_names.get(name, name): value
-              for name, value in checkpoint.params_blob(disc).items()}
-    assert {"k1", "b1", "k2", "b2"} <= set(params)
-    body["sections"]["disc"] = {"config": config, "params": params}
-    checkpoint.save_checkpoint(checkpoint.stage_path(ckpt, "utt"), "utt", body["sections"],
+    sections = {name: section["params"] for name, section in body["sections"].items()}
+    sections["disc"] = {older_names.get(name, name): value
+                        for name, value in checkpoint.params_blob(disc).items()}
+    assert {"k1", "b1", "k2", "b2"} <= set(sections["disc"])
+    checkpoint.save_checkpoint(checkpoint.stage_path(ckpt, "utt"), "utt", sections,
                                body["config"], deps=body["deps"], buffers=body["buffers"])
     _, utt = pipeline.load_utt_stack(ckpt)
     for name, p in utt.named_parameters():
@@ -139,14 +140,13 @@ def test_an_older_utt_checkpoint_that_holds_the_discriminator_still_loads(traine
 def test_a_batch_of_requests_gets_what_each_gets_alone(trained, tiny_cfg, decoder):
     stack = pipeline.load_generation_stack(trained[1], decoder=decoder)
     prompts = ["a person walks", "a person waves both arms high", "jump"]
-    primitives = [[1, 2], [5, 5], [3, 0]]
     seeds = [7, 8, 9]
     batch = pipeline.generate_motion(stack, tiny_cfg, "text", 32, seeds, prompt=prompts,
-                                     use_z=True, decoder=decoder, primitive=primitives)
+                                     use_z=True, decoder=decoder)
     assert len(batch) == 3
-    for out, seed, prompt, primitive in zip(batch, seeds, prompts, primitives):
+    for out, seed, prompt in zip(batch, seeds, prompts):
         alone = pipeline.generate_motion(stack, tiny_cfg, "text", 32, seed, prompt=prompt,
-                                         use_z=True, decoder=decoder, primitive=primitive)
+                                         use_z=True, decoder=decoder)
         np.testing.assert_array_equal(out["tokens"], alone["tokens"])
         np.testing.assert_array_equal(out["frames"], alone["frames"])
         assert out["unk_only"] == alone["unk_only"]
