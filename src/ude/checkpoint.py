@@ -20,10 +20,13 @@ parameter count. Parameters round-trip bit for bit.
 
 `load_checkpoint` reads a file once and validates the metadata and the
 payload against each other; anything that does not fit raises DataError.
-A file in the older JSON-only `v1` format is rejected with a message to
-retrain its stage. `load_stage` checks the recorded dependency hashes
-against the stage files in the directory, so a stale or missing
-prerequisite fails loudly.
+Only the two text lines are copied out of the bytes read; the parameters
+are read-only views of the payload in place. A file in the older
+JSON-only `v1` format is rejected with a message to retrain its stage.
+`load_stage` checks the recorded dependency hashes against the stage files
+in the directory, so a stale or missing prerequisite fails loudly; the
+stages of one stack load share one dict of hashes, so each dependency file
+is hashed once per stack load.
 """
 
 from __future__ import annotations
@@ -89,7 +92,11 @@ def load_checkpoint(path) -> dict:
             data = fh.read()
     except FileNotFoundError as exc:
         raise StageError(f"checkpoint not found: {path}") from exc
-    header, _, rest = data.partition(b"\n")
+    # slice out only the two text lines: the payload is read where it lies
+    head_end = data.find(b"\n")
+    if head_end < 0:
+        head_end = len(data)
+    header = data[:head_end]
     prefix = f"{CKPT_MAGIC} module=".encode()
     if not header.startswith(prefix):
         if header.startswith(b"UDECKPT v1 module="):
@@ -98,15 +105,16 @@ def load_checkpoint(path) -> dict:
                             f"which is no longer read; retrain stage {stage}")
         raise DataError(f"{path}: bad checkpoint header {header[:64]!r}")
     stage = header[len(prefix):].decode("utf-8", "replace").strip()
-    line, newline, _ = rest.partition(b"\n")
-    if not newline:
+    meta_end = data.find(b"\n", head_end + 1)
+    if meta_end < 0:
         raise DataError(f"{path}: checkpoint ends inside its metadata")
+    line = data[head_end + 1:meta_end]
     try:
         meta = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: bad checkpoint metadata: {exc}") from exc
     _check_metadata(path, stage, meta)
-    start = len(header) + len(line) + 2
+    start = meta_end + 1
     count = sum(math.prod(p["shape"]) for section in meta["sections"].values()
                 for p in section["params"].values())
     if len(data) - start != count * PAYLOAD_DTYPE.itemsize:
@@ -167,15 +175,18 @@ def stage_hash(ckpt_dir, stage: str) -> str:
     return sha256_file(path)
 
 
-def load_stage(ckpt_dir, stage: str) -> dict:
+def load_stage(ckpt_dir, stage: str, hashes: dict) -> dict:
     """Load one stage checkpoint, checking its recorded dependency hashes
-    against the files currently in the directory."""
+    against the files currently in the directory. `hashes` holds the stage
+    file hashes computed so far, and gains those this call computes."""
     path = stage_path(ckpt_dir, stage)
     if not os.path.exists(path):
         raise StageError(f"requires stage {stage}: checkpoint {path} is missing")
     body = load_checkpoint(path)
     for dep, recorded in body["deps"].items():
-        if stage_hash(ckpt_dir, dep) != recorded:
+        if dep not in hashes:
+            hashes[dep] = stage_hash(ckpt_dir, dep)
+        if hashes[dep] != recorded:
             raise StageError(
                 f"stage {stage} was trained against a different {dep} "
                 f"checkpoint (hash mismatch); retrain or restore it")

@@ -22,10 +22,15 @@ start.. . Those rows equal the full forward's to within 1e-12, not bit for
 bit: OpenBLAS picks its matmul kernel by row count, and in backward the
 gain and bias gradients sum over fewer rows. With start 0 the ops are those
 of the full forward.
+
+Positional encodings are fixed sin/cos tables, not parameters: one shared,
+read-only table per (positions, dim), computed the first time a model of
+that shape is built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -182,13 +187,19 @@ class TransformerEncoder(Module):
         return self.ln(x)
 
 
+@functools.cache
 def sinusoidal_table(n_positions: int, dim: int) -> np.ndarray:
-    """Fixed sin/cos positional encodings, [n_positions, dim]."""
+    """Fixed sin/cos positional encodings, [n_positions, dim].
+
+    The table of one shape is computed once per process and shared by every
+    model that asks for it, so it is read-only: a write raises ValueError.
+    """
     pos = np.arange(n_positions)[:, None]
     i = np.arange(dim)[None, :]
     angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
     table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-    return table.astype(np.float64)
+    table.flags.writeable = False
+    return table
 
 
 def causal_prefix_mask(cond_len: int, seq_len: int) -> np.ndarray:

@@ -8,7 +8,9 @@ dmd stages record the content hash of the mq checkpoint they were trained
 against, and loading verifies those hashes so stale mixes fail loudly.
 A checkpoint section holds only parameters: `MODELS` builds its model from
 the run config being trained, or from the one the checkpoint recorded,
-checked as a config file is. The generation stack is a dict of the models
+checked as a config file is. Loading draws no weights, since every one is
+overwritten by a saved parameter, and a stack load hashes the mq file once
+for all its dependency checks. The generation stack is a dict of the models
 "mq", "mate", "utt" and "dmd" (None when it is loaded for the vq decoder).
 """
 
@@ -232,11 +234,23 @@ def _sample_input(sample):
 # -- loading -----------------------------------------------------------------------
 
 
-def load_models(ckpt_dir, stage: str) -> dict:
+class _NoDraws:
+    """The rng of a model built to load saved parameters: every constructor
+    draw is a parameter, which `load_params` overwrites (its name-set check
+    makes sure of each), so a draw is zeros of the requested shape."""
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+    normal = uniform
+
+
+def load_models(ckpt_dir, stage: str, hashes: dict) -> dict:
     """{section: model} rebuilt from one stage checkpoint's recorded run
     config, its dependency hashes verified, its parameters loaded and its
-    buffers restored onto the stage's own model."""
-    body = ckpt.load_stage(ckpt_dir, stage)
+    buffers restored onto the stage's own model; no weight is drawn.
+    `hashes` is passed to `checkpoint.load_stage`."""
+    body = ckpt.load_stage(ckpt_dir, stage, hashes)
     path = ckpt.stage_path(ckpt_dir, stage)
     try:
         cfg = config_from_dict(body.get("config"))
@@ -249,7 +263,7 @@ def load_models(ckpt_dir, stage: str) -> dict:
             continue
         if name not in MODELS:
             raise DataError(f"{stage} checkpoint has an unknown section {name!r}")
-        models[name] = MODELS[name](cfg, np.random.default_rng(0))
+        models[name] = MODELS[name](cfg, _NoDraws())
         try:
             ckpt.load_params(models[name], section["params"])
         except DataError as exc:
@@ -271,31 +285,33 @@ def load_models(ckpt_dir, stage: str) -> dict:
 
 
 def load_mq(ckpt_dir) -> mq_mod.MQModel:
-    return load_models(ckpt_dir, "mq")["mq"]
+    return load_models(ckpt_dir, "mq", {})["mq"]
 
 
 def load_utt_stack(ckpt_dir) -> tuple:
     """(mate, utt) rebuilt from the utt checkpoint, deps verified."""
-    models = load_models(ckpt_dir, "utt")
+    models = load_models(ckpt_dir, "utt", {})
     return models["mate"], models["utt"]
 
 
 def load_dmd(ckpt_dir) -> dmd_mod.DMDModel:
-    return load_models(ckpt_dir, "dmd")["dmd"]
+    return load_models(ckpt_dir, "dmd", {})["dmd"]
 
 
 def load_retrieval(ckpt_dir) -> metrics_mod.RetrievalEncoder:
-    return load_models(ckpt_dir, "retrieval")["retrieval"]
+    return load_models(ckpt_dir, "retrieval", {})["retrieval"]
 
 
 def load_generation_stack(ckpt_dir, decoder: str = "dmd"):
     """Everything `generate` needs, from the checkpoints alone; decoder is
-    "vq" or "dmd"."""
-    mq_model = load_mq(ckpt_dir)
-    mate, utt = load_utt_stack(ckpt_dir)
-    stack = {"mq": mq_model, "mate": mate, "utt": utt, "dmd": None}
+    "vq" or "dmd". The utt and dmd stages both depend on mq, and its file is
+    hashed once for both checks."""
+    hashes = {}
+    mq_model = load_models(ckpt_dir, "mq", hashes)["mq"]
+    models = load_models(ckpt_dir, "utt", hashes)
+    stack = {"mq": mq_model, "mate": models["mate"], "utt": models["utt"], "dmd": None}
     if decoder == "dmd":
-        stack["dmd"] = load_dmd(ckpt_dir)
+        stack["dmd"] = load_models(ckpt_dir, "dmd", hashes)["dmd"]
     elif decoder != "vq":
         raise ConfigError(f"unknown decoder {decoder!r}")
     return stack

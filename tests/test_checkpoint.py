@@ -1,10 +1,12 @@
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ude import checkpoint
+from ude import checkpoint, pipeline
+from ude.config import RunConfig
 from ude.dataset import save_manifest
 from ude.errors import DataError
 from ude.nn import Linear
@@ -45,6 +47,28 @@ def test_round_trip_is_bit_exact_and_the_payload_is_raw(tmp_path, rng):
     for (_, saved), (_, loaded) in zip(layer.named_parameters(), fresh.named_parameters()):
         np.testing.assert_array_equal(_bits(loaded.data), _bits(saved.data))
         assert loaded.data.flags.writeable  # a copy, not a view of the payload
+
+
+def test_loading_holds_the_payload_once(tmp_path):
+    # a default-size utt checkpoint: the bytes read are the only copy of its
+    # payload, and every parameter is a read-only view of them
+    cfg, rng = RunConfig(), np.random.default_rng(0)
+    sections = {name: checkpoint.params_blob(pipeline.MODELS[name](cfg, rng))
+                for name in ("mate", "utt")}
+    path = tmp_path / "utt.ckpt"
+    checkpoint.save_checkpoint(path, "utt", sections, cfg.to_dict())
+    tracemalloc.start()
+    try:
+        body = checkpoint.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size
+    for name, params in sections.items():
+        for pname, value in params.items():
+            loaded = body["sections"][name]["params"][pname]
+            assert not (loaded.flags.owndata or loaded.flags.writeable)
+            np.testing.assert_array_equal(loaded, value)
 
 
 def test_load_params_rejects_a_wrong_shape(tmp_path, rng):

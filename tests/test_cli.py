@@ -152,6 +152,23 @@ def test_generate_after_retraining_mq_exits_3(first_run, config, tmp_path):
     assert _generate_text(config, ckpt, tmp_path / "m.udem") == 3
 
 
+def test_a_dmd_checkpoint_left_stale_by_retraining_is_still_caught(first_run, config,
+                                                                  tmp_path, capsys):
+    # mq, then utt, are retrained; dmd.ckpt still records the old mq hash
+    ckpt = _ckpt_copy(first_run, tmp_path)
+    for stage in ("mq", "utt"):
+        assert _cli("train", "--config", config, "--seed", SEED + 1, "--stage", stage,
+                    "--data", first_run[0] / "data", "--out", ckpt, "--epochs", 1) == 0
+    assert pipeline.load_generation_stack(ckpt, "vq")["dmd"] is None
+    with pytest.raises(StageError, match="stage dmd was trained against a different mq"):
+        pipeline.load_generation_stack(ckpt, "dmd")
+    capsys.readouterr()
+    assert _cli("generate", "--config", config, "--ckpt", ckpt, "--modality", "text",
+                "--prompt", "a person walks", "--decoder", "dmd",
+                "--out", tmp_path / "m.udem") == 3
+    assert "stage dmd was trained against a different mq" in capsys.readouterr().err
+
+
 def _rewrite_metadata(change):
     """A corruption that passes a checkpoint's metadata object through
     `change` and keeps its header and payload."""
@@ -185,6 +202,9 @@ CORRUPT_INPUTS = {
     "ckpt-binary": ("utt.ckpt", NOT_UTF8),
     "ckpt-v1": ("utt.ckpt", 'UDECKPT v1 module=utt\n{"stage": "utt", "sections": {}}\n'),
     "ckpt-body-a-list": ("utt.ckpt", "UDECKPT v2 module=utt\n[1,2]\n"),
+    # the loader finds the two line ends: neither, or only the header's
+    "ckpt-header-only": ("utt.ckpt", "UDECKPT v2 module=utt"),
+    "ckpt-ends-inside-metadata": ("utt.ckpt", 'UDECKPT v2 module=utt\n{"stage": "utt"}'),
     "ckpt-metadata-not-utf8": ("utt.ckpt", b"UDECKPT v2 module=utt\n" + NOT_UTF8 + b"\n"),
     "ckpt-no-sections": ("utt.ckpt", _rewrite_metadata(lambda m: m.pop("sections"))),
     "ckpt-no-own-section": ("utt.ckpt", _rewrite_metadata(lambda m: m["sections"].pop("utt"))),
@@ -220,6 +240,9 @@ CORRUPT_INPUTS = {
 }
 # what the error message must say, where it matters
 CORRUPT_MESSAGES = {"ckpt-v1": ("retrain stage utt",), "feature-rate-infinite": ("finite",),
+                    "ckpt-header-only": ("utt.ckpt: checkpoint ends inside its metadata",),
+                    "ckpt-ends-inside-metadata": (
+                        "utt.ckpt: checkpoint ends inside its metadata",),
                     "feature-rate-mismatch": ("fps 16.0",),
                     "ckpt-no-run-config": ("utt.ckpt: ", "retrain stage utt"),
                     "ckpt-run-config-a-list": ("utt.ckpt: ", "retrain stage utt"),

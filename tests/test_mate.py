@@ -48,7 +48,7 @@ class TestAssembleSequence:
     def test_zero_tokens_and_positions_recover_raw(self, rng):
         model = _model()
         model.text_token.data[...] = 0.0
-        model.pos[...] = 0.0
+        model.pos = np.zeros_like(model.pos)  # the shared table itself is read-only
         raw = rng.standard_normal((4, 16))
         out = assemble_sequence(model, nm.Tensor(raw), "text")
         assert np.allclose(out.data[1:], raw)

@@ -1,3 +1,4 @@
+import os
 import shutil
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from ude import checkpoint, metrics, pipeline
+from ude.config import RunConfig
 from ude.dataset import load_samples
 from ude.errors import DataError, NumericsError
 from ude.motion import MotionSequence
@@ -14,7 +16,7 @@ def test_load_mq_restores_every_saved_buffer(tmp_path, tiny_cfg):
     data, ckpt = tmp_path / "data", tmp_path / "ckpt"
     pipeline.run_synth(tiny_cfg, 0, data)
     pipeline.train_stage("mq", tiny_cfg, data, ckpt, 0, epochs=1)
-    saved = checkpoint.load_stage(ckpt, "mq")["buffers"]
+    saved = checkpoint.load_stage(ckpt, "mq", {})["buffers"]
     model = pipeline.load_mq(ckpt)
     assert np.asarray(saved["usage"]).sum() > 0
     for name in ("center", "scale", "usage"):
@@ -45,8 +47,8 @@ def test_load_models_rejects_what_no_model_owns(tmp_path, tiny_cfg, part):
     data, ckpt = tmp_path / "data", tmp_path / "ckpt"
     pipeline.run_synth(tiny_cfg, 0, data)
     pipeline.train_stage("mq", tiny_cfg, data, ckpt, 0, epochs=0)
-    body = checkpoint.load_stage(ckpt, "mq")
-    assert set(pipeline.load_models(ckpt, "mq")) == {"mq"}
+    body = checkpoint.load_stage(ckpt, "mq", {})
+    assert set(pipeline.load_models(ckpt, "mq", {})) == {"mq"}
     sections = {name: section["params"] for name, section in body["sections"].items()}
     if part == "config":  # a key no run config has, as beta_start in an old dmd.ckpt
         body["config"]["beta_start"] = 1e-4
@@ -58,7 +60,7 @@ def test_load_models_rejects_what_no_model_owns(tmp_path, tiny_cfg, part):
                                body["config"], buffers=body["buffers"])
     names = "mq.ckpt: the recorded run config.*beta_start.*retrain stage mq"
     with pytest.raises(DataError, match=names if part == "config" else None):
-        pipeline.load_models(ckpt, "mq")
+        pipeline.load_models(ckpt, "mq", {})
 
 
 @pytest.mark.parametrize("stage", ["all", "utt"])
@@ -98,8 +100,8 @@ def test_loaded_models_hold_no_gradient(trained, tiny_cfg, monkeypatch):
                                  decoder=decoder)
     load_models = pipeline.load_models
 
-    def loaded(ckpt_dir, stage):  # what evaluate loads for itself
-        built = load_models(ckpt_dir, stage)
+    def loaded(ckpt_dir, stage, hashes):  # what evaluate loads for itself
+        built = load_models(ckpt_dir, stage, hashes)
         models.extend(built.values())
         return built
 
@@ -110,8 +112,57 @@ def test_loaded_models_hold_no_gradient(trained, tiny_cfg, monkeypatch):
         assert [name for name, p in model.named_parameters() if p.grad is not None] == []
 
 
+class _DrawsNothing(np.random.Generator):
+    """A generator whose weight draws raise."""
+
+    def uniform(self, *args, **kwargs):
+        raise RuntimeError("a weight was drawn")
+
+    normal = uniform
+
+
+def test_loading_draws_no_weights(trained, monkeypatch):
+    # numpy's Generator type cannot be patched, so every generator made
+    # while loading is one whose weight draws raise
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *seed: _DrawsNothing(default_rng(*seed).bit_generator))
+    with pytest.raises(RuntimeError, match="a weight was drawn"):
+        np.random.default_rng(0).normal()
+    assert pipeline.load_generation_stack(trained[1], "dmd")["dmd"] is not None
+    pipeline.load_retrieval(trained[1])
+
+
+def test_a_stack_load_hashes_the_mq_checkpoint_once(trained, monkeypatch):
+    # the utt and dmd stages both record the hash of mq.ckpt
+    hashed, sha256_file = [], checkpoint.sha256_file
+
+    def counted(path):
+        hashed.append(os.path.basename(path))
+        return sha256_file(path)
+
+    monkeypatch.setattr(checkpoint, "sha256_file", counted)
+    for decoder in ("dmd", "vq"):
+        hashed.clear()
+        pipeline.load_generation_stack(trained[1], decoder)
+        assert hashed == ["mq.ckpt"]
+
+
+def test_models_of_one_shape_share_one_read_only_position_table(tiny_cfg):
+    cfg = RunConfig()
+    rng = np.random.default_rng(0)
+    utt, dmd = pipeline.MODELS["utt"](cfg, rng), pipeline.MODELS["dmd"](cfg, rng)
+    assert utt.pos.shape == (512, 64) and utt.pos is dmd.frame_pos
+    first, second = (pipeline.MODELS["mate"](tiny_cfg, rng) for _ in range(2))
+    assert first.pos is second.pos
+    for table in (utt.pos, first.pos):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+
 def test_utt_checkpoint_holds_only_what_inference_reads(trained):
-    body = checkpoint.load_stage(trained[1], "utt")
+    body = checkpoint.load_stage(trained[1], "utt", {})
     assert set(body["sections"]) == {"mate", "utt"}
     assert len(pipeline.load_utt_stack(trained[1])) == 2
 
@@ -120,7 +171,7 @@ def test_an_older_utt_checkpoint_that_holds_the_discriminator_still_loads(traine
                                                                           tmp_path):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(trained[1], ckpt)
-    body = checkpoint.load_stage(ckpt, "utt")
+    body = checkpoint.load_stage(ckpt, "utt", {})
     disc = pipeline.MODELS["disc"](tiny_cfg, np.random.default_rng(0))
     # such checkpoints name the discriminator's conv parameters k1, b1, k2, b2
     older_names = {"conv1.kernel": "k1", "conv1.bias": "b1",
