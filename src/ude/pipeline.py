@@ -2,10 +2,12 @@
 from text or audio conditions, stitch text-to-audio transitions through
 token primitives, and run the metric battery.
 
-Stage order is mq -> utt (mate+utt, trained against a discriminator that
-is not saved) -> dmd -> retrieval, one `STAGES` entry each; the utt and
-dmd stages record the content hash of the mq checkpoint they were trained
-against, and loading verifies those hashes so stale mixes fail loudly.
+Stage order is mq -> utt (mate+utt, on cross-entropy alone unless
+`beta_adv` is above 0, which trains them against a discriminator that is
+built only then and never saved) -> dmd -> retrieval, one `STAGES` entry
+each; the utt and dmd stages record the content hash of the mq checkpoint
+they were trained against, and loading verifies those hashes so stale mixes
+fail loudly.
 A checkpoint section holds only parameters: `MODELS` builds its model from
 the run config being trained, or from the one the checkpoint recorded,
 checked as a config file is. Loading draws no weights, since every one is
@@ -57,9 +59,10 @@ def run_synth(cfg: RunConfig, seed: int, out_dir) -> dict:
 # -- models ------------------------------------------------------------------------
 #
 # Every checkpoint section's model, built from a run config `c`, plus the utt
-# stage's discriminator, which is trained but not saved. The trainers build
-# through this table and the loaders rebuild through it, so the mapping from
-# run config to architecture is spelled once.
+# stage's discriminator, which is built only when beta_adv is above 0 and is
+# trained but not saved. The trainers build through this table and the
+# loaders rebuild through it, so the mapping from run config to architecture
+# is spelled once.
 
 MODELS = {
     "mq": lambda c, rng: mq_mod.MQModel(mq_mod.MQConfig(
@@ -95,10 +98,10 @@ def _write_loss_log(path, cfg: RunConfig, seed: int, history, columns) -> None:
 #
 # Each trainer builds its models through MODELS from `rng`, trains them on the
 # train split for `epochs` epochs and returns ({section: model}, buffers, loss
-# history). The utt and dmd trainers read the mq checkpoint from `out_dir`.
+# history). `deps` holds the loaded model of each stage the trainer depends on.
 
 
-def _train_mq(cfg, train, out_dir, rng, seed, epochs) -> tuple:
+def _train_mq(cfg, train, deps, rng, seed, epochs) -> tuple:
     model = MODELS["mq"](cfg, rng)
     history = mq_mod.train_mq(model, [s.motion.frames for s in train], epochs=epochs,
                               seed=seed, lr=cfg.lr, batch_size=cfg.batch_size)
@@ -106,27 +109,29 @@ def _train_mq(cfg, train, out_dir, rng, seed, epochs) -> tuple:
     return {"mq": model}, buffers, history
 
 
-def _train_utt(cfg, train, out_dir, rng, seed, epochs) -> tuple:
-    mq_model = load_mq(out_dir)
-    # inference reads only mate and utt, so the discriminator is not saved
-    mate, utt, disc = (MODELS[name](cfg, rng) for name in ("mate", "utt", "disc"))
+def _train_utt(cfg, train, deps, rng, seed, epochs) -> tuple:
+    mate, utt = MODELS["mate"](cfg, rng), MODELS["utt"](cfg, rng)
+    # inference reads only mate and utt, so the discriminator is not saved;
+    # without one, train_utt runs no adversarial term. It is the stream's last
+    # draw, so building it only for beta_adv above 0 leaves the mate and utt
+    # weights as they are
+    disc = MODELS["disc"](cfg, rng) if cfg.beta_adv else None
     samples = [(_sample_input(s), s.motion.frames) for s in train]
-    history = utt_mod.train_utt(mate, utt, disc, mq_model, samples, epochs=epochs,
+    history = utt_mod.train_utt(mate, utt, disc, deps["mq"], samples, epochs=epochs,
                                 seed=seed, lr=cfg.lr, batch_size=cfg.batch_size,
                                 z_prob=cfg.z_prob)
     return {"mate": mate, "utt": utt}, None, history
 
 
-def _train_dmd(cfg, train, out_dir, rng, seed, epochs) -> tuple:
-    mq_model = load_mq(out_dir)
+def _train_dmd(cfg, train, deps, rng, seed, epochs) -> tuple:
     model = MODELS["dmd"](cfg, rng)
-    history = dmd_mod.train_dmd(model, mq_model, [s.motion.frames for s in train],
+    history = dmd_mod.train_dmd(model, deps["mq"], [s.motion.frames for s in train],
                                 epochs=epochs, seed=seed, lr=cfg.lr,
                                 batch_size=cfg.batch_size)
     return {"dmd": model}, None, history
 
 
-def _train_retrieval(cfg, train, out_dir, rng, seed, epochs) -> tuple:
+def _train_retrieval(cfg, train, deps, rng, seed, epochs) -> tuple:
     enc = MODELS["retrieval"](cfg, rng)
     pairs = [(s.motion.frames, s.text_ids) for s in train if s.modality == "text"]
     history = metrics_mod.train_retrieval_encoder(enc, pairs, epochs=epochs, rng=rng,
@@ -186,15 +191,17 @@ def _load_train(cfg: RunConfig, data_dir) -> list:
 
 
 def _train_one(stage: str, cfg: RunConfig, train, out_dir, seed: int, epochs, deps) -> dict:
-    """Train one stage on the loaded train split and save its checkpoint,
-    recording the dependency hashes `deps`, and its loss log."""
+    """Train one stage on the loaded train split against its loaded
+    dependency models and save its checkpoint, recording the dependency
+    hashes `deps`, and its loss log."""
     spec = STAGES[stage]
+    loaded = {dep: load_models(out_dir, dep, {})[dep] for dep in spec.deps}
     rng = np.random.default_rng(np.random.SeedSequence([seed, spec.tag]))
     # every op's finite check raises NumericsError on a diverging run, so
     # numpy's own overflow warnings would only come first and say less
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         models, buffers, history = spec.train(
-            cfg, train, out_dir, rng, seed,
+            cfg, train, loaded, rng, seed,
             epochs if epochs is not None else getattr(cfg, f"epochs_{stage}"))
     sections = {name: ckpt.params_blob(model) for name, model in models.items()}
     ckpt.save_checkpoint(ckpt.stage_path(out_dir, stage), stage, sections,

@@ -1,7 +1,11 @@
 """Unified token transformer: autoregressive motion-token prediction under a
 causal mask whose condition prefix stays fully visible, with optional
-Gaussian z-injection into the global condition for diverse sampling, plus a
-patch discriminator over decoded motion and the combined training loss.
+Gaussian z-injection into the global condition for diverse sampling, and
+its teacher-forced training loss. The loss is cross-entropy alone unless
+a patch discriminator over decoded motion is passed in, which adds an
+adversarial term weighed by `beta_adv`; the utt stage builds one only when
+`beta_adv` is above 0 (by default it is 0), and without one no decode,
+discriminator graph or discriminator step is built.
 
 Token vocabulary: the K codebook ids plus BOS (=K) and EOS (=K+1). A
 teacher-forced step consumes [BOS, t_0..t_{S-1}] and targets
@@ -14,8 +18,9 @@ motion rows give logits, so the encoder's last layer computes everything
 but its keys and values for those rows only (`nn.TransformerEncoder`'s
 `start`): logits within 1e-12 of a forward whose last layer computes every
 row, and MATE and UTT gradients of a default-size `utt_loss` within 1e-15.
-Training runs one forward per minibatch, and builds the discriminator's
-graph only after the generator's step has freed the generator's graph.
+Training runs one forward per minibatch; with the adversarial term on, it
+builds the discriminator's graph only after the generator's step has freed
+the generator's graph.
 Sampling draws an exact token count, never BOS or EOS, so every row ends
 on the same step. Its first pass is one forward, which fills a per-layer
 key/value cache; each later step feeds every row's last sampled token at
@@ -49,7 +54,7 @@ class UTTConfig:
     heads: int = 4
     z_dim: int = 16
     max_context: int = 512
-    beta_adv: float = 1.0
+    beta_adv: float = 0.0
 
     @property
     def bos(self) -> int:
@@ -288,19 +293,22 @@ def _teacher_forcing(model: UTTModel, gt_tokens) -> tuple:
             np.pad(gt_tokens, ((0, 0), (0, 1)), constant_values=model.cfg.eos))
 
 
-def utt_loss(model: UTTModel, disc: Discriminator, cond: CondEmbedding,
+def utt_loss(model: UTTModel, disc: Discriminator | None, cond: CondEmbedding,
              gt_tokens, mq: MQModel, z=None) -> tuple:
     """Teacher-forced training loss of B conditions and token rows [B, S],
     averaged over the batch: (total, parts).
 
-    parts carries "ce" (cross-entropy over [t_0.., EOS]), "adv" (the
-    non-saturating generator term on the decoded predicted tokens) and
-    "fake" (the decoded motions [B, 4S, c], for the discriminator step).
-    z is as for `forward_logits`; model.cfg.beta_adv weighs "adv".
+    parts carries "ce" (cross-entropy over [t_0.., EOS]). With `disc` None
+    the total is "ce" itself and nothing is decoded. Otherwise parts also
+    carries "adv" (the non-saturating generator term on the decoded predicted
+    tokens, weighed by model.cfg.beta_adv) and "fake" (the decoded motions
+    [B, 4S, c], for the discriminator step). z is as for `forward_logits`.
     """
     prefixes, targets = _teacher_forcing(model, gt_tokens)
     logits = forward_logits(model, cond, prefixes, z=z)
     l_ce = cross_entropy(logits, targets)
+    if disc is None:
+        return l_ce, {"ce": l_ce}
     fake = straight_through_decode(model, mq, logits[:, :-1])
     l_adv = -discriminate(disc, cond.glob, fake).mean()
     total = l_ce + model.cfg.beta_adv * l_adv
@@ -327,14 +335,18 @@ def mean_cross_entropy(mate: MATEModel, model: UTTModel, mq: MQModel, samples) -
         return cross_entropy(forward_logits(model, cond, prefixes), targets).item()
 
 
-def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator, mq: MQModel,
+def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator | None, mq: MQModel,
               samples, epochs: int, seed: int, lr: float = 1e-3,
               batch_size: int = 4, z_prob: float = 0.5) -> list:
-    """Adversarial teacher-forced training of MATE+UTT against the patch
-    discriminator through `numerics.fit`: each minibatch builds the
-    generator's graph and steps it, then builds the discriminator's graph
-    (over the generator's detached global conditions and decoded motions)
-    and steps that, so one graph is alive at a time.
+    """Teacher-forced training of MATE+UTT through `numerics.fit`, with the
+    patch discriminator as an opt-in adversary.
+
+    With `disc` None (the utt stage at beta_adv 0, the default) each
+    minibatch builds and steps the cross-entropy graph alone, and every
+    history row's "adv" and "disc" are 0.0. With a discriminator, each
+    minibatch builds the generator's graph and steps it, then builds the
+    discriminator's graph (over the generator's detached global conditions
+    and decoded motions) and steps that, so one graph is alive at a time.
 
     `samples` are (ModalityInput, frames) pairs covering both modalities,
     all with the same frame count; batches interleave them 1:1 when both
@@ -344,7 +356,7 @@ def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator, mq: MQModel
         raise DataError("empty training set")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 23]))
     gen_opt = nm.Adam(mate.named_parameters() + model.named_parameters(), lr=lr)
-    disc_opt = nm.Adam(disc.named_parameters(), lr=lr)
+    disc_opt = nm.Adam(disc.named_parameters(), lr=lr) if disc is not None else None
 
     text_idx = [i for i, (inp, _) in enumerate(samples) if inp.modality == "text"]
     audio_idx = [i for i, (inp, _) in enumerate(samples) if inp.modality == "audio"]
@@ -355,10 +367,13 @@ def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator, mq: MQModel
               for _ in batch]
         cond = stack_conditions([encode(mate, samples[i][0]) for i in batch])
         gen_loss, parts = utt_loss(model, disc, cond, token_cache[batch], mq, z=zs)
+        losses = {"ce": parts["ce"].item(), "adv": 0.0, "disc": 0.0}
+        if disc is None:
+            return [(gen_opt, gen_loss)], losses
         # plain arrays: the discriminator's graph is built after the generator's
         # is freed, and the generator's step changes neither array
         glob, fake = cond.glob.data, parts["fake"].data
-        losses = {"ce": parts["ce"].item(), "adv": parts["adv"].item()}
+        losses["adv"] = parts["adv"].item()
 
         def disc_loss():
             loss = hinge_disc_loss(disc, glob, np.stack([samples[i][1] for i in batch]), fake)

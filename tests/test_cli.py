@@ -220,6 +220,8 @@ CORRUPT_INPUTS = {
         lambda m: m["config"].update(no_such_key=1))),
     "ckpt-run-config-string-for-int": ("mq.ckpt", _rewrite_metadata(
         lambda m: m["config"].update(code_dim="many"))),
+    "ckpt-run-config-negative-beta-adv": ("utt.ckpt", _rewrite_metadata(
+        lambda m: m["config"].update(beta_adv=-1.0))),
     # a valid run config of another architecture than the parameters'
     "ckpt-run-config-another-codebook": ("mq.ckpt", _rewrite_metadata(
         lambda m: m["config"].update(code_count=9))),
@@ -254,6 +256,8 @@ CORRUPT_MESSAGES = {"ckpt-v1": ("retrain stage utt",), "feature-rate-infinite": 
                         "utt.ckpt: ", "no_such_key", "retrain stage utt"),
                     "ckpt-run-config-string-for-int": (
                         "mq.ckpt: ", "'code_dim' must be int", "retrain stage mq"),
+                    "ckpt-run-config-negative-beta-adv": (
+                        "utt.ckpt: ", "'beta_adv' must be at least 0", "retrain stage utt"),
                     "ckpt-run-config-another-codebook": (
                         "mq.ckpt: section 'mq'", "codebook.table", "retrain stage mq"),
                     "ckpt-run-config-another-depth": (
@@ -539,17 +543,20 @@ def test_diverging_training_prints_no_numpy_warning(first_run, tiny_cfg, tmp_pat
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
-@pytest.mark.parametrize("decoder, message", [
-    # the vq decoder's huge frames overflow their kinetic features
-    ("vq", "the generated text motions have non-finite kinetic features"),
-    # the dmd decoder's frames pass, and the retrieval encoder's engine ops overflow
-    ("dmd", "the retrieval encoder failed (non-finite values produced by"),
+@pytest.mark.parametrize("beta_adv, decoder, message", [
+    # with the adversarial term on, the vq decoder's huge frames overflow their
+    # kinetic features
+    (1.0, "vq", "the generated text motions have non-finite kinetic features"),
+    # at the default, and with the dmd decoder, the frames pass, and the
+    # retrieval encoder's engine ops overflow
+    (0.0, "vq", "the retrieval encoder failed (non-finite values produced by"),
+    (1.0, "dmd", "the retrieval encoder failed (non-finite values produced by"),
 ])
-def test_eval_of_a_diverged_model_is_a_numerical_failure(tiny_cfg, tmp_path, capsys, decoder,
-                                                         message):
+def test_eval_of_a_diverged_model_is_a_numerical_failure(tiny_cfg, tmp_path, capsys, beta_adv,
+                                                         decoder, message):
     # lr 1e30 trains to huge but finite weights: training passes every finite check
     config = tmp_path / "hot.json"
-    config.write_text(json.dumps({**tiny_cfg.to_dict(), "lr": 1e30}))
+    config.write_text(json.dumps({**tiny_cfg.to_dict(), "lr": 1e30, "beta_adv": beta_adv}))
     common = ["--config", config, "--seed", 0]
     data, ckpt, out = tmp_path / "data", tmp_path / "ckpt", tmp_path / "eval.json"
     with warnings.catch_warnings():

@@ -121,6 +121,8 @@ def test_values_that_do_not_fit_the_field_type_raise(tmp_path, values):
     {"families_test": "walk:1"},
     # the diffusion decoder has positions for 512 frames (128 tokens)
     {"frames": 516, "max_audio_len": 520, "max_context": 1024},
+    # a negative adversarial weight would train the generator to help the discriminator
+    {"beta_adv": -1.0},
 ])
 def test_values_out_of_range_raise(tmp_path, values):
     with pytest.raises(ConfigError):
@@ -139,6 +141,7 @@ def test_values_out_of_range_raise(tmp_path, values):
     {"retrieval_distractors": 63},
     {"families_test": "walk:61"},
     {"frames": 512, "max_audio_len": 512, "max_context": 1024},
+    {"beta_adv": 0.0},  # cross-entropy alone
 ])
 def test_values_at_the_edges_of_their_ranges_load(tmp_path, values):
     cfg = _load(tmp_path, values)

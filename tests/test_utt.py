@@ -14,7 +14,7 @@ from ude.numerics import Tensor
 from ude.utt import (Discriminator, SamplingConfig, UTTConfig, UTTModel,
                      cross_entropy, discriminate, forward_logits,
                      generate_tokens, hinge_disc_loss, mean_cross_entropy,
-                     train_utt, utt_loss)
+                     straight_through_decode, train_utt, utt_loss)
 
 K = 8
 FRAME_DIM = 6
@@ -479,13 +479,46 @@ class TestLosses:
         ce = cross_entropy(logits, [0, 1, 2, 3]).item()
         assert abs(ce - math.log(K + 2)) < 1e-12
 
-    def test_beta_zero_total_is_ce(self):
-        mate, utt, disc, mq = _models()
-        cond = _cond(mate)
-        tokens = np.array([[1, 2, 3, 4]])
-        utt.cfg.beta_adv = 0.0
-        total, parts = utt_loss(utt, disc, cond, tokens, mq)
-        assert abs(total.item() - parts["ce"].item()) < 1e-12
+    def test_skipping_the_branch_at_weight_zero_changes_no_bit(self, rng):
+        # at beta_adv 0 the branch would add 0.0 to the total and to every
+        # gradient, so the loss that never builds it (no discriminator) gives
+        # the arrays of the branch run at weight 0, by utt_loss or by hand
+        mate, utt = _z_model()
+        _, _, disc, mq = _models()
+        assert utt.cfg.beta_adv == 0.0  # the default
+        inputs = [text_input([1, 2, 3]), audio_input(rng.standard_normal((6, 5)))]
+        zs = [None, rng.standard_normal(4)]
+        tokens = rng.integers(0, K, size=(2, 4))
+        params = mate.named_parameters() + utt.named_parameters()
+
+        def skipped(cond):
+            total, parts = utt_loss(utt, None, cond, tokens, mq, z=zs)
+            assert set(parts) == {"ce"} and parts["ce"] is total
+            return total
+
+        def weighted(cond):
+            total, parts = utt_loss(utt, disc, cond, tokens, mq, z=zs)
+            assert set(parts) == {"ce", "adv", "fake"}
+            return total
+
+        def plain(cond):
+            prefixes, targets = utt_mod._teacher_forcing(utt, tokens)
+            logits = forward_logits(utt, cond, prefixes, z=zs)
+            fake = straight_through_decode(utt, mq, logits[:, :-1])
+            l_ce = cross_entropy(logits, targets)
+            return l_ce + 0.0 * (-discriminate(disc, cond.glob, fake).mean())
+
+        def run(loss_of):
+            nm.Adam(params).zero_grad()
+            loss = loss_of(stack_conditions([encode(mate, inp) for inp in inputs]))
+            loss.backward()
+            return loss.item(), [p.grad for _, p in params]
+
+        skip_total, skip_grads = run(skipped)
+        for total, grads in (run(weighted), run(plain)):
+            assert total == skip_total
+            for (name, _), a, b in zip(params, skip_grads, grads):
+                assert a is not None and np.array_equal(a, b), name
 
     def test_total_is_weighted_sum(self):
         mate, utt, disc, mq = _models()
@@ -497,6 +530,7 @@ class TestLosses:
 
     def test_adversarial_gradient_reaches_mate_and_utt(self):
         mate, utt, disc, mq = _models()
+        utt.cfg.beta_adv = 1.0
         cond = _cond(mate)
         tokens = np.array([[1, 2, 3, 4]])
         _, parts = utt_loss(utt, disc, cond, tokens, mq)
@@ -511,6 +545,7 @@ class TestLosses:
     def test_codebook_table_gets_no_gradient(self):
         # the soft mixture uses a detached codebook, so the table never learns here
         mate, utt, disc, mq = _models()
+        utt.cfg.beta_adv = 1.0
         cond = _cond(mate)
         _, parts = utt_loss(utt, disc, cond, np.array([[1, 2]]), mq)
         opt = nm.Adam([("cb", mq.codebook.table)], lr=0.0)
@@ -525,7 +560,7 @@ class TestLosses:
         # a few ulps of 1e-16 (1.7e-16 here); the stated tolerance is 1e-15
         rng = np.random.default_rng(0)
         mate = MATEModel(MATEConfig(vocab_size=40, audio_dim=16), rng)
-        utt = UTTModel(UTTConfig(code_count=64), rng)
+        utt = UTTModel(UTTConfig(code_count=64, beta_adv=1.0), rng)
         utt.z2.w.data[...] = rng.normal(0.0, 0.1, utt.z2.w.shape)
         disc = Discriminator(24, 64, 4, rng)
         mq = MQModel(MQConfig(frame_dim=24, code_count=64, code_dim=32, hidden=64), rng)
@@ -570,6 +605,7 @@ class TestLosses:
         # one batched graph over a mixed text/audio batch with z on two rows
         # stands in for the mean of per-request graphs
         mate, utt = _z_model()
+        utt.cfg.beta_adv = 1.0
         _, _, disc, mq = _models()
         feats = rng.standard_normal((11, 5))
         inputs = [text_input([1, 2, 3]), audio_input(feats), text_input([4, 5, 6, 7, 8, 9]),
@@ -622,6 +658,7 @@ class TestTrainUtt:
         # bit for bit: no optimizer of the generator or discriminator steps
         # an MQ parameter, and nothing touches its buffers
         mate, utt, disc, mq = _models()
+        utt.cfg.beta_adv = 1.0
 
         def state():
             arrays = [p.data for _, p in mq.named_parameters()] + [mq.center, mq.scale, mq.usage]
@@ -635,6 +672,7 @@ class TestTrainUtt:
         # the generator decodes through constants of the frozen decoder
         # weights, so no MQ parameter collects a gradient no optimizer reads
         mate, utt, disc, mq = _models()
+        utt.cfg.beta_adv = 1.0
         train_utt(mate, utt, disc, mq, self._samples(rng), epochs=1, seed=0)
         params = dict(mq.named_parameters())
         assert {"dec1.kernel", "dec3.bias", "codebook.table"} <= set(params)
@@ -644,6 +682,7 @@ class TestTrainUtt:
                                                                         monkeypatch):
         # so the generator's graph is freed before the discriminator's exists
         mate, utt, disc, mq = _models()
+        utt.cfg.beta_adv = 1.0
         hinge, stepped = utt_mod.hinge_disc_loss, []
 
         def recorded(*args):
@@ -655,21 +694,21 @@ class TestTrainUtt:
         assert stepped == [True, True]
 
     def test_ce_improves_on_tiny_set(self, rng):
-        mate, utt, disc, mq = _models()
+        mate, utt, _, mq = _models()
         samples = self._samples(rng, n=6)
         eval_samples = samples
         before = mean_cross_entropy(mate, utt, mq, eval_samples)
-        train_utt(mate, utt, disc, mq, samples, epochs=12, seed=0, lr=2e-3)
+        train_utt(mate, utt, None, mq, samples, epochs=12, seed=0, lr=2e-3)
         after = mean_cross_entropy(mate, utt, mq, eval_samples)
         assert after < before
 
     def test_both_modalities_improve(self, rng):
-        mate, utt, disc, mq = _models()
+        mate, utt, _, mq = _models()
         samples = self._samples(rng, n=8)
         text_s = [s for s in samples if s[0].modality == "text"]
         audio_s = [s for s in samples if s[0].modality == "audio"]
         before_t = mean_cross_entropy(mate, utt, mq, text_s)
         before_a = mean_cross_entropy(mate, utt, mq, audio_s)
-        train_utt(mate, utt, disc, mq, samples, epochs=15, seed=1, lr=2e-3)
+        train_utt(mate, utt, None, mq, samples, epochs=15, seed=1, lr=2e-3)
         assert mean_cross_entropy(mate, utt, mq, text_s) < before_t
         assert mean_cross_entropy(mate, utt, mq, audio_s) < before_a
