@@ -19,6 +19,7 @@ from .dataset import JOINT_NAMES, longest_sentence, synth_counts
 from .dmd import MAX_FRAMES, MAX_TOKENS
 from .errors import ConfigError, DataError
 from .fileio import read_text
+from .mate import audio_rows
 from .mq import DOWNSAMPLE
 
 # The defaults scale down these full-scale settings: codebook 2048x1024,
@@ -51,7 +52,7 @@ class RunConfig:
     mate_layers: int = 2
     mate_heads: int = 4
     max_text_len: int = 77
-    max_audio_len: int = 256
+    max_audio_len: int = 256  # feature rows; MATE embeds one row per DOWNSAMPLE of them
 
     # token transformer
     utt_layers: int = 2
@@ -186,12 +187,14 @@ def _check_ranges(cfg: RunConfig) -> None:
         if cfg.embed_dim % getattr(cfg, heads):
             raise ConfigError(f"embed_dim {cfg.embed_dim} must be divisible by "
                               f"{heads} {getattr(cfg, heads)}")
-    # the longest UTT context: glob, the longest condition, BOS and every token
-    longest = 1 + max(cfg.max_text_len, cfg.max_audio_len) + 1 + cfg.frames // DOWNSAMPLE
+    # the longest UTT context: glob, the longest condition (one row per word,
+    # one per DOWNSAMPLE audio feature rows), BOS and every token
+    condition = max(cfg.max_text_len, audio_rows(cfg.max_audio_len))
+    longest = 1 + condition + 1 + cfg.frames // DOWNSAMPLE
     if longest > cfg.max_context:
         raise ConfigError(f"the longest context ({longest}: 1 + max(max_text_len, "
-                          f"max_audio_len) + 1 + frames/{DOWNSAMPLE}) exceeds max_context "
-                          f"{cfg.max_context}")
+                          f"ceil(max_audio_len/{DOWNSAMPLE})) + 1 + frames/{DOWNSAMPLE}) "
+                          f"exceeds max_context {cfg.max_context}")
     if cfg.max_audio_len < cfg.frames:  # synth writes one feature row per frame
         raise ConfigError(f"max_audio_len {cfg.max_audio_len} is below frames {cfg.frames}, "
                           f"the feature rows of each synthesized audio clip")

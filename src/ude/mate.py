@@ -1,7 +1,11 @@
 """Modality-agnostic condition encoder.
 
 Text token ids (via a trainable word-embedding table) or audio feature rows
-(via a linear projection) are mapped into one shared space: a learnable
+(via a linear projection) are mapped into one shared space. Audio is
+embedded at the motion-token rate: the `mq.DOWNSAMPLE` feature rows that
+one motion token covers are stacked into one input row (a ViT-style patch
+embedding), so a clip of T feature rows is ceil(T / DOWNSAMPLE) condition
+rows; text is one row per word. A learnable
 per-modality aggregation token is prepended, a per-modality token embedding
 is added to every payload element, sinusoidal positions are added to the
 whole sequence, and a full-attention transformer produces the output. The
@@ -19,6 +23,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import DataError
+from .mq import DOWNSAMPLE
 from .nn import Embedding, Linear, Module, TransformerEncoder, sinusoidal_table
 from .numerics import Tensor
 
@@ -48,7 +53,9 @@ def audio_input(features) -> ModalityInput:
 @dataclass
 class CondEmbedding:
     """(global, sequential) embeddings of B conditions; row b of seq holds
-    lengths[b] real elements, then zero padding up to the longest."""
+    lengths[b] real elements (one per text word, one per DOWNSAMPLE audio
+    feature rows, i.e. one per motion token), then zero padding up to the
+    longest."""
 
     glob: Tensor           # [B, D]
     seq: Tensor            # [B, I, D]
@@ -85,24 +92,36 @@ class MATEModel(Module):
         self.cfg = cfg
         d = cfg.dim
         self.word_table = Embedding(cfg.vocab_size, d, rng)
-        self.audio_proj = Linear(cfg.audio_dim, d, rng)
+        self.audio_proj = Linear(DOWNSAMPLE * cfg.audio_dim, d, rng)
         self.text_token = Tensor(rng.normal(0, 0.02, d), requires_grad=True)
         self.audio_token = Tensor(rng.normal(0, 0.02, d), requires_grad=True)
         self.text_agg = Tensor(rng.normal(0, 0.02, d), requires_grad=True)
         self.audio_agg = Tensor(rng.normal(0, 0.02, d), requires_grad=True)
         self.encoder = TransformerEncoder(cfg.layers, d, cfg.heads, rng)
-        self.pos = sinusoidal_table(1 + max(cfg.max_text_len, cfg.max_audio_len), d)
+        self.pos = sinusoidal_table(1 + max(cfg.max_text_len, audio_rows(cfg.max_audio_len)), d)
 
     def max_payload(self, modality: str) -> int:
         return self.cfg.max_text_len if modality == "text" else self.cfg.max_audio_len
 
 
+def audio_rows(feature_rows: int) -> int:
+    """Condition rows of an audio clip of `feature_rows` feature rows."""
+    return -(-feature_rows // DOWNSAMPLE)
+
+
 def embed_modality(model: MATEModel, inp: ModalityInput) -> Tensor:
-    """Raw per-element embeddings [I, D] before tokens/positions."""
+    """Raw per-element embeddings [I, D] before tokens/positions: one row
+    per text word, or one per DOWNSAMPLE audio feature rows concatenated in
+    time order. A clip is zero-padded at the end to a multiple of
+    DOWNSAMPLE rows, so it embeds exactly like the same rows followed by
+    zero rows."""
     if inp.modality == "text":
         return model.word_table(inp.payload)
     if inp.modality == "audio":
-        return model.audio_proj(Tensor(inp.payload))
+        feats = inp.payload
+        rows = audio_rows(len(feats))
+        padded = np.pad(feats, ((0, rows * DOWNSAMPLE - len(feats)), (0, 0)))
+        return model.audio_proj(Tensor(padded.reshape(rows, DOWNSAMPLE * feats.shape[1])))
     raise DataError(f"unknown modality {inp.modality!r}")
 
 

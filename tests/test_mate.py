@@ -6,6 +6,7 @@ from ude.errors import DataError
 from ude.mate import (CondEmbedding, MATEConfig, MATEModel, ModalityInput,
                       assemble_sequence, audio_input, embed_modality, encode,
                       text_input)
+from ude.mq import DOWNSAMPLE
 
 
 def _model(seed=0, **kw):
@@ -26,6 +27,16 @@ class TestEmbedModality:
         model.audio_proj.b.data[...] = 0.0
         raw = embed_modality(model, audio_input(rng.standard_normal((6, 5))))
         assert np.allclose(raw.data, 0.0)
+
+    def test_audio_rows_stack_the_feature_rows_of_one_token(self, rng):
+        # one row per DOWNSAMPLE feature rows, concatenated in time order
+        model = _model()
+        feats = rng.standard_normal((8, 5))
+        raw = embed_modality(model, audio_input(feats))
+        assert model.audio_proj.w.shape == (DOWNSAMPLE * 5, 16)
+        assert raw.shape == (2, 16)
+        stacked = feats.reshape(2, DOWNSAMPLE * 5)
+        assert np.allclose(raw.data, stacked @ model.audio_proj.w.data + model.audio_proj.b.data)
 
     def test_shared_token_id_gives_identical_rows(self):
         model = _model()
@@ -77,7 +88,7 @@ class TestEncode:
         assert out.seq.shape == (1, 3, 16)
         out_a = encode(model, audio_input(rng.standard_normal((7, 5))))
         assert out_a.glob.shape == (1, 16)
-        assert out_a.seq.shape == (1, 7, 16)
+        assert out_a.seq.shape == (1, 2, 16)  # ceil(7 / 4) token-rate rows
 
     def test_deterministic(self):
         model = _model()
@@ -95,7 +106,7 @@ class TestEncode:
     def test_modality_agnostic_shape_contract(self, rng):
         model = _model()
         t = encode(model, text_input([1, 2, 3, 4, 5]))
-        a = encode(model, audio_input(rng.standard_normal((5, 5))))
+        a = encode(model, audio_input(rng.standard_normal((5 * DOWNSAMPLE, 5))))
         assert t.glob.shape == a.glob.shape
         assert t.seq.shape == a.seq.shape
         assert t.length == a.length == 6
@@ -103,10 +114,10 @@ class TestEncode:
     def test_bidirectional_attention_witness(self, rng):
         # zeroing payload element i changes outputs at other positions
         model = _model()
-        feats = rng.standard_normal((6, 5))
+        feats = rng.standard_normal((6 * DOWNSAMPLE, 5))
         base = encode(model, audio_input(feats)).seq.data[0]
         bumped_feats = feats.copy()
-        bumped_feats[2] = 0.0
+        bumped_feats[2 * DOWNSAMPLE:3 * DOWNSAMPLE] = 0.0  # every feature row of element 2
         bumped = encode(model, audio_input(bumped_feats)).seq.data[0]
         others = [i for i in range(6) if i != 2]
         assert not np.allclose(base[others], bumped[others])
@@ -121,3 +132,28 @@ class TestEncode:
         out = encode(model, text_input([1, 2, 3, 4, 5, 6, 7]))
         assert isinstance(out, CondEmbedding)
         assert out.seq.shape[1] == 7 and list(out.lengths) == [7]
+
+
+class TestAudioPadding:
+    """A clip whose feature rows are not a multiple of DOWNSAMPLE is
+    zero-padded at the end to the next multiple."""
+
+    def test_padding_is_zero_rows(self, rng):
+        model = _model()
+        feats = rng.standard_normal((6, 5))
+        padded = np.concatenate([feats, np.zeros((2, 5))])
+        a, b = encode(model, audio_input(feats)), encode(model, audio_input(padded))
+        assert np.array_equal(a.glob.data, b.glob.data)
+        assert np.array_equal(a.seq.data, b.seq.data)
+        assert list(a.lengths) == list(b.lengths) == [2]
+
+    @pytest.mark.parametrize("rows", range(1, 10))
+    def test_lengths_are_the_token_count(self, rng, rows):
+        out = encode(_model(), audio_input(rng.standard_normal((rows, 5))))
+        assert list(out.lengths) == [-(-rows // DOWNSAMPLE)]
+        assert out.length == 1 + -(-rows // DOWNSAMPLE)
+
+    def test_the_longest_clip_fits_the_positional_table(self, rng):
+        model = _model()  # max_text_len 12, max_audio_len 24: 1 + max(12, 24 / 4) positions
+        assert model.pos.shape[0] == 13
+        assert encode(model, audio_input(rng.standard_normal((24, 5)))).length == 7
