@@ -16,7 +16,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .dataset import JOINT_NAMES, longest_sentence, synth_counts
-from .dmd import MAX_FRAMES, MAX_TOKENS
+from .dmd import MAX_TOKENS
 from .errors import ConfigError, DataError
 from .fileio import read_text
 from .mate import audio_rows
@@ -145,7 +145,7 @@ _MINIMUMS = {"lr": 0, "beta_adv": 0, "fps": 1.0, "beat_sigma_frames": 0.01,
 # (at 1e300 the kinetic features' velocities overflow); a clip fits the
 # diffusion decoder's frame and token position tables
 _MAXIMUMS = {"fps": 1000.0,
-             "frames": min(MAX_FRAMES, DOWNSAMPLE * MAX_TOKENS)}
+             "frames": DOWNSAMPLE * MAX_TOKENS}
 
 
 def _check_ranges(cfg: RunConfig) -> None:
@@ -187,13 +187,15 @@ def _check_ranges(cfg: RunConfig) -> None:
         if cfg.embed_dim % getattr(cfg, heads):
             raise ConfigError(f"embed_dim {cfg.embed_dim} must be divisible by "
                               f"{heads} {getattr(cfg, heads)}")
-    # the longest UTT context: glob, the longest condition (one row per word,
-    # one per DOWNSAMPLE audio feature rows), BOS and every token
+    # the longest UTT context, counted as generate_tokens checks it: glob, the
+    # longest condition (one row per word, one per DOWNSAMPLE audio feature
+    # rows) and a motion row per token, the first of which is BOS (training
+    # feeds [BOS, t_0..t_{S-2}], sampling never feeds its last token)
     condition = max(cfg.max_text_len, audio_rows(cfg.max_audio_len))
-    longest = 1 + condition + 1 + cfg.frames // DOWNSAMPLE
+    longest = 1 + condition + cfg.frames // DOWNSAMPLE
     if longest > cfg.max_context:
         raise ConfigError(f"the longest context ({longest}: 1 + max(max_text_len, "
-                          f"ceil(max_audio_len/{DOWNSAMPLE})) + 1 + frames/{DOWNSAMPLE}) "
+                          f"ceil(max_audio_len/{DOWNSAMPLE})) + frames/{DOWNSAMPLE}) "
                           f"exceeds max_context {cfg.max_context}")
     if cfg.max_audio_len < cfg.frames:  # synth writes one feature row per frame
         raise ConfigError(f"max_audio_len {cfg.max_audio_len} is below frames {cfg.frames}, "

@@ -72,10 +72,9 @@ def q_sample(sched: NoiseSchedule, x0: np.ndarray, t, eps: np.ndarray) -> np.nda
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
 
 
-# rows of the token and frame position tables: the longest token sequence
-# and motion the decoder takes
+# the longest token sequence the decoder takes; its frame position table
+# covers the DOWNSAMPLE frames of each token
 MAX_TOKENS = 128
-MAX_FRAMES = 512
 
 
 @dataclass
@@ -102,7 +101,7 @@ class DMDModel(Module):
         self.denoiser = TransformerEncoder(cfg.layers, d, cfg.heads, rng)
         self.out_proj = Linear(d, cfg.frame_dim, rng)
         self.token_pos = sinusoidal_table(MAX_TOKENS, d)
-        self.frame_pos = sinusoidal_table(MAX_FRAMES, d)
+        self.frame_pos = sinusoidal_table(DOWNSAMPLE * MAX_TOKENS, d)
         self.sched = make_schedule(cfg.steps)
 
 

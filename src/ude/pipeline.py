@@ -266,8 +266,6 @@ def load_models(ckpt_dir, stage: str, hashes: dict) -> dict:
                         f"retrain stage {stage}") from exc
     models = {}
     for name, section in body["sections"].items():
-        if name == "disc":  # older utt checkpoints hold it; nothing reads it
-            continue
         if name not in MODELS:
             raise DataError(f"{stage} checkpoint has an unknown section {name!r}")
         models[name] = MODELS[name](cfg, _NoDraws())

@@ -7,9 +7,9 @@ adversarial term weighed by `beta_adv`; the utt stage builds one only when
 `beta_adv` is above 0 (by default it is 0), and without one no decode,
 discriminator graph or discriminator step is built.
 
-Token vocabulary: the K codebook ids plus BOS (=K) and EOS (=K+1). A
-teacher-forced step consumes [BOS, t_0..t_{S-1}] and targets
-[t_0..t_{S-1}, EOS].
+The head predicts the K codebook ids and nothing else; the token table
+holds them plus BOS (=K), which is only ever an input. A teacher-forced
+step consumes [BOS, t_0..t_{S-2}] and targets t_0..t_{S-1}.
 
 Every forward takes B conditions and B token prefixes of one length, row
 b laid out as [glob, seq, padding, BOS, tokens] under one mask that hides
@@ -21,13 +21,13 @@ row, and MATE and UTT gradients of a default-size `utt_loss` within 1e-15.
 Training runs one forward per minibatch; with the adversarial term on, it
 builds the discriminator's graph only after the generator's step has freed
 the generator's graph.
-Sampling draws an exact token count, never BOS or EOS, so every row ends
-on the same step. Its first pass is one forward, which fills a per-layer
-key/value cache; each later step feeds every row's last sampled token at
-one shared position. This is exact: condition rows see only condition rows
-and motion rows only earlier rows, so appending a token changes no earlier
-row, and the cached K/V are what a full forward over the longer prefix
-would compute.
+Sampling draws an exact token count, so every row ends on the same step.
+Its first pass is one forward, which fills a per-layer key/value cache;
+each later step feeds every row's last sampled token at one shared
+position. This is exact: condition rows see only condition rows and motion
+rows only earlier rows, so appending a token changes no earlier row, and
+the cached K/V are what a full forward over the longer prefix would
+compute.
 """
 
 from __future__ import annotations
@@ -60,14 +60,6 @@ class UTTConfig:
     def bos(self) -> int:
         return self.code_count
 
-    @property
-    def eos(self) -> int:
-        return self.code_count + 1
-
-    @property
-    def vocab(self) -> int:
-        return self.code_count + 2
-
 
 @dataclass
 class SamplingConfig:
@@ -81,13 +73,13 @@ class UTTModel(Module):
     def __init__(self, cfg: UTTConfig, rng: np.random.Generator):
         self.cfg = cfg
         d = cfg.dim
-        self.token_table = Embedding(cfg.vocab, d, rng)
+        self.token_table = Embedding(cfg.code_count + 1, d, rng)  # the codes and BOS
         self.z1 = Linear(cfg.z_dim, d, rng)
         # zero start: z has no effect at init, so early training learns the
         # condition cleanly; the injection path grows under training pressure
         self.z2 = Linear(d, d, rng, zero=True)
         self.encoder = TransformerEncoder(cfg.layers, d, cfg.heads, rng)
-        self.out_proj = Linear(d, cfg.vocab, rng)
+        self.out_proj = Linear(d, cfg.code_count, rng)
         self.pos = sinusoidal_table(cfg.max_context, d)
 
 
@@ -99,7 +91,7 @@ def _visible_keys(cond: CondEmbedding, width: int) -> np.ndarray:
 
 def forward_logits(model: UTTModel, cond: CondEmbedding, prefixes, z=None,
                    caches=None) -> Tensor:
-    """Next-token logits [B, S, K+2] of B teacher-forced prefixes [B, S].
+    """Next-token codebook logits [B, S, K] of B teacher-forced prefixes [B, S].
 
     Every prefix must start with BOS; logits at position i predict element
     i+1. z is None or B entries, each a z vector or None for none; a z
@@ -112,8 +104,8 @@ def forward_logits(model: UTTModel, cond: CondEmbedding, prefixes, z=None,
         raise DataError(f"{len(cond.lengths)} conditions got prefixes of shape {ids.shape}")
     if not ids.shape[1] or (ids[:, 0] != model.cfg.bos).any():
         raise DataError("token prefix must start with BOS")
-    if ids.min() < 0 or ids.max() >= model.cfg.vocab:
-        raise DataError("prefix contains out-of-vocabulary ids")
+    if ids.min() < 0 or ids[:, 1:].max(initial=0) >= model.cfg.code_count:
+        raise DataError("prefix contains non-codebook ids after BOS")
     _check_context(model, 1 + int(cond.lengths.max()) + ids.shape[1])
     glob = cond.glob
     if z is not None and any(v is not None for v in z):  # rows without z shift by 0
@@ -135,9 +127,9 @@ def _check_context(model: UTTModel, length: int) -> None:
 
 def _step_logits(model: UTTModel, position: int, last, caches: list,
                  key_mask: np.ndarray | None = None) -> Tensor:
-    """Next-token logits [B, 1, K+2] after feeding each of B requests its
-    last token (last is [B, 1]) at one shared position: one row per request
-    that attends to its cached rows and to itself.
+    """Next-token codebook logits [B, 1, K] after feeding each of B requests
+    its last token (last is [B, 1]) at one shared position: one row per
+    request that attends to its cached rows and to itself.
 
     caches hold one [K, V] pair of [B, heads, rows, dh] per layer; key_mask
     [B, 1, 1, >= rows + 1] hides condition padding, None when there is none.
@@ -163,9 +155,9 @@ def generate_tokens(model: UTTModel, cond: CondEmbedding, max_len: int,
     and `z` None or B entries, each a z vector or None for none.
 
     Each row starts with its primitive verbatim; every later token is drawn
-    from the codebook ids only (BOS and EOS are masked), so all rows end on
-    the same step. Each request keeps its own RNG, so it gets the same
-    tokens alone or in any batch.
+    from the K codebook logits, so all rows end on the same step. Each
+    request keeps its own RNG, so it gets the same tokens alone or in any
+    batch.
 
     The first pass is one `forward_logits` call over [BOS, primitive], which
     fills the K/V cache; every later step feeds each row's last token
@@ -200,8 +192,8 @@ def generate_tokens(model: UTTModel, cond: CondEmbedding, max_len: int,
                 logits = forward_logits(model, cond, prefixes, zs, caches)
             else:  # BOS sits at position 0, so token step - 1 at position step
                 logits = _step_logits(model, step, tokens[:, step - 1:step], caches, key_mask)
-            codes = logits.data[:, -1, :model.cfg.code_count]  # BOS and EOS are the last two
-            tokens[:, step] = [_sample_one(row, sampling, rng) for row, rng in zip(codes, rngs)]
+            tokens[:, step] = [_sample_one(row, sampling, rng)
+                               for row, rng in zip(logits.data[:, -1], rngs)]
     return tokens
 
 
@@ -267,14 +259,13 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return -nm.take_per_row(nm.log_softmax(flat, axis=-1), targets.ravel()).mean()
 
 
-def straight_through_decode(model: UTTModel, mq: MQModel, logits: Tensor) -> Tensor:
-    """Decode the argmax codebook tokens of logits [B, S, K+2] with
+def straight_through_decode(mq: MQModel, logits: Tensor) -> Tensor:
+    """Decode the argmax codebook tokens of logits [B, S, K] with
     gradients flowing through the softmax-weighted codebook mixture
     (straight-through). The quantizer is frozen: its codebook and decoder
     weights enter as constants, so no gradient reaches them."""
-    code_logits = logits[..., :model.cfg.code_count]
-    tokens = np.argmax(code_logits.data, axis=-1)
-    probs = nm.softmax(code_logits, axis=-1)
+    tokens = np.argmax(logits.data, axis=-1)
+    probs = nm.softmax(logits, axis=-1)
     soft = nm.matmul(probs, mq.codebook.table.detach())
     hard = mq.codebook.table.data[tokens]
     mixed = soft + Tensor(hard - soft.data)
@@ -287,10 +278,11 @@ def straight_through_decode(model: UTTModel, mq: MQModel, logits: Tensor) -> Ten
 
 
 def _teacher_forcing(model: UTTModel, gt_tokens) -> tuple:
-    """(prefixes [BOS, t..], targets [t.., EOS]) of token rows [B, S]."""
+    """(prefixes [BOS, t_0..t_{S-2}], targets t_0..t_{S-1}) of token rows
+    [B, S]: position i of a prefix predicts t_i, so each row is S logits."""
     gt_tokens = np.asarray(gt_tokens, dtype=np.int64)
-    return (np.pad(gt_tokens, ((0, 0), (1, 0)), constant_values=model.cfg.bos),
-            np.pad(gt_tokens, ((0, 0), (0, 1)), constant_values=model.cfg.eos))
+    return (np.pad(gt_tokens[:, :-1], ((0, 0), (1, 0)), constant_values=model.cfg.bos),
+            gt_tokens)
 
 
 def utt_loss(model: UTTModel, disc: Discriminator | None, cond: CondEmbedding,
@@ -298,18 +290,19 @@ def utt_loss(model: UTTModel, disc: Discriminator | None, cond: CondEmbedding,
     """Teacher-forced training loss of B conditions and token rows [B, S],
     averaged over the batch: (total, parts).
 
-    parts carries "ce" (cross-entropy over [t_0.., EOS]). With `disc` None
-    the total is "ce" itself and nothing is decoded. Otherwise parts also
-    carries "adv" (the non-saturating generator term on the decoded predicted
-    tokens, weighed by model.cfg.beta_adv) and "fake" (the decoded motions
-    [B, 4S, c], for the discriminator step). z is as for `forward_logits`.
+    parts carries "ce" (the mean cross-entropy of the S targets t_0..t_{S-1}
+    over the K codebook logits). With `disc` None the total is "ce" itself
+    and nothing is decoded. Otherwise parts also carries "adv" (the
+    non-saturating generator term on the decoded predicted tokens, weighed
+    by model.cfg.beta_adv) and "fake" (the decoded motions [B, 4S, c], for
+    the discriminator step). z is as for `forward_logits`.
     """
     prefixes, targets = _teacher_forcing(model, gt_tokens)
     logits = forward_logits(model, cond, prefixes, z=z)
     l_ce = cross_entropy(logits, targets)
     if disc is None:
         return l_ce, {"ce": l_ce}
-    fake = straight_through_decode(model, mq, logits[:, :-1])
+    fake = straight_through_decode(mq, logits)
     l_adv = -discriminate(disc, cond.glob, fake).mean()
     total = l_ce + model.cfg.beta_adv * l_adv
     return total, {"ce": l_ce, "adv": l_adv, "fake": fake}

@@ -15,6 +15,7 @@ import tempfile
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -372,15 +373,31 @@ def test_an_empty_train_split_exits_4_before_training(first_run, config, tmp_pat
     assert not (tmp_path / "ckpt" / "mq.ckpt").exists()
 
 
+def _one_feature_row_per_condition_row(sections, cfg):
+    # before audio was embedded at the token rate: [feature_dim, embed_dim]
+    sections["mate"]["audio_proj.w"] = sections["mate"]["audio_proj.w"][:cfg.feature_dim]
+    return "audio_proj.w"
+
+
+def _a_head_over_the_codes_bos_and_eos(sections, cfg):
+    # before the head predicted the codebook ids alone: K + 2 table rows and logits
+    utt = sections["utt"]
+    utt["token_table.table"] = np.pad(utt["token_table.table"], ((0, 1), (0, 0)))
+    utt["out_proj.w"] = np.pad(utt["out_proj.w"], ((0, 0), (0, 2)))
+    utt["out_proj.b"] = np.pad(utt["out_proj.b"], (0, 2))
+    return "token_table.table"
+
+
+@pytest.mark.parametrize("older", [_one_feature_row_per_condition_row,
+                                   _a_head_over_the_codes_bos_and_eos],
+                         ids=["audio-projection", "head"])
 @pytest.mark.parametrize("command", ["generate", "eval"])
-def test_an_utt_checkpoint_that_embeds_one_feature_row_per_condition_row_exits_4(
-        first_run, config, tiny_cfg, tmp_path, capsys, command):
-    # utt checkpoints written before audio was embedded at the token rate
-    # project one feature row, [feature_dim, embed_dim]
+def test_an_utt_checkpoint_of_an_older_format_exits_4(first_run, config, tiny_cfg, tmp_path,
+                                                       capsys, command, older):
     root, ckpt = first_run[0], _ckpt_copy(first_run, tmp_path)
     body = checkpoint.load_checkpoint(ckpt / "utt.ckpt")
     sections = {name: dict(section["params"]) for name, section in body["sections"].items()}
-    sections["mate"]["audio_proj.w"] = sections["mate"]["audio_proj.w"][:tiny_cfg.feature_dim]
+    changed = older(sections, tiny_cfg)
     checkpoint.save_checkpoint(ckpt / "utt.ckpt", "utt", sections, body["config"], body["deps"])
     request = {"generate": ["--modality", "audio", "--features",
                             root / "data" / "conds" / "audio_test_00020.udef"],
@@ -389,7 +406,7 @@ def test_an_utt_checkpoint_that_embeds_one_feature_row_per_condition_row_exits_4
     assert _cli(command, "--config", config, "--ckpt", ckpt, *request, "--decoder", "vq",
                 "--out", out) == 4
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and "audio_proj.w" in err
+    assert err.startswith("data error: ") and changed in err
     assert "retrain stage utt" in err
     assert not out.exists()
 
@@ -583,9 +600,10 @@ def test_diverging_training_prints_no_numpy_warning(first_run, tiny_cfg, tmp_pat
 
 
 @pytest.mark.parametrize("beta_adv, decoder, message", [
-    # with either decoder and either adversarial weight, the retrieval
-    # encoder's engine ops overflow before any motion's kinetic features do
-    (1.0, "vq", "the retrieval encoder failed (non-finite values produced by"),
+    # which model's numbers overflow first depends on the trained weights:
+    # here the vq motions' kinetic features at beta_adv 1.0, and otherwise
+    # the retrieval encoder's engine ops
+    (1.0, "vq", "the generated text motions have non-finite kinetic features"),
     (0.0, "vq", "the retrieval encoder failed (non-finite values produced by"),
     (1.0, "dmd", "the retrieval encoder failed (non-finite values produced by"),
 ])

@@ -63,8 +63,9 @@ def test_values_that_do_not_fit_the_field_type_raise(tmp_path, values):
     {"epochs_mq": -1},
     {"epochs_retrieval": -1},
     {"samples_per_input": 0},
-    # glob + 77 text rows (more than 256 / 4 audio rows) + BOS + 64 / 4 tokens = 95 rows
-    {"max_context": 94},
+    # glob + 77 text rows (more than 256 / 4 audio rows) + 64 / 4 motion rows
+    # (BOS and the first 15 tokens) = 94 rows
+    {"max_context": 93},
     {"max_text_len": 500},
     {"frames": 1024},
     {"max_audio_len": 63},  # synth writes 64 feature rows per audio clip
@@ -149,15 +150,15 @@ def test_values_at_the_edges_of_their_ranges_load(tmp_path, values):
 
 
 def test_longest_context_may_fill_max_context(tmp_path):
-    assert _load(tmp_path, {"max_context": 95}).max_context == 95
+    assert _load(tmp_path, {"max_context": 94}).max_context == 94
 
 
 def test_audio_condition_rows_are_counted_at_the_token_rate(tmp_path):
-    # glob + ceil(401 / 4) = 101 audio rows (more than 77 text rows) + BOS + 16 tokens
+    # glob + ceil(401 / 4) = 101 audio rows (more than 77 text rows) + 16 motion rows
     values = {"max_audio_len": 401}
-    assert _load(tmp_path, {**values, "max_context": 119}).max_context == 119
-    with pytest.raises(ConfigError, match=r"longest context \(119: "):
-        _load(tmp_path, {**values, "max_context": 118})
+    assert _load(tmp_path, {**values, "max_context": 118}).max_context == 118
+    with pytest.raises(ConfigError, match=r"longest context \(118: "):
+        _load(tmp_path, {**values, "max_context": 117})
 
 
 def test_the_frame_width_is_the_synthetic_skeletons(tmp_path):

@@ -1,6 +1,5 @@
 import math
 import os
-import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -217,26 +216,6 @@ def test_utt_checkpoint_holds_only_what_inference_reads(trained):
     body = checkpoint.load_stage(trained[1], "utt", {})
     assert set(body["sections"]) == {"mate", "utt"}
     assert len(pipeline.load_utt_stack(trained[1])) == 2
-
-
-def test_an_older_utt_checkpoint_that_holds_the_discriminator_still_loads(trained, tiny_cfg,
-                                                                          tmp_path):
-    ckpt = tmp_path / "ckpt"
-    shutil.copytree(trained[1], ckpt)
-    body = checkpoint.load_stage(ckpt, "utt", {})
-    disc = pipeline.MODELS["disc"](tiny_cfg, np.random.default_rng(0))
-    # such checkpoints name the discriminator's conv parameters k1, b1, k2, b2
-    older_names = {"conv1.kernel": "k1", "conv1.bias": "b1",
-                   "conv2.kernel": "k2", "conv2.bias": "b2"}
-    sections = {name: section["params"] for name, section in body["sections"].items()}
-    sections["disc"] = {older_names.get(name, name): value
-                        for name, value in checkpoint.params_blob(disc).items()}
-    assert {"k1", "b1", "k2", "b2"} <= set(sections["disc"])
-    checkpoint.save_checkpoint(checkpoint.stage_path(ckpt, "utt"), "utt", sections,
-                               body["config"], deps=body["deps"], buffers=body["buffers"])
-    _, utt = pipeline.load_utt_stack(ckpt)
-    for name, p in utt.named_parameters():
-        np.testing.assert_array_equal(p.data, body["sections"]["utt"]["params"][name])
 
 
 @pytest.mark.parametrize("decoder", ["vq", "dmd"])

@@ -36,7 +36,7 @@ def _cond(mate, ids=(1, 2, 3)):
 
 
 def _logits(utt, cond, prefix, z=None):
-    """forward_logits of one request, as a batch of one: [S, K+2]."""
+    """forward_logits of one request, as a batch of one: [S, K]."""
     return forward_logits(utt, cond, [prefix], None if z is None else [z]).data[0]
 
 
@@ -172,6 +172,18 @@ class TestForwardLogits:
         with pytest.raises(DataError, match="must start with BOS"):
             forward_logits(utt, _cond(mate), [[1, 2]])
 
+    @pytest.mark.parametrize("token", [K, K + 1, -1], ids=["bos", "past-bos", "negative"])
+    def test_prefix_holds_codebook_ids_after_bos(self, token):
+        mate, utt, _, _ = _models()
+        with pytest.raises(DataError, match="non-codebook ids"):
+            forward_logits(utt, _cond(mate), [[utt.cfg.bos, 1, token]])
+
+    def test_the_head_is_the_codebook(self):
+        # BOS is only ever an input: the table embeds it, the head never predicts it
+        _, utt, _, _ = _models()
+        assert utt.token_table.table.shape == (K + 1, 16)
+        assert utt.out_proj.w.shape == (16, K)
+
 
 class TestGenerate:
     def test_greedy_deterministic(self):
@@ -204,14 +216,12 @@ class TestGenerate:
         greedy = []
         with nm.no_grad():
             while len(greedy) < 8:
-                logits = _logits(utt, cond, [utt.cfg.bos] + greedy)[-1]
-                logits[[utt.cfg.bos, utt.cfg.eos]] = -np.inf
-                greedy.append(int(np.argmax(logits)))
+                greedy.append(int(np.argmax(_logits(utt, cond, [utt.cfg.bos] + greedy)[-1])))
         assert k1.tolist() == greedy
 
     def test_every_row_gets_exactly_max_len_codebook_ids(self):
-        # top_k beyond the codebook at a high temperature: BOS and EOS would
-        # be drawn now and then if they were not masked
+        # top_k beyond the codebook at a high temperature: the head gives the
+        # K codebook logits alone, so nothing else can be drawn
         mate, utt = _z_model()
         conds, zs, _, seeds = _mixed_requests(mate)
         out = generate_tokens(utt, stack_conditions(conds), 16,
@@ -270,14 +280,14 @@ def test_the_draw_gives_rng_choices_token_and_stream_position(width, sampling, t
 
 def _reference_tokens(model, cond, max_len, sampling, primitive=(), z=None, seed=0):
     """Sampling without a cache: the full forward over the whole prefix for
-    every token, drawing among the codebook ids only (BOS and EOS masked)."""
+    every token."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     tokens = [int(t) for t in primitive]
     with nm.no_grad():
         while len(tokens) < max_len:
             prefix = np.array([model.cfg.bos] + tokens, dtype=np.int64)
-            logits = _logits(model, cond, prefix, z=z)[-1, :model.cfg.code_count]
-            tokens.append(utt_mod._sample_one(logits, sampling, rng))
+            tokens.append(utt_mod._sample_one(_logits(model, cond, prefix, z=z)[-1], sampling,
+                                              rng))
     return np.array(tokens, dtype=np.int64)
 
 
@@ -331,7 +341,7 @@ class TestKVCache:
     @pytest.mark.parametrize("sampling, first_seed", [
         (SamplingConfig(top_k=1), 0),
         (SamplingConfig(top_k=4, temperature=1.0), 0),
-        (SamplingConfig(top_k=K + 2, temperature=2.0), 12),
+        (SamplingConfig(top_k=K, temperature=2.0), 12),
     ])
     def test_tokens_equal_the_uncached_loop(self, modality, use_z, primitive, sampling,
                                             first_seed):
@@ -372,7 +382,7 @@ class TestBatchedSampling:
     @pytest.mark.parametrize("sampling, max_len", [
         (SamplingConfig(top_k=1), 12),
         (SamplingConfig(top_k=4, temperature=1.0), 12),
-        (SamplingConfig(top_k=K + 2, temperature=2.0), 5),
+        (SamplingConfig(top_k=K, temperature=2.0), 5),
     ])
     def test_tokens_equal_each_request_alone_and_the_uncached_loop(self, sampling, max_len):
         mate, utt = _z_model()
@@ -394,7 +404,7 @@ class TestBatchedSampling:
         conds, zs, primitives, _ = _mixed_requests(mate)
         prefixes = [[utt.cfg.bos] + p for p in primitives]
         got = forward_logits(utt, stack_conditions(conds), prefixes, zs).data
-        assert got.shape == (4, 3, K + 2)
+        assert got.shape == (4, 3, K)
         for b, prefix in enumerate(prefixes):
             alone = _logits(utt, conds[b], prefix, zs[b])
             assert np.abs(got[b] - alone).max() < 1e-12
@@ -504,7 +514,7 @@ class TestLosses:
         def plain(cond):
             prefixes, targets = utt_mod._teacher_forcing(utt, tokens)
             logits = forward_logits(utt, cond, prefixes, z=zs)
-            fake = straight_through_decode(utt, mq, logits[:, :-1])
+            fake = straight_through_decode(mq, logits)
             l_ce = cross_entropy(logits, targets)
             return l_ce + 0.0 * (-discriminate(disc, cond.glob, fake).mean())
 
@@ -582,6 +592,26 @@ class TestLosses:
         for (name, _), a, b in zip(params, got, want):
             assert a is not None and b is not None, name
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-15, err_msg=name)
+
+    def test_ce_scores_every_token_over_the_codebook_logits(self, rng):
+        # the reference, one request and one target at a time: target t_i is
+        # scored by -log_softmax of the K code logits after [BOS, t_0..t_{i-1}],
+        # and "ce" is the mean over the S targets of every row
+        mate, utt = _z_model()
+        mq = _models()[3]
+        conds = [CONDITIONS[modality](mate) for modality in sorted(CONDITIONS)]
+        tokens = rng.integers(0, K, size=(2, 5))
+        _, parts = utt_loss(utt, None, stack_conditions(conds), tokens, mq)
+        want = []
+        with nm.no_grad():
+            for cond, row in zip(conds, tokens):
+                for i, target in enumerate(row):
+                    logits = _logits(utt, cond, [utt.cfg.bos, *row[:i]])[-1]
+                    assert logits.shape == (K,)
+                    top = logits.max()
+                    want.append(top + np.log(np.exp(logits - top).sum()) - logits[target])
+        assert len(want) == tokens.size
+        assert abs(parts["ce"].item() - np.mean(want)) < 1e-12
 
     def test_held_out_ce_is_the_ce_part_of_the_training_loss(self, rng):
         # both run the motion-rows-only forward: bit for bit the same number
