@@ -11,8 +11,8 @@ is added to every payload element, sinusoidal positions are added to the
 whole sequence, and a full-attention transformer produces the output. The
 first output row is the global embedding, the rest the sequential
 embedding; downstream consumers never branch on the source modality.
-Each input is encoded as a batch of one; `stack_conditions` pads several
-encodings into one batch.
+`encode` runs a list of inputs through one transformer forward, each
+zero-padded at the end to the longest under a key mask.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import numerics as nm
 from .errors import DataError
 from .mq import DOWNSAMPLE
-from .nn import Embedding, Linear, Module, TransformerEncoder, sinusoidal_table
+from .nn import Embedding, Linear, Module, TransformerEncoder, additive_mask, sinusoidal_table
 from .numerics import Tensor
 
 MODALITIES = ("text", "audio")
@@ -65,15 +65,6 @@ class CondEmbedding:
     def length(self) -> int:
         """Rows each condition takes as a transformer prefix, padding included (1 + I)."""
         return 1 + self.seq.shape[1]
-
-
-def stack_conditions(conds) -> CondEmbedding:
-    """One batch of the conditions of several CondEmbeddings, in order."""
-    longest = max(c.seq.shape[1] for c in conds)
-    seqs = [nm.concat([c.seq, np.zeros((len(c.lengths), longest - c.seq.shape[1],
-                                        c.seq.shape[2]))], axis=1) for c in conds]
-    return CondEmbedding(nm.concat([c.glob for c in conds], axis=0), nm.concat(seqs, axis=0),
-                         np.concatenate([c.lengths for c in conds]))
 
 
 @dataclass
@@ -143,13 +134,24 @@ def assemble_sequence(model: MATEModel, raw: Tensor, modality: str) -> Tensor:
     return nm.concat([first, rest], axis=0)
 
 
-def encode(model: MATEModel, inp: ModalityInput) -> CondEmbedding:
-    """Full condition encoding of one input, as a batch of one."""
-    if len(inp.payload) > model.max_payload(inp.modality):
-        raise DataError(
-            f"{inp.modality} condition of {len(inp.payload)} elements exceeds "
-            f"the {model.max_payload(inp.modality)}-element limit")
-    raw = embed_modality(model, inp)
-    seq_in = assemble_sequence(model, raw, inp.modality)
-    out = model.encoder(seq_in.reshape(1, *seq_in.shape))
-    return CondEmbedding(glob=out[:, 0], seq=out[:, 1:], lengths=np.array([raw.shape[0]]))
+def encode(model: MATEModel, inputs) -> CondEmbedding:
+    """Condition encodings of B inputs in one transformer forward: each is
+    zero-padded at the end to the longest under a key mask, and `seq` holds
+    the padding as zeros. An unpadded row has the bits of its lone encoding;
+    a padded row agrees with it to float reordering."""
+    seqs = []
+    for inp in inputs:
+        if len(inp.payload) > model.max_payload(inp.modality):
+            raise DataError(
+                f"{inp.modality} condition of {len(inp.payload)} elements exceeds "
+                f"the {model.max_payload(inp.modality)}-element limit")
+        seqs.append(assemble_sequence(model, embed_modality(model, inp), inp.modality))
+    lengths = np.array([seq.shape[0] - 1 for seq in seqs])
+    rows, dim = 1 + lengths.max(), model.cfg.dim
+    parts = []
+    for seq in seqs:
+        parts += [seq, np.zeros((rows - seq.shape[0], dim))]
+    visible = np.arange(rows) <= lengths[:, None]
+    out = model.encoder(nm.concat(parts, axis=0).reshape(len(seqs), rows, dim),
+                        additive_mask(visible)[:, None, None])
+    return CondEmbedding(glob=out[:, 0], seq=out[:, 1:] * visible[:, 1:, None], lengths=lengths)

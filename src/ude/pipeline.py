@@ -38,7 +38,7 @@ from .config import RunConfig, config_from_dict
 from .dataset import UNK_ID, VOCAB_WORDS, load_samples, synth_dataset, tokenize
 from .errors import ConfigError, DataError, NumericsError, StageError
 from .fileio import atomic_write
-from .mate import MATEConfig, MATEModel, audio_input, stack_conditions, text_input
+from .mate import MATEConfig, MATEModel, audio_input, text_input
 from .mate import encode as mate_encode
 from .motion import MotionSequence
 from .mq import DOWNSAMPLE
@@ -357,8 +357,9 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
     Every request gets exactly frames / 4 tokens. A batch of requests of
     one modality and one frame count passes a list of seeds plus a list of
     prompts (text) or feature matrices (audio); it returns one result per
-    request, each the one it would get alone, and samples and decodes them
-    together.
+    request, each the one it would get alone (conditions of different
+    lengths agree to float reordering; the tests pin their tokens), and
+    encodes, samples and decodes them together.
     """
     _check_frames(frames)
     _check_decodable(decoder, frames)
@@ -379,22 +380,18 @@ def _sample_tokens(stack, cfg: RunConfig, modality: str, frames: int, seeds, pro
     modality, each seeded by its entry of `seeds`; nothing is decoded."""
     utt = stack["utt"]
     n_tokens = frames // DOWNSAMPLE
-    conds, zs, unk_only = [], [], []
-    for s, p, f in zip(seeds, prompts, feats):
-        inp, unk = condition_from_request(stack, cfg, modality, p, f)
-        # a batch holds all its conditions: keep no graphs
-        with nm.no_grad(), _blame("the mate model", "utt"):
-            cond = mate_encode(stack["mate"], inp)
-        if cond.length + n_tokens > utt.cfg.max_context:
-            raise ConfigError(f"{frames} frames need a context of {cond.length + n_tokens}, "
-                              f"more than max_context {utt.cfg.max_context}")
-        conds.append(cond)
-        rng = np.random.default_rng(np.random.SeedSequence([s, 41]))
-        zs.append(rng.standard_normal(utt.cfg.z_dim) if use_z else None)
-        unk_only.append(unk)
+    inputs, unk_only = zip(*(condition_from_request(stack, cfg, modality, p, f)
+                             for p, f in zip(prompts, feats)))
+    with nm.no_grad(), _blame("the mate model", "utt"):
+        cond = mate_encode(stack["mate"], list(inputs))
+    if cond.length + n_tokens > utt.cfg.max_context:
+        raise ConfigError(f"{frames} frames need a context of {cond.length + n_tokens}, "
+                          f"more than max_context {utt.cfg.max_context}")
+    zs = [np.random.default_rng(np.random.SeedSequence([s, 41])).standard_normal(utt.cfg.z_dim)
+          if use_z else None for s in seeds]
     sampling = SamplingConfig(temperature=cfg.temperature, top_k=cfg.top_k)
     with _blame("the utt model", "utt"):
-        tokens = utt_mod.generate_tokens(utt, stack_conditions(conds), n_tokens, sampling,
+        tokens = utt_mod.generate_tokens(utt, cond, n_tokens, sampling,
                                          primitive=primitive, z=zs, seed=seeds)
     return tokens, unk_only
 

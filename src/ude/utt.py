@@ -39,7 +39,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import DataError
-from .mate import CondEmbedding, MATEModel, encode, stack_conditions
+from .mate import CondEmbedding, MATEModel, encode
 from .mq import DOWNSAMPLE, MQModel, encode_motions
 from .nn import (Conv1d, Embedding, Linear, Module, TransformerEncoder, additive_mask,
                  causal_prefix_mask, sinusoidal_table)
@@ -322,7 +322,7 @@ def mean_cross_entropy(mate: MATEModel, model: UTTModel, mq: MQModel, samples) -
     """Held-out teacher-forced CE over (ModalityInput, frames) samples of
     equal length."""
     with nm.no_grad():
-        cond = stack_conditions([encode(mate, inp) for inp, _ in samples])
+        cond = encode(mate, [inp for inp, _ in samples])
         tokens = mq.encode_tokens(np.stack([frames for _, frames in samples]))
         prefixes, targets = _teacher_forcing(model, tokens)
         return cross_entropy(forward_logits(model, cond, prefixes), targets).item()
@@ -342,8 +342,9 @@ def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator | None, mq: 
     and decoded motions) and steps that, so one graph is alive at a time.
 
     `samples` are (ModalityInput, frames) pairs covering both modalities,
-    all with the same frame count; batches interleave them 1:1 when both
-    are present. The quantizer is frozen throughout. Deterministic per seed.
+    all with the same frame count. A minibatch interleaves them 1:1 when
+    both are present and encodes its conditions in one padded MATE forward.
+    The quantizer is frozen throughout. Deterministic per seed.
     """
     if not samples:
         raise DataError("empty training set")
@@ -358,7 +359,7 @@ def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator | None, mq: 
     def step(batch):
         zs = [rng.standard_normal(model.cfg.z_dim) if rng.random() < z_prob else None
               for _ in batch]
-        cond = stack_conditions([encode(mate, samples[i][0]) for i in batch])
+        cond = encode(mate, [samples[i][0] for i in batch])
         gen_loss, parts = utt_loss(model, disc, cond, token_cache[batch], mq, z=zs)
         losses = {"ce": parts["ce"].item(), "adv": 0.0, "disc": 0.0}
         if disc is None:

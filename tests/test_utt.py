@@ -6,8 +6,7 @@ import pytest
 from ude import numerics as nm
 from ude import utt as utt_mod
 from ude.errors import DataError
-from ude.mate import (MATEConfig, MATEModel, audio_input, encode, stack_conditions,
-                      text_input)
+from ude.mate import MATEConfig, MATEModel, audio_input, encode, text_input
 from ude.mq import MQConfig, MQModel
 from ude.nn import additive_mask, causal_prefix_mask
 from ude.numerics import Tensor
@@ -32,7 +31,7 @@ def _models(seed=0):
 
 
 def _cond(mate, ids=(1, 2, 3)):
-    return encode(mate, text_input(list(ids)))
+    return encode(mate, [text_input(list(ids))])
 
 
 def _logits(utt, cond, prefix, z=None):
@@ -149,9 +148,9 @@ class TestForwardLogits:
     def test_motion_rows_equal_the_full_row_forward(self, monkeypatch, modality, use_z,
                                                     primitive, cached):
         mate, utt = _z_model()
-        conds, zs, _, _ = _mixed_requests(mate)
+        inputs, zs, _, _ = _mixed_requests(mate)
         picks = {"text": [0, 2], "audio": [1, 3], "mixed": [0, 1, 2, 3]}[modality]
-        cond = stack_conditions([conds[b] for b in picks])
+        cond = encode(mate, [inputs[b] for b in picks])
         z = [zs[b] if use_z else None for b in picks]
         prefixes = [[utt.cfg.bos] + primitive] * len(picks)
 
@@ -223,8 +222,8 @@ class TestGenerate:
         # top_k beyond the codebook at a high temperature: the head gives the
         # K codebook logits alone, so nothing else can be drawn
         mate, utt = _z_model()
-        conds, zs, _, seeds = _mixed_requests(mate)
-        out = generate_tokens(utt, stack_conditions(conds), 16,
+        inputs, zs, _, seeds = _mixed_requests(mate)
+        out = generate_tokens(utt, encode(mate, inputs), 16,
                               SamplingConfig(top_k=K + 2, temperature=2.0), z=zs, seed=seeds)
         assert out.shape == (4, 16) and out.dtype == np.int64
         assert out.min() >= 0 and out.max() < K
@@ -238,7 +237,7 @@ class TestGenerate:
                              ids=["ragged", "a-row-of-none", "one-dimensional"])
     def test_primitives_must_be_one_row_per_request_of_one_length(self, primitive):
         mate, utt, _, _ = _models()
-        cond = stack_conditions([_cond(mate), _cond(mate, ids=(4, 5))])
+        cond = encode(mate, [text_input([1, 2, 3]), text_input([4, 5])])
         with pytest.raises(DataError, match="primitives"):
             generate_tokens(utt, cond, 4, primitive=primitive, seed=[1, 2])
 
@@ -300,11 +299,11 @@ def _z_model(seed=0, max_context=512):
     return mate, utt
 
 
-CONDITIONS = {
-    "text": lambda mate: encode(mate, text_input([1, 2, 3, 4, 5])),
-    "audio": lambda mate: encode(mate, audio_input(
-        np.random.default_rng(9).standard_normal((7, 5)))),
+INPUTS = {
+    "text": text_input([1, 2, 3, 4, 5]),
+    "audio": audio_input(np.random.default_rng(9).standard_normal((7, 5))),
 }
+CONDITIONS = {name: lambda mate, inp=inp: encode(mate, [inp]) for name, inp in INPUTS.items()}
 
 
 class TestKVCache:
@@ -368,14 +367,14 @@ class TestKVCache:
 
 def _mixed_requests(mate):
     """Text and audio conditions of different lengths, z and a primitive on
-    some of them: (conds, zs, primitives, seeds)."""
+    some of them: (inputs, zs, primitives, seeds)."""
     feats = np.random.default_rng(10).standard_normal((11, 5))
-    conds = [encode(mate, text_input([1, 2, 3])), encode(mate, audio_input(feats)),
-             encode(mate, text_input([4, 5, 6, 7, 8, 9])), encode(mate, audio_input(feats[:4]))]
+    inputs = [text_input([1, 2, 3]), audio_input(feats), text_input([4, 5, 6, 7, 8, 9]),
+              audio_input(feats[:4])]
     zs = [None, np.random.default_rng(4).standard_normal(4), None,
           np.random.default_rng(5).standard_normal(4)]
     primitives = [[2, 7], [1, 0], [6, 6], [5, 3]]
-    return conds, zs, primitives, [3, 14, 15, 92]
+    return inputs, zs, primitives, [3, 14, 15, 92]
 
 
 class TestBatchedSampling:
@@ -386,8 +385,9 @@ class TestBatchedSampling:
     ])
     def test_tokens_equal_each_request_alone_and_the_uncached_loop(self, sampling, max_len):
         mate, utt = _z_model()
-        conds, zs, primitives, seeds = _mixed_requests(mate)
-        got = generate_tokens(utt, stack_conditions(conds), max_len, sampling,
+        inputs, zs, primitives, seeds = _mixed_requests(mate)
+        conds = [encode(mate, [inp]) for inp in inputs]
+        got = generate_tokens(utt, encode(mate, inputs), max_len, sampling,
                               primitive=primitives, z=zs, seed=seeds)
         assert got.shape == (4, max_len)
         for b in range(4):
@@ -401,9 +401,10 @@ class TestBatchedSampling:
     def test_padded_rows_equal_each_request_alone(self):
         # conditions of 3, 11, 6 and 4 elements
         mate, utt = _z_model()
-        conds, zs, primitives, _ = _mixed_requests(mate)
+        inputs, zs, primitives, _ = _mixed_requests(mate)
+        conds = [encode(mate, [inp]) for inp in inputs]
         prefixes = [[utt.cfg.bos] + p for p in primitives]
-        got = forward_logits(utt, stack_conditions(conds), prefixes, zs).data
+        got = forward_logits(utt, encode(mate, inputs), prefixes, zs).data
         assert got.shape == (4, 3, K)
         for b, prefix in enumerate(prefixes):
             alone = _logits(utt, conds[b], prefix, zs[b])
@@ -411,8 +412,9 @@ class TestBatchedSampling:
 
     def test_step_logits_equal_each_request_alone(self):
         mate, utt = _z_model()
-        conds, zs, primitives, _ = _mixed_requests(mate)
-        cond = stack_conditions(conds)
+        inputs, zs, primitives, _ = _mixed_requests(mate)
+        conds = [encode(mate, [inp]) for inp in inputs]
+        cond = encode(mate, inputs)
         tokens = [list(p) for p in primitives]
         follow = np.random.default_rng(6).integers(0, K, size=(6, 4))
         with nm.no_grad():
@@ -440,7 +442,7 @@ class TestBatchedSampling:
 
     def test_per_request_lists_must_match_the_batch(self):
         mate, utt = _z_model()
-        cond = stack_conditions(_mixed_requests(mate)[0])
+        cond = encode(mate, _mixed_requests(mate)[0])
         with pytest.raises(DataError, match="got 2 values"):
             generate_tokens(utt, cond, 4, seed=[1, 2])
         with pytest.raises(DataError, match="primitives of shape"):
@@ -520,7 +522,7 @@ class TestLosses:
 
         def run(loss_of):
             nm.Adam(params).zero_grad()
-            loss = loss_of(stack_conditions([encode(mate, inp) for inp in inputs]))
+            loss = loss_of(encode(mate, inputs))
             loss.backward()
             return loss.item(), [p.grad for _, p in params]
 
@@ -582,7 +584,7 @@ class TestLosses:
 
         def gradients():
             nm.Adam(params).zero_grad()
-            cond = stack_conditions([encode(mate, inp) for inp in inputs])
+            cond = encode(mate, inputs)
             utt_loss(utt, disc, cond, tokens, mq, z=zs)[0].backward()
             return [p.grad for _, p in params]
 
@@ -601,7 +603,8 @@ class TestLosses:
         mq = _models()[3]
         conds = [CONDITIONS[modality](mate) for modality in sorted(CONDITIONS)]
         tokens = rng.integers(0, K, size=(2, 5))
-        _, parts = utt_loss(utt, None, stack_conditions(conds), tokens, mq)
+        cond = encode(mate, [INPUTS[modality] for modality in sorted(INPUTS)])
+        _, parts = utt_loss(utt, None, cond, tokens, mq)
         want = []
         with nm.no_grad():
             for cond, row in zip(conds, tokens):
@@ -619,7 +622,7 @@ class TestLosses:
         _, _, disc, mq = _models()
         inputs = [text_input([1, 2, 3, 4]), audio_input(rng.standard_normal((6, 5)))]
         samples = [(inp, rng.standard_normal((16, FRAME_DIM))) for inp in inputs]
-        cond = stack_conditions([encode(mate, inp) for inp, _ in samples])
+        cond = encode(mate, [inp for inp, _ in samples])
         tokens = mq.encode_tokens(np.stack([frames for _, frames in samples]))
         ce = utt_loss(utt, disc, cond, tokens, mq)[1]["ce"].item()
         assert mean_cross_entropy(mate, utt, mq, samples) == ce
@@ -646,7 +649,7 @@ class TestLosses:
         params = mate.named_parameters() + utt.named_parameters() + disc.named_parameters()
 
         def losses(rows):
-            cond = stack_conditions([encode(mate, inputs[b]) for b in rows])
+            cond = encode(mate, [inputs[b] for b in rows])
             total, parts = utt_loss(utt, disc, cond, tokens[rows], mq,
                                     z=[zs[b] for b in rows])
             return total, hinge_disc_loss(disc, cond.glob, real[rows], parts["fake"])
