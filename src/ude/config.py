@@ -58,7 +58,6 @@ class RunConfig:
     utt_layers: int = 2
     utt_heads: int = 4
     z_dim: int = 16
-    beta_adv: float = 0.0  # the adversarial term is opt-in: above 0 it trains a discriminator
     max_context: int = 512
     temperature: float = 1.0
     top_k: int = 16
@@ -126,13 +125,12 @@ def config_from_dict(loaded) -> RunConfig:
     return cfg
 
 
-# smallest value each count, the learning rate, the adversarial weight, the
-# frame rate and the beat tolerance may take; a negative beta_adv would train
-# the generator to make the discriminator's job easier; at a rate far below
-# one frame per second, synth would place billions of beats, and a tolerance
-# below a hundredth of a frame is finer than any frame grid can tell (at
-# 1e-300 frames, beat_align's 2 sigma^2 underflows to a division by zero)
-_MINIMUMS = {"lr": 0, "beta_adv": 0, "fps": 1.0, "beat_sigma_frames": 0.01,
+# smallest value each count, the learning rate, the frame rate and the beat
+# tolerance may take; at a rate far below one frame per second, synth would
+# place billions of beats, and a tolerance below a hundredth of a frame is
+# finer than any frame grid can tell (at 1e-300 frames, beat_align's
+# 2 sigma^2 underflows to a division by zero)
+_MINIMUMS = {"lr": 0, "fps": 1.0, "beat_sigma_frames": 0.01,
              "frames": DOWNSAMPLE, "feature_dim": 1, "code_count": 1, "code_dim": 1,
              "mq_hidden": 1, "embed_dim": 1, "mate_layers": 1, "mate_heads": 1,
              "utt_layers": 1, "utt_heads": 1, "z_dim": 0, "dmd_layers": 1,

@@ -190,6 +190,6 @@ def train_dmd(model: DMDModel, mq: MQModel, motions, epochs: int, seed: int,
 
     def step(batch):
         loss = dmd_loss(model, np.stack([motions[i] for i in batch]), token_cache[batch], rng)
-        return [(opt, loss)], {"loss": loss.item()}
+        return loss, {"loss": loss.item()}
 
-    return nm.fit(epochs, batch_size, lambda: rng.permutation(len(motions)), step)
+    return nm.fit(epochs, batch_size, lambda: rng.permutation(len(motions)), opt, step)

@@ -242,10 +242,10 @@ def train_retrieval_encoder(enc: RetrievalEncoder, pairs, epochs: int,
     def step(batch):
         loss = contrastive_loss(enc.encode_motion(np.stack([pairs[i][0] for i in batch])),
                                 enc.encode_text([pairs[i][1] for i in batch]))
-        return [(opt, loss)], {"loss": loss.item()}
+        return loss, {"loss": loss.item()}
 
     # with fewer than two pairs every order is empty and nothing trains
-    return [{"loss": 0.0, **row} for row in nm.fit(epochs, RETRIEVAL_BATCH, order, step)]
+    return [{"loss": 0.0, **row} for row in nm.fit(epochs, RETRIEVAL_BATCH, order, opt, step)]
 
 
 def retrieval_accuracy(encoder, pairs, distractors: int = 60, trials: int = 10,

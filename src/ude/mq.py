@@ -162,7 +162,7 @@ def train_mq(model: MQModel, motions, epochs: int, seed: int, lr: float = 1e-3,
         used = parts["tokens"][:, :, None] == np.arange(model.cfg.code_count)
         model.usage += used.any(axis=1).sum(axis=0)
         stash.extend(parts["e"].data[:256 - len(stash)])
-        return [(opt, loss)], {"total": loss.item(), **{
+        return loss, {"total": loss.item(), **{
             key: parts[key].item() for key in ("recon", "codebook", "commit")}}
 
     def end_epoch():
@@ -175,4 +175,4 @@ def train_mq(model: MQModel, motions, epochs: int, seed: int, lr: float = 1e-3,
             opt.reset_state(code_param_index, rows=dead)
         return {"dead_codes": int(dead.size)}
 
-    return nm.fit(epochs, batch_size, order, step, end_epoch)
+    return nm.fit(epochs, batch_size, order, opt, step, end_epoch)

@@ -701,20 +701,16 @@ class Adam:
 # -- training loop --------------------------------------------------------------------
 
 
-def fit(epochs: int, batch_size: int, order, step, end_epoch=None) -> list:
+def fit(epochs: int, batch_size: int, order, opt, step, end_epoch=None) -> list:
     """The minibatch loop of every trainer; returns one history row per epoch.
 
     Each epoch walks the indices `order()` returns in batches of
-    `batch_size`. `step(batch)` returns the batch's `(optimizer, loss)` pairs
-    and a dict of scalar loss parts. A pair's loss is a built graph, or a
-    function of no arguments that builds it: that function is called only
-    after every earlier pair has been zeroed, back-propagated and stepped,
-    and may add its own parts to the dict. Pairs run in the order given, and
-    each graph is freed as it is back-propagated, so a trainer whose later
-    losses are builders holds at most one pair's graph at a time. A row
-    holds each part's per-item mean over the epoch's order, then "epoch",
-    then whatever `end_epoch()` returns. A NumericsError from `step` or from
-    a loss builder is raised again with the epoch in its message.
+    `batch_size`. `step(batch)` builds the batch's loss graph and returns it
+    with a dict of scalar loss parts; `opt` is then zeroed, the loss
+    back-propagated and `opt` stepped. A row holds each part's per-item mean
+    over the epoch's order, then "epoch", then whatever `end_epoch()`
+    returns. A NumericsError from `step` is raised again with the epoch in
+    its message.
     """
     history = []
     for epoch in range(epochs):
@@ -722,23 +718,15 @@ def fit(epochs: int, batch_size: int, order, step, end_epoch=None) -> list:
         sums = {}
         for start in range(0, len(indices), batch_size):
             batch = indices[start:start + batch_size]
-            pairs, parts = _at_epoch(epoch, step, batch)
-            for opt, loss in pairs:
-                if callable(loss):
-                    loss = _at_epoch(epoch, loss)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
+            try:
+                loss, parts = step(batch)
+            except NumericsError as exc:
+                raise NumericsError(f"non-finite loss at epoch {epoch}: {exc}") from exc
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
             for key, value in parts.items():
                 sums[key] = sums.get(key, 0.0) + value * len(batch)
         means = {key: total / len(indices) for key, total in sums.items()}
         history.append({**means, "epoch": epoch, **(end_epoch() if end_epoch else {})})
     return history
-
-
-def _at_epoch(epoch: int, build, *args):
-    """build(*args), with the epoch named in a NumericsError it raises."""
-    try:
-        return build(*args)
-    except NumericsError as exc:
-        raise NumericsError(f"non-finite loss at epoch {epoch}: {exc}") from exc

@@ -2,12 +2,10 @@
 from text or audio conditions, stitch text-to-audio transitions through
 token primitives, and run the metric battery.
 
-Stage order is mq -> utt (mate+utt, on cross-entropy alone unless
-`beta_adv` is above 0, which trains them against a discriminator that is
-built only then and never saved) -> dmd -> retrieval, one `STAGES` entry
-each; the utt and dmd stages record the content hash of the mq checkpoint
-they were trained against, and loading verifies those hashes so stale mixes
-fail loudly.
+Stage order is mq -> utt (mate+utt, on cross-entropy) -> dmd -> retrieval,
+one `STAGES` entry each; the utt and dmd stages record the content hash of
+the mq checkpoint they were trained against, and loading verifies those
+hashes so stale mixes fail loudly.
 A checkpoint section holds only parameters: `MODELS` builds its model from
 the run config being trained, or from the one the checkpoint recorded,
 checked as a config file is. Loading draws no weights, since every one is
@@ -58,11 +56,9 @@ def run_synth(cfg: RunConfig, seed: int, out_dir) -> dict:
 
 # -- models ------------------------------------------------------------------------
 #
-# Every checkpoint section's model, built from a run config `c`, plus the utt
-# stage's discriminator, which is built only when beta_adv is above 0 and is
-# trained but not saved. The trainers build through this table and the
-# loaders rebuild through it, so the mapping from run config to architecture
-# is spelled once.
+# Every checkpoint section's model, built from a run config `c`. The trainers
+# build through this table and the loaders rebuild through it, so the mapping
+# from run config to architecture is spelled once.
 
 MODELS = {
     "mq": lambda c, rng: mq_mod.MQModel(mq_mod.MQConfig(
@@ -74,8 +70,7 @@ MODELS = {
         max_audio_len=c.max_audio_len), rng),
     "utt": lambda c, rng: utt_mod.UTTModel(utt_mod.UTTConfig(
         code_count=c.code_count, dim=c.embed_dim, layers=c.utt_layers, heads=c.utt_heads,
-        z_dim=c.z_dim, max_context=c.max_context, beta_adv=c.beta_adv), rng),
-    "disc": lambda c, rng: utt_mod.Discriminator(c.frame_dim, c.embed_dim, c.utt_heads, rng),
+        z_dim=c.z_dim, max_context=c.max_context), rng),
     "dmd": lambda c, rng: dmd_mod.DMDModel(dmd_mod.DMDConfig(
         frame_dim=c.frame_dim, code_count=c.code_count, steps=c.diffusion_steps,
         dim=c.embed_dim, cond_layers=c.dmd_cond_layers, layers=c.dmd_layers,
@@ -111,13 +106,8 @@ def _train_mq(cfg, train, deps, rng, seed, epochs) -> tuple:
 
 def _train_utt(cfg, train, deps, rng, seed, epochs) -> tuple:
     mate, utt = MODELS["mate"](cfg, rng), MODELS["utt"](cfg, rng)
-    # inference reads only mate and utt, so the discriminator is not saved;
-    # without one, train_utt runs no adversarial term. It is the stream's last
-    # draw, so building it only for beta_adv above 0 leaves the mate and utt
-    # weights as they are
-    disc = MODELS["disc"](cfg, rng) if cfg.beta_adv else None
     samples = [(_sample_input(s), s.motion.frames) for s in train]
-    history = utt_mod.train_utt(mate, utt, disc, deps["mq"], samples, epochs=epochs,
+    history = utt_mod.train_utt(mate, utt, deps["mq"], samples, epochs=epochs,
                                 seed=seed, lr=cfg.lr, batch_size=cfg.batch_size,
                                 z_prob=cfg.z_prob)
     return {"mate": mate, "utt": utt}, None, history
@@ -154,7 +144,7 @@ class Stage:
 # in training order; a stage comes after every stage it depends on
 STAGES = {
     "mq": Stage(_train_mq, (), ("total", "recon", "codebook", "commit", "dead_codes"), 101),
-    "utt": Stage(_train_utt, ("mq",), ("ce", "adv", "disc"), 102),
+    "utt": Stage(_train_utt, ("mq",), ("ce",), 102),
     "dmd": Stage(_train_dmd, ("mq",), ("loss",), 103),
     "retrieval": Stage(_train_retrieval, (), ("loss",), 77),
 }
@@ -365,6 +355,8 @@ def generate_motion(stack, cfg: RunConfig, modality: str, frames: int, seed,
     _check_decodable(decoder, frames)
     batch = isinstance(seed, (list, tuple))
     seeds = list(seed) if batch else [seed]
+    if not seeds:
+        raise DataError("a batch of requests is empty")
     prompts, feats = (utt_mod._per_row(value, len(seeds)) if batch else [value]
                       for value in (prompt, features))
     tokens, unk_only = _sample_tokens(stack, cfg, modality, frames, seeds, prompts, feats, use_z)

@@ -1,11 +1,7 @@
 """Unified token transformer: autoregressive motion-token prediction under a
 causal mask whose condition prefix stays fully visible, with optional
 Gaussian z-injection into the global condition for diverse sampling, and
-its teacher-forced training loss. The loss is cross-entropy alone unless
-a patch discriminator over decoded motion is passed in, which adds an
-adversarial term weighed by `beta_adv`; the utt stage builds one only when
-`beta_adv` is above 0 (by default it is 0), and without one no decode,
-discriminator graph or discriminator step is built.
+its teacher-forced cross-entropy training loss.
 
 The head predicts the K codebook ids and nothing else; the token table
 holds them plus BOS (=K), which is only ever an input. A teacher-forced
@@ -18,9 +14,7 @@ motion rows give logits, so the encoder's last layer computes everything
 but its keys and values for those rows only (`nn.TransformerEncoder`'s
 `start`): logits within 1e-12 of a forward whose last layer computes every
 row, and MATE and UTT gradients of a default-size `utt_loss` within 1e-15.
-Training runs one forward per minibatch; with the adversarial term on, it
-builds the discriminator's graph only after the generator's step has freed
-the generator's graph.
+Training runs one forward per minibatch.
 Sampling draws an exact token count, so every row ends on the same step.
 Its first pass is one forward, which fills a per-layer key/value cache;
 each later step feeds every row's last sampled token at one shared
@@ -32,7 +26,6 @@ compute.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +33,8 @@ import numpy as np
 from . import numerics as nm
 from .errors import DataError
 from .mate import CondEmbedding, MATEModel, encode
-from .mq import DOWNSAMPLE, MQModel, encode_motions
-from .nn import (Conv1d, Embedding, Linear, Module, TransformerEncoder, additive_mask,
+from .mq import MQModel, encode_motions
+from .nn import (Embedding, Linear, Module, TransformerEncoder, additive_mask,
                  causal_prefix_mask, sinusoidal_table)
 from .numerics import Tensor
 
@@ -54,7 +47,6 @@ class UTTConfig:
     heads: int = 4
     z_dim: int = 16
     max_context: int = 512
-    beta_adv: float = 0.0
 
     @property
     def bos(self) -> int:
@@ -219,35 +211,6 @@ def _sample_one(logits: np.ndarray, sampling: SamplingConfig,
     return int(keep[cdf.searchsorted(rng.random(), side="right")])
 
 
-# -- discriminator -------------------------------------------------------------------
-
-
-class Discriminator(Module):
-    """Per-patch realness scores for (global condition, motion) pairs.
-
-    Two stride-2 convs reduce T frames to T/4 patch features; a linear map
-    of the global embedding is added to every patch; a 2-layer transformer
-    plus a per-position linear head yields one score per patch.
-    """
-
-    def __init__(self, frame_dim: int, dim: int, heads: int, rng: np.random.Generator):
-        self.conv1 = Conv1d(4, frame_dim, dim, 2, rng)
-        self.conv2 = Conv1d(4, dim, dim, 2, rng)
-        self.glob_proj = Linear(dim, dim, rng)
-        self.encoder = TransformerEncoder(2, dim, heads, rng)
-        self.score = Linear(dim, 1, rng)
-
-
-def discriminate(disc: Discriminator, glob, motion) -> Tensor:
-    """Validity scores [B, T/4] of motions [B, T, c] under global conditions [B, D]."""
-    if motion.shape[-2] % DOWNSAMPLE != 0:
-        raise DataError(f"frame count {motion.shape[-2]} not divisible by {DOWNSAMPLE}")
-    h = nm.relu(disc.conv2(nm.relu(disc.conv1(motion))))
-    h = h + disc.glob_proj(glob).reshape(glob.shape[0], 1, -1)
-    hidden = disc.encoder(h)
-    return disc.score(hidden).reshape(glob.shape[0], -1)
-
-
 # -- losses ----------------------------------------------------------------------------
 
 
@@ -259,24 +222,6 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return -nm.take_per_row(nm.log_softmax(flat, axis=-1), targets.ravel()).mean()
 
 
-def straight_through_decode(mq: MQModel, logits: Tensor) -> Tensor:
-    """Decode the argmax codebook tokens of logits [B, S, K] with
-    gradients flowing through the softmax-weighted codebook mixture
-    (straight-through). The quantizer is frozen: its codebook and decoder
-    weights enter as constants, so no gradient reaches them."""
-    tokens = np.argmax(logits.data, axis=-1)
-    probs = nm.softmax(logits, axis=-1)
-    soft = nm.matmul(probs, mq.codebook.table.detach())
-    hard = mq.codebook.table.data[tokens]
-    mixed = soft + Tensor(hard - soft.data)
-    frozen = copy.copy(mq)
-    for name in ("dec1", "dec2", "dec3"):
-        conv = copy.copy(getattr(mq, name))
-        conv.kernel, conv.bias = conv.kernel.detach(), conv.bias.detach()
-        setattr(frozen, name, conv)
-    return frozen.decode_embedding(mixed)
-
-
 def _teacher_forcing(model: UTTModel, gt_tokens) -> tuple:
     """(prefixes [BOS, t_0..t_{S-2}], targets t_0..t_{S-1}) of token rows
     [B, S]: position i of a prefix predicts t_i, so each row is S logits."""
@@ -285,33 +230,17 @@ def _teacher_forcing(model: UTTModel, gt_tokens) -> tuple:
             gt_tokens)
 
 
-def utt_loss(model: UTTModel, disc: Discriminator | None, cond: CondEmbedding,
-             gt_tokens, mq: MQModel, z=None) -> tuple:
-    """Teacher-forced training loss of B conditions and token rows [B, S],
-    averaged over the batch: (total, parts).
-
-    parts carries "ce" (the mean cross-entropy of the S targets t_0..t_{S-1}
-    over the K codebook logits). With `disc` None the total is "ce" itself
-    and nothing is decoded. Otherwise parts also carries "adv" (the
-    non-saturating generator term on the decoded predicted tokens, weighed
-    by model.cfg.beta_adv) and "fake" (the decoded motions [B, 4S, c], for
-    the discriminator step). z is as for `forward_logits`.
-    """
+def utt_loss(model: UTTModel, cond: CondEmbedding, gt_tokens, z=None) -> Tensor:
+    """Teacher-forced loss of B conditions and token rows [B, S]: the mean
+    cross-entropy of the S targets t_0..t_{S-1} over the K codebook logits,
+    averaged over the batch. z is as for `forward_logits`."""
     prefixes, targets = _teacher_forcing(model, gt_tokens)
-    logits = forward_logits(model, cond, prefixes, z=z)
-    l_ce = cross_entropy(logits, targets)
-    if disc is None:
-        return l_ce, {"ce": l_ce}
-    fake = straight_through_decode(mq, logits)
-    l_adv = -discriminate(disc, cond.glob, fake).mean()
-    total = l_ce + model.cfg.beta_adv * l_adv
-    return total, {"ce": l_ce, "adv": l_adv, "fake": fake}
+    return cross_entropy(forward_logits(model, cond, prefixes, z=z), targets)
 
 
-def hinge_disc_loss(disc: Discriminator, glob, real, fake) -> Tensor:
-    """Hinge real/fake objective on globs [B, D] and motions [B, T, c]."""
-    real_scores = discriminate(disc, glob, real)
-    fake_scores = discriminate(disc, glob, fake)
+# BENCHMARK.json reads this span; the function leaves together with that span
+def hinge_disc_loss(real_scores, fake_scores) -> Tensor:
+    """Hinge real/fake objective on realness scores."""
     return nm.relu(1.0 - real_scores).mean() + nm.relu(1.0 + fake_scores).mean()
 
 
@@ -324,22 +253,12 @@ def mean_cross_entropy(mate: MATEModel, model: UTTModel, mq: MQModel, samples) -
     with nm.no_grad():
         cond = encode(mate, [inp for inp, _ in samples])
         tokens = mq.encode_tokens(np.stack([frames for _, frames in samples]))
-        prefixes, targets = _teacher_forcing(model, tokens)
-        return cross_entropy(forward_logits(model, cond, prefixes), targets).item()
+        return utt_loss(model, cond, tokens).item()
 
 
-def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator | None, mq: MQModel,
-              samples, epochs: int, seed: int, lr: float = 1e-3,
-              batch_size: int = 4, z_prob: float = 0.5) -> list:
-    """Teacher-forced training of MATE+UTT through `numerics.fit`, with the
-    patch discriminator as an opt-in adversary.
-
-    With `disc` None (the utt stage at beta_adv 0, the default) each
-    minibatch builds and steps the cross-entropy graph alone, and every
-    history row's "adv" and "disc" are 0.0. With a discriminator, each
-    minibatch builds the generator's graph and steps it, then builds the
-    discriminator's graph (over the generator's detached global conditions
-    and decoded motions) and steps that, so one graph is alive at a time.
+def train_utt(mate: MATEModel, model: UTTModel, mq: MQModel, samples, epochs: int,
+              seed: int, lr: float = 1e-3, batch_size: int = 4, z_prob: float = 0.5) -> list:
+    """Teacher-forced cross-entropy training of MATE+UTT through `numerics.fit`.
 
     `samples` are (ModalityInput, frames) pairs covering both modalities,
     all with the same frame count. A minibatch interleaves them 1:1 when
@@ -349,8 +268,7 @@ def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator | None, mq: 
     if not samples:
         raise DataError("empty training set")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 23]))
-    gen_opt = nm.Adam(mate.named_parameters() + model.named_parameters(), lr=lr)
-    disc_opt = nm.Adam(disc.named_parameters(), lr=lr) if disc is not None else None
+    opt = nm.Adam(mate.named_parameters() + model.named_parameters(), lr=lr)
 
     text_idx = [i for i, (inp, _) in enumerate(samples) if inp.modality == "text"]
     audio_idx = [i for i, (inp, _) in enumerate(samples) if inp.modality == "audio"]
@@ -359,24 +277,11 @@ def train_utt(mate: MATEModel, model: UTTModel, disc: Discriminator | None, mq: 
     def step(batch):
         zs = [rng.standard_normal(model.cfg.z_dim) if rng.random() < z_prob else None
               for _ in batch]
-        cond = encode(mate, [samples[i][0] for i in batch])
-        gen_loss, parts = utt_loss(model, disc, cond, token_cache[batch], mq, z=zs)
-        losses = {"ce": parts["ce"].item(), "adv": 0.0, "disc": 0.0}
-        if disc is None:
-            return [(gen_opt, gen_loss)], losses
-        # plain arrays: the discriminator's graph is built after the generator's
-        # is freed, and the generator's step changes neither array
-        glob, fake = cond.glob.data, parts["fake"].data
-        losses["adv"] = parts["adv"].item()
+        loss = utt_loss(model, encode(mate, [samples[i][0] for i in batch]),
+                        token_cache[batch], z=zs)
+        return loss, {"ce": loss.item()}
 
-        def disc_loss():
-            loss = hinge_disc_loss(disc, glob, np.stack([samples[i][1] for i in batch]), fake)
-            losses["disc"] = loss.item()
-            return loss
-
-        return [(gen_opt, gen_loss), (disc_opt, disc_loss)], losses
-
-    return nm.fit(epochs, batch_size, lambda: _interleave(rng, text_idx, audio_idx), step)
+    return nm.fit(epochs, batch_size, lambda: _interleave(rng, text_idx, audio_idx), opt, step)
 
 
 def _interleave(rng: np.random.Generator, text_idx, audio_idx) -> list:

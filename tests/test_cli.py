@@ -221,8 +221,12 @@ CORRUPT_INPUTS = {
         lambda m: m["config"].update(no_such_key=1))),
     "ckpt-run-config-string-for-int": ("mq.ckpt", _rewrite_metadata(
         lambda m: m["config"].update(code_dim="many"))),
-    "ckpt-run-config-negative-beta-adv": ("utt.ckpt", _rewrite_metadata(
-        lambda m: m["config"].update(beta_adv=-1.0))),
+    "ckpt-run-config-negative-lr": ("utt.ckpt", _rewrite_metadata(
+        lambda m: m["config"].update(lr=-1.0))),
+    # every checkpoint written while the utt stage had an adversarial weight
+    # records it; nothing reads that key any more
+    "ckpt-run-config-beta-adv": ("mq.ckpt", _rewrite_metadata(
+        lambda m: m["config"].update(beta_adv=0.0))),
     # a valid run config of another architecture than the parameters'
     "ckpt-run-config-another-codebook": ("mq.ckpt", _rewrite_metadata(
         lambda m: m["config"].update(code_count=9))),
@@ -257,8 +261,10 @@ CORRUPT_MESSAGES = {"ckpt-v1": ("retrain stage utt",), "feature-rate-infinite": 
                         "utt.ckpt: ", "no_such_key", "retrain stage utt"),
                     "ckpt-run-config-string-for-int": (
                         "mq.ckpt: ", "'code_dim' must be int", "retrain stage mq"),
-                    "ckpt-run-config-negative-beta-adv": (
-                        "utt.ckpt: ", "'beta_adv' must be at least 0", "retrain stage utt"),
+                    "ckpt-run-config-negative-lr": (
+                        "utt.ckpt: ", "'lr' must be at least 0", "retrain stage utt"),
+                    "ckpt-run-config-beta-adv": (
+                        "mq.ckpt: ", "unknown config keys: ['beta_adv']", "retrain stage mq"),
                     "ckpt-run-config-another-codebook": (
                         "mq.ckpt: section 'mq'", "codebook.table", "retrain stage mq"),
                     "ckpt-run-config-another-depth": (
@@ -301,7 +307,7 @@ def _section_configs(cfg) -> dict:
                  "max_text_len": cfg.max_text_len, "max_audio_len": cfg.max_audio_len},
         "utt": {"code_count": cfg.code_count, "dim": cfg.embed_dim, "layers": cfg.utt_layers,
                 "heads": cfg.utt_heads, "z_dim": cfg.z_dim, "max_context": cfg.max_context,
-                "beta_adv": cfg.beta_adv},
+                "beta_adv": 0.0},
         "dmd": {"frame_dim": cfg.frame_dim, "code_count": cfg.code_count,
                 "steps": cfg.diffusion_steps, "dim": cfg.embed_dim,
                 "cond_layers": cfg.dmd_cond_layers, "layers": cfg.dmd_layers,
@@ -599,19 +605,17 @@ def test_diverging_training_prints_no_numpy_warning(first_run, tiny_cfg, tmp_pat
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
-@pytest.mark.parametrize("beta_adv, decoder, message", [
+@pytest.mark.parametrize("decoder, message", [
     # which model's numbers overflow first depends on the trained weights:
-    # here the vq motions' kinetic features at beta_adv 1.0, and otherwise
-    # the retrieval encoder's engine ops
-    (1.0, "vq", "the generated text motions have non-finite kinetic features"),
-    (0.0, "vq", "the retrieval encoder failed (non-finite values produced by"),
-    (1.0, "dmd", "the retrieval encoder failed (non-finite values produced by"),
+    # here the retrieval encoder's engine ops
+    ("vq", "the retrieval encoder failed (non-finite values produced by"),
+    ("dmd", "the retrieval encoder failed (non-finite values produced by"),
 ])
-def test_eval_of_a_diverged_model_is_a_numerical_failure(tiny_cfg, tmp_path, capsys, beta_adv,
-                                                         decoder, message):
+def test_eval_of_a_diverged_model_is_a_numerical_failure(tiny_cfg, tmp_path, capsys, decoder,
+                                                         message):
     # lr 1e30 trains to huge but finite weights: training passes every finite check
     config = tmp_path / "hot.json"
-    config.write_text(json.dumps({**tiny_cfg.to_dict(), "lr": 1e30, "beta_adv": beta_adv}))
+    config.write_text(json.dumps({**tiny_cfg.to_dict(), "lr": 1e30}))
     common = ["--config", config, "--seed", 0]
     data, ckpt, out = tmp_path / "data", tmp_path / "ckpt", tmp_path / "eval.json"
     with warnings.catch_warnings():
@@ -624,6 +628,29 @@ def test_eval_of_a_diverged_model_is_a_numerical_failure(tiny_cfg, tmp_path, cap
                     "--out", out) == 5
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and message in err
+    assert not out.exists()
+
+
+def test_eval_of_motions_whose_features_overflow_is_a_numerical_failure(first_run, config,
+                                                                        tmp_path, capsys,
+                                                                        monkeypatch):
+    load = pipeline.load_generation_stack
+
+    def diverged(ckpt_dir, decoder="dmd"):  # finite vq frames of about 1e200 m
+        stack = load(ckpt_dir, decoder)
+        stack["mq"].dec3.kernel.data[...] *= 1e200
+        return stack
+
+    monkeypatch.setattr(pipeline, "load_generation_stack", diverged)
+    capsys.readouterr()
+    out = tmp_path / "eval.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _cli("eval", "--config", config, "--seed", 0, "--ckpt", first_run[0] / "ckpt",
+                    "--data", first_run[0] / "data", "--decoder", "vq", "--out", out) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert "the generated text motions have non-finite kinetic features" in err
     assert not out.exists()
 
 

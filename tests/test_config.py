@@ -84,7 +84,7 @@ def test_values_that_do_not_fit_the_field_type_raise(tmp_path, values):
     {"genres_test": "polka:1"},
     {"lr": math.nan},
     {"lr": "nan"},
-    {"beta_adv": "inf"},
+    {"beta_commit": "inf"},
     {"fps": math.inf},
     {"z_prob": 7.5},
     {"z_prob": -0.1},
@@ -122,8 +122,8 @@ def test_values_that_do_not_fit_the_field_type_raise(tmp_path, values):
     {"families_test": "walk:1"},
     # the diffusion decoder has positions for 512 frames (128 tokens)
     {"frames": 516, "max_audio_len": 520, "max_context": 1024},
-    # a negative adversarial weight would train the generator to help the discriminator
-    {"beta_adv": -1.0},
+    # a negative beat tolerance
+    {"beat_sigma_frames": -1.0},
 ])
 def test_values_out_of_range_raise(tmp_path, values):
     with pytest.raises(ConfigError):
@@ -142,7 +142,7 @@ def test_values_out_of_range_raise(tmp_path, values):
     {"retrieval_distractors": 63},
     {"families_test": "walk:61"},
     {"frames": 512, "max_audio_len": 512, "max_context": 1024},
-    {"beta_adv": 0.0},  # cross-entropy alone
+    {"z_prob": 0.0},  # no z-injection while training
 ])
 def test_values_at_the_edges_of_their_ranges_load(tmp_path, values):
     cfg = _load(tmp_path, values)
@@ -166,6 +166,12 @@ def test_the_frame_width_is_the_synthetic_skeletons(tmp_path):
     assert RunConfig().frame_dim == 3 * len(JOINT_NAMES) == 24
     with pytest.raises(ConfigError, match="unknown config keys"):
         _load(tmp_path, {"joints": 10})
+
+
+def test_a_config_that_names_the_removed_adversarial_weight_is_rejected(tmp_path):
+    # configs written before the discriminator was removed carry beta_adv 0.0
+    with pytest.raises(ConfigError, match=r"^unknown config keys: \['beta_adv'\]$"):
+        _load(tmp_path, {"beta_adv": 0.0})
 
 
 @pytest.mark.parametrize("values, longest", [

@@ -271,8 +271,7 @@ def _train(rng, samples, batch_size, epochs=1):
     data = [(text_input(rng.integers(1, 20, size=3 + i % 4)) if i % 2 == 0
              else audio_input(rng.standard_normal((5 + i, 5))),
              rng.standard_normal((16, 6))) for i in range(samples)]
-    history = train_utt(mate, utt, None, mq, data, epochs=epochs, seed=0,
-                        batch_size=batch_size)
+    history = train_utt(mate, utt, mq, data, epochs=epochs, seed=0, batch_size=batch_size)
     return mate, utt, history
 
 

@@ -329,101 +329,127 @@ class TestAdam:
 
 
 class _Recorder:
-    """Stands in for an optimizer or a loss and records each call."""
+    """Stands in for an optimizer and a loss and records each call."""
 
-    def __init__(self, name, calls):
-        self.name, self.calls = name, calls
+    def __init__(self, calls):
+        self.calls = calls
 
     def zero_grad(self):
-        self.calls.append((self.name, "zero_grad"))
+        self.calls.append("zero_grad")
 
     def backward(self):
-        self.calls.append((self.name, "backward"))
+        self.calls.append("backward")
 
     def step(self):
-        self.calls.append((self.name, "step"))
+        self.calls.append("step")
 
 
 class TestFit:
     def test_visits_each_index_once_per_epoch_in_the_given_order(self):
         orders = iter([[3, 0, 2, 1, 4], [4, 1, 0, 3, 2]])
-        seen = []
+        seen, opt = [], _Recorder([])
 
         def step(batch):
             seen.append(list(batch))
-            return [], {}
+            return opt, {}
 
-        assert nm.fit(2, 2, lambda: next(orders), step) == [{"epoch": 0}, {"epoch": 1}]
+        assert nm.fit(2, 2, lambda: next(orders), opt, step) == [{"epoch": 0}, {"epoch": 1}]
         assert seen == [[3, 0], [2, 1], [4], [4, 1], [0, 3], [2]]
 
-    def test_steps_each_pair_in_the_order_given(self):
+    def test_zeroes_back_propagates_and_steps_once_per_batch(self):
         calls = []
-        gen, disc = _Recorder("gen", calls), _Recorder("disc", calls)
-        nm.fit(1, 2, lambda: [0, 1, 2], lambda batch: ([(gen, gen), (disc, disc)], {}))
-        one_batch = [(name, call) for name in ("gen", "disc")
-                     for call in ("zero_grad", "backward", "step")]
-        assert calls == one_batch * 2
-
-    def test_a_loss_builder_runs_only_after_the_previous_pair_has_stepped(self):
-        calls = []
-        gen, disc = _Recorder("gen", calls), _Recorder("disc", calls)
+        opt = _Recorder(calls)
 
         def step(batch):
-            parts = {"gen": 1.0}
+            calls.append("build")
+            return opt, {}
 
-            def build():
-                calls.append(("disc", "build"))
-                parts["disc"] = 2.0
-                return disc
+        nm.fit(1, 2, lambda: [0, 1, 2], opt, step)
+        assert calls == ["build", "zero_grad", "backward", "step"] * 2
 
-            return [(gen, gen), (disc, build)], parts
+    def test_a_batch_size_past_the_order_makes_one_batch(self):
+        seen, opt = [], _Recorder([])
 
-        history = nm.fit(1, 2, lambda: [0, 1, 2], step)
-        one_batch = [("gen", "zero_grad"), ("gen", "backward"), ("gen", "step"),
-                     ("disc", "build"), ("disc", "zero_grad"), ("disc", "backward"),
-                     ("disc", "step")]
-        assert calls == one_batch * 2
-        # the builder's part is read with the others once every pair has stepped
-        assert history == [{"gen": 1.0, "disc": 2.0, "epoch": 0}]
+        def step(batch):
+            seen.append(list(batch))
+            return opt, {"loss": float(sum(batch))}
 
-    def test_numerics_error_in_a_loss_builder_names_the_epoch(self):
+        assert nm.fit(1, 10, lambda: [2, 0, 1], opt, step) == [{"loss": 3.0, "epoch": 0}]
+        assert seen == [[2, 0, 1]]
+
+    def test_draws_the_order_once_and_ends_each_epoch_after_its_last_step(self):
         calls = []
-        gen = _Recorder("gen", calls)
+        opt = _Recorder(calls)
 
-        def build():
-            raise NumericsError("non-finite values produced by matmul")
+        def order():
+            calls.append("order")
+            return [0, 1, 2]
 
-        with pytest.raises(NumericsError, match="^non-finite loss at epoch 0: non-finite "
-                                                "values produced by matmul$") as info:
-            nm.fit(1, 2, lambda: [0, 1], lambda batch: ([(gen, gen), (gen, build)], {}))
-        assert isinstance(info.value.__cause__, NumericsError)
-        assert calls == [("gen", "zero_grad"), ("gen", "backward"), ("gen", "step")]
+        def end_epoch():
+            calls.append("end")
+            return {}
+
+        nm.fit(2, 2, order, opt, lambda batch: (opt, {}), end_epoch)
+        one_epoch = ["order", *["zero_grad", "backward", "step"] * 2, "end"]
+        assert calls == one_epoch * 2
+
+    def test_parameters_match_a_hand_written_adam_loop(self, rng):
+        # fit steps the loss each batch built, with the optimizer it was given
+        start, targets = rng.standard_normal(3), rng.standard_normal((5, 3))
+        orders = [[3, 0, 4, 1, 2], [2, 4, 0, 1, 3]]
+
+        def loss_of(p, batch):
+            diff = p - Tensor(targets[batch])
+            return (diff * diff).sum()
+
+        p = Tensor(start.copy(), requires_grad=True)
+        opt = Adam([("p", p)], lr=0.1)
+        draws = iter(orders)
+        nm.fit(2, 2, lambda: next(draws), opt, lambda batch: (loss_of(p, batch), {}))
+
+        q = Tensor(start.copy(), requires_grad=True)
+        ref = Adam([("q", q)], lr=0.1)
+        for indices in orders:
+            for s in range(0, 5, 2):
+                ref.zero_grad()
+                loss_of(q, indices[s:s + 2]).backward()
+                ref.step()
+        assert not np.array_equal(p.data, start)
+        assert p.data.tobytes() == q.data.tobytes()
 
     def test_short_final_batch_still_gives_the_per_item_mean(self):
         values = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+        opt = _Recorder([])
 
         def step(batch):
-            return [], {"loss": values[batch].mean(), "twice": 2 * values[batch].mean()}
+            return opt, {"loss": values[batch].mean(), "twice": 2 * values[batch].mean()}
 
-        history = nm.fit(1, 2, lambda: np.arange(5), step, lambda: {"dead_codes": 3})
+        history = nm.fit(1, 2, lambda: np.arange(5), opt, step, lambda: {"dead_codes": 3})
         # the per-batch mean would be (1.5 + 6 + 16) / 3
         assert history == [{"loss": 6.2, "twice": 12.4, "epoch": 0, "dead_codes": 3}]
         assert list(history[0]) == ["loss", "twice", "epoch", "dead_codes"]
 
     def test_empty_order_gives_a_row_without_parts(self):
-        history = nm.fit(2, 4, lambda: [], lambda batch: pytest.fail("no batch to step"))
+        history = nm.fit(2, 4, lambda: [], _Recorder([]),
+                         lambda batch: pytest.fail("no batch to step"))
         assert history == [{"epoch": 0}, {"epoch": 1}]
 
     def test_numerics_error_in_step_names_the_epoch(self):
+        calls = []
+        opt = _Recorder(calls)
+
         def step(batch):
             if batch[0] >= 10:  # the second epoch's order starts at 10
                 raise NumericsError("non-finite values produced by mul")
-            return [], {"loss": 1.0}
+            return opt, {"loss": 1.0}
 
         orders = iter([[0, 1, 2], [10, 11, 12]])
-        with pytest.raises(NumericsError, match="at epoch 1") as info:
-            nm.fit(2, 2, lambda: next(orders), step)
+        with pytest.raises(NumericsError, match="^non-finite loss at epoch 1: non-finite "
+                                                "values produced by mul$") as info:
+            nm.fit(2, 2, lambda: next(orders), opt, step)
         assert isinstance(info.value.__cause__, NumericsError)
+        # the failing batch steps nothing
+        assert calls == ["zero_grad", "backward", "step"] * 2
 
     def test_zero_epochs_return_nothing_and_leave_parameters_alone(self, rng):
         p = Tensor(rng.standard_normal(3), requires_grad=True)
@@ -432,11 +458,11 @@ class TestFit:
 
         def step(batch):
             loss = (p * p).sum()
-            return [(opt, loss)], {"loss": loss.item()}
+            return loss, {"loss": loss.item()}
 
-        assert nm.fit(0, 2, lambda: np.arange(4), step) == []
+        assert nm.fit(0, 2, lambda: np.arange(4), opt, step) == []
         assert np.array_equal(p.data, before)
-        assert len(nm.fit(1, 2, lambda: np.arange(4), step)) == 1
+        assert len(nm.fit(1, 2, lambda: np.arange(4), opt, step)) == 1
         assert not np.array_equal(p.data, before)
 
 

@@ -81,25 +81,18 @@ def test_train_stage_reads_the_train_split_once(tmp_path, tiny_cfg, monkeypatch,
     assert set(result) == (set(pipeline.STAGES) if stage == "all" else {"history"})
 
 
-def test_the_utt_stage_at_beta_adv_zero_runs_no_adversarial_branch(tmp_path, tiny_cfg,
-                                                                     monkeypatch):
+def test_the_utt_loss_log_holds_the_cross_entropy_alone(tmp_path, tiny_cfg):
     data, ckpt = tmp_path / "data", tmp_path / "ckpt"
     pipeline.run_synth(tiny_cfg, 0, data)
     pipeline.train_stage("mq", tiny_cfg, data, ckpt, 0, epochs=1)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the adversarial branch ran at beta_adv 0")
-
-    for name in ("Discriminator", "straight_through_decode", "discriminate", "hinge_disc_loss"):
-        monkeypatch.setattr(utt_mod, name, refuse)
-    assert tiny_cfg.beta_adv == 0.0  # the default
     history = pipeline.train_stage("utt", tiny_cfg, data, ckpt, 0, epochs=2)["history"]
-    # finite zeros, not NaN: a benchmark counts a non-finite history row as a failure
-    assert [(row["adv"], row["disc"]) for row in history] == [(0.0, 0.0)] * 2
+    # a benchmark counts a non-finite history row as a failure
+    assert [set(row) for row in history] == [{"ce", "epoch"}] * 2
     assert all(math.isfinite(value) for row in history for value in row.values())
     lines = (ckpt / "utt_loss.csv").read_text().splitlines()
-    assert lines[1] == "epoch,ce,adv,disc"
-    assert [line.split(",", 2)[2] for line in lines[2:]] == ["0.0,0.0"] * 2
+    assert lines[1] == "epoch,ce"
+    assert [line.split(",") for line in lines[2:]] == [[str(row["epoch"]), repr(row["ce"])]
+                                                       for row in history]
 
 
 def test_the_utt_reads_its_condition(tmp_path, tiny_cfg):
@@ -232,6 +225,13 @@ def test_a_batch_of_requests_gets_what_each_gets_alone(trained, tiny_cfg, decode
         np.testing.assert_array_equal(out["tokens"], alone["tokens"])
         np.testing.assert_array_equal(out["frames"], alone["frames"])
         assert out["unk_only"] == alone["unk_only"]
+
+
+@pytest.mark.parametrize("modality, condition", [("text", "prompt"), ("audio", "features")])
+def test_an_empty_batch_of_requests_is_a_data_error(trained, tiny_cfg, modality, condition):
+    stack = pipeline.load_generation_stack(trained[1], decoder="vq")
+    with pytest.raises(DataError, match="a batch of requests is empty"):
+        pipeline.generate_motion(stack, tiny_cfg, modality, 16, [], **{condition: []})
 
 
 def test_eval_reports_do_not_depend_on_the_group_size(trained, tiny_cfg):

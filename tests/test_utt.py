@@ -10,10 +10,9 @@ from ude.mate import MATEConfig, MATEModel, audio_input, encode, text_input
 from ude.mq import MQConfig, MQModel
 from ude.nn import additive_mask, causal_prefix_mask
 from ude.numerics import Tensor
-from ude.utt import (Discriminator, SamplingConfig, UTTConfig, UTTModel,
-                     cross_entropy, discriminate, forward_logits,
-                     generate_tokens, hinge_disc_loss, mean_cross_entropy,
-                     straight_through_decode, train_utt, utt_loss)
+from ude.utt import (SamplingConfig, UTTConfig, UTTModel, cross_entropy, forward_logits,
+                     generate_tokens, hinge_disc_loss, mean_cross_entropy, train_utt,
+                     utt_loss)
 
 K = 8
 FRAME_DIM = 6
@@ -24,10 +23,9 @@ def _models(seed=0):
     mate = MATEModel(MATEConfig(vocab_size=16, audio_dim=5, dim=16, layers=1,
                                 heads=2, max_text_len=12, max_audio_len=20), rng)
     utt = UTTModel(UTTConfig(code_count=K, dim=16, layers=2, heads=2, z_dim=4), rng)
-    disc = Discriminator(FRAME_DIM, 16, 2, rng)
     mq = MQModel(MQConfig(frame_dim=FRAME_DIM, code_count=K, code_dim=4, hidden=8),
                  np.random.default_rng(seed + 1))
-    return mate, utt, disc, mq
+    return mate, utt, mq
 
 
 def _cond(mate, ids=(1, 2, 3)):
@@ -86,7 +84,7 @@ class TestBuildMask:
 
 class TestForwardLogits:
     def test_zeroed_z_mlp_matches_no_z(self):
-        mate, utt, _, _ = _models()
+        mate, utt, _ = _models()
         utt.z1.w.data[...] = 0.0
         utt.z1.b.data[...] = 0.0
         utt.z2.w.data[...] = 0.0
@@ -98,7 +96,7 @@ class TestForwardLogits:
         assert np.array_equal(a, b)
 
     def test_causality_bitwise(self):
-        mate, utt, _, _ = _models()
+        mate, utt, _ = _models()
         cond = _cond(mate)
         prefix = np.array([utt.cfg.bos, 1, 2, 3, 4])
         base = _logits(utt, cond, prefix)
@@ -112,7 +110,7 @@ class TestForwardLogits:
     def test_appending_tokens_preserves_prefix_logits(self):
         # appended columns carry exactly-zero attention weight; the only
         # residue is float re-association in the row sums (last-ulp level)
-        mate, utt, _, _ = _models()
+        mate, utt, _ = _models()
         cond = _cond(mate)
         short = _logits(utt, cond, [utt.cfg.bos, 1, 2])
         long = _logits(utt, cond, [utt.cfg.bos, 1, 2, 5, 6])
@@ -120,7 +118,7 @@ class TestForwardLogits:
 
     def test_glob_perturbation_changes_all_positions(self):
         # bump one coordinate; per-row constant shifts would vanish in layer norm
-        mate, utt, _, _ = _models()
+        mate, utt, _ = _models()
         cond = _cond(mate)
         base = _logits(utt, cond, [utt.cfg.bos, 1, 2, 3])
         g = cond.glob.data.copy()
@@ -131,7 +129,7 @@ class TestForwardLogits:
             assert not np.allclose(base[i], out[i])
 
     def test_seq_elements_all_visible(self):
-        mate, utt, _, _ = _models()
+        mate, utt, _ = _models()
         cond = _cond(mate, ids=(1, 2, 3, 4))
         base = _logits(utt, cond, [utt.cfg.bos, 1])
         for i in range(cond.seq.shape[1]):
@@ -167,26 +165,26 @@ class TestForwardLogits:
             assert all(np.array_equal(a.data, b.data) for a, b in zip(got_kv, want_kv))
 
     def test_prefix_must_start_with_bos(self):
-        mate, utt, _, _ = _models()
+        mate, utt, _ = _models()
         with pytest.raises(DataError, match="must start with BOS"):
             forward_logits(utt, _cond(mate), [[1, 2]])
 
     @pytest.mark.parametrize("token", [K, K + 1, -1], ids=["bos", "past-bos", "negative"])
     def test_prefix_holds_codebook_ids_after_bos(self, token):
-        mate, utt, _, _ = _models()
+        mate, utt, _ = _models()
         with pytest.raises(DataError, match="non-codebook ids"):
             forward_logits(utt, _cond(mate), [[utt.cfg.bos, 1, token]])
 
     def test_the_head_is_the_codebook(self):
         # BOS is only ever an input: the table embeds it, the head never predicts it
-        _, utt, _, _ = _models()
+        _, utt, _ = _models()
         assert utt.token_table.table.shape == (K + 1, 16)
         assert utt.out_proj.w.shape == (16, K)
 
 
 class TestGenerate:
     def test_greedy_deterministic(self):
-        mate, utt, _, _ = _models()
+        mate, utt, _ = _models()
         cond = _cond(mate)
         cfg = SamplingConfig(top_k=1)
         a = _generate(utt, cond, 8, cfg, seed=1)
@@ -194,14 +192,14 @@ class TestGenerate:
         assert np.array_equal(a, b)
 
     def test_primitive_prefix_verbatim(self):
-        mate, utt, _, _ = _models()
+        mate, utt, _ = _models()
         cond = _cond(mate)
         primitive = np.array([3, 1, 4, 1, 5, 2, 6, 5])
         out = _generate(utt, cond, 12, SamplingConfig(top_k=1), primitive=primitive)
         assert np.array_equal(out[:8], primitive)
 
     def test_tiny_temperature_equals_greedy(self):
-        mate, utt, _, _ = _models()
+        mate, utt, _ = _models()
         cond = _cond(mate)
         greedy = _generate(utt, cond, 8, SamplingConfig(top_k=1), seed=0)
         cold = _generate(utt, cond, 8,
@@ -209,7 +207,7 @@ class TestGenerate:
         assert np.array_equal(greedy, cold)
 
     def test_top_k_one_is_greedy(self):
-        mate, utt, _, _ = _models()
+        mate, utt, _ = _models()
         cond = _cond(mate)
         k1 = _generate(utt, cond, 8, SamplingConfig(temperature=1.0, top_k=1), seed=3)
         greedy = []
@@ -229,14 +227,14 @@ class TestGenerate:
         assert out.min() >= 0 and out.max() < K
 
     def test_max_len_smaller_than_primitive_rejected(self):
-        mate, utt, _, _ = _models()
+        mate, utt, _ = _models()
         with pytest.raises(DataError, match="smaller than the primitive"):
             _generate(utt, _cond(mate), 2, primitive=np.array([1, 2, 3]))
 
     @pytest.mark.parametrize("primitive", [[[1, 2], [3]], [[1, 2], None], [1, 2]],
                              ids=["ragged", "a-row-of-none", "one-dimensional"])
     def test_primitives_must_be_one_row_per_request_of_one_length(self, primitive):
-        mate, utt, _, _ = _models()
+        mate, utt, _ = _models()
         cond = encode(mate, [text_input([1, 2, 3]), text_input([4, 5])])
         with pytest.raises(DataError, match="primitives"):
             generate_tokens(utt, cond, 4, primitive=primitive, seed=[1, 2])
@@ -451,36 +449,6 @@ class TestBatchedSampling:
             forward_logits(utt, cond, [[utt.cfg.bos]])
 
 
-class TestDiscriminator:
-    def test_sixteen_scores_for_64_frames(self, rng):
-        _, _, disc, _ = _models()
-        scores = discriminate(disc, rng.standard_normal((1, 16)),
-                              rng.standard_normal((1, 64, FRAME_DIM)))
-        assert scores.shape == (1, 16)
-
-    def test_zero_parameters_zero_scores(self, rng):
-        _, _, disc, _ = _models()
-        for _, p in disc.named_parameters():
-            p.data[...] = 0.0
-        scores = discriminate(disc, rng.standard_normal((1, 16)),
-                              rng.standard_normal((1, 32, FRAME_DIM)))
-        assert np.allclose(scores.data, 0.0)
-
-    def test_condition_changes_every_patch_score(self, rng):
-        _, _, disc, _ = _models()
-        motion = rng.standard_normal((1, 32, FRAME_DIM))
-        glob = rng.standard_normal((1, 16))
-        a = discriminate(disc, glob, motion).data
-        b = discriminate(disc, glob + 0.5, motion).data
-        assert np.all(np.abs(a - b) > 0)
-
-    def test_indivisible_length_rejected(self, rng):
-        _, _, disc, _ = _models()
-        with pytest.raises(DataError, match="not divisible by 4"):
-            discriminate(disc, rng.standard_normal((1, 16)),
-                         rng.standard_normal((1, 30, FRAME_DIM)))
-
-
 class TestLosses:
     def test_one_hot_logits_zero_ce(self):
         logits = Tensor(np.eye(5)[[0, 3, 2]] * 50.0)
@@ -491,91 +459,15 @@ class TestLosses:
         ce = cross_entropy(logits, [0, 1, 2, 3]).item()
         assert abs(ce - math.log(K + 2)) < 1e-12
 
-    def test_skipping_the_branch_at_weight_zero_changes_no_bit(self, rng):
-        # at beta_adv 0 the branch would add 0.0 to the total and to every
-        # gradient, so the loss that never builds it (no discriminator) gives
-        # the arrays of the branch run at weight 0, by utt_loss or by hand
-        mate, utt = _z_model()
-        _, _, disc, mq = _models()
-        assert utt.cfg.beta_adv == 0.0  # the default
-        inputs = [text_input([1, 2, 3]), audio_input(rng.standard_normal((6, 5)))]
-        zs = [None, rng.standard_normal(4)]
-        tokens = rng.integers(0, K, size=(2, 4))
-        params = mate.named_parameters() + utt.named_parameters()
-
-        def skipped(cond):
-            total, parts = utt_loss(utt, None, cond, tokens, mq, z=zs)
-            assert set(parts) == {"ce"} and parts["ce"] is total
-            return total
-
-        def weighted(cond):
-            total, parts = utt_loss(utt, disc, cond, tokens, mq, z=zs)
-            assert set(parts) == {"ce", "adv", "fake"}
-            return total
-
-        def plain(cond):
-            prefixes, targets = utt_mod._teacher_forcing(utt, tokens)
-            logits = forward_logits(utt, cond, prefixes, z=zs)
-            fake = straight_through_decode(mq, logits)
-            l_ce = cross_entropy(logits, targets)
-            return l_ce + 0.0 * (-discriminate(disc, cond.glob, fake).mean())
-
-        def run(loss_of):
-            nm.Adam(params).zero_grad()
-            loss = loss_of(encode(mate, inputs))
-            loss.backward()
-            return loss.item(), [p.grad for _, p in params]
-
-        skip_total, skip_grads = run(skipped)
-        for total, grads in (run(weighted), run(plain)):
-            assert total == skip_total
-            for (name, _), a, b in zip(params, skip_grads, grads):
-                assert a is not None and np.array_equal(a, b), name
-
-    def test_total_is_weighted_sum(self):
-        mate, utt, disc, mq = _models()
-        cond = _cond(mate)
-        tokens = np.array([[1, 2, 3, 4]])
-        utt.cfg.beta_adv = 0.7
-        total, parts = utt_loss(utt, disc, cond, tokens, mq)
-        assert abs(total.item() - parts["ce"].item() - 0.7 * parts["adv"].item()) < 1e-12
-
-    def test_adversarial_gradient_reaches_mate_and_utt(self):
-        mate, utt, disc, mq = _models()
-        utt.cfg.beta_adv = 1.0
-        cond = _cond(mate)
-        tokens = np.array([[1, 2, 3, 4]])
-        _, parts = utt_loss(utt, disc, cond, tokens, mq)
-        opt = nm.Adam(mate.named_parameters() + utt.named_parameters(), lr=0.0)
-        opt.zero_grad()
-        parts["adv"].backward()
-        for model in (utt, mate):
-            # a parameter no path reaches holds None, not zeros
-            reached = [p.grad for _, p in model.named_parameters() if p.grad is not None]
-            assert max(np.abs(g).max() for g in reached) > 0.0
-
-    def test_codebook_table_gets_no_gradient(self):
-        # the soft mixture uses a detached codebook, so the table never learns here
-        mate, utt, disc, mq = _models()
-        utt.cfg.beta_adv = 1.0
-        cond = _cond(mate)
-        _, parts = utt_loss(utt, disc, cond, np.array([[1, 2]]), mq)
-        opt = nm.Adam([("cb", mq.codebook.table)], lr=0.0)
-        opt.zero_grad()
-        (parts["ce"] + parts["adv"]).backward()
-        assert mq.codebook.table.grad is None  # no backward path reached it
-
     def test_default_size_gradients_equal_the_full_row_forwards(self, monkeypatch):
         # a batch of 8 at the default sizes, text and audio conditions of up
         # to 64 rows, z on two thirds of the rows: fewer rows in the last
-        # layer's sums move MATE and UTT gradients (up to about 1) by at most
-        # a few ulps of 1e-16 (1.7e-16 here); the stated tolerance is 1e-15
+        # layer's sums move MATE and UTT gradients (up to about 0.16) by at
+        # most a few ulps (2.8e-17 here); the stated tolerance is 1e-15
         rng = np.random.default_rng(0)
         mate = MATEModel(MATEConfig(vocab_size=40, audio_dim=16), rng)
-        utt = UTTModel(UTTConfig(code_count=64, beta_adv=1.0), rng)
+        utt = UTTModel(UTTConfig(code_count=64), rng)
         utt.z2.w.data[...] = rng.normal(0.0, 0.1, utt.z2.w.shape)
-        disc = Discriminator(24, 64, 4, rng)
-        mq = MQModel(MQConfig(frame_dim=24, code_count=64, code_dim=32, hidden=64), rng)
         inputs = [text_input(rng.integers(1, 40, size=3 + b)) if b % 2 == 0
                   else audio_input(rng.standard_normal((64 - b, 16))) for b in range(8)]
         zs = [rng.standard_normal(16) if b % 3 else None for b in range(8)]
@@ -585,7 +477,7 @@ class TestLosses:
         def gradients():
             nm.Adam(params).zero_grad()
             cond = encode(mate, inputs)
-            utt_loss(utt, disc, cond, tokens, mq, z=zs)[0].backward()
+            utt_loss(utt, cond, tokens, z=zs).backward()
             return [p.grad for _, p in params]
 
         got = gradients()
@@ -600,11 +492,10 @@ class TestLosses:
         # scored by -log_softmax of the K code logits after [BOS, t_0..t_{i-1}],
         # and "ce" is the mean over the S targets of every row
         mate, utt = _z_model()
-        mq = _models()[3]
         conds = [CONDITIONS[modality](mate) for modality in sorted(CONDITIONS)]
         tokens = rng.integers(0, K, size=(2, 5))
         cond = encode(mate, [INPUTS[modality] for modality in sorted(INPUTS)])
-        _, parts = utt_loss(utt, None, cond, tokens, mq)
+        ce = utt_loss(utt, cond, tokens)
         want = []
         with nm.no_grad():
             for cond, row in zip(conds, tokens):
@@ -614,58 +505,77 @@ class TestLosses:
                     top = logits.max()
                     want.append(top + np.log(np.exp(logits - top).sum()) - logits[target])
         assert len(want) == tokens.size
-        assert abs(parts["ce"].item() - np.mean(want)) < 1e-12
+        assert abs(ce.item() - np.mean(want)) < 1e-12
 
     def test_held_out_ce_is_the_ce_part_of_the_training_loss(self, rng):
         # both run the motion-rows-only forward: bit for bit the same number
         mate, utt = _z_model()
-        _, _, disc, mq = _models()
+        mq = _models()[2]
         inputs = [text_input([1, 2, 3, 4]), audio_input(rng.standard_normal((6, 5)))]
         samples = [(inp, rng.standard_normal((16, FRAME_DIM))) for inp in inputs]
         cond = encode(mate, [inp for inp, _ in samples])
         tokens = mq.encode_tokens(np.stack([frames for _, frames in samples]))
-        ce = utt_loss(utt, disc, cond, tokens, mq)[1]["ce"].item()
+        ce = utt_loss(utt, cond, tokens).item()
         assert mean_cross_entropy(mate, utt, mq, samples) == ce
 
     def test_hinge_disc_loss_nonnegative(self, rng):
-        _, _, disc, _ = _models()
-        loss = hinge_disc_loss(disc, rng.standard_normal((1, 16)),
-                               rng.standard_normal((1, 16, FRAME_DIM)),
-                               rng.standard_normal((1, 16, FRAME_DIM)))
+        loss = hinge_disc_loss(Tensor(rng.standard_normal((1, 4))),
+                               Tensor(rng.standard_normal((1, 4))))
         assert loss.item() >= 0.0
+
+    def test_hinge_disc_loss_is_the_mean_hinge_of_each_score_set(self):
+        real = Tensor(np.array([[2.0, 0.5, -1.0, 1.0]]))
+        fake = Tensor(np.array([[-3.0, 0.0, 0.25, -1.0]]))
+        # relu(1 - real): 0, 0.5, 2, 0; relu(1 + fake): 0, 1, 1.25, 0
+        assert hinge_disc_loss(real, fake).item() == 2.5 / 4 + 2.25 / 4
+        # scores past both margins cost nothing
+        assert hinge_disc_loss(Tensor(np.full((2, 3), 1.5)),
+                               Tensor(np.full((2, 3), -1.5))).item() == 0.0
+
+    def test_no_z_is_no_z_on_any_row(self, rng):
+        mate, utt = _z_model()
+        cond = encode(mate, [text_input([1, 2, 3]), audio_input(rng.standard_normal((6, 5)))])
+        tokens = rng.integers(0, K, size=(2, 4))
+        assert utt_loss(utt, cond, tokens).item() == \
+            utt_loss(utt, cond, tokens, z=[None, None]).item()
+
+    def test_ce_gradient_reaches_mate_and_utt(self):
+        mate, utt, _ = _models()
+        loss = utt_loss(utt, _cond(mate), np.array([[1, 2, 3, 4]]))
+        opt = nm.Adam(mate.named_parameters() + utt.named_parameters(), lr=0.0)
+        opt.zero_grad()
+        loss.backward()
+        for model in (utt, mate):
+            # a parameter no path reaches holds None, not zeros
+            reached = [p.grad for _, p in model.named_parameters() if p.grad is not None]
+            assert max(np.abs(g).max() for g in reached) > 0.0
 
     def test_batch_equals_mean_of_its_rows(self, rng):
         # one batched graph over a mixed text/audio batch with z on two rows
         # stands in for the mean of per-request graphs
         mate, utt = _z_model()
-        utt.cfg.beta_adv = 1.0
-        _, _, disc, mq = _models()
         feats = rng.standard_normal((11, 5))
         inputs = [text_input([1, 2, 3]), audio_input(feats), text_input([4, 5, 6, 7, 8, 9]),
                   audio_input(feats[:4])]
         zs = [None, rng.standard_normal(4), None, rng.standard_normal(4)]
         tokens = rng.integers(0, K, size=(4, 4))
-        real = rng.standard_normal((4, 16, FRAME_DIM))
-        params = mate.named_parameters() + utt.named_parameters() + disc.named_parameters()
+        params = mate.named_parameters() + utt.named_parameters()
 
-        def losses(rows):
+        def loss(rows):
             cond = encode(mate, [inputs[b] for b in rows])
-            total, parts = utt_loss(utt, disc, cond, tokens[rows], mq,
-                                    z=[zs[b] for b in rows])
-            return total, hinge_disc_loss(disc, cond.glob, real[rows], parts["fake"])
+            return utt_loss(utt, cond, tokens[rows], z=[zs[b] for b in rows])
 
         def gradients(loss):
             nm.Adam(params).zero_grad()
             loss.backward()
             return [p.grad.copy() for _, p in params]
 
-        for pick in (0, 1):  # utt_loss, then hinge_disc_loss
-            batched = losses([0, 1, 2, 3])[pick]
-            rows = [losses([b])[pick] for b in range(4)]
-            mean = sum(rows[1:], rows[0]) * 0.25
-            assert abs(batched.item() - mean.item()) < 1e-12
-            for a, b in zip(gradients(batched), gradients(mean)):
-                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        batched = loss([0, 1, 2, 3])
+        rows = [loss([b]) for b in range(4)]
+        mean = sum(rows[1:], rows[0]) * 0.25
+        assert abs(batched.item() - mean.item()) < 1e-12
+        for a, b in zip(gradients(batched), gradients(mean)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 class TestTrainUtt:
@@ -680,68 +590,84 @@ class TestTrainUtt:
         return out
 
     def test_zero_epochs_unchanged(self, rng):
-        mate, utt, disc, mq = _models()
+        mate, utt, mq = _models()
         before = [p.data.copy() for _, p in utt.named_parameters()]
-        history = train_utt(mate, utt, disc, mq, self._samples(rng), epochs=0, seed=0)
+        history = train_utt(mate, utt, mq, self._samples(rng), epochs=0, seed=0)
         assert history == []
         for (_, p), old in zip(utt.named_parameters(), before):
             assert np.array_equal(p.data, old)
 
+    def test_an_empty_training_set_is_a_data_error(self):
+        mate, utt, mq = _models()
+        with pytest.raises(DataError, match="empty training set"):
+            train_utt(mate, utt, mq, [], epochs=1, seed=0)
+
+    def test_history_holds_the_cross_entropy_of_each_epoch(self, rng):
+        mate, utt, mq = _models()
+        history = train_utt(mate, utt, mq, self._samples(rng), epochs=2, seed=0)
+        assert [list(row) for row in history] == [["ce", "epoch"]] * 2
+        assert [row["epoch"] for row in history] == [0, 1]
+        assert all(np.isfinite(row["ce"]) and row["ce"] > 0.0 for row in history)
+
+    def test_one_optimizer_steps_mate_and_utt(self, rng):
+        mate, utt, mq = _models()
+        before = {id(p): p.data.copy()
+                  for model in (mate, utt) for _, p in model.named_parameters()}
+        train_utt(mate, utt, mq, self._samples(rng), epochs=1, seed=0)
+        for model in (mate, utt):
+            assert any(not np.array_equal(p.data, before[id(p)])
+                       for _, p in model.named_parameters())
+
+    def test_same_seed_gives_the_same_parameters(self, rng):
+        samples = self._samples(rng)
+
+        def trained(seed):
+            mate, utt, mq = _models()
+            history = train_utt(mate, utt, mq, samples, epochs=2, seed=seed)
+            params = mate.named_parameters() + utt.named_parameters()
+            return history, [p.data.tobytes() for _, p in params]
+
+        assert trained(0) == trained(0)
+        assert trained(0)[1] != trained(1)[1]
+
     def test_mq_stays_frozen_during_training(self, rng):
-        # bit for bit: no optimizer of the generator or discriminator steps
-        # an MQ parameter, and nothing touches its buffers
-        mate, utt, disc, mq = _models()
-        utt.cfg.beta_adv = 1.0
+        # bit for bit: the optimizer steps no MQ parameter, and nothing
+        # touches its buffers
+        mate, utt, mq = _models()
 
         def state():
             arrays = [p.data for _, p in mq.named_parameters()] + [mq.center, mq.scale, mq.usage]
             return [a.tobytes() for a in arrays]
 
         before = state()
-        train_utt(mate, utt, disc, mq, self._samples(rng), epochs=2, seed=0)
+        train_utt(mate, utt, mq, self._samples(rng), epochs=2, seed=0)
         assert state() == before
 
     def test_mq_holds_no_gradient_after_training(self, rng):
-        # the generator decodes through constants of the frozen decoder
-        # weights, so no MQ parameter collects a gradient no optimizer reads
-        mate, utt, disc, mq = _models()
-        utt.cfg.beta_adv = 1.0
-        train_utt(mate, utt, disc, mq, self._samples(rng), epochs=1, seed=0)
+        # the target tokens come from the frozen quantizer outside the graph,
+        # so no MQ parameter collects a gradient no optimizer reads
+        mate, utt, mq = _models()
+        train_utt(mate, utt, mq, self._samples(rng), epochs=1, seed=0)
         params = dict(mq.named_parameters())
         assert {"dec1.kernel", "dec3.bias", "codebook.table"} <= set(params)
         assert all(p.grad is None for p in params.values())
 
-    def test_the_discriminator_loss_is_built_after_the_generator_step(self, rng,
-                                                                        monkeypatch):
-        # so the generator's graph is freed before the discriminator's exists
-        mate, utt, disc, mq = _models()
-        utt.cfg.beta_adv = 1.0
-        hinge, stepped = utt_mod.hinge_disc_loss, []
-
-        def recorded(*args):
-            stepped.append(utt.out_proj.w.grad is not None)
-            return hinge(*args)
-
-        monkeypatch.setattr(utt_mod, "hinge_disc_loss", recorded)
-        train_utt(mate, utt, disc, mq, self._samples(rng), epochs=1, seed=0)
-        assert stepped == [True, True]
-
     def test_ce_improves_on_tiny_set(self, rng):
-        mate, utt, _, mq = _models()
+        mate, utt, mq = _models()
         samples = self._samples(rng, n=6)
         eval_samples = samples
         before = mean_cross_entropy(mate, utt, mq, eval_samples)
-        train_utt(mate, utt, None, mq, samples, epochs=12, seed=0, lr=2e-3)
+        train_utt(mate, utt, mq, samples, epochs=12, seed=0, lr=2e-3)
         after = mean_cross_entropy(mate, utt, mq, eval_samples)
         assert after < before
 
     def test_both_modalities_improve(self, rng):
-        mate, utt, _, mq = _models()
+        mate, utt, mq = _models()
         samples = self._samples(rng, n=8)
         text_s = [s for s in samples if s[0].modality == "text"]
         audio_s = [s for s in samples if s[0].modality == "audio"]
         before_t = mean_cross_entropy(mate, utt, mq, text_s)
         before_a = mean_cross_entropy(mate, utt, mq, audio_s)
-        train_utt(mate, utt, None, mq, samples, epochs=15, seed=1, lr=2e-3)
+        train_utt(mate, utt, mq, samples, epochs=15, seed=1, lr=2e-3)
         assert mean_cross_entropy(mate, utt, mq, text_s) < before_t
         assert mean_cross_entropy(mate, utt, mq, audio_s) < before_a
