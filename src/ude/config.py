@@ -4,9 +4,11 @@ Every knob has a default; a JSON config file may override any subset.
 Unknown keys, values of the wrong type, non-finite floats, out-of-range
 values and unknown action families or dance genres are rejected. The
 resolved config is echoed into every output artifact (checkpoints, loss
-logs, metric reports, generation sidecars). A checkpoint's recorded run
-config is the description of its models: loading rebuilds them from it,
-after the same checks as a config file (`config_from_dict`).
+logs, metric reports, generation sidecars). It is the one owner of every
+value: each model is built from a RunConfig and keeps it as `model.cfg`,
+and each trainer reads its hyperparameters from there. A checkpoint's
+recorded run config is the description of its models: loading rebuilds
+them from it, after the same checks as a config file (`config_from_dict`).
 """
 
 from __future__ import annotations

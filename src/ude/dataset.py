@@ -386,20 +386,25 @@ def make_dance_motion(genre: str, frames: int, fps: float, feature_dim: int,
 
 
 def parse_counts(spec: str) -> dict:
-    """Parse "name:count,name:count" (or bare "name" = count 1) specs."""
+    """Parse "name:count,name:count" (or bare "name" = count 1) specs; a
+    count of 0 means none, and a negative count or a repeated name raises
+    ConfigError."""
     out = {}
     for chunk in spec.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if ":" in chunk:
-            name, _, count = chunk.partition(":")
-            try:
-                out[name.strip()] = int(count)
-            except ValueError as exc:
-                raise ConfigError(f"bad count in {chunk!r}") from exc
-        else:
-            out[chunk] = 1
+        name, colon, count = chunk.partition(":")
+        name = name.strip()
+        try:
+            count = int(count) if colon else 1
+        except ValueError as exc:
+            raise ConfigError(f"bad count in {chunk!r}") from exc
+        if count < 0:
+            raise ConfigError(f"negative count in {chunk!r} of {spec!r}")
+        if name in out:
+            raise ConfigError(f"{spec!r} names {name!r} more than once")
+        out[name] = count
     return {k: v for k, v in out.items() if v > 0}
 
 

@@ -6,10 +6,10 @@ The condition path embeds tokens, runs a small transformer and max-pools
 over time to one vector. The denoiser projects noisy frames to the model
 width, adds (condition + timestep embedding + frame positions) to every
 row, runs a transformer and projects back to frame space, predicting the
-injected noise. The model builds its noise schedule from `cfg.steps` and
-trains and samples under it; only `q_sample` takes a schedule. Sampling is
-the standard ancestral reverse process with sigma_t = sqrt(beta_t) and no
-noise at the final step.
+injected noise. The model builds its noise schedule from its run config's
+`diffusion_steps` and trains and samples under it; only `q_sample` takes a
+schedule. Sampling is the standard ancestral reverse process with
+sigma_t = sqrt(beta_t) and no noise at the final step.
 
 Every function takes a batch of equal-length sequences (tokens [B, N],
 frames [B, T, c], conditions [B, dim], a diffusion step t[b] and, to sample,
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from .errors import ConfigError, DataError
 from .mq import DOWNSAMPLE, MQModel, encode_motions
 from .nn import Embedding, Linear, Module, TransformerEncoder, sinusoidal_table
 from .numerics import Tensor
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 
 @dataclass
@@ -77,32 +81,21 @@ def q_sample(sched: NoiseSchedule, x0: np.ndarray, t, eps: np.ndarray) -> np.nda
 MAX_TOKENS = 128
 
 
-@dataclass
-class DMDConfig:
-    frame_dim: int
-    code_count: int
-    steps: int = 50
-    dim: int = 64
-    cond_layers: int = 2
-    layers: int = 2
-    heads: int = 4
-
-
 class DMDModel(Module):
-    """Token condition encoder (with temporal max-pool) plus the denoiser."""
+    """Token condition encoder (max-pooled) plus the denoiser, sized by the run config."""
 
-    def __init__(self, cfg: DMDConfig, rng: np.random.Generator):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         self.cfg = cfg
-        d = cfg.dim
+        d = cfg.embed_dim
         self.token_table = Embedding(cfg.code_count, d, rng)
-        self.cond_encoder = TransformerEncoder(cfg.cond_layers, d, cfg.heads, rng)
-        self.step_table = Embedding(cfg.steps + 1, d, rng)
+        self.cond_encoder = TransformerEncoder(cfg.dmd_cond_layers, d, cfg.dmd_heads, rng)
+        self.step_table = Embedding(cfg.diffusion_steps + 1, d, rng)
         self.in_proj = Linear(cfg.frame_dim, d, rng)
-        self.denoiser = TransformerEncoder(cfg.layers, d, cfg.heads, rng)
+        self.denoiser = TransformerEncoder(cfg.dmd_layers, d, cfg.dmd_heads, rng)
         self.out_proj = Linear(d, cfg.frame_dim, rng)
         self.token_pos = sinusoidal_table(MAX_TOKENS, d)
         self.frame_pos = sinusoidal_table(DOWNSAMPLE * MAX_TOKENS, d)
-        self.sched = make_schedule(cfg.steps)
+        self.sched = make_schedule(cfg.diffusion_steps)
 
 
 def encode_condition(model: DMDModel, tokens) -> Tensor:
@@ -120,7 +113,7 @@ def encode_condition(model: DMDModel, tokens) -> Tensor:
 def predict_noise(model: DMDModel, cond: Tensor, t, x_t) -> Tensor:
     """Predicted noise for x_t [B, T, c] under pooled token conditions
     [B, dim], row b at diffusion step t[b]."""
-    _check_steps(t, model.cfg.steps)
+    _check_steps(t, model.sched.steps)
     x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, dtype=np.float64))
     shift = (cond + model.step_table(t)).reshape(*np.shape(t), 1, -1)
     h = model.in_proj(x) + shift + Tensor(model.frame_pos[:x.shape[-2]])
@@ -178,15 +171,16 @@ def decode_tokens_dmd(model: DMDModel, tokens, seeds) -> np.ndarray:
     return sample_reverse(model, cond, DOWNSAMPLE * tokens.shape[-1], seeds)
 
 
-def train_dmd(model: DMDModel, mq: MQModel, motions, epochs: int, seed: int,
-              lr: float = 1e-3, batch_size: int = 8) -> list:
-    """Noise-prediction training through `numerics.fit`; conditioning tokens
-    come from the frozen quantizer. Deterministic per seed."""
+def train_dmd(model: DMDModel, mq: MQModel, motions, epochs: int, seed: int) -> list:
+    """Noise-prediction training through `numerics.fit` at the model's
+    run-config lr and batch_size; conditioning tokens come from the frozen
+    quantizer. Deterministic per seed."""
     if not motions:
         raise DataError("empty training set")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 31]))
+    batch_size = model.cfg.batch_size
     token_cache = encode_motions(mq, motions, batch_size)
-    opt = nm.Adam(model.named_parameters(), lr=lr)
+    opt = nm.Adam(model.named_parameters(), lr=model.cfg.lr)
 
     def step(batch):
         loss = dmd_loss(model, np.stack([motions[i] for i in batch]), token_cache[batch], rng)

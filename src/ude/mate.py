@@ -18,14 +18,19 @@ zero-padded at the end to the longest under a key mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import numerics as nm
+from .dataset import VOCAB_WORDS
 from .errors import DataError
 from .mq import DOWNSAMPLE
 from .nn import Embedding, Linear, Module, TransformerEncoder, additive_mask, sinusoidal_table
 from .numerics import Tensor
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 MODALITIES = ("text", "audio")
 
@@ -67,28 +72,19 @@ class CondEmbedding:
         return 1 + self.seq.shape[1]
 
 
-@dataclass
-class MATEConfig:
-    vocab_size: int
-    audio_dim: int
-    dim: int = 64
-    layers: int = 2
-    heads: int = 4
-    max_text_len: int = 77
-    max_audio_len: int = 256
-
-
 class MATEModel(Module):
-    def __init__(self, cfg: MATEConfig, rng: np.random.Generator):
+    """Word table, audio projection and shared encoder, sized by the run config."""
+
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         self.cfg = cfg
-        d = cfg.dim
-        self.word_table = Embedding(cfg.vocab_size, d, rng)
-        self.audio_proj = Linear(DOWNSAMPLE * cfg.audio_dim, d, rng)
+        d = cfg.embed_dim
+        self.word_table = Embedding(len(VOCAB_WORDS), d, rng)
+        self.audio_proj = Linear(DOWNSAMPLE * cfg.feature_dim, d, rng)
         self.text_token = Tensor(rng.normal(0, 0.02, d), requires_grad=True)
         self.audio_token = Tensor(rng.normal(0, 0.02, d), requires_grad=True)
         self.text_agg = Tensor(rng.normal(0, 0.02, d), requires_grad=True)
         self.audio_agg = Tensor(rng.normal(0, 0.02, d), requires_grad=True)
-        self.encoder = TransformerEncoder(cfg.layers, d, cfg.heads, rng)
+        self.encoder = TransformerEncoder(cfg.mate_layers, d, cfg.mate_heads, rng)
         self.pos = sinusoidal_table(1 + max(cfg.max_text_len, audio_rows(cfg.max_audio_len)), d)
 
     def max_payload(self, modality: str) -> int:
@@ -147,7 +143,7 @@ def encode(model: MATEModel, inputs) -> CondEmbedding:
                 f"the {model.max_payload(inp.modality)}-element limit")
         seqs.append(assemble_sequence(model, embed_modality(model, inp), inp.modality))
     lengths = np.array([seq.shape[0] - 1 for seq in seqs])
-    rows, dim = 1 + lengths.max(), model.cfg.dim
+    rows, dim = 1 + lengths.max(), model.cfg.embed_dim
     parts = []
     for seq in seqs:
         parts += [seq, np.zeros((rows - seq.shape[0], dim))]

@@ -14,14 +14,19 @@ would, in the same order and to the same bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import numerics as nm
+from .dataset import VOCAB_WORDS
 from .errors import DataError
 from .motion import MotionSequence
 from .nn import Embedding, Linear, Module
 from .numerics import Tensor
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 # -- feature extractors -----------------------------------------------------------
 
@@ -184,19 +189,19 @@ RETRIEVAL_TEMPERATURE = 0.07
 
 
 class RetrievalEncoder(Module):
-    """Motion and text towers trained contrastively; both emit unit vectors."""
+    """Motion and text towers trained contrastively, sized by the run config;
+    both emit unit vectors."""
 
-    def __init__(self, frame_dim: int, vocab_size: int, rng: np.random.Generator,
-                 out_dim: int = 32):
-        hidden = RETRIEVAL_HIDDEN
-        self.motion_k1 = Tensor(rng.normal(0, 0.25, (4, frame_dim, hidden)), requires_grad=True)
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
+        self.cfg = cfg
+        c, hidden = cfg.frame_dim, RETRIEVAL_HIDDEN
+        self.motion_k1 = Tensor(rng.normal(0, 0.25, (4, c, hidden)), requires_grad=True)
         self.motion_b1 = Tensor(np.zeros(hidden), requires_grad=True)
         self.motion_k2 = Tensor(rng.normal(0, 0.1, (4, hidden, hidden)), requires_grad=True)
         self.motion_b2 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.motion_out = Linear(hidden, out_dim, rng)
-        self.word_table = Embedding(vocab_size, hidden, rng, scale=0.25)
-        self.text_out = Linear(hidden, out_dim, rng)
-        self.out_dim = out_dim
+        self.motion_out = Linear(hidden, cfg.retrieval_dim, rng)
+        self.word_table = Embedding(len(VOCAB_WORDS), hidden, rng, scale=0.25)
+        self.text_out = Linear(hidden, cfg.retrieval_dim, rng)
 
     def encode_motion(self, frames: np.ndarray) -> Tensor:
         """Unit embeddings [B, d] of B equal-length motions [B, T, c]."""
@@ -228,11 +233,11 @@ def contrastive_loss(motion_embs: Tensor, text_embs: Tensor) -> Tensor:
 
 
 def train_retrieval_encoder(enc: RetrievalEncoder, pairs, epochs: int,
-                            rng: np.random.Generator, lr: float = 1e-3) -> list:
+                            rng: np.random.Generator) -> list:
     """Train `enc` in place on (frames, token_ids) pairs through
-    `numerics.fit`, in minibatches of RETRIEVAL_BATCH ordered by draws from
-    `rng`. Returns one per-item mean-loss row per epoch."""
-    opt = nm.Adam(enc.named_parameters(), lr=lr)
+    `numerics.fit` at its run-config lr, in minibatches of RETRIEVAL_BATCH
+    ordered by draws from `rng`. Returns one per-item mean-loss row per epoch."""
+    opt = nm.Adam(enc.named_parameters(), lr=enc.cfg.lr)
 
     def order():
         indices = rng.permutation(len(pairs))
@@ -248,8 +253,7 @@ def train_retrieval_encoder(enc: RetrievalEncoder, pairs, epochs: int,
     return [{"loss": 0.0, **row} for row in nm.fit(epochs, RETRIEVAL_BATCH, order, opt, step)]
 
 
-def retrieval_accuracy(encoder, pairs, distractors: int = 60, trials: int = 10,
-                       seed: int = 0) -> tuple:
+def retrieval_accuracy(encoder, pairs, distractors: int, trials: int, seed: int = 0) -> tuple:
     """Top-1/top-5 retrieval of the paired text among `distractors` + 1
     candidates, by cosine similarity of unit embeddings. The motions of
     `pairs` share one length.

@@ -13,7 +13,7 @@ on axis -2, and leading axes carry through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,24 +22,17 @@ from .errors import DataError
 from .nn import Conv1d, Embedding, Module
 from .numerics import Tensor
 
+if TYPE_CHECKING:
+    from .config import RunConfig
+
 DOWNSAMPLE = 4  # two stride-2 convolutions
 
 
-@dataclass
-class MQConfig:
-    frame_dim: int
-    code_count: int = 64
-    code_dim: int = 32
-    hidden: int = 64
-    beta_codebook: float = 1.0
-    beta_commit: float = 1.0
-
-
 class MQModel(Module):
-    """Encoder/decoder conv stacks plus the learned codebook."""
+    """Encoder/decoder conv stacks plus the learned codebook, sized by the run config."""
 
-    def __init__(self, cfg: MQConfig, rng: np.random.Generator):
-        c, h, d = cfg.frame_dim, cfg.hidden, cfg.code_dim
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
+        c, h, d = cfg.frame_dim, cfg.mq_hidden, cfg.code_dim
         self.cfg = cfg
         # width-4 stride-2 convs halve T exactly (floor semantics for odd T)
         self.enc1 = Conv1d(4, c, h, 2, rng)
@@ -133,9 +126,9 @@ def vq_loss(model: MQModel, frames) -> tuple:
     return total, parts
 
 
-def train_mq(model: MQModel, motions, epochs: int, seed: int, lr: float = 1e-3,
-             batch_size: int = 8) -> list:
-    """Train in place through `numerics.fit`; returns one history row per epoch.
+def train_mq(model: MQModel, motions, epochs: int, seed: int) -> list:
+    """Train in place through `numerics.fit` at the model's run-config lr and
+    batch_size; returns one history row per epoch.
 
     Dead codes (unused for a whole epoch) are re-seeded to random encoder
     outputs so the codebook cannot collapse; each row counts them.
@@ -146,7 +139,7 @@ def train_mq(model: MQModel, motions, epochs: int, seed: int, lr: float = 1e-3,
     model.center = np.mean([m.mean(axis=0) for m in motions], axis=0)
     model.scale = np.maximum(np.mean([m.std(axis=0) for m in motions], axis=0), 1e-3)
     named = model.named_parameters()
-    opt = nm.Adam(named, lr=lr)
+    opt = nm.Adam(named, lr=model.cfg.lr)
     code_param_index = next(i for i, (name, _) in enumerate(named) if "codebook" in name)
     stash = []  # encoder rows of the epoch's first 256 motions
 
@@ -175,4 +168,4 @@ def train_mq(model: MQModel, motions, epochs: int, seed: int, lr: float = 1e-3,
             opt.reset_state(code_param_index, rows=dead)
         return {"dead_codes": int(dead.size)}
 
-    return nm.fit(epochs, batch_size, order, opt, step, end_epoch)
+    return nm.fit(epochs, model.cfg.batch_size, order, opt, step, end_epoch)

@@ -22,11 +22,8 @@ no vjp reads (a residual sum, attention scores, a projection that is
 transposed next, conv1d's padded input) is freed as soon as the forward
 drops it.
 
-`fit` steps a batch's `(optimizer, loss)` pairs in order, and a pair may
-hand over a function that builds its loss instead of the loss: it runs only
-once the pairs before it are back-propagated (which frees their graphs) and
-stepped, so a trainer whose later losses are built that way holds at most
-one pair's graph at a time.
+`fit` runs one optimizer: per minibatch it zeroes it, back-propagates the
+loss the trainer's `step` builds, and steps it.
 
 Conventions:
   * everything is float64; any op that produces NaN/Inf raises NumericsError,

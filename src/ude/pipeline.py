@@ -6,12 +6,15 @@ Stage order is mq -> utt (mate+utt, on cross-entropy) -> dmd -> retrieval,
 one `STAGES` entry each; the utt and dmd stages record the content hash of
 the mq checkpoint they were trained against, and loading verifies those
 hashes so stale mixes fail loudly.
-A checkpoint section holds only parameters: `MODELS` builds its model from
-the run config being trained, or from the one the checkpoint recorded,
-checked as a config file is. Loading draws no weights, since every one is
-overwritten by a saved parameter, and a stack load hashes the mq file once
-for all its dependency checks. The generation stack is a dict of the models
-"mq", "mate", "utt" and "dmd" (None when it is loaded for the vq decoder).
+A checkpoint section holds only parameters: its `MODELS` class is built
+from the run config being trained, or from the one the checkpoint recorded,
+checked as a config file is; the model keeps that config as `model.cfg`,
+and its trainer reads lr, batch_size and z_prob from it. Sampling reads
+top_k and temperature from the request's config, never from `model.cfg`.
+Loading draws no weights, since every one is overwritten by a saved
+parameter, and a stack load hashes the mq file once for all its dependency
+checks. The generation stack is a dict of the models "mq", "mate", "utt"
+and "dmd" (None when it is loaded for the vq decoder).
 """
 
 from __future__ import annotations
@@ -33,14 +36,13 @@ from . import numerics as nm
 from . import utt as utt_mod
 from .audio import AudioFeatureSequence
 from .config import RunConfig, config_from_dict
-from .dataset import UNK_ID, VOCAB_WORDS, load_samples, synth_dataset, tokenize
+from .dataset import UNK_ID, load_samples, synth_dataset, tokenize
 from .errors import ConfigError, DataError, NumericsError, StageError
 from .fileio import atomic_write
-from .mate import MATEConfig, MATEModel, audio_input, text_input
+from .mate import MATEModel, audio_input, text_input
 from .mate import encode as mate_encode
 from .motion import MotionSequence
 from .mq import DOWNSAMPLE
-from .utt import SamplingConfig
 
 
 def run_synth(cfg: RunConfig, seed: int, out_dir) -> dict:
@@ -56,27 +58,14 @@ def run_synth(cfg: RunConfig, seed: int, out_dir) -> dict:
 
 # -- models ------------------------------------------------------------------------
 #
-# Every checkpoint section's model, built from a run config `c`. The trainers
-# build through this table and the loaders rebuild through it, so the mapping
-# from run config to architecture is spelled once.
+# Every checkpoint section's model class, each built as `cls(cfg, rng)`.
 
 MODELS = {
-    "mq": lambda c, rng: mq_mod.MQModel(mq_mod.MQConfig(
-        frame_dim=c.frame_dim, code_count=c.code_count, code_dim=c.code_dim,
-        hidden=c.mq_hidden, beta_codebook=c.beta_codebook, beta_commit=c.beta_commit), rng),
-    "mate": lambda c, rng: MATEModel(MATEConfig(
-        vocab_size=len(VOCAB_WORDS), audio_dim=c.feature_dim, dim=c.embed_dim,
-        layers=c.mate_layers, heads=c.mate_heads, max_text_len=c.max_text_len,
-        max_audio_len=c.max_audio_len), rng),
-    "utt": lambda c, rng: utt_mod.UTTModel(utt_mod.UTTConfig(
-        code_count=c.code_count, dim=c.embed_dim, layers=c.utt_layers, heads=c.utt_heads,
-        z_dim=c.z_dim, max_context=c.max_context), rng),
-    "dmd": lambda c, rng: dmd_mod.DMDModel(dmd_mod.DMDConfig(
-        frame_dim=c.frame_dim, code_count=c.code_count, steps=c.diffusion_steps,
-        dim=c.embed_dim, cond_layers=c.dmd_cond_layers, layers=c.dmd_layers,
-        heads=c.dmd_heads), rng),
-    "retrieval": lambda c, rng: metrics_mod.RetrievalEncoder(
-        c.frame_dim, len(VOCAB_WORDS), rng, out_dim=c.retrieval_dim),
+    "mq": mq_mod.MQModel,
+    "mate": MATEModel,
+    "utt": utt_mod.UTTModel,
+    "dmd": dmd_mod.DMDModel,
+    "retrieval": metrics_mod.RetrievalEncoder,
 }
 
 
@@ -98,8 +87,7 @@ def _write_loss_log(path, cfg: RunConfig, seed: int, history, columns) -> None:
 
 def _train_mq(cfg, train, deps, rng, seed, epochs) -> tuple:
     model = MODELS["mq"](cfg, rng)
-    history = mq_mod.train_mq(model, [s.motion.frames for s in train], epochs=epochs,
-                              seed=seed, lr=cfg.lr, batch_size=cfg.batch_size)
+    history = mq_mod.train_mq(model, [s.motion.frames for s in train], epochs, seed)
     buffers = {"center": model.center, "scale": model.scale, "usage": model.usage}
     return {"mq": model}, buffers, history
 
@@ -107,25 +95,20 @@ def _train_mq(cfg, train, deps, rng, seed, epochs) -> tuple:
 def _train_utt(cfg, train, deps, rng, seed, epochs) -> tuple:
     mate, utt = MODELS["mate"](cfg, rng), MODELS["utt"](cfg, rng)
     samples = [(_sample_input(s), s.motion.frames) for s in train]
-    history = utt_mod.train_utt(mate, utt, deps["mq"], samples, epochs=epochs,
-                                seed=seed, lr=cfg.lr, batch_size=cfg.batch_size,
-                                z_prob=cfg.z_prob)
+    history = utt_mod.train_utt(mate, utt, deps["mq"], samples, epochs, seed)
     return {"mate": mate, "utt": utt}, None, history
 
 
 def _train_dmd(cfg, train, deps, rng, seed, epochs) -> tuple:
     model = MODELS["dmd"](cfg, rng)
-    history = dmd_mod.train_dmd(model, deps["mq"], [s.motion.frames for s in train],
-                                epochs=epochs, seed=seed, lr=cfg.lr,
-                                batch_size=cfg.batch_size)
+    history = dmd_mod.train_dmd(model, deps["mq"], [s.motion.frames for s in train], epochs, seed)
     return {"dmd": model}, None, history
 
 
 def _train_retrieval(cfg, train, deps, rng, seed, epochs) -> tuple:
     enc = MODELS["retrieval"](cfg, rng)
     pairs = [(s.motion.frames, s.text_ids) for s in train if s.modality == "text"]
-    history = metrics_mod.train_retrieval_encoder(enc, pairs, epochs=epochs, rng=rng,
-                                                  lr=cfg.lr)
+    history = metrics_mod.train_retrieval_encoder(enc, pairs, epochs, rng)
     return {"retrieval": enc}, None, history
 
 
@@ -332,7 +315,7 @@ def condition_from_request(stack, cfg: RunConfig, modality: str, prompt=None,
                                 f"the config's fps {cfg.fps}")
             features = features.features
         feats = np.asarray(features, dtype=np.float64)
-        want = stack["mate"].cfg.audio_dim
+        want = stack["mate"].cfg.feature_dim
         if feats.ndim != 2 or feats.shape[1] != want:
             raise DataError(f"feature matrix must be [T, {want}]")
         return audio_input(feats), False
@@ -381,9 +364,8 @@ def _sample_tokens(stack, cfg: RunConfig, modality: str, frames: int, seeds, pro
                           f"more than max_context {utt.cfg.max_context}")
     zs = [np.random.default_rng(np.random.SeedSequence([s, 41])).standard_normal(utt.cfg.z_dim)
           if use_z else None for s in seeds]
-    sampling = SamplingConfig(temperature=cfg.temperature, top_k=cfg.top_k)
     with _blame("the utt model", "utt"):
-        tokens = utt_mod.generate_tokens(utt, cond, n_tokens, sampling,
+        tokens = utt_mod.generate_tokens(utt, cond, n_tokens, cfg,
                                          primitive=primitive, z=zs, seed=seeds)
     return tokens, unk_only
 

@@ -26,7 +26,7 @@ compute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,39 +38,22 @@ from .nn import (Embedding, Linear, Module, TransformerEncoder, additive_mask,
                  causal_prefix_mask, sinusoidal_table)
 from .numerics import Tensor
 
-
-@dataclass
-class UTTConfig:
-    code_count: int
-    dim: int = 64
-    layers: int = 2
-    heads: int = 4
-    z_dim: int = 16
-    max_context: int = 512
-
-    @property
-    def bos(self) -> int:
-        return self.code_count
-
-
-@dataclass
-class SamplingConfig:
-    """Top-k sampling at a temperature; top_k=1 is greedy decoding."""
-
-    temperature: float = 1.0
-    top_k: int = 16
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 
 class UTTModel(Module):
-    def __init__(self, cfg: UTTConfig, rng: np.random.Generator):
+    """Token table, z-injection MLP, encoder and codebook head, sized by the run config."""
+
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         self.cfg = cfg
-        d = cfg.dim
+        d = cfg.embed_dim
         self.token_table = Embedding(cfg.code_count + 1, d, rng)  # the codes and BOS
         self.z1 = Linear(cfg.z_dim, d, rng)
         # zero start: z has no effect at init, so early training learns the
         # condition cleanly; the injection path grows under training pressure
         self.z2 = Linear(d, d, rng, zero=True)
-        self.encoder = TransformerEncoder(cfg.layers, d, cfg.heads, rng)
+        self.encoder = TransformerEncoder(cfg.utt_layers, d, cfg.utt_heads, rng)
         self.out_proj = Linear(d, cfg.code_count, rng)
         self.pos = sinusoidal_table(cfg.max_context, d)
 
@@ -94,7 +77,7 @@ def forward_logits(model: UTTModel, cond: CondEmbedding, prefixes, z=None,
     ids = np.asarray(prefixes, dtype=np.int64)
     if ids.ndim != 2 or len(ids) != len(cond.lengths):
         raise DataError(f"{len(cond.lengths)} conditions got prefixes of shape {ids.shape}")
-    if not ids.shape[1] or (ids[:, 0] != model.cfg.bos).any():
+    if not ids.shape[1] or (ids[:, 0] != model.cfg.code_count).any():
         raise DataError("token prefix must start with BOS")
     if ids.min() < 0 or ids[:, 1:].max(initial=0) >= model.cfg.code_count:
         raise DataError("prefix contains non-codebook ids after BOS")
@@ -139,17 +122,17 @@ def _per_row(value, count: int) -> list:
     return values
 
 
-def generate_tokens(model: UTTModel, cond: CondEmbedding, max_len: int,
-                    sampling: SamplingConfig | None = None, primitive=None,
-                    z=None, *, seed) -> np.ndarray:
+def generate_tokens(model: UTTModel, cond: CondEmbedding, max_len: int, cfg: RunConfig,
+                    primitive=None, z=None, *, seed) -> np.ndarray:
     """Token rows [B, max_len] of codebook ids for the B conditions of
     `cond`, with `seed` a list of B seeds; `primitive` is None or [B, P],
     and `z` None or B entries, each a z vector or None for none.
 
     Each row starts with its primitive verbatim; every later token is drawn
-    from the K codebook logits, so all rows end on the same step. Each
-    request keeps its own RNG, so it gets the same tokens alone or in any
-    batch.
+    from the K codebook logits at the top_k and temperature of `cfg`, the
+    request's run config (never `model.cfg`, the recorded one), so all rows
+    end on the same step. Each request keeps its own RNG, so it gets the
+    same tokens alone or in any batch.
 
     The first pass is one `forward_logits` call over [BOS, primitive], which
     fills the K/V cache; every later step feeds each row's last token
@@ -173,35 +156,34 @@ def generate_tokens(model: UTTModel, cond: CondEmbedding, max_len: int,
     _check_context(model, 1 + int(cond.lengths.max()) + max_len)
     tokens = np.zeros((count, max_len), dtype=np.int64)
     tokens[:, :start] = prim
-    sampling = sampling or SamplingConfig()
     visible = _visible_keys(cond, max_len)
     key_mask = None if visible.all() else additive_mask(visible)[:, None, None]
     caches = [[] for _ in model.encoder.layers]
     with nm.no_grad():
         for step in range(start, max_len):
             if step == start:
-                prefixes = np.pad(prim, ((0, 0), (1, 0)), constant_values=model.cfg.bos)
+                prefixes = np.pad(prim, ((0, 0), (1, 0)), constant_values=model.cfg.code_count)
                 logits = forward_logits(model, cond, prefixes, zs, caches)
             else:  # BOS sits at position 0, so token step - 1 at position step
                 logits = _step_logits(model, step, tokens[:, step - 1:step], caches, key_mask)
-            tokens[:, step] = [_sample_one(row, sampling, rng)
+            tokens[:, step] = [_sample_one(row, cfg, rng)
                                for row, rng in zip(logits.data[:, -1], rngs)]
     return tokens
 
 
-def _sample_one(logits: np.ndarray, sampling: SamplingConfig,
-                rng: np.random.Generator) -> int:
-    """One token id drawn from the top_k logits at the temperature.
+def _sample_one(logits: np.ndarray, cfg: RunConfig, rng: np.random.Generator) -> int:
+    """One token id drawn from the top_k logits at the temperature of `cfg`;
+    top_k 1 is greedy decoding.
 
     The draw is `rng.choice(k, p=probs)`'s own algorithm (a normalized
     cumulative sum searched with one `rng.random()` double) without its
     per-call checks on p, so it returns the same id and leaves the stream
     where `choice` leaves it.
     """
-    k = min(sampling.top_k, logits.size)
+    k = min(cfg.top_k, logits.size)
     keep = (-logits).argsort(kind="stable")[:k]
     top = logits[keep]
-    tau = max(sampling.temperature, 1e-12)
+    tau = max(cfg.temperature, 1e-12)
     scaled = (top - top.max()) / tau
     with np.errstate(under="ignore"):
         probs = np.exp(scaled)
@@ -226,7 +208,7 @@ def _teacher_forcing(model: UTTModel, gt_tokens) -> tuple:
     """(prefixes [BOS, t_0..t_{S-2}], targets t_0..t_{S-1}) of token rows
     [B, S]: position i of a prefix predicts t_i, so each row is S logits."""
     gt_tokens = np.asarray(gt_tokens, dtype=np.int64)
-    return (np.pad(gt_tokens[:, :-1], ((0, 0), (1, 0)), constant_values=model.cfg.bos),
+    return (np.pad(gt_tokens[:, :-1], ((0, 0), (1, 0)), constant_values=model.cfg.code_count),
             gt_tokens)
 
 
@@ -257,8 +239,9 @@ def mean_cross_entropy(mate: MATEModel, model: UTTModel, mq: MQModel, samples) -
 
 
 def train_utt(mate: MATEModel, model: UTTModel, mq: MQModel, samples, epochs: int,
-              seed: int, lr: float = 1e-3, batch_size: int = 4, z_prob: float = 0.5) -> list:
-    """Teacher-forced cross-entropy training of MATE+UTT through `numerics.fit`.
+              seed: int) -> list:
+    """Teacher-forced cross-entropy training of MATE+UTT through `numerics.fit`
+    at the UTT's run-config lr, batch_size and z_prob.
 
     `samples` are (ModalityInput, frames) pairs covering both modalities,
     all with the same frame count. A minibatch interleaves them 1:1 when
@@ -268,6 +251,7 @@ def train_utt(mate: MATEModel, model: UTTModel, mq: MQModel, samples, epochs: in
     if not samples:
         raise DataError("empty training set")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 23]))
+    lr, batch_size, z_prob = model.cfg.lr, model.cfg.batch_size, model.cfg.z_prob
     opt = nm.Adam(mate.named_parameters() + model.named_parameters(), lr=lr)
 
     text_idx = [i for i, (inp, _) in enumerate(samples) if inp.modality == "text"]

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -19,14 +21,8 @@ def rng():
 
 @pytest.fixture(scope="session")
 def tiny_cfg():
-    """A run config small enough to synthesize, train and evaluate in seconds."""
-    from ude.config import RunConfig
+    """A run config small enough to synthesize, train and evaluate in seconds:
+    tests/tiny.json, which CI's two-hash-seed run reads too."""
+    from ude.config import load_config
 
-    return RunConfig(
-        frames=16, families="walk:2,wave:2,jump:2,turn:2",
-        families_test="walk:2,wave:2,jump:2,turn:2",
-        genres="sway:2,groove:1,pulse:1", genres_test="sway:2,groove:1,pulse:1",
-        code_count=8, code_dim=8, mq_hidden=16, embed_dim=16, mate_layers=1,
-        mate_heads=2, utt_layers=1, utt_heads=2, z_dim=4, diffusion_steps=2,
-        dmd_layers=1, dmd_cond_layers=1, dmd_heads=2, retrieval_distractors=3,
-        retrieval_trials=1, retrieval_dim=8)
+    return load_config(pathlib.Path(__file__).with_name("tiny.json"))

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from ude.config import RunConfig, load_config
-from ude.dataset import JOINT_NAMES, longest_sentence
+from ude.dataset import JOINT_NAMES, longest_sentence, synth_counts
 from ude.errors import ConfigError
 
 
@@ -147,6 +147,25 @@ def test_values_out_of_range_raise(tmp_path, values):
 def test_values_at_the_edges_of_their_ranges_load(tmp_path, values):
     cfg = _load(tmp_path, values)
     assert all(getattr(cfg, key) == value for key, value in values.items())
+
+
+@pytest.mark.parametrize("key, spec, fault", [
+    ("families", "walk:-5,wave:2,jump:2,turn:2", "negative count in 'walk:-5'"),
+    ("genres_test", "sway:2,groove:-1", "negative count in 'groove:-1'"),
+    ("families", "walk:2,walk:7", "names 'walk' more than once"),
+    ("genres", "sway:1,pulse:1,sway:0", "names 'sway' more than once"),
+    ("families_test", "walk:40, walk:40", "names 'walk' more than once"),
+])
+def test_a_negative_or_repeated_count_raises_naming_the_spec(tmp_path, key, spec, fault):
+    with pytest.raises(ConfigError) as info:
+        _load(tmp_path, {key: spec})
+    assert fault in str(info.value) and repr(spec) in str(info.value)
+
+
+def test_a_zero_count_writes_none(tmp_path):
+    cfg = _load(tmp_path, {"families": "walk:0,wave:3", "genres": "sway:0,pulse"})
+    families, _, genres, _ = synth_counts(cfg)
+    assert families == {"wave": 3} and genres == {"pulse": 1}
 
 
 def test_longest_context_may_fill_max_context(tmp_path):

@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 from ude import numerics as nm
-from ude.dmd import (DMDConfig, DMDModel, NoiseSchedule, dmd_loss, dmd_loss_at,
-                     encode_condition, make_schedule, predict_noise, q_sample,
-                     sample_reverse, train_dmd)
+from ude.config import RunConfig
+from ude.dmd import (DMDModel, NoiseSchedule, dmd_loss, dmd_loss_at, encode_condition,
+                     make_schedule, predict_noise, q_sample, sample_reverse, train_dmd)
 from ude.errors import ConfigError, DataError
-from ude.mq import MQConfig, MQModel
+from ude.mq import MQModel
 
-C = 3
+C = RunConfig().frame_dim
 K = 4
 
 
-def _model(steps=10, seed=0, dim=16):
-    cfg = DMDConfig(frame_dim=C, code_count=K, steps=steps, dim=dim,
-                    cond_layers=1, layers=1, heads=2)
+def _model(steps=10, seed=0, **kw):
+    cfg = RunConfig(code_count=K, diffusion_steps=steps, embed_dim=16, dmd_cond_layers=1,
+                    dmd_layers=1, dmd_heads=2, **kw)
     return DMDModel(cfg, np.random.default_rng(seed))
 
 
@@ -287,7 +287,7 @@ class TestSampleReverse:
 
 class TestTrainDmd:
     def _mq(self):
-        return MQModel(MQConfig(frame_dim=C, code_count=K, code_dim=4, hidden=8),
+        return MQModel(RunConfig(code_count=K, code_dim=4, mq_hidden=8),
                        np.random.default_rng(9))
 
     def test_zero_epochs_unchanged(self, rng):
@@ -299,9 +299,9 @@ class TestTrainDmd:
             assert np.array_equal(p.data, old)
 
     def test_loss_decreases(self, rng):
-        model = _model()
+        model = _model(lr=2e-3)
         motions = [np.tile(rng.standard_normal(C), (8, 1)) for _ in range(8)]
-        history = train_dmd(model, self._mq(), motions, epochs=10, seed=0, lr=2e-3)
+        history = train_dmd(model, self._mq(), motions, epochs=10, seed=0)
         first = np.mean([h["loss"] for h in history[:3]])
         last = np.mean([h["loss"] for h in history[-3:]])
         assert last < first

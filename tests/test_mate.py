@@ -3,18 +3,22 @@ import pytest
 
 from ude import numerics as nm
 from ude import utt as utt_mod
+from ude.config import RunConfig
 from ude.errors import DataError
-from ude.mate import (CondEmbedding, MATEConfig, MATEModel, ModalityInput,
-                      assemble_sequence, audio_input, embed_modality, encode,
-                      text_input)
-from ude.mq import DOWNSAMPLE, MQConfig, MQModel
-from ude.utt import UTTConfig, UTTModel, train_utt
+from ude.mate import (CondEmbedding, MATEModel, ModalityInput, assemble_sequence,
+                      audio_input, embed_modality, encode, text_input)
+from ude.mq import DOWNSAMPLE, MQModel
+from ude.utt import UTTModel, train_utt
+
+
+def _cfg(**kw):
+    return RunConfig(feature_dim=5, embed_dim=16, mate_layers=2, mate_heads=2, max_text_len=12,
+                     max_audio_len=24, code_count=8, code_dim=4, mq_hidden=8, utt_layers=1,
+                     utt_heads=2, z_dim=4, **kw)
 
 
 def _model(seed=0, **kw):
-    cfg = MATEConfig(vocab_size=20, audio_dim=5, dim=16, layers=2, heads=2,
-                     max_text_len=12, max_audio_len=24, **kw)
-    return MATEModel(cfg, np.random.default_rng(seed))
+    return MATEModel(_cfg(**kw), np.random.default_rng(seed))
 
 
 class TestEmbedModality:
@@ -263,15 +267,14 @@ class TestBatchedEncode:
 
 def _train(rng, samples, batch_size, epochs=1):
     """(mate, utt, history) after training on a mixed set of `samples` pairs."""
-    mate = _model()
-    utt = UTTModel(UTTConfig(code_count=8, dim=16, layers=1, heads=2, z_dim=4),
-                   np.random.default_rng(1))
-    mq = MQModel(MQConfig(frame_dim=6, code_count=8, code_dim=4, hidden=8),
-                 np.random.default_rng(2))
+    cfg = _cfg(batch_size=batch_size)
+    mate = MATEModel(cfg, np.random.default_rng(0))
+    utt = UTTModel(cfg, np.random.default_rng(1))
+    mq = MQModel(cfg, np.random.default_rng(2))
     data = [(text_input(rng.integers(1, 20, size=3 + i % 4)) if i % 2 == 0
              else audio_input(rng.standard_normal((5 + i, 5))),
-             rng.standard_normal((16, 6))) for i in range(samples)]
-    history = train_utt(mate, utt, mq, data, epochs=epochs, seed=0, batch_size=batch_size)
+             rng.standard_normal((16, cfg.frame_dim))) for i in range(samples)]
+    history = train_utt(mate, utt, mq, data, epochs=epochs, seed=0)
     return mate, utt, history
 
 

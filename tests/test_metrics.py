@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ude import numerics as nm
+from ude.config import RunConfig
+from ude.dataset import VOCAB_WORDS
 from ude.errors import DataError
 from ude.metrics import (FeatureSet, RetrievalEncoder, beat_align, contrastive_loss,
                          detect_motion_beats, diversity, feature_set, fid, fid_gaussian,
@@ -299,13 +301,17 @@ class TestFeatureSetHelper:
         assert fs.kind == "kinetic"
 
 
+RETRIEVAL_CFG = RunConfig(retrieval_dim=8)
+C = RETRIEVAL_CFG.frame_dim
+
+
 class TestRetrieval:
     def test_batch_equals_its_slices(self, rng):
         # one batched graph, ragged texts included, gives the loss and
         # gradients of embeddings encoded one pair at a time
-        enc = RetrievalEncoder(6, 12, np.random.default_rng(3), out_dim=8)
-        frames = rng.standard_normal((4, 16, 6))
-        texts = [rng.integers(0, 12, size=n) for n in (3, 7, 1, 5)]
+        enc = RetrievalEncoder(RETRIEVAL_CFG, np.random.default_rng(3))
+        frames = rng.standard_normal((4, 16, C))
+        texts = [rng.integers(0, len(VOCAB_WORDS), size=n) for n in (3, 7, 1, 5)]
 
         def gradients(loss):
             nm.Adam(enc.named_parameters()).zero_grad()
@@ -322,9 +328,9 @@ class TestRetrieval:
 
     def test_one_pair_trains_nothing_and_reads_loss_zero(self, rng):
         # InfoNCE over one pair has no negatives, so no batch runs
-        pairs = [(rng.standard_normal((16, 6)), np.array([1, 2]))]
-        enc = RetrievalEncoder(6, 12, np.random.default_rng(0), out_dim=8)
-        fresh = RetrievalEncoder(6, 12, np.random.default_rng(0), out_dim=8)
+        pairs = [(rng.standard_normal((16, C)), np.array([1, 2]))]
+        enc = RetrievalEncoder(RETRIEVAL_CFG, np.random.default_rng(0))
+        fresh = RetrievalEncoder(RETRIEVAL_CFG, np.random.default_rng(0))
         history = train_retrieval_encoder(enc, pairs, epochs=2, rng=np.random.default_rng(1))
         assert history == [{"loss": 0.0, "epoch": 0}, {"loss": 0.0, "epoch": 1}]
         for (_, p), (_, q) in zip(enc.named_parameters(), fresh.named_parameters()):

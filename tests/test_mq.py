@@ -4,13 +4,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ude import numerics as nm
+from ude.config import RunConfig
 from ude.errors import DataError
-from ude.mq import MQConfig, MQModel, quantize, train_mq, vq_loss
+from ude.mq import MQModel, quantize, train_mq, vq_loss
+
+C = RunConfig().frame_dim
 
 
-def _model(frame_dim=6, code_count=8, code_dim=4, seed=0, **kw):
-    cfg = MQConfig(frame_dim=frame_dim, code_count=code_count, code_dim=code_dim,
-                   hidden=8, **kw)
+def _model(code_count=8, code_dim=4, seed=0, **kw):
+    cfg = RunConfig(code_count=code_count, code_dim=code_dim, mq_hidden=8, **kw)
     return MQModel(cfg, np.random.default_rng(seed))
 
 
@@ -22,23 +24,23 @@ def _zero_params(model):
 class TestEncode:
     def test_shape_contract(self, rng):
         model = _model()
-        e = model.encode(rng.standard_normal((2, 64, 6)))
+        e = model.encode(rng.standard_normal((2, 64, C)))
         assert e.shape == (2, 16, 4)
 
     def test_indivisible_length_rejected(self, rng):
         model = _model()
         with pytest.raises(DataError, match="divisible"):
-            model.encode(rng.standard_normal((1, 30, 6)))
+            model.encode(rng.standard_normal((1, 30, C)))
 
     def test_zero_input_zero_biases_zero_embedding(self):
         model = _model()
         _zero_params(model)
-        e = model.encode(np.zeros((1, 16, 6)))
+        e = model.encode(np.zeros((1, 16, C)))
         assert np.allclose(e.data, 0.0)
 
     def test_shift_equivariance_on_interior_rows(self, rng):
         model = _model()
-        x = rng.standard_normal((1, 40, 6))
+        x = rng.standard_normal((1, 40, C))
         shifted = np.roll(x, -4, axis=1)
         e1 = model.encode(x).data[0]
         e2 = model.encode(shifted).data[0]
@@ -91,7 +93,7 @@ class TestDecode:
     def test_length_contract(self, rng):
         model = _model()
         out = model.decode_tokens(rng.integers(0, 8, size=(2, 16)))
-        assert out.shape == (2, 64, 6)
+        assert out.shape == (2, 64, C)
 
     def test_out_of_range_token_rejected(self):
         model = _model()
@@ -102,7 +104,7 @@ class TestDecode:
 class TestVqLoss:
     def test_zero_terms_when_embeddings_equal_codes(self, rng):
         model = _model()
-        x = rng.standard_normal((1, 16, 6))
+        x = rng.standard_normal((1, 16, C))
         with nm.no_grad():
             e = model.encode(x).data[0]
         # shrink the codebook to exactly the embeddings produced
@@ -113,13 +115,13 @@ class TestVqLoss:
 
     def test_zero_weights_reduce_to_mse(self, rng):
         model = _model(beta_codebook=0.0, beta_commit=0.0)
-        x = rng.standard_normal((1, 16, 6))
+        x = rng.standard_normal((1, 16, C))
         total, parts = vq_loss(model, x)
         assert abs(total.item() - parts["recon"].item()) < 1e-15
 
     def test_total_is_weighted_sum(self, rng):
         model = _model(beta_codebook=0.7, beta_commit=1.3)
-        x = rng.standard_normal((1, 16, 6))
+        x = rng.standard_normal((1, 16, C))
         total, parts = vq_loss(model, x)
         expected = (parts["recon"].item() + 0.7 * parts["codebook"].item()
                     + 1.3 * parts["commit"].item())
@@ -129,7 +131,7 @@ class TestVqLoss:
 
     def test_straight_through_reaches_encoder(self, rng):
         model = _model()
-        x = rng.standard_normal((1, 16, 6))
+        x = rng.standard_normal((1, 16, C))
         total, parts = vq_loss(model, x)
         opt = nm.Adam(model.named_parameters(), lr=0.0)
         opt.zero_grad()
@@ -140,7 +142,7 @@ class TestVqLoss:
 
     def test_codebook_term_pulls_codes_toward_embeddings(self, rng):
         model = _model()
-        x = rng.standard_normal((1, 16, 6))
+        x = rng.standard_normal((1, 16, C))
         _, parts = vq_loss(model, x)
         opt = nm.Adam([("cb", model.codebook.table)], lr=1e-3)
         opt.zero_grad()
@@ -152,7 +154,7 @@ class TestVqLoss:
     def test_batch_equals_mean_of_its_rows(self, rng):
         # one batched graph stands in for the mean of per-sequence graphs
         model = _model()
-        x = rng.standard_normal((4, 16, 6))
+        x = rng.standard_normal((4, 16, C))
         batched, _ = vq_loss(model, x)
         rows = [vq_loss(model, x[b:b + 1])[0] for b in range(4)]
         mean = sum(rows[1:], rows[0]) * 0.25
@@ -171,23 +173,23 @@ class TestTrainMq:
     def test_zero_epochs_leaves_model_unchanged(self, rng):
         model = _model()
         before = [p.data.copy() for _, p in model.named_parameters()]
-        history = train_mq(model, [rng.standard_normal((16, 6))], epochs=0, seed=0)
+        history = train_mq(model, [rng.standard_normal((16, C))], epochs=0, seed=0)
         assert history == []
         for (name, p), old in zip(model.named_parameters(), before):
             assert np.array_equal(p.data, old)
 
     def test_loss_decreases_on_toy_data(self, rng):
-        model = _model()
-        motions = [np.tile(rng.standard_normal(6), (16, 1))
-                   + 0.1 * rng.standard_normal((16, 6)) for _ in range(24)]
-        history = train_mq(model, motions, epochs=12, seed=0, lr=2e-3)
+        model = _model(lr=2e-3)
+        motions = [np.tile(rng.standard_normal(C), (16, 1))
+                   + 0.1 * rng.standard_normal((16, C)) for _ in range(24)]
+        history = train_mq(model, motions, epochs=12, seed=0)
         first = np.mean([h["total"] for h in history[:3]])
         last = np.mean([h["total"] for h in history[-3:]])
         assert last < first
 
     def test_history_length_and_utilization(self, rng):
         model = _model()
-        motions = [rng.standard_normal((16, 6)) for _ in range(8)]
+        motions = [rng.standard_normal((16, C)) for _ in range(8)]
         history = train_mq(model, motions, epochs=3, seed=0)
         assert len(history) == 3
         # the last epoch's per-code usage: some code is used, each at most once per motion

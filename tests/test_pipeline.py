@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from ude import checkpoint, metrics, pipeline
+from ude import numerics as nm
 from ude import utt as utt_mod
 from ude.config import RunConfig
-from ude.dataset import _PHRASES, load_samples
+from ude.dataset import _PHRASES, VOCAB_WORDS, load_samples
+from ude.mate import encode
 from ude.errors import DataError, NumericsError
 from ude.motion import MotionSequence
 
@@ -203,6 +205,70 @@ def test_models_of_one_shape_share_one_read_only_position_table(tiny_cfg):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
+
+
+# every architecture value away from its default: a model that read a default
+# of its own instead of the run config would show a shape of the default
+ARCH = RunConfig(feature_dim=7, code_count=10, code_dim=6, mq_hidden=12, embed_dim=24,
+                 mate_layers=3, mate_heads=3, max_text_len=20, max_audio_len=40,
+                 utt_layers=1, utt_heads=6, z_dim=5, max_context=200, diffusion_steps=7,
+                 dmd_layers=3, dmd_cond_layers=1, dmd_heads=2, retrieval_dim=5)
+F, V, H = ARCH.frame_dim, len(VOCAB_WORDS), metrics.RETRIEVAL_HIDDEN
+# per section: a parameter's or an array's shape, or an encoder's (layers, heads)
+SIZES = {
+    "mq": {"enc1.kernel": (4, F, 12), "enc3.kernel": (3, 12, 6), "dec1.kernel": (3, 6, 12),
+           "dec3.kernel": (3, 12, F), "codebook.table": (10, 6), "usage": (10,)},
+    "mate": {"word_table.table": (V, 24), "audio_proj.w": (4 * 7, 24),
+             "pos": (1 + max(20, 40 // 4), 24), "encoder": (3, 3)},
+    "utt": {"token_table.table": (10 + 1, 24), "z1.w": (5, 24), "out_proj.w": (24, 10),
+            "pos": (200, 24), "encoder": (1, 6)},
+    "dmd": {"token_table.table": (10, 24), "step_table.table": (7 + 1, 24),
+            "in_proj.w": (F, 24), "out_proj.w": (24, F), "cond_encoder": (1, 2),
+            "denoiser": (3, 2)},
+    "retrieval": {"motion_k1": (4, F, H), "motion_out.w": (H, 5), "word_table.table": (V, H),
+                  "text_out.w": (H, 5)},
+}
+
+
+@pytest.mark.parametrize("section", sorted(pipeline.MODELS))
+def test_each_model_is_sized_by_its_run_config(section):
+    assert set(SIZES) == set(pipeline.MODELS)
+    model = pipeline.MODELS[section](ARCH, np.random.default_rng(0))
+    assert model.cfg is ARCH
+    params = dict(model.named_parameters())
+    for name, want in SIZES[section].items():
+        part = params[name] if name in params else getattr(model, name)
+        got = ((len(part.layers), part.layers[0].attn.heads) if hasattr(part, "layers")
+               else part.shape)
+        assert got == want, name
+    if section == "dmd":
+        assert model.sched.steps == 7
+
+
+def test_sampling_follows_the_request_config_not_the_recorded_one(trained, tiny_cfg):
+    # the checkpoint records top_k 16, more than the 8 codes; a request at
+    # top_k 1 decodes greedily, so each token is the argmax of its logits
+    stack = pipeline.load_generation_stack(trained[1], decoder="vq")
+    utt = stack["utt"]
+    assert utt.cfg.top_k == tiny_cfg.top_k == 16
+    prompts = ["a person walks forward", "someone jumps", "a figure waves both arms high"]
+    seeds = [1, 2, 3]
+    inputs = [pipeline.condition_from_request(stack, tiny_cfg, "text", p)[0] for p in prompts]
+
+    def tokens(cfg):
+        outs = pipeline.generate_motion(stack, cfg, "text", 64, seeds, prompt=prompts)
+        return np.stack([out["tokens"] for out in outs])
+
+    def argmax_of_each(rows):
+        prefixes = np.pad(rows[:, :-1], ((0, 0), (1, 0)), constant_values=utt.cfg.code_count)
+        with nm.no_grad():
+            logits = utt_mod.forward_logits(utt, encode(stack["mate"], inputs), prefixes)
+        return logits.data.argmax(axis=-1)
+
+    greedy = tokens(replace(tiny_cfg, top_k=1))
+    np.testing.assert_array_equal(greedy, argmax_of_each(greedy))
+    recorded = tokens(tiny_cfg)
+    assert (recorded != argmax_of_each(recorded)).any()
 
 
 def test_utt_checkpoint_holds_only_what_inference_reads(trained):

@@ -5,26 +5,36 @@ import pytest
 
 from ude import numerics as nm
 from ude import utt as utt_mod
+from ude.config import RunConfig
 from ude.errors import DataError
-from ude.mate import MATEConfig, MATEModel, audio_input, encode, text_input
-from ude.mq import MQConfig, MQModel
+from ude.mate import MATEModel, audio_input, encode, text_input
+from ude.mq import MQModel
 from ude.nn import additive_mask, causal_prefix_mask
 from ude.numerics import Tensor
-from ude.utt import (SamplingConfig, UTTConfig, UTTModel, cross_entropy, forward_logits,
-                     generate_tokens, hinge_disc_loss, mean_cross_entropy, train_utt,
-                     utt_loss)
+from ude.utt import (UTTModel, cross_entropy, forward_logits, generate_tokens, hinge_disc_loss,
+                     mean_cross_entropy, train_utt, utt_loss)
 
 K = 8
-FRAME_DIM = 6
+BOS = K  # the UTT's BOS id is its code_count
 
 
-def _models(seed=0):
+def _cfg(**kw):
+    """The models' run config; generate_tokens reads only the top_k and
+    temperature of the run config it is passed."""
+    return RunConfig(feature_dim=5, embed_dim=16, mate_layers=1, mate_heads=2, max_text_len=12,
+                     max_audio_len=20, code_count=K, utt_layers=2, utt_heads=2, z_dim=4,
+                     code_dim=4, mq_hidden=8, batch_size=4, **kw)
+
+
+FRAME_DIM = _cfg().frame_dim
+
+
+def _models(seed=0, **kw):
     rng = np.random.default_rng(seed)
-    mate = MATEModel(MATEConfig(vocab_size=16, audio_dim=5, dim=16, layers=1,
-                                heads=2, max_text_len=12, max_audio_len=20), rng)
-    utt = UTTModel(UTTConfig(code_count=K, dim=16, layers=2, heads=2, z_dim=4), rng)
-    mq = MQModel(MQConfig(frame_dim=FRAME_DIM, code_count=K, code_dim=4, hidden=8),
-                 np.random.default_rng(seed + 1))
+    cfg = _cfg(**kw)
+    mate = MATEModel(cfg, rng)
+    utt = UTTModel(cfg, rng)
+    mq = MQModel(cfg, np.random.default_rng(seed + 1))
     return mate, utt, mq
 
 
@@ -39,7 +49,7 @@ def _logits(utt, cond, prefix, z=None):
 
 def _generate(utt, cond, max_len, sampling=None, primitive=None, z=None, seed=0):
     """generate_tokens of one request, as a batch of one."""
-    out = generate_tokens(utt, cond, max_len, sampling,
+    out = generate_tokens(utt, cond, max_len, sampling or RunConfig(),
                           primitive=None if primitive is None else [primitive], z=[z],
                           seed=[seed])
     assert out.shape == (1, max_len) and out.dtype == np.int64
@@ -90,7 +100,7 @@ class TestForwardLogits:
         utt.z2.w.data[...] = 0.0
         utt.z2.b.data[...] = 0.0
         cond = _cond(mate)
-        prefix = [utt.cfg.bos, 1, 2]
+        prefix = [BOS, 1, 2]
         a = _logits(utt, cond, prefix)
         b = _logits(utt, cond, prefix, z=np.zeros(4))
         assert np.array_equal(a, b)
@@ -98,7 +108,7 @@ class TestForwardLogits:
     def test_causality_bitwise(self):
         mate, utt, _ = _models()
         cond = _cond(mate)
-        prefix = np.array([utt.cfg.bos, 1, 2, 3, 4])
+        prefix = np.array([BOS, 1, 2, 3, 4])
         base = _logits(utt, cond, prefix)
         for j in range(2, 5):
             bumped = prefix.copy()
@@ -112,31 +122,31 @@ class TestForwardLogits:
         # residue is float re-association in the row sums (last-ulp level)
         mate, utt, _ = _models()
         cond = _cond(mate)
-        short = _logits(utt, cond, [utt.cfg.bos, 1, 2])
-        long = _logits(utt, cond, [utt.cfg.bos, 1, 2, 5, 6])
+        short = _logits(utt, cond, [BOS, 1, 2])
+        long = _logits(utt, cond, [BOS, 1, 2, 5, 6])
         assert np.abs(short - long[:3]).max() < 1e-12
 
     def test_glob_perturbation_changes_all_positions(self):
         # bump one coordinate; per-row constant shifts would vanish in layer norm
         mate, utt, _ = _models()
         cond = _cond(mate)
-        base = _logits(utt, cond, [utt.cfg.bos, 1, 2, 3])
+        base = _logits(utt, cond, [BOS, 1, 2, 3])
         g = cond.glob.data.copy()
         g[0, 3] += 0.5
         cond_shift = type(cond)(glob=Tensor(g), seq=cond.seq, lengths=cond.lengths)
-        out = _logits(utt, cond_shift, [utt.cfg.bos, 1, 2, 3])
+        out = _logits(utt, cond_shift, [BOS, 1, 2, 3])
         for i in range(out.shape[0]):
             assert not np.allclose(base[i], out[i])
 
     def test_seq_elements_all_visible(self):
         mate, utt, _ = _models()
         cond = _cond(mate, ids=(1, 2, 3, 4))
-        base = _logits(utt, cond, [utt.cfg.bos, 1])
+        base = _logits(utt, cond, [BOS, 1])
         for i in range(cond.seq.shape[1]):
             bumped_seq = cond.seq.data.copy()
             bumped_seq[0, i, 5] += 0.5
             cond2 = type(cond)(glob=cond.glob, seq=Tensor(bumped_seq), lengths=cond.lengths)
-            out = _logits(utt, cond2, [utt.cfg.bos, 1])
+            out = _logits(utt, cond2, [BOS, 1])
             assert not np.allclose(base, out)
 
     @pytest.mark.parametrize("modality", ["text", "audio", "mixed"])
@@ -150,7 +160,7 @@ class TestForwardLogits:
         picks = {"text": [0, 2], "audio": [1, 3], "mixed": [0, 1, 2, 3]}[modality]
         cond = encode(mate, [inputs[b] for b in picks])
         z = [zs[b] if use_z else None for b in picks]
-        prefixes = [[utt.cfg.bos] + primitive] * len(picks)
+        prefixes = [[BOS] + primitive] * len(picks)
 
         def run():
             caches = [[] for _ in utt.encoder.layers] if cached else None
@@ -173,7 +183,7 @@ class TestForwardLogits:
     def test_prefix_holds_codebook_ids_after_bos(self, token):
         mate, utt, _ = _models()
         with pytest.raises(DataError, match="non-codebook ids"):
-            forward_logits(utt, _cond(mate), [[utt.cfg.bos, 1, token]])
+            forward_logits(utt, _cond(mate), [[BOS, 1, token]])
 
     def test_the_head_is_the_codebook(self):
         # BOS is only ever an input: the table embeds it, the head never predicts it
@@ -186,7 +196,7 @@ class TestGenerate:
     def test_greedy_deterministic(self):
         mate, utt, _ = _models()
         cond = _cond(mate)
-        cfg = SamplingConfig(top_k=1)
+        cfg = RunConfig(top_k=1)
         a = _generate(utt, cond, 8, cfg, seed=1)
         b = _generate(utt, cond, 8, cfg, seed=2)
         assert np.array_equal(a, b)
@@ -195,25 +205,25 @@ class TestGenerate:
         mate, utt, _ = _models()
         cond = _cond(mate)
         primitive = np.array([3, 1, 4, 1, 5, 2, 6, 5])
-        out = _generate(utt, cond, 12, SamplingConfig(top_k=1), primitive=primitive)
+        out = _generate(utt, cond, 12, RunConfig(top_k=1), primitive=primitive)
         assert np.array_equal(out[:8], primitive)
 
     def test_tiny_temperature_equals_greedy(self):
         mate, utt, _ = _models()
         cond = _cond(mate)
-        greedy = _generate(utt, cond, 8, SamplingConfig(top_k=1), seed=0)
+        greedy = _generate(utt, cond, 8, RunConfig(top_k=1), seed=0)
         cold = _generate(utt, cond, 8,
-                         SamplingConfig(temperature=1e-6, top_k=K), seed=0)
+                         RunConfig(temperature=1e-6, top_k=K), seed=0)
         assert np.array_equal(greedy, cold)
 
     def test_top_k_one_is_greedy(self):
         mate, utt, _ = _models()
         cond = _cond(mate)
-        k1 = _generate(utt, cond, 8, SamplingConfig(temperature=1.0, top_k=1), seed=3)
+        k1 = _generate(utt, cond, 8, RunConfig(temperature=1.0, top_k=1), seed=3)
         greedy = []
         with nm.no_grad():
             while len(greedy) < 8:
-                greedy.append(int(np.argmax(_logits(utt, cond, [utt.cfg.bos] + greedy)[-1])))
+                greedy.append(int(np.argmax(_logits(utt, cond, [BOS] + greedy)[-1])))
         assert k1.tolist() == greedy
 
     def test_every_row_gets_exactly_max_len_codebook_ids(self):
@@ -222,7 +232,7 @@ class TestGenerate:
         mate, utt = _z_model()
         inputs, zs, _, seeds = _mixed_requests(mate)
         out = generate_tokens(utt, encode(mate, inputs), 16,
-                              SamplingConfig(top_k=K + 2, temperature=2.0), z=zs, seed=seeds)
+                              RunConfig(top_k=K + 2, temperature=2.0), z=zs, seed=seeds)
         assert out.shape == (4, 16) and out.dtype == np.int64
         assert out.min() >= 0 and out.max() < K
 
@@ -237,7 +247,7 @@ class TestGenerate:
         mate, utt, _ = _models()
         cond = encode(mate, [text_input([1, 2, 3]), text_input([4, 5])])
         with pytest.raises(DataError, match="primitives"):
-            generate_tokens(utt, cond, 4, primitive=primitive, seed=[1, 2])
+            generate_tokens(utt, cond, 4, RunConfig(), primitive=primitive, seed=[1, 2])
 
 
 def _choice_draw(logits, sampling, rng):
@@ -253,15 +263,15 @@ def _choice_draw(logits, sampling, rng):
 
 
 @pytest.mark.parametrize("width, sampling, ties", [
-    (K, SamplingConfig(), False),
-    (K, SamplingConfig(), True),
-    (64, SamplingConfig(), False),
-    (64, SamplingConfig(), True),
-    (K, SamplingConfig(top_k=K + 5), False),  # top_k beyond the codebook
-    (64, SamplingConfig(temperature=1e-9), False),
-    (64, SamplingConfig(temperature=1e-9), True),
-    (64, SamplingConfig(top_k=3, temperature=3.0), True),
-    (K, SamplingConfig(top_k=1), False),
+    (K, RunConfig(), False),
+    (K, RunConfig(), True),
+    (64, RunConfig(), False),
+    (64, RunConfig(), True),
+    (K, RunConfig(top_k=K + 5), False),  # top_k beyond the codebook
+    (64, RunConfig(temperature=1e-9), False),
+    (64, RunConfig(temperature=1e-9), True),
+    (64, RunConfig(top_k=3, temperature=3.0), True),
+    (K, RunConfig(top_k=1), False),
 ], ids=["k8", "k8-ties", "k64", "k64-ties", "top-k-beyond-k", "tiny-temperature",
         "tiny-temperature-ties", "hot-top-3-ties", "greedy"])
 def test_the_draw_gives_rng_choices_token_and_stream_position(width, sampling, ties):
@@ -282,7 +292,7 @@ def _reference_tokens(model, cond, max_len, sampling, primitive=(), z=None, seed
     tokens = [int(t) for t in primitive]
     with nm.no_grad():
         while len(tokens) < max_len:
-            prefix = np.array([model.cfg.bos] + tokens, dtype=np.int64)
+            prefix = np.array([model.cfg.code_count] + tokens, dtype=np.int64)
             tokens.append(utt_mod._sample_one(_logits(model, cond, prefix, z=z)[-1], sampling,
                                               rng))
     return np.array(tokens, dtype=np.int64)
@@ -291,8 +301,7 @@ def _reference_tokens(model, cond, max_len, sampling, primitive=(), z=None, seed
 def _z_model(seed=0, max_context=512):
     """Models whose z path is live: the zero-initialised z2 is randomised."""
     mate = _models(seed)[0]
-    utt = UTTModel(UTTConfig(code_count=K, dim=16, layers=2, heads=2, z_dim=4,
-                             max_context=max_context), np.random.default_rng(seed + 7))
+    utt = UTTModel(_cfg(max_context=max_context), np.random.default_rng(seed + 7))
     utt.z2.w.data[...] = np.random.default_rng(seed + 8).normal(0, 0.3, (16, 16))
     return mate, utt
 
@@ -316,10 +325,10 @@ class TestKVCache:
         caches = [[] for _ in utt.encoder.layers]
         follow = np.random.default_rng(6).integers(0, K, size=10)
         with nm.no_grad():
-            prefix = np.array([utt.cfg.bos] + tokens)
+            prefix = np.array([BOS] + tokens)
             cached = forward_logits(utt, cond, [prefix], [z], caches).data[0, -1]
             for token in follow:
-                full = _logits(utt, cond, [utt.cfg.bos] + tokens, z=z)[-1]
+                full = _logits(utt, cond, [BOS] + tokens, z=z)[-1]
                 assert np.abs(cached - full).max() < 1e-12
                 tokens.append(int(token))
                 cached = utt_mod._step_logits(utt, len(tokens), [[int(token)]],
@@ -328,17 +337,17 @@ class TestKVCache:
     def test_z_changes_the_logits(self):
         mate, utt = _z_model()
         cond = CONDITIONS["text"](mate)
-        a = _logits(utt, cond, [utt.cfg.bos, 1])
-        b = _logits(utt, cond, [utt.cfg.bos, 1], z=np.ones(4))
+        a = _logits(utt, cond, [BOS, 1])
+        b = _logits(utt, cond, [BOS, 1], z=np.ones(4))
         assert not np.allclose(a, b)
 
     @pytest.mark.parametrize("modality", sorted(CONDITIONS))
     @pytest.mark.parametrize("use_z", [False, True])
     @pytest.mark.parametrize("primitive", [[], [2, 7]])
     @pytest.mark.parametrize("sampling, first_seed", [
-        (SamplingConfig(top_k=1), 0),
-        (SamplingConfig(top_k=4, temperature=1.0), 0),
-        (SamplingConfig(top_k=K, temperature=2.0), 12),
+        (RunConfig(top_k=1), 0),
+        (RunConfig(top_k=4, temperature=1.0), 0),
+        (RunConfig(top_k=K, temperature=2.0), 12),
     ])
     def test_tokens_equal_the_uncached_loop(self, modality, use_z, primitive, sampling,
                                             first_seed):
@@ -377,9 +386,9 @@ def _mixed_requests(mate):
 
 class TestBatchedSampling:
     @pytest.mark.parametrize("sampling, max_len", [
-        (SamplingConfig(top_k=1), 12),
-        (SamplingConfig(top_k=4, temperature=1.0), 12),
-        (SamplingConfig(top_k=K, temperature=2.0), 5),
+        (RunConfig(top_k=1), 12),
+        (RunConfig(top_k=4, temperature=1.0), 12),
+        (RunConfig(top_k=K, temperature=2.0), 5),
     ])
     def test_tokens_equal_each_request_alone_and_the_uncached_loop(self, sampling, max_len):
         mate, utt = _z_model()
@@ -401,7 +410,7 @@ class TestBatchedSampling:
         mate, utt = _z_model()
         inputs, zs, primitives, _ = _mixed_requests(mate)
         conds = [encode(mate, [inp]) for inp in inputs]
-        prefixes = [[utt.cfg.bos] + p for p in primitives]
+        prefixes = [[BOS] + p for p in primitives]
         got = forward_logits(utt, encode(mate, inputs), prefixes, zs).data
         assert got.shape == (4, 3, K)
         for b, prefix in enumerate(prefixes):
@@ -417,7 +426,7 @@ class TestBatchedSampling:
         follow = np.random.default_rng(6).integers(0, K, size=(6, 4))
         with nm.no_grad():
             caches = [[] for _ in utt.encoder.layers]
-            forward_logits(utt, cond, [[utt.cfg.bos] + t for t in tokens], zs, caches)
+            forward_logits(utt, cond, [[BOS] + t for t in tokens], zs, caches)
             visible = utt_mod._visible_keys(cond, 1 + len(tokens[0]) + follow.shape[0])
             assert not visible.all()
             key_mask = additive_mask(visible)[:, None, None]
@@ -427,26 +436,26 @@ class TestBatchedSampling:
                 got = utt_mod._step_logits(utt, len(tokens[0]), step[:, None], caches,
                                            key_mask).data[:, -1]
                 for b, (z, t) in enumerate(zip(zs, tokens)):
-                    full = _logits(utt, conds[b], [utt.cfg.bos] + t, z)[-1]
+                    full = _logits(utt, conds[b], [BOS] + t, z)[-1]
                     assert np.abs(got[b] - full).max() < 1e-12
 
     def test_a_single_request_is_a_batch_of_one(self):
         mate, utt = _z_model()
         cond = CONDITIONS["audio"](mate)
-        alone = generate_tokens(utt, cond, 9, seed=[4])
+        alone = generate_tokens(utt, cond, 9, RunConfig(), seed=[4])
         assert alone.shape == (1, 9)
-        assert np.array_equal(alone[0], _reference_tokens(utt, cond, 9, SamplingConfig(),
+        assert np.array_equal(alone[0], _reference_tokens(utt, cond, 9, RunConfig(),
                                                           seed=4))
 
     def test_per_request_lists_must_match_the_batch(self):
         mate, utt = _z_model()
         cond = encode(mate, _mixed_requests(mate)[0])
         with pytest.raises(DataError, match="got 2 values"):
-            generate_tokens(utt, cond, 4, seed=[1, 2])
+            generate_tokens(utt, cond, 4, RunConfig(), seed=[1, 2])
         with pytest.raises(DataError, match="primitives of shape"):
-            generate_tokens(utt, cond, 4, seed=[1, 2, 3, 4], primitive=[[1]])
+            generate_tokens(utt, cond, 4, RunConfig(), seed=[1, 2, 3, 4], primitive=[[1]])
         with pytest.raises(DataError, match="prefixes of shape"):
-            forward_logits(utt, cond, [[utt.cfg.bos]])
+            forward_logits(utt, cond, [[BOS]])
 
 
 class TestLosses:
@@ -465,8 +474,8 @@ class TestLosses:
         # layer's sums move MATE and UTT gradients (up to about 0.16) by at
         # most a few ulps (2.8e-17 here); the stated tolerance is 1e-15
         rng = np.random.default_rng(0)
-        mate = MATEModel(MATEConfig(vocab_size=40, audio_dim=16), rng)
-        utt = UTTModel(UTTConfig(code_count=64), rng)
+        mate = MATEModel(RunConfig(), rng)
+        utt = UTTModel(RunConfig(), rng)
         utt.z2.w.data[...] = rng.normal(0.0, 0.1, utt.z2.w.shape)
         inputs = [text_input(rng.integers(1, 40, size=3 + b)) if b % 2 == 0
                   else audio_input(rng.standard_normal((64 - b, 16))) for b in range(8)]
@@ -500,7 +509,7 @@ class TestLosses:
         with nm.no_grad():
             for cond, row in zip(conds, tokens):
                 for i, target in enumerate(row):
-                    logits = _logits(utt, cond, [utt.cfg.bos, *row[:i]])[-1]
+                    logits = _logits(utt, cond, [BOS, *row[:i]])[-1]
                     assert logits.shape == (K,)
                     top = logits.max()
                     want.append(top + np.log(np.exp(logits - top).sum()) - logits[target])
@@ -653,21 +662,21 @@ class TestTrainUtt:
         assert all(p.grad is None for p in params.values())
 
     def test_ce_improves_on_tiny_set(self, rng):
-        mate, utt, mq = _models()
+        mate, utt, mq = _models(lr=2e-3)
         samples = self._samples(rng, n=6)
         eval_samples = samples
         before = mean_cross_entropy(mate, utt, mq, eval_samples)
-        train_utt(mate, utt, mq, samples, epochs=12, seed=0, lr=2e-3)
+        train_utt(mate, utt, mq, samples, epochs=12, seed=0)
         after = mean_cross_entropy(mate, utt, mq, eval_samples)
         assert after < before
 
     def test_both_modalities_improve(self, rng):
-        mate, utt, mq = _models()
+        mate, utt, mq = _models(lr=2e-3)
         samples = self._samples(rng, n=8)
         text_s = [s for s in samples if s[0].modality == "text"]
         audio_s = [s for s in samples if s[0].modality == "audio"]
         before_t = mean_cross_entropy(mate, utt, mq, text_s)
         before_a = mean_cross_entropy(mate, utt, mq, audio_s)
-        train_utt(mate, utt, mq, samples, epochs=15, seed=1, lr=2e-3)
+        train_utt(mate, utt, mq, samples, epochs=15, seed=1)
         assert mean_cross_entropy(mate, utt, mq, text_s) < before_t
         assert mean_cross_entropy(mate, utt, mq, audio_s) < before_a
