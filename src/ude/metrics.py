@@ -22,7 +22,7 @@ from . import numerics as nm
 from .dataset import VOCAB_WORDS
 from .errors import DataError
 from .motion import MotionSequence
-from .nn import Embedding, Linear, Module
+from .nn import Embedding, Linear, Module, cross_entropy
 from .numerics import Tensor
 
 if TYPE_CHECKING:
@@ -227,9 +227,7 @@ def contrastive_loss(motion_embs: Tensor, text_embs: Tensor) -> Tensor:
     temperature RETRIEVAL_TEMPERATURE."""
     logits = nm.matmul(motion_embs, text_embs.transpose((1, 0))) * (1.0 / RETRIEVAL_TEMPERATURE)
     targets = np.arange(motion_embs.shape[0])
-    loss_mt = -nm.take_per_row(nm.log_softmax(logits, axis=-1), targets).mean()
-    loss_tm = -nm.take_per_row(nm.log_softmax(logits.transpose((1, 0)), axis=-1), targets).mean()
-    return (loss_mt + loss_tm) * 0.5
+    return (cross_entropy(logits, targets) + cross_entropy(logits.transpose((1, 0)), targets)) * 0.5
 
 
 def train_retrieval_encoder(enc: RetrievalEncoder, pairs, epochs: int,

@@ -1,7 +1,8 @@
 """Motion data model: motion sequences, preprocessing and file I/O.
 
 A motion sequence is T frames of J*3 joint positions in meters at a fixed
-frame rate, root joint first, y up. Files use a plain text format:
+frame rate, root joint first, y up. Files are `fileio` tables, one row per
+frame, that take no beats line:
 
     UDEMOTION v1 fps=<f> joints=<J>
     <J*3 space separated decimals>      (one line per frame)
@@ -9,13 +10,12 @@ frame rate, root joint first, y up. Files use a plain text format:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .fileio import atomic_write, format_matrix, parse_matrix, read_text
+from .fileio import parse_body, read_header, write_table
 
 MOTION_MAGIC = "UDEMOTION v1"
 
@@ -80,46 +80,12 @@ def normalize_heading(m: MotionSequence) -> MotionSequence:
     return MotionSequence(m.fps, pos.reshape(m.length, -1))
 
 
-_HEADER_RE = re.compile(rf"^{MOTION_MAGIC} fps=(\d+\.?\d*(?:[eE][+-]?\d+)?) joints=(\d+)\s*$")
-
-
 def save_motion(m: MotionSequence, path) -> None:
-    """Write `m` as a UDEMOTION file: the header, then one line of ".9f"
-    decimals per frame, byte for byte what formatting each value alone gives."""
-    header = f"{MOTION_MAGIC} fps={m.fps!r} joints={m.joint_count}\n"
-    atomic_write(path, (header + format_matrix(m.frames)).encode())
+    """Write `m` as a UDEMOTION file."""
+    write_table(path, f"{MOTION_MAGIC} fps={m.fps!r} joints={m.joint_count}", m.frames)
 
 
 def load_motion(path) -> MotionSequence:
-    """Read a UDEMOTION file. The frames are parsed in one numpy call that
-    accepts exactly the values `float()` does and gives the same floats; a
-    file it rejects is rescanned line by line, so the DataError names the
-    first bad line."""
-    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty motion file")
-    match = _HEADER_RE.match(lines[0])
-    if not match:
-        raise DataError(f"{path}: line 1: bad header {lines[0]!r}")
-    fps = float(match.group(1))
-    width = int(match.group(2)) * 3
-    frames = parse_matrix(lines[1:], width)
-    if frames is None:
-        frames = _parse_rows(path, lines[1:], width)
-    return MotionSequence(fps, frames)
-
-
-def _parse_rows(path, lines, width: int) -> np.ndarray:
-    """The frame lines parsed value by value, raising at the first bad line."""
-    rows = []
-    for i, ln in enumerate(lines, start=2):
-        values = ln.split()
-        if len(values) != width:
-            raise DataError(f"{path}: line {i}: expected {width} values, got {len(values)}")
-        try:
-            rows.append([float(v) for v in values])
-        except ValueError as exc:
-            raise DataError(f"{path}: line {i}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: no frames")
-    return np.array(rows)
+    """Read a UDEMOTION file; a DataError names the first bad line."""
+    fps, joints, body = read_header(path, MOTION_MAGIC, "fps", "joints", "motion")
+    return MotionSequence(fps, parse_body(path, body, joints * 3, "frames")[0])

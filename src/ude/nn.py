@@ -202,6 +202,13 @@ def sinusoidal_table(n_positions: int, dim: int) -> np.ndarray:
     return table
 
 
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean cross-entropy of logits [..., V] against integer targets [...]."""
+    targets = np.asarray(targets, dtype=np.int64)
+    flat = logits.reshape(-1, logits.shape[-1])
+    return -nm.take_per_row(nm.log_softmax(flat, axis=-1), targets.ravel()).mean()
+
+
 def causal_prefix_mask(cond_len: int, seq_len: int) -> np.ndarray:
     """Boolean visibility matrix: column c visible to row r iff c < cond_len or c <= r."""
     n = cond_len + seq_len

@@ -35,7 +35,7 @@ from .errors import DataError
 from .mate import CondEmbedding, MATEModel, encode
 from .mq import MQModel, encode_motions
 from .nn import (Embedding, Linear, Module, TransformerEncoder, additive_mask,
-                 causal_prefix_mask, sinusoidal_table)
+                 causal_prefix_mask, cross_entropy, sinusoidal_table)
 from .numerics import Tensor
 
 if TYPE_CHECKING:
@@ -194,14 +194,6 @@ def _sample_one(logits: np.ndarray, cfg: RunConfig, rng: np.random.Generator) ->
 
 
 # -- losses ----------------------------------------------------------------------------
-
-
-def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean token-level cross-entropy of next-token logits [..., V] against
-    targets [...]."""
-    targets = np.asarray(targets, dtype=np.int64)
-    flat = logits.reshape(-1, logits.shape[-1])
-    return -nm.take_per_row(nm.log_softmax(flat, axis=-1), targets.ravel()).mean()
 
 
 def _teacher_forcing(model: UTTModel, gt_tokens) -> tuple:

@@ -111,6 +111,23 @@ def test_random_motions_write_and_read_as_the_references_do(tmp_path_factory, fr
     assert _bits(load_motion(path).frames) == _bits(rows)
 
 
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.sampled_from([1, 4, 16])),
+              elements=finite),
+       st.none() | st.lists(finite, max_size=5))
+def test_random_features_write_and_read_as_the_references_do(tmp_path_factory, features, beats):
+    path = tmp_path_factory.mktemp("features") / "f.udef"
+    seq = AudioFeatureSequence(16.0, features, beats)
+    save_features(seq, path)
+    assert path.read_bytes() == _reference_feature_bytes(seq)
+    rows, want_beats = _reference_body(path, features.shape[1], beats_allowed=True)
+    got = load_features(path)
+    assert _bits(got.features) == _bits(rows)
+    if beats is None:
+        assert got.beat_times is None and want_beats is None
+    else:
+        assert _bits(got.beat_times) == _bits(want_beats)
+
+
 # -- reading -------------------------------------------------------------------------
 
 # tokens that float() accepts beyond what the writer emits
@@ -160,8 +177,10 @@ def _error(load, path, *reference_args) -> tuple:
     "1 2 3\n1__0 2 3\n",
     "\n\n1 2 3\n\n1 2 3 4\n",       # blank lines are not counted
     "",
+    "1 2 3\nbeats: 0.5\n",           # only feature files take beats lines
+    "1 2 3\nbeats: 0.5 1\n",         # ... even one of the frame width
 ], ids=["short", "long", "value-then-width", "width-then-value", "hex", "double-underscore",
-        "blank-lines", "no-frames"])
+        "blank-lines", "no-frames", "beats-line", "beats-line-of-frame-width"])
 def test_motion_errors_match_the_reference(tmp_path, body):
     path = tmp_path / "m.udem"
     path.write_text(f"{MOTION_MAGIC} fps=16.0 joints=1\n{body}")

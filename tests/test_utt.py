@@ -9,9 +9,9 @@ from ude.config import RunConfig
 from ude.errors import DataError
 from ude.mate import MATEModel, audio_input, encode, text_input
 from ude.mq import MQModel
-from ude.nn import additive_mask, causal_prefix_mask
+from ude.nn import additive_mask, causal_prefix_mask, cross_entropy
 from ude.numerics import Tensor
-from ude.utt import (UTTModel, cross_entropy, forward_logits, generate_tokens, hinge_disc_loss,
+from ude.utt import (UTTModel, forward_logits, generate_tokens, hinge_disc_loss,
                      mean_cross_entropy, train_utt, utt_loss)
 
 K = 8
