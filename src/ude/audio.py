@@ -59,6 +59,11 @@ def save_features(seq: AudioFeatureSequence, path) -> None:
 
 
 def load_features(path) -> AudioFeatureSequence:
-    """Read a UDEFEAT file; a DataError names the first bad line."""
+    """Read a UDEFEAT file; a DataError names the file, and the first bad
+    line when there is one."""
     rate, dims, body = read_header(path, FEATURE_MAGIC, "rate", "dims", "feature")
-    return AudioFeatureSequence(rate, *parse_body(path, body, dims, "feature rows", beats=True))
+    features, beat_times = parse_body(path, body, dims, "feature rows", beats=True)
+    try:
+        return AudioFeatureSequence(rate, features, beat_times)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -1,28 +1,28 @@
 """Checkpoint container shared by every model stage.
 
-A checkpoint file has three parts:
+A checkpoint file holds one stage's model and has three parts:
 
-    UDECKPT v2 module=<stage>
-    {"stage": ..., "config": ..., "deps": ..., "buffers": ..., "sections": ...}
+    UDECKPT v3 module=<stage>
+    {"stage": ..., "config": ..., "deps": ..., "buffers": ..., "params": ...}
     <payload>
 
 The first line is the header. The second is one UTF-8 JSON object: the
 stage name, the resolved run config, the content hashes of the stage
 checkpoints it was trained against (`deps`), small buffers as JSON lists,
-and one or more named sections, each one model's parameters, `{"params":
-{name: {"shape": [...], "offset": n}}}`. A section records no architecture:
-the run config does, and the models are rebuilt from it (older files also
-hold a `config` object in each section, which is never read). The rest of
-the file is the payload: every parameter as raw little-endian float64, C
-order, parameter `name` starting `offset` values in. The payload holds
-exactly the values the metadata names, so its length is 8 bytes times the
-parameter count. Parameters round-trip bit for bit.
+and the model's parameters, `{name: {"shape": [...], "offset": n}}`. The
+file records no architecture: the run config does, and the model is
+rebuilt from it. The rest of the file is the payload: every parameter as
+raw little-endian float64, C order, parameter `name` starting `offset`
+values in. The payload holds exactly the values the metadata names, so its
+length is 8 bytes times the parameter count. Parameters round-trip bit for
+bit.
 
 `load_checkpoint` reads a file once and validates the metadata and the
 payload against each other; anything that does not fit raises DataError.
 Only the two text lines are copied out of the bytes read; the parameters
-are read-only views of the payload in place. A file in the older
-JSON-only `v1` format is rejected with a message to retrain its stage.
+are read-only views of the payload in place. A file in an older format
+(`UDECKPT v1`, JSON only, or `v2`, one parameter map per model) is rejected
+with a message to retrain its stage.
 `load_stage` checks the recorded dependency hashes against the stage files
 in the directory, so a stale or missing prerequisite fails loudly; the
 stages of one stack load share one dict of hashes, so each dependency file
@@ -34,13 +34,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 
 import numpy as np
 
 from .errors import DataError, StageError
 from .fileio import atomic_write, sha256_file
 
-CKPT_MAGIC = "UDECKPT v2"
+CKPT_MAGIC = "UDECKPT v3"
 PAYLOAD_DTYPE = np.dtype("<f8")
 
 
@@ -60,33 +61,29 @@ def load_params(module, params: dict) -> None:
         names[name].data[...] = arr
 
 
-def save_checkpoint(path, stage: str, sections: dict, run_config: dict,
+def save_checkpoint(path, stage: str, params: dict, run_config: dict,
                     deps: dict | None = None, buffers: dict | None = None) -> None:
-    """Write one stage checkpoint; `sections` maps each section name to its
-    parameters, `{name: array}`."""
+    """Write one stage checkpoint of the model parameters `{name: array}`."""
     layout, chunks, offset = {}, [], 0
-    for name, section in sections.items():
-        params = {}
-        for pname, value in section.items():
-            arr = np.asarray(value, dtype=PAYLOAD_DTYPE)
-            params[pname] = {"shape": list(arr.shape), "offset": offset}
-            chunks.append(arr.tobytes())
-            offset += arr.size
-        layout[name] = {"params": params}
+    for name, value in params.items():
+        arr = np.asarray(value, dtype=PAYLOAD_DTYPE)
+        layout[name] = {"shape": list(arr.shape), "offset": offset}
+        chunks.append(arr.tobytes())
+        offset += arr.size
     meta = {
         "stage": stage,
         "config": run_config,
         "deps": deps or {},
         "buffers": {k: np.asarray(v).tolist() for k, v in (buffers or {}).items()},
-        "sections": layout,
+        "params": layout,
     }
     head = f"{CKPT_MAGIC} module={stage}\n{json.dumps(meta)}\n".encode("utf-8")
     atomic_write(path, head + b"".join(chunks))
 
 
 def load_checkpoint(path) -> dict:
-    """The checkpoint's metadata, with each section's `params` mapped to
-    read-only arrays over the payload."""
+    """The checkpoint's metadata, with `params` mapped to read-only arrays
+    over the payload."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -99,9 +96,10 @@ def load_checkpoint(path) -> dict:
     header = data[:head_end]
     prefix = f"{CKPT_MAGIC} module=".encode()
     if not header.startswith(prefix):
-        if header.startswith(b"UDECKPT v1 module="):
-            stage = header.split(b"=", 1)[1].decode("utf-8", "replace").strip()
-            raise DataError(f"{path}: {stage} checkpoint is in the old v1 format, "
+        old = re.fullmatch(rb"UDECKPT (v\d+) module=(.*)", header)
+        if old:
+            version, stage = (part.decode("utf-8", "replace").strip() for part in old.groups())
+            raise DataError(f"{path}: {stage} checkpoint is in the old {version} format, "
                             f"which is no longer read; retrain stage {stage}")
         raise DataError(f"{path}: bad checkpoint header {header[:64]!r}")
     stage = header[len(prefix):].decode("utf-8", "replace").strip()
@@ -115,25 +113,23 @@ def load_checkpoint(path) -> dict:
         raise DataError(f"{path}: bad checkpoint metadata: {exc}") from exc
     _check_metadata(path, stage, meta)
     start = meta_end + 1
-    count = sum(math.prod(p["shape"]) for section in meta["sections"].values()
-                for p in section["params"].values())
+    params = meta["params"]
+    count = sum(math.prod(p["shape"]) for p in params.values())
     if len(data) - start != count * PAYLOAD_DTYPE.itemsize:
         raise DataError(f"{path}: payload is {len(data) - start} bytes, but the "
                         f"metadata names {count} float64 values")
     flat = np.frombuffer(data, PAYLOAD_DTYPE, count=count, offset=start)
-    for section in meta["sections"].values():
-        params = section["params"]
-        for name, entry in params.items():
-            size, offset = math.prod(entry["shape"]), entry["offset"]
-            if offset + size > count:
-                raise DataError(f"{path}: parameter {name} ends past the payload")
-            params[name] = flat[offset:offset + size].reshape(entry["shape"])
+    for name, entry in params.items():
+        size, offset = math.prod(entry["shape"]), entry["offset"]
+        if offset + size > count:
+            raise DataError(f"{path}: parameter {name} ends past the payload")
+        params[name] = flat[offset:offset + size].reshape(entry["shape"])
     return meta
 
 
 def _check_metadata(path, stage: str, meta) -> None:
     """Raise DataError unless `meta` has the layout the module docstring
-    gives, with the header's stage and a section of that name."""
+    gives, with the header's stage."""
     def fail(what):
         raise DataError(f"{path}: bad checkpoint metadata: {what}")
 
@@ -141,20 +137,15 @@ def _check_metadata(path, stage: str, meta) -> None:
         fail("not an object")
     if meta.get("stage") != stage:
         fail("header/body stage mismatch")
-    for key in ("sections", "deps", "buffers"):
+    for key in ("params", "deps", "buffers"):
         if not isinstance(meta.get(key), dict):
             fail(f"{key!r} is not an object")
-    if stage not in meta["sections"]:
-        fail(f"no {stage!r} section")
-    for name, section in meta["sections"].items():
-        if not (isinstance(section, dict) and isinstance(section.get("params"), dict)):
-            fail(f"section {name!r} lacks a params object")
-        for pname, entry in section["params"].items():
-            shape = entry.get("shape") if isinstance(entry, dict) else None
-            offset = entry.get("offset") if isinstance(entry, dict) else None
-            if not (isinstance(shape, list) and all(_is_count(n) for n in shape)
-                    and _is_count(offset)):
-                fail(f"parameter {pname!r} needs a shape and an offset of counts")
+    for name, entry in meta["params"].items():
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        offset = entry.get("offset") if isinstance(entry, dict) else None
+        if not (isinstance(shape, list) and all(_is_count(n) for n in shape)
+                and _is_count(offset)):
+            fail(f"parameter {name!r} needs a shape and an offset of counts")
 
 
 def _is_count(value) -> bool:

@@ -86,6 +86,11 @@ def save_motion(m: MotionSequence, path) -> None:
 
 
 def load_motion(path) -> MotionSequence:
-    """Read a UDEMOTION file; a DataError names the first bad line."""
+    """Read a UDEMOTION file; a DataError names the file, and the first bad
+    line when there is one."""
     fps, joints, body = read_header(path, MOTION_MAGIC, "fps", "joints", "motion")
-    return MotionSequence(fps, parse_body(path, body, joints * 3, "frames")[0])
+    frames = parse_body(path, body, joints * 3, "frames")[0]
+    try:
+        return MotionSequence(fps, frames)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -656,15 +656,15 @@ def transpose(a, axes) -> Tensor:
 class Adam:
     """Adam with bias correction over a list of (name, parameter) pairs.
 
-    lr defaults to 1e-4; beta1, beta2 and eps are the usual 0.9, 0.999 and
-    1e-8. `zero_grad` drops the gradients and `step` reads None as zero. A
-    non-finite gradient raises NumericsError naming the offending
-    parameter. lr=0 leaves parameters untouched.
+    beta1, beta2 and eps are the usual 0.9, 0.999 and 1e-8. `zero_grad`
+    drops the gradients and `step` reads None as zero. A non-finite gradient
+    raises NumericsError naming the offending parameter. lr=0 leaves
+    parameters untouched.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr: float = 1e-4):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = float(lr)
         self.t = 0

@@ -2,19 +2,21 @@
 from text or audio conditions, stitch text-to-audio transitions through
 token primitives, and run the metric battery.
 
-Stage order is mq -> utt (mate+utt, on cross-entropy) -> dmd -> retrieval,
-one `STAGES` entry each; the utt and dmd stages record the content hash of
-the mq checkpoint they were trained against, and loading verifies those
-hashes so stale mixes fail loudly.
-A checkpoint section holds only parameters: its `MODELS` class is built
-from the run config being trained, or from the one the checkpoint recorded,
-checked as a config file is; the model keeps that config as `model.cfg`,
-and its trainer reads lr, batch_size and z_prob from it. Sampling reads
-top_k and temperature from the request's config, never from `model.cfg`.
-Loading draws no weights, since every one is overwritten by a saved
-parameter, and a stack load hashes the mq file once for all its dependency
-checks. The generation stack is a dict of the models "mq", "mate", "utt"
-and "dmd" (None when it is loaded for the vq decoder).
+Stage order is mq -> utt (the UTT with its MATE, on cross-entropy) -> dmd
+-> retrieval, one `STAGES` entry each, and each stage trains and saves one
+model; the utt and dmd stages record the content hash of the mq checkpoint
+they were trained against, and loading verifies those hashes so stale mixes
+fail loudly.
+A checkpoint holds only the parameters of its stage's `model` class, which
+is built from the run config being trained, or from the one the checkpoint
+recorded, checked as a config file is; the model keeps that config as
+`model.cfg`, and its trainer reads lr, batch_size and z_prob from it.
+Sampling reads top_k and temperature from the request's config, never from
+`model.cfg`. Loading draws no weights, since every one is overwritten by a
+saved parameter, and a stack load hashes the mq file once for all its
+dependency checks. The generation stack is a dict of the models "mq", "utt"
+(which holds the MATE as `utt.mate`) and "dmd" (None when it is loaded for
+the vq decoder).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .config import RunConfig, config_from_dict
 from .dataset import UNK_ID, load_samples, synth_dataset, tokenize
 from .errors import ConfigError, DataError, NumericsError, StageError
 from .fileio import atomic_write
-from .mate import MATEModel, audio_input, text_input
+from .mate import audio_input, text_input
 from .mate import encode as mate_encode
 from .motion import MotionSequence
 from .mq import DOWNSAMPLE
@@ -56,19 +58,6 @@ def run_synth(cfg: RunConfig, seed: int, out_dir) -> dict:
     return counts
 
 
-# -- models ------------------------------------------------------------------------
-#
-# Every checkpoint section's model class, each built as `cls(cfg, rng)`.
-
-MODELS = {
-    "mq": mq_mod.MQModel,
-    "mate": MATEModel,
-    "utt": utt_mod.UTTModel,
-    "dmd": dmd_mod.DMDModel,
-    "retrieval": metrics_mod.RetrievalEncoder,
-}
-
-
 def _write_loss_log(path, cfg: RunConfig, seed: int, history, columns) -> None:
     lines = [f"# config: {json.dumps(cfg.to_dict())} seed: {seed}",
              ",".join(["epoch", *columns])]
@@ -80,44 +69,39 @@ def _write_loss_log(path, cfg: RunConfig, seed: int, history, columns) -> None:
 
 # -- training stages -----------------------------------------------------------------
 #
-# Each trainer builds its models through MODELS from `rng`, trains them on the
-# train split for `epochs` epochs and returns ({section: model}, buffers, loss
-# history). `deps` holds the loaded model of each stage the trainer depends on.
+# Each trainer trains the stage's freshly drawn model in place on the train
+# split for `epochs` epochs and returns (buffers, loss history). `deps` holds
+# the loaded model of each stage the trainer depends on.
 
 
-def _train_mq(cfg, train, deps, rng, seed, epochs) -> tuple:
-    model = MODELS["mq"](cfg, rng)
+def _train_mq(model, train, deps, rng, seed, epochs) -> tuple:
     history = mq_mod.train_mq(model, [s.motion.frames for s in train], epochs, seed)
-    buffers = {"center": model.center, "scale": model.scale, "usage": model.usage}
-    return {"mq": model}, buffers, history
+    return {"center": model.center, "scale": model.scale, "usage": model.usage}, history
 
 
-def _train_utt(cfg, train, deps, rng, seed, epochs) -> tuple:
-    mate, utt = MODELS["mate"](cfg, rng), MODELS["utt"](cfg, rng)
+def _train_utt(model, train, deps, rng, seed, epochs) -> tuple:
     samples = [(_sample_input(s), s.motion.frames) for s in train]
-    history = utt_mod.train_utt(mate, utt, deps["mq"], samples, epochs, seed)
-    return {"mate": mate, "utt": utt}, None, history
+    return None, utt_mod.train_utt(model, deps["mq"], samples, epochs, seed)
 
 
-def _train_dmd(cfg, train, deps, rng, seed, epochs) -> tuple:
-    model = MODELS["dmd"](cfg, rng)
-    history = dmd_mod.train_dmd(model, deps["mq"], [s.motion.frames for s in train], epochs, seed)
-    return {"dmd": model}, None, history
+def _train_dmd(model, train, deps, rng, seed, epochs) -> tuple:
+    return None, dmd_mod.train_dmd(model, deps["mq"], [s.motion.frames for s in train],
+                                   epochs, seed)
 
 
-def _train_retrieval(cfg, train, deps, rng, seed, epochs) -> tuple:
-    enc = MODELS["retrieval"](cfg, rng)
+def _train_retrieval(model, train, deps, rng, seed, epochs) -> tuple:
     pairs = [(s.motion.frames, s.text_ids) for s in train if s.modality == "text"]
-    history = metrics_mod.train_retrieval_encoder(enc, pairs, epochs, rng)
-    return {"retrieval": enc}, None, history
+    return None, metrics_mod.train_retrieval_encoder(model, pairs, epochs, rng)
 
 
 @dataclass(frozen=True)
 class Stage:
-    """One training stage: its trainer, the stages whose checkpoint hashes it
-    records, its loss-CSV columns and the tag of its rng stream (fixed, so
-    that a seed keeps giving the same models; retrieval's 77 is the stream
-    its trainer has always drawn the encoder and the minibatch orders from)."""
+    """One training stage: its model class, built as `model(cfg, rng)`, its
+    trainer, the stages whose checkpoint hashes it records, its loss-CSV
+    columns and the tag of its rng stream (fixed, so that a seed keeps
+    giving the same models; retrieval's 77 is the stream its trainer has
+    always drawn the encoder and the minibatch orders from)."""
+    model: type
     train: Callable
     deps: tuple
     columns: tuple
@@ -126,10 +110,11 @@ class Stage:
 
 # in training order; a stage comes after every stage it depends on
 STAGES = {
-    "mq": Stage(_train_mq, (), ("total", "recon", "codebook", "commit", "dead_codes"), 101),
-    "utt": Stage(_train_utt, ("mq",), ("ce",), 102),
-    "dmd": Stage(_train_dmd, ("mq",), ("loss",), 103),
-    "retrieval": Stage(_train_retrieval, (), ("loss",), 77),
+    "mq": Stage(mq_mod.MQModel, _train_mq, (),
+                ("total", "recon", "codebook", "commit", "dead_codes"), 101),
+    "utt": Stage(utt_mod.UTTModel, _train_utt, ("mq",), ("ce",), 102),
+    "dmd": Stage(dmd_mod.DMDModel, _train_dmd, ("mq",), ("loss",), 103),
+    "retrieval": Stage(metrics_mod.RetrievalEncoder, _train_retrieval, (), ("loss",), 77),
 }
 
 
@@ -168,16 +153,16 @@ def _train_one(stage: str, cfg: RunConfig, train, out_dir, seed: int, epochs, de
     dependency models and save its checkpoint, recording the dependency
     hashes `deps`, and its loss log."""
     spec = STAGES[stage]
-    loaded = {dep: load_models(out_dir, dep, {})[dep] for dep in spec.deps}
+    loaded = {dep: load_model(out_dir, dep, {}) for dep in spec.deps}
     rng = np.random.default_rng(np.random.SeedSequence([seed, spec.tag]))
+    model = spec.model(cfg, rng)
     # every op's finite check raises NumericsError on a diverging run, so
     # numpy's own overflow warnings would only come first and say less
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        models, buffers, history = spec.train(
-            cfg, train, loaded, rng, seed,
+        buffers, history = spec.train(
+            model, train, loaded, rng, seed,
             epochs if epochs is not None else getattr(cfg, f"epochs_{stage}"))
-    sections = {name: ckpt.params_blob(model) for name, model in models.items()}
-    ckpt.save_checkpoint(ckpt.stage_path(out_dir, stage), stage, sections,
+    ckpt.save_checkpoint(ckpt.stage_path(out_dir, stage), stage, ckpt.params_blob(model),
                          cfg.to_dict(), deps=deps, buffers=buffers)
     _write_loss_log(os.path.join(os.fspath(out_dir), f"{stage}_loss.csv"), cfg, seed,
                     history, spec.columns)
@@ -225,11 +210,11 @@ class _NoDraws:
     normal = uniform
 
 
-def load_models(ckpt_dir, stage: str, hashes: dict) -> dict:
-    """{section: model} rebuilt from one stage checkpoint's recorded run
-    config, its dependency hashes verified, its parameters loaded and its
-    buffers restored onto the stage's own model; no weight is drawn.
-    `hashes` is passed to `checkpoint.load_stage`."""
+def load_model(ckpt_dir, stage: str, hashes: dict):
+    """The stage's model rebuilt from its checkpoint's recorded run config,
+    its dependency hashes verified, its parameters loaded and its buffers
+    restored; no weight is drawn. `hashes` is passed to
+    `checkpoint.load_stage`."""
     body = ckpt.load_stage(ckpt_dir, stage, hashes)
     path = ckpt.stage_path(ckpt_dir, stage)
     try:
@@ -237,18 +222,14 @@ def load_models(ckpt_dir, stage: str, hashes: dict) -> dict:
     except ConfigError as exc:
         raise DataError(f"{path}: the recorded run config does not load ({exc}); "
                         f"retrain stage {stage}") from exc
-    models = {}
-    for name, section in body["sections"].items():
-        if name not in MODELS:
-            raise DataError(f"{stage} checkpoint has an unknown section {name!r}")
-        models[name] = MODELS[name](cfg, _NoDraws())
-        try:
-            ckpt.load_params(models[name], section["params"])
-        except DataError as exc:
-            raise DataError(f"{path}: section {name!r} does not fit the recorded run config "
-                            f"({exc}); retrain stage {stage}") from exc
+    model = STAGES[stage].model(cfg, _NoDraws())
+    try:
+        ckpt.load_params(model, body["params"])
+    except DataError as exc:
+        raise DataError(f"{path}: the parameters do not fit the recorded run config "
+                        f"({exc}); retrain stage {stage}") from exc
     for name, value in body["buffers"].items():
-        default = getattr(models[stage], name, None)
+        default = getattr(model, name, None)
         if not isinstance(default, np.ndarray):
             raise DataError(f"{stage} checkpoint has an unknown buffer {name!r}")
         try:
@@ -258,26 +239,25 @@ def load_models(ckpt_dir, stage: str, hashes: dict) -> dict:
         if value.shape != default.shape:
             raise DataError(f"{stage} checkpoint buffer {name!r} has shape {value.shape}, "
                             f"not {default.shape}")
-        setattr(models[stage], name, value)
-    return models
+        setattr(model, name, value)
+    return model
 
 
+# perfbench's train_epoch reloads each stage through these names
 def load_mq(ckpt_dir) -> mq_mod.MQModel:
-    return load_models(ckpt_dir, "mq", {})["mq"]
+    return load_model(ckpt_dir, "mq", {})
 
 
-def load_utt_stack(ckpt_dir) -> tuple:
-    """(mate, utt) rebuilt from the utt checkpoint, deps verified."""
-    models = load_models(ckpt_dir, "utt", {})
-    return models["mate"], models["utt"]
+def load_utt_stack(ckpt_dir) -> utt_mod.UTTModel:
+    return load_model(ckpt_dir, "utt", {})
 
 
 def load_dmd(ckpt_dir) -> dmd_mod.DMDModel:
-    return load_models(ckpt_dir, "dmd", {})["dmd"]
+    return load_model(ckpt_dir, "dmd", {})
 
 
 def load_retrieval(ckpt_dir) -> metrics_mod.RetrievalEncoder:
-    return load_models(ckpt_dir, "retrieval", {})["retrieval"]
+    return load_model(ckpt_dir, "retrieval", {})
 
 
 def load_generation_stack(ckpt_dir, decoder: str = "dmd"):
@@ -285,11 +265,10 @@ def load_generation_stack(ckpt_dir, decoder: str = "dmd"):
     "vq" or "dmd". The utt and dmd stages both depend on mq, and its file is
     hashed once for both checks."""
     hashes = {}
-    mq_model = load_models(ckpt_dir, "mq", hashes)["mq"]
-    models = load_models(ckpt_dir, "utt", hashes)
-    stack = {"mq": mq_model, "mate": models["mate"], "utt": models["utt"], "dmd": None}
+    stack = {"mq": load_model(ckpt_dir, "mq", hashes),
+             "utt": load_model(ckpt_dir, "utt", hashes), "dmd": None}
     if decoder == "dmd":
-        stack["dmd"] = load_models(ckpt_dir, "dmd", hashes)["dmd"]
+        stack["dmd"] = load_model(ckpt_dir, "dmd", hashes)
     elif decoder != "vq":
         raise ConfigError(f"unknown decoder {decoder!r}")
     return stack
@@ -304,9 +283,9 @@ def condition_from_request(stack, cfg: RunConfig, modality: str, prompt=None,
         ids = tokenize(prompt or "")
         if ids.size == 0:
             raise DataError("empty prompt")
-        if ids.size > stack["mate"].cfg.max_text_len:
+        if ids.size > stack["utt"].cfg.max_text_len:
             raise ConfigError(f"a prompt of {ids.size} tokens exceeds max_text_len "
-                              f"{stack['mate'].cfg.max_text_len}")
+                              f"{stack['utt'].cfg.max_text_len}")
         return text_input(ids), bool((ids == UNK_ID).all())
     if modality == "audio":
         if isinstance(features, AudioFeatureSequence):
@@ -315,7 +294,7 @@ def condition_from_request(stack, cfg: RunConfig, modality: str, prompt=None,
                                 f"the config's fps {cfg.fps}")
             features = features.features
         feats = np.asarray(features, dtype=np.float64)
-        want = stack["mate"].cfg.feature_dim
+        want = stack["utt"].cfg.feature_dim
         if feats.ndim != 2 or feats.shape[1] != want:
             raise DataError(f"feature matrix must be [T, {want}]")
         return audio_input(feats), False
@@ -358,7 +337,7 @@ def _sample_tokens(stack, cfg: RunConfig, modality: str, frames: int, seeds, pro
     inputs, unk_only = zip(*(condition_from_request(stack, cfg, modality, p, f)
                              for p, f in zip(prompts, feats)))
     with nm.no_grad(), _blame("the mate model", "utt"):
-        cond = mate_encode(stack["mate"], list(inputs))
+        cond = mate_encode(utt.mate, list(inputs))
     if cond.length + n_tokens > utt.cfg.max_context:
         raise ConfigError(f"{frames} frames need a context of {cond.length + n_tokens}, "
                           f"more than max_context {utt.cfg.max_context}")

@@ -3,6 +3,10 @@ causal mask whose condition prefix stays fully visible, with optional
 Gaussian z-injection into the global condition for diverse sampling, and
 its teacher-forced cross-entropy training loss.
 
+The model owns its condition encoder, `model.mate`, which exists only to
+feed it: the two train under one optimizer and are saved as one parameter
+map, `mate.*` first, then the UTT's own.
+
 The head predicts the K codebook ids and nothing else; the token table
 holds them plus BOS (=K), which is only ever an input. A teacher-forced
 step consumes [BOS, t_0..t_{S-2}] and targets t_0..t_{S-1}.
@@ -43,10 +47,13 @@ if TYPE_CHECKING:
 
 
 class UTTModel(Module):
-    """Token table, z-injection MLP, encoder and codebook head, sized by the run config."""
+    """Condition encoder, token table, z-injection MLP, encoder and codebook
+    head, sized by the run config."""
 
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         self.cfg = cfg
+        # built first, so the stage rng draws the MATE weights before the UTT's
+        self.mate = MATEModel(cfg, rng)
         d = cfg.embed_dim
         self.token_table = Embedding(cfg.code_count + 1, d, rng)  # the codes and BOS
         self.z1 = Linear(cfg.z_dim, d, rng)
@@ -221,17 +228,16 @@ def hinge_disc_loss(real_scores, fake_scores) -> Tensor:
 # -- training ---------------------------------------------------------------------------
 
 
-def mean_cross_entropy(mate: MATEModel, model: UTTModel, mq: MQModel, samples) -> float:
+def mean_cross_entropy(model: UTTModel, mq: MQModel, samples) -> float:
     """Held-out teacher-forced CE over (ModalityInput, frames) samples of
     equal length."""
     with nm.no_grad():
-        cond = encode(mate, [inp for inp, _ in samples])
+        cond = encode(model.mate, [inp for inp, _ in samples])
         tokens = mq.encode_tokens(np.stack([frames for _, frames in samples]))
         return utt_loss(model, cond, tokens).item()
 
 
-def train_utt(mate: MATEModel, model: UTTModel, mq: MQModel, samples, epochs: int,
-              seed: int) -> list:
+def train_utt(model: UTTModel, mq: MQModel, samples, epochs: int, seed: int) -> list:
     """Teacher-forced cross-entropy training of MATE+UTT through `numerics.fit`
     at the UTT's run-config lr, batch_size and z_prob.
 
@@ -244,7 +250,7 @@ def train_utt(mate: MATEModel, model: UTTModel, mq: MQModel, samples, epochs: in
         raise DataError("empty training set")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 23]))
     lr, batch_size, z_prob = model.cfg.lr, model.cfg.batch_size, model.cfg.z_prob
-    opt = nm.Adam(mate.named_parameters() + model.named_parameters(), lr=lr)
+    opt = nm.Adam(model.named_parameters(), lr=lr)
 
     text_idx = [i for i, (inp, _) in enumerate(samples) if inp.modality == "text"]
     audio_idx = [i for i, (inp, _) in enumerate(samples) if inp.modality == "audio"]
@@ -253,7 +259,7 @@ def train_utt(mate: MATEModel, model: UTTModel, mq: MQModel, samples, epochs: in
     def step(batch):
         zs = [rng.standard_normal(model.cfg.z_dim) if rng.random() < z_prob else None
               for _ in batch]
-        loss = utt_loss(model, encode(mate, [samples[i][0] for i in batch]),
+        loss = utt_loss(model, encode(model.mate, [samples[i][0] for i in batch]),
                         token_cache[batch], z=zs)
         return loss, {"ce": loss.item()}
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from ude import checkpoint, cli, pipeline
 from ude.cli import main
 from ude.config import load_config
-from ude.dataset import VOCAB_WORDS, load_samples
+from ude.dataset import load_samples
 from ude.errors import ConfigError, DataError, NumericsError, StageError
 
 SEED = 5
@@ -182,9 +182,24 @@ def _rewrite_metadata(change):
 
 
 def _end_one_past_payload(meta):
-    params = [p for section in meta["sections"].values() for p in section["params"].values()]
+    params = list(meta["params"].values())
     total = sum(math.prod(p["shape"]) for p in params)
     params[0]["offset"] = total - math.prod(params[0]["shape"]) + 1
+
+
+def _as_v2(path):
+    """The layout before a stage held one model: the MATE and the UTT each a
+    named section of parameters over the same payload, under a v2 header."""
+    header, line, payload = path.read_bytes().split(b"\n", 2)
+    assert header == b"UDECKPT v3 module=utt"
+    meta = json.loads(line)
+    params = meta.pop("params")
+    meta["sections"] = {
+        "mate": {"params": {name.removeprefix("mate."): entry for name, entry in params.items()
+                            if name.startswith("mate.")}},
+        "utt": {"params": {name: entry for name, entry in params.items()
+                           if not name.startswith("mate.")}}}
+    path.write_bytes(b"UDECKPT v2 module=utt\n" + json.dumps(meta).encode() + b"\n" + payload)
 
 
 NOT_UTF8 = b"\xff\xfe\x00\x81" * 64
@@ -202,13 +217,18 @@ CORRUPT_INPUTS = {
     "feature-rate-garbled": ("features", "UDEFEAT v1 rate=1e- dims=16\n" + "0.5 " * 16 + "\n"),
     "ckpt-binary": ("utt.ckpt", NOT_UTF8),
     "ckpt-v1": ("utt.ckpt", 'UDECKPT v1 module=utt\n{"stage": "utt", "sections": {}}\n'),
-    "ckpt-body-a-list": ("utt.ckpt", "UDECKPT v2 module=utt\n[1,2]\n"),
+    "ckpt-v2": ("utt.ckpt", _as_v2),
+    "ckpt-body-a-list": ("utt.ckpt", "UDECKPT v3 module=utt\n[1,2]\n"),
     # the loader finds the two line ends: neither, or only the header's
-    "ckpt-header-only": ("utt.ckpt", "UDECKPT v2 module=utt"),
-    "ckpt-ends-inside-metadata": ("utt.ckpt", 'UDECKPT v2 module=utt\n{"stage": "utt"}'),
-    "ckpt-metadata-not-utf8": ("utt.ckpt", b"UDECKPT v2 module=utt\n" + NOT_UTF8 + b"\n"),
-    "ckpt-no-sections": ("utt.ckpt", _rewrite_metadata(lambda m: m.pop("sections"))),
-    "ckpt-no-own-section": ("utt.ckpt", _rewrite_metadata(lambda m: m["sections"].pop("utt"))),
+    "ckpt-header-only": ("utt.ckpt", "UDECKPT v3 module=utt"),
+    "ckpt-ends-inside-metadata": ("utt.ckpt", 'UDECKPT v3 module=utt\n{"stage": "utt"}'),
+    "ckpt-metadata-not-utf8": ("utt.ckpt", b"UDECKPT v3 module=utt\n" + NOT_UTF8 + b"\n"),
+    "ckpt-no-params": ("utt.ckpt", _rewrite_metadata(lambda m: m.pop("params"))),
+    "ckpt-params-a-list": ("utt.ckpt", _rewrite_metadata(
+        lambda m: m.update(params=list(m["params"].values())))),
+    # the payload still fits, but the model has no parameter of that name
+    "ckpt-a-parameter-renamed": ("utt.ckpt", _rewrite_metadata(
+        lambda m: m["params"].update(renamed=m["params"].pop("out_proj.b")))),
     # the recorded run config describes the models, so it gets a config file's checks
     "ckpt-no-run-config": ("utt.ckpt", _rewrite_metadata(lambda m: m.pop("config"))),
     "ckpt-run-config-a-list": ("utt.ckpt", _rewrite_metadata(
@@ -246,7 +266,13 @@ CORRUPT_INPUTS = {
     "ckpt-offset-past-end": ("utt.ckpt", _rewrite_metadata(_end_one_past_payload)),
 }
 # what the error message must say, where it matters
-CORRUPT_MESSAGES = {"ckpt-v1": ("retrain stage utt",), "feature-rate-infinite": ("finite",),
+CORRUPT_MESSAGES = {"ckpt-v1": ("old v1 format", "retrain stage utt"),
+                    "ckpt-v2": ("utt.ckpt: ", "old v2 format", "retrain stage utt"),
+                    "feature-rate-infinite": ("finite",),
+                    "ckpt-no-params": ("utt.ckpt: ", "'params' is not an object"),
+                    "ckpt-params-a-list": ("utt.ckpt: ", "'params' is not an object"),
+                    "ckpt-a-parameter-renamed": (
+                        "utt.ckpt: the parameters do not fit", "renamed", "retrain stage utt"),
                     "ckpt-header-only": ("utt.ckpt: checkpoint ends inside its metadata",),
                     "ckpt-ends-inside-metadata": (
                         "utt.ckpt: checkpoint ends inside its metadata",),
@@ -266,9 +292,11 @@ CORRUPT_MESSAGES = {"ckpt-v1": ("retrain stage utt",), "feature-rate-infinite": 
                     "ckpt-run-config-beta-adv": (
                         "mq.ckpt: ", "unknown config keys: ['beta_adv']", "retrain stage mq"),
                     "ckpt-run-config-another-codebook": (
-                        "mq.ckpt: section 'mq'", "codebook.table", "retrain stage mq"),
+                        "mq.ckpt: the parameters do not fit", "codebook.table",
+                        "retrain stage mq"),
                     "ckpt-run-config-another-depth": (
-                        "utt.ckpt: section 'mate'", "encoder.layers.1", "retrain stage utt")}
+                        "utt.ckpt: the parameters do not fit", "mate.encoder.layers.1",
+                        "retrain stage utt")}
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPT_INPUTS))
@@ -293,52 +321,6 @@ def test_corrupt_input_file_exits_4(first_run, config, tmp_path, capsys, case):
     assert err.startswith("data error: ") and "config file" not in err
     for part in CORRUPT_MESSAGES.get(case, ()):
         assert part in err
-
-
-def _section_configs(cfg) -> dict:
-    """The `config` object that checkpoints written before sections held
-    only parameters carry in each section, as they were written from `cfg`."""
-    return {
-        "mq": {"frame_dim": cfg.frame_dim, "code_count": cfg.code_count,
-               "code_dim": cfg.code_dim, "hidden": cfg.mq_hidden,
-               "beta_codebook": cfg.beta_codebook, "beta_commit": cfg.beta_commit},
-        "mate": {"vocab_size": len(VOCAB_WORDS), "audio_dim": cfg.feature_dim,
-                 "dim": cfg.embed_dim, "layers": cfg.mate_layers, "heads": cfg.mate_heads,
-                 "max_text_len": cfg.max_text_len, "max_audio_len": cfg.max_audio_len},
-        "utt": {"code_count": cfg.code_count, "dim": cfg.embed_dim, "layers": cfg.utt_layers,
-                "heads": cfg.utt_heads, "z_dim": cfg.z_dim, "max_context": cfg.max_context,
-                "beta_adv": 0.0},
-        "dmd": {"frame_dim": cfg.frame_dim, "code_count": cfg.code_count,
-                "steps": cfg.diffusion_steps, "dim": cfg.embed_dim,
-                "cond_layers": cfg.dmd_cond_layers, "layers": cfg.dmd_layers,
-                "heads": cfg.dmd_heads, "max_tokens": 128, "max_frames": 512},
-        "retrieval": {"frame_dim": cfg.frame_dim, "vocab_size": len(VOCAB_WORDS),
-                      "out_dim": cfg.retrieval_dim},
-    }
-
-
-@pytest.mark.parametrize("decoder", ["vq", "dmd"])
-def test_checkpoints_whose_sections_carry_a_config_generate_the_same(first_run, config,
-                                                                      tiny_cfg, tmp_path,
-                                                                      decoder):
-    ckpt = _ckpt_copy(first_run, tmp_path)
-    configs = _section_configs(tiny_cfg)
-
-    def older(meta):
-        for name, section in meta["sections"].items():
-            section["config"] = configs[name]
-        meta["deps"] = {dep: checkpoint.stage_hash(ckpt, dep) for dep in meta["deps"]}
-
-    for stage in pipeline.STAGES:  # mq first, so that the others record its new hash
-        _rewrite_metadata(older)(ckpt / f"{stage}.ckpt")
-    outs = []
-    for name, source in (("older", ckpt), ("written", first_run[0] / "ckpt")):
-        out = tmp_path / name / "m.udem"
-        assert _cli("generate", "--config", config, "--ckpt", source, "--modality", "text",
-                    "--prompt", "a person walks", "--decoder", decoder, "--z", "on",
-                    "--frames", 16, "--out", out) == 0
-        outs.append([out.read_bytes(), pathlib.Path(f"{out}.meta.json").read_bytes()])
-    assert outs[0] == outs[1]
 
 
 def _first_line_as(replace):
@@ -379,18 +361,17 @@ def test_an_empty_train_split_exits_4_before_training(first_run, config, tmp_pat
     assert not (tmp_path / "ckpt" / "mq.ckpt").exists()
 
 
-def _one_feature_row_per_condition_row(sections, cfg):
+def _one_feature_row_per_condition_row(params, cfg):
     # before audio was embedded at the token rate: [feature_dim, embed_dim]
-    sections["mate"]["audio_proj.w"] = sections["mate"]["audio_proj.w"][:cfg.feature_dim]
-    return "audio_proj.w"
+    params["mate.audio_proj.w"] = params["mate.audio_proj.w"][:cfg.feature_dim]
+    return "mate.audio_proj.w"
 
 
-def _a_head_over_the_codes_bos_and_eos(sections, cfg):
+def _a_head_over_the_codes_bos_and_eos(params, cfg):
     # before the head predicted the codebook ids alone: K + 2 table rows and logits
-    utt = sections["utt"]
-    utt["token_table.table"] = np.pad(utt["token_table.table"], ((0, 1), (0, 0)))
-    utt["out_proj.w"] = np.pad(utt["out_proj.w"], ((0, 0), (0, 2)))
-    utt["out_proj.b"] = np.pad(utt["out_proj.b"], (0, 2))
+    params["token_table.table"] = np.pad(params["token_table.table"], ((0, 1), (0, 0)))
+    params["out_proj.w"] = np.pad(params["out_proj.w"], ((0, 0), (0, 2)))
+    params["out_proj.b"] = np.pad(params["out_proj.b"], (0, 2))
     return "token_table.table"
 
 
@@ -402,9 +383,9 @@ def test_an_utt_checkpoint_of_an_older_format_exits_4(first_run, config, tiny_cf
                                                        capsys, command, older):
     root, ckpt = first_run[0], _ckpt_copy(first_run, tmp_path)
     body = checkpoint.load_checkpoint(ckpt / "utt.ckpt")
-    sections = {name: dict(section["params"]) for name, section in body["sections"].items()}
-    changed = older(sections, tiny_cfg)
-    checkpoint.save_checkpoint(ckpt / "utt.ckpt", "utt", sections, body["config"], body["deps"])
+    params = dict(body["params"])
+    changed = older(params, tiny_cfg)
+    checkpoint.save_checkpoint(ckpt / "utt.ckpt", "utt", params, body["config"], body["deps"])
     request = {"generate": ["--modality", "audio", "--features",
                             root / "data" / "conds" / "audio_test_00020.udef"],
                "eval": ["--data", root / "data"]}[command]

@@ -202,3 +202,23 @@ def test_feature_errors_match_the_reference(tmp_path, body):
     path.write_text(f"{FEATURE_MAGIC} rate=16.0 dims=2\n{body}")
     got, want = _error(load_features, path, 2, True)
     assert got == want
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (load_features, f"{FEATURE_MAGIC} rate=1e999 dims=2\n1 2\n",
+     "frame rate must be finite and positive, got inf"),
+    (load_motion, f"{MOTION_MAGIC} fps=0 joints=1\n1 2 3\n",
+     "fps must be finite and positive, got 0.0"),
+    (load_motion, f"{MOTION_MAGIC} fps=16.0 joints=1\n1 2 1e999\n",
+     "non-finite joint positions"),
+    (load_features, f"{FEATURE_MAGIC} rate=16.0 dims=2\n1 1e999\n",
+     "non-finite feature values"),
+], ids=["feature-rate-infinite", "motion-fps-zero", "motion-value-infinite",
+        "feature-value-infinite"])
+def test_a_value_error_names_the_file(tmp_path, load, text, message):
+    # every line parses, so the record's own check rejects the values
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(DataError) as got:
+        load(path)
+    assert str(got.value) == f"{path}: {message}"

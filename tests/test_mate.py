@@ -220,7 +220,7 @@ class TestBatchedEncode:
         params = model.named_parameters()
 
         def gradients(losses):
-            nm.Adam(params).zero_grad()
+            nm.Adam(params, lr=1e-4).zero_grad()
             for loss in losses:
                 loss.backward()
             return [p.grad for _, p in params]
@@ -268,14 +268,13 @@ class TestBatchedEncode:
 def _train(rng, samples, batch_size, epochs=1):
     """(mate, utt, history) after training on a mixed set of `samples` pairs."""
     cfg = _cfg(batch_size=batch_size)
-    mate = MATEModel(cfg, np.random.default_rng(0))
     utt = UTTModel(cfg, np.random.default_rng(1))
     mq = MQModel(cfg, np.random.default_rng(2))
     data = [(text_input(rng.integers(1, 20, size=3 + i % 4)) if i % 2 == 0
              else audio_input(rng.standard_normal((5 + i, 5))),
              rng.standard_normal((16, cfg.frame_dim))) for i in range(samples)]
-    history = train_utt(mate, utt, mq, data, epochs=epochs, seed=0)
-    return mate, utt, history
+    history = train_utt(utt, mq, data, epochs=epochs, seed=0)
+    return utt.mate, utt, history
 
 
 def _encode_one_at_a_time(model, inputs):

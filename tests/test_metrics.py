@@ -314,7 +314,7 @@ class TestRetrieval:
         texts = [rng.integers(0, len(VOCAB_WORDS), size=n) for n in (3, 7, 1, 5)]
 
         def gradients(loss):
-            nm.Adam(enc.named_parameters()).zero_grad()
+            nm.Adam(enc.named_parameters(), lr=1e-4).zero_grad()
             loss.backward()
             return [p.grad.copy() for _, p in enc.named_parameters()]
 

@@ -164,7 +164,7 @@ class TestVqLoss:
 
 
 def _gradients(model, loss):
-    nm.Adam(model.named_parameters()).zero_grad()
+    nm.Adam(model.named_parameters(), lr=1e-4).zero_grad()
     loss.backward()
     return [p.grad.copy() for _, p in model.named_parameters()]
 

@@ -306,7 +306,7 @@ class TestAdam:
     def test_zero_grad_drops_every_gradient(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0], requires_grad=True)
-        opt = Adam([("a", a), ("b", b)])
+        opt = Adam([("a", a), ("b", b)], lr=1e-4)
         (a.sum() * b.sum()).backward()
         assert a.grad is not None and b.grad is not None
         opt.zero_grad()

@@ -1,6 +1,7 @@
 import math
 import os
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -45,25 +46,27 @@ def test_every_test_sample_gets_its_own_seed(tmp_path, tiny_cfg):
         assert len({pipeline._sample_seed(0, rep, sid) for sid in ids}) == len(ids)
 
 
-@pytest.mark.parametrize("part", ["sections", "buffers", "config"])
-def test_load_models_rejects_what_no_model_owns(tmp_path, tiny_cfg, part):
+@pytest.mark.parametrize("part", ["params", "buffers", "config"])
+def test_load_model_rejects_what_no_model_owns(tmp_path, tiny_cfg, part):
     data, ckpt = tmp_path / "data", tmp_path / "ckpt"
     pipeline.run_synth(tiny_cfg, 0, data)
     pipeline.train_stage("mq", tiny_cfg, data, ckpt, 0, epochs=0)
     body = checkpoint.load_stage(ckpt, "mq", {})
-    assert set(pipeline.load_models(ckpt, "mq", {})) == {"mq"}
-    sections = {name: section["params"] for name, section in body["sections"].items()}
+    assert isinstance(pipeline.load_model(ckpt, "mq", {}), pipeline.mq_mod.MQModel)
+    params = body["params"]
     if part == "config":  # a key no run config has, as beta_start in an old dmd.ckpt
         body["config"]["beta_start"] = 1e-4
-    elif part == "sections":
-        sections["extra"] = sections["mq"]
+    elif part == "params":
+        params["extra"] = params["codebook.table"]
     else:
         body["buffers"]["extra"] = [1.0]
-    checkpoint.save_checkpoint(checkpoint.stage_path(ckpt, "mq"), "mq", sections,
+    checkpoint.save_checkpoint(checkpoint.stage_path(ckpt, "mq"), "mq", params,
                                body["config"], buffers=body["buffers"])
-    names = "mq.ckpt: the recorded run config.*beta_start.*retrain stage mq"
-    with pytest.raises(DataError, match=names if part == "config" else None):
-        pipeline.load_models(ckpt, "mq", {})
+    names = {"config": "mq.ckpt: the recorded run config.*beta_start.*retrain stage mq",
+             "params": "mq.ckpt: the parameters do not fit.*extra.*retrain stage mq",
+             "buffers": "mq checkpoint has an unknown buffer 'extra'"}[part]
+    with pytest.raises(DataError, match=names):
+        pipeline.load_model(ckpt, "mq", {})
 
 
 @pytest.mark.parametrize("stage", ["all", "utt"])
@@ -110,7 +113,7 @@ def test_the_utt_reads_its_condition(tmp_path, tiny_cfg):
     pipeline.run_synth(cfg, 0, data)
     for stage in ("mq", "utt"):
         pipeline.train_stage(stage, cfg, data, ckpt, 0)
-    mq, (mate, utt) = pipeline.load_mq(ckpt), pipeline.load_utt_stack(ckpt)
+    mq, utt = pipeline.load_mq(ckpt), pipeline.load_utt_stack(ckpt)
     family_of = {verb: family for family, slots in _PHRASES.items() for verb in slots[0]}
     texts = [s for s in load_samples(data, split="test") if s.modality == "text"]
     families = [next(family_of[w] for w in s.sentence.split() if w in family_of)
@@ -121,7 +124,7 @@ def test_the_utt_reads_its_condition(tmp_path, tiny_cfg):
 
     def held_out_ce(conditions):
         samples = [(pipeline._sample_input(c), s.motion.frames) for c, s in zip(conditions, texts)]
-        return utt_mod.mean_cross_entropy(mate, utt, mq, samples)
+        return utt_mod.mean_cross_entropy(utt, mq, samples)
 
     assert held_out_ce(other) > held_out_ce(texts) + 0.25
 
@@ -139,21 +142,20 @@ def test_loaded_models_hold_no_gradient(trained, tiny_cfg, monkeypatch):
     # weight once: no gradient array exists until a backward pass writes one
     data, ckpt = trained
     stack = pipeline.load_generation_stack(ckpt, "dmd")
-    models = [stack[name] for name in ("mq", "mate", "utt", "dmd")]
+    models = [stack[name] for name in ("mq", "utt", "dmd")]
     models.append(pipeline.load_retrieval(ckpt))
     for decoder in ("vq", "dmd"):
         pipeline.generate_motion(stack, tiny_cfg, "text", 16, 0, prompt="a person walks",
                                  decoder=decoder)
-    load_models = pipeline.load_models
+    load_model = pipeline.load_model
 
     def loaded(ckpt_dir, stage, hashes):  # what evaluate loads for itself
-        built = load_models(ckpt_dir, stage, hashes)
-        models.extend(built.values())
-        return built
+        models.append(load_model(ckpt_dir, stage, hashes))
+        return models[-1]
 
-    monkeypatch.setattr(pipeline, "load_models", loaded)
+    monkeypatch.setattr(pipeline, "load_model", loaded)
     pipeline.evaluate(tiny_cfg, data, ckpt, decoder="dmd")
-    assert len(models) == 10
+    assert len(models) == 8
     for model in models:
         assert [name for name, p in model.named_parameters() if p.grad is not None] == []
 
@@ -197,9 +199,9 @@ def test_a_stack_load_hashes_the_mq_checkpoint_once(trained, monkeypatch):
 def test_models_of_one_shape_share_one_read_only_position_table(tiny_cfg):
     cfg = RunConfig()
     rng = np.random.default_rng(0)
-    utt, dmd = pipeline.MODELS["utt"](cfg, rng), pipeline.MODELS["dmd"](cfg, rng)
+    utt, dmd = pipeline.STAGES["utt"].model(cfg, rng), pipeline.STAGES["dmd"].model(cfg, rng)
     assert utt.pos.shape == (512, 64) and utt.pos is dmd.frame_pos
-    first, second = (pipeline.MODELS["mate"](tiny_cfg, rng) for _ in range(2))
+    first, second = (pipeline.STAGES["utt"].model(tiny_cfg, rng).mate for _ in range(2))
     assert first.pos is second.pos
     for table in (utt.pos, first.pos):
         assert not table.flags.writeable
@@ -214,13 +216,13 @@ ARCH = RunConfig(feature_dim=7, code_count=10, code_dim=6, mq_hidden=12, embed_d
                  utt_layers=1, utt_heads=6, z_dim=5, max_context=200, diffusion_steps=7,
                  dmd_layers=3, dmd_cond_layers=1, dmd_heads=2, retrieval_dim=5)
 F, V, H = ARCH.frame_dim, len(VOCAB_WORDS), metrics.RETRIEVAL_HIDDEN
-# per section: a parameter's or an array's shape, or an encoder's (layers, heads)
+# per stage: a parameter's or an array's shape, or an encoder's (layers, heads)
 SIZES = {
     "mq": {"enc1.kernel": (4, F, 12), "enc3.kernel": (3, 12, 6), "dec1.kernel": (3, 6, 12),
            "dec3.kernel": (3, 12, F), "codebook.table": (10, 6), "usage": (10,)},
-    "mate": {"word_table.table": (V, 24), "audio_proj.w": (4 * 7, 24),
-             "pos": (1 + max(20, 40 // 4), 24), "encoder": (3, 3)},
-    "utt": {"token_table.table": (10 + 1, 24), "z1.w": (5, 24), "out_proj.w": (24, 10),
+    "utt": {"mate.word_table.table": (V, 24), "mate.audio_proj.w": (4 * 7, 24),
+            "mate.pos": (1 + max(20, 40 // 4), 24), "mate.encoder": (3, 3),
+            "token_table.table": (10 + 1, 24), "z1.w": (5, 24), "out_proj.w": (24, 10),
             "pos": (200, 24), "encoder": (1, 6)},
     "dmd": {"token_table.table": (10, 24), "step_table.table": (7 + 1, 24),
             "in_proj.w": (F, 24), "out_proj.w": (24, F), "cond_encoder": (1, 2),
@@ -230,18 +232,20 @@ SIZES = {
 }
 
 
-@pytest.mark.parametrize("section", sorted(pipeline.MODELS))
-def test_each_model_is_sized_by_its_run_config(section):
-    assert set(SIZES) == set(pipeline.MODELS)
-    model = pipeline.MODELS[section](ARCH, np.random.default_rng(0))
+@pytest.mark.parametrize("stage", sorted(pipeline.STAGES))
+def test_each_model_is_sized_by_its_run_config(stage):
+    assert set(SIZES) == set(pipeline.STAGES)
+    model = pipeline.STAGES[stage].model(ARCH, np.random.default_rng(0))
     assert model.cfg is ARCH
     params = dict(model.named_parameters())
-    for name, want in SIZES[section].items():
-        part = params[name] if name in params else getattr(model, name)
+    for name, want in SIZES[stage].items():
+        part = params[name] if name in params else reduce(getattr, name.split("."), model)
         got = ((len(part.layers), part.layers[0].attn.heads) if hasattr(part, "layers")
                else part.shape)
         assert got == want, name
-    if section == "dmd":
+    if stage == "utt":
+        assert model.mate.cfg is ARCH
+    if stage == "dmd":
         assert model.sched.steps == 7
 
 
@@ -262,7 +266,7 @@ def test_sampling_follows_the_request_config_not_the_recorded_one(trained, tiny_
     def argmax_of_each(rows):
         prefixes = np.pad(rows[:, :-1], ((0, 0), (1, 0)), constant_values=utt.cfg.code_count)
         with nm.no_grad():
-            logits = utt_mod.forward_logits(utt, encode(stack["mate"], inputs), prefixes)
+            logits = utt_mod.forward_logits(utt, encode(utt.mate, inputs), prefixes)
         return logits.data.argmax(axis=-1)
 
     greedy = tokens(replace(tiny_cfg, top_k=1))
@@ -273,8 +277,9 @@ def test_sampling_follows_the_request_config_not_the_recorded_one(trained, tiny_
 
 def test_utt_checkpoint_holds_only_what_inference_reads(trained):
     body = checkpoint.load_stage(trained[1], "utt", {})
-    assert set(body["sections"]) == {"mate", "utt"}
-    assert len(pipeline.load_utt_stack(trained[1])) == 2
+    assert {name.split(".")[0] for name in body["params"]} == {
+        "mate", "token_table", "z1", "z2", "encoder", "out_proj"}
+    assert isinstance(pipeline.load_utt_stack(trained[1]), utt_mod.UTTModel)
 
 
 @pytest.mark.parametrize("decoder", ["vq", "dmd"])
@@ -347,14 +352,14 @@ def test_a_transition_decodes_only_its_joined_tokens(trained, tiny_cfg, monkeypa
 
 
 @pytest.mark.parametrize("model, weight, stage, decoder", [
-    ("mate", "word_table.table", "utt", "vq"), ("utt", "token_table.table", "utt", "vq"),
+    ("mate", "mate.word_table.table", "utt", "vq"), ("utt", "token_table.table", "utt", "vq"),
     ("mq", "dec1.kernel", "mq", "vq"), ("dmd", "token_table.table", "dmd", "dmd")])
 def test_a_numerics_error_in_generation_names_the_model_and_its_stage(
         trained, tiny_cfg, model, weight, stage, decoder):
     data, ckpt = trained
     stack = pipeline.load_generation_stack(ckpt, decoder=decoder)
     # a weight the model reads first, at 1e308: the first sum over it overflows
-    dict(stack[model].named_parameters())[weight].data[...] = 1e308
+    dict(stack[stage].named_parameters())[weight].data[...] = 1e308
     features = next(s.features for s in load_samples(data) if s.features is not None)
     message = (rf"^the {model} model failed \(non-finite values produced by \w+\); "
                rf"retrain stage {stage}$")

@@ -30,12 +30,11 @@ FRAME_DIM = _cfg().frame_dim
 
 
 def _models(seed=0, **kw):
-    rng = np.random.default_rng(seed)
+    """(the UTT's MATE, the UTT, a quantizer)."""
     cfg = _cfg(**kw)
-    mate = MATEModel(cfg, rng)
-    utt = UTTModel(cfg, rng)
+    utt = UTTModel(cfg, np.random.default_rng(seed))
     mq = MQModel(cfg, np.random.default_rng(seed + 1))
-    return mate, utt, mq
+    return utt.mate, utt, mq
 
 
 def _cond(mate, ids=(1, 2, 3)):
@@ -67,6 +66,19 @@ class _FullRows:
 
     def __call__(self, x, add_mask=None, caches=None, start=0):
         return self.encoder(x, add_mask, caches)[:, start:]
+
+
+def test_the_utt_draws_its_mate_first():
+    # the MATE is built before any other attribute that draws, so a UTT's
+    # first parameters are those of a MATE built from the same seed, in the
+    # same order; a checkpoint's payload and a seed's weights depend on it
+    utt = UTTModel(_cfg(), np.random.default_rng(4))
+    mate = MATEModel(_cfg(), np.random.default_rng(4)).named_parameters()
+    first = utt.named_parameters()[:len(mate)]
+    assert [name for name, _ in first] == [f"mate.{name}" for name, _ in mate]
+    for (name, got), (_, want) in zip(first, mate):
+        np.testing.assert_array_equal(got.data, want.data, err_msg=name)
+    assert not any(name.startswith("mate.") for name, _ in utt.named_parameters()[len(mate):])
 
 
 class TestBuildMask:
@@ -299,11 +311,11 @@ def _reference_tokens(model, cond, max_len, sampling, primitive=(), z=None, seed
 
 
 def _z_model(seed=0, max_context=512):
-    """Models whose z path is live: the zero-initialised z2 is randomised."""
-    mate = _models(seed)[0]
+    """(the UTT's MATE, a UTT whose z path is live: the zero-initialised z2
+    is randomised)."""
     utt = UTTModel(_cfg(max_context=max_context), np.random.default_rng(seed + 7))
     utt.z2.w.data[...] = np.random.default_rng(seed + 8).normal(0, 0.3, (16, 16))
-    return mate, utt
+    return utt.mate, utt
 
 
 INPUTS = {
@@ -474,17 +486,17 @@ class TestLosses:
         # layer's sums move MATE and UTT gradients (up to about 0.16) by at
         # most a few ulps (2.8e-17 here); the stated tolerance is 1e-15
         rng = np.random.default_rng(0)
-        mate = MATEModel(RunConfig(), rng)
         utt = UTTModel(RunConfig(), rng)
+        mate = utt.mate
         utt.z2.w.data[...] = rng.normal(0.0, 0.1, utt.z2.w.shape)
         inputs = [text_input(rng.integers(1, 40, size=3 + b)) if b % 2 == 0
                   else audio_input(rng.standard_normal((64 - b, 16))) for b in range(8)]
         zs = [rng.standard_normal(16) if b % 3 else None for b in range(8)]
         tokens = rng.integers(0, 64, size=(8, 16))
-        params = mate.named_parameters() + utt.named_parameters()
+        params = utt.named_parameters()
 
         def gradients():
-            nm.Adam(params).zero_grad()
+            nm.Adam(params, lr=1e-4).zero_grad()
             cond = encode(mate, inputs)
             utt_loss(utt, cond, tokens, z=zs).backward()
             return [p.grad for _, p in params]
@@ -525,7 +537,7 @@ class TestLosses:
         cond = encode(mate, [inp for inp, _ in samples])
         tokens = mq.encode_tokens(np.stack([frames for _, frames in samples]))
         ce = utt_loss(utt, cond, tokens).item()
-        assert mean_cross_entropy(mate, utt, mq, samples) == ce
+        assert mean_cross_entropy(utt, mq, samples) == ce
 
     def test_hinge_disc_loss_nonnegative(self, rng):
         loss = hinge_disc_loss(Tensor(rng.standard_normal((1, 4))),
@@ -551,12 +563,13 @@ class TestLosses:
     def test_ce_gradient_reaches_mate_and_utt(self):
         mate, utt, _ = _models()
         loss = utt_loss(utt, _cond(mate), np.array([[1, 2, 3, 4]]))
-        opt = nm.Adam(mate.named_parameters() + utt.named_parameters(), lr=0.0)
+        opt = nm.Adam(utt.named_parameters(), lr=0.0)
         opt.zero_grad()
         loss.backward()
-        for model in (utt, mate):
+        for in_mate in (False, True):
             # a parameter no path reaches holds None, not zeros
-            reached = [p.grad for _, p in model.named_parameters() if p.grad is not None]
+            reached = [p.grad for name, p in utt.named_parameters()
+                       if name.startswith("mate.") == in_mate and p.grad is not None]
             assert max(np.abs(g).max() for g in reached) > 0.0
 
     def test_batch_equals_mean_of_its_rows(self, rng):
@@ -568,14 +581,14 @@ class TestLosses:
                   audio_input(feats[:4])]
         zs = [None, rng.standard_normal(4), None, rng.standard_normal(4)]
         tokens = rng.integers(0, K, size=(4, 4))
-        params = mate.named_parameters() + utt.named_parameters()
+        params = utt.named_parameters()
 
         def loss(rows):
             cond = encode(mate, [inputs[b] for b in rows])
             return utt_loss(utt, cond, tokens[rows], z=[zs[b] for b in rows])
 
         def gradients(loss):
-            nm.Adam(params).zero_grad()
+            nm.Adam(params, lr=1e-4).zero_grad()
             loss.backward()
             return [p.grad.copy() for _, p in params]
 
@@ -599,41 +612,40 @@ class TestTrainUtt:
         return out
 
     def test_zero_epochs_unchanged(self, rng):
-        mate, utt, mq = _models()
+        _, utt, mq = _models()
         before = [p.data.copy() for _, p in utt.named_parameters()]
-        history = train_utt(mate, utt, mq, self._samples(rng), epochs=0, seed=0)
+        history = train_utt(utt, mq, self._samples(rng), epochs=0, seed=0)
         assert history == []
         for (_, p), old in zip(utt.named_parameters(), before):
             assert np.array_equal(p.data, old)
 
     def test_an_empty_training_set_is_a_data_error(self):
-        mate, utt, mq = _models()
+        _, utt, mq = _models()
         with pytest.raises(DataError, match="empty training set"):
-            train_utt(mate, utt, mq, [], epochs=1, seed=0)
+            train_utt(utt, mq, [], epochs=1, seed=0)
 
     def test_history_holds_the_cross_entropy_of_each_epoch(self, rng):
-        mate, utt, mq = _models()
-        history = train_utt(mate, utt, mq, self._samples(rng), epochs=2, seed=0)
+        _, utt, mq = _models()
+        history = train_utt(utt, mq, self._samples(rng), epochs=2, seed=0)
         assert [list(row) for row in history] == [["ce", "epoch"]] * 2
         assert [row["epoch"] for row in history] == [0, 1]
         assert all(np.isfinite(row["ce"]) and row["ce"] > 0.0 for row in history)
 
     def test_one_optimizer_steps_mate_and_utt(self, rng):
-        mate, utt, mq = _models()
-        before = {id(p): p.data.copy()
-                  for model in (mate, utt) for _, p in model.named_parameters()}
-        train_utt(mate, utt, mq, self._samples(rng), epochs=1, seed=0)
-        for model in (mate, utt):
-            assert any(not np.array_equal(p.data, before[id(p)])
-                       for _, p in model.named_parameters())
+        _, utt, mq = _models()
+        before = {name: p.data.copy() for name, p in utt.named_parameters()}
+        train_utt(utt, mq, self._samples(rng), epochs=1, seed=0)
+        # both the MATE's parameters and the UTT's own moved
+        assert {name.startswith("mate.") for name, p in utt.named_parameters()
+                if not np.array_equal(p.data, before[name])} == {True, False}
 
     def test_same_seed_gives_the_same_parameters(self, rng):
         samples = self._samples(rng)
 
         def trained(seed):
-            mate, utt, mq = _models()
-            history = train_utt(mate, utt, mq, samples, epochs=2, seed=seed)
-            params = mate.named_parameters() + utt.named_parameters()
+            _, utt, mq = _models()
+            history = train_utt(utt, mq, samples, epochs=2, seed=seed)
+            params = utt.named_parameters()
             return history, [p.data.tobytes() for _, p in params]
 
         assert trained(0) == trained(0)
@@ -642,41 +654,41 @@ class TestTrainUtt:
     def test_mq_stays_frozen_during_training(self, rng):
         # bit for bit: the optimizer steps no MQ parameter, and nothing
         # touches its buffers
-        mate, utt, mq = _models()
+        _, utt, mq = _models()
 
         def state():
             arrays = [p.data for _, p in mq.named_parameters()] + [mq.center, mq.scale, mq.usage]
             return [a.tobytes() for a in arrays]
 
         before = state()
-        train_utt(mate, utt, mq, self._samples(rng), epochs=2, seed=0)
+        train_utt(utt, mq, self._samples(rng), epochs=2, seed=0)
         assert state() == before
 
     def test_mq_holds_no_gradient_after_training(self, rng):
         # the target tokens come from the frozen quantizer outside the graph,
         # so no MQ parameter collects a gradient no optimizer reads
-        mate, utt, mq = _models()
-        train_utt(mate, utt, mq, self._samples(rng), epochs=1, seed=0)
+        _, utt, mq = _models()
+        train_utt(utt, mq, self._samples(rng), epochs=1, seed=0)
         params = dict(mq.named_parameters())
         assert {"dec1.kernel", "dec3.bias", "codebook.table"} <= set(params)
         assert all(p.grad is None for p in params.values())
 
     def test_ce_improves_on_tiny_set(self, rng):
-        mate, utt, mq = _models(lr=2e-3)
+        _, utt, mq = _models(lr=2e-3)
         samples = self._samples(rng, n=6)
         eval_samples = samples
-        before = mean_cross_entropy(mate, utt, mq, eval_samples)
-        train_utt(mate, utt, mq, samples, epochs=12, seed=0)
-        after = mean_cross_entropy(mate, utt, mq, eval_samples)
+        before = mean_cross_entropy(utt, mq, eval_samples)
+        train_utt(utt, mq, samples, epochs=12, seed=0)
+        after = mean_cross_entropy(utt, mq, eval_samples)
         assert after < before
 
     def test_both_modalities_improve(self, rng):
-        mate, utt, mq = _models(lr=2e-3)
+        _, utt, mq = _models(lr=2e-3)
         samples = self._samples(rng, n=8)
         text_s = [s for s in samples if s[0].modality == "text"]
         audio_s = [s for s in samples if s[0].modality == "audio"]
-        before_t = mean_cross_entropy(mate, utt, mq, text_s)
-        before_a = mean_cross_entropy(mate, utt, mq, audio_s)
-        train_utt(mate, utt, mq, samples, epochs=15, seed=1)
-        assert mean_cross_entropy(mate, utt, mq, text_s) < before_t
-        assert mean_cross_entropy(mate, utt, mq, audio_s) < before_a
+        before_t = mean_cross_entropy(utt, mq, text_s)
+        before_a = mean_cross_entropy(utt, mq, audio_s)
+        train_utt(utt, mq, samples, epochs=15, seed=1)
+        assert mean_cross_entropy(utt, mq, text_s) < before_t
+        assert mean_cross_entropy(utt, mq, audio_s) < before_a
