@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--split", default="test")
     p_eval.add_argument("--decoder", choices=["vq", "dmd"], default="vq")
-    p_eval.add_argument("--samples-per-input", type=int, default=None)
 
     return parser
 
@@ -157,8 +156,7 @@ def cmd_transition(args) -> int:
 def cmd_eval(args) -> int:
     cfg, seed = _resolve(args)
     report = pipeline.evaluate(cfg, args.data, args.ckpt, split=args.split,
-                               seed=seed, decoder=args.decoder,
-                               samples_per_input=args.samples_per_input)
+                               seed=seed, decoder=args.decoder)
     _make_parent(args.out)
     atomic_write(args.out, (json.dumps(report, indent=2) + "\n").encode())
     for modality, block in report["metrics"].items():

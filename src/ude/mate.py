@@ -135,6 +135,8 @@ def encode(model: MATEModel, inputs) -> CondEmbedding:
     zero-padded at the end to the longest under a key mask, and `seq` holds
     the padding as zeros. An unpadded row has the bits of its lone encoding;
     a padded row agrees with it to float reordering."""
+    if not inputs:
+        raise DataError("no conditions to encode")
     seqs = []
     for inp in inputs:
         if len(inp.payload) > model.max_payload(inp.modality):

@@ -484,12 +484,9 @@ def motion_svg(motion: MotionSequence) -> str:
 
 
 def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
-             seed: int = 0, decoder: str = "vq",
-             samples_per_input: int | None = None) -> dict:
-    """Full metric battery on one split. Returns a JSON-ready report."""
-    spi = samples_per_input if samples_per_input is not None else cfg.samples_per_input
-    if spi < 1:
-        raise ConfigError(f"samples per input must be at least 1, got {spi}")
+             seed: int = 0, decoder: str = "vq") -> dict:
+    """Full metric battery on one split, with cfg.samples_per_input
+    generations per sample. Returns a JSON-ready report."""
     samples = load_samples(data_dir, split=split)
     if not samples:
         raise ConfigError(f"split {split!r} is empty")
@@ -510,7 +507,7 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
     groups = {}
     for sample in samples:
         key = (sample.modality, sample.motion.length)
-        groups.setdefault(key, []).extend((sample, rep) for rep in range(spi))
+        groups.setdefault(key, []).extend((sample, rep) for rep in range(cfg.samples_per_input))
     generated = {}
     for (modality, frames), requests in groups.items():
         for start in range(0, len(requests), cfg.batch_size):
@@ -525,7 +522,7 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
                 generated.setdefault(s.id, []).append(MotionSequence(cfg.fps, out["frames"]))
 
     report = {"config": cfg.to_dict(), "seed": seed, "split": split,
-              "decoder": decoder, "samples_per_input": spi,
+              "decoder": decoder, "samples_per_input": cfg.samples_per_input,
               "counts": {"text": len(text_samples), "audio": len(audio_samples)},
               "metrics": {}}
 

@@ -552,12 +552,14 @@ def test_negative_epochs_exits_2(first_run, config, tmp_path):
 
 
 @pytest.mark.parametrize("count", [0, -1])
-def test_eval_with_fewer_than_one_sample_per_input_exits_2(first_run, config, tmp_path,
+def test_eval_with_fewer_than_one_sample_per_input_exits_2(first_run, tiny_cfg, tmp_path,
                                                            count):
+    # the run config is the one way to set samples_per_input
     root = first_run[0]
-    out = tmp_path / "eval.json"
+    config, out = tmp_path / "few.json", tmp_path / "eval.json"
+    config.write_text(json.dumps({**tiny_cfg.to_dict(), "samples_per_input": count}))
     assert _cli("eval", "--config", config, "--ckpt", root / "ckpt", "--data",
-                root / "data", "--samples-per-input", count, "--out", out) == 2
+                root / "data", "--out", out) == 2
     assert not out.exists()
 
 

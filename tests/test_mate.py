@@ -133,6 +133,11 @@ class TestEncode:
         with pytest.raises(DataError, match="24-element limit"):
             encode(model, [audio_input(rng.standard_normal((25, 5)))])
 
+    def test_no_inputs_is_a_data_error(self):
+        model = _model()
+        with pytest.raises(DataError, match="^no conditions to encode$"):
+            encode(model, [])
+
     def test_condition_length_matches_payload(self):
         model = _model()
         out = encode(model, [text_input([1, 2, 3, 4, 5, 6, 7])])

@@ -307,8 +307,8 @@ def test_an_empty_batch_of_requests_is_a_data_error(trained, tiny_cfg, modality,
 
 def test_eval_reports_do_not_depend_on_the_group_size(trained, tiny_cfg):
     data, ckpt = trained
-    reports = [pipeline.evaluate(replace(tiny_cfg, batch_size=size), data, ckpt, seed=3,
-                                 samples_per_input=2)
+    reports = [pipeline.evaluate(replace(tiny_cfg, batch_size=size, samples_per_input=2),
+                                 data, ckpt, seed=3)
                for size in (1, 3)]
     assert reports[0]["metrics"] == reports[1]["metrics"]
 

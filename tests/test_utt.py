@@ -539,6 +539,11 @@ class TestLosses:
         ce = utt_loss(utt, cond, tokens).item()
         assert mean_cross_entropy(utt, mq, samples) == ce
 
+    def test_held_out_ce_of_no_samples_is_a_data_error(self):
+        _, utt, mq = _models()
+        with pytest.raises(DataError, match="^no conditions to encode$"):
+            mean_cross_entropy(utt, mq, [])
+
     def test_hinge_disc_loss_nonnegative(self, rng):
         loss = hinge_disc_loss(Tensor(rng.standard_normal((1, 4))),
                                Tensor(rng.standard_normal((1, 4))))
