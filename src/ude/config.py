@@ -99,6 +99,19 @@ class RunConfig:
         return self.beat_sigma_frames / self.fps
 
 
+# the keys each stage's model constructor reads (the utt stage's includes its
+# MATE's): a checkpoint's recorded values of them describe the model that
+# runs, so a request config must agree with it on each
+ARCHITECTURE_KEYS = {
+    "mq": ("code_count", "code_dim", "mq_hidden"),
+    "utt": ("embed_dim", "feature_dim", "mate_layers", "mate_heads", "max_text_len",
+            "max_audio_len", "code_count", "z_dim", "utt_layers", "utt_heads", "max_context"),
+    "dmd": ("embed_dim", "code_count", "dmd_cond_layers", "dmd_heads", "diffusion_steps",
+            "dmd_layers"),
+    "retrieval": ("retrieval_dim",),
+}
+
+
 def load_config(path=None) -> RunConfig:
     """Build a RunConfig from an optional JSON file (see `config_from_dict`)."""
     if path is None:

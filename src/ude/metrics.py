@@ -204,12 +204,29 @@ class RetrievalEncoder(Module):
         self.text_out = Linear(hidden, cfg.retrieval_dim, rng)
 
     def encode_motion(self, frames: np.ndarray) -> Tensor:
-        """Unit embeddings [B, d] of B equal-length motions [B, T, c]."""
+        """Unit embeddings [B, d] of B equal-length motions [B, T, c].
+
+        The conv trunk (both strided convs, their biases and relus, and the
+        time mean) runs over at most RETRIEVAL_BATCH motions at a time, so
+        its activations stay the size of one training minibatch, which is
+        one chunk and so one graph as before. Each conv is one product per
+        sequence and the mean is per row, so a chunk's rows are bit for bit
+        those of one pass over all B. The head (`motion_out` and the
+        normalization) runs once over all B pooled rows: OpenBLAS picks its
+        gemm kernel by row count, so a short remainder chunk through the
+        head could move the last bits."""
+        pooled = [self._motion_trunk(frames[i:i + RETRIEVAL_BATCH])
+                  for i in range(0, len(frames), RETRIEVAL_BATCH)]
+        h = pooled[0] if len(pooled) == 1 else nm.concat(pooled, axis=0)
+        return _l2_normalize(self.motion_out(h))
+
+    def _motion_trunk(self, frames: np.ndarray) -> Tensor:
+        """Time-pooled conv features [B, hidden] of motions [B, T, c]."""
         h = nm.conv1d_temporal(Tensor(frames), self.motion_k1, stride=2, pad=1)
         h = nm.relu(h + self.motion_b1)
         h = nm.conv1d_temporal(h, self.motion_k2, stride=2, pad=1)
         h = nm.relu(h + self.motion_b2)
-        return _l2_normalize(self.motion_out(h.mean(axis=-2)))
+        return h.mean(axis=-2)
 
     def encode_text(self, token_ids) -> Tensor:
         """Unit embeddings [B, d] of B token-id arrays: the mean word
@@ -254,7 +271,11 @@ def train_retrieval_encoder(enc: RetrievalEncoder, pairs, epochs: int,
 def retrieval_accuracy(encoder, pairs, distractors: int, trials: int, seed: int = 0) -> tuple:
     """Top-1/top-5 retrieval of the paired text among `distractors` + 1
     candidates, by cosine similarity of unit embeddings. The motions of
-    `pairs` share one length.
+    `pairs` share one length. They are embedded in one `encode_motion`
+    call, which runs its conv trunk over RETRIEVAL_BATCH motions at a time
+    (that bounds the activations held at once, the peak memory of `eval`)
+    and its output head once over every row, so the embeddings equal one
+    pass over all of them bit for bit.
 
     The true text is inserted at a seeded random slot; ties resolve by
     candidate order.

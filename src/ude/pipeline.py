@@ -12,11 +12,12 @@ is built from the run config being trained, or from the one the checkpoint
 recorded, checked as a config file is; the model keeps that config as
 `model.cfg`, and its trainer reads lr, batch_size and z_prob from it.
 Sampling reads top_k and temperature from the request's config, never from
-`model.cfg`. Loading draws no weights, since every one is overwritten by a
-saved parameter, and a stack load hashes the mq file once for all its
-dependency checks. The generation stack is a dict of the models "mq", "utt"
-(which holds the MATE as `utt.mate`) and "dmd" (None when it is loaded for
-the vq decoder).
+`model.cfg`, and that config must agree with `model.cfg` on every key that
+builds the model (`config.ARCHITECTURE_KEYS`). Loading draws no weights,
+since every one is overwritten by a saved parameter, and a stack load hashes
+the mq file once for all its dependency checks. The generation stack is a
+dict of the models "mq", "utt" (which holds the MATE as `utt.mate`) and
+"dmd" (None when it is loaded for the vq decoder).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from . import mq as mq_mod
 from . import numerics as nm
 from . import utt as utt_mod
 from .audio import AudioFeatureSequence
-from .config import RunConfig, config_from_dict
+from .config import ARCHITECTURE_KEYS, RunConfig, config_from_dict
 from .dataset import UNK_ID, load_samples, synth_dataset, tokenize
 from .errors import ConfigError, DataError, NumericsError, StageError
 from .fileio import atomic_write
@@ -172,7 +173,10 @@ def _train_one(stage: str, cfg: RunConfig, train, out_dir, seed: int, epochs, de
 def _check_samples(samples, cfg: RunConfig) -> None:
     """Before any model is built: every sample's motion and features run at
     the config's fps, the rate that training and the beat metrics read them
-    at, and every condition fits MATE's length limits."""
+    at; the split's motions share one frame count, since every trainer and
+    the retrieval scorer stack them; and every condition is non-empty and
+    fits MATE's length limits."""
+    first = samples[0]
     for s in samples:
         rates = {"motion": s.motion.fps}
         if s.features is not None:
@@ -181,7 +185,13 @@ def _check_samples(samples, cfg: RunConfig) -> None:
             if rate != cfg.fps:
                 raise DataError(f"sample {s.id}: {kind} rate {rate} is not the config's "
                                 f"fps {cfg.fps}")
+        if s.motion.length != first.motion.length:
+            raise DataError(f"sample {s.id}: its motion has {s.motion.length} frames and "
+                            f"sample {first.id}'s has {first.motion.length}; the motions "
+                            f"of a split must share one frame count")
     for s in samples:
+        if s.text_ids is not None and s.text_ids.size == 0:
+            raise DataError(f"sample {s.id}: its text has no words")
         if s.text_ids is not None and s.text_ids.size > cfg.max_text_len:
             raise DataError(f"sample {s.id}: text of {s.text_ids.size} tokens exceeds "
                             f"max_text_len {cfg.max_text_len}")
@@ -332,6 +342,7 @@ def _sample_tokens(stack, cfg: RunConfig, modality: str, frames: int, seeds, pro
                    use_z: bool = False, primitive=None) -> tuple:
     """(token rows [B, frames / 4], unk-only flags) of B requests of one
     modality, each seeded by its entry of `seeds`; nothing is decoded."""
+    _check_architecture(cfg, stack)
     utt = stack["utt"]
     n_tokens = frames // DOWNSAMPLE
     inputs, unk_only = zip(*(condition_from_request(stack, cfg, modality, p, f)
@@ -347,6 +358,21 @@ def _sample_tokens(stack, cfg: RunConfig, modality: str, frames: int, seeds, pro
         tokens = utt_mod.generate_tokens(utt, cond, n_tokens, cfg,
                                          primitive=primitive, z=zs, seed=seeds)
     return tokens, unk_only
+
+
+def _check_architecture(cfg: RunConfig, models: dict) -> None:
+    """Before any model runs: the request config `cfg` agrees with the run
+    config each loaded model of `models` ({stage: model or None}) was built
+    from on every key that builds it, so that what outputs echo of `cfg`
+    describes the models that ran."""
+    for stage, model in models.items():
+        if model is None:
+            continue
+        for key in ARCHITECTURE_KEYS[stage]:
+            want, got = getattr(model.cfg, key), getattr(cfg, key)
+            if got != want:
+                raise ConfigError(f"config key {key!r} is {got}, but the {stage} checkpoint "
+                                  f"was built with {want}")
 
 
 @contextlib.contextmanager
@@ -498,18 +524,21 @@ def evaluate(cfg: RunConfig, data_dir, ckpt_dir, split: str = "test",
                         f"have {len(texts)}")
     stack = load_generation_stack(ckpt_dir, decoder=decoder)
     retrieval = load_retrieval(ckpt_dir)
+    _check_architecture(cfg, {"retrieval": retrieval})  # sampling checks the stack
     sigma = cfg.beat_sigma_seconds()
 
     text_samples = [s for s in samples if s.modality == "text"]
     audio_samples = [s for s in samples if s.modality == "audio"]
 
-    # requests of one modality and length are sampled in groups of batch_size
+    # requests of one modality are sampled in groups of batch_size, each at
+    # the split's one frame count
+    frames = samples[0].motion.length
     groups = {}
     for sample in samples:
-        key = (sample.modality, sample.motion.length)
-        groups.setdefault(key, []).extend((sample, rep) for rep in range(cfg.samples_per_input))
+        groups.setdefault(sample.modality, []).extend(
+            (sample, rep) for rep in range(cfg.samples_per_input))
     generated = {}
-    for (modality, frames), requests in groups.items():
+    for modality, requests in groups.items():
         for start in range(0, len(requests), cfg.batch_size):
             group = requests[start:start + cfg.batch_size]
             outs = generate_motion(

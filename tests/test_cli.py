@@ -514,6 +514,66 @@ def test_eval_of_a_split_with_repeated_sentences_exits_4(first_run, config, tmp_
     assert not out.exists()
 
 
+# (folder, change to the file, message) of one sample that no model could take
+# with its split: a text of no words has no mean word embedding, and a clip
+# shorter than the others cannot be stacked with them by any trainer or by
+# the retrieval scorer
+UNUSABLE_SAMPLES = {
+    "blank-text": ("conds", lambda text: "\n", "its text has no words"),
+    "text-of-punctuation": ("conds", lambda text: "...\n", "its text has no words"),
+    "shorter-clip": ("motions", lambda text: "\n".join(text.splitlines()[:13]) + "\n",
+                     "its motion has 12 frames and sample "),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("case", sorted(UNUSABLE_SAMPLES))
+def test_a_sample_no_model_can_take_exits_4_before_any_work(first_run, config, tmp_path,
+                                                            capsys, command, case):
+    folder, change, message = UNUSABLE_SAMPLES[case]
+    data, out = tmp_path / "data", tmp_path / "out"
+    shutil.copytree(first_run[0] / "data", data)
+    split = {"train": "train", "eval": "test"}[command]
+    path = sorted((data / folder).glob(f"text_{split}_*"))[-1]  # not the split's first
+    path.write_text(change(path.read_text()))
+    request = {"train": ["--stage", "all", "--epochs", 1, "--out", out],
+               # no checkpoints: the split is checked before any model is loaded
+               "eval": ["--ckpt", tmp_path / "no-ckpt", "--out", out / "eval.json"]}[command]
+    assert _cli(command, "--config", config, "--data", data, *request) == 4
+    assert f"sample {path.stem}: {message}" in capsys.readouterr().err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+# (command, config change, message): a request config that differs from the
+# run config a checkpoint recorded on a key that builds its model
+OTHER_ARCHITECTURES = [
+    ("generate", {"code_count": 16, "embed_dim": 32, "diffusion_steps": 9},
+     "config key 'code_count' is 16, but the mq checkpoint was built with 8"),
+    ("generate", {"diffusion_steps": 9},
+     "config key 'diffusion_steps' is 9, but the dmd checkpoint was built with 2"),
+    ("eval", {"code_count": 16, "embed_dim": 32, "diffusion_steps": 9},
+     "config key 'code_count' is 16, but the mq checkpoint was built with 8"),
+    ("eval", {"retrieval_dim": 4},
+     "config key 'retrieval_dim' is 4, but the retrieval checkpoint was built with 8"),
+]
+
+
+@pytest.mark.parametrize("command, change, message", OTHER_ARCHITECTURES,
+                         ids=["generate", "generate-dmd-steps", "eval", "eval-retrieval-dim"])
+def test_a_request_config_of_another_architecture_exits_2(first_run, tiny_cfg, tmp_path,
+                                                          capsys, command, change, message):
+    root, out = first_run[0], tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**tiny_cfg.to_dict(), **change}))
+    request = {"generate": ["--modality", "text", "--prompt", "a person walks",
+                            "--out", out / "m.udem"],
+               "eval": ["--data", root / "data", "--out", out / "eval.json"]}[command]
+    assert _cli(command, "--config", config, "--ckpt", root / "ckpt", *request,
+                "--decoder", "dmd") == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sentences_beyond_max_text_len_exit_before_synth_writes(tiny_cfg, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**tiny_cfg.to_dict(), "max_text_len": 14}))

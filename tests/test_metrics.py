@@ -9,10 +9,11 @@ from ude import numerics as nm
 from ude.config import RunConfig
 from ude.dataset import VOCAB_WORDS
 from ude.errors import DataError
-from ude.metrics import (FeatureSet, RetrievalEncoder, beat_align, contrastive_loss,
-                         detect_motion_beats, diversity, feature_set, fid, fid_gaussian,
-                         geometric_features, kinetic_features, recon_accuracy,
-                         retrieval_accuracy, train_retrieval_encoder)
+from ude.metrics import (RETRIEVAL_BATCH, FeatureSet, RetrievalEncoder, _l2_normalize,
+                         beat_align, contrastive_loss, detect_motion_beats, diversity,
+                         feature_set, fid, fid_gaussian, geometric_features,
+                         kinetic_features, recon_accuracy, retrieval_accuracy,
+                         train_retrieval_encoder)
 from ude.motion import MotionSequence
 
 
@@ -325,6 +326,22 @@ class TestRetrieval:
         assert abs(batched.item() - slices.item()) < 1e-12
         for a, b in zip(gradients(batched), gradients(slices)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("count", [17, 33])
+    def test_chunked_motion_trunk_equals_one_pass(self, rng, count):
+        # chunks of RETRIEVAL_BATCH leave a 1-row remainder; the embeddings
+        # equal the conv trunk run over all rows at once, bit for bit
+        enc = RetrievalEncoder(RETRIEVAL_CFG, np.random.default_rng(5))
+        frames = rng.standard_normal((count, 16, C))
+        with nm.no_grad():
+            h = nm.conv1d_temporal(nm.Tensor(frames), enc.motion_k1, stride=2, pad=1)
+            h = nm.relu(h + enc.motion_b1)
+            h = nm.conv1d_temporal(h, enc.motion_k2, stride=2, pad=1)
+            h = nm.relu(h + enc.motion_b2)
+            one_pass = _l2_normalize(enc.motion_out(h.mean(axis=-2))).data
+            chunked = enc.encode_motion(frames).data
+        assert count % RETRIEVAL_BATCH == 1
+        np.testing.assert_array_equal(chunked, one_pass)
 
     def test_one_pair_trains_nothing_and_reads_loss_zero(self, rng):
         # InfoNCE over one pair has no negatives, so no batch runs

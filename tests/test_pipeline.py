@@ -1,6 +1,6 @@
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import reduce
 
 import numpy as np
@@ -9,7 +9,7 @@ import pytest
 from ude import checkpoint, metrics, pipeline
 from ude import numerics as nm
 from ude import utt as utt_mod
-from ude.config import RunConfig
+from ude.config import ARCHITECTURE_KEYS, RunConfig
 from ude.dataset import _PHRASES, VOCAB_WORDS, load_samples
 from ude.mate import encode
 from ude.errors import DataError, NumericsError
@@ -247,6 +247,26 @@ def test_each_model_is_sized_by_its_run_config(stage):
         assert model.mate.cfg is ARCH
     if stage == "dmd":
         assert model.sched.steps == 7
+
+
+class _ReadRecorder:
+    """A run config that records the name of every key read from it."""
+
+    def __init__(self, cfg):
+        self._cfg, self.read = cfg, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._cfg, name)
+
+
+@pytest.mark.parametrize("stage", sorted(pipeline.STAGES))
+def test_the_architecture_keys_are_the_keys_each_constructor_reads(stage):
+    # a request config is checked against a checkpoint on these keys alone
+    recorder = _ReadRecorder(RunConfig())
+    pipeline.STAGES[stage].model(recorder, np.random.default_rng(0))
+    keys = {f.name for f in fields(RunConfig)}
+    assert recorder.read & keys == set(ARCHITECTURE_KEYS[stage])
 
 
 def test_sampling_follows_the_request_config_not_the_recorded_one(trained, tiny_cfg):
