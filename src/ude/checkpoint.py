@@ -2,27 +2,29 @@
 
 A checkpoint file holds one stage's model and has three parts:
 
-    UDECKPT v3 module=<stage>
-    {"stage": ..., "config": ..., "deps": ..., "buffers": ..., "params": ...}
+    UDECKPT v4 module=<stage>
+    {"stage": ..., "config": ..., "deps": ..., "params": ...}
     <payload>
 
 The first line is the header. The second is one UTF-8 JSON object: the
 stage name, the resolved run config, the content hashes of the stage
-checkpoints it was trained against (`deps`), small buffers as JSON lists,
-and the model's parameters, `{name: {"shape": [...], "offset": n}}`. The
-file records no architecture: the run config does, and the model is
-rebuilt from it. The rest of the file is the payload: every parameter as
-raw little-endian float64, C order, parameter `name` starting `offset`
-values in. The payload holds exactly the values the metadata names, so its
-length is 8 bytes times the parameter count. Parameters round-trip bit for
-bit.
+checkpoints it was trained against (`deps`), and the layout of the model's
+tensors, `{name: {"shape": [...], "offset": n}}`: its trained parameters
+and any fixed arrays it keeps as tensors, such as the quantizer's
+standardization. The file records no architecture: the run config does,
+and the model is rebuilt from it. The rest of the file is the payload:
+every tensor as raw little-endian float64, C order, tensor `name` starting
+`offset` values in. The payload holds exactly the values the metadata
+names, so its length is 8 bytes times their count. Tensors round-trip bit
+for bit.
 
 `load_checkpoint` reads a file once and validates the metadata and the
 payload against each other; anything that does not fit raises DataError.
 Only the two text lines are copied out of the bytes read; the parameters
 are read-only views of the payload in place. A file in an older format
-(`UDECKPT v1`, JSON only, or `v2`, one parameter map per model) is rejected
-with a message to retrain its stage.
+(`UDECKPT v1`, JSON only; `v2`, one parameter map per model; or `v3`, with
+JSON buffers beside the parameters) is rejected with a message to retrain
+its stage.
 `load_stage` checks the recorded dependency hashes against the stage files
 in the directory, so a stale or missing prerequisite fails loudly; the
 stages of one stack load share one dict of hashes, so each dependency file
@@ -41,20 +43,20 @@ import numpy as np
 from .errors import DataError, StageError
 from .fileio import atomic_write, sha256_file
 
-CKPT_MAGIC = "UDECKPT v3"
+CKPT_MAGIC = "UDECKPT v4"
 PAYLOAD_DTYPE = np.dtype("<f8")
 
 
 def params_blob(module) -> dict:
-    return {name: p.data for name, p in module.named_parameters()}
+    return {name: t.data for name, t in module.named_tensors()}
 
 
 def load_params(module, params: dict) -> None:
-    """Copy each saved array into the module's own parameter array."""
-    names = dict(module.named_parameters())
+    """Copy each saved array into the module's own tensor of that name."""
+    names = dict(module.named_tensors())
     if set(names) != set(params):
         missing = set(names) ^ set(params)
-        raise DataError(f"parameter names do not match checkpoint: {sorted(missing)[:4]}")
+        raise DataError(f"tensor names do not match checkpoint: {sorted(missing)[:4]}")
     for name, arr in params.items():
         if arr.shape != names[name].data.shape:
             raise DataError(f"shape mismatch for {name}: {arr.shape}")
@@ -62,8 +64,8 @@ def load_params(module, params: dict) -> None:
 
 
 def save_checkpoint(path, stage: str, params: dict, run_config: dict,
-                    deps: dict | None = None, buffers: dict | None = None) -> None:
-    """Write one stage checkpoint of the model parameters `{name: array}`."""
+                    deps: dict | None = None) -> None:
+    """Write one stage checkpoint of the model tensors `{name: array}`."""
     layout, chunks, offset = {}, [], 0
     for name, value in params.items():
         arr = np.asarray(value, dtype=PAYLOAD_DTYPE)
@@ -74,7 +76,6 @@ def save_checkpoint(path, stage: str, params: dict, run_config: dict,
         "stage": stage,
         "config": run_config,
         "deps": deps or {},
-        "buffers": {k: np.asarray(v).tolist() for k, v in (buffers or {}).items()},
         "params": layout,
     }
     head = f"{CKPT_MAGIC} module={stage}\n{json.dumps(meta)}\n".encode("utf-8")
@@ -137,7 +138,7 @@ def _check_metadata(path, stage: str, meta) -> None:
         fail("not an object")
     if meta.get("stage") != stage:
         fail("header/body stage mismatch")
-    for key in ("params", "deps", "buffers"):
+    for key in ("params", "deps"):
         if not isinstance(meta.get(key), dict):
             fail(f"{key!r} is not an object")
     for name, entry in meta["params"].items():

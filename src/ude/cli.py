@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
+        p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--out", required=True, help="output directory or file")
 
     p_synth = sub.add_parser("synth", help="generate the synthetic dataset")
@@ -74,9 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args) -> tuple:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seed
-    return cfg, seed
+    return load_config(args.config), args.seed
 
 
 def cmd_synth(args) -> int:

@@ -78,7 +78,6 @@ class RunConfig:
     epochs_retrieval: int = 25
     batch_size: int = 8  # also the size of eval's sampling groups
     z_prob: float = 0.5
-    seed: int = 0
 
     # metrics
     beat_sigma_frames: float = 3.0

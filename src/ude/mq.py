@@ -42,10 +42,10 @@ class MQModel(Module):
         self.dec2 = Conv1d(3, h, h, 1, rng)
         self.dec3 = Conv1d(3, h, c, 1, rng)
         self.codebook = Embedding(cfg.code_count, d, rng, scale=0.5)
-        # per-coordinate input standardization, filled in by the trainer
-        self.center = np.zeros(c)
-        self.scale = np.ones(c)
-        self.usage = np.zeros(cfg.code_count, dtype=np.int64)
+        # per-coordinate input standardization: fixed tensors, not parameters,
+        # set from the training motions and saved after the codebook
+        self.center = Tensor(np.zeros(c))
+        self.scale = Tensor(np.ones(c))
 
     # -- forward pieces ------------------------------------------------------
 
@@ -57,7 +57,7 @@ class MQModel(Module):
         if x.shape[1] % DOWNSAMPLE != 0:
             raise DataError(
                 f"frame count {x.shape[1]} not divisible by {DOWNSAMPLE}; pad or crop first")
-        x = (x - Tensor(self.center)) * Tensor(1.0 / self.scale)
+        x = (x - self.center) * Tensor(1.0 / self.scale.data)
         h = nm.relu(self.enc1(x))
         h = nm.relu(self.enc2(h))
         return self.enc3(h)
@@ -67,7 +67,7 @@ class MQModel(Module):
         h = nm.relu(self.dec1(codes))
         h = nm.relu(self.dec2(nm.repeat_rows(h, 2)))
         out = self.dec3(nm.repeat_rows(h, 2))
-        return out * Tensor(self.scale) + Tensor(self.center)
+        return out * self.scale + self.center
 
     def decode_tokens(self, tokens) -> np.ndarray:
         """Token indices [B, T'] -> motion frames [B, 4T', c], deterministically."""
@@ -136,30 +136,29 @@ def train_mq(model: MQModel, motions, epochs: int, seed: int) -> list:
     if not motions:
         raise DataError("empty training set")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
-    model.center = np.mean([m.mean(axis=0) for m in motions], axis=0)
-    model.scale = np.maximum(np.mean([m.std(axis=0) for m in motions], axis=0), 1e-3)
+    model.center = Tensor(np.mean([m.mean(axis=0) for m in motions], axis=0))
+    model.scale = Tensor(np.maximum(np.mean([m.std(axis=0) for m in motions], axis=0), 1e-3))
     named = model.named_parameters()
     opt = nm.Adam(named, lr=model.cfg.lr)
     code_param_index = next(i for i, (name, _) in enumerate(named) if "codebook" in name)
     stash = []  # encoder rows of the epoch's first 256 motions
+    used = np.zeros(model.cfg.code_count, dtype=bool)  # the codes the epoch's tokens hit
 
     def order():
-        # each epoch counts code use and stashes encoder rows afresh
-        model.usage = np.zeros(model.cfg.code_count, dtype=np.int64)
+        # each epoch marks code use and stashes encoder rows afresh
+        used[:] = False
         stash.clear()
         return rng.permutation(len(motions))
 
     def step(batch):
         loss, parts = vq_loss(model, np.stack([motions[i] for i in batch]))
-        # a code counts once for each motion that uses it
-        used = parts["tokens"][:, :, None] == np.arange(model.cfg.code_count)
-        model.usage += used.any(axis=1).sum(axis=0)
+        used[parts["tokens"]] = True
         stash.extend(parts["e"].data[:256 - len(stash)])
         return loss, {"total": loss.item(), **{
             key: parts[key].item() for key in ("recon", "codebook", "commit")}}
 
     def end_epoch():
-        dead = np.where(model.usage == 0)[0]
+        dead = np.flatnonzero(~used)
         if dead.size and stash:
             pool = np.vstack(stash)
             picks = rng.integers(0, pool.shape[0], size=dead.size)

@@ -43,20 +43,26 @@ MASK_HIDDEN = -1e9
 
 
 class Module:
-    """Base class: collects parameters from attributes, recursively."""
+    """Base class: collects tensors from attributes, recursively."""
 
-    def named_parameters(self, prefix: str = ""):
+    def named_tensors(self, prefix: str = ""):
+        """Every `Tensor` attribute, in attribute order: the model's state,
+        which a checkpoint stores."""
         out = []
         for key, value in vars(self).items():
-            if isinstance(value, Tensor) and value.requires_grad:
+            if isinstance(value, Tensor):
                 out.append((prefix + key, value))
             elif isinstance(value, Module):
-                out.extend(value.named_parameters(prefix + key + "."))
+                out.extend(value.named_tensors(prefix + key + "."))
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        out.extend(item.named_parameters(f"{prefix}{key}.{i}."))
+                        out.extend(item.named_tensors(f"{prefix}{key}.{i}."))
         return out
+
+    def named_parameters(self):
+        """The tensors that require grad: what an optimizer steps."""
+        return [(name, t) for name, t in self.named_tensors() if t.requires_grad]
 
 
 def glorot(rng: np.random.Generator, shape) -> np.ndarray:

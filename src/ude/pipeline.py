@@ -7,7 +7,7 @@ Stage order is mq -> utt (the UTT with its MATE, on cross-entropy) -> dmd
 model; the utt and dmd stages record the content hash of the mq checkpoint
 they were trained against, and loading verifies those hashes so stale mixes
 fail loudly.
-A checkpoint holds only the parameters of its stage's `model` class, which
+A checkpoint holds only the tensors of its stage's `model` class, which
 is built from the run config being trained, or from the one the checkpoint
 recorded, checked as a config file is; the model keeps that config as
 `model.cfg`, and its trainer reads lr, batch_size and z_prob from it.
@@ -71,28 +71,26 @@ def _write_loss_log(path, cfg: RunConfig, seed: int, history, columns) -> None:
 # -- training stages -----------------------------------------------------------------
 #
 # Each trainer trains the stage's freshly drawn model in place on the train
-# split for `epochs` epochs and returns (buffers, loss history). `deps` holds
+# split for `epochs` epochs and returns its loss history. `deps` holds
 # the loaded model of each stage the trainer depends on.
 
 
-def _train_mq(model, train, deps, rng, seed, epochs) -> tuple:
-    history = mq_mod.train_mq(model, [s.motion.frames for s in train], epochs, seed)
-    return {"center": model.center, "scale": model.scale, "usage": model.usage}, history
+def _train_mq(model, train, deps, rng, seed, epochs) -> list:
+    return mq_mod.train_mq(model, [s.motion.frames for s in train], epochs, seed)
 
 
-def _train_utt(model, train, deps, rng, seed, epochs) -> tuple:
+def _train_utt(model, train, deps, rng, seed, epochs) -> list:
     samples = [(_sample_input(s), s.motion.frames) for s in train]
-    return None, utt_mod.train_utt(model, deps["mq"], samples, epochs, seed)
+    return utt_mod.train_utt(model, deps["mq"], samples, epochs, seed)
 
 
-def _train_dmd(model, train, deps, rng, seed, epochs) -> tuple:
-    return None, dmd_mod.train_dmd(model, deps["mq"], [s.motion.frames for s in train],
-                                   epochs, seed)
+def _train_dmd(model, train, deps, rng, seed, epochs) -> list:
+    return dmd_mod.train_dmd(model, deps["mq"], [s.motion.frames for s in train], epochs, seed)
 
 
-def _train_retrieval(model, train, deps, rng, seed, epochs) -> tuple:
+def _train_retrieval(model, train, deps, rng, seed, epochs) -> list:
     pairs = [(s.motion.frames, s.text_ids) for s in train if s.modality == "text"]
-    return None, metrics_mod.train_retrieval_encoder(model, pairs, epochs, rng)
+    return metrics_mod.train_retrieval_encoder(model, pairs, epochs, rng)
 
 
 @dataclass(frozen=True)
@@ -128,13 +126,14 @@ def train_stage(stage: str, cfg: RunConfig, data_dir, out_dir, seed: int,
         raise ConfigError(f"unknown stage {stage!r}")
     if epochs is not None and epochs < 0:
         raise ConfigError(f"epoch count {epochs} is negative")
+    deps = None if stage == "all" else _dep_hashes(out_dir, stage)
+    train = _load_train(cfg, data_dir)
+    # made once the split has passed its checks, so a bad split leaves no directory
     os.makedirs(os.fspath(out_dir), exist_ok=True)
     if stage == "all":
-        train = _load_train(cfg, data_dir)
         return {s: _train_one(s, cfg, train, out_dir, seed, epochs, _dep_hashes(out_dir, s))
                 for s in STAGES}
-    deps = _dep_hashes(out_dir, stage)
-    return _train_one(stage, cfg, _load_train(cfg, data_dir), out_dir, seed, epochs, deps)
+    return _train_one(stage, cfg, train, out_dir, seed, epochs, deps)
 
 
 def _dep_hashes(out_dir, stage: str) -> dict:
@@ -160,11 +159,11 @@ def _train_one(stage: str, cfg: RunConfig, train, out_dir, seed: int, epochs, de
     # every op's finite check raises NumericsError on a diverging run, so
     # numpy's own overflow warnings would only come first and say less
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        buffers, history = spec.train(
+        history = spec.train(
             model, train, loaded, rng, seed,
             epochs if epochs is not None else getattr(cfg, f"epochs_{stage}"))
     ckpt.save_checkpoint(ckpt.stage_path(out_dir, stage), stage, ckpt.params_blob(model),
-                         cfg.to_dict(), deps=deps, buffers=buffers)
+                         cfg.to_dict(), deps=deps)
     _write_loss_log(os.path.join(os.fspath(out_dir), f"{stage}_loss.csv"), cfg, seed,
                     history, spec.columns)
     return {"history": history}
@@ -222,9 +221,8 @@ class _NoDraws:
 
 def load_model(ckpt_dir, stage: str, hashes: dict):
     """The stage's model rebuilt from its checkpoint's recorded run config,
-    its dependency hashes verified, its parameters loaded and its buffers
-    restored; no weight is drawn. `hashes` is passed to
-    `checkpoint.load_stage`."""
+    its dependency hashes verified and its tensors loaded; no weight is
+    drawn. `hashes` is passed to `checkpoint.load_stage`."""
     body = ckpt.load_stage(ckpt_dir, stage, hashes)
     path = ckpt.stage_path(ckpt_dir, stage)
     try:
@@ -238,18 +236,6 @@ def load_model(ckpt_dir, stage: str, hashes: dict):
     except DataError as exc:
         raise DataError(f"{path}: the parameters do not fit the recorded run config "
                         f"({exc}); retrain stage {stage}") from exc
-    for name, value in body["buffers"].items():
-        default = getattr(model, name, None)
-        if not isinstance(default, np.ndarray):
-            raise DataError(f"{stage} checkpoint has an unknown buffer {name!r}")
-        try:
-            value = np.array(value, dtype=default.dtype)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{stage} checkpoint buffer {name!r}: {exc}") from exc
-        if value.shape != default.shape:
-            raise DataError(f"{stage} checkpoint buffer {name!r} has shape {value.shape}, "
-                            f"not {default.shape}")
-        setattr(model, name, value)
     return model
 
 

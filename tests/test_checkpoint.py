@@ -24,21 +24,20 @@ def test_round_trip_is_bit_exact_and_the_payload_is_raw(tmp_path, rng):
     params = {**checkpoint.params_blob(layer),
               "scalar": np.array(-0.0), "empty": np.zeros((0, 2))}
     path = tmp_path / "mq.ckpt"
-    checkpoint.save_checkpoint(path, "mq", params, {"seed": 1}, buffers={"usage": [1, 2]})
+    checkpoint.save_checkpoint(path, "mq", params, {"lr": 1.0})
 
     body = checkpoint.load_checkpoint(path)
-    # the parameters alone: the run config describes the model
-    assert set(body) == {"stage", "config", "deps", "buffers", "params"}
-    assert body["config"] == {"seed": 1}
+    # the tensors alone: the run config describes the model
+    assert set(body) == {"stage", "config", "deps", "params"}
+    assert body["config"] == {"lr": 1.0} and body["deps"] == {}
     assert list(body["params"]) == list(params)
     for name, value in params.items():
         np.testing.assert_array_equal(_bits(body["params"][name]), _bits(value))
-    assert body["buffers"] == {"usage": [1, 2]} and body["deps"] == {}
 
     data = path.read_bytes()
     header, line, _ = data.split(b"\n", 2)
     count = sum(np.size(v) for v in params.values())
-    assert header == b"UDECKPT v3 module=mq"
+    assert header == b"UDECKPT v4 module=mq"
     assert len(data) == len(header) + len(line) + 2 + 8 * count
 
     fresh = Linear(3, 4, np.random.default_rng(0))

@@ -193,6 +193,12 @@ def test_a_config_that_names_the_removed_adversarial_weight_is_rejected(tmp_path
         _load(tmp_path, {"beta_adv": 0.0})
 
 
+def test_a_config_that_names_the_removed_seed_is_rejected(tmp_path):
+    # configs written before --seed became the one seed carry "seed": 0
+    with pytest.raises(ConfigError, match=r"^unknown config keys: \['seed'\]$"):
+        _load(tmp_path, {"seed": 0})
+
+
 @pytest.mark.parametrize("values, longest", [
     ({}, 15),
     ({"compose_fraction": 0.0}, 8),

@@ -192,5 +192,5 @@ class TestTrainMq:
         motions = [rng.standard_normal((16, C)) for _ in range(8)]
         history = train_mq(model, motions, epochs=3, seed=0)
         assert len(history) == 3
-        # the last epoch's per-code usage: some code is used, each at most once per motion
-        assert model.usage.sum() > 0 and model.usage.max() <= len(motions)
+        # some code is used in every epoch
+        assert all(0 <= row["dead_codes"] < model.cfg.code_count for row in history)

@@ -9,7 +9,9 @@ import pytest
 
 from ude import numerics as nm
 from ude.errors import ConfigError
-from ude.nn import MultiHeadAttention, TransformerEncoder, additive_mask, causal_prefix_mask
+from ude.nn import (Linear, Module, MultiHeadAttention, TransformerEncoder, additive_mask,
+                    causal_prefix_mask)
+from ude.numerics import Tensor
 
 DIM, HEADS = 8, 2
 
@@ -73,6 +75,19 @@ def test_encoder_rows_from_start_equal_the_full_forwards_rows(rng, mask, cached)
     assert np.abs(rows - full[:, 3:]).max() < 1e-12
     for got, want in zip(caches or [], full_caches or []):
         assert all(np.array_equal(a.data, b.data) for a, b in zip(got, want))
+
+
+class _Shifted(Module):
+    def __init__(self, rng):
+        self.layers = [Linear(2, 3, rng)]
+        self.shift = Tensor(np.ones(3))
+
+
+def test_named_parameters_are_the_named_tensors_that_take_gradients(rng):
+    # a tensor without grad is state that a checkpoint saves and no optimizer steps
+    model = _Shifted(rng)
+    assert [name for name, _ in model.named_tensors()] == ["layers.0.w", "layers.0.b", "shift"]
+    assert [name for name, _ in model.named_parameters()] == ["layers.0.w", "layers.0.b"]
 
 
 def test_attention_dim_must_split_across_the_heads(rng):

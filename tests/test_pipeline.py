@@ -16,16 +16,21 @@ from ude.errors import DataError, NumericsError
 from ude.motion import MotionSequence
 
 
-def test_load_mq_restores_every_saved_buffer(tmp_path, tiny_cfg):
+def test_load_mq_restores_center_and_scale_bit_for_bit(tmp_path, tiny_cfg):
     data, ckpt = tmp_path / "data", tmp_path / "ckpt"
     pipeline.run_synth(tiny_cfg, 0, data)
     pipeline.train_stage("mq", tiny_cfg, data, ckpt, 0, epochs=1)
-    saved = checkpoint.load_stage(ckpt, "mq", {})["buffers"]
+    # zero epochs: the trainer sets the standardization from the split and stops
+    want = pipeline.mq_mod.MQModel(tiny_cfg, np.random.default_rng(0))
+    motions = [s.motion.frames for s in load_samples(data, split="train")]
+    pipeline.mq_mod.train_mq(want, motions, epochs=0, seed=0)
+    assert list(checkpoint.load_stage(ckpt, "mq", {})["params"])[-2:] == ["center", "scale"]
     model = pipeline.load_mq(ckpt)
-    assert np.asarray(saved["usage"]).sum() > 0
-    for name in ("center", "scale", "usage"):
-        np.testing.assert_array_equal(getattr(model, name), saved[name])
-    assert model.usage.dtype == np.int64
+    for name in ("center", "scale"):
+        got, saved = getattr(model, name), getattr(want, name)
+        assert not got.requires_grad
+        np.testing.assert_array_equal(got.data.view(np.uint64), saved.data.view(np.uint64))
+    assert not np.array_equal(model.scale.data, np.ones(tiny_cfg.frame_dim))
 
 
 def test_mq_loss_log_counts_dead_codes(tmp_path, tiny_cfg):
@@ -46,7 +51,7 @@ def test_every_test_sample_gets_its_own_seed(tmp_path, tiny_cfg):
         assert len({pipeline._sample_seed(0, rep, sid) for sid in ids}) == len(ids)
 
 
-@pytest.mark.parametrize("part", ["params", "buffers", "config"])
+@pytest.mark.parametrize("part", ["params", "config"])
 def test_load_model_rejects_what_no_model_owns(tmp_path, tiny_cfg, part):
     data, ckpt = tmp_path / "data", tmp_path / "ckpt"
     pipeline.run_synth(tiny_cfg, 0, data)
@@ -56,15 +61,12 @@ def test_load_model_rejects_what_no_model_owns(tmp_path, tiny_cfg, part):
     params = body["params"]
     if part == "config":  # a key no run config has, as beta_start in an old dmd.ckpt
         body["config"]["beta_start"] = 1e-4
-    elif part == "params":
-        params["extra"] = params["codebook.table"]
     else:
-        body["buffers"]["extra"] = [1.0]
+        params["extra"] = params["codebook.table"]
     checkpoint.save_checkpoint(checkpoint.stage_path(ckpt, "mq"), "mq", params,
-                               body["config"], buffers=body["buffers"])
+                               body["config"])
     names = {"config": "mq.ckpt: the recorded run config.*beta_start.*retrain stage mq",
-             "params": "mq.ckpt: the parameters do not fit.*extra.*retrain stage mq",
-             "buffers": "mq checkpoint has an unknown buffer 'extra'"}[part]
+             "params": "mq.ckpt: the parameters do not fit.*extra.*retrain stage mq"}[part]
     with pytest.raises(DataError, match=names):
         pipeline.load_model(ckpt, "mq", {})
 
@@ -84,6 +86,17 @@ def test_train_stage_reads_the_train_split_once(tmp_path, tiny_cfg, monkeypatch,
     result = pipeline.train_stage(stage, tiny_cfg, data, ckpt, 0, epochs=0)
     assert splits == ["train"]
     assert set(result) == (set(pipeline.STAGES) if stage == "all" else {"history"})
+
+
+@pytest.mark.parametrize("stage", ["mq", "all"])
+def test_train_stage_on_a_split_it_rejects_creates_no_directory(tmp_path, tiny_cfg, stage):
+    data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+    pipeline.run_synth(tiny_cfg, 0, data)
+    blank = sorted((data / "conds").glob("text_train_*"))[-1]
+    blank.write_text("\n")
+    with pytest.raises(DataError, match=f"sample {blank.stem}: its text has no words"):
+        pipeline.train_stage(stage, tiny_cfg, data, ckpt, 0, epochs=0)
+    assert not ckpt.exists()
 
 
 def test_the_utt_loss_log_holds_the_cross_entropy_alone(tmp_path, tiny_cfg):
@@ -219,7 +232,7 @@ F, V, H = ARCH.frame_dim, len(VOCAB_WORDS), metrics.RETRIEVAL_HIDDEN
 # per stage: a parameter's or an array's shape, or an encoder's (layers, heads)
 SIZES = {
     "mq": {"enc1.kernel": (4, F, 12), "enc3.kernel": (3, 12, 6), "dec1.kernel": (3, 6, 12),
-           "dec3.kernel": (3, 12, F), "codebook.table": (10, 6), "usage": (10,)},
+           "dec3.kernel": (3, 12, F), "codebook.table": (10, 6), "center": (F,), "scale": (F,)},
     "utt": {"mate.word_table.table": (V, 24), "mate.audio_proj.w": (4 * 7, 24),
             "mate.pos": (1 + max(20, 40 // 4), 24), "mate.encoder": (3, 3),
             "token_table.table": (10 + 1, 24), "z1.w": (5, 24), "out_proj.w": (24, 10),

@@ -658,12 +658,11 @@ class TestTrainUtt:
 
     def test_mq_stays_frozen_during_training(self, rng):
         # bit for bit: the optimizer steps no MQ parameter, and nothing
-        # touches its buffers
+        # touches its standardization
         _, utt, mq = _models()
 
         def state():
-            arrays = [p.data for _, p in mq.named_parameters()] + [mq.center, mq.scale, mq.usage]
-            return [a.tobytes() for a in arrays]
+            return [t.data.tobytes() for _, t in mq.named_tensors()]
 
         before = state()
         train_utt(utt, mq, self._samples(rng), epochs=2, seed=0)
